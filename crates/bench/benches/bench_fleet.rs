@@ -9,19 +9,43 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    merge_requests, run, run_cached, run_observed, run_sweep_cached, AdmissionSpec,
-    NetworkTopology, RequestCache, Scenario, ScenarioSet, SweepAxis,
+    run, run_source, run_source_sweep_cached, AdmissionSpec, FleetReport, NetworkTopology,
+    RequestCache, Scenario, SourceSet, SweepAxis, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_trace::mix::splitmix64;
-use tailwise_trace::time::Instant;
 
 fn fleet_scenario(users: u64) -> Scenario {
     let mut s = Scenario::new(users, Scheme::MakeIdle, CarrierProfile::verizon_lte());
     s.shard_size = 8;
     s.master_seed = 0xBEAC4;
     s
+}
+
+/// A synthetic run under `obs` against `cache`.
+fn run_under(scenario: &Scenario, obs: Obs<'_>, cache: Option<&RequestCache>) -> FleetReport {
+    let source = UserSource::Synthetic(scenario.clone());
+    run_source(&source, 2, obs, cache).expect("synthetic runs never fail")
+}
+
+/// A synthetic sweep on 2 threads against `cache`.
+fn sweep_under(set: &SourceSet, obs: Obs<'_>, cache: Option<&RequestCache>) -> SweepReport {
+    run_source_sweep_cached(set, 2, obs, cache).expect("synthetic sweeps never fail")
+}
+
+/// The admission sweep `sweep_cached` and `sweep_replay_memo` measure.
+fn admission_sweep(base: &Scenario) -> SourceSet {
+    let set = SourceSet {
+        source: UserSource::Synthetic(base.clone()),
+        axes: vec![SweepAxis::Admission(vec![
+            AdmissionSpec::Always,
+            AdmissionSpec::RateLimited { min_interval: tailwise_trace::Duration::from_secs(2) },
+            AdmissionSpec::LoadReactive { watermark_per_s: 50, window_s: 5 },
+            AdmissionSpec::LoadReactive { watermark_per_s: 10, window_s: 5 },
+        ])],
+    };
+    assert_eq!(set.expansion_count(), 4);
+    set
 }
 
 fn fleet_throughput(c: &mut Criterion) {
@@ -56,89 +80,6 @@ fn fleet_scheme_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// RNC adjudication order: [`merge_requests`]' hybrid (cursor heap
-/// below its 64-stream cutover, concat+pdqsort at or above) measured
-/// either side of the cutover against the two fixed strategies — the
-/// always-sort PR 4 path and an always-heap k-way merge. Streams are
-/// synthetic but shaped like phase-1 output: one stream per user,
-/// non-decreasing timestamps, Poisson-ish spacing.
-///
-/// The shapes hold total elements near 0.5M while sweeping stream
-/// count across the cutover, plus the many-short shape a per-cell
-/// partition actually sees. Measured (2026-08): the heap wins 16x32768
-/// (20.4 ms vs sort's 24.8 ms) through 48x10922 (26.8 vs 28.3 ms),
-/// loses from 64x8192 (30.0 vs 24.7 ms), and pdqsort's sequential
-/// traffic widens the gap from there (512x48: 0.79 vs 1.20 ms). The
-/// hybrid must track `kway_merge` below the cutover and `concat_sort`
-/// at or above it; a regression here means the cutover constant has
-/// drifted from the hardware truth.
-fn rnc_adjudication(c: &mut Criterion) {
-    // The always-sort strategy, inlined (the library keeps its
-    // strategies private behind the dispatch).
-    let concat_sort = |streams: &[(u64, Vec<Instant>)]| -> Vec<(Instant, u64, u32)> {
-        let mut merged: Vec<(Instant, u64, u32)> = streams
-            .iter()
-            .flat_map(|(user, times)| {
-                times.iter().enumerate().map(|(seq, &at)| (at, *user, seq as u32))
-            })
-            .collect();
-        merged.sort_unstable();
-        merged
-    };
-    // The always-heap strategy, inlined for the same reason.
-    let kway_merge = |streams: &[(u64, Vec<Instant>)]| -> Vec<(Instant, u64, u32)> {
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, u32, usize)>> =
-            std::collections::BinaryHeap::with_capacity(streams.len());
-        for (slot, (user, times)) in streams.iter().enumerate() {
-            if let Some(&first) = times.first() {
-                heap.push(std::cmp::Reverse((first, *user, 0, slot)));
-            }
-        }
-        let total: usize = streams.iter().map(|(_, times)| times.len()).sum();
-        let mut merged = Vec::with_capacity(total);
-        while let Some(std::cmp::Reverse((at, user, seq, slot))) = heap.pop() {
-            merged.push((at, user, seq));
-            let times = &streams[slot].1;
-            let next = seq as usize + 1;
-            if next < times.len() {
-                heap.push(std::cmp::Reverse((times[next], user, next as u32, slot)));
-            }
-        }
-        merged
-    };
-
-    for (users, per_user) in [(16usize, 32768usize), (48, 10922), (64, 8192), (512, 48)] {
-        let synth_streams = |users: usize| -> Vec<(u64, Vec<Instant>)> {
-            (0..users as u64)
-                .map(|user| {
-                    let mut at = (splitmix64(user) % 5_000_000) as i64;
-                    let times = (0..per_user)
-                        .map(|k| {
-                            at += 1_000 + (splitmix64(user ^ (k as u64) << 32) % 60_000_000) as i64;
-                            Instant::from_micros(at)
-                        })
-                        .collect();
-                    (user, times)
-                })
-                .collect()
-        };
-        let streams = synth_streams(users);
-        let total = (users * per_user) as u64;
-        let mut group = c.benchmark_group(format!("rnc_adjudication/{users}x{per_user}"));
-        group.throughput(Throughput::Elements(total));
-        group.bench_function("hybrid", |b| {
-            b.iter(|| black_box(merge_requests(black_box(&streams))))
-        });
-        group.bench_function("kway_merge", |b| {
-            b.iter(|| black_box(kway_merge(black_box(&streams))))
-        });
-        group.bench_function("concat_sort", |b| {
-            b.iter(|| black_box(concat_sort(black_box(&streams))))
-        });
-        group.finish();
-    }
-}
-
 /// Where fleet time goes, and what watching it costs. One observed
 /// topology run prints the per-span phase breakdown (the same numbers
 /// `--metrics` manifests carry), then the group times the identical
@@ -149,7 +90,7 @@ fn fleet_phases(c: &mut Criterion) {
     let mut scenario = fleet_scenario(16);
     scenario.cells = Some(NetworkTopology::with_rncs(3, 12));
     let recorder = StatsRecorder::new();
-    let report = run_observed(&scenario, 2, Obs { recorder: &recorder, progress: None });
+    let report = run_under(&scenario, Obs { recorder: &recorder, progress: None }, None);
     eprintln!("fleet phase breakdown ({} user-days, 3 RNCs x 12 cells):", report.user_days);
     if let Some(timings) = &report.timings {
         for (name, seconds) in timings.phases() {
@@ -164,7 +105,7 @@ fn fleet_phases(c: &mut Criterion) {
         b.iter(|| {
             let recorder = StatsRecorder::new();
             let obs = Obs { recorder: &recorder, progress: None };
-            black_box(run_observed(black_box(&scenario), 2, obs))
+            black_box(run_under(black_box(&scenario), obs, None))
         })
     });
     group.finish();
@@ -187,29 +128,20 @@ fn fleet_phases(c: &mut Criterion) {
 fn sweep_cached(c: &mut Criterion) {
     let mut base = fleet_scenario(16);
     base.cells = Some(NetworkTopology::with_rncs(3, 12));
-    let set = ScenarioSet {
-        base: base.clone(),
-        axes: vec![SweepAxis::Admission(vec![
-            AdmissionSpec::Always,
-            AdmissionSpec::RateLimited { min_interval: tailwise_trace::Duration::from_secs(2) },
-            AdmissionSpec::LoadReactive { watermark_per_s: 50, window_s: 5 },
-            AdmissionSpec::LoadReactive { watermark_per_s: 10, window_s: 5 },
-        ])],
-    };
-    assert_eq!(set.expansion_count(), 4);
+    let set = admission_sweep(&base);
 
     let mut group = c.benchmark_group("sweep_cached");
     group.throughput(Throughput::Elements(base.user_days()));
     group.bench_function("single_run", |b| b.iter(|| black_box(run(black_box(&base), 2))));
     group.bench_function("sweep_uncached", |b| {
-        b.iter(|| black_box(run_sweep_cached(black_box(&set), 2, Obs::none(), None)))
+        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), None)))
     });
     group.bench_function("sweep_warm", |b| {
         // Warm the cache once; every measured iteration then replays
         // all four cells from it.
         let cache = RequestCache::in_memory();
-        run_cached(&base, 2, Obs::none(), Some(&cache));
-        b.iter(|| black_box(run_sweep_cached(black_box(&set), 2, Obs::none(), Some(&cache))))
+        run_under(&base, Obs::none(), Some(&cache));
+        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), Some(&cache))))
     });
     group.finish();
 }
@@ -229,16 +161,7 @@ fn sweep_cached(c: &mut Criterion) {
 fn sweep_replay_memo(c: &mut Criterion) {
     let mut base = fleet_scenario(16);
     base.cells = Some(NetworkTopology::with_rncs(3, 12));
-    let set = ScenarioSet {
-        base: base.clone(),
-        axes: vec![SweepAxis::Admission(vec![
-            AdmissionSpec::Always,
-            AdmissionSpec::RateLimited { min_interval: tailwise_trace::Duration::from_secs(2) },
-            AdmissionSpec::LoadReactive { watermark_per_s: 50, window_s: 5 },
-            AdmissionSpec::LoadReactive { watermark_per_s: 10, window_s: 5 },
-        ])],
-    };
-    assert_eq!(set.expansion_count(), 4);
+    let set = admission_sweep(&base);
 
     let mut group = c.benchmark_group("sweep_replay_memo");
     group.throughput(Throughput::Elements(base.user_days()));
@@ -247,11 +170,11 @@ fn sweep_replay_memo(c: &mut Criterion) {
         // Warm with one full sweep: phase-1 extraction, baselines, and
         // every cell's replay outcomes all land in the cache.
         let cache = RequestCache::in_memory();
-        run_sweep_cached(&set, 2, Obs::none(), Some(&cache));
+        sweep_under(&set, Obs::none(), Some(&cache));
         // Record the measured shape's honest hit/miss split once.
         let recorder = StatsRecorder::new();
         let obs = Obs { recorder: &recorder, progress: None };
-        run_sweep_cached(&set, 2, obs, Some(&cache));
+        sweep_under(&set, obs, Some(&cache));
         let snapshot = recorder.snapshot();
         let hits = snapshot.counters.get("replay_hits").copied().unwrap_or(0);
         let misses = snapshot.counters.get("replay_misses").copied().unwrap_or(0);
@@ -260,7 +183,7 @@ fn sweep_replay_memo(c: &mut Criterion) {
              ({:.1}% miss rate)",
             100.0 * misses as f64 / (hits + misses).max(1) as f64
         );
-        b.iter(|| black_box(run_sweep_cached(black_box(&set), 2, Obs::none(), Some(&cache))))
+        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), Some(&cache))))
     });
     group.finish();
 }
@@ -269,7 +192,6 @@ criterion_group!(
     benches,
     fleet_throughput,
     fleet_scheme_cost,
-    rnc_adjudication,
     fleet_phases,
     sweep_cached,
     sweep_replay_memo

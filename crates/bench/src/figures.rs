@@ -704,14 +704,7 @@ pub fn ext_cell_signaling(h: &mut Harness) -> Table {
     );
     for n in [3usize, 6, 12] {
         for (batched, label) in [(false, "MakeIdle"), (true, "MakeIdle+MakeActive")] {
-            let r = run_cell(
-                &profile,
-                &h.cfg,
-                make_devices(n, batched),
-                &mut AlwaysAccept,
-                &model,
-                None,
-            );
+            let r = run_cell(&profile, &h.cfg, make_devices(n, batched), &mut AlwaysAccept, &model);
             t.push(vec![
                 n.to_string(),
                 label.into(),
@@ -725,7 +718,7 @@ pub fn ext_cell_signaling(h: &mut Harness) -> Table {
         // A protective base station: at most one release grant per second
         // across the whole cell.
         let mut limited = RateLimited::new(D::from_secs(1));
-        let r = run_cell(&profile, &h.cfg, make_devices(n, false), &mut limited, &model, None);
+        let r = run_cell(&profile, &h.cfg, make_devices(n, false), &mut limited, &model);
         t.push(vec![
             n.to_string(),
             "MakeIdle".into(),

@@ -637,18 +637,15 @@ fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let sampler = obs.start_sampler();
-    let report = tailwise_fleet::run_cached(&scenario, threads, obs.obs(), cache.as_ref());
+    let seed = scenario.master_seed;
+    let source = tailwise_fleet::UserSource::Synthetic(scenario);
+    let report = tailwise_fleet::run_source(&source, threads, obs.obs(), cache.as_ref())?;
     if let Some(sampler) = sampler {
         sampler.finish();
     }
     print!("{}", report.render());
     if obs.metrics.is_some() {
-        let manifest = RunManifest::for_report(
-            &report,
-            threads,
-            scenario.master_seed,
-            &obs.recorder.snapshot(),
-        );
+        let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
         obs.write_manifest(&manifest)?;
     }
     Ok(())
@@ -1055,8 +1052,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let sampler = obs.start_sampler();
-    let report =
-        tailwise_fleet::run_source_cached(&set.source, threads, obs.obs(), cache.as_ref())?;
+    let report = tailwise_fleet::run_source(&set.source, threads, obs.obs(), cache.as_ref())?;
     if let Some(sampler) = sampler {
         sampler.finish();
     }

@@ -1,5 +1,5 @@
-//! The on-disk scenario schema: mapping between [`Scenario`] /
-//! [`ScenarioSet`] / [`SourceSet`] and the TOML-subset documents of
+//! The on-disk scenario schema: mapping between [`SourceSet`] (and the
+//! [`Scenario`] it wraps) and the TOML-subset documents of
 //! `tailwise-scenfile`.
 //!
 //! The format itself is specified key-by-key in
@@ -41,7 +41,7 @@ use crate::admission::AdmissionSpec;
 use crate::mobility::{self, MobilitySpec};
 use crate::scenario::Scenario;
 use crate::source::{CorpusScenario, CorpusSpec, SourceSet, UserSource};
-use crate::sweep::{ScenarioSet, SweepAxis};
+use crate::sweep::SweepAxis;
 use crate::topology::NetworkTopology;
 
 /// Parses a full scenario document into the general source form:
@@ -208,33 +208,17 @@ fn unscriptable_scheme_message(scheme: &Scheme) -> String {
     )
 }
 
-/// Parses one table's admission-policy keys (`admission`, the `[cells]`
-/// legacy alias `release`, `min_interval_s`, `watermark_per_s`,
-/// `window_s`) into an [`AdmissionSpec`]. Parameter keys that do not
-/// belong to the chosen policy are positioned errors, never ignored.
-fn admission_from_table(
-    table: &Table,
-    allow_release_alias: bool,
-) -> Result<AdmissionSpec, ScenError> {
-    let mut key = "admission";
-    let mut token = table.get_str("admission")?;
-    if allow_release_alias {
-        if let Some(item) = table.get("release") {
-            if token.is_some() {
-                return Err(ScenError::at(
-                    item.pos,
-                    "`release` is the legacy alias of `admission`; give one, not both",
-                ));
-            }
-            key = "release";
-            token = table.get_str("release")?;
-        }
-    }
-    let pos = table.get(key).map(|i| i.pos).unwrap_or(table.pos());
+/// Parses one table's admission-policy keys (`admission`,
+/// `min_interval_s`, `watermark_per_s`, `window_s`) into an
+/// [`AdmissionSpec`]. Parameter keys that do not belong to the chosen
+/// policy are positioned errors, never ignored.
+fn admission_from_table(table: &Table) -> Result<AdmissionSpec, ScenError> {
+    let token = table.get_str("admission")?;
+    let pos = table.get("admission").map(|i| i.pos).unwrap_or(table.pos());
     let reject_param = |param: &str, wanted: &str| -> Result<(), ScenError> {
         match table.get(param) {
             Some(item) => {
-                Err(ScenError::at(item.pos, format!("`{param}` requires {key} = \"{wanted}\"")))
+                Err(ScenError::at(item.pos, format!("`{param}` requires admission = \"{wanted}\"")))
             }
             None => Ok(()),
         }
@@ -253,7 +237,7 @@ fn admission_from_table(
             let Some(interval) = table.get_float("min_interval_s")? else {
                 return Err(ScenError::at(
                     table.pos(),
-                    format!("{key} = \"rate-limited\" needs `min_interval_s`"),
+                    "admission = \"rate-limited\" needs `min_interval_s`",
                 ));
             };
             if !(interval.is_finite() && interval > 0.0) {
@@ -269,7 +253,7 @@ fn admission_from_table(
             let Some(watermark_per_s) = table.get_u64("watermark_per_s")? else {
                 return Err(ScenError::at(
                     table.pos(),
-                    format!("{key} = \"reactive\" needs `watermark_per_s`"),
+                    "admission = \"reactive\" needs `watermark_per_s`",
                 ));
             };
             let window_s = match table.get_u64("window_s")? {
@@ -306,7 +290,7 @@ fn topology_from_doc(doc: &Table) -> Result<Option<NetworkTopology>, ScenError> 
         }
         return Ok(None);
     };
-    let mut keys = vec!["count", "capacity_per_s", "admission", "release"];
+    let mut keys = vec!["count", "capacity_per_s", "admission"];
     keys.extend(ADMISSION_KEYS);
     table.deny_unknown(&keys, &[], &[])?;
     let count = match table.req_u64("count")? {
@@ -314,7 +298,7 @@ fn topology_from_doc(doc: &Table) -> Result<Option<NetworkTopology>, ScenError> 
         count => count,
     };
     let cell_budget = SignalingBudget { capacity_per_s: table.get_u64("capacity_per_s")? };
-    let cell_admission = admission_from_table(table, true)?;
+    let cell_admission = admission_from_table(table)?;
 
     let mut topology = NetworkTopology::new(count);
     topology.cell_budget = cell_budget;
@@ -338,7 +322,7 @@ fn topology_from_doc(doc: &Table) -> Result<Option<NetworkTopology>, ScenError> 
         }
         topology.rncs = rncs;
         topology.rnc_budget = SignalingBudget { capacity_per_s: rnc.get_u64("capacity_per_s")? };
-        topology.rnc_admission = admission_from_table(rnc, false)?;
+        topology.rnc_admission = admission_from_table(rnc)?;
     }
     if let Some(mobility) = doc.table("mobility") {
         topology.mobility = mobility_from_table(mobility)?;
@@ -389,97 +373,76 @@ fn mobility_from_table(table: &Table) -> Result<MobilitySpec, ScenError> {
     }
 }
 
-/// Parses a document as a synthetic-only [`ScenarioSet`], rejecting
-/// `[corpus]` files with a pointer to the corpus-aware loader.
-pub(crate) fn set_from_str(src: &str) -> Result<ScenarioSet, ScenError> {
-    match source_set_from_str(src)? {
-        SourceSet { source: UserSource::Synthetic(base), axes } => Ok(ScenarioSet { base, axes }),
-        SourceSet { source: UserSource::Corpus(corpus), .. } => Err(ScenError::at(
-            corpus.spec.dir_pos,
-            "file declares a [corpus] source; load it with SourceSet::from_file \
-             (or run it with `tailwise fleet run`)",
-        )),
-    }
-}
-
-/// Serializes a synthetic scenario (and optional sweep axes) to
-/// document text that parses back to the same values.
-pub(crate) fn set_to_toml(base: &Scenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
-    check_sim_representable(&base.sim)?;
-    check_nonzero(&[
-        ("days_per_user", u64::from(base.days_per_user)),
-        ("shard_size", base.shard_size),
-        ("window_capacity", base.sim.window_capacity as u64),
-    ])?;
-    check_topology_representable(&base.cells, &base.scheme, axes)?;
-    let mut w = header();
-    w.blank().table("scenario");
-    w.str("name", &base.name);
-    w.uint("users", base.users);
-    w.uint("days_per_user", u64::from(base.days_per_user));
-    w.str("scheme", &scheme_token(&base.scheme)?);
-    w.uint("master_seed", base.master_seed);
-    w.uint("shard_size", base.shard_size);
-    write_sim(&mut w, &base.sim);
-    write_topology(&mut w, &base.cells);
-    write_carriers(&mut w, &base.carrier_mix)?;
-    for (kind, weight) in &base.app_mix {
-        check_weight(*weight, kind.token())?;
-        w.blank().array_table("app").str("kind", kind.token()).float("weight", *weight);
-    }
-    write_axes(&mut w, axes)?;
-    Ok(w.finish())
-}
-
-/// Serializes either kind of source, plus sweep axes.
+/// Serializes either kind of source, plus sweep axes, to document text
+/// that parses back to an equal value.
 pub(crate) fn source_set_to_toml(
     source: &UserSource,
     axes: &[SweepAxis],
 ) -> Result<String, ScenError> {
-    match source {
-        UserSource::Synthetic(base) => set_to_toml(base, axes),
-        UserSource::Corpus(base) => corpus_to_toml(base, axes),
+    let (scheme, master_seed, shard_size, sim, cells, carrier_mix) = match source {
+        UserSource::Synthetic(s) => {
+            (s.scheme, s.master_seed, s.shard_size, &s.sim, &s.cells, &s.carrier_mix)
+        }
+        UserSource::Corpus(c) => {
+            (c.scheme, c.master_seed, c.shard_size, &c.sim, &c.cells, &c.carrier_mix)
+        }
+    };
+    check_sim_representable(sim)?;
+    let mut nonzero =
+        vec![("shard_size", shard_size), ("window_capacity", sim.window_capacity as u64)];
+    if let UserSource::Synthetic(base) = source {
+        nonzero.insert(0, ("days_per_user", u64::from(base.days_per_user)));
     }
-}
-
-/// Serializes a corpus scenario: the shared envelope plus the
-/// `[corpus]` table instead of `users`/`[[app]]`.
-fn corpus_to_toml(base: &CorpusScenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
-    check_sim_representable(&base.sim)?;
-    check_nonzero(&[
-        ("shard_size", base.shard_size),
-        ("window_capacity", base.sim.window_capacity as u64),
-    ])?;
-    check_topology_representable(&base.cells, &base.scheme, axes)?;
-    let dir = base.spec.dir.to_str().ok_or_else(|| {
-        ScenError::emit(format!(
-            "corpus directory {:?} is not valid UTF-8 and cannot be written to a scenario file",
-            base.spec.dir
-        ))
-    })?;
-    if base.spec.formats.is_empty() {
-        return Err(ScenError::emit("corpus format filter must admit at least one format"));
-    }
+    check_nonzero(&nonzero)?;
+    check_topology_representable(cells, &scheme, axes)?;
+    let corpus_dir = match source {
+        UserSource::Synthetic(_) => None,
+        UserSource::Corpus(base) => {
+            let dir = base.spec.dir.to_str().ok_or_else(|| {
+                ScenError::emit(format!(
+                    "corpus directory {:?} is not valid UTF-8 and cannot be written to a \
+                     scenario file",
+                    base.spec.dir
+                ))
+            })?;
+            if base.spec.formats.is_empty() {
+                return Err(ScenError::emit("corpus format filter must admit at least one format"));
+            }
+            Some((base, dir))
+        }
+    };
     let mut w = header();
     w.blank().table("scenario");
-    w.str("name", &base.name);
-    w.str("scheme", &scheme_token(&base.scheme)?);
-    w.uint("master_seed", base.master_seed);
-    w.uint("shard_size", base.shard_size);
-    write_sim(&mut w, &base.sim);
-    write_topology(&mut w, &base.cells);
-    // Canonical order is the enum order (the same order the parser
-    // normalizes to), so emit→parse round-trips to an equal spec.
-    let tokens: Vec<&str> =
-        base.spec.canonical_formats().into_iter().map(TraceFormat::token).collect();
-    w.blank().table("corpus");
-    w.str("dir", dir);
-    w.bool("recursive", base.spec.recursive);
-    w.str_array("formats", &tokens);
-    if let Some(device) = base.spec.pcap_device {
-        w.str("pcap_device", &device.to_string());
+    w.str("name", source.name());
+    if let UserSource::Synthetic(base) = source {
+        w.uint("users", base.users);
+        w.uint("days_per_user", u64::from(base.days_per_user));
     }
-    write_carriers(&mut w, &base.carrier_mix)?;
+    w.str("scheme", &scheme_token(&scheme)?);
+    w.uint("master_seed", master_seed);
+    w.uint("shard_size", shard_size);
+    write_sim(&mut w, sim);
+    write_topology(&mut w, cells);
+    if let Some((base, dir)) = corpus_dir {
+        // Canonical order is the enum order (the same order the parser
+        // normalizes to), so emit→parse round-trips to an equal spec.
+        let tokens: Vec<&str> =
+            base.spec.canonical_formats().into_iter().map(TraceFormat::token).collect();
+        w.blank().table("corpus");
+        w.str("dir", dir);
+        w.bool("recursive", base.spec.recursive);
+        w.str_array("formats", &tokens);
+        if let Some(device) = base.spec.pcap_device {
+            w.str("pcap_device", &device.to_string());
+        }
+    }
+    write_carriers(&mut w, carrier_mix)?;
+    if let UserSource::Synthetic(base) = source {
+        for (kind, weight) in &base.app_mix {
+            check_weight(*weight, kind.token())?;
+            w.blank().array_table("app").str("kind", kind.token()).float("weight", *weight);
+        }
+    }
     write_axes(&mut w, axes)?;
     Ok(w.finish())
 }
@@ -928,11 +891,35 @@ mod tests {
         "kind = \"im\"\n",
     );
 
+    /// A synthetic document's base scenario and sweep axes.
+    fn parse_synthetic(src: &str) -> (Scenario, Vec<SweepAxis>) {
+        match source_set_from_str(src).unwrap() {
+            SourceSet { source: UserSource::Synthetic(base), axes } => (base, axes),
+            other => panic!("expected a synthetic document: {other:?}"),
+        }
+    }
+
+    fn write_synthetic(base: &Scenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
+        source_set_to_toml(&UserSource::Synthetic(base.clone()), axes)
+    }
+
+    /// The scenarios a synthetic set expands into.
+    fn expand(base: &Scenario, axes: &[SweepAxis]) -> Vec<Scenario> {
+        let set = SourceSet { source: UserSource::Synthetic(base.clone()), axes: axes.to_vec() };
+        set.expand_labeled()
+            .unwrap()
+            .into_iter()
+            .map(|(_, source)| match source {
+                UserSource::Synthetic(scenario) => scenario,
+                UserSource::Corpus(_) => unreachable!("synthetic sets expand to scenarios"),
+            })
+            .collect()
+    }
+
     #[test]
     fn minimal_file_fills_defaults() {
-        let set = set_from_str(MINIMAL).unwrap();
-        assert!(!set.is_sweep());
-        let s = &set.base;
+        let (s, axes) = parse_synthetic(MINIMAL);
+        assert!(axes.is_empty());
         assert_eq!(s.users, 40);
         assert_eq!(s.days_per_user, 1);
         assert_eq!(s.scheme, Scheme::MakeIdle);
@@ -974,8 +961,7 @@ mod tests {
             "[[app]]\n",
             "kind = \"finance\"\n",
         );
-        let set = set_from_str(src).unwrap();
-        let s = &set.base;
+        let (s, axes) = parse_synthetic(src);
         assert_eq!(s.name, "full house");
         assert_eq!((s.users, s.days_per_user, s.master_seed, s.shard_size), (1000, 3, 0xF1EE7, 32));
         assert_eq!(s.scheme, Scheme::MakeIdleActiveLearn);
@@ -986,10 +972,8 @@ mod tests {
         assert_eq!(s.carrier_mix[1].1, 1.0);
 
         // And through the writer: emitted text reparses to an equal set.
-        let text = set_to_toml(s, &set.axes).unwrap();
-        let again = set_from_str(&text).unwrap();
-        assert_eq!(again.base, *s);
-        assert_eq!(again.axes, set.axes);
+        let text = write_synthetic(&s, &axes).unwrap();
+        assert_eq!(parse_synthetic(&text), (s, axes));
     }
 
     #[test]
@@ -1008,18 +992,16 @@ mod tests {
             "axis = \"users\"\n",
             "values = [10, 100]\n",
         );
-        let set = set_from_str(src).unwrap();
-        assert!(set.is_sweep());
-        assert_eq!(set.axes.len(), 2);
+        let (base, axes) = parse_synthetic(src);
+        assert_eq!(axes.len(), 2);
         assert_eq!(
-            set.axes[0],
+            axes[0],
             SweepAxis::Schemes(vec![Scheme::StatusQuo, Scheme::MakeIdle, Scheme::Oracle])
         );
-        assert_eq!(set.axes[1], SweepAxis::Users(vec![10, 100]));
+        assert_eq!(axes[1], SweepAxis::Users(vec![10, 100]));
 
-        let text = set_to_toml(&set.base, &set.axes).unwrap();
-        let again = set_from_str(&text).unwrap();
-        assert_eq!(again.axes, set.axes);
+        let text = write_synthetic(&base, &axes).unwrap();
+        assert_eq!(parse_synthetic(&text).1, axes);
     }
 
     // ------------------------------------------------------------------
@@ -1033,8 +1015,8 @@ mod tests {
             "[[carrier]]\nprofile = \"att-hspa\"\n",
             "[[app]]\nkind = \"im\"\n",
         );
-        let set = set_from_str(src).unwrap();
-        let topology = set.base.cells.as_ref().expect("cells parsed");
+        let (base, _) = parse_synthetic(src);
+        let topology = base.cells.as_ref().expect("cells parsed");
         assert_eq!(topology.cells, 16);
         assert_eq!(topology.rncs, 1, "no [rnc] table means a flat single-RNC hierarchy");
         assert_eq!(topology.cell_budget, SignalingBudget::UNBOUNDED);
@@ -1042,39 +1024,34 @@ mod tests {
         assert_eq!(topology.cell_admission, AdmissionSpec::Always);
         assert_eq!(topology.rnc_admission, AdmissionSpec::Always);
         assert_eq!(topology.signaling, SignalingModel::default());
-        let text = set_to_toml(&set.base, &[]).unwrap();
+        let text = write_synthetic(&base, &[]).unwrap();
         assert!(!text.contains("[rnc]"), "flat defaults emit no [rnc] table:\n{text}");
-        assert_eq!(set_from_str(&text).unwrap().base, set.base);
+        assert_eq!(parse_synthetic(&text).0, base);
     }
 
     #[test]
     fn rate_limited_cells_round_trip_with_capacity() {
-        // `release` is the legacy PR 4 alias of `admission` — old files
-        // keep parsing, and the writer re-emits the canonical key.
         let src = concat!(
             "[scenario]\nusers = 10\nscheme = \"oracle\"\n",
             "[cells]\n",
             "count = 3\n",
             "capacity_per_s = 120\n",
-            "release = \"rate-limited\"\n",
+            "admission = \"rate-limited\"\n",
             "min_interval_s = 2.5\n",
             "[[carrier]]\nprofile = \"verizon-lte\"\n",
             "[[app]]\nkind = \"im\"\n",
             "[[sweep]]\naxis = \"scheme\"\nvalues = [\"makeidle\", \"oracle\"]\n",
         );
-        let set = set_from_str(src).unwrap();
-        let topology = set.base.cells.as_ref().unwrap();
+        let (base, axes) = parse_synthetic(src);
+        let topology = base.cells.as_ref().unwrap();
         assert_eq!(topology.cell_budget.capacity_per_s, Some(120));
         assert_eq!(
             topology.cell_admission,
             AdmissionSpec::RateLimited { min_interval: Duration::from_secs_f64(2.5) }
         );
-        let text = set_to_toml(&set.base, &set.axes).unwrap();
+        let text = write_synthetic(&base, &axes).unwrap();
         assert!(text.contains("admission = \"rate-limited\""), "{text}");
-        assert!(!text.contains("release ="), "writer emits the canonical key:\n{text}");
-        let again = set_from_str(&text).unwrap();
-        assert_eq!(again.base, set.base);
-        assert_eq!(again.axes, set.axes);
+        assert_eq!(parse_synthetic(&text), (base, axes));
     }
 
     #[test]
@@ -1095,8 +1072,8 @@ mod tests {
             "[[carrier]]\nprofile = \"att-hspa\"\n",
             "[[app]]\nkind = \"im\"\n",
         );
-        let set = set_from_str(src).unwrap();
-        let topology = set.base.cells.as_ref().unwrap();
+        let (base, _) = parse_synthetic(src);
+        let topology = base.cells.as_ref().unwrap();
         assert_eq!((topology.rncs, topology.cells), (3, 12));
         assert_eq!(topology.rnc_budget.capacity_per_s, Some(400));
         assert_eq!(
@@ -1107,9 +1084,9 @@ mod tests {
             topology.cell_admission,
             AdmissionSpec::RateLimited { min_interval: Duration::from_secs(2) }
         );
-        let text = set_to_toml(&set.base, &[]).unwrap();
+        let text = write_synthetic(&base, &[]).unwrap();
         assert!(text.contains("[rnc]"), "{text}");
-        assert_eq!(set_from_str(&text).unwrap().base, set.base);
+        assert_eq!(parse_synthetic(&text).0, base);
     }
 
     #[test]
@@ -1124,9 +1101,9 @@ mod tests {
             "axis = \"admission\"\n",
             "values = [\"always\", \"rate-limited:2.5\", \"reactive:120:5\"]\n",
         );
-        let set = set_from_str(src).unwrap();
+        let (base, axes) = parse_synthetic(src);
         assert_eq!(
-            set.axes,
+            axes,
             vec![SweepAxis::Admission(vec![
                 AdmissionSpec::Always,
                 AdmissionSpec::RateLimited { min_interval: Duration::from_secs_f64(2.5) },
@@ -1134,7 +1111,7 @@ mod tests {
             ])]
         );
         // Expansion rewrites the RNC admission only.
-        let expanded = set.expand();
+        let expanded = expand(&base, &axes);
         assert_eq!(expanded.len(), 3);
         assert_eq!(
             expanded[2].cells.as_ref().unwrap().rnc_admission,
@@ -1142,10 +1119,8 @@ mod tests {
         );
         assert_eq!(expanded[2].cells.as_ref().unwrap().cell_admission, AdmissionSpec::Always);
         assert!(expanded[1].name.ends_with("[admission=rate-limited:2.5]"), "{}", expanded[1].name);
-        let text = set_to_toml(&set.base, &set.axes).unwrap();
-        let again = set_from_str(&text).unwrap();
-        assert_eq!(again.base, set.base);
-        assert_eq!(again.axes, set.axes);
+        let text = write_synthetic(&base, &axes).unwrap();
+        assert_eq!(parse_synthetic(&text), (base, axes));
     }
 
     #[test]
@@ -1160,8 +1135,8 @@ mod tests {
             "[[carrier]]\nprofile = \"verizon-lte\"\n",
             "[[app]]\nkind = \"im\"\n",
         );
-        let set = set_from_str(src).unwrap();
-        let topology = set.base.cells.as_ref().unwrap();
+        let (base, _) = parse_synthetic(src);
+        let topology = base.cells.as_ref().unwrap();
         assert_eq!(
             topology.mobility,
             MobilitySpec::Commute {
@@ -1172,10 +1147,10 @@ mod tests {
             },
             "omitted keys fall back to the documented defaults"
         );
-        let text = set_to_toml(&set.base, &[]).unwrap();
+        let text = write_synthetic(&base, &[]).unwrap();
         assert!(text.contains("[mobility]"), "{text}");
         assert!(text.contains("model = \"commute\""), "{text}");
-        assert_eq!(set_from_str(&text).unwrap().base, set.base);
+        assert_eq!(parse_synthetic(&text).0, base);
 
         // An explicit static model parses, but the writer omits the
         // table entirely: the default spelling is no table at all.
@@ -1186,11 +1161,11 @@ mod tests {
             "[[carrier]]\nprofile = \"verizon-lte\"\n",
             "[[app]]\nkind = \"im\"\n",
         );
-        let set = set_from_str(src).unwrap();
-        assert_eq!(set.base.cells.as_ref().unwrap().mobility, MobilitySpec::Static);
-        let text = set_to_toml(&set.base, &[]).unwrap();
+        let (base, _) = parse_synthetic(src);
+        assert_eq!(base.cells.as_ref().unwrap().mobility, MobilitySpec::Static);
+        let text = write_synthetic(&base, &[]).unwrap();
         assert!(!text.contains("[mobility]"), "static emits no table:\n{text}");
-        assert_eq!(set_from_str(&text).unwrap().base, set.base);
+        assert_eq!(parse_synthetic(&text).0, base);
     }
 
     #[test]
@@ -1204,16 +1179,16 @@ mod tests {
             "axis = \"mobility\"\n",
             "values = [\"static\", \"commute\", \"commute:6:19:10:30\"]\n",
         );
-        let set = set_from_str(src).unwrap();
+        let (base, axes) = parse_synthetic(src);
         assert_eq!(
-            set.axes,
+            axes,
             vec![SweepAxis::Mobility(vec![
                 MobilitySpec::Static,
                 MobilitySpec::commute(),
                 MobilitySpec::Commute { home_hour: 6, work_hour: 19, jitter_pct: 10, hint_s: 30 },
             ])]
         );
-        let expanded = set.expand();
+        let expanded = expand(&base, &axes);
         assert_eq!(expanded.len(), 3);
         assert_eq!(expanded[0].cells.as_ref().unwrap().mobility, MobilitySpec::Static);
         assert_eq!(
@@ -1221,10 +1196,8 @@ mod tests {
             MobilitySpec::Commute { home_hour: 6, work_hour: 19, jitter_pct: 10, hint_s: 30 }
         );
         assert!(expanded[1].name.ends_with("[mobility=commute]"), "{}", expanded[1].name);
-        let text = set_to_toml(&set.base, &set.axes).unwrap();
-        let again = set_from_str(&text).unwrap();
-        assert_eq!(again.base, set.base);
-        assert_eq!(again.axes, set.axes);
+        let text = write_synthetic(&base, &axes).unwrap();
+        assert_eq!(parse_synthetic(&text), (base, axes));
     }
 
     #[test]
@@ -1333,29 +1306,28 @@ mod tests {
 
         let e = err_of(concat!(
             "[scenario]\nusers = 5\n",
-            "[cells]\ncount = 2\nrelease = \"rate-limited\"\n",
+            "[cells]\ncount = 2\nadmission = \"rate-limited\"\n",
             "[[carrier]]\nprofile = \"att-hspa\"\n[[app]]\nkind = \"im\"\n",
         ));
         assert!(e.message.contains("needs `min_interval_s`"), "{e}");
 
         let e = err_of(concat!(
             "[scenario]\nusers = 5\n",
-            "[cells]\ncount = 2\nrelease = \"sometimes\"\n", // 5 (value at col 11)
+            "[cells]\ncount = 2\nadmission = \"sometimes\"\n", // 5 (value at col 13)
             "[[carrier]]\nprofile = \"att-hspa\"\n[[app]]\nkind = \"im\"\n",
         ));
-        assert_eq!(e.pos, Pos::new(5, 11));
+        assert_eq!(e.pos, Pos::new(5, 13));
         assert!(e.message.contains("unknown admission policy \"sometimes\""), "{e}");
 
-        // Giving both the canonical key and the legacy alias is a
-        // conflict, not a guess.
+        // `release` is not a [cells] key: the policy is `admission`.
         let e = err_of(concat!(
             "[scenario]\nusers = 5\n",                      // 1-2
             "[cells]\ncount = 2\nadmission = \"always\"\n", // 3-5
-            "release = \"always\"\n",                       // 6 (value at col 11)
+            "release = \"always\"\n",                       // 6
             "[[carrier]]\nprofile = \"att-hspa\"\n[[app]]\nkind = \"im\"\n",
         ));
-        assert_eq!(e.pos, Pos::new(6, 11));
-        assert!(e.message.contains("legacy alias"), "{e}");
+        assert_eq!(e.pos, Pos::new(6, 1));
+        assert!(e.message.contains("unknown key `release`"), "{e}");
     }
 
     #[test]
@@ -1406,7 +1378,7 @@ mod tests {
         assert_eq!(e.pos, Pos::new(6, 9));
         assert!(e.message.contains("cannot spread 2 cell(s) over 3 RNCs"), "{e}");
 
-        // The [rnc] table rejects the cells-only legacy alias.
+        // `release` is not an [rnc] key either.
         let e = err_of(concat!(
             "[scenario]\nusers = 5\n",
             "[cells]\ncount = 4\n",
@@ -1471,21 +1443,21 @@ mod tests {
     fn unscriptable_or_customized_cells_cannot_serialize() {
         let mut s = Scenario::new(4, Scheme::MakeIdleActiveLearn, CarrierProfile::att_hspa());
         s.cells = Some(NetworkTopology::new(4));
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert_eq!(err.kind, ScenErrorKind::Emit);
         assert!(err.message.contains("cannot run on a [cells] topology"), "{err}");
 
         // A sweep smuggling a batched scheme past a scriptable base.
         s.scheme = Scheme::MakeIdle;
         let axes = vec![SweepAxis::Schemes(vec![Scheme::Oracle, Scheme::MakeIdleActiveFix])];
-        let err = set_to_toml(&s, &axes).unwrap_err();
+        let err = write_synthetic(&s, &axes).unwrap_err();
         assert!(err.message.contains("cannot run on a [cells] topology"), "{err}");
 
         // A customized signaling model has no on-disk spelling.
         let mut topology = NetworkTopology::new(4);
         topology.signaling.per_promotion = 99;
         s.cells = Some(topology);
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("signaling message model"), "{err}");
     }
 
@@ -1564,7 +1536,7 @@ mod tests {
 
     #[test]
     fn scenario_set_rejects_corpus_files_with_a_pointer() {
-        let e = set_from_str(CORPUS_MINIMAL).unwrap_err();
+        let e = Scenario::from_toml_str(CORPUS_MINIMAL).unwrap_err();
         assert_eq!(e.pos, Pos::new(5, 7));
         assert!(e.message.contains("SourceSet::from_file"), "{e}");
     }
@@ -1819,13 +1791,13 @@ mod tests {
         // rejects — to_file must refuse up front instead of writing an
         // unloadable file.
         let mut s = Scenario::new(4, Scheme::PercentileIat(1.0), CarrierProfile::att_hspa());
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert_eq!(err.kind, ScenErrorKind::Emit);
         assert!(err.message.contains("no loadable on-disk token"), "{err}");
         // …and the same guard covers sweep axis values.
         s.scheme = Scheme::MakeIdle;
         let axes = vec![SweepAxis::Schemes(vec![Scheme::MakeIdle, Scheme::PercentileIat(0.0)])];
-        let err = set_to_toml(&s, &axes).unwrap_err();
+        let err = write_synthetic(&s, &axes).unwrap_err();
         assert!(err.message.contains("no loadable on-disk token"), "{err}");
     }
 
@@ -1833,19 +1805,19 @@ mod tests {
     fn hidden_sim_fields_cannot_serialize_silently() {
         let mut s = Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
         s.sim.record_decisions = true;
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("`record_decisions`"), "{err}");
         assert!(err.message.contains("not representable"), "{err}");
 
         s.sim.record_decisions = false;
         s.sim.transition_log_limit = 7;
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("`transition_log_limit`"), "{err}");
 
         // Zero-valued identity fields are equally unrepresentable.
         s.sim = SimConfig::default();
         s.shard_size = 0;
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("shard_size of 0"), "{err}");
         assert_eq!(err.kind, ScenErrorKind::Emit);
     }
@@ -1854,7 +1826,7 @@ mod tests {
     fn mutated_profiles_cannot_serialize() {
         let mut s = Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
         s.carrier_mix[0].0.fd_energy_fraction = 0.2;
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("does not match any built-in preset"), "{err}");
     }
 
@@ -1864,7 +1836,7 @@ mod tests {
         // parser rejects; both source kinds refuse up front instead.
         let mut s = Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
         s.carrier_mix.clear();
-        let err = set_to_toml(&s, &[]).unwrap_err();
+        let err = write_synthetic(&s, &[]).unwrap_err();
         assert!(err.message.contains("empty carrier mix"), "{err}");
         let mut c = CorpusScenario::new("corpus", Scheme::MakeIdle, CarrierProfile::att_hspa());
         c.carrier_mix.clear();
@@ -1997,11 +1969,10 @@ mod tests {
                 sim,
                 cells,
             };
-            let text = set_to_toml(&scenario, &[]).unwrap();
-            let reparsed = set_from_str(&text)
+            let text = write_synthetic(&scenario, &[]).unwrap();
+            let reparsed = Scenario::from_toml_str(&text)
                 .map_err(|e| TestCaseError::fail(format!("{e}\n---\n{text}")))?;
-            prop_assert!(reparsed.axes.is_empty());
-            prop_assert_eq!(reparsed.base, scenario);
+            prop_assert_eq!(reparsed, scenario);
         }
 
         #[test]

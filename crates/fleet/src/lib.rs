@@ -28,8 +28,12 @@
 //!   that expand into a matrix of runs folded into a side-by-side
 //!   [`SweepReport`];
 //! * [`runner`] — sharded multi-threaded execution,
-//!   generate→simulate→discard (peak memory: one trace per worker,
-//!   for corpora too);
+//!   materialize→simulate→discard (peak memory: one trace per worker,
+//!   for corpora too), behind four entry points: [`run`] (the
+//!   infallible synthetic shortcut), [`run_source`] (any source, under
+//!   an observation handle and an optional [`RequestCache`]), and the
+//!   sweep pair [`run_source_sweep_cached`] /
+//!   [`run_source_sweep_streamed`];
 //! * [`cache`] — phase-1 request caching for sweeps: a [`RequestCache`]
 //!   keyed on the scenario's scheme-independent [`Fingerprint`] lets an
 //!   N-cell admission or scheme sweep pay one extraction pass and serve
@@ -57,8 +61,8 @@
 //!
 //! ## Determinism contract
 //!
-//! `run(&scenario, t)` returns a bit-identical [`FleetReport`] for every
-//! `t ≥ 1`. The reduction order is fixed by the scenario's shard size,
+//! `run(&scenario, t)` — and [`run_source`] on any source — returns a
+//! bit-identical [`FleetReport`] for every `t ≥ 1`. The reduction order is fixed by the scenario's shard size,
 //! not by thread scheduling: users fold in index order within a shard,
 //! shards merge in index order at the end. The tests in this crate pin
 //! that contract at 1, 2, and 8 threads. Sweep expansion preserves it
@@ -104,16 +108,11 @@ pub use histogram::Histogram;
 pub use manifest::{ManifestReport, ManifestSignaling, RunManifest};
 pub use mobility::{Handoff, MobilitySpec};
 pub use report::{CellLoad, FleetReport, FleetSignaling, RncLoad, RunTimings};
-pub use runner::{
-    run, run_cached, run_corpus, run_corpus_observed, run_observed, run_pinned_corpus,
-    run_pinned_corpus_observed, run_source, run_source_cached, run_source_observed,
-};
+pub use runner::{run, run_source};
 pub use scenario::{user_seed, Scenario};
 pub use source::{synth_corpus, CorpusScenario, CorpusSpec, SourceSet, UserSource};
 pub use sweep::{
-    run_source_sweep, run_source_sweep_cached, run_source_sweep_observed,
-    run_source_sweep_streamed, run_sweep, run_sweep_cached, run_sweep_observed, ScenarioSet,
-    SweepAxis, SweepReport, SweepRow,
+    run_source_sweep_cached, run_source_sweep_streamed, SweepAxis, SweepReport, SweepRow,
 };
 pub use topology::{cell_of, merge_requests, rnc_of_cell, NetworkTopology};
 

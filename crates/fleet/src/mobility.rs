@@ -229,12 +229,6 @@ impl MobilitySpec {
         }
     }
 
-    /// True for the [`Static`](MobilitySpec::Static) model — the
-    /// no-handoff fast path the topology runner keys on.
-    pub fn is_static(&self) -> bool {
-        matches!(self, MobilitySpec::Static)
-    }
-
     /// The stable on-disk kind token (`model = "..."` in the
     /// `[mobility]` table). Parameters ride in separate keys there; the
     /// compact one-token spelling is [`Display`](std::fmt::Display).

@@ -1,16 +1,26 @@
 //! Sharded, multi-threaded fleet execution over any [`UserSource`].
 //!
-//! The population — synthetic users or corpus trace files — is
-//! partitioned into fixed shards of `shard_size` users. Worker threads
-//! claim shards from an atomic cursor (work stealing keeps long shards
-//! from serializing the run), and each worker streams its shard
-//! generate→simulate→discard (or, for corpora, load→simulate→discard):
-//! one user's trace is materialized, pushed through the scheme under
-//! test and the status-quo baseline, folded into the shard's partial
-//! [`FleetReport`], and dropped before the next user is touched. Peak
-//! memory is one trace per worker thread plus O(threads) buffered shard
-//! partials at the merge frontier — independent of population (and
-//! corpus) size.
+//! Every run reaches its users through one seam, the crate-private
+//! `Population`: synthetic users are generated from a [`Scenario`],
+//! corpus users are loaded from a resolved trace-file walk, and nothing
+//! else in the runner knows which. The population is partitioned into
+//! fixed shards of `shard_size` users. Worker threads claim shards from
+//! an atomic cursor (work stealing keeps long shards from serializing
+//! the run), and each worker streams its shard
+//! materialize→simulate→discard: one user's trace is generated or
+//! loaded, pushed through the scheme under test and the status-quo
+//! baseline, folded into the shard's partial [`FleetReport`], and
+//! dropped before the next user is touched. Peak memory is one trace per
+//! worker thread plus O(threads) buffered shard partials at the merge
+//! frontier — independent of population (and corpus) size. Populations
+//! with a cell topology take the two-pass runner in
+//! [`crate::topology`] instead of the radio-isolated fold, over the same
+//! seam and the same sharded core.
+//!
+//! Entry points: [`run`] is the infallible synthetic shortcut;
+//! [`run_source`] runs any source under an [`Obs`] handle with an
+//! optional phase-1 [`RequestCache`]; the sweep entry points live in
+//! [`crate::sweep`].
 //!
 //! Determinism: which thread simulates a shard never matters. Synthetic
 //! user synthesis is a pure function of `(scenario, user index)`
@@ -29,16 +39,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use tailwise_core::schemes::Scheme;
-use tailwise_obs::{span, Obs, ProgressSlot, Recorder};
+use tailwise_obs::{span, Counter, Obs, ProgressSlot, Recorder};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::corpus::Corpus;
 use tailwise_trace::Trace;
 
+use crate::cache::{Fingerprint, RequestCache};
 use crate::report::{FleetReport, RunTimings};
 use crate::scenario::{draw_carrier, Scenario};
 use crate::source::{CorpusScenario, UserSource};
+use crate::topology::NetworkTopology;
 
 /// A per-shard result the sharded core can fold in shard order.
 ///
@@ -91,203 +103,230 @@ impl<P: Partial> Frontier<P> {
     }
 }
 
-/// Runs `scenario` across `threads` worker threads.
+/// One materialized user: carrier, trace, and the user-days it counts.
+pub(crate) type User = (CarrierProfile, Trace, u32);
+
+/// The one way a run reaches its users: what every run shares (scheme,
+/// engine config, seed, topology, shard tiling) plus how user `i` is
+/// materialized, on demand, in any order, from any worker.
+///
+/// Materialization is deterministic — the topology runner's two passes
+/// both call [`user`](Self::user) for every user, and pass 2 must see
+/// pass 1's trace — and it is the only place a run generates or loads a
+/// trace.
+pub(crate) struct Population<'a> {
+    /// The scheme under test, compared against the status quo.
+    pub(crate) scheme: Scheme,
+    /// Engine configuration shared by every user.
+    pub(crate) sim: &'a SimConfig,
+    /// Seed of every per-user draw (carrier, cell, mobility).
+    pub(crate) master_seed: u64,
+    /// The network topology, when the population runs on one.
+    pub(crate) cells: Option<&'a NetworkTopology>,
+    users: u64,
+    shard_size: u64,
+    members: Members<'a>,
+}
+
+/// Where a [`Population`]'s users come from.
+enum Members<'a> {
+    Synthetic(&'a Scenario),
+    /// A resolved corpus walk; `loaded` counts `traces_loaded`.
+    Corpus {
+        scenario: &'a CorpusScenario,
+        walk: &'a Corpus,
+        loaded: Counter,
+    },
+}
+
+impl<'a> Population<'a> {
+    /// The synthetic population of `scenario`.
+    pub(crate) fn synthetic(scenario: &'a Scenario) -> Population<'a> {
+        Population {
+            scheme: scenario.scheme,
+            sim: &scenario.sim,
+            master_seed: scenario.master_seed,
+            cells: scenario.cells.as_ref(),
+            users: scenario.users,
+            shard_size: scenario.shard_size.max(1),
+            members: Members::Synthetic(scenario),
+        }
+    }
+
+    /// The population of `source`. A corpus source replays `walk`, its
+    /// already-resolved file list, so callers that run one corpus
+    /// several times (sweep cells) replay the identical index→file
+    /// assignment. Fails before any worker starts on an empty corpus
+    /// carrier mix, so a misconfigured mix is a typed error rather than a
+    /// panic inside a worker thread.
+    pub(crate) fn of(
+        source: &'a UserSource,
+        walk: Option<&'a Corpus>,
+        obs: Obs<'_>,
+    ) -> Result<Population<'a>, ScenError> {
+        let scenario = match source {
+            UserSource::Synthetic(scenario) => return Ok(Population::synthetic(scenario)),
+            UserSource::Corpus(scenario) => scenario,
+        };
+        let walk = walk.expect("corpus sources run against a resolved walk");
+        if scenario.carrier_mix.is_empty() {
+            return Err(scenario
+                .runtime_err("corpus scenario has an empty carrier mix; replay needs one".into()));
+        }
+        Ok(Population {
+            scheme: scenario.scheme,
+            sim: &scenario.sim,
+            master_seed: scenario.master_seed,
+            cells: scenario.cells.as_ref(),
+            users: walk.len() as u64,
+            shard_size: scenario.shard_size.max(1),
+            members: Members::Corpus {
+                scenario,
+                walk,
+                loaded: obs.recorder.counter("traces_loaded"),
+            },
+        })
+    }
+
+    /// Population size.
+    pub(crate) fn users(&self) -> u64 {
+        self.users
+    }
+
+    /// Number of shards the population tiles into.
+    pub(crate) fn shard_count(&self) -> u64 {
+        self.users.div_ceil(self.shard_size)
+    }
+
+    /// The user-index range of shard `shard` (empty past the end).
+    pub(crate) fn shard_range(&self, shard: u64) -> std::ops::Range<u64> {
+        let lo = (shard * self.shard_size).min(self.users);
+        let hi = ((shard + 1) * self.shard_size).min(self.users);
+        lo..hi
+    }
+
+    /// An empty report named for this run, its `source` line saying
+    /// where the users come from.
+    pub(crate) fn empty_report(&self) -> FleetReport {
+        match &self.members {
+            Members::Synthetic(scenario) => {
+                FleetReport::empty(scenario.name.clone(), scenario.scheme.label())
+            }
+            Members::Corpus { scenario, walk, .. } => {
+                let mut report = FleetReport::empty(scenario.name.clone(), scenario.scheme.label());
+                report.source =
+                    format!("corpus {} ({} traces)", scenario.spec.dir.display(), walk.len());
+                report
+            }
+        }
+    }
+
+    /// The key a [`RequestCache`] stores this population under. Only
+    /// synthetic populations have one: a corpus is whatever its
+    /// directory holds, so corpus replays never touch the cache.
+    pub(crate) fn fingerprint(&self) -> Option<Fingerprint> {
+        match &self.members {
+            Members::Synthetic(scenario) => Some(Fingerprint::of(scenario)),
+            Members::Corpus { .. } => None,
+        }
+    }
+
+    /// Materializes user `index` under the `synthesize` span. A corpus
+    /// trace that cannot be read is published on `ctx` and becomes the
+    /// run's positioned error, naming the file.
+    pub(crate) fn user(
+        &self,
+        index: u64,
+        recorder: &dyn Recorder,
+        ctx: &ShardCtx<'_>,
+    ) -> Result<User, ScenError> {
+        let _synthesize = span(recorder, "synthesize");
+        match &self.members {
+            Members::Synthetic(scenario) => {
+                let (carrier, model) = scenario.user(index);
+                Ok((carrier, model.generate(), model.days))
+            }
+            Members::Corpus { scenario, walk, loaded } => {
+                let trace = walk.load(index as usize).map_err(|e| {
+                    ctx.trace_failed();
+                    scenario.runtime_err(format!(
+                        "cannot replay trace file {}: {e}",
+                        walk.path(index as usize).display()
+                    ))
+                })?;
+                loaded.incr();
+                let carrier = draw_carrier(&scenario.carrier_mix, scenario.master_seed, index);
+                let days = days_spanned(&trace);
+                Ok((carrier, trace, days))
+            }
+        }
+    }
+}
+
+/// Runs `scenario` across `threads` worker threads: the infallible
+/// synthetic shortcut of [`run_source`], unobserved and uncached.
 ///
 /// `threads` is purely an execution knob: any value ≥ 1 produces the
 /// same [`FleetReport`] (see the module docs). Zero is treated as 1.
-///
-/// Scenarios with a [`NetworkTopology`](crate::topology::NetworkTopology)
-/// run through the two-pass topology runner instead of the radio-isolated
-/// fold;
-/// the determinism contract is identical.
 pub fn run(scenario: &Scenario, threads: usize) -> FleetReport {
-    run_observed(scenario, threads, Obs::none())
+    run_population(&Population::synthetic(scenario), threads, Obs::none(), None)
+        .expect("synthetic populations never fail")
 }
 
-/// [`run`] under an [`Obs`] handle: spans, counters, worker busy time,
-/// and live progress flow into `obs`; the report additionally carries a
-/// [`RunTimings`] phase breakdown when the recorder is enabled.
-///
-/// Observation never perturbs the result: the report equals the
-/// [`run`] report bit for bit at any thread count.
-pub fn run_observed(scenario: &Scenario, threads: usize, obs: Obs<'_>) -> FleetReport {
-    run_cached(scenario, threads, obs, None)
-}
-
-/// [`run_observed`] with an optional phase-1 [`RequestCache`](crate::cache::RequestCache).
-///
-/// The cache applies to cell-topology runs (the two-pass runner is
-/// where phase 1 exists as a separate artifact); radio-isolated runs
-/// ignore it. Caching never changes the report: a cached run is
-/// bit-identical to an uncached one at any thread count — only the
-/// `cache_*` counters and the wall clock differ.
-pub fn run_cached(
-    scenario: &Scenario,
-    threads: usize,
-    obs: Obs<'_>,
-    cache: Option<&crate::cache::RequestCache>,
-) -> FleetReport {
-    timed(threads, obs, || {
-        if let Some(topology) = &scenario.cells {
-            crate::topology::run_topology_synthetic(scenario, topology, threads, obs, cache)
-        } else {
-            if let Some(table) = obs.progress {
-                table.add_users_total(scenario.users);
-            }
-            run_sharded(
-                scenario.shard_count(),
-                threads,
-                obs,
-                &|| empty_report(scenario),
-                &|shard, ctx| Ok(run_shard(scenario, shard, ctx, obs.recorder)),
-            )
-        }
-    })
-    .expect("synthetic shards are infallible")
-}
-
-/// Runs any [`UserSource`] across `threads` worker threads.
+/// Runs any [`UserSource`] across `threads` worker threads, under an
+/// [`Obs`] handle and an optional phase-1 [`RequestCache`].
 ///
 /// Synthetic sources never fail; corpus sources fail — with a
 /// positioned [`ScenError`] — when the directory is missing or empty,
 /// or when a trace file cannot be read mid-run. On success the
 /// determinism contract is identical for both: a bit-identical report
 /// at any thread count.
-pub fn run_source(source: &UserSource, threads: usize) -> Result<FleetReport, ScenError> {
-    run_source_observed(source, threads, Obs::none())
-}
-
-/// [`run_source`] under an [`Obs`] handle (see [`run_observed`]).
-pub fn run_source_observed(
+///
+/// Observation never perturbs the result: spans, counters, worker busy
+/// time and live progress flow into `obs`, and the report additionally
+/// carries a [`RunTimings`] phase breakdown when the recorder is
+/// enabled. Neither does caching: the cache applies to synthetic
+/// cell-topology runs (the two-pass runner is where phase 1 exists as a
+/// separate artifact), and a cached run is bit-identical to an uncached
+/// one — only the `cache_*` counters and the wall clock differ.
+pub fn run_source(
     source: &UserSource,
     threads: usize,
     obs: Obs<'_>,
+    cache: Option<&RequestCache>,
 ) -> Result<FleetReport, ScenError> {
-    run_source_cached(source, threads, obs, None)
+    let walk = resolve_walk(source, obs)?;
+    run_population(&Population::of(source, walk.as_ref(), obs)?, threads, obs, cache)
 }
 
-/// [`run_source_observed`] with an optional phase-1 [`RequestCache`](crate::cache::RequestCache)
-/// (see [`run_cached`]). Corpus sources have no synthesis fingerprint
-/// and always run uncached.
-pub fn run_source_cached(
-    source: &UserSource,
-    threads: usize,
-    obs: Obs<'_>,
-    cache: Option<&crate::cache::RequestCache>,
-) -> Result<FleetReport, ScenError> {
+/// Walks a corpus source's directory once (`None` for synthetic
+/// sources), pinning the index→file assignment its runs replay.
+pub(crate) fn resolve_walk(source: &UserSource, obs: Obs<'_>) -> Result<Option<Corpus>, ScenError> {
     match source {
-        UserSource::Synthetic(scenario) => Ok(run_cached(scenario, threads, obs, cache)),
-        UserSource::Corpus(corpus) => run_corpus_observed(corpus, threads, obs),
+        UserSource::Synthetic(_) => Ok(None),
+        UserSource::Corpus(corpus) => corpus.resolve_observed(obs).map(Some),
     }
 }
 
-/// Replays an on-disk corpus: resolves the directory walk, tiles the
-/// sorted file list into shards, and streams one trace per worker
-/// through scheme-vs-baseline simulation.
-pub fn run_corpus(scenario: &CorpusScenario, threads: usize) -> Result<FleetReport, ScenError> {
-    run_corpus_observed(scenario, threads, Obs::none())
-}
-
-/// [`run_corpus`] under an [`Obs`] handle (see [`run_observed`]).
-pub fn run_corpus_observed(
-    scenario: &CorpusScenario,
+/// The one run path every entry point ends in: the radio-isolated fold,
+/// or the two-pass topology runner when the population has cells.
+pub(crate) fn run_population(
+    population: &Population<'_>,
     threads: usize,
     obs: Obs<'_>,
+    cache: Option<&RequestCache>,
 ) -> Result<FleetReport, ScenError> {
-    let corpus = scenario.resolve_observed(obs)?;
-    run_pinned_corpus_observed(scenario, &corpus, threads, obs)
-}
-
-/// [`run_corpus`] against an already-resolved file list. Callers that
-/// run the same corpus several times — sweep cells, scheme comparisons
-/// — resolve once and pass the pinned [`Corpus`] here, so every run
-/// replays the identical index→file assignment even if the directory
-/// changes between runs.
-pub fn run_pinned_corpus(
-    scenario: &CorpusScenario,
-    corpus: &Corpus,
-    threads: usize,
-) -> Result<FleetReport, ScenError> {
-    run_pinned_corpus_observed(scenario, corpus, threads, Obs::none())
-}
-
-/// [`run_pinned_corpus`] under an [`Obs`] handle (see [`run_observed`]).
-pub fn run_pinned_corpus_observed(
-    scenario: &CorpusScenario,
-    corpus: &Corpus,
-    threads: usize,
-    obs: Obs<'_>,
-) -> Result<FleetReport, ScenError> {
-    // Checked up front so a misconfigured mix is a typed error, not a
-    // panic inside a worker thread (draw_carrier asserts non-empty).
-    if scenario.carrier_mix.is_empty() {
-        return Err(scenario
-            .runtime_err("corpus scenario has an empty carrier mix; replay needs one".into()));
-    }
-    let users = corpus.len() as u64;
-    let shard_size = scenario.shard_size.max(1);
-    let shard_count = users.div_ceil(shard_size);
-    let source_label = format!("corpus {} ({} traces)", scenario.spec.dir.display(), corpus.len());
-    let empty = || {
-        let mut report = FleetReport::empty(scenario.name.clone(), scenario.scheme.label());
-        report.source = source_label.clone();
-        report
-    };
-    timed(threads, obs, || {
-        if let Some(topology) = &scenario.cells {
-            crate::topology::run_topology_corpus(scenario, corpus, topology, threads, obs)
-        } else {
-            if let Some(table) = obs.progress {
-                table.add_users_total(users);
-            }
-            run_sharded(shard_count, threads, obs, &empty, &|shard, ctx| {
-                let traces_loaded = obs.recorder.counter("traces_loaded");
-                let users_simulated = obs.recorder.counter("users_simulated");
-                let days_counter = obs.recorder.counter("user_days");
-                let mut partial = empty();
-                let lo = shard * shard_size;
-                let hi = ((shard + 1) * shard_size).min(users);
-                for index in lo..hi {
-                    let trace = {
-                        let _synthesize = span(obs.recorder, "synthesize");
-                        match load_corpus_trace(scenario, corpus, index) {
-                            Ok(trace) => trace,
-                            Err(e) => {
-                                ctx.trace_failed();
-                                return Err(e);
-                            }
-                        }
-                    };
-                    traces_loaded.incr();
-                    let carrier = draw_carrier(&scenario.carrier_mix, scenario.master_seed, index);
-                    let days = days_spanned(&trace);
-                    {
-                        let _simulate = span(obs.recorder, "simulate");
-                        fold_one(
-                            &mut partial,
-                            scenario.scheme,
-                            &carrier,
-                            &scenario.sim,
-                            &trace,
-                            days,
-                        );
-                    }
-                    users_simulated.incr();
-                    days_counter.add(days as u64);
-                    ctx.user_done(days as u64);
-                    // `trace` drops here: load-simulate-discard.
-                }
-                Ok(partial)
-            })
-        }
+    timed(threads, obs, || match population.cells {
+        Some(topology) => crate::topology::run_topology(population, topology, threads, obs, cache),
+        None => run_isolated(population, threads, obs),
     })
 }
 
-/// Shared wall-clock shell for every run entry point: snapshots the
-/// recorder, times `body`, stamps `wall_seconds`/`threads` on the
-/// report, records the whole run under the `"run"` span, and — when the
-/// recorder is enabled — attaches the [`RunTimings`] extracted from
-/// exactly this run's recorder delta.
+/// Shared wall-clock shell for every run: snapshots the recorder, times
+/// `body`, stamps `wall_seconds`/`threads` on the report, records the
+/// whole run under the `"run"` span, and — when the recorder is enabled
+/// — attaches the [`RunTimings`] extracted from exactly this run's
+/// recorder delta.
 fn timed(
     threads: usize,
     obs: Obs<'_>,
@@ -307,18 +346,33 @@ fn timed(
     Ok(report)
 }
 
-/// Loads one corpus member, wrapping failures in the scenario's
-/// positioned runtime error (shared by the isolated and cell paths).
-pub(crate) fn load_corpus_trace(
-    scenario: &CorpusScenario,
-    corpus: &Corpus,
-    index: u64,
-) -> Result<Trace, ScenError> {
-    corpus.load(index as usize).map_err(|e| {
-        scenario.runtime_err(format!(
-            "cannot replay trace file {}: {e}",
-            corpus.path(index as usize).display()
-        ))
+/// The radio-isolated fold: each user through the scheme under test and
+/// the status-quo baseline, in user order within each shard.
+fn run_isolated(
+    population: &Population<'_>,
+    threads: usize,
+    obs: Obs<'_>,
+) -> Result<FleetReport, ScenError> {
+    if let Some(table) = obs.progress {
+        table.add_users_total(population.users());
+    }
+    let empty = || population.empty_report();
+    run_sharded(population.shard_count(), threads, obs, &empty, &|shard, ctx| {
+        let users_simulated = obs.recorder.counter("users_simulated");
+        let days_counter = obs.recorder.counter("user_days");
+        let mut partial = population.empty_report();
+        for index in population.shard_range(shard) {
+            let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
+            {
+                let _simulate = span(obs.recorder, "simulate");
+                fold_one(&mut partial, population.scheme, &carrier, population.sim, &trace, days);
+            }
+            users_simulated.incr();
+            days_counter.add(days as u64);
+            ctx.user_done(days as u64);
+            // `trace` drops here: materialize-simulate-discard.
+        }
+        Ok(partial)
     })
 }
 
@@ -345,7 +399,7 @@ impl ShardCtx<'_> {
     }
 }
 
-/// The sharded execution core shared by synthetic, corpus, and
+/// The sharded execution core shared by radio-isolated and
 /// cell-topology runs: work-stealing shard claims, bounded out-of-order
 /// buffering, and the in-order merge frontier over any [`Partial`].
 /// `shard_fn` is called once per shard index; its first error (if any)
@@ -438,34 +492,6 @@ pub(crate) fn run_sharded<P: Partial>(
     Ok(frontier.total)
 }
 
-/// Simulates one synthetic shard serially, folding users in index order.
-fn run_shard(
-    scenario: &Scenario,
-    shard: u64,
-    ctx: &ShardCtx<'_>,
-    recorder: &dyn Recorder,
-) -> FleetReport {
-    let users_simulated = recorder.counter("users_simulated");
-    let days_counter = recorder.counter("user_days");
-    let mut partial = empty_report(scenario);
-    for index in scenario.shard_range(shard) {
-        let (carrier, model) = scenario.user(index);
-        let trace = {
-            let _synthesize = span(recorder, "synthesize");
-            model.generate()
-        };
-        {
-            let _simulate = span(recorder, "simulate");
-            fold_one(&mut partial, scenario.scheme, &carrier, &scenario.sim, &trace, model.days);
-        }
-        users_simulated.incr();
-        days_counter.add(model.days as u64);
-        ctx.user_done(model.days as u64);
-        // `trace` drops here: generate-simulate-discard.
-    }
-    partial
-}
-
 /// Runs one user's trace through the scheme under test and the
 /// status-quo baseline, folding both into `partial`.
 fn fold_one(
@@ -488,12 +514,8 @@ fn fold_one(
 /// Calendar days a trace spans, for user-day accounting of replayed
 /// corpora (synthetic users carry their day count in the model).
 /// Always at least 1: an empty or sub-day trace is one user-day.
-pub(crate) fn days_spanned(trace: &Trace) -> u32 {
+fn days_spanned(trace: &Trace) -> u32 {
     (trace.span().as_secs_f64() / 86_400.0).ceil().clamp(1.0, u32::MAX as f64) as u32
-}
-
-fn empty_report(scenario: &Scenario) -> FleetReport {
-    FleetReport::empty(scenario.name.clone(), scenario.scheme.label())
 }
 
 #[cfg(test)]
@@ -505,6 +527,10 @@ mod tests {
         let mut s = Scenario::new(users, Scheme::MakeIdle, CarrierProfile::verizon_lte());
         s.shard_size = 4;
         s
+    }
+
+    fn corpus_run(c: CorpusScenario, threads: usize) -> Result<FleetReport, ScenError> {
+        run_source(&UserSource::Corpus(c), threads, Obs::none(), None)
     }
 
     #[test]
@@ -544,7 +570,7 @@ mod tests {
     fn run_source_matches_run_for_synthetic_sources() {
         let s = tiny(5);
         let direct = run(&s, 2);
-        let via_source = run_source(&UserSource::Synthetic(s), 2).unwrap();
+        let via_source = run_source(&UserSource::Synthetic(s), 2, Obs::none(), None).unwrap();
         assert_eq!(direct, via_source);
         assert_eq!(via_source.source, "synthetic population");
     }
@@ -558,7 +584,7 @@ mod tests {
             Scheme::MakeIdle,
             CarrierProfile::att_hspa(),
         );
-        let err = run_corpus(&c, 8).unwrap_err();
+        let err = corpus_run(c, 8).unwrap_err();
         assert!(err.message.contains("cannot read corpus directory"), "{err}");
     }
 
@@ -577,7 +603,7 @@ mod tests {
         tailwise_trace::io::save(&t, &dir.join("user_0.twt")).unwrap();
         let mut c = CorpusScenario::new(&dir, Scheme::MakeIdle, CarrierProfile::att_hspa());
         c.carrier_mix.clear();
-        let err = run_corpus(&c, 2).unwrap_err();
+        let err = corpus_run(c, 2).unwrap_err();
         assert!(err.message.contains("empty carrier mix"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -601,7 +627,7 @@ mod tests {
         std::fs::write(dir.join("user_1.twt"), b"rotten").unwrap();
         let mut c = CorpusScenario::new(&dir, Scheme::MakeIdle, CarrierProfile::att_hspa());
         c.shard_size = 1;
-        let err = run_corpus(&c, 4).unwrap_err();
+        let err = corpus_run(c, 4).unwrap_err();
         assert!(err.message.contains("user_1.twt"), "{err}");
         assert_eq!(err.kind, tailwise_scenfile::ScenErrorKind::Run);
         std::fs::remove_dir_all(&dir).unwrap();

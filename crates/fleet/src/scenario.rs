@@ -21,6 +21,8 @@ use tailwise_workload::apps::{AppKind, AppParams};
 use tailwise_workload::diurnal::DiurnalProfile;
 use tailwise_workload::user::UserModel;
 
+use crate::source::{SourceSet, UserSource};
+
 /// Derives the seed of user `index` from the scenario master seed.
 ///
 /// The inner round turns the master seed into a well-mixed per-scenario
@@ -102,38 +104,37 @@ impl Scenario {
     /// Loads a scenario from an on-disk file (see
     /// `docs/SCENARIO_FORMAT.md` for the format).
     ///
-    /// Errors — including the file declaring `[[sweep]]` axes, which a
-    /// single `Scenario` cannot represent — carry the file path and a
-    /// line/column position. Use
-    /// [`ScenarioSet::from_file`](crate::sweep::ScenarioSet::from_file)
-    /// to load sweep files.
+    /// Errors — including the file declaring `[[sweep]]` axes or a
+    /// `[corpus]` source, which a single `Scenario` cannot represent —
+    /// carry the file path and a line/column position. Use
+    /// [`SourceSet::from_file`] to load those files.
     pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<Scenario, ScenError> {
         let path = path.as_ref();
-        crate::sweep::ScenarioSet::from_file(path).and_then(|set| {
-            if set.is_sweep() {
-                Err(ScenError::at(
-                    tailwise_scenfile::Pos::START,
-                    "file declares [[sweep]] axes; load it with ScenarioSet::from_file \
-                     (or run it with `tailwise fleet run`)",
-                )
-                .with_origin(path.display().to_string()))
-            } else {
-                Ok(set.base)
-            }
-        })
+        Scenario::from_set(SourceSet::from_file(path)?)
+            .map_err(|e| e.with_origin(path.display().to_string()))
     }
 
-    /// Parses a scenario from document text (no sweep axes allowed; see
-    /// [`from_file`](Self::from_file)).
+    /// Parses a scenario from document text (no sweep axes or corpus
+    /// allowed; see [`from_file`](Self::from_file)).
     pub fn from_toml_str(src: &str) -> Result<Scenario, ScenError> {
-        let set = crate::sweep::ScenarioSet::from_toml_str(src)?;
-        if set.is_sweep() {
-            return Err(ScenError::at(
+        Scenario::from_set(SourceSet::from_toml_str(src)?)
+    }
+
+    /// The single synthetic scenario a parsed document declares.
+    fn from_set(set: SourceSet) -> Result<Scenario, ScenError> {
+        match set {
+            SourceSet { source: UserSource::Synthetic(base), axes } if axes.is_empty() => Ok(base),
+            SourceSet { source: UserSource::Synthetic(_), .. } => Err(ScenError::at(
                 tailwise_scenfile::Pos::START,
-                "document declares [[sweep]] axes; parse it as a ScenarioSet",
-            ));
+                "document declares [[sweep]] axes; load it with SourceSet::from_file \
+                 (or run it with `tailwise fleet run`)",
+            )),
+            SourceSet { source: UserSource::Corpus(corpus), .. } => Err(ScenError::at(
+                corpus.spec.dir_pos,
+                "document declares a [corpus] source; load it with SourceSet::from_file \
+                 (or run it with `tailwise fleet run`)",
+            )),
         }
-        Ok(set.base)
     }
 
     /// Serializes the scenario to document text that
@@ -147,7 +148,7 @@ impl Scenario {
     /// built-in presets, and every mix weight must be positive and
     /// finite.
     pub fn to_toml_string(&self) -> Result<String, ScenError> {
-        crate::file::set_to_toml(self, &[])
+        SourceSet { source: UserSource::Synthetic(self.clone()), axes: Vec::new() }.to_toml_string()
     }
 
     /// Writes [`to_toml_string`](Self::to_toml_string) to `path`.

@@ -256,17 +256,15 @@ impl CorpusScenario {
     }
 }
 
-/// A parsed scenario file in full generality: a [`UserSource`] plus any
-/// `[[sweep]]` axes. The corpus-aware superset of
-/// [`ScenarioSet`](crate::sweep::ScenarioSet).
+/// A parsed scenario file in full generality: a [`UserSource`] —
+/// synthetic or corpus — plus any `[[sweep]]` axes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceSet {
     /// The source described by the file's non-sweep tables.
     pub source: UserSource,
-    /// The `[[sweep]]` axes, in declaration order. A corpus source
-    /// admits `scheme` and `carrier` axes (the corpus itself stays
-    /// fixed); the `users` axis needs a synthetic population and is
-    /// rejected at parse time.
+    /// The `[[sweep]]` axes, in declaration order. The `users` axis
+    /// needs a synthetic population (a corpus stays fixed) and is
+    /// rejected at parse time for corpus sources.
     pub axes: Vec<SweepAxis>,
 }
 
@@ -315,9 +313,15 @@ impl SourceSet {
     /// source (axes in declared order, later axes varying fastest),
     /// returning each expansion with its `axis=value …` label.
     ///
-    /// Errors only on a `users` axis over a corpus source — impossible
-    /// for parsed files (the schema rejects it), reachable for
-    /// programmatic construction.
+    /// Each expansion is named `base-name [axis=value …]`, and every
+    /// non-swept field (master seed, shard size, mixes, …) is copied
+    /// verbatim, so an expanded source run individually reproduces its
+    /// sweep cell bit-for-bit. A set with no axes expands to the base
+    /// source alone, with an empty label.
+    ///
+    /// Errors only on an axis the source cannot take (see
+    /// [`SweepAxis`]) — impossible for parsed files (the schema rejects
+    /// them), reachable for programmatic construction.
     pub fn expand_labeled(&self) -> Result<Vec<(String, UserSource)>, ScenError> {
         let total = self.expansion_count();
         let mut out = Vec::with_capacity(total);
@@ -331,7 +335,7 @@ impl SourceSet {
                 stride /= axis.len();
                 let index = flat / stride;
                 flat %= stride;
-                labels.push(axis.apply_source(index, &mut source)?);
+                labels.push(axis.apply(index, &mut source)?);
             }
             let label = labels.join(" ");
             if !label.is_empty() {

@@ -1,22 +1,24 @@
-//! Scenario sets: one on-disk file expanding into a matrix of fleet
-//! runs with a side-by-side comparison table.
+//! Sweeps: one on-disk file expanding into a matrix of fleet runs with
+//! a side-by-side comparison table.
 //!
 //! The paper's evaluation (§6) is exactly this shape — the same
 //! population pushed through every scheme (Fig. 9–11), or the same
-//! scheme across every carrier (Fig. 17–18). A [`ScenarioSet`] captures
-//! it declaratively: a base [`Scenario`] plus `[[sweep]]` axes over
-//! schemes, carriers, or population sizes. [`ScenarioSet::expand`]
-//! takes the Cartesian product (axes in declared order, later axes
-//! varying fastest) and [`run_sweep`] executes every expansion through
-//! the sharded runner.
+//! scheme across every carrier (Fig. 17–18). A [`SourceSet`] captures
+//! it declaratively: a base [`UserSource`] plus `[[sweep]]` axes over
+//! schemes, carriers, population sizes, admission policies, or
+//! mobility models. [`SourceSet::expand_labeled`] takes the Cartesian
+//! product (axes in declared order, later axes varying fastest) and
+//! [`run_source_sweep_cached`] executes every expansion through the
+//! sharded runner.
 //!
 //! Determinism: expansion only rewrites the swept fields, so each
-//! expanded scenario is a complete, self-contained [`Scenario`] — its
-//! cell in the comparison table is **bit-identical** to running that
-//! scenario individually (e.g. after `tailwise fleet export`) at any
-//! thread count. Tests pin this.
+//! expanded source is complete and self-contained — its cell in the
+//! comparison table is **bit-identical** to running that source
+//! individually (e.g. after `tailwise fleet export`) at any thread
+//! count. Tests pin this.
 
 use tailwise_core::schemes::Scheme;
+use tailwise_obs::Obs;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_scenfile::{Pos, ScenError};
 
@@ -24,9 +26,7 @@ use crate::admission::AdmissionSpec;
 use crate::cache::RequestCache;
 use crate::mobility::MobilitySpec;
 use crate::report::FleetReport;
-use tailwise_obs::Obs;
-
-use crate::runner::{run_cached, run_source_cached};
+use crate::runner::{resolve_walk, run_population, Population};
 use crate::scenario::Scenario;
 use crate::source::{SourceSet, UserSource};
 
@@ -87,172 +87,51 @@ impl SweepAxis {
         self.len() == 0
     }
 
-    /// Applies value `index` of this axis to `scenario`, returning the
-    /// `axis=value` label fragment.
-    ///
-    /// # Panics
-    /// If an `admission` axis meets a scenario without a network
-    /// topology (scenario files reject that combination at parse time).
-    fn apply(&self, index: usize, scenario: &mut Scenario) -> String {
-        match self {
+    /// Applies value `index` of this axis to `source`, returning the
+    /// `axis=value` label fragment. Scheme and carrier axes apply to
+    /// both kinds of [`UserSource`]; the `users` axis needs a synthetic
+    /// population (a corpus is sized by its directory), and the
+    /// `admission` and `mobility` axes a `[cells]` topology — impossible
+    /// combinations for parsed files (the schema rejects them), errors
+    /// for programmatic construction.
+    pub(crate) fn apply(&self, index: usize, source: &mut UserSource) -> Result<String, ScenError> {
+        const NEEDS_CELLS: &str = "a [cells] topology to apply to";
+        let misfit = |needs: &str| {
+            ScenError::at(Pos::START, format!("sweep axis `{}` requires {needs}", self.label()))
+        };
+        if let SweepAxis::Users(v) = self {
+            let UserSource::Synthetic(scenario) = source else {
+                return Err(misfit(
+                    "a synthetic scenario; a [corpus] population is sized by its directory",
+                ));
+            };
+            scenario.users = v[index];
+            return Ok(format!("users={}", v[index]));
+        }
+        let (scheme, carrier_mix, cells) = match source {
+            UserSource::Synthetic(s) => (&mut s.scheme, &mut s.carrier_mix, &mut s.cells),
+            UserSource::Corpus(c) => (&mut c.scheme, &mut c.carrier_mix, &mut c.cells),
+        };
+        Ok(match self {
             SweepAxis::Schemes(v) => {
-                scenario.scheme = v[index];
+                *scheme = v[index];
                 format!("scheme={}", v[index])
             }
             SweepAxis::Carriers(v) => {
-                scenario.carrier_mix = vec![(v[index].clone(), 1.0)];
+                *carrier_mix = vec![(v[index].clone(), 1.0)];
                 format!("carrier={}", v[index])
             }
-            SweepAxis::Users(v) => {
-                scenario.users = v[index];
-                format!("users={}", v[index])
-            }
             SweepAxis::Admission(v) => {
-                scenario
-                    .cells
-                    .as_mut()
-                    .expect("admission sweep needs a [cells] topology (checked at parse time)")
-                    .rnc_admission = v[index].clone();
+                let topology = cells.as_mut().ok_or_else(|| misfit(NEEDS_CELLS))?;
+                topology.rnc_admission = v[index].clone();
                 format!("admission={}", v[index])
             }
             SweepAxis::Mobility(v) => {
-                scenario
-                    .cells
-                    .as_mut()
-                    .expect("mobility sweep needs a [cells] topology (checked at parse time)")
-                    .mobility = v[index];
+                cells.as_mut().ok_or_else(|| misfit(NEEDS_CELLS))?.mobility = v[index];
                 format!("mobility={}", v[index])
             }
-        }
-    }
-
-    /// Applies value `index` of this axis to either kind of
-    /// [`UserSource`]. Scheme and carrier axes apply to both; the
-    /// `users` axis needs a synthetic population (a corpus is sized by
-    /// its directory) and errors on a corpus source.
-    pub(crate) fn apply_source(
-        &self,
-        index: usize,
-        source: &mut UserSource,
-    ) -> Result<String, ScenError> {
-        match source {
-            UserSource::Synthetic(scenario) => Ok(self.apply(index, scenario)),
-            UserSource::Corpus(corpus) => match self {
-                SweepAxis::Schemes(v) => {
-                    corpus.scheme = v[index];
-                    Ok(format!("scheme={}", v[index]))
-                }
-                SweepAxis::Carriers(v) => {
-                    corpus.carrier_mix = vec![(v[index].clone(), 1.0)];
-                    Ok(format!("carrier={}", v[index]))
-                }
-                SweepAxis::Users(_) => Err(ScenError::at(
-                    Pos::START,
-                    "sweep axis `users` requires a synthetic scenario; \
-                     a [corpus] population is sized by its directory",
-                )),
-                SweepAxis::Admission(v) => match &mut corpus.cells {
-                    Some(topology) => {
-                        topology.rnc_admission = v[index].clone();
-                        Ok(format!("admission={}", v[index]))
-                    }
-                    None => Err(ScenError::at(
-                        Pos::START,
-                        "sweep axis `admission` requires a [cells] topology to apply to",
-                    )),
-                },
-                SweepAxis::Mobility(v) => match &mut corpus.cells {
-                    Some(topology) => {
-                        topology.mobility = v[index];
-                        Ok(format!("mobility={}", v[index]))
-                    }
-                    None => Err(ScenError::at(
-                        Pos::START,
-                        "sweep axis `mobility` requires a [cells] topology to apply to",
-                    )),
-                },
-            },
-        }
-    }
-}
-
-/// A parsed scenario file: the base scenario plus any sweep axes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSet {
-    /// The scenario described by the file's non-sweep tables.
-    pub base: Scenario,
-    /// The `[[sweep]]` axes, in declaration order.
-    pub axes: Vec<SweepAxis>,
-}
-
-impl ScenarioSet {
-    /// Parses a scenario file from disk.
-    pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<ScenarioSet, ScenError> {
-        let path = path.as_ref();
-        let src = std::fs::read_to_string(path).map_err(|e| {
-            ScenError::at(tailwise_scenfile::Pos::START, format!("cannot read scenario file: {e}"))
-                .with_origin(path.display().to_string())
-        })?;
-        Self::from_toml_str(&src).map_err(|e| e.with_origin(path.display().to_string()))
-    }
-
-    /// Parses a scenario document from a string.
-    pub fn from_toml_str(src: &str) -> Result<ScenarioSet, ScenError> {
-        crate::file::set_from_str(src)
-    }
-
-    /// Serializes the set back to document text (see
-    /// [`Scenario::to_toml_string`] for the representability rules).
-    pub fn to_toml_string(&self) -> Result<String, ScenError> {
-        crate::file::set_to_toml(&self.base, &self.axes)
-    }
-
-    /// True when the file declared at least one `[[sweep]]` axis.
-    pub fn is_sweep(&self) -> bool {
-        !self.axes.is_empty()
-    }
-
-    /// Number of scenarios the set expands into.
-    pub fn expansion_count(&self) -> usize {
-        self.axes.iter().map(SweepAxis::len).product()
-    }
-
-    /// Expands the Cartesian product of the sweep axes over the base
-    /// scenario — axes in declared order, later axes varying fastest.
-    /// A set with no axes expands to the base scenario alone.
-    ///
-    /// Each expansion is labeled `base-name [axis=value …]`, and every
-    /// non-swept field (master seed, shard size, app mix, …) is copied
-    /// verbatim, so an expanded scenario run individually reproduces
-    /// its sweep cell bit-for-bit.
-    pub fn expand(&self) -> Vec<Scenario> {
-        self.expand_labeled().into_iter().map(|(_, scenario)| scenario).collect()
-    }
-
-    /// [`expand`](Self::expand) plus each expansion's `axis=value …`
-    /// label fragment (empty for a no-sweep set's single expansion).
-    fn expand_labeled(&self) -> Vec<(String, Scenario)> {
-        let total = self.expansion_count();
-        let mut out = Vec::with_capacity(total);
-        for mut flat in 0..total {
-            let mut scenario = self.base.clone();
-            // Decompose `flat` in mixed radix, most significant digit
-            // first, so the first declared axis varies slowest.
-            let mut labels = Vec::with_capacity(self.axes.len());
-            let mut stride = total;
-            for axis in &self.axes {
-                stride /= axis.len();
-                let index = flat / stride;
-                flat %= stride;
-                labels.push(axis.apply(index, &mut scenario));
-            }
-            let label = labels.join(" ");
-            if !label.is_empty() {
-                scenario.name = format!("{} [{label}]", self.base.name);
-            }
-            out.push((label, scenario));
-        }
-        out
+            SweepAxis::Users(_) => unreachable!("applied above"),
+        })
     }
 }
 
@@ -281,93 +160,36 @@ impl SweepRow {
     }
 }
 
-/// The outcome of running every expansion of a [`ScenarioSet`].
+/// The outcome of running every expansion of a [`SourceSet`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// The base scenario's name.
     pub name: String,
-    /// One row per expansion, in [`ScenarioSet::expand`] order.
+    /// One row per expansion, in [`SourceSet::expand_labeled`] order.
     pub rows: Vec<SweepRow>,
 }
 
 /// Runs every expansion of `set` on `threads` worker threads, folding
-/// the results into a side-by-side comparison.
+/// the results into a side-by-side comparison: the batch form of
+/// [`run_source_sweep_streamed`].
 ///
 /// Expansions run sequentially — each one already saturates the thread
 /// pool via the sharded runner — so peak memory stays one trace per
-/// worker regardless of how many cells the sweep has.
-pub fn run_sweep(set: &ScenarioSet, threads: usize) -> SweepReport {
-    run_sweep_observed(set, threads, Obs::none())
-}
-
-/// [`run_sweep`] under an [`Obs`] handle. Every cell shares the same
-/// recorder and progress table; each row's report still carries its
-/// own per-run phase breakdown (the runner diffs recorder snapshots
-/// around each cell).
+/// worker regardless of how many cells the sweep has. Every cell shares
+/// `obs` (each row's report still carries its own phase breakdown) and
+/// `cache`: over a synthetic cell topology, an admission or scheme sweep
+/// against one [`RequestCache`] pays one phase-1 extraction and replays
+/// it for every later cell. That shows only in the `cache_*` counters
+/// and the wall clock — every cell stays bit-identical to running its
+/// expansion individually. A disk-backed cache warms later processes,
+/// `None` disables caching.
 ///
-/// Sweeps cache by default: cells run against a fresh in-memory
-/// [`RequestCache`], so an admission or scheme sweep over a cell
-/// topology pays one phase-1 extraction and replays it for every later
-/// cell. This is invisible in the results — every cell stays
-/// bit-identical to running its expansion individually (the contract
-/// in the module docs) — and only shows in the `cache_*` counters and
-/// the wall clock. Pass an explicit cache (or `None`) through
-/// [`run_sweep_cached`] to persist across calls or opt out.
-pub fn run_sweep_observed(set: &ScenarioSet, threads: usize, obs: Obs<'_>) -> SweepReport {
-    let cache = RequestCache::in_memory();
-    run_sweep_cached(set, threads, obs, Some(&cache))
-}
-
-/// [`run_sweep_observed`] against a caller-owned [`RequestCache`]
-/// (or none at all): a disk-backed cache warms later processes, a
-/// shared cache warms later sweeps, `None` disables caching entirely.
-pub fn run_sweep_cached(
-    set: &ScenarioSet,
-    threads: usize,
-    obs: Obs<'_>,
-    cache: Option<&RequestCache>,
-) -> SweepReport {
-    let rows = set
-        .expand_labeled()
-        .into_iter()
-        .map(|(label, scenario)| {
-            let report = run_cached(&scenario, threads, obs, cache);
-            SweepRow { label, source: UserSource::Synthetic(scenario), report }
-        })
-        .collect();
-    SweepReport { name: set.base.name.clone(), rows }
-}
-
-/// Runs every expansion of a [`SourceSet`] — the corpus-aware
-/// counterpart of [`run_sweep`], with the same sequential-expansion
-/// memory bound. A corpus sweep holds the corpus fixed while varying
-/// scheme or carrier: the directory walk is resolved **once**, before
-/// the first cell, and every cell replays that pinned index→file
-/// assignment — a file appearing or vanishing mid-sweep cannot make
-/// cells compare different populations (an unreadable file still aborts
-/// the cell that touches it). Fails on the first expansion whose corpus
-/// cannot be resolved or replayed.
-pub fn run_source_sweep(set: &SourceSet, threads: usize) -> Result<SweepReport, ScenError> {
-    run_source_sweep_observed(set, threads, Obs::none())
-}
-
-/// [`run_source_sweep`] under an [`Obs`] handle (see
-/// [`run_sweep_observed`] for how sweep cells share the recorder and
-/// why synthetic rows cache by default).
-pub fn run_source_sweep_observed(
-    set: &SourceSet,
-    threads: usize,
-    obs: Obs<'_>,
-) -> Result<SweepReport, ScenError> {
-    let cache = RequestCache::in_memory();
-    run_source_sweep_cached(set, threads, obs, Some(&cache))
-}
-
-/// [`run_source_sweep_observed`] against a caller-owned
-/// [`RequestCache`] (or none). Only synthetic rows consult the cache;
-/// corpus rows replay the pinned directory walk, which is already
-/// resolved exactly once per sweep (the `corpus_walks` counter pins
-/// that invariant).
+/// A corpus sweep holds the corpus fixed while varying the other axes:
+/// the directory walk is resolved **once**, before the first cell, and
+/// every cell replays that pinned index→file assignment — a file
+/// appearing or vanishing mid-sweep cannot make cells compare different
+/// populations (an unreadable file still aborts the cell that touches
+/// it). Fails on the first expansion that cannot be resolved or run.
 pub fn run_source_sweep_cached(
     set: &SourceSet,
     threads: usize,
@@ -396,18 +218,11 @@ pub fn run_source_sweep_streamed(
     cache: Option<&RequestCache>,
     on_row: &mut dyn FnMut(usize, &SweepRow) -> bool,
 ) -> Result<Option<SweepReport>, ScenError> {
-    let pinned = match &set.source {
-        UserSource::Corpus(corpus) => Some(corpus.resolve_observed(obs)?),
-        UserSource::Synthetic(_) => None,
-    };
+    let walk = resolve_walk(&set.source, obs)?;
     let mut rows = Vec::with_capacity(set.expansion_count());
     for (index, (label, source)) in set.expand_labeled()?.into_iter().enumerate() {
-        let report = match (&source, &pinned) {
-            (UserSource::Corpus(corpus), Some(pinned)) => {
-                crate::runner::run_pinned_corpus_observed(corpus, pinned, threads, obs)?
-            }
-            _ => run_source_cached(&source, threads, obs, cache)?,
-        };
+        let population = Population::of(&source, walk.as_ref(), obs)?;
+        let report = run_population(&population, threads, obs, cache)?;
         let row = SweepRow { label, source, report };
         let keep_going = on_row(index, &row);
         rows.push(row);
@@ -490,21 +305,38 @@ mod tests {
         s
     }
 
-    fn sweep_set() -> ScenarioSet {
-        ScenarioSet {
-            base: base(),
-            axes: vec![
-                SweepAxis::Schemes(vec![Scheme::StatusQuo, Scheme::MakeIdle]),
-                SweepAxis::Users(vec![4, 6, 9]),
-            ],
-        }
+    fn synthetic_set(axes: Vec<SweepAxis>) -> SourceSet {
+        SourceSet { source: UserSource::Synthetic(base()), axes }
+    }
+
+    fn sweep_set() -> SourceSet {
+        synthetic_set(vec![
+            SweepAxis::Schemes(vec![Scheme::StatusQuo, Scheme::MakeIdle]),
+            SweepAxis::Users(vec![4, 6, 9]),
+        ])
+    }
+
+    /// The set's expanded scenarios, labels dropped.
+    fn expand(set: &SourceSet) -> Vec<Scenario> {
+        set.expand_labeled()
+            .unwrap()
+            .into_iter()
+            .map(|(_, source)| match source {
+                UserSource::Synthetic(scenario) => scenario,
+                UserSource::Corpus(_) => unreachable!("synthetic sets expand to scenarios"),
+            })
+            .collect()
+    }
+
+    fn sweep_of(set: &SourceSet, threads: usize) -> SweepReport {
+        run_source_sweep_cached(set, threads, Obs::none(), None).unwrap()
     }
 
     #[test]
     fn expansion_is_a_cartesian_product_in_declared_order() {
         let set = sweep_set();
         assert_eq!(set.expansion_count(), 6);
-        let expanded = set.expand();
+        let expanded = expand(&set);
         assert_eq!(expanded.len(), 6);
         // First axis slowest: statusquo×{4,6,9}, then makeidle×{4,6,9}.
         assert_eq!(expanded[0].scheme, Scheme::StatusQuo);
@@ -515,19 +347,17 @@ mod tests {
         assert!(expanded[5].name.ends_with("[scheme=makeidle users=9]"), "{}", expanded[5].name);
         // Non-swept identity fields are untouched.
         for s in &expanded {
-            assert_eq!(s.master_seed, set.base.master_seed);
-            assert_eq!(s.shard_size, set.base.shard_size);
-            assert_eq!(s.app_mix, set.base.app_mix);
+            assert_eq!(s.master_seed, base().master_seed);
+            assert_eq!(s.shard_size, base().shard_size);
+            assert_eq!(s.app_mix, base().app_mix);
         }
     }
 
     #[test]
     fn empty_axes_expand_to_the_base_alone() {
-        let set = ScenarioSet { base: base(), axes: vec![] };
-        let expanded = set.expand();
-        assert_eq!(expanded.len(), 1);
-        assert_eq!(expanded[0], set.base);
-        let report = run_sweep(&set, 2);
+        let set = synthetic_set(vec![]);
+        assert_eq!(expand(&set), vec![base()]);
+        let report = sweep_of(&set, 2);
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].label, "");
         assert!(report.render().contains("(base)"));
@@ -539,8 +369,8 @@ mod tests {
         // running each expanded scenario on its own, at any thread
         // count.
         let set = sweep_set();
-        let sweep = run_sweep(&set, 4);
-        for (row, scenario) in sweep.rows.iter().zip(set.expand()) {
+        let sweep = sweep_of(&set, 4);
+        for (row, scenario) in sweep.rows.iter().zip(expand(&set)) {
             assert_eq!(row.scenario(), Some(&scenario));
             assert_eq!(row.report, run(&scenario, 1), "{}", scenario.name);
             assert_eq!(row.report, run(&scenario, 8), "{}", scenario.name);
@@ -572,14 +402,11 @@ mod tests {
 
     #[test]
     fn carrier_axis_replaces_the_mix() {
-        let set = ScenarioSet {
-            base: base(),
-            axes: vec![SweepAxis::Carriers(vec![
-                CarrierProfile::att_hspa(),
-                CarrierProfile::verizon_lte(),
-            ])],
-        };
-        let expanded = set.expand();
+        let set = synthetic_set(vec![SweepAxis::Carriers(vec![
+            CarrierProfile::att_hspa(),
+            CarrierProfile::verizon_lte(),
+        ])]);
+        let expanded = expand(&set);
         assert_eq!(expanded[0].carrier_mix, vec![(CarrierProfile::att_hspa(), 1.0)]);
         assert!(expanded[0].name.contains("carrier=att-hspa"), "{}", expanded[0].name);
     }
@@ -587,7 +414,7 @@ mod tests {
     #[test]
     fn render_lines_up_one_row_per_cell() {
         let set = sweep_set();
-        let table = run_sweep(&set, 2).render();
+        let table = sweep_of(&set, 2).render();
         assert_eq!(table.lines().count(), 2 + 6, "{table}");
         assert!(table.contains("scheme=statusquo users=4"), "{table}");
         assert!(table.contains("scheme=makeidle users=9"), "{table}");

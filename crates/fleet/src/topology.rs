@@ -22,14 +22,16 @@
 //!    cheap phase-1 request scan ([`Scheme::request_trace`]): one trace
 //!    materialized per worker, dropped immediately, only the
 //!    time-stamped request stream kept.
-//! 2. **Adjudication** — per RNC, the member users' (already
-//!    time-sorted) request streams are **k-way merged** into one
-//!    `(time, user, seq)`-ordered stream and fed through fresh
-//!    admission-policy instances: the request's cell decides first,
-//!    then the RNC; a denial at either level denies. Every verdict's
-//!    adjudication-time message cost (`per_fd_demotion` per grant,
-//!    [`REQUEST_MESSAGES`] per denial) is observed by both levels, so
-//!    load-reactive policies see the rate they are protecting.
+//! 2. **Adjudication** — every request becomes an event in the
+//!    partition of the RNC owning the cell its user occupies at that
+//!    instant, beside both sides of every handoff its cells see (none
+//!    under static mobility). Each partition is sorted into
+//!    `(time, user, kind)` order and fed through fresh admission-policy
+//!    instances: the request's cell decides first, then the RNC; a
+//!    denial at either level denies. Every verdict's adjudication-time
+//!    message cost (`per_fd_demotion` per grant, [`REQUEST_MESSAGES`]
+//!    per denial) is observed by both levels, so load-reactive policies
+//!    see the rate they are protecting.
 //! 3. **Pass 2** — the sharded runner *re-materializes* each user's
 //!    trace (synthesis and corpus walks are deterministic, so the same
 //!    index yields the same trace) and replays it exactly against its
@@ -49,9 +51,10 @@
 //! index, cell count)` ([`cell_of`]) — and, under a mobility model, of
 //! time as well ([`NetworkTopology::user_cell`], the one seam both
 //! passes resolve membership through; see [`crate::mobility`]); cells
-//! map to RNCs in contiguous blocks ([`rnc_of_cell`]); the k-way merge
-//! (static) or the per-RNC event sort (mobile) realizes the total
-//! `(time, user, kind)` order; admission policies are deterministic by
+//! map to RNCs in contiguous blocks ([`rnc_of_cell`]); the per-RNC
+//! event sort realizes the total `(time, user, kind)` order, which
+//! without handoffs is the `(time, user, seq)` order of
+//! [`merge_requests`]; admission policies are deterministic by
 //! contract; per-second load counters are integer adds. With the
 //! frontier merging shard partials in shard order, a topology run is
 //! bit-identical at any thread count — the same contract the
@@ -67,28 +70,24 @@
 //! combination at parse time with a positioned error; programmatic
 //! misuse panics here.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_obs::{span, Obs};
-use tailwise_radio::admission::{AdmissionPolicy, REQUEST_MESSAGES};
-use tailwise_radio::profile::CarrierProfile;
+use tailwise_radio::admission::REQUEST_MESSAGES;
 use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
-use tailwise_trace::corpus::Corpus;
 use tailwise_trace::mix::splitmix64 as splitmix;
 use tailwise_trace::time::Instant;
-use tailwise_trace::Trace;
 
 use crate::admission::AdmissionSpec;
-use crate::cache::{topo_hash, verdict_hash, Fingerprint, ReplayEntry, RequestCache};
+use crate::cache::{topo_hash, verdict_hash, ReplayEntry, RequestCache};
 use crate::mobility::MobilitySpec;
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
-use crate::runner::{days_spanned, load_corpus_trace, run_sharded, Partial};
-use crate::scenario::{draw_carrier, user_seed, Scenario};
-use crate::source::CorpusScenario;
+use crate::runner::{run_sharded, Partial, Population};
+use crate::scenario::user_seed;
 
 /// A fleet's radio network: how many RNCs and cells, what each level
 /// can absorb, and how each level admits fast-dormancy requests.
@@ -215,96 +214,35 @@ pub fn rnc_of_cell(cell: u64, cells: u64, rncs: u64) -> u64 {
     ((cell as u128 * rncs as u128) / cells as u128) as u64
 }
 
-/// K-way merges per-user request streams into one
-/// `(time, user, seq)`-ordered stream — the RNC adjudication order.
+/// The static adjudication order of per-user request streams: every
+/// `(time, user, seq)` triple, sorted.
 ///
-/// Each input is `(user index, times)` with `times` non-decreasing
-/// (the phase-1 contract); the output is the exact global sort of all
-/// `(time, user, seq)` triples. Below `MERGE_HEAP_CUTOVER` streams
-/// the classic O(N log U) cursor heap wins — with a handful of live
-/// cursors the heap fits in a cache line or two and its log U factor
-/// is tiny. At or above the cutover the triples are concatenated and
-/// `sort_unstable`d instead: pdqsort's sequential memory traffic beats
-/// the heap's pointer chasing as soon as U grows, and keeps winning at
-/// every many-stream shape measured (the fleet bench,
-/// `rnc_adjudication`, pins both strategies either side of the
-/// cutover).
+/// Each input is `(user index, times)`. The triple is a strict total
+/// order, so the result does not depend on input order. The topology
+/// runner derives the same order from its event sort — a fleet without
+/// handoffs has only request events, whose `(time, user, kind)` key
+/// reduces to `(time, user, seq)` — and a property test holds that
+/// order to this reference.
 pub fn merge_requests(streams: &[(u64, Vec<Instant>)]) -> Vec<(Instant, u64, u32)> {
-    merge_request_streams(streams)
-}
-
-/// Stream count at which [`merge_requests`] switches from the cursor
-/// heap to concat-and-sort. Measured at a constant ~0.5M total
-/// elements on the fleet bench: the heap wins every shape up to
-/// 48×10922 (26.8ms vs 28.3ms) and loses from 64×8192 up (30.0ms vs
-/// 24.7ms), with pdqsort's margin widening monotonically after that
-/// (512×48: 0.79ms vs 1.20ms; 32768×48: 103ms vs 310ms). The
-/// crossover therefore sits between 48 and 64 streams; 64 is the
-/// first measured sort win.
-const MERGE_HEAP_CUTOVER: usize = 64;
-
-/// The [`merge_requests`] core, generic over how the per-user streams
-/// are held: owned vectors (the public entry point) or borrowed slices
-/// (the topology runner merging out of a shared request cache without
-/// cloning every stream).
-fn merge_request_streams<S: AsRef<[Instant]>>(streams: &[(u64, S)]) -> Vec<(Instant, u64, u32)> {
-    if streams.len() < MERGE_HEAP_CUTOVER {
-        merge_cursor_heap(streams)
-    } else {
-        merge_concat_sort(streams)
-    }
-}
-
-/// Concatenate every `(time, user, seq)` triple and `sort_unstable`
-/// (pdqsort). O(N log N) comparisons but sequential memory traffic;
-/// the winner at or above [`MERGE_HEAP_CUTOVER`] streams. Both strategies
-/// sort by the full strict-total-order triple, so ties on `time`
-/// resolve identically and the outputs are interchangeable
-/// (`merge_strategies_agree_on_any_input` property-tests this).
-fn merge_concat_sort<S: AsRef<[Instant]>>(streams: &[(u64, S)]) -> Vec<(Instant, u64, u32)> {
-    let total: usize = streams.iter().map(|(_, times)| times.as_ref().len()).sum();
-    let mut merged = Vec::with_capacity(total);
-    for (user, times) in streams {
-        merged.extend(times.as_ref().iter().enumerate().map(|(seq, &at)| (at, *user, seq as u32)));
-    }
+    let mut merged: Vec<(Instant, u64, u32)> = streams
+        .iter()
+        .flat_map(|(user, times)| {
+            times.iter().enumerate().map(move |(seq, &at)| (at, *user, seq as u32))
+        })
+        .collect();
     merged.sort_unstable();
     merged
 }
 
-/// Classic heap-based k-way merge: the heap holds one cursor per
-/// stream, popping in ascending (time, user, seq) order. O(N log U)
-/// with U live cursors — the winner below [`MERGE_HEAP_CUTOVER`]
-/// streams, where the whole heap stays cache-resident and log U is
-/// small enough that its per-element cost undercuts a full re-sort.
-fn merge_cursor_heap<S: AsRef<[Instant]>>(streams: &[(u64, S)]) -> Vec<(Instant, u64, u32)> {
-    let total: usize = streams.iter().map(|(_, times)| times.as_ref().len()).sum();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(Instant, u64, u32, usize)>> =
-        BinaryHeap::with_capacity(streams.len());
-    for (slot, (user, times)) in streams.iter().enumerate() {
-        if let Some(&first) = times.as_ref().first() {
-            heap.push(std::cmp::Reverse((first, *user, 0, slot)));
-        }
-    }
-    let mut merged = Vec::with_capacity(total);
-    while let Some(std::cmp::Reverse((at, user, seq, slot))) = heap.pop() {
-        merged.push((at, user, seq));
-        let times = streams[slot].1.as_ref();
-        let next = seq as usize + 1;
-        if next < times.len() {
-            heap.push(std::cmp::Reverse((times[next], user, next as u32, slot)));
-        }
-    }
-    merged
-}
-
-/// One adjudication-stream event on the mobile path. The derived order
-/// — time, then user, then kind — is a strict total order over a run's
-/// events (a user has at most one handoff per instant and unique
-/// request `seq`s), so a plain sort yields the same deterministic
-/// stream on every machine. Handoff sides order before requests at the
-/// same instant, matching [`MobilitySpec::cell_at`]'s
-/// boundary-inclusive semantics: a request stamped exactly at a
-/// handoff is adjudicated in the cell being entered.
+/// One adjudication-stream event. The derived order — time, then user,
+/// then kind — is a strict total order over a run's events (a user has
+/// at most one handoff per instant and unique request `seq`s), so a
+/// plain sort yields the same deterministic stream on every machine.
+/// Without handoffs it reduces to the `(time, user, seq)` order of
+/// [`merge_requests`]. Handoff sides order before requests at the same
+/// instant, matching [`MobilitySpec::cell_at`]'s boundary-inclusive
+/// semantics: a request stamped exactly at a handoff is adjudicated in
+/// the cell being entered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct AdjEvent {
     at: Instant,
@@ -327,168 +265,73 @@ enum AdjEventKind {
     Request { seq: u32 },
 }
 
-/// Adjudicates one fast-dormancy request through both gates, recording
-/// the verdict and per-cell counters.
+/// The RNC owning each cell, indexed by cell: [`rnc_of_cell`] computed
+/// once per run rather than once per event.
+fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
+    (0..topology.cells)
+        .map(|cell| rnc_of_cell(cell, topology.cells, topology.rncs) as usize)
+        .collect()
+}
+
+/// Every RNC's adjudication stream, sorted into its deterministic
+/// `(time, user, kind)` order. `streams[i]` is user `i`'s time-sorted
+/// request stream and `rnc_of` the [`rnc_table`].
 ///
-/// Two gates: the cell decides whether to forward, the RNC whether to
-/// admit. A cell-level denial never reaches the RNC's decision logic,
-/// but its request message still transits the RNC, so both levels
-/// observe every request's adjudication-time cost. Forwarding commits
-/// the cell's own policy state: a rate-limited cell that forwards a
-/// request the RNC then refuses has still spent its grant slot (the
-/// release it cleared never happened, but the cell cannot know that at
-/// forwarding time).
+/// A request lands in the partition of the RNC owning the cell the user
+/// occupies at that instant. Handoffs are charged over the user's active
+/// span: through the end of the calendar day of their last request (see
+/// the mobility module docs for why the horizon derives from the request
+/// stream). A handoff charges its source side in the source cell's RNC
+/// partition and its target side in the target's — each partition stays
+/// self-contained, so per-RNC adjudication order never depends on
+/// another RNC.
 ///
-/// `hinted` requests — the mobility model predicts a handoff within its
-/// hint window — bypass both gates: the network wants the device
-/// dormant *before* the handoff (an idle-mode cell reselection is far
-/// cheaper than an active handover), and the release still costs its
-/// grant messages. Static mobility never hints.
-#[allow(clippy::too_many_arguments)] // one call site per adjudication path
-fn adjudicate_request(
-    at: Instant,
-    user: u64,
-    seq: u32,
-    cell: usize,
-    rnc: usize,
-    hinted: bool,
-    signaling: &SignalingModel,
-    cell_policies: &mut [Box<dyn AdmissionPolicy>],
-    rnc_policy: &mut dyn AdmissionPolicy,
-    cell_loads: &mut [CellLoad],
-    denied_by_rnc: &mut [u64],
-    verdicts: &mut [Vec<bool>],
-    hint_grants: &mut u64,
-) {
-    let (cell_ok, ok) = if hinted {
-        (true, true)
-    } else {
-        let cell_ok = cell_policies[cell].admit(at);
-        (cell_ok, cell_ok && rnc_policy.admit(at))
-    };
-    let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
-    cell_policies[cell].observe(at, messages);
-    rnc_policy.observe(at, messages);
-    verdicts[user as usize][seq as usize] = ok;
-    if ok {
-        cell_loads[cell].granted += 1;
-        if hinted {
-            *hint_grants += 1;
-        }
-    } else {
-        cell_loads[cell].denied += 1;
-        if cell_ok {
-            denied_by_rnc[rnc] += 1;
-        }
-    }
-}
-
-/// Uniform access to a fleet population for the two-pass runner:
-/// materialize user `i` (carrier, trace, user-days) on demand, in any
-/// order, from any worker.
-trait TopologyUsers: Sync {
-    /// Population size.
-    fn users(&self) -> u64;
-    /// Users per shard (the deterministic reduction order).
-    fn shard_size(&self) -> u64;
-    /// Materializes user `index`. Must be deterministic: both passes
-    /// call it for every user, and pass 2 must see pass 1's trace.
-    fn user(&self, index: u64) -> Result<(CarrierProfile, Trace, u32), ScenError>;
-}
-
-struct SyntheticUsers<'a>(&'a Scenario);
-
-impl TopologyUsers for SyntheticUsers<'_> {
-    fn users(&self) -> u64 {
-        self.0.users
-    }
-    fn shard_size(&self) -> u64 {
-        self.0.shard_size.max(1)
-    }
-    fn user(&self, index: u64) -> Result<(CarrierProfile, Trace, u32), ScenError> {
-        let (carrier, model) = self.0.user(index);
-        let days = model.days;
-        Ok((carrier, model.generate(), days))
-    }
-}
-
-struct CorpusUsers<'a> {
-    scenario: &'a CorpusScenario,
-    corpus: &'a Corpus,
-}
-
-impl TopologyUsers for CorpusUsers<'_> {
-    fn users(&self) -> u64 {
-        self.corpus.len() as u64
-    }
-    fn shard_size(&self) -> u64 {
-        self.scenario.shard_size.max(1)
-    }
-    fn user(&self, index: u64) -> Result<(CarrierProfile, Trace, u32), ScenError> {
-        let trace = load_corpus_trace(self.scenario, self.corpus, index)?;
-        let carrier = draw_carrier(&self.scenario.carrier_mix, self.scenario.master_seed, index);
-        let days = days_spanned(&trace);
-        Ok((carrier, trace, days))
-    }
-}
-
-/// Runs a synthetic scenario through its network topology. Called by
-/// [`crate::runner::run`] when `scenario.cells` is set; infallible in
-/// practice (synthesis cannot fail), fallible in type for the shared
-/// core.
-pub(crate) fn run_topology_synthetic(
-    scenario: &Scenario,
+/// Each user's request cells come from one walk over their time-sorted
+/// handoff list, which is empty under static mobility: every request
+/// then stays in the cell [`NetworkTopology::user_cell`] names, the
+/// user's home cell.
+fn adjudication_streams(
     topology: &NetworkTopology,
-    threads: usize,
-    obs: Obs<'_>,
-    cache: Option<&RequestCache>,
-) -> Result<FleetReport, ScenError> {
-    let empty = || FleetReport::empty(scenario.name.clone(), scenario.scheme.label());
-    // The fingerprint is only meaningful for synthetic populations —
-    // it is computed here, next to the synthesis it identifies.
-    let fingerprint = Fingerprint::of(scenario);
-    run_topology(
-        &SyntheticUsers(scenario),
-        scenario.scheme,
-        &scenario.sim,
-        topology,
-        scenario.master_seed,
-        &empty,
-        threads,
-        obs,
-        cache.map(|cache| (cache, fingerprint)),
-    )
-}
-
-/// Runs a corpus replay through its network topology against an
-/// already-resolved file list. Called by
-/// [`crate::runner::run_pinned_corpus`] when `scenario.cells` is set.
-pub(crate) fn run_topology_corpus(
-    scenario: &CorpusScenario,
-    corpus: &Corpus,
-    topology: &NetworkTopology,
-    threads: usize,
-    obs: Obs<'_>,
-) -> Result<FleetReport, ScenError> {
-    let source_label = format!("corpus {} ({} traces)", scenario.spec.dir.display(), corpus.len());
-    let empty = || {
-        let mut report = FleetReport::empty(scenario.name.clone(), scenario.scheme.label());
-        report.source = source_label.clone();
-        report
-    };
-    // Corpus replays have no synthesis fingerprint (the population is
-    // the directory's contents), so they never touch the cache.
-    run_topology(
-        &CorpusUsers { scenario, corpus },
-        scenario.scheme,
-        &scenario.sim,
-        topology,
-        scenario.master_seed,
-        &empty,
-        threads,
-        obs,
-        None,
-    )
+    master_seed: u64,
+    streams: &[Vec<Instant>],
+    rnc_of: &[usize],
+) -> Vec<Vec<AdjEvent>> {
+    let mut per_rnc: Vec<Vec<AdjEvent>> = vec![Vec::new(); topology.rncs as usize];
+    for (user, times) in streams.iter().enumerate() {
+        let user = user as u64;
+        let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
+        let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
+        let handoffs = topology.mobility.handoffs(master_seed, user, topology.cells, horizon_days);
+        for h in &handoffs {
+            let (from_rnc, to_rnc) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
+            let crosses = from_rnc != to_rnc;
+            let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell, crosses };
+            per_rnc[from_rnc].push(side(AdjEventKind::HandoffOut, h.from));
+            per_rnc[to_rnc].push(side(AdjEventKind::HandoffIn, h.to));
+        }
+        // The cell held before the first handoff — or, with none, over
+        // the whole active span.
+        let mut cell = handoffs
+            .first()
+            .map_or_else(|| topology.user_cell(master_seed, user, first), |h| h.from);
+        let mut pending = handoffs.iter().peekable();
+        for (seq, &at) in times.iter().enumerate() {
+            while let Some(h) = pending.next_if(|h| h.at <= at) {
+                cell = h.to;
+            }
+            debug_assert_eq!(
+                cell,
+                topology.user_cell(master_seed, user, at),
+                "user {user} at {at:?}"
+            );
+            let kind = AdjEventKind::Request { seq: seq as u32 };
+            per_rnc[rnc_of[cell as usize]].push(AdjEvent { at, user, kind, cell, crosses: false });
+        }
+    }
+    for events in &mut per_rnc {
+        events.sort_unstable();
+    }
+    per_rnc
 }
 
 /// Pass-2 shard partial: the energy fold plus each cell's per-second
@@ -523,35 +366,33 @@ impl Partial for TopologyPartial {
     }
 }
 
-/// The two-pass core shared by synthetic and corpus topology runs. See
-/// the module docs for the pass structure and memory bounds.
+/// Runs `population` through `topology`: the two-pass runner behind
+/// every cell-topology run. See the module docs for the pass structure
+/// and memory bounds.
 ///
 /// Observation: trace materialization in either pass records under the
 /// `synthesize` span, pass-1 request extraction under `simulate`,
-/// per-RNC adjudication under `adjudicate`, and pass-2 scripted replay
-/// under `replay`. Live progress counts each user once per executed
-/// pass, so the expected total published to the table is `2 × users` —
-/// or `1 × users` when a request-cache hit skips pass 1 entirely.
+/// adjudication under `adjudicate`, and pass-2 scripted replay under
+/// `replay`. Live progress counts each user once per executed pass, so
+/// the expected total published to the table is `2 × users` — or
+/// `1 × users` when a request-cache hit skips pass 1 entirely.
 ///
-/// `cache`: an optional [`RequestCache`] plus the population's
-/// [`Fingerprint`]. On a hit, pass 1 is skipped and the cached streams
+/// `cache`: an optional [`RequestCache`], consulted when the population
+/// has a [`Fingerprint`](crate::cache::Fingerprint) (synthetic
+/// populations do). On a hit, pass 1 is skipped and the cached streams
 /// adjudicated directly; on a miss, the extracted streams are stored
 /// for the next cell. Pass 2 similarly serves per-user status-quo
 /// baselines from the cache (they are scheme-independent) and teaches
 /// it the baselines it had to compute. Cached and uncached runs are
 /// bit-identical — the harness in `tests/cache_fleet.rs` pins this.
-#[allow(clippy::too_many_arguments)] // one shared private core, two thin entry shims
-fn run_topology<U: TopologyUsers>(
-    access: &U,
-    scheme: Scheme,
-    sim: &SimConfig,
+pub(crate) fn run_topology(
+    population: &Population<'_>,
     topology: &NetworkTopology,
-    master_seed: u64,
-    empty: &(dyn Fn() -> FleetReport + Sync),
     threads: usize,
     obs: Obs<'_>,
-    cache: Option<(&RequestCache, Fingerprint)>,
+    cache: Option<&RequestCache>,
 ) -> Result<FleetReport, ScenError> {
+    let (scheme, sim, master_seed) = (population.scheme, population.sim, population.master_seed);
     assert!(
         scheme.scriptable(),
         "scheme {:?} cannot run on a network topology: MakeActive batching depends on grant \
@@ -560,15 +401,9 @@ fn run_topology<U: TopologyUsers>(
         scheme
     );
     topology.validate_counts();
-
-    let users = access.users();
-    let shard_size = access.shard_size();
-    let shard_count = users.div_ceil(shard_size);
-    let shard_range = |shard: u64| {
-        let lo = (shard * shard_size).min(users);
-        let hi = ((shard + 1) * shard_size).min(users);
-        lo..hi
-    };
+    let users = population.users();
+    let shard_count = population.shard_count();
+    let cache = cache.zip(population.fingerprint());
 
     // ---- Pass 1: cheap request extraction (one trace per worker). ----
     // Or, on a cache hit, no pass at all: the streams were extracted by
@@ -588,17 +423,8 @@ fn run_topology<U: TopologyUsers>(
             let extracted: Vec<(u64, Vec<Instant>)> =
                 run_sharded(shard_count, threads, obs, &Vec::new, &|shard, ctx| {
                     let mut partial = Vec::new();
-                    for index in shard_range(shard) {
-                        let (carrier, trace, days) = {
-                            let _synthesize = span(obs.recorder, "synthesize");
-                            match access.user(index) {
-                                Ok(user) => user,
-                                Err(e) => {
-                                    ctx.trace_failed();
-                                    return Err(e);
-                                }
-                            }
-                        };
+                    for index in population.shard_range(shard) {
+                        let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
                         let requests = {
                             let _simulate = span(obs.recorder, "simulate");
                             scheme
@@ -630,83 +456,19 @@ fn run_topology<U: TopologyUsers>(
          against its fingerprint before serving an entry)"
     );
 
-    // ---- Adjudication: each RNC consumes its members' events in ------
-    // (time, user) order. Static mobility takes the k-way-merge fast
-    // path (every request lands in the user's fixed cell); mobile
-    // fleets resolve each request to the cell occupied at that instant
-    // and interleave the enumerated handoff charges into the stream.
+    // ---- Adjudication: each RNC consumes its partition's events in ---
+    // (time, user, kind) order, requests interleaved with the handoff
+    // charges of its cells.
+    let adjudicate = span(obs.recorder, "adjudicate");
     let cell_count = topology.cells as usize;
     let rnc_count = topology.rncs as usize;
-    let mobile = !topology.mobility.is_static();
-    let mut cell_users = vec![0u64; cell_count];
-    // Every user's anchor cell, indexed by user — computed once here so
-    // the static per-request loop below is a lookup, not a hash.
-    let mut user_cells: Vec<u64> = Vec::with_capacity(streams.len());
-    // Static path: member users' streams grouped per RNC (streams stay
-    // time-sorted, the k-way merge precondition). Borrowed out of the
-    // shared stream store so a cache-served population is never cloned.
-    let mut per_rnc: Vec<Vec<(u64, &[Instant])>> = vec![Vec::new(); rnc_count];
-    // Mobile path: per-RNC event lists, sorted below.
-    let mut per_rnc_events: Vec<Vec<AdjEvent>> = vec![Vec::new(); rnc_count];
+    let rnc_of = rnc_table(topology);
+    let mut cell_loads = vec![CellLoad::default(); cell_count];
     let mut verdicts: Vec<Vec<bool>> = Vec::with_capacity(streams.len());
     for (index, times) in streams.iter().enumerate() {
-        let index = index as u64;
-        let home = topology.home_cell(master_seed, index);
-        cell_users[home as usize] += 1;
-        user_cells.push(home);
+        cell_loads[topology.home_cell(master_seed, index as u64) as usize].users += 1;
         verdicts.push(vec![false; times.len()]);
-        if mobile {
-            for (seq, &at) in times.iter().enumerate() {
-                let cell = topology.user_cell(master_seed, index, at);
-                let rnc = rnc_of_cell(cell, topology.cells, topology.rncs) as usize;
-                per_rnc_events[rnc].push(AdjEvent {
-                    at,
-                    user: index,
-                    kind: AdjEventKind::Request { seq: seq as u32 },
-                    cell,
-                    crosses: false,
-                });
-            }
-            // Handoffs are charged over the user's active span: through
-            // the end of the calendar day of their last request (see
-            // the mobility module docs for why the horizon derives from
-            // the request stream). A handoff charges its source side in
-            // the source cell's RNC partition and its target side in
-            // the target's — each partition stays self-contained, so
-            // per-RNC adjudication order never depends on another RNC.
-            if let Some(&last) = times.last() {
-                let horizon_days =
-                    (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
-                for h in
-                    topology.mobility.handoffs(master_seed, index, topology.cells, horizon_days)
-                {
-                    let from_rnc = rnc_of_cell(h.from, topology.cells, topology.rncs) as usize;
-                    let to_rnc = rnc_of_cell(h.to, topology.cells, topology.rncs) as usize;
-                    let crosses = from_rnc != to_rnc;
-                    per_rnc_events[from_rnc].push(AdjEvent {
-                        at: h.at,
-                        user: index,
-                        kind: AdjEventKind::HandoffOut,
-                        cell: h.from,
-                        crosses,
-                    });
-                    per_rnc_events[to_rnc].push(AdjEvent {
-                        at: h.at,
-                        user: index,
-                        kind: AdjEventKind::HandoffIn,
-                        cell: h.to,
-                        crosses,
-                    });
-                }
-            }
-        } else {
-            let rnc = rnc_of_cell(home, topology.cells, topology.rncs) as usize;
-            per_rnc[rnc].push((index, times.as_slice()));
-        }
     }
-
-    let mut cell_loads: Vec<CellLoad> =
-        cell_users.iter().map(|&users| CellLoad { users, ..CellLoad::default() }).collect();
     let mut denied_by_rnc = vec![0u64; rnc_count];
     let mut inter_rnc_handoffs = vec![0u64; rnc_count];
     // Handoff messages per cell/RNC per second, charged at adjudication
@@ -717,96 +479,85 @@ fn run_topology<U: TopologyUsers>(
     let mut hint_grants = 0u64;
     let mut cell_policies: Vec<_> =
         (0..cell_count).map(|_| topology.cell_admission.build()).collect();
-    if mobile {
-        for (rnc, events) in per_rnc_events.iter_mut().enumerate() {
-            // One adjudication span per RNC, on the caller thread.
-            let _adjudicate = span(obs.recorder, "adjudicate");
-            events.sort_unstable();
-            let mut rnc_policy = topology.rnc_admission.build();
-            for e in events.iter() {
-                match e.kind {
-                    AdjEventKind::HandoffOut | AdjEventKind::HandoffIn => {
-                        let messages = topology.signaling.per_handoff;
-                        let cell = e.cell as usize;
-                        // Each side charges its own cell — the cell's
-                        // policy observes the load even though handoffs
-                        // are never admission decisions.
-                        cell_policies[cell].observe(e.at, messages);
-                        let second = e.at.as_micros().div_euclid(1_000_000);
-                        *cell_handoff_seconds[cell].entry(second).or_insert(0) += messages as u64;
-                        if e.kind == AdjEventKind::HandoffOut {
-                            cell_loads[cell].handoffs_out += 1;
-                            if e.crosses {
-                                // Attributed to the source RNC, like
-                                // denied_by_rnc is attributed where the
-                                // decision happened.
-                                inter_rnc_handoffs[rnc] += 1;
-                            }
-                        } else {
-                            cell_loads[cell].handoffs_in += 1;
-                        }
+    let signaling = &topology.signaling;
+    for (rnc, events) in
+        adjudication_streams(topology, master_seed, &streams, &rnc_of).into_iter().enumerate()
+    {
+        let mut rnc_policy = topology.rnc_admission.build();
+        for e in events {
+            let cell = e.cell as usize;
+            match e.kind {
+                AdjEventKind::HandoffOut | AdjEventKind::HandoffIn => {
+                    let messages = signaling.per_handoff;
+                    let second = e.at.as_micros().div_euclid(1_000_000);
+                    // Each side charges its own cell — the cell's policy
+                    // observes the load even though handoffs are never
+                    // admission decisions.
+                    cell_policies[cell].observe(e.at, messages);
+                    *cell_handoff_seconds[cell].entry(second).or_insert(0) += messages as u64;
+                    if e.kind == AdjEventKind::HandoffOut {
+                        cell_loads[cell].handoffs_out += 1;
                         if e.crosses {
-                            // Boundary-crossing handoffs cost the RNC
-                            // its own exchange on top of the member
-                            // cells' — the reactive governor sees it.
-                            rnc_policy.observe(e.at, messages);
-                            *rnc_handoff_seconds[rnc].entry(second).or_insert(0) += messages as u64;
+                            // Attributed to the source RNC, like
+                            // denied_by_rnc is attributed where the
+                            // decision happened.
+                            inter_rnc_handoffs[rnc] += 1;
                         }
+                    } else {
+                        cell_loads[cell].handoffs_in += 1;
                     }
-                    AdjEventKind::Request { seq } => {
-                        let hinted = topology.mobility.handoff_within(
-                            master_seed,
-                            e.user,
-                            topology.cells,
-                            e.at,
-                        );
-                        adjudicate_request(
-                            e.at,
-                            e.user,
-                            seq,
-                            e.cell as usize,
-                            rnc,
-                            hinted,
-                            &topology.signaling,
-                            &mut cell_policies,
-                            rnc_policy.as_mut(),
-                            &mut cell_loads,
-                            &mut denied_by_rnc,
-                            &mut verdicts,
-                            &mut hint_grants,
-                        );
+                    if e.crosses {
+                        // Boundary-crossing handoffs cost the RNC its
+                        // own exchange on top of the member cells' —
+                        // the reactive governor sees it.
+                        rnc_policy.observe(e.at, messages);
+                        *rnc_handoff_seconds[rnc].entry(second).or_insert(0) += messages as u64;
+                    }
+                }
+                AdjEventKind::Request { seq } => {
+                    // Two gates: the cell decides whether to forward, the
+                    // RNC whether to admit. A cell-level denial never
+                    // reaches the RNC's decision logic, but its request
+                    // message still transits the RNC, so both levels
+                    // observe every request's adjudication-time cost.
+                    // Forwarding commits the cell's own policy state: a
+                    // rate-limited cell that forwards a request the RNC
+                    // then refuses has still spent its grant slot.
+                    //
+                    // Hinted requests — the mobility model predicts a
+                    // handoff within its hint window — bypass both
+                    // gates: the network wants the device dormant
+                    // *before* the handoff (an idle-mode cell reselection
+                    // is far cheaper than an active handover), and the
+                    // release still costs its grant messages. Static
+                    // mobility never hints.
+                    let hinted =
+                        topology.mobility.handoff_within(master_seed, e.user, topology.cells, e.at);
+                    let (cell_ok, ok) = if hinted {
+                        (true, true)
+                    } else {
+                        let cell_ok = cell_policies[cell].admit(e.at);
+                        (cell_ok, cell_ok && rnc_policy.admit(e.at))
+                    };
+                    let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
+                    cell_policies[cell].observe(e.at, messages);
+                    rnc_policy.observe(e.at, messages);
+                    verdicts[e.user as usize][seq as usize] = ok;
+                    if ok {
+                        cell_loads[cell].granted += 1;
+                        hint_grants += hinted as u64;
+                    } else {
+                        cell_loads[cell].denied += 1;
+                        if cell_ok {
+                            denied_by_rnc[rnc] += 1;
+                        }
                     }
                 }
             }
         }
-    } else {
-        for (rnc, members) in per_rnc.iter().enumerate() {
-            // One adjudication span per RNC, on the caller thread.
-            let _adjudicate = span(obs.recorder, "adjudicate");
-            let mut rnc_policy = topology.rnc_admission.build();
-            for (at, user, seq) in merge_request_streams(members) {
-                let cell = user_cells[user as usize] as usize;
-                adjudicate_request(
-                    at,
-                    user,
-                    seq,
-                    cell,
-                    rnc,
-                    false,
-                    &topology.signaling,
-                    &mut cell_policies,
-                    rnc_policy.as_mut(),
-                    &mut cell_loads,
-                    &mut denied_by_rnc,
-                    &mut verdicts,
-                    &mut hint_grants,
-                );
-            }
-        }
     }
     drop(cell_policies);
-    drop(per_rnc);
-    drop(per_rnc_events);
+    drop(adjudicate);
     let verdicts = &verdicts;
     if obs.recorder.enabled() {
         let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
@@ -857,7 +608,7 @@ fn run_topology<U: TopologyUsers>(
     let memo = &memo;
     let verdict_hashes = &verdict_hashes;
     let empty_partial = || TopologyPartial {
-        report: empty(),
+        report: population.empty_report(),
         seconds: vec![BTreeMap::new(); cell_count],
         baselines: Vec::new(),
         fresh: Vec::new(),
@@ -870,7 +621,7 @@ fn run_topology<U: TopologyUsers>(
                 (obs.recorder.counter("replay_hits"), obs.recorder.counter("replay_misses"))
             });
             let mut partial = empty_partial();
-            for index in shard_range(shard) {
+            for index in population.shard_range(shard) {
                 // Memo hit: fold the cached outcome and load deltas
                 // without materializing the trace or running the engine.
                 if let Some((_, fp_days, known)) = memo {
@@ -904,16 +655,7 @@ fn run_topology<U: TopologyUsers>(
                     let (_, misses) = replay_counters.as_ref().expect("memo implies counters");
                     misses.incr();
                 }
-                let (carrier, trace, days) = {
-                    let _synthesize = span(obs.recorder, "synthesize");
-                    match access.user(index) {
-                        Ok(user) => user,
-                        Err(e) => {
-                            ctx.trace_failed();
-                            return Err(e);
-                        }
-                    }
-                };
+                let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
                 let _replay = span(obs.recorder, "replay");
                 let (baseline_energy_j, baseline_switches) = match cached_baselines {
                     Some(bases) => {
@@ -931,8 +673,6 @@ fn run_topology<U: TopologyUsers>(
                 let mut scheme_run = scheme
                     .run_scripted(&carrier, &replay_sim, &trace, &verdicts[index as usize])
                     .expect("scriptable scheme always replays");
-                let home_cell = topology.home_cell(master_seed, index) as usize;
-                let mobile = !topology.mobility.is_static();
                 // The user's own (cell, second) → msgs deltas, grouped
                 // before folding so the memoized form and the live fold
                 // apply the exact same integer additions.
@@ -943,11 +683,7 @@ fn run_topology<U: TopologyUsers>(
                         // the user occupies when it happens — the same
                         // assignment seam pass-1 adjudication resolves
                         // requests through ([`NetworkTopology::user_cell`]).
-                        let cell = if mobile {
-                            topology.user_cell(master_seed, index, t.at) as usize
-                        } else {
-                            home_cell
-                        };
+                        let cell = topology.user_cell(master_seed, index, t.at) as usize;
                         let second = t.at.as_micros().div_euclid(1_000_000);
                         let messages = topology.signaling.messages_for(t) as u64;
                         if memo.is_some() {
@@ -1010,7 +746,7 @@ fn run_topology<U: TopologyUsers>(
         for (second, messages) in std::mem::take(&mut cell_handoff_seconds[cell]) {
             *seconds.entry(second).or_insert(0) += messages;
         }
-        let rnc = rnc_of_cell(cell as u64, topology.cells, topology.rncs) as usize;
+        let rnc = rnc_of[cell];
         let load = &mut cell_loads[cell];
         for (second, messages) in seconds {
             load.total_messages += messages;
@@ -1029,7 +765,7 @@ fn run_topology<U: TopologyUsers>(
         })
         .collect();
     for (cell, load) in cell_loads.iter().enumerate() {
-        let rnc = &mut rnc_loads[rnc_of_cell(cell as u64, topology.cells, topology.rncs) as usize];
+        let rnc = &mut rnc_loads[rnc_of[cell]];
         rnc.cells += 1;
         rnc.users += load.users;
         rnc.granted += load.granted;
@@ -1120,58 +856,6 @@ mod tests {
         NetworkTopology::new(0);
     }
 
-    #[test]
-    fn kway_merge_equals_concat_sort() {
-        // Deterministic pseudo-random streams per user, non-decreasing
-        // within each user (the phase-1 contract).
-        let streams: Vec<(u64, Vec<Instant>)> = (0..17u64)
-            .map(|user| {
-                let mut at = 0i64;
-                let times = (0..(user % 7))
-                    .map(|k| {
-                        at += (splitmix(user * 1000 + k) % 5_000_000) as i64;
-                        Instant::from_micros(at)
-                    })
-                    .collect();
-                (user, times)
-            })
-            .collect();
-        let merged = merge_requests(&streams);
-        let mut expect: Vec<(Instant, u64, u32)> = streams
-            .iter()
-            .flat_map(|(user, times)| {
-                times.iter().enumerate().map(|(seq, &at)| (at, *user, seq as u32))
-            })
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(merged, expect);
-        assert!(merge_requests(&[]).is_empty());
-    }
-
-    #[test]
-    fn merge_strategies_agree_across_the_cutover() {
-        // A population either side of MERGE_HEAP_CUTOVER: both
-        // strategies must produce the identical stream, so the
-        // dispatch in `merge_request_streams` can never change an
-        // adjudication order — only the bill.
-        for users in [MERGE_HEAP_CUTOVER / 2, MERGE_HEAP_CUTOVER + 6] {
-            let streams: Vec<(u64, Vec<Instant>)> = (0..users as u64)
-                .map(|user| {
-                    let mut at = (splitmix(user) % 1_000) as i64;
-                    let times = (0..(user % 5))
-                        .map(|k| {
-                            at += (splitmix(user ^ (k << 32)) % 400_000) as i64;
-                            Instant::from_micros(at)
-                        })
-                        .collect();
-                    (user, times)
-                })
-                .collect();
-            assert_eq!(merge_concat_sort(&streams), merge_cursor_heap(&streams), "users={users}");
-            assert_eq!(merge_requests(&streams), merge_concat_sort(&streams), "users={users}");
-        }
-    }
-
     mod merge_props {
         use super::*;
         use proptest::prelude::*;
@@ -1179,35 +863,56 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Equivalence of the two merge strategies over arbitrary
-            /// stream shapes — duplicate timestamps across users, empty
-            /// streams, and ties within a user included. The triple's
-            /// strict total order makes `sort_unstable` deterministic,
-            /// so equality here is exact, not modulo tie order.
+            /// A static fleet's adjudication order is `merge_requests`
+            /// over each RNC's member users, over arbitrary stream
+            /// shapes and hierarchies — duplicate timestamps across
+            /// users, empty streams, and ties within a user included.
+            /// Every event is a request charged to its user's home cell:
+            /// static fleets never hand off.
             #[test]
-            fn merge_strategies_agree_on_any_input(
+            fn static_event_order_matches_merge_requests(
                 shapes in proptest::prop::collection::vec(
                     (0u64..64, proptest::prop::collection::vec(0i64..500_000, 0..24)),
                     0..40,
                 ),
+                (rncs, extra_cells, seed) in (1u64..4, 0u64..6, 0u64..1_000),
             ) {
-                let streams: Vec<(u64, Vec<Instant>)> = shapes
+                let streams: Vec<Vec<Instant>> = shapes
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, (jitter, mut gaps))| {
+                    .map(|(jitter, mut gaps)| {
                         gaps.sort_unstable();
                         let mut at = jitter as i64;
-                        let times = gaps
-                            .into_iter()
+                        gaps.into_iter()
                             .map(|g| {
                                 at += g;
                                 Instant::from_micros(at)
                             })
-                            .collect();
-                        (i as u64, times)
+                            .collect()
                     })
                     .collect();
-                prop_assert_eq!(merge_concat_sort(&streams), merge_cursor_heap(&streams));
+                let topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
+                let rnc_of = rnc_table(&topology);
+                let partitions = adjudication_streams(&topology, seed, &streams, &rnc_of);
+                for (rnc, events) in partitions.iter().enumerate() {
+                    let members: Vec<(u64, Vec<Instant>)> = streams
+                        .iter()
+                        .enumerate()
+                        .map(|(user, times)| (user as u64, times.clone()))
+                        .filter(|(user, _)| rnc_of[topology.home_cell(seed, *user) as usize] == rnc)
+                        .collect();
+                    let expect: Vec<(Instant, u64, u32, u64)> = merge_requests(&members)
+                        .into_iter()
+                        .map(|(at, user, seq)| (at, user, seq, topology.home_cell(seed, user)))
+                        .collect();
+                    let order: Vec<(Instant, u64, u32, u64)> = events
+                        .iter()
+                        .map(|e| match e.kind {
+                            AdjEventKind::Request { seq } => (e.at, e.user, seq, e.cell),
+                            _ => panic!("a static fleet handed off: {e:?}"),
+                        })
+                        .collect();
+                    prop_assert_eq!(order, expect);
+                }
             }
         }
     }

@@ -20,8 +20,8 @@ use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run_source_sweep_cached, run_sweep_cached, synth_corpus, CorpusScenario, RequestCache,
-    Scenario, ScenarioSet, SourceSet, SweepAxis, SweepReport, UserSource,
+    run_source_sweep_cached, synth_corpus, CorpusScenario, RequestCache, Scenario, SourceSet,
+    SweepAxis, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
@@ -37,11 +37,12 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The library's RNC-storm admission sweep, shrunk to CI scale. Only
 /// the population size and shard size change; the topology, mixes,
 /// seed, and `[[sweep]]` axes stay exactly as declared on disk.
-fn storm_set() -> ScenarioSet {
+fn storm_set() -> SourceSet {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/rnc_storm.toml");
-    let mut set = ScenarioSet::from_file(path).expect("library storm file parses");
-    set.base.users = 24;
-    set.base.shard_size = 5; // ragged last shard
+    let mut set = SourceSet::from_file(path).expect("library storm file parses");
+    let UserSource::Synthetic(base) = &mut set.source else { panic!("storm is synthetic") };
+    base.users = 24;
+    base.shard_size = 5; // ragged last shard
     set
 }
 
@@ -65,7 +66,7 @@ fn run_storm(
 ) -> (SweepReport, tailwise_obs::Snapshot) {
     let recorder = StatsRecorder::new();
     let obs = Obs { recorder: &recorder, progress: None };
-    let sweep = run_sweep_cached(&storm_set(), threads, obs, cache);
+    let sweep = run_source_sweep_cached(&storm_set(), threads, obs, cache).unwrap();
     (sweep, recorder.snapshot())
 }
 

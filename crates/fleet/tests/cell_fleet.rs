@@ -19,9 +19,11 @@
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    cell_of, rnc_of_cell, run, run_source, run_source_sweep, synth_corpus, AdmissionSpec,
-    CorpusScenario, FleetReport, NetworkTopology, Scenario, SourceSet, SweepAxis, UserSource,
+    cell_of, rnc_of_cell, run, run_source, run_source_sweep_cached, synth_corpus, AdmissionSpec,
+    CorpusScenario, FleetReport, NetworkTopology, RequestCache, Scenario, SourceSet, SweepAxis,
+    SweepReport, UserSource,
 };
+use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::signaling::SignalingBudget;
 use tailwise_trace::time::Duration;
@@ -36,6 +38,15 @@ fn base_scenario(users: u64) -> Scenario {
     s.app_mix = vec![(AppKind::Im, 1.0)];
     s.carrier_mix = vec![(CarrierProfile::verizon_lte(), 2.0), (CarrierProfile::att_hspa(), 1.0)];
     s
+}
+
+fn run_unobserved(source: &UserSource, threads: usize) -> FleetReport {
+    run_source(source, threads, Obs::none(), None).unwrap()
+}
+
+/// A sweep against a fresh in-memory request cache.
+fn sweep(set: &SourceSet, threads: usize) -> SweepReport {
+    run_source_sweep_cached(set, threads, Obs::none(), Some(&RequestCache::in_memory())).unwrap()
 }
 
 /// The deterministic fields the radio-isolated and topology paths must
@@ -265,12 +276,16 @@ fn corpus_replay_through_topology_matches_the_synthetic_run() {
     corpus.sim = scenario.sim.clone();
     corpus.cells = scenario.cells.clone();
 
-    let replayed = run_source(&UserSource::Corpus(corpus.clone()), 2).unwrap();
+    let recorder = StatsRecorder::new();
+    let obs = Obs { recorder: &recorder, progress: None };
+    let replayed = run_source(&UserSource::Corpus(corpus.clone()), 2, obs, None).unwrap();
+    // Both passes load every trace, and every load counts.
+    assert_eq!(recorder.snapshot().counter("traces_loaded"), 2 * 40);
     let synthetic = run(&scenario, 4);
     assert_same_aggregates(&replayed, &synthetic);
     assert_eq!(replayed.signaling, synthetic.signaling, "per-element loads must match");
     // And the corpus topology run is itself thread-count invariant.
-    assert_eq!(replayed, run_source(&UserSource::Corpus(corpus), 8).unwrap());
+    assert_eq!(replayed, run_unobserved(&UserSource::Corpus(corpus), 8));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -284,14 +299,14 @@ fn cell_scheme_sweeps_carry_signaling_columns() {
         source: UserSource::Synthetic(scenario.clone()),
         axes: vec![SweepAxis::Schemes(vec![Scheme::StatusQuo, Scheme::MakeIdle, Scheme::Oracle])],
     };
-    let sweep = run_source_sweep(&set, 2).unwrap();
+    let sweep = sweep(&set, 2);
     assert_eq!(sweep.rows.len(), 3);
     for row in &sweep.rows {
         let signaling = row.report.signaling.as_ref().expect("every topology run has signaling");
         assert_eq!(signaling.cells.len(), 2);
         assert_eq!(signaling.cell_capacity_per_s, Some(40));
         // Each cell reproduces standalone at a different thread count.
-        assert_eq!(row.report, run_source(&row.source, 1).unwrap(), "{}", row.label);
+        assert_eq!(row.report, run_unobserved(&row.source, 1), "{}", row.label);
     }
     // Status quo never requests fast dormancy; MakeIdle does.
     assert_eq!(sweep.rows[0].report.signaling.as_ref().unwrap().granted(), 0);
@@ -317,14 +332,14 @@ fn admission_sweeps_vary_the_rnc_policy_only() {
             AdmissionSpec::LoadReactive { watermark_per_s: 1, window_s: 5 },
         ])],
     };
-    let sweep = run_source_sweep(&set, 2).unwrap();
+    let sweep = sweep(&set, 2);
     assert_eq!(sweep.rows.len(), 2);
     assert_eq!(sweep.rows[0].label, "admission=always");
     assert_eq!(sweep.rows[1].label, "admission=reactive:1:5");
     // Both rows reproduce standalone, and the reactive row denies at
     // the RNC while the always row cannot.
     for row in &sweep.rows {
-        assert_eq!(row.report, run_source(&row.source, 1).unwrap(), "{}", row.label);
+        assert_eq!(row.report, run_unobserved(&row.source, 1), "{}", row.label);
     }
     assert_eq!(sweep.rows[0].report.signaling.as_ref().unwrap().denied_by_rnc(), 0);
     assert!(sweep.rows[1].report.signaling.as_ref().unwrap().denied_by_rnc() > 0);

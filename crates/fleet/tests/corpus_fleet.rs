@@ -19,11 +19,12 @@ use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run, run_source, run_source_sweep, synth_corpus, CorpusScenario, Scenario, SourceSet,
-    UserSource,
+    run, run_source, run_source_sweep_streamed, synth_corpus, CorpusScenario, FleetReport,
+    Scenario, SourceSet, UserSource,
 };
+use tailwise_obs::Obs;
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_scenfile::{Pos, ScenErrorKind};
+use tailwise_scenfile::{Pos, ScenError, ScenErrorKind};
 use tailwise_trace::TraceFormat;
 use tailwise_workload::apps::AppKind;
 
@@ -47,6 +48,10 @@ fn scenario_200() -> Scenario {
     s
 }
 
+fn run_unobserved(source: &UserSource, threads: usize) -> Result<FleetReport, ScenError> {
+    run_source(source, threads, Obs::none(), None)
+}
+
 /// A corpus scenario that mirrors `scenario_200` over the given corpus
 /// directory.
 fn corpus_of(scenario: &Scenario, dir: &std::path::Path) -> CorpusScenario {
@@ -66,9 +71,9 @@ fn corpus_replay_is_thread_invariant_and_matches_synthetic_user_for_user() {
 
     // --- bit-identical reports at 1, 2, and 8 threads -----------------
     let source = UserSource::Corpus(corpus_of(&scenario, &dir));
-    let single = run_source(&source, 1).unwrap();
-    let double = run_source(&source, 2).unwrap();
-    let octo = run_source(&source, 8).unwrap();
+    let single = run_unobserved(&source, 1).unwrap();
+    let double = run_unobserved(&source, 2).unwrap();
+    let octo = run_unobserved(&source, 8).unwrap();
     assert_eq!(single, double);
     assert_eq!(single, octo);
     assert_eq!(single.users, 200);
@@ -134,8 +139,8 @@ fn csv_and_binary_corpora_replay_identically() {
     let csv_dir = temp_dir("csv");
     synth_corpus(&scenario, &bin_dir, TraceFormat::Binary, 4).unwrap();
     synth_corpus(&scenario, &csv_dir, TraceFormat::Csv, 4).unwrap();
-    let bin = run_source(&UserSource::Corpus(corpus_of(&scenario, &bin_dir)), 2).unwrap();
-    let csv = run_source(&UserSource::Corpus(corpus_of(&scenario, &csv_dir)), 2).unwrap();
+    let bin = run_unobserved(&UserSource::Corpus(corpus_of(&scenario, &bin_dir)), 2).unwrap();
+    let csv = run_unobserved(&UserSource::Corpus(corpus_of(&scenario, &csv_dir)), 2).unwrap();
     // Same numbers from either encoding (provenance and name differ).
     assert_eq!(bin.energy_j.to_bits(), csv.energy_j.to_bits());
     assert_eq!(bin.baseline_energy_j.to_bits(), csv.baseline_energy_j.to_bits());
@@ -159,34 +164,37 @@ fn corpus_sweeps_hold_the_corpus_fixed_across_schemes() {
             Scheme::Oracle,
         ])],
     };
-    let sweep = run_source_sweep(&set, 4).unwrap();
+    // A file landing in the directory after the sweep resolved its walk
+    // cannot change the replayed population: rows after the first
+    // replay the pinned file list.
+    let mut extra = scenario.clone();
+    extra.users = 1;
+    let straggler = dir.join("zz-straggler");
+    let sweep = run_source_sweep_streamed(&set, 4, Obs::none(), None, &mut |index, _| {
+        if index == 0 {
+            synth_corpus(&extra, &straggler, TraceFormat::Binary, 1).unwrap();
+        }
+        true
+    })
+    .unwrap()
+    .expect("an always-continue sweep finishes");
     assert_eq!(sweep.rows.len(), 3);
     // Same corpus in every cell: identical baselines, ordered energies.
     let baseline = sweep.rows[0].report.baseline_energy_j.to_bits();
     for row in &sweep.rows {
-        assert_eq!(row.report.users, 8);
+        assert_eq!(row.report.users, 8, "{}: pinned walk ignores the straggler", row.label);
         assert_eq!(row.report.baseline_energy_j.to_bits(), baseline, "{}", row.label);
-        // Each cell reproduces standalone, at a different thread count.
-        assert_eq!(row.report, run_source(&row.source, 1).unwrap(), "{}", row.label);
     }
     let oracle = &sweep.rows[2].report;
     let makeidle = &sweep.rows[1].report;
     assert!(oracle.energy_j <= makeidle.energy_j + 1e-6);
 
-    // The pinned-resolution API behind the sweep: a file landing in the
-    // directory after resolution cannot change the replayed population.
-    let corpus_scenario = corpus_of(&scenario, &dir);
-    let pinned = corpus_scenario.resolve().unwrap();
-    let mut extra = scenario.clone();
-    extra.users = 1;
-    let straggler = dir.join("zz-straggler");
-    synth_corpus(&extra, &straggler, TraceFormat::Binary, 1).unwrap();
-    let replay = tailwise_fleet::run_pinned_corpus(&corpus_scenario, &pinned, 2).unwrap();
-    assert_eq!(replay.users, 8, "pinned corpus ignores files added after resolution");
-    // Same population and scheme as the makeidle sweep cell (names
-    // differ: the cell carries its sweep label), so identical numbers.
-    assert_eq!(replay.energy_j.to_bits(), sweep.rows[1].report.energy_j.to_bits());
-    assert_eq!(replay.savings, sweep.rows[1].report.savings);
+    // Each cell reproduces standalone, at a different thread count, once
+    // the straggler is gone again.
+    std::fs::remove_dir_all(&straggler).unwrap();
+    for row in &sweep.rows {
+        assert_eq!(row.report, run_unobserved(&row.source, 1).unwrap(), "{}", row.label);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -204,7 +212,7 @@ fn golden_runtime_errors_cite_the_dir_keys_position() {
         "profile = \"att-hspa\"\n",             // 6
     );
     let set = SourceSet::from_toml_str(doc).unwrap();
-    let err = run_source(&set.source, 2).unwrap_err();
+    let err = run_unobserved(&set.source, 2).unwrap_err();
     assert_eq!(err.pos, Pos::new(4, 7));
     assert_eq!(err.kind, ScenErrorKind::Run);
     // The OS spells out the cause; the stable part is our prefix.
@@ -222,7 +230,7 @@ fn golden_runtime_errors_cite_the_dir_keys_position() {
         dir.display()
     );
     let set = SourceSet::from_toml_str(&doc).unwrap();
-    let err = run_source(&set.source, 2).unwrap_err();
+    let err = run_unobserved(&set.source, 2).unwrap_err();
     assert_eq!(err.pos, Pos::new(4, 7));
     assert_eq!(err.kind, ScenErrorKind::Run);
     assert_eq!(

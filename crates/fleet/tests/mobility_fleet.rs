@@ -21,8 +21,8 @@
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run, run_observed, AdmissionSpec, FleetReport, MobilitySpec, NetworkTopology, RunManifest,
-    Scenario,
+    run, run_source, AdmissionSpec, FleetReport, MobilitySpec, NetworkTopology, RunManifest,
+    Scenario, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
@@ -195,7 +195,8 @@ fn residence_hints_bypass_admission_near_handoffs() {
     scenario.cells = Some(topology);
 
     let recorder = StatsRecorder::new();
-    let hinted = run_observed(&scenario, 4, Obs { recorder: &recorder, progress: None });
+    let obs = Obs { recorder: &recorder, progress: None };
+    let hinted = run_source(&UserSource::Synthetic(scenario.clone()), 4, obs, None).unwrap();
     let snapshot = recorder.snapshot();
     let hint_grants = snapshot.counters.get("hint_grants").copied().unwrap_or(0);
     assert!(hint_grants > 0, "the hint window never fired on a commuting storm");

@@ -18,9 +18,9 @@ use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run, run_observed, run_source, run_source_observed, run_sweep_observed, synth_corpus,
-    AdmissionSpec, CorpusScenario, FleetReport, NetworkTopology, RunManifest, Scenario,
-    ScenarioSet, SweepAxis, UserSource,
+    run, run_source, run_source_sweep_cached, synth_corpus, AdmissionSpec, CorpusScenario,
+    FleetReport, NetworkTopology, RequestCache, RunManifest, Scenario, SourceSet, SweepAxis,
+    UserSource,
 };
 use tailwise_obs::{Obs, ProgressTable, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
@@ -63,12 +63,13 @@ fn rendered(report: &FleetReport) -> String {
 #[test]
 fn observed_topology_run_is_bit_identical_at_1_2_8_threads() {
     let scenario = storm_scenario(48);
+    let source = UserSource::Synthetic(scenario.clone());
     let baseline = run(&scenario, 1); // NullRecorder via Obs::none()
     for threads in [1usize, 2, 8] {
         let recorder = StatsRecorder::new();
         let table = ProgressTable::new(threads);
         let obs = Obs { recorder: &recorder, progress: Some(&table) };
-        let observed = run_observed(&scenario, threads, obs);
+        let observed = run_source(&source, threads, obs, None).unwrap();
         assert_eq!(baseline, observed, "threads={threads}");
         assert_eq!(rendered(&baseline), rendered(&observed), "threads={threads}");
 
@@ -117,12 +118,12 @@ fn observed_corpus_replay_is_bit_identical_at_1_2_8_threads() {
     corpus.sim = scenario.sim.clone();
     let source = UserSource::Corpus(corpus);
 
-    let baseline = run_source(&source, 2).unwrap();
+    let baseline = run_source(&source, 2, Obs::none(), None).unwrap();
     for threads in [1usize, 2, 8] {
         let recorder = StatsRecorder::new();
         let table = ProgressTable::new(threads);
         let obs = Obs { recorder: &recorder, progress: Some(&table) };
-        let observed = run_source_observed(&source, threads, obs).unwrap();
+        let observed = run_source(&source, threads, obs, None).unwrap();
         assert_eq!(baseline, observed, "threads={threads}");
         assert_eq!(rendered(&baseline), rendered(&observed), "threads={threads}");
 
@@ -154,18 +155,21 @@ fn recording_is_free_when_off() {
 
 #[test]
 fn sweep_manifest_round_trips_with_every_key() {
-    let set = ScenarioSet {
-        base: storm_scenario(24),
+    let base = storm_scenario(24);
+    let set = SourceSet {
+        source: UserSource::Synthetic(base.clone()),
         axes: vec![SweepAxis::Admission(vec![
             AdmissionSpec::Always,
             AdmissionSpec::LoadReactive { watermark_per_s: 5, window_s: 5 },
         ])],
     };
     let recorder = StatsRecorder::new();
-    let sweep = run_sweep_observed(&set, 2, Obs { recorder: &recorder, progress: None });
+    let obs = Obs { recorder: &recorder, progress: None };
+    let cache = RequestCache::in_memory();
+    let sweep = run_source_sweep_cached(&set, 2, obs, Some(&cache)).unwrap();
     assert_eq!(sweep.rows.len(), 2);
 
-    let manifest = RunManifest::for_sweep(&sweep, 2, set.base.master_seed, &recorder.snapshot());
+    let manifest = RunManifest::for_sweep(&sweep, 2, base.master_seed, &recorder.snapshot());
     assert_eq!(manifest.seed, 0x0B5);
     assert_eq!(manifest.reports.len(), 2);
     assert_eq!(manifest.reports[0].label, "admission=always");

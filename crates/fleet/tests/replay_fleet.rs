@@ -17,7 +17,9 @@
 
 use std::path::PathBuf;
 
-use tailwise_fleet::{RequestCache, RunManifest, ScenarioSet, SweepReport};
+use tailwise_fleet::{
+    run_source_sweep_cached, RequestCache, RunManifest, SourceSet, SweepReport, UserSource,
+};
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -29,11 +31,12 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The library's RNC-storm admission sweep, shrunk to CI scale. Only
 /// the population size and shard size change; the topology, mixes,
 /// seed, and `[[sweep]]` axes stay exactly as declared on disk.
-fn storm_set() -> ScenarioSet {
+fn storm_set() -> SourceSet {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/rnc_storm.toml");
-    let mut set = ScenarioSet::from_file(path).expect("library storm file parses");
-    set.base.users = 24;
-    set.base.shard_size = 5; // ragged last shard
+    let mut set = SourceSet::from_file(path).expect("library storm file parses");
+    let UserSource::Synthetic(base) = &mut set.source else { panic!("storm is synthetic") };
+    base.users = 24;
+    base.shard_size = 5; // ragged last shard
     set
 }
 
@@ -56,10 +59,11 @@ fn run_storm(
     cache: Option<&RequestCache>,
 ) -> (SweepReport, u64, tailwise_obs::Snapshot) {
     let set = storm_set();
-    let seed = set.base.master_seed;
+    let UserSource::Synthetic(base) = &set.source else { unreachable!("storm is synthetic") };
+    let seed = base.master_seed;
     let recorder = StatsRecorder::new();
     let obs = Obs { recorder: &recorder, progress: None };
-    let sweep = tailwise_fleet::run_sweep_cached(&set, threads, obs, cache);
+    let sweep = run_source_sweep_cached(&set, threads, obs, cache).unwrap();
     let snapshot = recorder.snapshot();
     let digest = RunManifest::for_sweep(&sweep, threads, seed, &snapshot).digest();
     (sweep, digest, snapshot)

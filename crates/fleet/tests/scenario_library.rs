@@ -10,12 +10,19 @@
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run, run_source, run_source_sweep, run_sweep, synth_corpus, Scenario, ScenarioSet, SourceSet,
-    UserSource,
+    run, run_source, run_source_sweep_cached, synth_corpus, RequestCache, Scenario, SourceSet,
+    SweepReport, UserSource,
 };
+use tailwise_obs::Obs;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_trace::TraceFormat;
 use tailwise_workload::apps::AppKind;
+
+/// A sweep against a fresh in-memory request cache.
+fn sweep(set: &SourceSet, threads: usize) -> SweepReport {
+    run_source_sweep_cached(set, threads, Obs::none(), Some(&RequestCache::in_memory()))
+        .unwrap_or_else(|e| panic!("{} failed to run: {e}", set.source.name()))
+}
 
 fn library_files() -> Vec<std::path::PathBuf> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
@@ -57,9 +64,11 @@ fn every_library_file_parses_and_round_trips() {
             .unwrap_or_else(|e| panic!("{} failed to parse: {e}", path.display()));
         if let UserSource::Synthetic(base) = &set.source {
             assert!(base.users > 0, "{}", path.display());
-            // Synthetic files also load through the narrower API.
-            ScenarioSet::from_file(&path)
-                .unwrap_or_else(|e| panic!("{} failed as ScenarioSet: {e}", path.display()));
+            // Synthetic files without sweeps also load as one Scenario.
+            if !set.is_sweep() {
+                Scenario::from_file(&path)
+                    .unwrap_or_else(|e| panic!("{} failed as Scenario: {e}", path.display()));
+            }
         }
         assert!(set.expansion_count() >= 1, "{}", path.display());
         let text = set
@@ -109,14 +118,13 @@ fn every_library_file_runs_at_miniature_scale() {
             }
         }
         if set.is_sweep() {
-            let sweep = run_source_sweep(&set, 2)
-                .unwrap_or_else(|e| panic!("{} failed to run: {e}", path.display()));
+            let sweep = sweep(&set, 2);
             assert_eq!(sweep.rows.len(), set.expansion_count(), "{}", path.display());
             for row in &sweep.rows {
                 assert!(row.report.packets > 0, "{}: empty cell", path.display());
             }
         } else {
-            let report = run_source(&set.source, 2)
+            let report = run_source(&set.source, 2, Obs::none(), None)
                 .unwrap_or_else(|e| panic!("{} failed to run: {e}", path.display()));
             assert!(report.packets > 0, "{}: empty run", path.display());
             assert_eq!(report.users, expected_users, "{}", path.display());
@@ -127,19 +135,20 @@ fn every_library_file_runs_at_miniature_scale() {
 
 #[test]
 fn sweep_runner_agrees_with_source_runner_on_synthetic_files() {
-    // The legacy synthetic path and the source path stay interchangeable.
+    // A sweep row and the standalone run of its expansion agree,
+    // whichever entry point runs the expansion.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/scheme_sweep_fig10.toml");
-    let mut set = ScenarioSet::from_file(path).expect("library sweep parses");
-    set.base.users = 4;
-    set.base.shard_size = 2;
-    let via_scenarios = run_sweep(&set, 2);
-    let source_set =
-        SourceSet { source: UserSource::Synthetic(set.base.clone()), axes: set.axes.clone() };
-    let via_sources = run_source_sweep(&source_set, 2).expect("synthetic sweeps are infallible");
-    assert_eq!(via_scenarios, via_sources);
-    // One standalone spot check (each additional one re-simulates a
+    let mut set = SourceSet::from_file(path).expect("library sweep parses");
+    let UserSource::Synthetic(base) = &mut set.source else { panic!("fig10 is synthetic") };
+    base.users = 4;
+    base.shard_size = 2;
+    let sweep = sweep(&set, 2);
+    assert_eq!(sweep.rows.len(), set.expansion_count());
+    // One standalone spot check per entry point (each re-simulates a
     // cell; full per-cell coverage lives in the sweep unit tests).
-    let row = &via_scenarios.rows[1];
+    let row = &sweep.rows[1];
     let scenario = row.scenario().expect("synthetic row");
     assert_eq!(row.report, run(scenario, 1), "{}", row.label);
+    let via_source = run_source(&row.source, 2, Obs::none(), None).unwrap();
+    assert_eq!(row.report, via_source, "{}", row.label);
 }

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tailwise_fleet::{
-    run_source_cached, run_source_sweep_streamed, RequestCache, RunManifest, SourceSet, SweepRow,
+    run_source, run_source_sweep_streamed, RequestCache, RunManifest, SourceSet, SweepRow,
     UserSource,
 };
 use tailwise_obs::{Obs, ProgressTable, ProgressUpdate, ProgressWatcher, StatsRecorder};
@@ -265,7 +265,7 @@ fn run_job(
         let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
         Ok(Some((report.render(), manifest)))
     } else {
-        let report = run_source_cached(&set.source, threads, obs, Some(cache))?;
+        let report = run_source(&set.source, threads, obs, Some(cache))?;
         // Stream the single run as row 0 too, so watchers get one
         // uniform "a result landed" shape for sweeps and plain runs.
         job.publish(ServerMsg::Row {

@@ -11,8 +11,8 @@
 //!   load-reactive policies additionally observe the adjudication-time
 //!   message load ([`tailwise_radio::admission`]);
 //! * the cell report aggregates energy, grants/denials, and the
-//!   RRC-message load the base station actually absorbs (per-second peak
-//!   and overload accounting against a configurable signaling capacity).
+//!   RRC-message load the base station actually absorbs (total and
+//!   per-second peak).
 //!
 //! ## Built on the two-phase API
 //!
@@ -27,7 +27,6 @@
 //! window scan per device instead of a full engine run. The fleet's
 //! cell topologies scale the same recipe to whole populations.
 
-use tailwise_obs::{span, NullRecorder, Recorder};
 use tailwise_radio::admission::{AdmissionPolicy, REQUEST_MESSAGES};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::signaling::SignalingModel;
@@ -62,9 +61,6 @@ pub struct CellReport {
     pub total_messages: u64,
     /// Peak RRC messages in any one-second window.
     pub peak_messages_per_s: u64,
-    /// Seconds in which the message load exceeded `capacity_per_s`
-    /// (zero when no capacity was configured).
-    pub overload_seconds: u64,
 }
 
 impl CellReport {
@@ -72,63 +68,31 @@ impl CellReport {
     pub fn total_energy(&self) -> f64 {
         self.devices.iter().map(|d| d.total_energy()).sum()
     }
-
-    /// Total switch cycles across all devices.
-    pub fn total_switches(&self) -> u64 {
-        self.devices.iter().map(|d| d.switch_cycles()).sum()
-    }
 }
 
 /// Runs `devices` against one shared base-station `admission` policy.
 ///
-/// `capacity_per_s` (RRC messages the cell can absorb per second, `None`
-/// = unbounded) only affects the overload accounting, not behaviour —
-/// modeling capacity-reactive admission is what the pluggable
-/// `admission` policy is for: a load-reactive policy
-/// ([`tailwise_radio::admission::LoadReactive`]) observes the
-/// adjudication-time message load (grants cost
+/// A load-reactive policy ([`tailwise_radio::admission::LoadReactive`])
+/// observes the adjudication-time message load (grants cost
 /// [`SignalingModel::per_fd_demotion`] messages, denials
 /// [`REQUEST_MESSAGES`]), while lifted release policies
 /// (e.g. [`tailwise_radio::fastdormancy::RateLimited`]) ignore it.
 pub fn run_cell(
     profile: &CarrierProfile,
     config: &SimConfig,
-    devices: Vec<CellDevice>,
-    admission: &mut dyn AdmissionPolicy,
-    signaling: &SignalingModel,
-    capacity_per_s: Option<u64>,
-) -> CellReport {
-    run_cell_observed(profile, config, devices, admission, signaling, capacity_per_s, &NullRecorder)
-}
-
-/// [`run_cell`] under a [`Recorder`]: pass-1 request collection records
-/// under the `simulate` span, the shared-policy loop under
-/// `adjudicate`, pass-2 scripted replay under `replay`, and grants /
-/// denials land on the `requests_granted` / `requests_denied` counters.
-/// Recording only observes — the report is bit-identical to the
-/// un-observed run.
-pub fn run_cell_observed(
-    profile: &CarrierProfile,
-    config: &SimConfig,
     mut devices: Vec<CellDevice>,
     admission: &mut dyn AdmissionPolicy,
     signaling: &SignalingModel,
-    capacity_per_s: Option<u64>,
-    recorder: &dyn Recorder,
 ) -> CellReport {
     // Pass 1: collect each device's fast-dormancy request times — the
     // cheap streaming pass, no energy simulation.
-    let request_times: Vec<Vec<Instant>> = {
-        let _simulate = span(recorder, "simulate");
-        devices
-            .iter_mut()
-            .map(|dev| record_requests(profile, config, &dev.trace, dev.policy.as_mut()).times)
-            .collect()
-    };
+    let request_times: Vec<Vec<Instant>> = devices
+        .iter_mut()
+        .map(|dev| record_requests(profile, config, &dev.trace, dev.policy.as_mut()).times)
+        .collect();
 
     // Base station adjudicates the merged request stream in time order
     // (ties broken by device index, deterministically).
-    let _adjudicate = span(recorder, "adjudicate");
     let mut merged: Vec<(Instant, usize, usize)> = Vec::new();
     for (dev, times) in request_times.iter().enumerate() {
         for (seq, &at) in times.iter().enumerate() {
@@ -148,15 +112,11 @@ pub fn run_cell_observed(
             denied += 1;
         }
     }
-    recorder.counter("requests_granted").add(granted);
-    recorder.counter("requests_denied").add(denied);
-    drop(_adjudicate);
 
     // Pass 2: replay each device against its scripted verdicts, recording
     // transitions for the load analysis. The transition-log cap is
     // lifted: a truncated log would silently undercount the cell's
     // message load.
-    let _replay = span(recorder, "replay");
     let replay_config =
         SimConfig { record_transitions: true, transition_log_limit: usize::MAX, ..config.clone() };
     let mut reports = Vec::with_capacity(devices.len());
@@ -175,13 +135,11 @@ pub fn run_cell_observed(
         }
         reports.push(r);
     }
-    drop(_replay);
 
     // Per-second load histogram.
     message_events.sort_by_key(|&(at, _)| at);
     let total_messages: u64 = message_events.iter().map(|&(_, m)| m as u64).sum();
     let mut peak = 0u64;
-    let mut overload = 0u64;
     let mut idx = 0;
     while idx < message_events.len() {
         let second = message_events[idx].0.as_micros().div_euclid(1_000_000);
@@ -193,21 +151,9 @@ pub fn run_cell_observed(
             idx += 1;
         }
         peak = peak.max(load);
-        if let Some(cap) = capacity_per_s {
-            if load > cap {
-                overload += 1;
-            }
-        }
     }
 
-    CellReport {
-        devices: reports,
-        granted,
-        denied,
-        total_messages,
-        peak_messages_per_s: peak,
-        overload_seconds: overload,
-    }
+    CellReport { devices: reports, granted, denied, total_messages, peak_messages_per_s: peak }
 }
 
 #[cfg(test)]
@@ -245,8 +191,7 @@ mod tests {
     fn always_accept_cell_matches_independent_runs() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
-        let report =
-            run_cell(&p, &cfg, cell(4), &mut AlwaysAccept, &SignalingModel::default(), None);
+        let report = run_cell(&p, &cfg, cell(4), &mut AlwaysAccept, &SignalingModel::default());
         assert_eq!(report.devices.len(), 4);
         assert_eq!(report.denied, 0);
         // Each device independently: one request per gap + trailing.
@@ -264,7 +209,7 @@ mod tests {
         // 8 devices × a request every 30 s, but the cell only grants one
         // release per 10 s: about 2/3 of requests must be denied.
         let mut release = RateLimited::new(Duration::from_secs(10));
-        let report = run_cell(&p, &cfg, cell(8), &mut release, &SignalingModel::default(), None);
+        let report = run_cell(&p, &cfg, cell(8), &mut release, &SignalingModel::default());
         assert!(report.denied > 0, "a shared rate limit must deny someone");
         assert!(report.granted > 0);
         // Denials hit more than one device (fairness of time-ordering).
@@ -272,7 +217,7 @@ mod tests {
         assert!(devices_denied >= 2, "only {devices_denied} device(s) saw denials");
         // Denied devices fall back to timers: cell energy must exceed the
         // always-accept cell's.
-        let free = run_cell(&p, &cfg, cell(8), &mut AlwaysAccept, &SignalingModel::default(), None);
+        let free = run_cell(&p, &cfg, cell(8), &mut AlwaysAccept, &SignalingModel::default());
         assert!(report.total_energy() > free.total_energy());
     }
 
@@ -281,29 +226,11 @@ mod tests {
         let p = CarrierProfile::verizon_lte();
         let cfg = SimConfig::default();
         let model = SignalingModel::default();
-        let report = run_cell(&p, &cfg, cell(3), &mut AlwaysAccept, &model, None);
+        let report = run_cell(&p, &cfg, cell(3), &mut AlwaysAccept, &model);
         // Total messages must equal the per-device counter accounting.
         let expect: u64 = report.devices.iter().map(|d| model.total_messages(&d.counters)).sum();
         assert_eq!(report.total_messages, expect);
         assert!(report.peak_messages_per_s > 0);
-        assert_eq!(report.overload_seconds, 0); // no capacity configured
-    }
-
-    #[test]
-    fn overload_accounting_flags_synchronized_cells() {
-        let p = CarrierProfile::att_hspa();
-        let cfg = SimConfig::default();
-        // All devices phase-locked (offset 0): promotions collide in the
-        // same seconds, so a tight capacity must overload.
-        let devices: Vec<CellDevice> =
-            (0..6).map(|i| heartbeat_device(&format!("p{i}"), 0, 30)).collect();
-        let tight =
-            run_cell(&p, &cfg, devices, &mut AlwaysAccept, &SignalingModel::default(), Some(35));
-        assert!(tight.overload_seconds > 0, "synchronized cell must overload a 35 msg/s cap");
-        // De-phased devices spread the load.
-        let spread =
-            run_cell(&p, &cfg, cell(6), &mut AlwaysAccept, &SignalingModel::default(), Some(35));
-        assert_eq!(spread.overload_seconds, 0, "de-phased devices fit under the cap");
     }
 
     #[test]
@@ -334,13 +261,13 @@ mod tests {
                 .collect()
         };
         let mut reactive = LoadReactive::new(1, 5);
-        let governed = run_cell(&p, &cfg, storm(), &mut reactive, &model, Some(35));
+        let governed = run_cell(&p, &cfg, storm(), &mut reactive, &model);
         assert!(governed.denied > 0, "watermark never engaged");
         assert!(governed.granted > 0, "governor latched shut");
         // …and each denied release keeps the radio in the FACH tail
         // instead of buying an Idle→DCH re-promotion: fewer total RRC
         // messages than the always-accept cell absorbing the same storm.
-        let free = run_cell(&p, &cfg, storm(), &mut AlwaysAccept, &model, Some(35));
+        let free = run_cell(&p, &cfg, storm(), &mut AlwaysAccept, &model);
         assert!(
             governed.total_messages < free.total_messages,
             "reactive admission must shed signaling load: {} vs {}",
@@ -351,40 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_cell_matches_unobserved_and_records_phases() {
-        use tailwise_obs::{Recorder as _, StatsRecorder};
-        let p = CarrierProfile::att_hspa();
-        let cfg = SimConfig::default();
-        let model = SignalingModel::default();
-        let recorder = StatsRecorder::new();
-        let plain = run_cell(&p, &cfg, cell(4), &mut AlwaysAccept, &model, Some(35));
-        let observed =
-            run_cell_observed(&p, &cfg, cell(4), &mut AlwaysAccept, &model, Some(35), &recorder);
-        // Recording must not perturb the result.
-        assert_eq!(plain.granted, observed.granted);
-        assert_eq!(plain.denied, observed.denied);
-        assert_eq!(plain.total_messages, observed.total_messages);
-        assert_eq!(plain.peak_messages_per_s, observed.peak_messages_per_s);
-        assert_eq!(plain.overload_seconds, observed.overload_seconds);
-        assert_eq!(plain.total_energy().to_bits(), observed.total_energy().to_bits());
-        for (a, b) in plain.devices.iter().zip(&observed.devices) {
-            assert_eq!(a.total_energy().to_bits(), b.total_energy().to_bits());
-        }
-        // And the recorder saw every phase plus the adjudication tally.
-        let s = recorder.snapshot();
-        for phase in ["simulate", "adjudicate", "replay"] {
-            assert_eq!(s.spans[phase].count, 1, "{phase}");
-        }
-        assert_eq!(s.counter("requests_granted"), observed.granted);
-        assert_eq!(s.counter("requests_denied"), observed.denied);
-    }
-
-    #[test]
     fn empty_cell_is_empty() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
-        let r =
-            run_cell(&p, &cfg, Vec::new(), &mut AlwaysAccept, &SignalingModel::default(), Some(10));
+        let r = run_cell(&p, &cfg, Vec::new(), &mut AlwaysAccept, &SignalingModel::default());
         assert_eq!(r.total_energy(), 0.0);
         assert_eq!(r.total_messages, 0);
         assert_eq!(r.peak_messages_per_s, 0);

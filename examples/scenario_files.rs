@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example scenario_files`
 
-use tailwise::fleet::{run, run_sweep, Scenario, ScenarioSet};
+use tailwise::fleet::{run, run_source_sweep_cached, Scenario, SourceSet, UserSource};
+use tailwise::obs::Obs;
 
 fn main() {
     // 1. A scenario is just text — shareable, diffable, reviewable.
@@ -50,11 +51,14 @@ weight = 1.0
     //    quick; drop the override to reproduce the full shape.)
     let sweep_path =
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/scheme_sweep_fig10.toml");
-    let mut set = ScenarioSet::from_file(sweep_path).expect("library sweep file parses");
-    set.base.users = 8;
-    set.base.shard_size = 4;
-    println!("expanding {} into {} scenarios…\n", set.base.name, set.expansion_count());
-    let sweep = run_sweep(&set, 4);
+    let mut set = SourceSet::from_file(sweep_path).expect("library sweep file parses");
+    let UserSource::Synthetic(base) = &mut set.source else {
+        unreachable!("the scheme sweep is a synthetic population")
+    };
+    base.users = 8;
+    base.shard_size = 4;
+    println!("expanding {} into {} scenarios…\n", set.source.name(), set.expansion_count());
+    let sweep = run_source_sweep_cached(&set, 4, Obs::none(), None).expect("synthetic sweeps run");
     print!("{}", sweep.render());
 
     // Every cell is bit-identical to running its expansion alone — the
