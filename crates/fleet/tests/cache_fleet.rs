@@ -34,15 +34,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The storm population: 4 shards, the last one ragged.
+const USERS: u64 = 10;
+
 /// The library's RNC-storm admission sweep, shrunk to CI scale. Only
-/// the population size and shard size change; the topology, mixes,
-/// seed, and `[[sweep]]` axes stay exactly as declared on disk.
+/// the population size, shard size and predictor window change; the
+/// topology, mixes, seed, and `[[sweep]]` axes stay exactly as declared
+/// on disk.
 fn storm_set() -> SourceSet {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/rnc_storm.toml");
     let mut set = SourceSet::from_file(path).expect("library storm file parses");
     let UserSource::Synthetic(base) = &mut set.source else { panic!("storm is synthetic") };
-    base.users = 24;
-    base.shard_size = 5; // ragged last shard
+    base.users = USERS;
+    base.shard_size = 3; // ragged last shard
+    base.sim.window_capacity = 25; // smaller predictor window: CI speed
     set
 }
 

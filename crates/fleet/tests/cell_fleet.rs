@@ -30,10 +30,15 @@ use tailwise_trace::time::Duration;
 use tailwise_trace::TraceFormat;
 use tailwise_workload::apps::AppKind;
 
-fn base_scenario(users: u64) -> Scenario {
-    let mut s = Scenario::new(users, Scheme::MakeIdle, CarrierProfile::verizon_lte());
+/// The harness population: the smallest that still spans several
+/// shards with a ragged last one, and still denies, overloads and hands
+/// off wherever a test claims it does.
+const USERS: u64 = 10;
+
+fn base_scenario() -> Scenario {
+    let mut s = Scenario::new(USERS, Scheme::MakeIdle, CarrierProfile::verizon_lte());
     s.master_seed = 0xCE11;
-    s.shard_size = 13; // ragged last shard
+    s.shard_size = 3; // 4 shards, the last one ragged
     s.sim.window_capacity = 25; // smaller predictor window: CI speed
     s.app_mix = vec![(AppKind::Im, 1.0)];
     s.carrier_mix = vec![(CarrierProfile::verizon_lte(), 2.0), (CarrierProfile::att_hspa(), 1.0)];
@@ -68,7 +73,7 @@ fn assert_same_aggregates(a: &FleetReport, b: &FleetReport) {
 
 #[test]
 fn unlimited_single_rnc_single_cell_matches_radio_isolated_exactly() {
-    let isolated = base_scenario(60);
+    let isolated = base_scenario();
     let mut celled = isolated.clone();
     celled.cells = Some(NetworkTopology::new(1));
 
@@ -79,8 +84,8 @@ fn unlimited_single_rnc_single_cell_matches_radio_isolated_exactly() {
         let signaling = report.signaling.as_ref().expect("topology runs carry signaling");
         assert_eq!(signaling.cells.len(), 1);
         assert_eq!(signaling.rncs.len(), 1);
-        assert_eq!(signaling.cells[0].users, 60);
-        assert_eq!(signaling.rncs[0].users, 60);
+        assert_eq!(signaling.cells[0].users, USERS);
+        assert_eq!(signaling.rncs[0].users, USERS);
         assert_eq!(signaling.rncs[0].cells, 1);
         // Always-admit at both levels: every request granted.
         assert_eq!(signaling.denied(), 0);
@@ -97,7 +102,7 @@ fn unlimited_single_rnc_single_cell_matches_radio_isolated_exactly() {
 
 #[test]
 fn multi_cell_reports_are_bit_identical_at_any_thread_count() {
-    let mut scenario = base_scenario(60);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::new(5);
     topology.cell_budget = SignalingBudget::per_second(60);
     topology.cell_admission = AdmissionSpec::RateLimited { min_interval: Duration::from_secs(8) };
@@ -130,7 +135,7 @@ fn multi_cell_reports_are_bit_identical_at_any_thread_count() {
         expect[cell_of(scenario.master_seed, index, 5) as usize] += 1;
     }
     assert_eq!(users_per_cell, expect);
-    assert_eq!(users_per_cell.iter().sum::<u64>(), 60);
+    assert_eq!(users_per_cell.iter().sum::<u64>(), USERS);
 
     // An 8-second shared rate limit against chatty IM users must deny —
     // and with an always-admitting RNC, no denial is RNC-attributed.
@@ -146,7 +151,7 @@ fn multi_cell_reports_are_bit_identical_at_any_thread_count() {
     assert!(single.energy_j > free.energy_j, "denials must cost energy");
     assert_eq!(
         free.energy_j.to_bits(),
-        run(&base_scenario(60), 4).energy_j.to_bits(),
+        run(&base_scenario(), 4).energy_j.to_bits(),
         "always-admit topologies are energy-transparent"
     );
 }
@@ -156,7 +161,7 @@ fn three_rnc_twelve_cell_hierarchy_is_bit_identical_at_any_thread_count() {
     // The full hierarchy: 12 cells in contiguous blocks of 4 under 3
     // RNCs, budgets and a load-reactive admission policy at the RNC
     // level, rate-limited cells below.
-    let mut scenario = base_scenario(72);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::with_rncs(3, 12);
     topology.cell_budget = SignalingBudget::per_second(90);
     topology.rnc_budget = SignalingBudget::per_second(200);
@@ -220,7 +225,7 @@ fn reactive_rnc_admission_cuts_overload_versus_always() {
     // load-reactive RNC admission sheds enough release→re-promotion
     // cycles to measurably reduce RNC overload seconds versus the
     // paper's always-accept assumption — at the cost of energy.
-    let mut scenario = base_scenario(60);
+    let mut scenario = base_scenario();
     scenario.carrier_mix = vec![(CarrierProfile::verizon_lte(), 1.0)];
     let mut always = NetworkTopology::with_rncs(1, 4);
     always.rnc_budget = SignalingBudget::per_second(60);
@@ -254,7 +259,7 @@ fn reactive_rnc_admission_cuts_overload_versus_always() {
 
 #[test]
 fn corpus_replay_through_topology_matches_the_synthetic_run() {
-    let mut scenario = base_scenario(40);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::with_rncs(2, 3);
     topology.cell_budget = SignalingBudget::per_second(80);
     topology.cell_admission = AdmissionSpec::RateLimited { min_interval: Duration::from_secs(5) };
@@ -267,7 +272,7 @@ fn corpus_replay_through_topology_matches_the_synthetic_run() {
     // don't change traces), then replayed under the same hierarchy.
     let mut synth_twin = scenario.clone();
     synth_twin.cells = None;
-    assert_eq!(synth_corpus(&synth_twin, &dir, TraceFormat::Binary, 4).unwrap(), 40);
+    assert_eq!(synth_corpus(&synth_twin, &dir, TraceFormat::Binary, 4).unwrap(), USERS);
 
     let mut corpus = CorpusScenario::new(&dir, scenario.scheme, CarrierProfile::verizon_lte());
     corpus.carrier_mix = scenario.carrier_mix.clone();
@@ -280,7 +285,7 @@ fn corpus_replay_through_topology_matches_the_synthetic_run() {
     let obs = Obs { recorder: &recorder, progress: None };
     let replayed = run_source(&UserSource::Corpus(corpus.clone()), 2, obs, None).unwrap();
     // Both passes load every trace, and every load counts.
-    assert_eq!(recorder.snapshot().counter("traces_loaded"), 2 * 40);
+    assert_eq!(recorder.snapshot().counter("traces_loaded"), 2 * USERS);
     let synthetic = run(&scenario, 4);
     assert_same_aggregates(&replayed, &synthetic);
     assert_eq!(replayed.signaling, synthetic.signaling, "per-element loads must match");
@@ -291,7 +296,7 @@ fn corpus_replay_through_topology_matches_the_synthetic_run() {
 
 #[test]
 fn cell_scheme_sweeps_carry_signaling_columns() {
-    let mut scenario = base_scenario(24);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::new(2);
     topology.cell_budget = SignalingBudget::per_second(40);
     scenario.cells = Some(topology);
@@ -320,7 +325,7 @@ fn cell_scheme_sweeps_carry_signaling_columns() {
 
 #[test]
 fn admission_sweeps_vary_the_rnc_policy_only() {
-    let mut scenario = base_scenario(24);
+    let mut scenario = base_scenario();
     scenario.carrier_mix = vec![(CarrierProfile::verizon_lte(), 1.0)];
     let mut topology = NetworkTopology::with_rncs(1, 2);
     topology.rnc_budget = SignalingBudget::per_second(60);
@@ -351,7 +356,7 @@ fn admission_sweeps_vary_the_rnc_policy_only() {
 fn makeactive_delays_surface_as_population_percentiles() {
     // The MakeActive accounting satellite: a batching fleet reports
     // session-delay percentiles; a plain MakeIdle fleet reports none.
-    let mut scenario = base_scenario(16);
+    let mut scenario = base_scenario();
     scenario.scheme = Scheme::MakeIdleActiveLearn;
     let report = run(&scenario, 4);
     assert!(report.session_delays.count() > 0, "learning batcher never delayed a session");
@@ -363,7 +368,7 @@ fn makeactive_delays_surface_as_population_percentiles() {
     // Bit-identical across thread counts, like every other aggregate.
     assert_eq!(report.session_delays, run(&scenario, 1).session_delays);
 
-    let plain = run(&base_scenario(16), 4);
+    let plain = run(&base_scenario(), 4);
     assert_eq!(plain.session_delays.count(), 0);
     assert_eq!(plain.session_delay_percentile(0.95), None);
 }

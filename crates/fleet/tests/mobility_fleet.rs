@@ -30,10 +30,15 @@ use tailwise_radio::signaling::SignalingBudget;
 use tailwise_trace::time::Duration;
 use tailwise_workload::apps::AppKind;
 
-fn base_scenario(users: u64) -> Scenario {
-    let mut s = Scenario::new(users, Scheme::MakeIdle, CarrierProfile::verizon_lte());
+/// The harness population: the smallest that still spans several
+/// shards with a ragged last one, and still denies, overloads and hands
+/// off wherever a test claims it does.
+const USERS: u64 = 10;
+
+fn base_scenario() -> Scenario {
+    let mut s = Scenario::new(USERS, Scheme::MakeIdle, CarrierProfile::verizon_lte());
     s.master_seed = 0xCE11;
-    s.shard_size = 13; // ragged last shard
+    s.shard_size = 3; // 4 shards, the last one ragged
     s.sim.window_capacity = 25; // smaller predictor window: CI speed
     s.app_mix = vec![(AppKind::Im, 1.0)];
     s.carrier_mix = vec![(CarrierProfile::verizon_lte(), 2.0), (CarrierProfile::att_hspa(), 1.0)];
@@ -51,7 +56,7 @@ fn rendered(r: &FleetReport) -> String {
 
 #[test]
 fn explicit_static_mobility_is_bit_identical_to_none_at_any_thread_count() {
-    let mut implicit = base_scenario(60);
+    let mut implicit = base_scenario();
     let mut topology = NetworkTopology::with_rncs(3, 12);
     topology.cell_budget = SignalingBudget::per_second(90);
     implicit.cells = Some(topology);
@@ -76,7 +81,7 @@ fn explicit_static_mobility_is_bit_identical_to_none_at_any_thread_count() {
 
 #[test]
 fn commute_fleets_are_bit_identical_at_any_thread_count_with_nonzero_handoffs() {
-    let mut scenario = base_scenario(72);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::with_rncs(3, 12);
     topology.cell_budget = SignalingBudget::per_second(90);
     topology.mobility = MobilitySpec::commute();
@@ -94,7 +99,7 @@ fn commute_fleets_are_bit_identical_at_any_thread_count_with_nonzero_handoffs() 
     assert!(signaling.handoffs() > 0, "a commuting fleet must hand off");
     assert!(
         signaling.inter_rnc_handoffs() > 0,
-        "72 commutes across 3 RNC blocks must cross a boundary"
+        "commutes across 3 RNC blocks must cross a boundary"
     );
     // Conservation: every departure arrives somewhere.
     let (ins, outs): (u64, u64) =
@@ -126,7 +131,7 @@ fn commute_raises_rnc_load_and_the_reactive_governor_claws_back() {
     // exchanges add messages on top of the release storm, raising RNC
     // overload; a load-reactive governor then sheds releases (never
     // handoffs — phones move regardless) and recovers a fraction.
-    let mut scenario = base_scenario(60);
+    let mut scenario = base_scenario();
     scenario.carrier_mix = vec![(CarrierProfile::verizon_lte(), 1.0)];
     let mut topology = NetworkTopology::with_rncs(3, 12);
     topology.rnc_budget = SignalingBudget::per_second(20);
@@ -183,7 +188,7 @@ fn residence_hints_bypass_admission_near_handoffs() {
     // about to leave; holding its tail to protect this cell's budget
     // buys nothing), so the hinted twin grants more and the
     // `hint_grants` counter says why.
-    let mut scenario = base_scenario(60);
+    let mut scenario = base_scenario();
     let mut topology = NetworkTopology::with_rncs(3, 12);
     topology.cell_admission = AdmissionSpec::RateLimited { min_interval: Duration::from_secs(8) };
     topology.mobility = MobilitySpec::Commute {
