@@ -103,9 +103,6 @@ impl<P: Partial> Frontier<P> {
     }
 }
 
-/// One materialized user: carrier, trace, and the user-days it counts.
-pub(crate) type User = (CarrierProfile, Trace, u32);
-
 /// The one way a run reaches its users: what every run shares (scheme,
 /// engine config, seed, topology, shard tiling) plus how user `i` is
 /// materialized, on demand, in any order, from any worker.
@@ -123,7 +120,8 @@ pub(crate) struct Population<'a> {
     pub(crate) master_seed: u64,
     /// The network topology, when the population runs on one.
     pub(crate) cells: Option<&'a NetworkTopology>,
-    users: u64,
+    /// Population size.
+    pub(crate) users: u64,
     shard_size: u64,
     members: Members<'a>,
 }
@@ -188,11 +186,6 @@ impl<'a> Population<'a> {
         })
     }
 
-    /// Population size.
-    pub(crate) fn users(&self) -> u64 {
-        self.users
-    }
-
     /// Number of shards the population tiles into.
     pub(crate) fn shard_count(&self) -> u64 {
         self.users.div_ceil(self.shard_size)
@@ -231,15 +224,16 @@ impl<'a> Population<'a> {
         }
     }
 
-    /// Materializes user `index` under the `synthesize` span. A corpus
-    /// trace that cannot be read is published on `ctx` and becomes the
-    /// run's positioned error, naming the file.
+    /// Materializes user `index` — carrier, trace, and the user-days it
+    /// counts — under the `synthesize` span. A corpus trace that cannot
+    /// be read is published on `ctx` and becomes the run's positioned
+    /// error, naming the file.
     pub(crate) fn user(
         &self,
         index: u64,
         recorder: &dyn Recorder,
         ctx: &ShardCtx<'_>,
-    ) -> Result<User, ScenError> {
+    ) -> Result<(CarrierProfile, Trace, u32), ScenError> {
         let _synthesize = span(recorder, "synthesize");
         match &self.members {
             Members::Synthetic(scenario) => {
@@ -354,7 +348,7 @@ fn run_isolated(
     obs: Obs<'_>,
 ) -> Result<FleetReport, ScenError> {
     if let Some(table) = obs.progress {
-        table.add_users_total(population.users());
+        table.add_users_total(population.users);
     }
     let empty = || population.empty_report();
     run_sharded(population.shard_count(), threads, obs, &empty, &|shard, ctx| {

@@ -84,7 +84,7 @@ use tailwise_trace::time::Instant;
 
 use crate::admission::AdmissionSpec;
 use crate::cache::{topo_hash, verdict_hash, ReplayEntry, RequestCache};
-use crate::mobility::MobilitySpec;
+use crate::mobility::{Handoff, MobilitySpec};
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
 use crate::scenario::user_seed;
@@ -250,17 +250,17 @@ struct AdjEvent {
     kind: AdjEventKind,
     /// The cell this event charges in its RNC's partition.
     cell: u64,
-    /// Handoff sides only: whether the handoff crosses an RNC boundary
-    /// (and therefore also charges this RNC's own policy and budget).
-    crosses: bool,
 }
 
+/// What an [`AdjEvent`] is. A handoff side's `crosses` says whether the
+/// handoff crosses an RNC boundary (and therefore also charges this
+/// RNC's own policy and budget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum AdjEventKind {
     /// Source side of a handoff: the user vacates `cell`.
-    HandoffOut,
+    HandoffOut { crosses: bool },
     /// Target side of a handoff: the user enters `cell`.
-    HandoffIn,
+    HandoffIn { crosses: bool },
     /// Fast-dormancy request number `seq` of the user's stream.
     Request { seq: u32 },
 }
@@ -296,18 +296,54 @@ fn adjudication_streams(
     streams: &[Vec<Instant>],
     rnc_of: &[usize],
 ) -> Vec<Vec<AdjEvent>> {
-    let mut per_rnc: Vec<Vec<AdjEvent>> = vec![Vec::new(); topology.rncs as usize];
-    for (user, times) in streams.iter().enumerate() {
+    let handoffs: Vec<Vec<Handoff>> = streams
+        .iter()
+        .enumerate()
+        .map(|(user, times)| match times.last() {
+            Some(last) => {
+                let horizon_days =
+                    (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
+                topology.mobility.handoffs(master_seed, user as u64, topology.cells, horizon_days)
+            }
+            None => Vec::new(),
+        })
+        .collect();
+    // Sized exactly before filling: growing the partitions by
+    // reallocation costs about as much as sorting them.
+    let mut sizes = vec![0usize; topology.rncs as usize];
+    walk_events(topology, master_seed, streams, &handoffs, rnc_of, |rnc, _| sizes[rnc] += 1);
+    let mut per_rnc: Vec<Vec<AdjEvent>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    walk_events(topology, master_seed, streams, &handoffs, rnc_of, |rnc, event| {
+        per_rnc[rnc].push(event)
+    });
+    for events in &mut per_rnc {
+        // Each user's requests arrive as presorted runs, which the stable
+        // sort merges rather than re-sorts. The order is strict, so
+        // stability itself changes nothing.
+        events.sort();
+    }
+    per_rnc
+}
+
+/// Hands every adjudication event to `emit` with the RNC whose
+/// partition it belongs to, user by user (see [`adjudication_streams`]).
+fn walk_events(
+    topology: &NetworkTopology,
+    master_seed: u64,
+    streams: &[Vec<Instant>],
+    handoffs: &[Vec<Handoff>],
+    rnc_of: &[usize],
+    mut emit: impl FnMut(usize, AdjEvent),
+) {
+    for (user, (times, handoffs)) in streams.iter().zip(handoffs).enumerate() {
         let user = user as u64;
-        let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
-        let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
-        let handoffs = topology.mobility.handoffs(master_seed, user, topology.cells, horizon_days);
-        for h in &handoffs {
+        let Some(&first) = times.first() else { continue };
+        for h in handoffs {
             let (from_rnc, to_rnc) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
             let crosses = from_rnc != to_rnc;
-            let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell, crosses };
-            per_rnc[from_rnc].push(side(AdjEventKind::HandoffOut, h.from));
-            per_rnc[to_rnc].push(side(AdjEventKind::HandoffIn, h.to));
+            let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell };
+            emit(from_rnc, side(AdjEventKind::HandoffOut { crosses }, h.from));
+            emit(to_rnc, side(AdjEventKind::HandoffIn { crosses }, h.to));
         }
         // The cell held before the first handoff — or, with none, over
         // the whole active span.
@@ -325,13 +361,9 @@ fn adjudication_streams(
                 "user {user} at {at:?}"
             );
             let kind = AdjEventKind::Request { seq: seq as u32 };
-            per_rnc[rnc_of[cell as usize]].push(AdjEvent { at, user, kind, cell, crosses: false });
+            emit(rnc_of[cell as usize], AdjEvent { at, user, kind, cell });
         }
     }
-    for events in &mut per_rnc {
-        events.sort_unstable();
-    }
-    per_rnc
 }
 
 /// Pass-2 shard partial: the energy fold plus each cell's per-second
@@ -401,7 +433,7 @@ pub(crate) fn run_topology(
         scheme
     );
     topology.validate_counts();
-    let users = population.users();
+    let users = population.users;
     let shard_count = population.shard_count();
     let cache = cache.zip(population.fingerprint());
 
@@ -487,7 +519,7 @@ pub(crate) fn run_topology(
         for e in events {
             let cell = e.cell as usize;
             match e.kind {
-                AdjEventKind::HandoffOut | AdjEventKind::HandoffIn => {
+                AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
                     let messages = signaling.per_handoff;
                     let second = e.at.as_micros().div_euclid(1_000_000);
                     // Each side charges its own cell — the cell's policy
@@ -495,9 +527,9 @@ pub(crate) fn run_topology(
                     // admission decisions.
                     cell_policies[cell].observe(e.at, messages);
                     *cell_handoff_seconds[cell].entry(second).or_insert(0) += messages as u64;
-                    if e.kind == AdjEventKind::HandoffOut {
+                    if let AdjEventKind::HandoffOut { .. } = e.kind {
                         cell_loads[cell].handoffs_out += 1;
-                        if e.crosses {
+                        if crosses {
                             // Attributed to the source RNC, like
                             // denied_by_rnc is attributed where the
                             // decision happened.
@@ -506,7 +538,7 @@ pub(crate) fn run_topology(
                     } else {
                         cell_loads[cell].handoffs_in += 1;
                     }
-                    if e.crosses {
+                    if crosses {
                         // Boundary-crossing handoffs cost the RNC its
                         // own exchange on top of the member cells' —
                         // the reactive governor sees it.
