@@ -286,10 +286,11 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 /// self-contained, so per-RNC adjudication order never depends on
 /// another RNC.
 ///
-/// Each user's request cells come from one walk over their time-sorted
-/// handoff list, which is empty under static mobility: every request
-/// then stays in the cell [`NetworkTopology::user_cell`] names, the
-/// user's home cell.
+/// Each user's request cells come from walking their time-sorted
+/// handoff list alongside their requests, with no per-request cell
+/// lookup. The list is empty under static mobility: every request then
+/// stays in the cell [`NetworkTopology::user_cell`] names, the user's
+/// home cell.
 fn adjudication_streams(
     topology: &NetworkTopology,
     master_seed: u64,
