@@ -163,23 +163,6 @@ impl Scenario {
         })
     }
 
-    /// Number of shards the population partitions into.
-    pub fn shard_count(&self) -> u64 {
-        if self.users == 0 {
-            0
-        } else {
-            self.users.div_ceil(self.shard_size.max(1))
-        }
-    }
-
-    /// The user-index range of shard `shard` (empty past the end).
-    pub fn shard_range(&self, shard: u64) -> std::ops::Range<u64> {
-        let size = self.shard_size.max(1);
-        let lo = (shard * size).min(self.users);
-        let hi = ((shard + 1) * size).min(self.users);
-        lo..hi
-    }
-
     /// Total synthesized user-days. Applies the same ≥ 1 day clamp as
     /// [`user`](Self::user), so the count always matches what the runner
     /// actually simulates.
@@ -295,6 +278,7 @@ fn pick_apps<R: Rng + ?Sized>(rng: &mut R, pool: &[(AppKind, f64)], n: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Population;
 
     fn scenario(users: u64) -> Scenario {
         Scenario::new(users, Scheme::MakeIdle, CarrierProfile::verizon_lte())
@@ -350,15 +334,16 @@ mod tests {
     fn shard_partition_tiles_the_population() {
         let mut s = scenario(1000);
         s.shard_size = 64;
+        let population = Population::synthetic(&s);
         let mut covered = 0u64;
-        for shard in 0..s.shard_count() {
-            let r = s.shard_range(shard);
+        for shard in 0..population.shard_count() {
+            let r = population.shard_range(shard);
             assert_eq!(r.start, covered);
             covered = r.end;
         }
         assert_eq!(covered, s.users);
-        assert!(s.shard_range(s.shard_count() + 5).is_empty());
-        assert_eq!(scenario(0).shard_count(), 0);
+        assert!(population.shard_range(population.shard_count() + 5).is_empty());
+        assert_eq!(Population::synthetic(&scenario(0)).shard_count(), 0);
     }
 
     #[test]
