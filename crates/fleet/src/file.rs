@@ -379,70 +379,79 @@ pub(crate) fn source_set_to_toml(
     source: &UserSource,
     axes: &[SweepAxis],
 ) -> Result<String, ScenError> {
-    let (scheme, master_seed, shard_size, sim, cells, carrier_mix) = match source {
-        UserSource::Synthetic(s) => {
-            (s.scheme, s.master_seed, s.shard_size, &s.sim, &s.cells, &s.carrier_mix)
-        }
-        UserSource::Corpus(c) => {
-            (c.scheme, c.master_seed, c.shard_size, &c.sim, &c.cells, &c.carrier_mix)
-        }
-    };
-    check_sim_representable(sim)?;
-    let mut nonzero =
-        vec![("shard_size", shard_size), ("window_capacity", sim.window_capacity as u64)];
-    if let UserSource::Synthetic(base) = source {
-        nonzero.insert(0, ("days_per_user", u64::from(base.days_per_user)));
+    match source {
+        UserSource::Synthetic(base) => synthetic_to_toml(base, axes),
+        UserSource::Corpus(base) => corpus_to_toml(base, axes),
     }
-    check_nonzero(&nonzero)?;
-    check_topology_representable(cells, &scheme, axes)?;
-    let corpus_dir = match source {
-        UserSource::Synthetic(_) => None,
-        UserSource::Corpus(base) => {
-            let dir = base.spec.dir.to_str().ok_or_else(|| {
-                ScenError::emit(format!(
-                    "corpus directory {:?} is not valid UTF-8 and cannot be written to a \
-                     scenario file",
-                    base.spec.dir
-                ))
-            })?;
-            if base.spec.formats.is_empty() {
-                return Err(ScenError::emit("corpus format filter must admit at least one format"));
-            }
-            Some((base, dir))
-        }
-    };
+}
+
+/// Serializes a synthetic scenario: the shared envelope plus `users`,
+/// `days_per_user` and the `[[app]]` mix.
+fn synthetic_to_toml(base: &Scenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
+    check_sim_representable(&base.sim)?;
+    check_nonzero(&[
+        ("days_per_user", u64::from(base.days_per_user)),
+        ("shard_size", base.shard_size),
+        ("window_capacity", base.sim.window_capacity as u64),
+    ])?;
+    check_topology_representable(&base.cells, &base.scheme, axes)?;
     let mut w = header();
     w.blank().table("scenario");
-    w.str("name", source.name());
-    if let UserSource::Synthetic(base) = source {
-        w.uint("users", base.users);
-        w.uint("days_per_user", u64::from(base.days_per_user));
+    w.str("name", &base.name);
+    w.uint("users", base.users);
+    w.uint("days_per_user", u64::from(base.days_per_user));
+    w.str("scheme", &scheme_token(&base.scheme)?);
+    w.uint("master_seed", base.master_seed);
+    w.uint("shard_size", base.shard_size);
+    write_sim(&mut w, &base.sim);
+    write_topology(&mut w, &base.cells);
+    write_carriers(&mut w, &base.carrier_mix)?;
+    for (kind, weight) in &base.app_mix {
+        check_weight(*weight, kind.token())?;
+        w.blank().array_table("app").str("kind", kind.token()).float("weight", *weight);
     }
-    w.str("scheme", &scheme_token(&scheme)?);
-    w.uint("master_seed", master_seed);
-    w.uint("shard_size", shard_size);
-    write_sim(&mut w, sim);
-    write_topology(&mut w, cells);
-    if let Some((base, dir)) = corpus_dir {
-        // Canonical order is the enum order (the same order the parser
-        // normalizes to), so emit→parse round-trips to an equal spec.
-        let tokens: Vec<&str> =
-            base.spec.canonical_formats().into_iter().map(TraceFormat::token).collect();
-        w.blank().table("corpus");
-        w.str("dir", dir);
-        w.bool("recursive", base.spec.recursive);
-        w.str_array("formats", &tokens);
-        if let Some(device) = base.spec.pcap_device {
-            w.str("pcap_device", &device.to_string());
-        }
+    write_axes(&mut w, axes)?;
+    Ok(w.finish())
+}
+
+/// Serializes a corpus scenario: the shared envelope plus the
+/// `[corpus]` table instead of `users`/`[[app]]`.
+fn corpus_to_toml(base: &CorpusScenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
+    check_sim_representable(&base.sim)?;
+    check_nonzero(&[
+        ("shard_size", base.shard_size),
+        ("window_capacity", base.sim.window_capacity as u64),
+    ])?;
+    check_topology_representable(&base.cells, &base.scheme, axes)?;
+    let dir = base.spec.dir.to_str().ok_or_else(|| {
+        ScenError::emit(format!(
+            "corpus directory {:?} is not valid UTF-8 and cannot be written to a scenario file",
+            base.spec.dir
+        ))
+    })?;
+    if base.spec.formats.is_empty() {
+        return Err(ScenError::emit("corpus format filter must admit at least one format"));
     }
-    write_carriers(&mut w, carrier_mix)?;
-    if let UserSource::Synthetic(base) = source {
-        for (kind, weight) in &base.app_mix {
-            check_weight(*weight, kind.token())?;
-            w.blank().array_table("app").str("kind", kind.token()).float("weight", *weight);
-        }
+    let mut w = header();
+    w.blank().table("scenario");
+    w.str("name", &base.name);
+    w.str("scheme", &scheme_token(&base.scheme)?);
+    w.uint("master_seed", base.master_seed);
+    w.uint("shard_size", base.shard_size);
+    write_sim(&mut w, &base.sim);
+    write_topology(&mut w, &base.cells);
+    // Canonical order is the enum order (the same order the parser
+    // normalizes to), so emit→parse round-trips to an equal spec.
+    let tokens: Vec<&str> =
+        base.spec.canonical_formats().into_iter().map(TraceFormat::token).collect();
+    w.blank().table("corpus");
+    w.str("dir", dir);
+    w.bool("recursive", base.spec.recursive);
+    w.str_array("formats", &tokens);
+    if let Some(device) = base.spec.pcap_device {
+        w.str("pcap_device", &device.to_string());
     }
+    write_carriers(&mut w, &base.carrier_mix)?;
     write_axes(&mut w, axes)?;
     Ok(w.finish())
 }
