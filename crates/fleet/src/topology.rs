@@ -84,7 +84,7 @@ use tailwise_trace::time::Instant;
 
 use crate::admission::AdmissionSpec;
 use crate::cache::{topo_hash, verdict_hash, ReplayEntry, RequestCache};
-use crate::mobility::{Handoff, MobilitySpec};
+use crate::mobility::MobilitySpec;
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
 use crate::scenario::user_seed;
@@ -297,54 +297,22 @@ fn adjudication_streams(
     streams: &[Vec<Instant>],
     rnc_of: &[usize],
 ) -> Vec<Vec<AdjEvent>> {
-    let handoffs: Vec<Vec<Handoff>> = streams
-        .iter()
-        .enumerate()
-        .map(|(user, times)| match times.last() {
-            Some(last) => {
-                let horizon_days =
-                    (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
-                topology.mobility.handoffs(master_seed, user as u64, topology.cells, horizon_days)
-            }
-            None => Vec::new(),
-        })
-        .collect();
-    // Sized exactly before filling: growing the partitions by
-    // reallocation costs about as much as sorting them.
-    let mut sizes = vec![0usize; topology.rncs as usize];
-    walk_events(topology, master_seed, streams, &handoffs, rnc_of, |rnc, _| sizes[rnc] += 1);
-    let mut per_rnc: Vec<Vec<AdjEvent>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    walk_events(topology, master_seed, streams, &handoffs, rnc_of, |rnc, event| {
-        per_rnc[rnc].push(event)
-    });
-    for events in &mut per_rnc {
-        // Each user's requests arrive as presorted runs, which the stable
-        // sort merges rather than re-sorts. The order is strict, so
-        // stability itself changes nothing.
-        events.sort();
-    }
-    per_rnc
-}
-
-/// Hands every adjudication event to `emit` with the RNC whose
-/// partition it belongs to, user by user (see [`adjudication_streams`]).
-fn walk_events(
-    topology: &NetworkTopology,
-    master_seed: u64,
-    streams: &[Vec<Instant>],
-    handoffs: &[Vec<Handoff>],
-    rnc_of: &[usize],
-    mut emit: impl FnMut(usize, AdjEvent),
-) {
-    for (user, (times, handoffs)) in streams.iter().zip(handoffs).enumerate() {
+    // An even share of the requests per RNC up front spares the
+    // partitions most of their regrowth.
+    let share = streams.iter().map(Vec::len).sum::<usize>() / topology.rncs as usize;
+    let mut per_rnc: Vec<Vec<AdjEvent>> =
+        (0..topology.rncs).map(|_| Vec::with_capacity(share)).collect();
+    for (user, times) in streams.iter().enumerate() {
         let user = user as u64;
-        let Some(&first) = times.first() else { continue };
-        for h in handoffs {
+        let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
+        let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
+        let handoffs = topology.mobility.handoffs(master_seed, user, topology.cells, horizon_days);
+        for h in &handoffs {
             let (from_rnc, to_rnc) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
             let crosses = from_rnc != to_rnc;
             let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell };
-            emit(from_rnc, side(AdjEventKind::HandoffOut { crosses }, h.from));
-            emit(to_rnc, side(AdjEventKind::HandoffIn { crosses }, h.to));
+            per_rnc[from_rnc].push(side(AdjEventKind::HandoffOut { crosses }, h.from));
+            per_rnc[to_rnc].push(side(AdjEventKind::HandoffIn { crosses }, h.to));
         }
         // The cell held before the first handoff — or, with none, over
         // the whole active span.
@@ -362,9 +330,16 @@ fn walk_events(
                 "user {user} at {at:?}"
             );
             let kind = AdjEventKind::Request { seq: seq as u32 };
-            emit(rnc_of[cell as usize], AdjEvent { at, user, kind, cell });
+            per_rnc[rnc_of[cell as usize]].push(AdjEvent { at, user, kind, cell });
         }
     }
+    for events in &mut per_rnc {
+        // Each user's requests arrive as presorted runs, which the stable
+        // sort merges rather than re-sorts. The order is strict, so
+        // stability itself changes nothing.
+        events.sort();
+    }
+    per_rnc
 }
 
 /// Pass-2 shard partial: the energy fold plus each cell's per-second
