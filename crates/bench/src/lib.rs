@@ -2,7 +2,9 @@
 //!
 //! The reproduction harness: one target per table and figure of *"Traffic-
 //! Aware Techniques to Reduce 3G/LTE Wireless Energy Consumption"* (Deng &
-//! Balakrishnan, CoNEXT 2012), plus the ablations DESIGN.md commits to.
+//! Balakrishnan, CoNEXT 2012), plus ablations of choices the paper leaves
+//! open: MakeIdle's candidate grid and decision rule, the fast-dormancy
+//! demotion cost, the Learn-α width and MakeActive's loss scale γ.
 //!
 //! * [`figures`] — one function per experiment, returning the same
 //!   rows/series the paper plots;

@@ -1,9 +1,8 @@
 //! Result tables: fixed-width console rendering plus CSV persistence.
 //!
 //! Every figure/table binary produces one or more [`Table`]s — the same
-//! rows the paper plots — prints them, and drops a CSV next to the repo's
-//! `results/` directory so EXPERIMENTS.md (and any plotting stack) can
-//! consume them.
+//! rows the paper plots — prints them, and writes a CSV under
+//! [`results_dir`] for any plotting stack to consume.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

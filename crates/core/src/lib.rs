@@ -81,8 +81,13 @@ mod proptests {
     use tailwise_trace::time::{Duration, Instant};
     use tailwise_trace::Trace;
 
-    use crate::makeidle::MakeIdle;
+    use crate::makeidle::{MakeIdle, MakeIdleConfig};
     use crate::schemes::Scheme;
+
+    /// The paper's n = 100 half the time, otherwise 1–64.
+    fn window_capacity() -> impl Strategy<Value = usize> {
+        (prop::bool::ANY, 1usize..=64).prop_map(|(paper, small)| if paper { 100 } else { small })
+    }
 
     fn trace_from_gaps(gaps_ms: &[i64]) -> Trace {
         let mut t = Instant::ZERO;
@@ -160,6 +165,51 @@ mod proptests {
                 fast,
                 reference
             );
+        }
+
+        /// MakeIdle's cut counts follow a window push by push. One
+        /// instance decides over two interleaved windows, 0–3 pushes
+        /// apart, under two alternating profiles; each decision must be
+        /// bit-identical to a fresh instance's on a clone of the window
+        /// (a clone is a new stream, so the fresh instance rebuilds).
+        /// Samples take 28 distinct values, so duplicates and evictions
+        /// of a value still present are common.
+        #[test]
+        fn makeidle_following_matches_rebuild(
+            cap_a in window_capacity(),
+            cap_b in window_capacity(),
+            steps in prop::collection::vec((0u8..8, 0usize..9, prop::collection::vec(0i64..28, 3)), 1..150),
+        ) {
+            use tailwise_sim::policy::IdleContext;
+            use tailwise_trace::stats::SlidingWindow;
+
+            let profiles = [CarrierProfile::att_hspa(), CarrierProfile::verizon_lte()];
+            let mut windows = [SlidingWindow::new(cap_a), SlidingWindow::new(cap_b)];
+            let config = MakeIdleConfig { candidates: 25, min_samples: 1 };
+            let mut follower = MakeIdle::with_config(config.clone());
+            let (mut w, mut p) = (0, 0);
+            for (switch, pushes, values) in steps {
+                // 0 moves to the other window, 1 to the other profile.
+                match switch {
+                    0 => w = 1 - w,
+                    1 => p = 1 - p,
+                    _ => {}
+                }
+                // One push in 5 of 9 steps, otherwise 0–3.
+                let pushes = if pushes < 5 { 1 } else { pushes - 5 };
+                for &k in &values[..pushes] {
+                    windows[w].push(Duration::from_micros(k * 700_000));
+                }
+                let bits = |d: Option<(Duration, f64)>| d.map(|(wait, f)| (wait, f.to_bits()));
+                let ctx = IdleContext { profile: &profiles[p], window: &windows[w], now: Instant::ZERO };
+                let followed = bits(follower.best_wait(&ctx));
+                let copy = windows[w].clone();
+                let fresh = bits(
+                    MakeIdle::with_config(config.clone())
+                        .best_wait(&IdleContext { window: &copy, ..ctx }),
+                );
+                prop_assert_eq!(followed, fresh);
+            }
         }
 
         /// On workloads whose every gap is longer than the tail window,

@@ -15,8 +15,9 @@
 //!
 //! Read literally, the paper's eq. 1 does not depend on `t_wait` and its
 //! integrand `P(iat = t)·dE/dt` has units of power, not energy. We use the
-//! reading that makes the surrounding argument go through (see DESIGN.md
-//! §3): for each candidate wait `w`, compare the *expected gap energy* of
+//! reading that makes the surrounding argument go through, one in which
+//! `f` is an energy and depends on the wait: for each candidate wait `w`,
+//! compare the *expected gap energy* of
 //! the strategy "hold for `w`, then demote if still silent" against the
 //! status quo, both under the windowed empirical distribution `F`:
 //!
@@ -42,14 +43,18 @@
 //! escape hatch (silence beyond the observed support drives
 //! `P(t_wait) → 1`); the virtual sample expresses it in the energy
 //! formulation with weight `1/(n+1)`, which also reproduces the Fig. 13
-//! shape — small windows are more optimistic, so false switches fall as
-//! `n` grows while missed switches stay flat.
+//! trend — small windows are more optimistic, so false switches fall as
+//! `n` grows. Missed switches do not stay flat: on the Fig. 13 user they
+//! rise from 0.01% at n = 10 to 4.44% at n = 400
+//! (`crates/bench/tests/paper_claims.rs` pins both trends).
 //!
-//! The evaluation is O(n + C·log n) per decision (suffix sums over the
-//! sorted window; C = grid size), fast enough to run per-packet on a phone
-//! — the §6.6 overhead bench measures exactly this path.
+//! Each decision is O(C) (C = grid size): it reads integer counts that
+//! follow the window at O(C) per push instead of walking the `n` samples —
+//! fast enough to run per-packet on a phone; the §6.6 overhead bench
+//! measures this path, window push included.
 
 use tailwise_sim::policy::{IdleContext, IdleDecision, IdlePolicy};
+use tailwise_trace::stats::SlidingWindow;
 use tailwise_trace::time::Duration;
 
 /// Configuration for [`MakeIdle`].
@@ -87,14 +92,6 @@ struct GridKey {
 #[derive(Debug, Clone, Default)]
 pub struct MakeIdle {
     config: MakeIdleConfig,
-    /// Scratch buffer of cumulative sample microseconds (reused across
-    /// decisions): `prefix_us[k]` = Σ of the first `k` sorted samples.
-    /// Integer accumulation keeps the per-sample sweep to one add; the
-    /// float conversion happens only at the O(candidates) cut points.
-    prefix_us: Vec<i64>,
-    /// Scratch: per-candidate `(k, Σ first k sample-µs)` where `k` is
-    /// the number of samples ≤ the candidate wait.
-    cut: Vec<(usize, i64)>,
     /// Cached candidate grid for the current profile: `(wait,
     /// hold_energy(wait))` per candidate. Profiles are fixed for a whole
     /// run, so this builds once; the key fingerprints every profile
@@ -102,6 +99,80 @@ pub struct MakeIdle {
     /// across carriers stays correct.
     grid: Vec<(Duration, f64)>,
     grid_key: Option<GridKey>,
+    /// The window's sample count and µs sum at every point `f(w)` cuts
+    /// it, following the window push by push.
+    cuts: CutCounts,
+}
+
+/// Integer statistics of a window at fixed cut points, kept current by
+/// one insert and one evict per push.
+///
+/// Cut point `i` holds the number of samples `≤ at_us[i]` and their µs
+/// sum. The points are the grid waits in grid order, then `t1`, the tail
+/// window and `i64::MAX` (the whole window), so every integer `f(w)`
+/// reads is one lookup.
+#[derive(Debug, Clone, Default)]
+struct CutCounts {
+    at_us: Vec<i64>,
+    count: Vec<i64>,
+    sum_us: Vec<i64>,
+    /// `(stream, pushes)` of the window the counts describe; `None`
+    /// after the cut points change.
+    synced: Option<(u64, u64)>,
+}
+
+impl CutCounts {
+    /// Moves the cut points to `at_us`; the counts wait for the next
+    /// [`follow`](Self::follow) to rebuild them.
+    fn reset(&mut self, at_us: impl IntoIterator<Item = i64>) {
+        self.at_us.clear();
+        self.at_us.extend(at_us);
+        self.count = vec![0; self.at_us.len()];
+        self.sum_us = vec![0; self.at_us.len()];
+        self.synced = None;
+    }
+
+    /// Brings the counts up to date with `window`: nothing if it is the
+    /// window last seen, one insert and at most one evict if it is that
+    /// window plus one push, a rebuild from its samples otherwise.
+    fn follow(&mut self, window: &SlidingWindow) {
+        let now = (window.stream(), window.pushes());
+        match (self.synced, window.last_push()) {
+            (Some(seen), _) if seen == now => return,
+            (Some((stream, pushes)), Some((inserted, evicted)))
+                if stream == now.0 && pushes + 1 == now.1 =>
+            {
+                self.add(inserted, 1);
+                if let Some(evicted) = evicted {
+                    self.add(evicted, -1);
+                }
+            }
+            _ => {
+                self.count.fill(0);
+                self.sum_us.fill(0);
+                for &s in window.sorted_samples() {
+                    self.add(s, 1);
+                }
+            }
+        }
+        self.synced = Some(now);
+    }
+
+    /// Adds (`sign` 1) or removes (`sign` −1) one sample at every cut
+    /// point at or above it.
+    fn add(&mut self, sample: Duration, sign: i64) {
+        let us = sample.as_micros();
+        for ((&at, count), sum) in self.at_us.iter().zip(&mut self.count).zip(&mut self.sum_us) {
+            let hit = sign * i64::from(us <= at);
+            *count += hit;
+            *sum += hit * us;
+        }
+    }
+
+    /// `(count, µs sum)` at cut point `i`.
+    fn at(&self, i: usize) -> (i64, i64) {
+        (self.count[i], self.sum_us[i])
+    }
 }
 
 impl MakeIdle {
@@ -134,18 +205,20 @@ impl MakeIdle {
     ///
     /// ### Hot-path note
     ///
-    /// This runs once per packet gap over the whole fleet, so the
-    /// per-sample energy evaluation is done in closed form: `E(t)` is
-    /// piecewise linear in `t` below the tail window and constant above
-    /// it, so Σ `E(sᵢ)` over any sorted prefix reduces to prefix sums of
-    /// raw sample seconds plus per-piece coefficients. The only
-    /// per-sample work left is one conversion and one addition;
+    /// This runs once per packet gap over the whole fleet, so it reads no
+    /// samples. `E(t)` is piecewise linear in `t` below the tail window
+    /// and constant above it, so Σ `E(sᵢ)` over the samples at or below
+    /// any cut reduces to the count and µs sum of the samples at or below
+    /// that cut, `t1` and the tail window. Those integers follow the window
+    /// one push at a time (one insert and one evict per cut point), and
+    /// the float expressions start from them in a fixed order, so the
+    /// result does not depend on the history of the counts.
     /// [`best_wait_reference`](Self::best_wait_reference) keeps the
-    /// direct per-sample evaluation and the equivalence is pinned by a
-    /// property test.
+    /// direct per-sample evaluation and the equivalence is pinned by
+    /// property tests.
     pub fn best_wait(&mut self, ctx: &IdleContext<'_>) -> Option<(Duration, f64)> {
-        let samples = ctx.window.sorted_samples();
-        if samples.len() < self.config.min_samples {
+        let len = ctx.window.len();
+        if len < self.config.min_samples {
             return None;
         }
         let profile = ctx.profile;
@@ -157,7 +230,7 @@ impl MakeIdle {
         // also the energy of the virtual session-ending pseudo-sample
         // (see module docs).
         let e_cycle = profile.gap_energy(tail_window + Duration::from_secs(1));
-        let n = samples.len() as f64 + 1.0;
+        let n = len as f64 + 1.0;
 
         // The candidate grid (and each candidate's hold energy) depends
         // only on the profile, which is fixed for a whole run: build once.
@@ -178,47 +251,30 @@ impl MakeIdle {
                 );
                 self.grid.push((w, profile.hold_energy(w)));
             }
+            let waits = self.grid.iter().map(|&(w, _)| w.as_micros());
+            let pieces = [t1.as_micros(), tail_window.as_micros(), i64::MAX];
+            self.cuts.reset(waits.chain(pieces));
             self.grid_key = Some(key);
         }
+        self.cuts.follow(ctx.window);
 
-        // One sweep over the sorted samples builds the cumulative-µs
-        // prefix AND the per-candidate cuts (k = #samples ≤ wait, plus
-        // the prefix at k) — candidates ascend, so a single forward
-        // pointer replaces a binary search per candidate, and the only
-        // per-sample work is one integer add.
-        self.prefix_us.clear();
-        self.prefix_us.push(0);
-        self.cut.clear();
-        let mut acc: i64 = 0;
-        let mut gi = 0;
-        for (idx, &s) in samples.iter().enumerate() {
-            while gi < c && s > self.grid[gi].0 {
-                self.cut.push((idx, acc));
-                gi += 1;
-            }
-            acc += s.as_micros();
-            self.prefix_us.push(acc);
-        }
-        while gi < c {
-            self.cut.push((samples.len(), acc));
-            gi += 1;
-        }
         let secs = |us: i64| us as f64 * 1e-6;
-        // Piece boundaries within the sorted samples.
-        let k1 = samples.partition_point(|&s| s <= t1);
-        let k2 = samples.partition_point(|&s| s <= tail_window);
-        // Σ E(sᵢ) for the first k sorted samples, in closed form from the
-        // prefix sums (E is linear within each piece).
-        let energy_prefix = |k: usize, pus_k: i64| -> f64 {
+        // Samples at or below t1 and the tail window: the piece
+        // boundaries of E.
+        let (k1, us1) = self.cuts.at(c);
+        let (k2, us2) = self.cuts.at(c + 1);
+        // Σ E(sᵢ) over the k smallest samples (µs sum `us_k`), in closed
+        // form (E is linear within each piece).
+        let energy_prefix = |k: i64, us_k: i64| -> f64 {
             if k <= k1 {
                 // Piece 1 only (s ≤ t1): E = p_dch·s.
-                return profile.p_dch * secs(pus_k);
+                return profile.p_dch * secs(us_k);
             }
-            let mut sum = profile.p_dch * secs(self.prefix_us[k1]);
+            let mut sum = profile.p_dch * secs(us1);
             // Piece 2 (t1 < s ≤ t1+t2): E = p_dch·t1 + p_fach·(s − t1).
-            let b = k.min(k2);
+            let (b, us_b) = if k <= k2 { (k, us_k) } else { (k2, us2) };
             let m = (b - k1) as f64;
-            let piece_secs = secs(self.prefix_us[b] - self.prefix_us[k1]);
+            let piece_secs = secs(us_b - us1);
             sum += m * profile.p_dch * t1_secs + profile.p_fach * (piece_secs - m * t1_secs);
             // Piece 3 (s beyond the timers): E is the constant cycle.
             if k > k2 {
@@ -226,14 +282,17 @@ impl MakeIdle {
             }
             sum
         };
-        let e_status_quo = (energy_prefix(samples.len(), acc) + e_cycle) / n;
+        let (total, total_us) = self.cuts.at(c + 2);
+        debug_assert_eq!(total, len as i64, "cut counts out of step with the window");
+        let e_status_quo = (energy_prefix(total, total_us) + e_cycle) / n;
 
         let mut best: Option<(Duration, f64)> = None;
-        for (&(w, hold), &(k, pus_k)) in self.grid.iter().zip(&self.cut) {
+        for (i, &(w, hold)) in self.grid.iter().enumerate() {
+            let (k, us_k) = self.cuts.at(i);
             // k samples interrupt the hold; the virtual long gap survives
             // every candidate.
-            let survivors = samples.len() - k + 1;
-            let e_strategy = (energy_prefix(k, pus_k) + survivors as f64 * (hold + e_switch)) / n;
+            let survivors = total - k + 1;
+            let e_strategy = (energy_prefix(k, us_k) + survivors as f64 * (hold + e_switch)) / n;
             let f = e_status_quo - e_strategy;
             if best.is_none_or(|(_, fb)| f > fb) {
                 best = Some((w, f));

@@ -2,7 +2,6 @@
 //! [`ProgressTable`], a [`ProgressSampler`] thread renders them as a
 //! single self-overwriting stderr line.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -291,11 +290,14 @@ impl Drop for ProgressSampler {
 
 /// Repaints the current line in place, padding over whatever the
 /// previous (possibly longer) paint left behind.
+///
+/// Goes through `eprint!`, like the closing newline, so a test harness
+/// that captures output captures the paint too. A raw `stderr()` write
+/// bypasses that capture: the paint lands on the real stderr without
+/// its newline and splices into the harness's next result line.
 fn paint(line: &str, width: &mut usize) {
     *width = (*width).max(line.len());
-    let mut stderr = std::io::stderr().lock();
-    let _ = write!(stderr, "\r{line:<pad$}", pad = *width);
-    let _ = stderr.flush();
+    eprint!("\r{line:<pad$}", pad = *width);
 }
 
 #[cfg(test)]

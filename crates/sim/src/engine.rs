@@ -35,7 +35,8 @@ use crate::report::SimReport;
 pub struct SimConfig {
     /// Gaps at or below this are charged as data transfer at bulk power;
     /// longer gaps are tail time owned by the RRC policy. Must stay below
-    /// every profile's `t1` (default 0.5 s; see `DESIGN.md` §3).
+    /// every profile's `t1` (default 0.5 s), so that no timer can expire
+    /// inside a gap charged as data; [`SimConfig::validate`] enforces it.
     pub intra_burst_gap: Duration,
     /// Capacity of the inter-arrival sliding window handed to policies
     /// (the paper's n; default 100, swept in Fig. 13).

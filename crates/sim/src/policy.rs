@@ -54,11 +54,11 @@ pub trait IdlePolicy {
 
     /// Whether [`decide`](Self::decide) reads the inter-arrival window.
     ///
-    /// The engine maintains the window (an O(capacity) sorted insert per
-    /// gap) only when this returns true; the baselines that ignore it —
-    /// status quo, fixed waits, the Oracle — override this to skip that
-    /// work. Purely a performance hint: a policy that returns false
-    /// simply sees an empty window.
+    /// The engine maintains the window (a sorted-order shift of up to
+    /// `capacity` samples per gap) only when this returns true; the
+    /// baselines that ignore it — status quo, fixed waits, the Oracle —
+    /// override this to skip that work. Purely a performance hint: a
+    /// policy that returns false simply sees an empty window.
     fn uses_window(&self) -> bool {
         true
     }

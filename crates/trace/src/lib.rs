@@ -157,7 +157,10 @@ mod proptests {
 
         #[test]
         fn window_matches_batch_distribution(
-            samples in prop::collection::vec(0i64..1_000_000, 1..300),
+            // Half the cases take 8 distinct values: most evictions then
+            // leave an equal sample behind, and many equal the new sample.
+            samples in (prop::collection::vec(0i64..1_000_000, 1..300), prop::bool::ANY)
+                .prop_map(|(s, few)| if few { s.iter().map(|v| v % 8).collect() } else { s }),
             cap in 1usize..64,
         ) {
             let mut w = SlidingWindow::new(cap);
@@ -170,7 +173,7 @@ mod proptests {
                 samples[keep..].iter().map(|&s| Duration::from_micros(s)).collect(),
             );
             prop_assert_eq!(w.sorted_samples(), expect.sorted_samples());
-            for probe in [0i64, 500_000, 1_000_000] {
+            for probe in [0i64, 3, 500_000, 1_000_000] {
                 let d = Duration::from_micros(probe);
                 prop_assert_eq!(w.cdf(d), expect.cdf(d));
             }

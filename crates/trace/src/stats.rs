@@ -17,6 +17,7 @@
 //! function over the sample set and binning would inject avoidable error.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::time::Duration;
 
@@ -130,14 +131,44 @@ impl EmpiricalDist {
 /// as [`EmpiricalDist`] while samples stream in.
 ///
 /// Samples are kept both in arrival order (a ring buffer, for eviction) and
-/// in sorted order (for CDF/quantile queries). With the paper's default
-/// window of n = 100 (§6.3), the O(n) sorted-vector insertion is faster in
-/// practice than any tree structure.
-#[derive(Debug, Clone)]
+/// in sorted order (for CDF/quantile queries). A push into a full window
+/// is one shift of the sorted samples lying between the evicted sample's
+/// slot and the new sample's slot; with the paper's default window of
+/// n = 100 (§6.3) that beats any tree structure.
+///
+/// Consumers that keep their own statistics of the window up to date
+/// (MakeIdle's cut-point counts) follow it through [`stream`](Self::stream),
+/// [`pushes`](Self::pushes) and [`last_push`](Self::last_push): when the
+/// window is the one they saw last plus exactly one push, `last_push`
+/// is the whole difference.
+#[derive(Debug)]
 pub struct SlidingWindow {
     capacity: usize,
     arrivals: VecDeque<Duration>,
     sorted: Vec<Duration>,
+    stream: u64,
+    pushes: u64,
+    evicted: Option<Duration>,
+}
+
+/// Source of [`SlidingWindow::stream`] ids.
+static NEXT_STREAM: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stream() -> u64 {
+    NEXT_STREAM.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Clone for SlidingWindow {
+    /// The clone starts a stream of its own: it holds the same samples,
+    /// but pushes to it are not pushes to `self`.
+    fn clone(&self) -> SlidingWindow {
+        SlidingWindow {
+            arrivals: self.arrivals.clone(),
+            sorted: self.sorted.clone(),
+            stream: fresh_stream(),
+            ..*self
+        }
+    }
 }
 
 impl SlidingWindow {
@@ -151,6 +182,9 @@ impl SlidingWindow {
             capacity,
             arrivals: VecDeque::with_capacity(capacity),
             sorted: Vec::with_capacity(capacity),
+            stream: fresh_stream(),
+            pushes: 0,
+            evicted: None,
         }
     }
 
@@ -176,23 +210,58 @@ impl SlidingWindow {
 
     /// Pushes a sample, evicting the oldest if the window is full.
     pub fn push(&mut self, d: Duration) {
-        if self.arrivals.len() == self.capacity {
+        // The new sample's slot among the current sorted samples.
+        let to = self.sorted.partition_point(|&s| s <= d);
+        self.evicted = None;
+        if self.arrivals.len() < self.capacity {
+            self.sorted.insert(to, d);
+        } else {
             let evicted = self.arrivals.pop_front().expect("window full implies non-empty");
-            let pos = self
+            let from = self
                 .sorted
                 .binary_search(&evicted)
                 .expect("evicted sample must be present in sorted set");
-            self.sorted.remove(pos);
+            // Everything strictly between the two slots moves one place
+            // toward the evicted one. `from < to` iff evicted ≤ d.
+            if from < to {
+                self.sorted.copy_within(from + 1..to, from);
+                self.sorted[to - 1] = d;
+            } else {
+                self.sorted.copy_within(to..from, to + 1);
+                self.sorted[to] = d;
+            }
+            self.evicted = Some(evicted);
         }
         self.arrivals.push_back(d);
-        let pos = self.sorted.partition_point(|&s| s <= d);
-        self.sorted.insert(pos, d);
+        self.pushes += 1;
     }
 
-    /// Clears all samples.
+    /// Clears all samples and starts a new [`stream`](Self::stream).
     pub fn clear(&mut self) {
         self.arrivals.clear();
         self.sorted.clear();
+        self.stream = fresh_stream();
+        self.pushes = 0;
+        self.evicted = None;
+    }
+
+    /// Identifies this window's sample history within the process: a
+    /// fresh id on [`new`](Self::new), [`clone`](Clone::clone) and
+    /// [`clear`](Self::clear), never shared by two windows.
+    pub fn stream(&self) -> u64 {
+        self.stream
+    }
+
+    /// Pushes since the current [`stream`](Self::stream) began.
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// The latest push as `(inserted, evicted)`, where `evicted` is the
+    /// sample it pushed out of a full window; `None` while the window is
+    /// empty.
+    pub fn last_push(&self) -> Option<(Duration, Option<Duration>)> {
+        self.arrivals.back().map(|&d| (d, self.evicted))
     }
 
     /// The samples in non-decreasing order.
@@ -373,6 +442,27 @@ mod tests {
         w.push(Duration::from_secs(1));
         assert_eq!(w.len(), 2);
         assert_eq!(w.cdf(Duration::from_secs(1)), 1.0);
+    }
+
+    #[test]
+    fn window_reports_its_stream_and_last_push() {
+        let mut w = SlidingWindow::new(2);
+        assert_eq!((w.pushes(), w.last_push()), (0, None));
+        let secs = Duration::from_secs;
+        w.push(secs(1));
+        w.push(secs(2));
+        assert_eq!((w.pushes(), w.last_push()), (2, Some((secs(2), None))));
+        w.push(secs(3));
+        assert_eq!((w.pushes(), w.last_push()), (3, Some((secs(3), Some(secs(1))))));
+        // A clone and a cleared window each start a stream of their own.
+        let stream = w.stream();
+        let copy = w.clone();
+        assert_ne!(copy.stream(), stream);
+        assert_eq!(copy.sorted_samples(), w.sorted_samples());
+        w.clear();
+        assert_ne!(w.stream(), stream);
+        assert_ne!(w.stream(), copy.stream());
+        assert_eq!((w.pushes(), w.last_push()), (0, None));
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! The paper evaluates on proprietary tcpdump captures: 2-hour traces of
 //! seven application categories plus 28 days of real-user data (§6.1).
 //! This crate synthesizes structural stand-ins from the paper's own
-//! descriptions (see `DESIGN.md` §3 for the substitution argument):
+//! descriptions. Every scheme under study reads only packet times and
+//! directions, so a stand-in with the inter-arrival structure the paper
+//! describes (bursts, think times, periodic syncs, daily sessions) drives
+//! the same decisions; the absolute numbers it yields are this
+//! reproduction's, not the paper's:
 //!
 //! * [`apps`] — the seven application models (News, IM, MicroBlog, Game,
 //!   Email, Social, Finance) as parameterized renewal processes;
