@@ -24,8 +24,8 @@ fn makeidle_decision(c: &mut Criterion) {
     let mixed = |i: i32| if i % 5 == 0 { 12.0 + (i % 7) as f64 } else { 0.02 * (1 + i % 9) as f64 };
     let small = |i: i32| 0.01 * (1 + i % 50) as f64;
     let streams = [
-        ("makeidle_decide_per_packet_n100", 100, (0..251).map(mixed).collect::<Vec<f64>>()),
-        ("makeidle_decide_per_packet_n400", 400, (0..251).map(small).collect()),
+        ("makeidle_decide_and_push_n100", 100, (0..251).map(mixed).collect::<Vec<f64>>()),
+        ("makeidle_decide_and_push_n400", 400, (0..251).map(small).collect()),
     ];
     for (label, n, secs) in streams {
         let gaps: Vec<Duration> = secs.into_iter().map(Duration::from_secs_f64).collect();
@@ -64,20 +64,35 @@ fn makeactive_round(c: &mut Criterion) {
 }
 
 fn control_module_event(c: &mut Criterion) {
+    // A module whose MakeIdle has followed 120 sends, 7 s apart.
+    let warm = || {
+        let mut m = ControlModule::new(CarrierProfile::att_hspa());
+        for i in 0..120 {
+            m.on_event(Instant::from_millis(i * 7_000), 1, SocketEvent::Send { bytes: 100 });
+        }
+        (m, Instant::from_millis(120 * 7_000))
+    };
+    // One push since the last decision: MakeIdle follows the window.
     c.bench_function("control_module_on_event", |b| {
         b.iter_batched(
-            || {
-                let mut m = ControlModule::new(CarrierProfile::att_hspa());
-                for i in 0..120 {
-                    m.on_event(
-                        Instant::from_millis(i * 7_000),
-                        1,
-                        SocketEvent::Send { bytes: 100 },
-                    );
-                }
-                (m, Instant::from_millis(120 * 7_000))
-            },
+            warm,
             |(mut m, t)| black_box(m.on_event(t, 1, SocketEvent::Recv { bytes: 1400 })),
+            BatchSize::SmallInput,
+        )
+    });
+    // A connect pushes a gap without deciding, so the send's decision
+    // sees two pushes and MakeIdle recounts the window.
+    c.bench_function("control_module_connect_then_send", |b| {
+        b.iter_batched(
+            warm,
+            |(mut m, t)| {
+                m.on_event(t, 2, SocketEvent::Connect);
+                black_box(m.on_event(
+                    t + Duration::from_millis(50),
+                    2,
+                    SocketEvent::Send { bytes: 300 },
+                ))
+            },
             BatchSize::SmallInput,
         )
     });

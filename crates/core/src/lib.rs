@@ -169,11 +169,15 @@ mod proptests {
 
         /// MakeIdle's cut counts follow a window push by push. One
         /// instance decides over two interleaved windows, 0–3 pushes
-        /// apart, under two alternating profiles; each decision must be
+        /// apart, under four profiles in turn; each decision must be
         /// bit-identical to a fresh instance's on a clone of the window
         /// (a clone is a new stream, so the fresh instance rebuilds).
-        /// Samples take 28 distinct values, so duplicates and evictions
-        /// of a value still present are common.
+        /// Beside two presets, AT&T HSPA with t2 = 2 s has the same grid
+        /// with the tail window at 8.2 s instead of 16.6 s, and with
+        /// t1 = 0.5 s its threshold lies past t1, so the grid waits are
+        /// not all below the t1 cut. Samples take 28 distinct values
+        /// from 0 to 18.9 s, so duplicates and evictions of a value
+        /// still present are common.
         #[test]
         fn makeidle_following_matches_rebuild(
             cap_a in window_capacity(),
@@ -183,16 +187,20 @@ mod proptests {
             use tailwise_sim::policy::IdleContext;
             use tailwise_trace::stats::SlidingWindow;
 
-            let profiles = [CarrierProfile::att_hspa(), CarrierProfile::verizon_lte()];
+            let att = CarrierProfile::att_hspa;
+            let short_t2 = CarrierProfile { t2: Duration::from_secs(2), ..att() };
+            let short_t1 = CarrierProfile { t1: Duration::from_millis(500), ..att() };
+            prop_assert!(short_t1.t_threshold() > short_t1.t1);
+            let profiles = [att(), CarrierProfile::verizon_lte(), short_t2, short_t1];
             let mut windows = [SlidingWindow::new(cap_a), SlidingWindow::new(cap_b)];
             let config = MakeIdleConfig { candidates: 25, min_samples: 1 };
             let mut follower = MakeIdle::with_config(config.clone());
             let (mut w, mut p) = (0, 0);
             for (switch, pushes, values) in steps {
-                // 0 moves to the other window, 1 to the other profile.
+                // 0 moves to the other window, 1 to the next profile.
                 match switch {
                     0 => w = 1 - w,
-                    1 => p = 1 - p,
+                    1 => p = (p + 1) % profiles.len(),
                     _ => {}
                 }
                 // One push in 5 of 9 steps, otherwise 0–3.

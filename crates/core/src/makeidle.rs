@@ -51,7 +51,9 @@
 //! Each decision is O(C) (C = grid size): it reads integer counts that
 //! follow the window at O(C) per push instead of walking the `n` samples —
 //! fast enough to run per-packet on a phone; the §6.6 overhead bench
-//! measures this path, window push included.
+//! measures this path, window push included. A window the counts did not
+//! follow push by push (another window, or several pushes since the last
+//! decision) is recounted in one O(n + C) walk.
 
 use tailwise_sim::policy::{IdleContext, IdleDecision, IdlePolicy};
 use tailwise_trace::stats::SlidingWindow;
@@ -75,13 +77,15 @@ impl Default for MakeIdleConfig {
 }
 
 /// Fingerprint of every profile/config input the cached candidate grid
-/// depends on (`t_threshold` fixes the waits; `t1`/`p_dch`/`p_fach` fix
-/// each wait's hold energy).
+/// and cut points depend on (`t_threshold` fixes the waits; `t1`, the
+/// tail window, `p_dch` and `p_fach` fix each wait's hold energy; `t1`
+/// and the tail window are also cut points).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GridKey {
     threshold_us: i64,
     candidates: usize,
     t1_us: i64,
+    tail_us: i64,
     p_dch_bits: u64,
     p_fach_bits: u64,
 }
@@ -114,6 +118,8 @@ pub struct MakeIdle {
 #[derive(Debug, Clone, Default)]
 struct CutCounts {
     at_us: Vec<i64>,
+    /// Cut indices by ascending `at_us`, for the one-walk rebuild.
+    ascending: Vec<usize>,
     count: Vec<i64>,
     sum_us: Vec<i64>,
     /// `(stream, pushes)` of the window the counts describe; `None`
@@ -127,6 +133,8 @@ impl CutCounts {
     fn reset(&mut self, at_us: impl IntoIterator<Item = i64>) {
         self.at_us.clear();
         self.at_us.extend(at_us);
+        self.ascending = (0..self.at_us.len()).collect();
+        self.ascending.sort_by_key(|&i| self.at_us[i]);
         self.count = vec![0; self.at_us.len()];
         self.sum_us = vec![0; self.at_us.len()];
         self.synced = None;
@@ -147,15 +155,24 @@ impl CutCounts {
                     self.add(evicted, -1);
                 }
             }
-            _ => {
-                self.count.fill(0);
-                self.sum_us.fill(0);
-                for &s in window.sorted_samples() {
-                    self.add(s, 1);
-                }
-            }
+            _ => self.rebuild(window.sorted_samples()),
         }
         self.synced = Some(now);
+    }
+
+    /// Recounts from the sorted samples in one walk: the cuts are
+    /// visited in ascending order, each taking the samples the walk has
+    /// passed so far.
+    fn rebuild(&mut self, sorted: &[Duration]) {
+        let (mut k, mut sum) = (0, 0);
+        for &i in &self.ascending {
+            while k < sorted.len() && sorted[k].as_micros() <= self.at_us[i] {
+                sum += sorted[k].as_micros();
+                k += 1;
+            }
+            self.count[i] = k as i64;
+            self.sum_us[i] = sum;
+        }
     }
 
     /// Adds (`sign` 1) or removes (`sign` −1) one sample at every cut
@@ -240,6 +257,7 @@ impl MakeIdle {
             threshold_us: threshold.as_micros(),
             candidates: c,
             t1_us: t1.as_micros(),
+            tail_us: tail_window.as_micros(),
             p_dch_bits: profile.p_dch.to_bits(),
             p_fach_bits: profile.p_fach.to_bits(),
         };
@@ -487,9 +505,11 @@ mod tests {
 
     #[test]
     fn reused_instance_refreshes_grid_across_profiles() {
-        // Two profiles with the same t_threshold (all powers and switch
-        // energies scaled ×2, so the ratio is invariant) must not share
-        // cached hold energies when one MakeIdle instance serves both.
+        // Profiles with the same t_threshold must not share cached hold
+        // energies or cut points when one MakeIdle instance serves them:
+        // `b` scales all powers and switch energies ×2 (so the ratio is
+        // invariant); `c` cuts t2 to 2 s, which moves the tail window
+        // from 16.6 s to 8.2 s, below the 12 s gaps.
         let a = CarrierProfile::att_hspa();
         let mut b = a.clone();
         b.p_dch *= 2.0;
@@ -497,12 +517,17 @@ mod tests {
         b.e_promote *= 2.0;
         b.e_demote_base *= 2.0;
         assert_eq!(a.t_threshold(), b.t_threshold());
+        let mut c = a.clone();
+        c.t2 = Duration::from_secs(2);
+        assert_eq!(a.t_threshold(), c.t_threshold());
+        assert_eq!(c.tail_window(), Duration::from_millis(8_200));
 
         let mut gaps = vec![0.4; 25];
+        gaps.extend(vec![12.0; 10]);
         gaps.extend(vec![30.0; 25]);
         let w = window_of(&gaps);
         let mut mi = MakeIdle::new();
-        for p in [&a, &b, &a] {
+        for p in [&a, &b, &a, &c, &a] {
             let fast = mi.best_wait(&ctx(p, &w)).unwrap();
             let reference = mi.best_wait_reference(&ctx(p, &w)).unwrap();
             assert_eq!(fast.0, reference.0, "wait mismatch on {}", p.name);
