@@ -1,5 +1,7 @@
 //! Simulation-engine throughput: packets per second through the full
-//! accounting pipeline, per scheme.
+//! accounting pipeline, per scheme, and through the phase-2 replay of
+//! MakeIdle's recorded requests — the per-packet work a topology run's
+//! pass 2 pays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -8,6 +10,7 @@ use std::hint::black_box;
 use tailwise_core::schemes::Scheme;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_sim::engine::SimConfig;
+use tailwise_sim::twophase::replay_requests;
 use tailwise_trace::time::Duration;
 use tailwise_trace::Trace;
 use tailwise_workload::apps::AppKind;
@@ -38,6 +41,13 @@ fn engine_throughput(c: &mut Criterion) {
             b.iter(|| black_box(scheme.run(&profile, &cfg, black_box(&trace))))
         });
     }
+    let requests = Scheme::MakeIdle.request_trace(&profile, &cfg, &trace).expect("scriptable");
+    let verdicts = vec![true; requests.len()];
+    group.bench_function("MakeIdle recorded replay", |b| {
+        b.iter(|| {
+            black_box(replay_requests(&profile, &cfg, black_box(&trace), &requests, &verdicts))
+        })
+    });
     group.finish();
 }
 

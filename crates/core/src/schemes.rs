@@ -174,14 +174,16 @@ impl Scheme {
         Some(record_requests(profile, config, trace, policy.as_mut()))
     }
 
-    /// Phase 2 at scheme granularity: replays the scheme exactly against
-    /// a scripted grant/deny sequence (one verdict per
-    /// [`request_trace`](Self::request_trace) entry, in order). `None`
-    /// for the MakeActive variants.
+    /// Both phases at scheme granularity: extracts the scheme's
+    /// requests ([`request_trace`](Self::request_trace)) and replays
+    /// them exactly against a scripted grant/deny sequence (one verdict
+    /// per request, in order). `None` for the MakeActive variants.
     ///
     /// With all-true verdicts this is bit-identical to
     /// [`run`](Self::run)'s always-accept world — the property cell
-    /// topologies lean on for their unlimited-capacity baseline.
+    /// topologies lean on for their unlimited-capacity baseline. A
+    /// coordinator that already holds the requests replays them with
+    /// [`replay_requests`] and skips the extraction.
     pub fn run_scripted(
         &self,
         profile: &CarrierProfile,
@@ -189,8 +191,8 @@ impl Scheme {
         trace: &Trace,
         verdicts: &[bool],
     ) -> Option<SimReport> {
-        let mut policy = self.idle_policy(trace)?;
-        let mut report = replay_requests(profile, config, trace, policy.as_mut(), verdicts);
+        let requests = self.request_trace(profile, config, trace)?;
+        let mut report = replay_requests(profile, config, trace, &requests, verdicts);
         report.scheme = self.label();
         Some(report)
     }

@@ -69,13 +69,12 @@ use std::sync::{Arc, Mutex};
 
 use tailwise_obs::Obs;
 use tailwise_radio::profile::{CarrierProfile, RadioTech};
-use tailwise_sim::ReplayOutcome;
+use tailwise_sim::{ReplayOutcome, RequestTrace};
 use tailwise_trace::io::{
     read_replay_outcomes, read_request_streams, write_replay_outcomes, write_request_streams,
-    ReplayCacheHeader, ReplayOutcomeRecord, RequestCacheHeader,
+    ReplayCacheHeader, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
 };
 use tailwise_trace::mix::splitmix64 as splitmix;
-use tailwise_trace::time::Instant;
 
 use crate::scenario::Scenario;
 use crate::topology::NetworkTopology;
@@ -277,9 +276,10 @@ pub(crate) struct ReplayEntry {
     pub(crate) seconds: Vec<(u64, i64, u64)>,
 }
 
-/// Per-user phase-1 request streams, index-ordered (`streams[i]` is
-/// user `i`'s non-decreasing request times).
-type Streams = Arc<Vec<Vec<Instant>>>;
+/// Per-user phase-1 products, index-ordered (`streams[i]` is user
+/// `i`'s non-decreasing request times and the confusion counts of the
+/// decisions behind them).
+type Streams = Arc<Vec<RequestTrace>>;
 /// Per-user baseline summaries, index-ordered: `(energy bits, switch
 /// cycles)` of the status-quo run. Energy travels as `f64::to_bits` so
 /// the entry is `Eq`-comparable and round-trips exactly.
@@ -352,7 +352,8 @@ impl RequestCache {
             match std::fs::File::open(&path) {
                 Ok(file) => match read_request_streams(std::io::BufReader::new(file)) {
                     Ok((header, streams)) if fingerprint.matches(&header, scheme) => {
-                        let streams = Arc::new(streams);
+                        let streams: Streams =
+                            Arc::new(streams.into_iter().map(RequestTrace::from).collect());
                         self.streams
                             .lock()
                             .expect("request cache map")
@@ -407,10 +408,11 @@ impl RequestCache {
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("twc.tmp{}-{seq}", std::process::id()));
+        let stored: Vec<RequestStream> = streams.iter().map(RequestStream::from).collect();
         let spilled = std::fs::File::create(&tmp)
             .map_err(|e| e.to_string())
             .and_then(|file| {
-                write_request_streams(&fingerprint.header(scheme), &streams, file)
+                write_request_streams(&fingerprint.header(scheme), &stored, file)
                     .map_err(|e| e.to_string())
             })
             .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| e.to_string()));
@@ -607,7 +609,22 @@ mod tests {
     use super::*;
     use tailwise_core::schemes::Scheme;
     use tailwise_obs::{Obs, Recorder as _};
+    use tailwise_sim::Confusion;
+    use tailwise_trace::time::Instant;
     use tailwise_workload::apps::AppKind;
+
+    /// Request streams with a distinct confusion matrix per user, so a
+    /// spill round trip that lost or shuffled the counts would show.
+    fn streams_of(per_user: Vec<Vec<Instant>>) -> Streams {
+        let traces = per_user.into_iter().enumerate().map(|(i, times)| {
+            let i = i as u64;
+            RequestTrace {
+                times,
+                confusion: Confusion { tp: i + 1, fp: 2 * i, tn: 40 + i, fn_: 7 },
+            }
+        });
+        Arc::new(traces.collect())
+    }
 
     /// The `rnc_storm.toml` population in miniature — the golden
     /// fingerprint subject.
@@ -697,7 +714,7 @@ mod tests {
         let obs = Obs::none();
         assert!(cache.lookup(&fp, "makeidle", obs).is_none());
         let streams: Streams =
-            Arc::new(vec![vec![Instant::from_secs(1)], vec![], vec![Instant::from_secs(2)]]);
+            streams_of(vec![vec![Instant::from_secs(1)], vec![], vec![Instant::from_secs(2)]]);
         cache.store(&fp, "makeidle", Arc::clone(&streams), obs);
         assert_eq!(cache.lookup(&fp, "makeidle", obs).as_deref(), Some(&*streams));
         // A different scheme is a different entry.
@@ -718,7 +735,7 @@ mod tests {
         let mut tiny = storm_like();
         tiny.users = 2;
         let fp = Fingerprint::of(&tiny);
-        let streams: Streams = Arc::new(vec![vec![Instant::ZERO, Instant::from_secs(3)], vec![]]);
+        let streams = streams_of(vec![vec![Instant::ZERO, Instant::from_secs(3)], vec![]]);
 
         let writer = RequestCache::with_dir(&dir).unwrap();
         writer.store(&fp, "makeidle", Arc::clone(&streams), Obs::none());
@@ -751,7 +768,7 @@ mod tests {
         let mut tiny = storm_like();
         tiny.users = 2;
         let fp = Fingerprint::of(&tiny);
-        let streams: Streams = Arc::new(vec![vec![Instant::ZERO, Instant::from_secs(7)], vec![]]);
+        let streams = streams_of(vec![vec![Instant::ZERO, Instant::from_secs(7)], vec![]]);
 
         let recorder = tailwise_obs::StatsRecorder::new();
         for _round in 0..4 {
@@ -954,7 +971,7 @@ mod tests {
         let mut tiny = storm_like();
         tiny.users = 1;
         let fp = Fingerprint::of(&tiny);
-        let streams: Streams = Arc::new(vec![vec![Instant::from_secs(11)]]);
+        let streams = streams_of(vec![vec![Instant::from_secs(11)]]);
         let writer = RequestCache::with_dir(&dir).unwrap();
         writer.store(&fp, &token, Arc::clone(&streams), Obs::none());
         let spilled = dir.join(format!("{:016x}-iat92.5.twc", fp.hash()));

@@ -189,30 +189,81 @@ impl CommutePlan {
         base
     }
 
-    /// Candidate trajectory breakpoints inside `(lo, hi]`, ascending:
-    /// hour-slot boundaries plus the two commute instants of every day
-    /// the window touches. The trajectory is constant between
-    /// consecutive candidates.
-    fn breakpoints_between(&self, lo: u64, hi: u64) -> Vec<u64> {
-        let mut points = Vec::new();
-        let mut slot = lo / SLOT_S + 1;
-        while slot * SLOT_S <= hi {
-            points.push(slot * SLOT_S);
-            slot += 1;
+    /// Candidate trajectory breakpoints inside `(lo, hi]`, unordered
+    /// and possibly repeated: hour-slot boundaries plus the two commute
+    /// instants of every day the window touches. The trajectory is
+    /// constant between consecutive distinct candidates.
+    fn breakpoints_between(&self, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        let slots = (lo / SLOT_S + 1..=hi / SLOT_S).map(|slot| slot * SLOT_S);
+        let commutes = (lo / DAY_S..=hi / DAY_S)
+            .flat_map(move |day| [self.leave_home, self.leave_work].map(|at| day * DAY_S + at))
+            .filter(move |&at| at > lo && at <= hi);
+        slots.chain(commutes)
+    }
+}
+
+/// One user's [`MobilitySpec`], resolved once: answers where the user
+/// is and whether a handoff is near without deriving the user's
+/// commute plan again. Built by [`MobilitySpec::trajectory`]; the
+/// spec-level queries build one per call, so they give the same
+/// answers.
+pub struct Trajectory {
+    cells: u64,
+    path: Path,
+}
+
+/// How a [`Trajectory`] moves.
+enum Path {
+    /// Pinned to one cell.
+    Fixed(u64),
+    /// A commute plan, with the hint window in seconds.
+    Commute(CommutePlan, u32),
+}
+
+impl Trajectory {
+    /// The cell the user occupies at `at` (see
+    /// [`MobilitySpec::cell_at`]).
+    pub fn cell_at(&self, at: Instant) -> u64 {
+        match &self.path {
+            Path::Fixed(cell) => *cell,
+            Path::Commute(plan, _) => plan.cell_at_second(second_of(at), self.cells),
         }
-        let mut day = lo / DAY_S;
-        while day * DAY_S <= hi {
-            for commute in [self.leave_home, self.leave_work] {
-                let at = day * DAY_S + commute;
-                if at > lo && at <= hi {
-                    points.push(at);
-                }
-            }
-            day += 1;
+    }
+
+    /// Every handoff in `[0, horizon_days)` days, in time order (see
+    /// [`MobilitySpec::handoffs`]).
+    pub fn handoffs(&self, horizon_days: u64) -> Vec<Handoff> {
+        let Path::Commute(plan, _) = &self.path else { return Vec::new() };
+        if self.cells <= 1 || horizon_days == 0 {
+            return Vec::new();
         }
+        let mut points: Vec<u64> =
+            plan.breakpoints_between(0, (horizon_days * DAY_S).saturating_sub(1)).collect();
         points.sort_unstable();
         points.dedup();
-        points
+        let mut handoffs = Vec::new();
+        let mut cell = plan.cell_at_second(0, self.cells);
+        for at in points {
+            let next = plan.cell_at_second(at, self.cells);
+            if next != cell {
+                handoffs.push(Handoff { at: Instant::from_secs(at as i64), from: cell, to: next });
+                cell = next;
+            }
+        }
+        handoffs
+    }
+
+    /// Whether a handoff falls within `(at, at + hint_s]` (see
+    /// [`MobilitySpec::handoff_within`]).
+    pub fn handoff_within(&self, at: Instant) -> bool {
+        let Path::Commute(plan, hint_s) = &self.path else { return false };
+        if self.cells <= 1 || *hint_s == 0 {
+            return false;
+        }
+        let now = second_of(at);
+        let here = plan.cell_at_second(now, self.cells);
+        plan.breakpoints_between(now, now + *hint_s as u64)
+            .any(|bp| plan.cell_at_second(bp, self.cells) != here)
     }
 }
 
@@ -239,17 +290,13 @@ impl MobilitySpec {
         }
     }
 
-    /// The cell user `index` occupies at `at` — a pure function of its
-    /// arguments (the determinism seam both topology passes share).
-    ///
-    /// Boundaries are inclusive on the new-cell side: a request stamped
-    /// exactly at a handoff instant is adjudicated in the cell being
-    /// entered.
-    pub fn cell_at(&self, master_seed: u64, index: u64, cells: u64, at: Instant) -> u64 {
+    /// User `index`'s trajectory through `cells` cells, derived once
+    /// for any number of queries.
+    pub fn trajectory(&self, master_seed: u64, index: u64, cells: u64) -> Trajectory {
         assert!(cells >= 1, "a network topology needs at least one cell");
-        match *self {
-            MobilitySpec::Static => cell_of(master_seed, index, cells),
-            MobilitySpec::Commute { home_hour, work_hour, jitter_pct, .. } => {
+        let path = match *self {
+            MobilitySpec::Static => Path::Fixed(cell_of(master_seed, index, cells)),
+            MobilitySpec::Commute { home_hour, work_hour, jitter_pct, hint_s } => {
                 let plan = CommutePlan::derive(
                     master_seed,
                     index,
@@ -258,9 +305,20 @@ impl MobilitySpec {
                     work_hour,
                     jitter_pct,
                 );
-                plan.cell_at_second(second_of(at), cells)
+                Path::Commute(plan, hint_s)
             }
-        }
+        };
+        Trajectory { cells, path }
+    }
+
+    /// The cell user `index` occupies at `at` — a pure function of its
+    /// arguments (the determinism seam both topology passes share).
+    ///
+    /// Boundaries are inclusive on the new-cell side: a request stamped
+    /// exactly at a handoff instant is adjudicated in the cell being
+    /// entered.
+    pub fn cell_at(&self, master_seed: u64, index: u64, cells: u64, at: Instant) -> u64 {
+        self.trajectory(master_seed, index, cells).cell_at(at)
     }
 
     /// Every handoff user `index` performs in `[0, horizon_days)` days,
@@ -273,24 +331,7 @@ impl MobilitySpec {
         cells: u64,
         horizon_days: u64,
     ) -> Vec<Handoff> {
-        let MobilitySpec::Commute { home_hour, work_hour, jitter_pct, .. } = *self else {
-            return Vec::new();
-        };
-        if cells <= 1 || horizon_days == 0 {
-            return Vec::new();
-        }
-        let plan = CommutePlan::derive(master_seed, index, cells, home_hour, work_hour, jitter_pct);
-        let hi = horizon_days * DAY_S;
-        let mut handoffs = Vec::new();
-        let mut cell = plan.cell_at_second(0, cells);
-        for at in plan.breakpoints_between(0, hi.saturating_sub(1)) {
-            let next = plan.cell_at_second(at, cells);
-            if next != cell {
-                handoffs.push(Handoff { at: Instant::from_secs(at as i64), from: cell, to: next });
-                cell = next;
-            }
-        }
-        handoffs
+        self.trajectory(master_seed, index, cells).handoffs(horizon_days)
     }
 
     /// True when the model predicts a handoff within `(at, at +
@@ -298,18 +339,7 @@ impl MobilitySpec {
     /// [`Static`](MobilitySpec::Static), for single-cell topologies,
     /// and when the spec's hint window is zero.
     pub fn handoff_within(&self, master_seed: u64, index: u64, cells: u64, at: Instant) -> bool {
-        let MobilitySpec::Commute { home_hour, work_hour, jitter_pct, hint_s } = *self else {
-            return false;
-        };
-        if cells <= 1 || hint_s == 0 {
-            return false;
-        }
-        let plan = CommutePlan::derive(master_seed, index, cells, home_hour, work_hour, jitter_pct);
-        let now = second_of(at);
-        let here = plan.cell_at_second(now, cells);
-        plan.breakpoints_between(now, now + hint_s as u64)
-            .into_iter()
-            .any(|bp| plan.cell_at_second(bp, cells) != here)
+        self.trajectory(master_seed, index, cells).handoff_within(at)
     }
 }
 

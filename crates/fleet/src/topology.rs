@@ -21,7 +21,9 @@
 //! 1. **Pass 1** — the sharded runner streams every user through the
 //!    cheap phase-1 request scan ([`Scheme::request_trace`]): one trace
 //!    materialized per worker, dropped immediately, only the
-//!    time-stamped request stream kept.
+//!    time-stamped request stream and the confusion matrix of the
+//!    decisions behind it kept. This is the only pass that runs the
+//!    scheme's policy.
 //! 2. **Adjudication** — every request becomes an event in the
 //!    partition of the RNC owning the cell its user occupies at that
 //!    instant, beside both sides of every handoff its cells see (none
@@ -34,16 +36,22 @@
 //!    see the rate they are protecting.
 //! 3. **Pass 2** — the sharded runner *re-materializes* each user's
 //!    trace (synthesis and corpus walks are deterministic, so the same
-//!    index yields the same trace) and replays it exactly against its
-//!    scripted verdicts ([`Scheme::run_scripted`]), folding energy into
-//!    the [`FleetReport`] and RRC-message events into per-cell
-//!    per-second load maps; RNC loads fold from their member cells.
+//!    index yields the same trace) and replays it exactly from the
+//!    user's pass-1 requests and scripted verdicts
+//!    ([`replay_requests`]): no policy runs, each gap is demoted or not
+//!    by the recorded request that falls in it, and the confusion matrix
+//!    is pass 1's. The replay folds energy into the [`FleetReport`] and
+//!    RRC-message events into per-cell per-second load maps, each
+//!    transition in the cell the user's [`Trajectory`] names; RNC loads
+//!    fold from their member cells. A sweep that replays one population
+//!    under several admission policies thus runs the scheme's policy
+//!    once per user, not once per cell.
 //!
 //! Peak memory stays **one trace per worker** in both passes — the
 //! re-synthesis/re-load is exactly what buys that bound. Between the
-//! passes the run holds O(total requests) timestamps and, afterwards,
-//! one verdict byte per request plus O(active seconds) load counters
-//! per cell.
+//! passes the run holds O(total requests) timestamps plus four
+//! confusion counts per user and, afterwards, one verdict byte per
+//! request plus O(active seconds) load counters per cell.
 //!
 //! ## Determinism
 //!
@@ -79,12 +87,13 @@ use tailwise_radio::admission::REQUEST_MESSAGES;
 use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
+use tailwise_sim::twophase::{replay_requests, RequestTrace};
 use tailwise_trace::mix::splitmix64 as splitmix;
 use tailwise_trace::time::Instant;
 
 use crate::admission::AdmissionSpec;
 use crate::cache::{topo_hash, verdict_hash, ReplayEntry, RequestCache};
-use crate::mobility::MobilitySpec;
+use crate::mobility::{MobilitySpec, Trajectory};
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
 use crate::scenario::user_seed;
@@ -167,6 +176,13 @@ impl NetworkTopology {
     /// computes the same answer.
     pub fn user_cell(&self, master_seed: u64, index: u64, at: Instant) -> u64 {
         self.mobility.cell_at(master_seed, index, self.cells, at)
+    }
+
+    /// User `index`'s trajectory through this topology's cells: the
+    /// [`user_cell`](Self::user_cell) answers, and the handoff hint,
+    /// with the user's mobility derived once.
+    pub fn trajectory(&self, master_seed: u64, index: u64) -> Trajectory {
+        self.mobility.trajectory(master_seed, index, self.cells)
     }
 
     /// The user's anchor cell — [`cell_of`] under every mobility model.
@@ -261,8 +277,10 @@ enum AdjEventKind {
     HandoffOut { crosses: bool },
     /// Target side of a handoff: the user enters `cell`.
     HandoffIn { crosses: bool },
-    /// Fast-dormancy request number `seq` of the user's stream.
-    Request { seq: u32 },
+    /// Fast-dormancy request number `seq` of the user's stream;
+    /// `hinted` when the mobility model predicts a handoff within its
+    /// hint window ([`MobilitySpec::handoff_within`]).
+    Request { seq: u32, hinted: bool },
 }
 
 /// The RNC owning each cell, indexed by cell: [`rnc_of_cell`] computed
@@ -274,8 +292,8 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 }
 
 /// Every RNC's adjudication stream, sorted into its deterministic
-/// `(time, user, kind)` order. `streams[i]` is user `i`'s time-sorted
-/// request stream and `rnc_of` the [`rnc_table`].
+/// `(time, user, kind)` order. `streams[i]` is user `i`'s pass-1
+/// product, with time-sorted requests, and `rnc_of` the [`rnc_table`].
 ///
 /// A request lands in the partition of the RNC owning the cell the user
 /// occupies at that instant. Handoffs are charged over the user's active
@@ -290,23 +308,26 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 /// handoff list alongside their requests, with no per-request cell
 /// lookup. The list is empty under static mobility: every request then
 /// stays in the cell [`NetworkTopology::user_cell`] names, the user's
-/// home cell.
+/// home cell. Each request's handoff hint comes from the user's
+/// [`Trajectory`], derived once per user.
 fn adjudication_streams(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[Vec<Instant>],
+    streams: &[RequestTrace],
     rnc_of: &[usize],
 ) -> Vec<Vec<AdjEvent>> {
     // An even share of the requests per RNC up front spares the
     // partitions most of their regrowth.
-    let share = streams.iter().map(Vec::len).sum::<usize>() / topology.rncs as usize;
+    let share = streams.iter().map(RequestTrace::len).sum::<usize>() / topology.rncs as usize;
     let mut per_rnc: Vec<Vec<AdjEvent>> =
         (0..topology.rncs).map(|_| Vec::with_capacity(share)).collect();
-    for (user, times) in streams.iter().enumerate() {
+    for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
+        let times = &stream.times;
         let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
         let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
-        let handoffs = topology.mobility.handoffs(master_seed, user, topology.cells, horizon_days);
+        let trajectory = topology.trajectory(master_seed, user);
+        let handoffs = trajectory.handoffs(horizon_days);
         for h in &handoffs {
             let (from_rnc, to_rnc) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
             let crosses = from_rnc != to_rnc;
@@ -318,7 +339,7 @@ fn adjudication_streams(
         // the whole active span.
         let mut cell = handoffs
             .first()
-            .map_or_else(|| topology.user_cell(master_seed, user, first), |h| h.from);
+            .map_or_else(|| trajectory.cell_at(first), |h| h.from);
         let mut pending = handoffs.iter().peekable();
         for (seq, &at) in times.iter().enumerate() {
             while let Some(h) = pending.next_if(|h| h.at <= at) {
@@ -329,7 +350,13 @@ fn adjudication_streams(
                 topology.user_cell(master_seed, user, at),
                 "user {user} at {at:?}"
             );
-            let kind = AdjEventKind::Request { seq: seq as u32 };
+            let hinted = trajectory.handoff_within(at);
+            debug_assert_eq!(
+                hinted,
+                topology.mobility.handoff_within(master_seed, user, topology.cells, at),
+                "user {user} at {at:?}"
+            );
+            let kind = AdjEventKind::Request { seq: seq as u32, hinted };
             per_rnc[rnc_of[cell as usize]].push(AdjEvent { at, user, kind, cell });
         }
     }
@@ -425,10 +452,10 @@ pub(crate) fn run_topology(
         // truthful from the first progress frame.
         table.add_users_total(if cached_streams.is_some() { users } else { users * 2 });
     }
-    let streams: Arc<Vec<Vec<Instant>>> = match cached_streams {
+    let streams: Arc<Vec<RequestTrace>> = match cached_streams {
         Some(streams) => streams,
         None => {
-            let extracted: Vec<(u64, Vec<Instant>)> =
+            let extracted: Vec<(u64, RequestTrace)> =
                 run_sharded(shard_count, threads, obs, &Vec::new, &|shard, ctx| {
                     let mut partial = Vec::new();
                     for index in population.shard_range(shard) {
@@ -439,7 +466,7 @@ pub(crate) fn run_topology(
                                 .request_trace(&carrier, sim, &trace)
                                 .expect("scriptable scheme always yields a request trace")
                         };
-                        partial.push((index, requests.into_times()));
+                        partial.push((index, requests));
                         ctx.user_done(days as u64);
                         // `trace` drops here: pass 1 keeps only the requests.
                     }
@@ -450,7 +477,7 @@ pub(crate) fn run_topology(
                 "shard-order merge must reassemble users in index order"
             );
             let streams =
-                Arc::new(extracted.into_iter().map(|(_, times)| times).collect::<Vec<_>>());
+                Arc::new(extracted.into_iter().map(|(_, requests)| requests).collect::<Vec<_>>());
             if let Some((cache, fingerprint)) = cache {
                 cache.store(&fingerprint, &scheme_token, Arc::clone(&streams), obs);
             }
@@ -473,9 +500,9 @@ pub(crate) fn run_topology(
     let rnc_of = rnc_table(topology);
     let mut cell_loads = vec![CellLoad::default(); cell_count];
     let mut verdicts: Vec<Vec<bool>> = Vec::with_capacity(streams.len());
-    for (index, times) in streams.iter().enumerate() {
+    for (index, stream) in streams.iter().enumerate() {
         cell_loads[topology.home_cell(master_seed, index as u64) as usize].users += 1;
-        verdicts.push(vec![false; times.len()]);
+        verdicts.push(vec![false; stream.len()]);
     }
     let mut denied_by_rnc = vec![0u64; rnc_count];
     let mut inter_rnc_handoffs = vec![0u64; rnc_count];
@@ -522,7 +549,7 @@ pub(crate) fn run_topology(
                         *rnc_handoff_seconds[rnc].entry(second).or_insert(0) += messages as u64;
                     }
                 }
-                AdjEventKind::Request { seq } => {
+                AdjEventKind::Request { seq, hinted } => {
                     // Two gates: the cell decides whether to forward, the
                     // RNC whether to admit. A cell-level denial never
                     // reaches the RNC's decision logic, but its request
@@ -539,8 +566,6 @@ pub(crate) fn run_topology(
                     // is far cheaper than an active handover), and the
                     // release still costs its grant messages. Static
                     // mobility never hints.
-                    let hinted =
-                        topology.mobility.handoff_within(master_seed, e.user, topology.cells, e.at);
                     let (cell_ok, ok) = if hinted {
                         (true, true)
                     } else {
@@ -567,6 +592,7 @@ pub(crate) fn run_topology(
     drop(cell_policies);
     drop(adjudicate);
     let verdicts = &verdicts;
+    let streams = &streams;
     if obs.recorder.enabled() {
         let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
         let denied: u64 = cell_loads.iter().map(|c| c.denied).sum();
@@ -678,20 +704,31 @@ pub(crate) fn run_topology(
                 if learn_baselines {
                     partial.baselines.push((baseline_energy_j.to_bits(), baseline_switches));
                 }
-                let mut scheme_run = scheme
-                    .run_scripted(&carrier, &replay_sim, &trace, &verdicts[index as usize])
-                    .expect("scriptable scheme always replays");
+                let mut scheme_run = replay_requests(
+                    &carrier,
+                    &replay_sim,
+                    &trace,
+                    &streams[index as usize],
+                    &verdicts[index as usize],
+                );
                 // The user's own (cell, second) → msgs deltas, grouped
                 // before folding so the memoized form and the live fold
                 // apply the exact same integer additions.
                 let mut user_seconds: BTreeMap<(u64, i64), u64> = BTreeMap::new();
                 if let Some(transitions) = scheme_run.transitions.take() {
+                    let trajectory = topology.trajectory(master_seed, index);
                     for t in &transitions {
                         // Pass 2 attributes each transition to the cell
                         // the user occupies when it happens — the same
                         // assignment seam pass-1 adjudication resolves
                         // requests through ([`NetworkTopology::user_cell`]).
-                        let cell = topology.user_cell(master_seed, index, t.at) as usize;
+                        let cell = trajectory.cell_at(t.at) as usize;
+                        debug_assert_eq!(
+                            cell as u64,
+                            topology.user_cell(master_seed, index, t.at),
+                            "user {index} at {:?}",
+                            t.at
+                        );
                         let second = t.at.as_micros().div_euclid(1_000_000);
                         let messages = topology.signaling.messages_for(t) as u64;
                         if memo.is_some() {
@@ -900,7 +937,11 @@ mod tests {
                     .collect();
                 let topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
                 let rnc_of = rnc_table(&topology);
-                let partitions = adjudication_streams(&topology, seed, &streams, &rnc_of);
+                let recorded: Vec<RequestTrace> = streams
+                    .iter()
+                    .map(|times| RequestTrace { times: times.clone(), ..RequestTrace::default() })
+                    .collect();
+                let partitions = adjudication_streams(&topology, seed, &recorded, &rnc_of);
                 for (rnc, events) in partitions.iter().enumerate() {
                     let members: Vec<(u64, Vec<Instant>)> = streams
                         .iter()
@@ -915,7 +956,9 @@ mod tests {
                     let order: Vec<(Instant, u64, u32, u64)> = events
                         .iter()
                         .map(|e| match e.kind {
-                            AdjEventKind::Request { seq } => (e.at, e.user, seq, e.cell),
+                            AdjEventKind::Request { seq, hinted: false } => {
+                                (e.at, e.user, seq, e.cell)
+                            }
                             _ => panic!("a static fleet handed off: {e:?}"),
                         })
                         .collect();

@@ -13,6 +13,7 @@
 //!   bit-identically;
 //! * a corrupted or truncated spill file degrades to recomputation —
 //!   the report stays identical and `cache_fallbacks` counts the save;
+//!   so does a spill left by an older format version;
 //! * a corpus sweep resolves its directory walk exactly once
 //!   (`corpus_walks == 1`), however many rows it expands into.
 
@@ -20,11 +21,13 @@ use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run_source_sweep_cached, synth_corpus, CorpusScenario, RequestCache, Scenario, SourceSet,
-    SweepAxis, SweepReport, UserSource,
+    run_source_sweep_cached, synth_corpus, CorpusScenario, RequestCache, RunManifest, Scenario,
+    SourceSet, SweepAxis, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
+use tailwise_trace::io::{read_request_streams, RequestCacheHeader, RequestStream};
+use tailwise_trace::mix::splitmix64;
 use tailwise_trace::TraceFormat;
 use tailwise_workload::apps::AppKind;
 
@@ -77,6 +80,57 @@ fn run_storm(
 
 fn counter(snapshot: &tailwise_obs::Snapshot, name: &str) -> u64 {
     snapshot.counters.get(name).copied().unwrap_or(0)
+}
+
+/// The manifest digest of a storm sweep run at 2 threads.
+fn digest(sweep: &SweepReport, snapshot: &tailwise_obs::Snapshot) -> u64 {
+    let set = storm_set();
+    let UserSource::Synthetic(base) = &set.source else { unreachable!("storm is synthetic") };
+    RunManifest::for_sweep(sweep, 2, base.master_seed, snapshot).digest()
+}
+
+/// The one spill file in `dir` with extension `ext`.
+fn only_spill(dir: &std::path::Path, ext: &str) -> PathBuf {
+    let mut spills: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .collect();
+    assert_eq!(spills.len(), 1, "expected one .{ext} spill: {spills:?}");
+    spills.pop().unwrap()
+}
+
+/// `streams` in the `.twc` layout of format version 1, which stored
+/// each user's request times and no confusion counts.
+fn version_1_twc(header: &RequestCacheHeader, streams: &[RequestStream]) -> Vec<u8> {
+    let fold = |h: u64, word: u64| splitmix64(h ^ word);
+    let mut checksum = 0x71C0_CACE_0000_0000u64;
+    for word in [header.master_seed, header.users, header.days as u64, header.mix_hash] {
+        checksum = fold(checksum, word);
+    }
+    checksum = fold(fold(checksum, header.sim_hash), header.scheme.len() as u64);
+    for b in header.scheme.bytes() {
+        checksum = fold(checksum, b as u64);
+    }
+    let mut out = b"TWRC".to_vec();
+    out.extend(1u16.to_le_bytes());
+    out.extend(header.master_seed.to_le_bytes());
+    out.extend(header.users.to_le_bytes());
+    out.extend(header.days.to_le_bytes());
+    out.extend(header.mix_hash.to_le_bytes());
+    out.extend(header.sim_hash.to_le_bytes());
+    out.extend((header.scheme.len() as u16).to_le_bytes());
+    out.extend(header.scheme.as_bytes());
+    for stream in streams {
+        out.extend((stream.times.len() as u64).to_le_bytes());
+        checksum = fold(checksum, stream.times.len() as u64);
+        for t in &stream.times {
+            out.extend(t.as_micros().to_le_bytes());
+            checksum = fold(checksum, t.as_micros() as u64);
+        }
+    }
+    out.extend(checksum.to_le_bytes());
+    out
 }
 
 #[test]
@@ -167,6 +221,36 @@ fn corrupt_and_truncated_spills_fall_back_to_recomputation() {
     let (report, counters) = run_storm(2, Some(&cache));
     assert_eq!(baseline, report, "truncated spill must not change the answer");
     assert!(counter(&counters, "cache_fallbacks") > 0, "truncation must be counted");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn version_1_spill_is_a_counted_fallback() {
+    let (reference, reference_counters) = run_storm(2, None);
+
+    // The population's streams, as the current version spills them…
+    let seed_dir = temp_dir("v1-seed");
+    run_storm(2, Some(&RequestCache::with_dir(&seed_dir).unwrap()));
+    let seed_spill = only_spill(&seed_dir, "twc");
+    let (header, streams) =
+        read_request_streams(std::fs::File::open(&seed_spill).unwrap()).unwrap();
+
+    // …left under the same name in version 1's layout, with no other
+    // spill beside it.
+    let dir = temp_dir("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spill = dir.join(seed_spill.file_name().unwrap());
+    std::fs::write(&spill, version_1_twc(&header, &streams)).unwrap();
+    let (report, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    assert_eq!(counter(&counters, "cache_fallbacks"), 1, "the old file must be one fallback");
+    assert_eq!(counter(&counters, "cache_misses"), 1, "the first cell must extract again");
+    assert_eq!(reference, report, "an old spill must not change the answer");
+    assert_eq!(digest(&reference, &reference_counters), digest(&report, &counters));
+
+    // The run replaced the old file with the current version.
+    let (_, rewritten) = read_request_streams(std::fs::File::open(&spill).unwrap()).unwrap();
+    assert_eq!(rewritten, streams);
+    std::fs::remove_dir_all(&seed_dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -163,7 +163,10 @@ fn corrupt_and_truncated_twr_spills_fall_back_to_recomputation() {
     let pristine = std::fs::read(&spill).unwrap();
 
     // A flipped payload byte: the checksum rejects it, the run
-    // recomputes, and the report cannot tell the difference.
+    // recomputes, and the report cannot tell the difference. The
+    // recomputing runs replay from the request streams and confusion
+    // counts the fresh cache read back from the seed run's `.twc`, so
+    // they also pin a replay from a spilled `.twc` to the seed digest.
     let mut corrupt = pristine.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
@@ -174,6 +177,7 @@ fn corrupt_and_truncated_twr_spills_fall_back_to_recomputation() {
     assert_eq!(rendered(&baseline), rendered(&report));
     assert_eq!(base_digest, digest, "corrupt .twr must not change the digest");
     assert!(counter(&counters, "replay_fallbacks") > 0, "corruption must be counted");
+    assert_replayed_from_spilled_twc(&counters);
 
     // A truncated file: same contract. The repaired spill from the
     // corrupt run was already rewritten, so truncate the current one.
@@ -184,7 +188,17 @@ fn corrupt_and_truncated_twr_spills_fall_back_to_recomputation() {
     assert_eq!(baseline, report, "truncated .twr must not change the answer");
     assert_eq!(base_digest, digest);
     assert!(counter(&counters, "replay_fallbacks") > 0, "truncation must be counted");
+    assert_replayed_from_spilled_twc(&counters);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A run over a fresh cache whose `.twc` spill is intact: every cell
+/// took its streams from the disk-read file, and some users replayed
+/// live from them.
+fn assert_replayed_from_spilled_twc(counters: &tailwise_obs::Snapshot) {
+    assert_eq!(counter(counters, "cache_misses"), 0, "streams must come from the .twc");
+    assert!(counter(counters, "cache_hits") > 0, "streams must come from the .twc");
+    assert!(counter(counters, "replay_misses") > 0, "some users must replay live");
 }
 
 mod props {

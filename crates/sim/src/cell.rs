@@ -22,10 +22,11 @@
 //! ([`record_requests`]) collects every device's request stream without
 //! a full simulation; the shared policy adjudicates the merged,
 //! time-ordered stream; phase 2 ([`replay_requests`]) replays each
-//! device exactly against its scripted verdicts. The result is
-//! identical to a lock-step co-simulation, and pass 1 now costs a
-//! window scan per device instead of a full engine run. The fleet's
-//! cell topologies scale the same recipe to whole populations.
+//! device exactly from its recorded requests and scripted verdicts. The
+//! result is identical to a lock-step co-simulation, and each device's
+//! policy runs once, in pass 1, which costs a window scan per device
+//! instead of a full engine run. The fleet's cell topologies scale the
+//! same recipe to whole populations.
 
 use tailwise_radio::admission::{AdmissionPolicy, REQUEST_MESSAGES};
 use tailwise_radio::profile::CarrierProfile;
@@ -36,7 +37,7 @@ use tailwise_trace::Trace;
 use crate::engine::SimConfig;
 use crate::policy::IdlePolicy;
 use crate::report::SimReport;
-use crate::twophase::{record_requests, replay_requests};
+use crate::twophase::{record_requests, replay_requests, RequestTrace};
 
 /// One device entering the cell: its traffic and its control policy.
 pub struct CellDevice {
@@ -84,23 +85,23 @@ pub fn run_cell(
     admission: &mut dyn AdmissionPolicy,
     signaling: &SignalingModel,
 ) -> CellReport {
-    // Pass 1: collect each device's fast-dormancy request times — the
-    // cheap streaming pass, no energy simulation.
-    let request_times: Vec<Vec<Instant>> = devices
+    // Pass 1: collect each device's fast-dormancy requests — the cheap
+    // streaming pass, no energy simulation.
+    let requests: Vec<RequestTrace> = devices
         .iter_mut()
-        .map(|dev| record_requests(profile, config, &dev.trace, dev.policy.as_mut()).times)
+        .map(|dev| record_requests(profile, config, &dev.trace, dev.policy.as_mut()))
         .collect();
 
     // Base station adjudicates the merged request stream in time order
     // (ties broken by device index, deterministically).
     let mut merged: Vec<(Instant, usize, usize)> = Vec::new();
-    for (dev, times) in request_times.iter().enumerate() {
-        for (seq, &at) in times.iter().enumerate() {
+    for (dev, recorded) in requests.iter().enumerate() {
+        for (seq, &at) in recorded.times.iter().enumerate() {
             merged.push((at, dev, seq));
         }
     }
     merged.sort_by_key(|&(at, dev, seq)| (at, dev, seq));
-    let mut verdicts: Vec<Vec<bool>> = request_times.iter().map(|t| vec![false; t.len()]).collect();
+    let mut verdicts: Vec<Vec<bool>> = requests.iter().map(|r| vec![false; r.len()]).collect();
     let (mut granted, mut denied) = (0u64, 0u64);
     for &(at, dev, seq) in &merged {
         let ok = admission.admit(at);
@@ -121,15 +122,9 @@ pub fn run_cell(
         SimConfig { record_transitions: true, transition_log_limit: usize::MAX, ..config.clone() };
     let mut reports = Vec::with_capacity(devices.len());
     let mut message_events: Vec<(Instant, u32)> = Vec::new();
-    for (dev, verdict_list) in devices.iter_mut().zip(verdicts) {
-        let mut r = replay_requests(
-            profile,
-            &replay_config,
-            &dev.trace,
-            dev.policy.as_mut(),
-            &verdict_list,
-        );
-        r.scheme = format!("{} ({})", r.scheme, dev.name);
+    for ((dev, recorded), verdict_list) in devices.iter().zip(&requests).zip(verdicts) {
+        let mut r = replay_requests(profile, &replay_config, &dev.trace, recorded, &verdict_list);
+        r.scheme = format!("{} ({})", dev.policy.name(), dev.name);
         if let Some(ts) = r.transitions.take() {
             message_events.extend(ts.iter().map(|t| (t.at, signaling.messages_for(t))));
         }

@@ -17,11 +17,17 @@
 //!
 //! The engine is deterministic: same trace, profile and policies ⇒ the
 //! same report, bit for bit.
+//!
+//! Steps 2 and 3 do not depend on how a request was decided, only on
+//! when it was sent and whether it was granted. The phase-2 replay of
+//! [`crate::twophase`] walks the same gaps through the same accounting,
+//! with recorded requests in place of the policy.
 
 use tailwise_radio::energy::EnergyMeter;
 use tailwise_radio::fastdormancy::{AlwaysAccept, ReleasePolicy};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::rrc::{RrcMachine, RrcState, Transition, TransitionCause};
+use tailwise_trace::packet::Packet;
 use tailwise_trace::stats::SlidingWindow;
 use tailwise_trace::time::{Duration, Instant};
 use tailwise_trace::Trace;
@@ -132,10 +138,153 @@ pub fn run_with_release(
     idle_policy: &mut dyn IdlePolicy,
     release: &mut dyn ReleasePolicy,
 ) -> SimReport {
+    check_inputs(profile, config);
+    let scheme = idle_policy.name();
+    let mut rule = RequestRule::new(profile, config, idle_policy);
+    let mut decisions: Vec<(Instant, Duration)> = Vec::new();
+    let mut report = walk(profile, config, trace, scheme, |gap| {
+        let (decision, request) = rule.decide(gap);
+        if let IdleDecision::DemoteAfter(w) = decision {
+            if config.record_decisions
+                && decisions.len() < config.decision_log_limit
+                && gap.len > config.intra_burst_gap
+            {
+                decisions.push((gap.start, w));
+            }
+        }
+        request.map(|at| (at, release.accept(at)))
+    });
+    report.confusion = rule.confusion;
+    report.decisions = config.record_decisions.then_some(decisions);
+    report
+}
+
+/// Runs with the paper's always-accept fast-dormancy assumption (§2.2).
+pub fn run(
+    profile: &CarrierProfile,
+    config: &SimConfig,
+    trace: &Trace,
+    idle_policy: &mut dyn IdlePolicy,
+) -> SimReport {
+    run_with_release(profile, config, trace, idle_policy, &mut AlwaysAccept)
+}
+
+/// Panics on an invalid profile or config, before any run starts.
+pub(crate) fn check_inputs(profile: &CarrierProfile, config: &SimConfig) {
     profile.validate().expect("invalid carrier profile");
     config.validate(profile).expect("invalid simulation config");
+}
 
-    let mut report = SimReport::new(idle_policy.name(), profile.name.to_string());
+/// One inter-packet gap, as the engine walks it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gap {
+    /// Arrival of the packet that opens the gap.
+    pub(crate) start: Instant,
+    /// The silence until the next packet: [`Duration::FOREVER`] after
+    /// the last one.
+    pub(crate) len: Duration,
+    /// Where the walk ends the gap: the next packet's arrival or, after
+    /// the last packet, just past the tail window, which flushes the
+    /// tail so short traces account their last cycle fully.
+    pub(crate) end: Instant,
+    /// True only for the synthetic gap after the last packet, which no
+    /// packet closes.
+    pub(crate) last: bool,
+}
+
+impl Gap {
+    /// The gap after packet `i` of `pkts`.
+    pub(crate) fn after(pkts: &[Packet], i: usize, tail_window: Duration) -> Gap {
+        let start = pkts[i].ts;
+        match pkts.get(i + 1) {
+            Some(next) => Gap { start, len: next.ts - start, end: next.ts, last: false },
+            None => Gap {
+                start,
+                len: Duration::FOREVER,
+                end: start + tail_window + Duration::from_micros(1),
+                last: true,
+            },
+        }
+    }
+}
+
+/// The device's request rule, gap by gap: after the packet that opens a
+/// gap, ask the policy for a wait `w`, and request fast dormancy at
+/// `start + w` iff the gap outlasts `w` and `w` is inside the tail
+/// window (a request is only worth sending while the timers still have
+/// the radio up). The lock-step engine and phase-1 extraction
+/// ([`record_requests`](crate::twophase::record_requests)) both decide
+/// through it, which is what keeps their request streams identical.
+pub(crate) struct RequestRule<'a> {
+    profile: &'a CarrierProfile,
+    policy: &'a mut dyn IdlePolicy,
+    window: SlidingWindow,
+    maintain_window: bool,
+    threshold: Duration,
+    tail_window: Duration,
+    /// Every decision so far, scored against the Oracle rule (§6.3).
+    pub(crate) confusion: Confusion,
+}
+
+impl<'a> RequestRule<'a> {
+    pub(crate) fn new(
+        profile: &'a CarrierProfile,
+        config: &SimConfig,
+        policy: &'a mut dyn IdlePolicy,
+    ) -> RequestRule<'a> {
+        RequestRule {
+            profile,
+            maintain_window: policy.uses_window(),
+            policy,
+            window: SlidingWindow::new(config.window_capacity),
+            threshold: profile.t_threshold(),
+            tail_window: profile.tail_window(),
+            confusion: Confusion::default(),
+        }
+    }
+
+    /// Decides `gap`: returns the policy's decision and the request
+    /// instant, if the device sends one. The decision is made before
+    /// the window learns the gap; the synthetic last gap is never
+    /// learned.
+    pub(crate) fn decide(&mut self, gap: Gap) -> (IdleDecision, Option<Instant>) {
+        let ctx = IdleContext { profile: self.profile, window: &self.window, now: gap.start };
+        let decision = self.policy.decide(&ctx, gap.len);
+        let wants_demote = match decision {
+            IdleDecision::Timers => false,
+            IdleDecision::DemoteAfter(w) => gap.len > w,
+        };
+        self.confusion.record(wants_demote, gap.len > self.threshold);
+        let request = match decision {
+            IdleDecision::DemoteAfter(w) if wants_demote && w < self.tail_window => {
+                Some(gap.start + w)
+            }
+            _ => None,
+        };
+        if self.maintain_window && !gap.last {
+            self.window.push(gap.len);
+        }
+        (decision, request)
+    }
+}
+
+/// Plays `trace` forward on the RRC machine and the energy meter, gap
+/// by gap. `request` names each gap's fast-dormancy request, if any,
+/// with the base station's verdict on it; a granted request demotes
+/// the radio at its instant, and a denied one changes nothing but the
+/// `denied_fd` count — the gap then plays out exactly as if no request
+/// had been sent.
+///
+/// The walk leaves `confusion` and `decisions` at their defaults: they
+/// belong to whoever decided the requests.
+pub(crate) fn walk(
+    profile: &CarrierProfile,
+    config: &SimConfig,
+    trace: &Trace,
+    scheme: String,
+    mut request: impl FnMut(Gap) -> Option<(Instant, bool)>,
+) -> SimReport {
+    let mut report = SimReport::new(scheme, profile.name.to_string());
     let pkts = trace.packets();
     report.packets = pkts.len();
     report.span = trace.span();
@@ -145,13 +294,8 @@ pub fn run_with_release(
 
     let mut meter = EnergyMeter::new(profile.clone());
     let mut machine = RrcMachine::new(profile, pkts[0].ts);
-    let mut window = SlidingWindow::new(config.window_capacity);
-    let maintain_window = idle_policy.uses_window();
-    let mut confusion = Confusion::default();
-    let mut decisions: Vec<(Instant, Duration)> = Vec::new();
     let mut timeline: Vec<PowerSegment> = Vec::new();
     let mut transitions: Vec<Transition> = Vec::new();
-    let threshold = profile.t_threshold();
     let tail_window = profile.tail_window();
 
     // First packet: the radio promotes out of Idle.
@@ -169,53 +313,19 @@ pub fn run_with_release(
     );
 
     for i in 1..=pkts.len() {
-        let prev = pkts[i - 1];
-        // The trailing "gap" after the final packet is effectively infinite:
-        // flush the tail so short traces account their last cycle fully.
-        let (gap, next_ts) = if i < pkts.len() {
-            (pkts[i].ts - prev.ts, pkts[i].ts)
-        } else {
-            (Duration::FOREVER, prev.ts + tail_window + Duration::from_micros(1))
-        };
-
-        // 1. Policy decision (before the window learns this gap).
-        let ctx = IdleContext { profile, window: &window, now: prev.ts };
-        let decision = idle_policy.decide(&ctx, gap);
-        let wants_demote = match decision {
-            IdleDecision::Timers => false,
-            IdleDecision::DemoteAfter(w) => gap > w,
-        };
-        if config.record_decisions && decisions.len() < config.decision_log_limit {
-            if let IdleDecision::DemoteAfter(w) = decision {
-                if gap > config.intra_burst_gap {
-                    decisions.push((prev.ts, w));
-                }
+        let gap = Gap::after(pkts, i - 1, tail_window);
+        let demote_at = match request(gap) {
+            Some((at, true)) => Some(at),
+            Some((_, false)) => {
+                report.denied_fd += 1;
+                None
             }
-        }
-
-        // 2. Oracle comparison (§6.3).
-        confusion.record(wants_demote, gap > threshold);
-
-        // 3. Play the gap forward. A fast-dormancy request is only worth
-        // sending while the timers still have the radio up, and a denied
-        // request changes nothing except the wasted signaling message —
-        // the gap then plays out exactly as if the policy had deferred.
-        let demote_wait = match decision {
-            IdleDecision::DemoteAfter(w) if wants_demote && w < tail_window => {
-                let demote_at = prev.ts + w;
-                if release.accept(demote_at) {
-                    Some(demote_at)
-                } else {
-                    report.denied_fd += 1;
-                    None
-                }
-            }
-            _ => None,
+            None => None,
         };
-        if let Some(demote_at) = demote_wait {
+        if let Some(demote_at) = demote_at {
             // The synthetic trailing gap ends at the tail-window flush,
             // which a long policy wait can overshoot; never run backwards.
-            let next_ts = next_ts.max(demote_at);
+            let next_ts = gap.end.max(demote_at);
             charge_advance(
                 &mut machine,
                 &mut meter,
@@ -238,18 +348,18 @@ pub fn run_with_release(
                 &mut timeline,
                 &mut transitions,
             );
-        } else if gap <= config.intra_burst_gap {
+        } else if gap.len <= config.intra_burst_gap {
             // Intra-burst: data energy at bulk power for the packet that
             // closes the gap (§6.1's per-second model). Timers cannot fire
             // inside a data gap (intra_burst_gap < t1, validated).
-            let adv = machine.advance(next_ts);
+            let adv = machine.advance(gap.end);
             debug_assert_eq!(adv.transitions().count(), 0);
-            meter.add_data(pkts[i].dir, gap);
+            meter.add_data(pkts[i].dir, gap.len);
             push_segment(
                 &mut timeline,
                 config,
-                prev.ts,
-                next_ts,
+                gap.start,
+                gap.end,
                 profile.p_data(pkts[i].dir),
                 SegmentKind::Data,
             );
@@ -257,50 +367,35 @@ pub fn run_with_release(
             charge_advance(
                 &mut machine,
                 &mut meter,
-                next_ts,
+                gap.end,
                 config,
                 &mut timeline,
                 &mut transitions,
             );
         }
 
-        // 4. Next packet arrives (skipped for the synthetic trailing gap).
-        if i < pkts.len() {
+        // Next packet arrives (skipped for the synthetic trailing gap).
+        if !gap.last {
             handle_packet_arrival(
                 &mut machine,
                 &mut meter,
                 &mut report,
                 profile,
-                next_ts,
-                gap,
+                gap.end,
+                gap.len,
                 tail_window,
                 config,
                 &mut timeline,
                 &mut transitions,
             );
-            if maintain_window {
-                window.push(gap);
-            }
         }
     }
 
     report.energy = meter.breakdown();
     report.counters = machine.counters();
-    report.confusion = confusion;
-    report.decisions = config.record_decisions.then_some(decisions);
     report.timeline = config.record_timeline.then_some(timeline);
     report.transitions = config.record_transitions.then_some(transitions);
     report
-}
-
-/// Runs with the paper's always-accept fast-dormancy assumption (§2.2).
-pub fn run(
-    profile: &CarrierProfile,
-    config: &SimConfig,
-    trace: &Trace,
-    idle_policy: &mut dyn IdlePolicy,
-) -> SimReport {
-    run_with_release(profile, config, trace, idle_policy, &mut AlwaysAccept)
 }
 
 /// Advances the machine to `to`, charging residences and timer-demotion

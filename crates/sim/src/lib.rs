@@ -13,8 +13,9 @@
 //!   quality, optional decision and power-timeline logs;
 //! * [`twophase`] — the two-phase API on top of the engine: phase 1
 //!   extracts a device's fast-dormancy request stream without a full
-//!   simulation, phase 2 replays the engine exactly against a scripted
-//!   grant/deny sequence — the substrate for every multi-device
+//!   simulation, phase 2 replays the engine exactly from those recorded
+//!   requests against a scripted grant/deny sequence, without running
+//!   the policy again — the substrate for every multi-device
 //!   coordinator (the in-memory [`cell`], the fleet's cell topologies);
 //! * [`batching`] — the MakeActive trace transform (§5) and the combined
 //!   MakeIdle+MakeActive pipeline;

@@ -1,4 +1,4 @@
-//! The two-phase simulation API: request extraction and scripted replay.
+//! The two-phase simulation API: request extraction and recorded replay.
 //!
 //! A device's fast-dormancy *requests* are a function of its trace
 //! alone. The engine's request rule — after the packet that opens a gap,
@@ -13,15 +13,21 @@
 //! surface:
 //!
 //! * **Phase 1** — [`record_requests`]: a cheap streaming pass that
-//!   extracts the time-stamped demotion-request stream
-//!   ([`RequestTrace`]) without building an [`RrcMachine`], an energy
-//!   meter, or a [`SimReport`]. A coordinator
-//!   (one shared base station, a cell topology, an RNC model) can run
-//!   phase 1 over an entire population, adjudicate the merged request
-//!   streams however it likes, and only then pay for full simulation.
+//!   runs the policy once over the trace and keeps what it decided: the
+//!   time-stamped demotion-request stream and the confusion matrix of
+//!   its decisions ([`RequestTrace`]). It builds no [`RrcMachine`], no
+//!   energy meter and no [`SimReport`]. A coordinator (one shared base
+//!   station, a cell topology, an RNC model) can run phase 1 over an
+//!   entire population, adjudicate the merged request streams however
+//!   it likes, and only then pay for full simulation.
 //! * **Phase 2** — [`replay_requests`]: an exact replay of the full
-//!   engine against a scripted grant/deny sequence, one verdict per
-//!   phase-1 request, in request order.
+//!   engine from phase 1's product against a scripted grant/deny
+//!   sequence, one verdict per recorded request, in request order. It
+//!   needs no policy: the gap a request belongs to is the one whose
+//!   `[prev, next)` interval holds its instant, so one cursor over the
+//!   request times replaces every decision, at O(1) per gap. A
+//!   population replayed under several admission policies therefore
+//!   runs its policy once, in phase 1.
 //!
 //! ## Exactness contract
 //!
@@ -29,36 +35,61 @@
 //! `R`, feeding phase 1's request times through `R` and replaying the
 //! verdicts yields a report **bit-identical** to the lock-step
 //! `run_with_release(.., R)` — same energy bits, same counters, same
-//! confusion matrix. Pinned by the property test below over random
-//! traces × policies × release behaviors. The contract needs the idle
-//! policy's decisions to be a pure function of `(profile, window)` —
-//! true of every [`IdlePolicy`] in the tree (MakeIdle's mutable state is
-//! scratch buffers and a profile-keyed cache, not learned history) — and
-//! does **not** extend to MakeActive batching, whose trace rewriting
-//! depends on the radio being Idle and therefore on earlier grants.
+//! confusion matrix, same denials and premature promotions. Pinned by
+//! the property tests below over random traces × policies × release
+//! behaviors. Three things make it hold:
+//!
+//! * both phases decide through the engine's one request rule, so the
+//!   recorded stream is the one the lock-step engine sends; this needs
+//!   the idle policy's decisions to be a pure function of
+//!   `(profile, window)`, true of every [`IdlePolicy`] in the tree
+//!   (MakeIdle's mutable state is scratch buffers and a profile-keyed
+//!   cache, not learned history);
+//! * the replay plays each gap through the engine's own accounting;
+//! * the confusion matrix is a phase-1 product, carried in the
+//!   [`RequestTrace`]. The request times do not determine it: a wait at
+//!   or past the tail window counts a demotion without sending a
+//!   request.
+//!
+//! A replay keeps no decision log (`SimConfig::record_decisions` has
+//! nothing to record there); the lock-step engine keeps it. The
+//! contract does **not** extend to MakeActive batching, whose trace
+//! rewriting depends on the radio being Idle and therefore on earlier
+//! grants.
 //!
 //! [`RrcMachine`]: tailwise_radio::rrc::RrcMachine
 
-use tailwise_radio::fastdormancy::ReleasePolicy;
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_trace::stats::SlidingWindow;
-use tailwise_trace::time::{Duration, Instant};
+use tailwise_trace::io::RequestStream;
+use tailwise_trace::time::Instant;
 use tailwise_trace::Trace;
 
-use crate::engine::{run_with_release, SimConfig};
-use crate::policy::{IdleContext, IdleDecision, IdlePolicy};
+use crate::engine::{check_inputs, walk, Gap, RequestRule, SimConfig};
+use crate::metrics::Confusion;
+use crate::policy::IdlePolicy;
 use crate::report::SimReport;
 
-/// Phase-1 output: when a device would request fast dormancy.
+/// Phase-1 output: when a device would request fast dormancy, and how
+/// the decisions behind those requests scored against the Oracle rule.
 ///
 /// Times are in trace order (strictly non-decreasing) — exactly the
 /// order the engine presents requests to a
-/// [`ReleasePolicy`], so a coordinator can merge streams from many
-/// devices and hand each device back one verdict per entry.
+/// [`ReleasePolicy`](tailwise_radio::fastdormancy::ReleasePolicy), so a
+/// coordinator can merge streams from many devices and hand each device
+/// back one verdict per entry.
+///
+/// This is the stable serialization contract: a `RequestTrace` is
+/// *exactly* its times and its confusion counts — no hidden state — so
+/// the [`RequestStream`] conversions are inverses, and any container
+/// that round-trips a `RequestStream` (the fleet cache's `.twc` spill
+/// format) round-trips the trace bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
     /// Timestamp of each fast-dormancy request.
     pub times: Vec<Instant>,
+    /// The confusion matrix of every decision phase 1 made, requested
+    /// or not.
+    pub confusion: Confusion,
 }
 
 impl RequestTrace {
@@ -71,82 +102,44 @@ impl RequestTrace {
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
+}
 
-    /// Rebuilds a request trace from a stored timestamp vector,
-    /// validating the non-decreasing invariant every consumer (the
-    /// k-way coordinator merge, scripted replay) relies on.
-    ///
-    /// This is the stable serialization contract: a `RequestTrace` is
-    /// *exactly* its timestamp vector — no hidden state — so
-    /// `from_times(t.into_times())` is the identity and any container
-    /// that round-trips `Vec<Instant>` (e.g. the fleet cache's `.twc`
-    /// spill format) round-trips the trace bit-for-bit.
-    pub fn from_times(times: Vec<Instant>) -> Result<RequestTrace, String> {
-        if let Some(w) = times.windows(2).find(|w| w[0] > w[1]) {
-            return Err(format!(
-                "request times must be non-decreasing, got {} after {}",
-                w[1].as_micros(),
-                w[0].as_micros()
-            ));
-        }
-        Ok(RequestTrace { times })
+impl From<RequestStream> for RequestTrace {
+    fn from(stream: RequestStream) -> RequestTrace {
+        let [tp, fp, tn, fn_] = stream.confusion;
+        RequestTrace { times: stream.times, confusion: Confusion { tp, fp, tn, fn_ } }
     }
+}
 
-    /// The timestamp vector, surrendering the trace. Inverse of
-    /// [`from_times`](Self::from_times) (see there for the stability
-    /// contract).
-    pub fn into_times(self) -> Vec<Instant> {
-        self.times
+impl From<&RequestTrace> for RequestStream {
+    fn from(trace: &RequestTrace) -> RequestStream {
+        let Confusion { tp, fp, tn, fn_ } = trace.confusion;
+        RequestStream { times: trace.times.clone(), confusion: [tp, fp, tn, fn_] }
     }
 }
 
 /// Phase 1: streams `trace` through `idle_policy`'s decision rule and
-/// records every fast-dormancy request the engine would send.
+/// records every fast-dormancy request the engine would send, with the
+/// confusion matrix of every decision.
 ///
-/// This is the cheap pass: no RRC machine, no energy metering, no
-/// oracle scoring — per gap it does exactly the work the policy's
-/// decision needs (one `decide` call plus, for window-using policies,
-/// one sliding-window insert), so populations can be scanned for their
-/// signaling footprint at a fraction of full-simulation cost.
+/// This is the cheap pass: no RRC machine, no energy metering — per gap
+/// it does exactly the work the policy's decision needs (one `decide`
+/// call plus, for window-using policies, one sliding-window insert), so
+/// populations can be scanned for their signaling footprint at a
+/// fraction of full-simulation cost.
 pub fn record_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
     trace: &Trace,
     idle_policy: &mut dyn IdlePolicy,
 ) -> RequestTrace {
-    profile.validate().expect("invalid carrier profile");
-    config.validate(profile).expect("invalid simulation config");
-
+    check_inputs(profile, config);
     let pkts = trace.packets();
-    let mut times = Vec::new();
-    if pkts.is_empty() {
-        return RequestTrace { times };
-    }
-    let mut window = SlidingWindow::new(config.window_capacity);
-    let maintain_window = idle_policy.uses_window();
     let tail_window = profile.tail_window();
-
-    // Mirrors the engine's main loop gap for gap: the same synthetic
-    // trailing gap, the same decide-before-the-window-learns ordering,
-    // the same request condition. Any drift here breaks the exactness
-    // property test below.
-    for i in 1..=pkts.len() {
-        let prev = pkts[i - 1];
-        let gap = if i < pkts.len() { pkts[i].ts - prev.ts } else { Duration::FOREVER };
-        let ctx = IdleContext { profile, window: &window, now: prev.ts };
-        if let IdleDecision::DemoteAfter(w) = idle_policy.decide(&ctx, gap) {
-            // A request is only sent while the timers still have the
-            // radio up (w < tail window) and only when the silence
-            // actually outlasts the chosen wait.
-            if gap > w && w < tail_window {
-                times.push(prev.ts + w);
-            }
-        }
-        if i < pkts.len() && maintain_window {
-            window.push(gap);
-        }
-    }
-    RequestTrace { times }
+    let mut rule = RequestRule::new(profile, config, idle_policy);
+    let times =
+        (0..pkts.len()).filter_map(|i| rule.decide(Gap::after(pkts, i, tail_window)).1).collect();
+    RequestTrace { times, confusion: rule.confusion }
 }
 
 /// The scalar outcome of one phase-2 replay, in exactly the shape a
@@ -154,13 +147,13 @@ pub fn record_requests(
 /// confusion counts, and the session-delay samples as bits.
 ///
 /// This is what makes a replay *memoizable*. A replay's outcome is a
-/// pure function of `(profile, config, trace, policy, verdicts)`, so a
-/// coordinator that has seen the same verdict stream for the same user
-/// before can fold this struct instead of re-running the engine — and
-/// because everything floating-point is carried as raw bits, the fold
-/// is bit-identical to the live run by construction, not by rounding
-/// luck. `Eq` is derived for the same reason: two outcomes are equal
-/// iff every bit agrees.
+/// pure function of `(profile, config, trace, requests, verdicts)`, so
+/// a coordinator that has seen the same verdict stream for the same
+/// user before can fold this struct instead of re-running the engine —
+/// and because everything floating-point is carried as raw bits, the
+/// fold is bit-identical to the live run by construction, not by
+/// rounding luck. `Eq` is derived for the same reason: two outcomes are
+/// equal iff every bit agrees.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplayOutcome {
     /// Packets in the replayed trace.
@@ -215,61 +208,69 @@ impl ReplayOutcome {
     }
 }
 
-/// Phase-2 release shim: replays a scripted verdict sequence, one
-/// verdict per request, in request order.
-struct ScriptedRelease<'a> {
-    verdicts: &'a [bool],
-    cursor: usize,
-}
-
-impl ReleasePolicy for ScriptedRelease<'_> {
-    fn accept(&mut self, _at: Instant) -> bool {
-        let v = *self
-            .verdicts
-            .get(self.cursor)
-            .expect("phase-2 replay sent more requests than phase 1 recorded");
-        self.cursor += 1;
-        v
-    }
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-}
-
-/// Phase 2: runs the full engine with the base station scripted to
-/// answer request `i` with `verdicts[i]`.
+/// Phase 2: replays the full engine over `trace` from phase 1's
+/// `requests`, with the base station scripted to answer request `i`
+/// with `verdicts[i]`.
 ///
-/// `verdicts` must hold exactly one entry per [`record_requests`]
-/// request for the same `(profile, config, trace, policy)` — that is
-/// the two-phase contract, and both directions of a mismatch panic
-/// (a drifted policy or trace is a bug, never a silently wrong report).
+/// No policy runs: a gap is demoted at recorded request `t` iff `t`
+/// falls in the gap's `[prev, next)` interval, and the report's
+/// confusion matrix is the one phase 1 recorded. The report keeps no
+/// decision log and names no scheme; callers label it.
+///
+/// `requests` must be what [`record_requests`] returned for the same
+/// `(profile, config, trace)`, and `verdicts` must hold exactly one
+/// entry per request — that is the two-phase contract, and a mismatch
+/// panics (a request that falls in no gap, a request the walk never
+/// reaches, or a verdict count that differs): a drifted trace is a bug,
+/// never a silently wrong report.
 pub fn replay_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
     trace: &Trace,
-    idle_policy: &mut dyn IdlePolicy,
+    requests: &RequestTrace,
     verdicts: &[bool],
 ) -> SimReport {
-    let mut scripted = ScriptedRelease { verdicts, cursor: 0 };
-    let report = run_with_release(profile, config, trace, idle_policy, &mut scripted);
+    check_inputs(profile, config);
     assert_eq!(
-        scripted.cursor,
         verdicts.len(),
-        "phase-2 replay sent fewer requests than phase 1 recorded"
+        requests.len(),
+        "phase-2 replay needs one verdict per recorded request"
     );
+    let times = &requests.times;
+    let mut next = 0;
+    let mut report = walk(profile, config, trace, String::new(), |gap| {
+        let at = *times.get(next).filter(|&&at| at < gap.end)?;
+        assert!(
+            at >= gap.start,
+            "recorded request at {at} falls in no gap of the replayed trace: phase 1 ran on \
+             another trace"
+        );
+        next += 1;
+        Some((at, verdicts[next - 1]))
+    });
+    assert_eq!(
+        next,
+        times.len(),
+        "phase-2 replay reached fewer requests than phase 1 recorded: phase 1 ran on another \
+         trace"
+    );
+    report.confusion = requests.confusion;
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::engine::{run, run_with_release};
     use crate::oracle::OracleIdle;
-    use crate::policy::{FixedWait, StatusQuo};
+    use crate::policy::{FixedWait, IdleContext, IdleDecision, StatusQuo};
     use proptest::prelude::*;
     use tailwise_radio::admission::{AdmissionPolicy, LoadReactive, REQUEST_MESSAGES};
-    use tailwise_radio::fastdormancy::{AlwaysAccept, FractionalAccept, NeverAccept, RateLimited};
+    use tailwise_radio::fastdormancy::{
+        AlwaysAccept, FractionalAccept, NeverAccept, RateLimited, ReleasePolicy,
+    };
     use tailwise_trace::packet::{Direction, Packet};
+    use tailwise_trace::time::Duration;
 
     fn trace_from_gaps(gaps_ms: &[i64]) -> Trace {
         let mut t = Instant::ZERO;
@@ -314,21 +315,18 @@ mod tests {
     }
 
     #[test]
-    fn from_times_round_trips_and_rejects_disorder() {
+    fn stream_conversions_round_trip() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000, 400, 20_000]);
         let r = record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
+        assert_eq!((r.confusion.tp, r.confusion.tn), (3, 1));
         // The stable-serialization identity: a trace is exactly its
-        // timestamp vector.
-        let back = RequestTrace::from_times(r.clone().into_times()).unwrap();
-        assert_eq!(back, r);
-        // Equal adjacent times are legal (two requests in one instant)…
-        let tie = vec![Instant::from_secs(1), Instant::from_secs(1)];
-        assert_eq!(RequestTrace::from_times(tie.clone()).unwrap().times, tie);
-        // …but a backwards step is a validation error, not a panic.
-        let err = RequestTrace::from_times(vec![Instant::from_secs(2), Instant::ZERO]).unwrap_err();
-        assert!(err.contains("non-decreasing"), "{err}");
+        // times and its confusion counts.
+        let stream = RequestStream::from(&r);
+        assert_eq!(stream.times, r.times);
+        assert_eq!(stream.confusion, [3, 0, 1, 0]);
+        assert_eq!(RequestTrace::from(stream), r);
     }
 
     #[test]
@@ -337,7 +335,11 @@ mod tests {
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[60_000]);
         let mut at_window = FixedWait::new(p.tail_window(), "tail");
-        assert!(record_requests(&p, &cfg, &t, &mut at_window).is_empty());
+        let at_window = record_requests(&p, &cfg, &t, &mut at_window);
+        assert!(at_window.is_empty());
+        // Yet both gaps outlast the wait: the decisions still count as
+        // demotions, which is why the confusion travels with the times.
+        assert_eq!(at_window.confusion.tp, 2);
         let mut inside = FixedWait::new(p.tail_window() - Duration::from_micros(1), "in");
         assert_eq!(record_requests(&p, &cfg, &t, &mut inside).len(), 2);
     }
@@ -350,13 +352,7 @@ mod tests {
         let requests =
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts = vec![true; requests.len()];
-        let replayed = replay_requests(
-            &p,
-            &cfg,
-            &t,
-            &mut FixedWait::new(Duration::from_secs(1), "1s"),
-            &verdicts,
-        );
+        let replayed = replay_requests(&p, &cfg, &t, &requests, &verdicts);
         let direct = run(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         assert_eq!(replayed.energy, direct.energy);
         assert_eq!(replayed.counters, direct.counters);
@@ -371,13 +367,7 @@ mod tests {
         let requests =
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts: Vec<bool> = (0..requests.len()).map(|i| i % 2 == 0).collect();
-        let report = replay_requests(
-            &p,
-            &cfg,
-            &t,
-            &mut FixedWait::new(Duration::from_secs(1), "1s"),
-            &verdicts,
-        );
+        let report = replay_requests(&p, &cfg, &t, &requests, &verdicts);
         let outcome = ReplayOutcome::of(&report);
         assert_eq!(outcome.packets, report.packets as u64);
         assert_eq!(outcome.energy_j().to_bits(), report.total_energy().to_bits());
@@ -396,22 +386,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fewer requests than phase 1")]
+    #[should_panic(expected = "one verdict per recorded request")]
     fn surplus_verdicts_panic() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000]);
         // StatusQuo sends no requests; one scripted verdict is a bug.
-        replay_requests(&p, &cfg, &t, &mut StatusQuo, &[true]);
+        let requests = record_requests(&p, &cfg, &t, &mut StatusQuo);
+        replay_requests(&p, &cfg, &t, &requests, &[true]);
     }
 
     #[test]
-    #[should_panic(expected = "more requests than phase 1")]
+    #[should_panic(expected = "one verdict per recorded request")]
     fn missing_verdicts_panic() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000]);
-        replay_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::ZERO, "now"), &[]);
+        let requests = record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::ZERO, "now"));
+        replay_requests(&p, &cfg, &t, &requests, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "falls in no gap")]
+    fn two_requests_in_one_gap_panic() {
+        let p = CarrierProfile::att_hspa();
+        let cfg = SimConfig::default();
+        let t = trace_from_gaps(&[30_000]);
+        let times = vec![Instant::from_secs(1), Instant::from_secs(2)];
+        let requests = RequestTrace { times, confusion: Confusion::default() };
+        replay_requests(&p, &cfg, &t, &requests, &[true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reached fewer requests")]
+    fn requests_past_the_trace_panic() {
+        let p = CarrierProfile::att_hspa();
+        let cfg = SimConfig::default();
+        let t = trace_from_gaps(&[30_000]);
+        // The walk ends at the trailing tail flush, 46.6 s here.
+        let requests =
+            RequestTrace { times: vec![Instant::from_secs(100)], confusion: Confusion::default() };
+        replay_requests(&p, &cfg, &t, &requests, &[true]);
     }
 
     /// The exactness contract, exhaustively: phase 1 + external
@@ -497,7 +512,9 @@ mod tests {
     // The vendored proptest stub has no `prop_oneof!`; pick variants by
     // mapping an index + payload tuple instead.
     fn arb_policy() -> impl Strategy<Value = PolicyChoice> {
-        (0usize..4, 0i64..20_000).prop_map(|(which, ms)| match which {
+        // Fixed waits reach 20 s, past every drawn carrier's tail window
+        // (at most 19.5 s): decisions that count without a request.
+        (0usize..4, 0i64..=20_000).prop_map(|(which, ms)| match which {
             0 => PolicyChoice::StatusQuo,
             1 => PolicyChoice::Fixed(ms),
             2 => PolicyChoice::Oracle,
@@ -540,14 +557,14 @@ mod tests {
             // fresh instance of the same release policy, replay.
             let requests = record_requests(p, &cfg, &t, build_policy(policy).as_mut());
             let verdicts = adjudicate(&requests, build_release(release).as_mut());
-            let replayed =
-                replay_requests(p, &cfg, &t, build_policy(policy).as_mut(), &verdicts);
+            let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
 
             prop_assert_eq!(replayed.energy, reference.energy);
             prop_assert_eq!(replayed.counters, reference.counters);
             prop_assert_eq!(replayed.confusion, reference.confusion);
             prop_assert_eq!(replayed.denied_fd, reference.denied_fd);
             prop_assert_eq!(replayed.premature_promotions, reference.premature_promotions);
+            prop_assert_eq!(&replayed.session_delays, &reference.session_delays);
             // Denials observed by the engine = denials scripted.
             let scripted_denials = verdicts.iter().filter(|v| !**v).count() as u64;
             prop_assert_eq!(replayed.denied_fd, scripted_denials);
@@ -591,8 +608,7 @@ mod tests {
             let requests = record_requests(p, &cfg, &t, build_policy(policy).as_mut());
             let verdicts: Vec<bool> =
                 (0..requests.len() as u64).map(|i| i % n == offset % n).collect();
-            let replayed =
-                replay_requests(p, &cfg, &t, build_policy(policy).as_mut(), &verdicts);
+            let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
             let reference = run_with_release(
                 p,
                 &cfg,
@@ -604,10 +620,13 @@ mod tests {
             prop_assert_eq!(replayed.energy, reference.energy);
             prop_assert_eq!(replayed.counters, reference.counters);
             prop_assert_eq!(replayed.confusion, reference.confusion);
+            prop_assert_eq!(replayed.denied_fd, reference.denied_fd);
             prop_assert_eq!(
                 replayed.denied_fd,
                 verdicts.iter().filter(|v| !**v).count() as u64
             );
+            prop_assert_eq!(replayed.premature_promotions, reference.premature_promotions);
+            prop_assert_eq!(&replayed.session_delays, &reference.session_delays);
         }
     }
 }

@@ -171,8 +171,10 @@ pub fn read_binary<R: Read>(input: R) -> Result<Trace, TraceError> {
 
 /// Magic bytes of the request-cache format.
 pub const REQUEST_MAGIC: &[u8; 4] = b"TWRC";
-/// Current request-cache format version.
-pub const REQUEST_VERSION: u16 = 1;
+/// Current request-cache format version. Version 2 added each user's
+/// confusion counts; a reader meets a version-1 file as an unsupported
+/// version.
+pub const REQUEST_VERSION: u16 = 2;
 /// Longest scheme token a `.twc` header may carry. Real tokens are
 /// under 32 bytes; the cap keeps a corrupted length field from driving
 /// a huge allocation.
@@ -204,6 +206,20 @@ pub struct RequestCacheHeader {
     pub scheme: String,
 }
 
+/// One user's phase-1 product as a `.twc` file stores it: when the
+/// device would request fast dormancy, and how the decisions behind
+/// those requests scored.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RequestStream {
+    /// Fast-dormancy request times, non-decreasing.
+    pub times: Vec<Instant>,
+    /// The decisions' confusion counts against the Oracle rule, in the
+    /// order true positives, false positives, true negatives, false
+    /// negatives. The times do not determine them: a wait at or past
+    /// the tail window counts a demotion without sending a request.
+    pub confusion: [u64; 4],
+}
+
 /// One checksum folding step (SplitMix64 over the running hash XOR the
 /// next word — the same avalanche the seeding hierarchy uses).
 fn fold_word(h: u64, word: u64) -> u64 {
@@ -225,17 +241,18 @@ fn fold_header(header: &RequestCacheHeader) -> u64 {
     h
 }
 
-/// Writes per-user phase-1 request streams in `.twc` form: the header,
-/// one length-prefixed timestamp vector per user, and a trailing
-/// 64-bit checksum over everything the header and payload encode.
+/// Writes per-user phase-1 request streams in `.twc` form: the header;
+/// per user, a length-prefixed timestamp vector followed by the four
+/// confusion counts; and a trailing 64-bit checksum over everything the
+/// header and payload encode.
 ///
-/// `streams[i]` must be user `i`'s non-decreasing request times (the
-/// phase-1 contract) and `streams.len()` must equal `header.users`;
-/// both are validated here so a `.twc` file can never encode data its
-/// own reader would reject.
+/// `streams[i]` must be user `i`'s stream, with non-decreasing request
+/// times (the phase-1 contract), and `streams.len()` must equal
+/// `header.users`; both are validated here so a `.twc` file can never
+/// encode data its own reader would reject.
 pub fn write_request_streams<W: Write>(
     header: &RequestCacheHeader,
-    streams: &[Vec<Instant>],
+    streams: &[RequestStream],
     out: W,
 ) -> Result<(), TraceError> {
     if streams.len() as u64 != header.users {
@@ -265,7 +282,7 @@ pub fn write_request_streams<W: Write>(
     w.write_all(&(header.scheme.len() as u16).to_le_bytes())?;
     w.write_all(header.scheme.as_bytes())?;
     let mut checksum = fold_header(header);
-    for (user, times) in streams.iter().enumerate() {
+    for (user, RequestStream { times, confusion }) in streams.iter().enumerate() {
         if let Some(pair) = times.windows(2).find(|pair| pair[0] > pair[1]) {
             return Err(TraceError::Parse {
                 location: user,
@@ -282,6 +299,10 @@ pub fn write_request_streams<W: Write>(
             w.write_all(&t.as_micros().to_le_bytes())?;
             checksum = fold_word(checksum, t.as_micros() as u64);
         }
+        for &count in confusion {
+            w.write_all(&count.to_le_bytes())?;
+            checksum = fold_word(checksum, count);
+        }
     }
     w.write_all(&checksum.to_le_bytes())?;
     w.flush()?;
@@ -291,15 +312,16 @@ pub fn write_request_streams<W: Write>(
 /// Reads a `.twc` file back into its header and per-user streams.
 ///
 /// Every failure mode a rotten file can exhibit — wrong magic, unknown
-/// version, oversized or non-UTF-8 scheme token, truncated stream,
-/// out-of-order timestamps, trailing bytes, checksum mismatch — is a
-/// typed [`TraceError`], never a panic or an unbounded allocation, and
-/// never a silently wrong stream: the checksum covers the header and
-/// every timestamp, so a single flipped payload byte is caught even
-/// though any individual timestamp value is plausible.
+/// version (a version-1 file included), oversized or non-UTF-8 scheme
+/// token, truncated stream, out-of-order timestamps, trailing bytes,
+/// checksum mismatch — is a typed [`TraceError`], never a panic or an
+/// unbounded allocation, and never a silently wrong stream: the
+/// checksum covers the header, every timestamp and every confusion
+/// count, so a single flipped payload byte is caught even though any
+/// individual value is plausible.
 pub fn read_request_streams<R: Read>(
     input: R,
-) -> Result<(RequestCacheHeader, Vec<Vec<Instant>>), TraceError> {
+) -> Result<(RequestCacheHeader, Vec<RequestStream>), TraceError> {
     let mut r = BufReader::new(input);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -364,7 +386,12 @@ pub fn read_request_streams<R: Read>(
             prev = Some(micros);
             times.push(Instant::from_micros(micros));
         }
-        streams.push(times);
+        let mut confusion = [0u64; 4];
+        for count in &mut confusion {
+            *count = read_u64(&mut r, "confusion count", user)?;
+            checksum = fold_word(checksum, *count);
+        }
+        streams.push(RequestStream { times, confusion });
     }
     let stored = read_u64(&mut r, "checksum", users as usize)?;
     if stored != checksum {
@@ -874,11 +901,22 @@ mod tests {
         }
     }
 
-    fn sample_streams() -> Vec<Vec<Instant>> {
+    fn sample_streams() -> Vec<RequestStream> {
         vec![
-            vec![Instant::from_micros(-7), Instant::ZERO, Instant::from_secs(9)],
-            vec![],
-            vec![Instant::from_millis(4), Instant::from_millis(4), Instant::from_secs(100)],
+            RequestStream {
+                times: vec![Instant::from_micros(-7), Instant::ZERO, Instant::from_secs(9)],
+                confusion: [3, 1, 40, 2],
+            },
+            // A user whose decisions never sent a request, yet scored.
+            RequestStream { times: vec![], confusion: [0, 0, 17, 5] },
+            RequestStream {
+                times: vec![
+                    Instant::from_millis(4),
+                    Instant::from_millis(4),
+                    Instant::from_secs(100),
+                ],
+                confusion: [u64::MAX, 0, 1 << 40, 9],
+            },
         ]
     }
 
@@ -915,6 +953,13 @@ mod tests {
         assert!(matches!(
             read_request_streams(bad.as_slice()),
             Err(TraceError::UnsupportedVersion(99))
+        ));
+        // Version 1 stored no confusion counts.
+        let mut old = buf.clone();
+        old[4] = 1;
+        assert!(matches!(
+            read_request_streams(old.as_slice()),
+            Err(TraceError::UnsupportedVersion(1))
         ));
     }
 
@@ -962,7 +1007,10 @@ mod tests {
 
     #[test]
     fn twc_write_rejects_unsorted_stream() {
-        let streams = vec![vec![Instant::from_secs(2), Instant::from_secs(1)]];
+        let streams = vec![RequestStream {
+            times: vec![Instant::from_secs(2), Instant::from_secs(1)],
+            confusion: [0; 4],
+        }];
         let mut buf = Vec::new();
         let err = write_request_streams(&sample_header(1), &streams, &mut buf).unwrap_err();
         assert!(err.to_string().contains("non-decreasing"), "{err}");

@@ -263,17 +263,23 @@ mod proptests {
         #[test]
         fn twc_roundtrip_is_identity(
             streams in prop::collection::vec(
-                prop::collection::vec(-1_000i64..100_000_000, 0..50),
+                (
+                    prop::collection::vec(-1_000i64..100_000_000, 0..50),
+                    (0u64..u64::MAX, 0u64..1_000, 0u64..u64::MAX, 0u64..1_000),
+                ),
                 0..12,
             ),
             seed in 0u64..u64::MAX,
             scheme_pick in 0usize..7,
         ) {
-            let streams: Vec<Vec<Instant>> = streams
+            let streams: Vec<crate::io::RequestStream> = streams
                 .into_iter()
-                .map(|mut s| {
+                .map(|(mut s, (tp, fp, tn, fn_))| {
                     s.sort_unstable();
-                    s.into_iter().map(Instant::from_micros).collect()
+                    crate::io::RequestStream {
+                        times: s.into_iter().map(Instant::from_micros).collect(),
+                        confusion: [tp, fp, tn, fn_],
+                    }
                 })
                 .collect();
             let schemes =
@@ -296,23 +302,27 @@ mod proptests {
         #[test]
         fn mutated_twc_files_fail_cleanly(
             streams in prop::collection::vec(
-                prop::collection::vec(0i64..100_000_000, 0..30),
+                (prop::collection::vec(0i64..100_000_000, 0..30), 0u64..1_000),
                 0..8,
             ),
             flips in prop::collection::vec((0usize..4096, 0u8..=255), 1..8),
             cut in 0usize..4096,
             truncate in prop::bool::ANY,
+            (victim, word, bit, short) in (0usize..8, 0usize..4, 0u32..64, 1usize..8),
         ) {
             // Same corruption contract as .twt, tightened by the trailing
             // checksum: any byte damage to a valid .twc file must yield a
             // clean TraceError — never a panic, an oversized allocation,
             // or (because the checksum covers header and payload) a
             // silently different stream set.
-            let streams: Vec<Vec<Instant>> = streams
+            let streams: Vec<crate::io::RequestStream> = streams
                 .into_iter()
-                .map(|mut s| {
+                .map(|(mut s, seed)| {
                     s.sort_unstable();
-                    s.into_iter().map(Instant::from_micros).collect()
+                    crate::io::RequestStream {
+                        times: s.into_iter().map(Instant::from_micros).collect(),
+                        confusion: [seed, seed * 3, seed * 7 + 1, seed / 2],
+                    }
                 })
                 .collect();
             let header = crate::io::RequestCacheHeader {
@@ -326,6 +336,31 @@ mod proptests {
             let mut buf = Vec::new();
             crate::io::write_request_streams(&header, &streams, &mut buf).unwrap();
             let pristine = buf.clone();
+
+            // A confusion count is a plausible number whatever its bits,
+            // so only the checksum can catch a flipped one; a file cut
+            // inside one is a truncation error at that user's record.
+            if !streams.is_empty() {
+                let victim = victim % streams.len();
+                let header_len = 4 + 2 + 8 + 8 + 4 + 8 + 8 + 2 + header.scheme.len();
+                let before: usize = streams[..victim].iter().map(|s| 8 + 8 * s.times.len() + 32).sum();
+                let at = header_len + before + 8 + 8 * streams[victim].times.len() + 8 * word;
+                let mut flipped = pristine.clone();
+                flipped[at + bit as usize / 8] ^= 1 << (bit % 8);
+                match crate::io::read_request_streams(flipped.as_slice()) {
+                    Err(crate::TraceError::Parse { message, .. }) => {
+                        prop_assert!(message.contains("checksum mismatch"), "{}", message);
+                    }
+                    other => prop_assert!(false, "flipped count read back as {:?}", other),
+                }
+                match crate::io::read_request_streams(&pristine[..at + short]) {
+                    Err(crate::TraceError::Parse { location, message }) => {
+                        prop_assert_eq!(location, victim);
+                        prop_assert!(message.contains("truncated confusion count"), "{}", message);
+                    }
+                    other => prop_assert!(false, "cut count read back as {:?}", other),
+                }
+            }
             if truncate {
                 buf.truncate(cut % (buf.len() + 1));
             }
