@@ -43,9 +43,9 @@
 //! Handoffs are charged over each user's *active span*: through the end
 //! of the calendar day of their last fast-dormancy request. A user who
 //! never requests loads no one. Deriving the horizon from the request
-//! stream (rather than from trace metadata) keeps the `.twc` phase-1
-//! cache format unchanged and cached runs bit-identical to uncached
-//! ones.
+//! stream (rather than from trace metadata) needs nothing in the `.twc`
+//! phase-1 cache beyond the request times, and keeps cached runs
+//! bit-identical to uncached ones.
 //!
 //! ## The residence-time release hint
 //!

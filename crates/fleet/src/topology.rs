@@ -337,9 +337,7 @@ fn adjudication_streams(
         }
         // The cell held before the first handoff — or, with none, over
         // the whole active span.
-        let mut cell = handoffs
-            .first()
-            .map_or_else(|| trajectory.cell_at(first), |h| h.from);
+        let mut cell = handoffs.first().map_or_else(|| trajectory.cell_at(first), |h| h.from);
         let mut pending = handoffs.iter().peekable();
         for (seq, &at) in times.iter().enumerate() {
             while let Some(h) = pending.next_if(|h| h.at <= at) {

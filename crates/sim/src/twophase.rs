@@ -219,10 +219,10 @@ impl ReplayOutcome {
 ///
 /// `requests` must be what [`record_requests`] returned for the same
 /// `(profile, config, trace)`, and `verdicts` must hold exactly one
-/// entry per request — that is the two-phase contract, and a mismatch
-/// panics (a request that falls in no gap, a request the walk never
-/// reaches, or a verdict count that differs): a drifted trace is a bug,
-/// never a silently wrong report.
+/// entry per request — that is the two-phase contract. Every mismatch
+/// the replay can see panics: a verdict count that differs, a request
+/// that falls in no gap, or a request the walk never reaches. A drifted
+/// trace is a bug, not an input to report on.
 pub fn replay_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
