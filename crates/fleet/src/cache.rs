@@ -32,49 +32,54 @@
 //!
 //! ## The replay memo
 //!
-//! Phase 1 is not the whole bill: the per-cell phase-2 replay alone is
-//! ~47% of a run, and across sweep cells the vast majority of users
-//! receive *bit-identical* grant/deny verdict streams — only users
-//! near a loaded cell or RNC flip. The cache therefore also memoizes
-//! each user's phase-2 outcome, keyed on
+//! Phase 1 is not the whole bill: across sweep cells the vast majority
+//! of users receive *bit-identical* grant/deny verdict streams — only
+//! users near a loaded cell or RNC flip. The cache therefore also
+//! memoizes each user's phase-2 outcome, keyed on
 //! `(Fingerprint, scheme token, topology hash)` at the population
 //! level and `(user index, verdict-stream hash)` per user. A memo hit
-//! folds a stored [`ReplayOutcome`] (plus the user's sparse
-//! `(cell, second) → msgs` load deltas) instead of materializing the
-//! trace and re-running the engine; a sweep cell pays only for the
-//! users whose verdicts changed. The `topo_hash` pins exactly the
-//! facts the per-cell attribution depends on — cell count, mobility
-//! model, signaling message weights — and deliberately excludes the
-//! RNC shape and admission axes (verdicts already capture every
-//! admission decision; RNC loads are derived from the cell maps at
-//! fold time), which is what lets an admission sweep share one memo.
+//! folds a stored [`ReplayOutcome`] (status-quo baseline and the user's
+//! sparse `(cell, second) → msgs` load deltas included) instead of
+//! materializing the trace and re-running the engine; a sweep cell pays
+//! only for the users whose verdicts changed. The `topo_hash` pins
+//! exactly the facts the per-cell attribution depends on — cell count,
+//! mobility model, signaling message weights — and deliberately
+//! excludes the RNC shape and admission axes (verdicts already capture
+//! every admission decision; RNC loads are derived from the cell maps
+//! at fold time), which is what lets an admission sweep share one memo.
 //! Counters: `replay_hits` / `replay_misses` per user (emitted only
 //! when a cache is configured), `replay_spills` per `.twr` write, and
 //! `replay_fallbacks` for untrusted files.
 //!
 //! ## Fallback contract
 //!
-//! The cache can be wrong about the disk but never about the answer: a
-//! missing file is a miss, and a corrupt, truncated, or
-//! mismatched-header `.twc` (or `.twr`) file is a *fallback* — counted
-//! on the `cache_fallbacks` (resp. `replay_fallbacks`) counter,
-//! recomputed from scratch, never trusted. The bit-identity harnesses
-//! in `tests/cache_fleet.rs` and `tests/replay_fleet.rs` pin that a
-//! cached, spilled, reloaded, or fallback run produces byte-identical
-//! reports.
+//! The cache can be wrong about the disk but never about the answer.
+//! Both spill kinds — `.twc` request streams and `.twr` replay
+//! outcomes — load through one path: a missing file is a miss, and a
+//! corrupt, truncated, or mismatched-header file, or one holding a user
+//! or cell outside the population, is a *fallback* — counted on the
+//! `cache_fallbacks` (resp. `replay_fallbacks`) counter, recomputed
+//! from scratch, never trusted. Both spill through one write-then-rename
+//! path, whose failures count on the same fallback counters. The
+//! bit-identity harnesses in `tests/cache_fleet.rs` and
+//! `tests/replay_fleet.rs` pin that a cached, spilled, reloaded, or
+//! fallback run produces byte-identical reports.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tailwise_obs::Obs;
 use tailwise_radio::profile::{CarrierProfile, RadioTech};
-use tailwise_sim::{ReplayOutcome, RequestTrace};
+use tailwise_sim::RequestTrace;
 use tailwise_trace::io::{
     read_replay_outcomes, read_request_streams, write_replay_outcomes, write_request_streams,
-    ReplayCacheHeader, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
+    ReplayCacheHeader, ReplayOutcome, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
 };
 use tailwise_trace::mix::splitmix64 as splitmix;
+use tailwise_trace::TraceError;
 
 use crate::scenario::Scenario;
 use crate::topology::NetworkTopology;
@@ -191,7 +196,9 @@ impl Fingerprint {
         h
     }
 
-    /// The `.twc` header announcing this fingerprint and scheme.
+    /// The header a spill file announcing this fingerprint and scheme
+    /// carries (a `.twr` header embeds it). A stored header that
+    /// differs is a stale or foreign file → fallback.
     fn header(&self, scheme: &str) -> RequestCacheHeader {
         RequestCacheHeader {
             master_seed: self.master_seed,
@@ -201,17 +208,6 @@ impl Fingerprint {
             sim_hash: self.sim_hash,
             scheme: scheme.to_string(),
         }
-    }
-
-    /// Whether a stored header announces exactly this fingerprint and
-    /// scheme (anything else is a stale or foreign file → fallback).
-    fn matches(&self, header: &RequestCacheHeader, scheme: &str) -> bool {
-        header.master_seed == self.master_seed
-            && header.users == self.users
-            && header.days == self.days
-            && header.mix_hash == self.mix_hash
-            && header.sim_hash == self.sim_hash
-            && header.scheme == scheme
     }
 }
 
@@ -243,7 +239,7 @@ pub(crate) fn verdict_hash(verdicts: &[bool]) -> u64 {
 /// (verdicts already capture every admission decision; budgets only
 /// score the folded maps), and `per_handoff` (handoff messages are
 /// charged at adjudication time every run, never memoized).
-pub(crate) fn topo_hash(topology: &NetworkTopology) -> u64 {
+fn topo_hash(topology: &NetworkTopology) -> u64 {
     let mut h = 0x70B0_10CA_0000_0000u64;
     h = fold(h, topology.cells);
     h = fold_bytes(h, topology.mobility.to_string().as_bytes());
@@ -260,22 +256,6 @@ pub(crate) fn topo_hash(topology: &NetworkTopology) -> u64 {
     h
 }
 
-/// One memoized per-user phase-2 outcome: the foldable scalar outcome,
-/// the status-quo baseline summary (embedded so a warm `.twr`-only
-/// process can fold without re-running the baseline), and the user's
-/// sparse per-second signaling-load deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ReplayEntry {
-    /// The scheme run's foldable outcome.
-    pub(crate) outcome: ReplayOutcome,
-    /// Status-quo baseline energy, as `f64::to_bits`.
-    pub(crate) baseline_energy_bits: u64,
-    /// Status-quo baseline switch cycles.
-    pub(crate) baseline_switches: u64,
-    /// `(cell, second, msgs)` load deltas, grouped and sorted.
-    pub(crate) seconds: Vec<(u64, i64, u64)>,
-}
-
 /// Per-user phase-1 products, index-ordered (`streams[i]` is user
 /// `i`'s non-decreasing request times and the confusion counts of the
 /// decisions behind them).
@@ -285,16 +265,78 @@ type Streams = Arc<Vec<RequestTrace>>;
 /// the entry is `Eq`-comparable and round-trips exactly.
 type Baselines = Arc<Vec<(u64, u64)>>;
 /// Memoized replay outcomes for one `(fingerprint, scheme, topology)`
-/// population, keyed by `(user index, verdict hash)`.
-pub(crate) type Outcomes = Arc<HashMap<(u64, u64), ReplayEntry>>;
+/// population, keyed by `(user index, verdict hash)` — exactly the
+/// records of its `.twr` file.
+type Outcomes = Arc<HashMap<(u64, u64), ReplayOutcome>>;
 
-/// A phase-1 request (and baseline) cache shared across fleet runs.
+/// The one load path both spill kinds share. A missing file is a plain
+/// miss: `None`, nothing counted. A file that cannot be opened or read,
+/// announces any header but `expected`, or holds an item `trusted`
+/// rejects is one count on `fallback`, and also `None` — the caller
+/// recomputes, so a rotten file can cost time but never correctness.
+fn load_spill<H: PartialEq, T>(
+    path: &Path,
+    read: impl FnOnce(File) -> Result<(H, Vec<T>), TraceError>,
+    expected: &H,
+    trusted: impl Fn(&T) -> bool,
+    fallback: &'static str,
+    obs: Obs<'_>,
+) -> Option<Vec<T>> {
+    let loaded = match File::open(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        opened => opened.map_err(TraceError::from).and_then(read),
+    };
+    match loaded {
+        Ok((header, items)) if header == *expected && items.iter().all(trusted) => Some(items),
+        _ => {
+            obs.recorder.counter(fallback).incr();
+            None
+        }
+    }
+}
+
+/// The one spill path both kinds share: `write` fills a tmp file that
+/// is then renamed over `path`, so a concurrent reader (or a crash) can
+/// only ever observe a complete file — and even a torn rename is caught
+/// by the reader's checksum. Success counts on `spilled`. A failure
+/// removes the tmp file, counts on `fallback`, and is otherwise
+/// swallowed: a read-only or full disk degrades the cache, never the
+/// run.
+fn spill(
+    path: &Path,
+    write: impl FnOnce(File) -> Result<(), TraceError>,
+    spilled: &'static str,
+    fallback: &'static str,
+    obs: Obs<'_>,
+) {
+    // The tmp name carries a process-wide sequence number on top of
+    // the pid: two threads in one process storing the same key must
+    // not interleave writes into a shared tmp file.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp{}-{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp)
+        .map_err(TraceError::from)
+        .and_then(write)
+        .and_then(|()| Ok(std::fs::rename(&tmp, path)?));
+    match written {
+        Ok(()) => obs.recorder.counter(spilled).incr(),
+        Err(_) => {
+            std::fs::remove_file(&tmp).ok();
+            obs.recorder.counter(fallback).incr();
+        }
+    }
+}
+
+/// A phase-1 request (and baseline) cache, plus the phase-2 replay
+/// memo, shared across fleet runs.
 ///
-/// Always holds an in-memory map; optionally spills request streams to
-/// a directory of `.twc` files so later *processes* can warm-start too
-/// (the CLI's `--cache <dir>`). All methods take `&self` and are
-/// thread-safe; clones of the stored `Arc`s are handed out, so a hit
-/// never copies the streams.
+/// Always holds in-memory maps; optionally spills request streams to a
+/// directory as `.twc` files and replay outcomes as `.twr` files, so
+/// later *processes* can warm-start too (the CLI's `--cache <dir>`).
+/// All methods take `&self` and are thread-safe; clones of the stored
+/// `Arc`s are handed out, so a hit never copies the streams.
 #[derive(Debug, Default)]
 pub struct RequestCache {
     dir: Option<PathBuf>,
@@ -310,9 +352,9 @@ impl RequestCache {
         RequestCache::default()
     }
 
-    /// A cache that additionally spills request streams to `dir` as
-    /// `.twc` files and warm-starts from files already there. Creates
-    /// the directory if needed.
+    /// A cache that additionally spills request streams (`.twc`) and
+    /// replay outcomes (`.twr`) to `dir` and warm-starts from files
+    /// already there. Creates the directory if needed.
     pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<RequestCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -324,19 +366,18 @@ impl RequestCache {
         self.dir.as_deref()
     }
 
-    /// The spill file a `(fingerprint, scheme)` entry lives in (scheme
-    /// tokens are filename-safe by construction).
-    fn path_for(&self, fingerprint: &Fingerprint, scheme: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|dir| dir.join(format!("{:016x}-{scheme}.twc", fingerprint.hash())))
+    /// The spill file named for a fingerprint and scheme (scheme tokens
+    /// are filename-safe by construction), ending in `suffix`.
+    fn spill_path(&self, fingerprint: &Fingerprint, scheme: &str, suffix: &str) -> Option<PathBuf> {
+        self.dir
+            .as_ref()
+            .map(|dir| dir.join(format!("{:016x}-{scheme}{suffix}", fingerprint.hash())))
     }
 
     /// Looks up the request streams for `(fingerprint, scheme)`:
-    /// memory first, then the spill directory. Counts exactly one of
+    /// memory first, then the `.twc` spill. Counts exactly one of
     /// `cache_hits` / `cache_misses` per call, plus `cache_fallbacks`
-    /// when an on-disk file existed but could not be trusted (corrupt,
-    /// truncated, or announcing a different fingerprint) — the caller
-    /// then recomputes, so a rotten file can cost time but never
-    /// correctness.
+    /// when an on-disk file existed but could not be trusted.
     pub(crate) fn lookup(
         &self,
         fingerprint: &Fingerprint,
@@ -344,44 +385,22 @@ impl RequestCache {
         obs: Obs<'_>,
     ) -> Option<Streams> {
         let key = (*fingerprint, scheme.to_string());
-        if let Some(hit) = self.streams.lock().expect("request cache map").get(&key) {
-            obs.recorder.counter("cache_hits").incr();
-            return Some(Arc::clone(hit));
-        }
-        if let Some(path) = self.path_for(fingerprint, scheme) {
-            match std::fs::File::open(&path) {
-                Ok(file) => match read_request_streams(std::io::BufReader::new(file)) {
-                    Ok((header, streams)) if fingerprint.matches(&header, scheme) => {
-                        let streams: Streams =
-                            Arc::new(streams.into_iter().map(RequestTrace::from).collect());
-                        self.streams
-                            .lock()
-                            .expect("request cache map")
-                            .insert(key, Arc::clone(&streams));
-                        obs.recorder.counter("cache_hits").incr();
-                        return Some(streams);
-                    }
-                    // Readable but announcing some other population
-                    // (hash-stem collision or a renamed file), or not
-                    // readable at all: both are fallbacks.
-                    Ok(_) | Err(_) => {
-                        obs.recorder.counter("cache_fallbacks").incr();
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(_) => {
-                    obs.recorder.counter("cache_fallbacks").incr();
-                }
-            }
-        }
-        obs.recorder.counter("cache_misses").incr();
-        None
+        let hit = self.streams.lock().expect("request cache map").get(&key).map(Arc::clone);
+        let hit = hit.or_else(|| {
+            let path = self.spill_path(fingerprint, scheme, ".twc")?;
+            let header = fingerprint.header(scheme);
+            let loaded =
+                load_spill(&path, read_request_streams, &header, |_| true, "cache_fallbacks", obs)?;
+            let streams: Streams = Arc::new(loaded.into_iter().map(RequestTrace::from).collect());
+            self.streams.lock().expect("request cache map").insert(key, Arc::clone(&streams));
+            Some(streams)
+        });
+        obs.recorder.counter(if hit.is_some() { "cache_hits" } else { "cache_misses" }).incr();
+        hit
     }
 
-    /// Stores freshly extracted request streams, spilling to disk when
-    /// a directory is configured. Spill failures count on
-    /// `cache_fallbacks` and are otherwise swallowed — a read-only or
-    /// full disk degrades the cache, never the run.
+    /// Stores freshly extracted request streams, spilling them to
+    /// `.twc` when a directory is configured.
     pub(crate) fn store(
         &self,
         fingerprint: &Fingerprint,
@@ -398,31 +417,11 @@ impl RequestCache {
             .lock()
             .expect("request cache map")
             .insert((*fingerprint, scheme.to_string()), Arc::clone(&streams));
-        let Some(path) = self.path_for(fingerprint, scheme) else { return };
-        // Write-then-rename so a concurrent reader (or a crash) can
-        // only ever observe a complete file — and even a torn rename
-        // is caught by the reader's checksum. The tmp name carries a
-        // process-wide sequence number on top of the pid: two threads
-        // in one process storing the same key must not interleave
-        // writes into a shared tmp file.
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("twc.tmp{}-{seq}", std::process::id()));
+        let Some(path) = self.spill_path(fingerprint, scheme, ".twc") else { return };
         let stored: Vec<RequestStream> = streams.iter().map(RequestStream::from).collect();
-        let spilled = std::fs::File::create(&tmp)
-            .map_err(|e| e.to_string())
-            .and_then(|file| {
-                write_request_streams(&fingerprint.header(scheme), &stored, file)
-                    .map_err(|e| e.to_string())
-            })
-            .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| e.to_string()));
-        match spilled {
-            Ok(()) => obs.recorder.counter("cache_spills").incr(),
-            Err(_) => {
-                std::fs::remove_file(&tmp).ok();
-                obs.recorder.counter("cache_fallbacks").incr();
-            }
-        }
+        let header = fingerprint.header(scheme);
+        let write = |file| write_request_streams(&header, &stored, file);
+        spill(&path, write, "cache_spills", "cache_fallbacks", obs);
     }
 
     /// Looks up the per-user baseline summaries for a population
@@ -437,122 +436,60 @@ impl RequestCache {
         self.baselines.lock().expect("baseline cache map").insert(*fingerprint, baselines);
     }
 
-    /// The `.twr` spill file a `(fingerprint, scheme, topology)` memo
-    /// lives in.
-    fn outcome_path_for(
-        &self,
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        topo_hash: u64,
-    ) -> Option<PathBuf> {
-        self.dir.as_ref().map(|dir| {
-            dir.join(format!("{:016x}-{scheme}-{topo_hash:016x}.twr", fingerprint.hash()))
-        })
-    }
-
-    /// The `.twr` header announcing a fingerprint, scheme, and
-    /// topology hash.
-    fn outcome_header(
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        topo_hash: u64,
-    ) -> ReplayCacheHeader {
-        ReplayCacheHeader {
-            master_seed: fingerprint.master_seed,
-            users: fingerprint.users,
-            days: fingerprint.days,
-            mix_hash: fingerprint.mix_hash,
-            sim_hash: fingerprint.sim_hash,
-            topo_hash,
-            scheme: scheme.to_string(),
-        }
-    }
-
-    /// Looks up the memoized replay outcomes for a population: memory
-    /// first, then the spill directory. Always returns a map (possibly
-    /// empty) — per-user hit/miss accounting happens at the replay
-    /// loop, where the verdict hashes are known. An on-disk file that
-    /// cannot be trusted (corrupt, truncated, announcing a different
-    /// population) counts one `replay_fallbacks` and is ignored; the
-    /// run recomputes and later overwrites it with a repaired spill.
+    /// Looks up the memoized replay outcomes for a population on a
+    /// topology: memory first, then the `.twr` spill. Always returns a
+    /// map (possibly empty) — per-user hit/miss accounting happens at
+    /// the replay loop, where the verdict hashes are known. An on-disk
+    /// file that cannot be trusted counts one `replay_fallbacks` and is
+    /// ignored; the run recomputes and later overwrites it with a
+    /// repaired spill.
     pub(crate) fn lookup_outcomes(
         &self,
         fingerprint: &Fingerprint,
         scheme: &str,
-        topo_hash: u64,
+        topology: &NetworkTopology,
         obs: Obs<'_>,
     ) -> Outcomes {
-        let key = (*fingerprint, scheme.to_string(), topo_hash);
+        let topo = topo_hash(topology);
+        let key = (*fingerprint, scheme.to_string(), topo);
         if let Some(hit) = self.outcomes.lock().expect("replay memo map").get(&key) {
             return Arc::clone(hit);
         }
-        if let Some(path) = self.outcome_path_for(fingerprint, scheme, topo_hash) {
-            match std::fs::File::open(&path) {
-                Ok(file) => match read_replay_outcomes(std::io::BufReader::new(file)) {
-                    Ok((header, records))
-                        if Self::outcome_header(fingerprint, scheme, topo_hash) == header
-                            && records.iter().all(|r| r.user < fingerprint.users) =>
-                    {
-                        let map: HashMap<(u64, u64), ReplayEntry> = records
-                            .into_iter()
-                            .map(|r| {
-                                (
-                                    (r.user, r.verdict_hash),
-                                    ReplayEntry {
-                                        outcome: ReplayOutcome {
-                                            packets: r.packets,
-                                            energy_bits: r.energy_bits,
-                                            switches: r.switches,
-                                            false_switches: r.false_switches,
-                                            missed_switches: r.missed_switches,
-                                            decisions: r.decisions,
-                                            delay_bits: r.delay_bits,
-                                        },
-                                        baseline_energy_bits: r.baseline_energy_bits,
-                                        baseline_switches: r.baseline_switches,
-                                        seconds: r.seconds,
-                                    },
-                                )
-                            })
-                            .collect();
-                        let outcomes: Outcomes = Arc::new(map);
-                        self.outcomes
-                            .lock()
-                            .expect("replay memo map")
-                            .insert(key, Arc::clone(&outcomes));
-                        return outcomes;
-                    }
-                    Ok(_) | Err(_) => {
-                        obs.recorder.counter("replay_fallbacks").incr();
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(_) => {
-                    obs.recorder.counter("replay_fallbacks").incr();
-                }
-            }
-        }
-        Arc::new(HashMap::new())
+        let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
+        // The fold indexes its per-cell maps with the stored cells, so
+        // a user or cell outside the population makes the file untrusted.
+        let trusted = |r: &ReplayOutcomeRecord| {
+            r.user < fingerprint.users
+                && r.outcome.seconds.iter().all(|&(cell, _, _)| cell < topology.cells)
+        };
+        let path = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr"));
+        let loaded = path.and_then(|path| {
+            load_spill(&path, read_replay_outcomes, &header, trusted, "replay_fallbacks", obs)
+        });
+        let Some(records) = loaded else { return Arc::new(HashMap::new()) };
+        let outcomes: Outcomes =
+            Arc::new(records.into_iter().map(|r| ((r.user, r.verdict_hash), r.outcome)).collect());
+        self.outcomes.lock().expect("replay memo map").insert(key, Arc::clone(&outcomes));
+        outcomes
     }
 
     /// Merges freshly computed replay outcomes into the memo and spills
     /// the merged map to `.twr` when a directory is configured. A warm
     /// run with nothing fresh is a no-op — existing spill files are
-    /// left untouched, byte for byte. Spill failures count on
-    /// `replay_fallbacks` and are otherwise swallowed, exactly like
-    /// [`store`](Self::store).
+    /// left untouched, byte for byte.
     pub(crate) fn store_outcomes(
         &self,
         fingerprint: &Fingerprint,
         scheme: &str,
-        topo_hash: u64,
-        fresh: Vec<((u64, u64), ReplayEntry)>,
+        topology: &NetworkTopology,
+        fresh: Vec<((u64, u64), ReplayOutcome)>,
         obs: Obs<'_>,
     ) {
         if fresh.is_empty() {
             return;
         }
-        let key = (*fingerprint, scheme.to_string(), topo_hash);
+        let topo = topo_hash(topology);
+        let key = (*fingerprint, scheme.to_string(), topo);
         let merged: Outcomes = {
             let mut map = self.outcomes.lock().expect("replay memo map");
             let slot = map.entry(key).or_default();
@@ -562,45 +499,22 @@ impl RequestCache {
             *slot = Arc::clone(&merged);
             merged
         };
-        let Some(path) = self.outcome_path_for(fingerprint, scheme, topo_hash) else { return };
-        // Spill deterministically (records sorted by key) via the same
-        // write-then-rename discipline as the `.twc` spill: a torn or
-        // concurrent write can only ever surface as a checksum fallback.
+        let Some(path) = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr")) else {
+            return;
+        };
+        // Records sorted by key: equal memos spill equal bytes.
         let mut records: Vec<ReplayOutcomeRecord> = merged
             .iter()
-            .map(|(&(user, verdict_hash), entry)| ReplayOutcomeRecord {
+            .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
                 user,
                 verdict_hash,
-                packets: entry.outcome.packets,
-                energy_bits: entry.outcome.energy_bits,
-                switches: entry.outcome.switches,
-                false_switches: entry.outcome.false_switches,
-                missed_switches: entry.outcome.missed_switches,
-                decisions: entry.outcome.decisions,
-                baseline_energy_bits: entry.baseline_energy_bits,
-                baseline_switches: entry.baseline_switches,
-                delay_bits: entry.outcome.delay_bits.clone(),
-                seconds: entry.seconds.clone(),
+                outcome: outcome.clone(),
             })
             .collect();
         records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("twr.tmp{}-{seq}", std::process::id()));
-        let header = Self::outcome_header(fingerprint, scheme, topo_hash);
-        let spilled = std::fs::File::create(&tmp)
-            .map_err(|e| e.to_string())
-            .and_then(|file| {
-                write_replay_outcomes(&header, &records, file).map_err(|e| e.to_string())
-            })
-            .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| e.to_string()));
-        match spilled {
-            Ok(()) => obs.recorder.counter("replay_spills").incr(),
-            Err(_) => {
-                std::fs::remove_file(&tmp).ok();
-                obs.recorder.counter("replay_fallbacks").incr();
-            }
-        }
+        let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
+        let write = |file| write_replay_outcomes(&header, &records, file);
+        spill(&path, write, "replay_spills", "replay_fallbacks", obs);
     }
 }
 
@@ -811,19 +725,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn sample_entry(energy: f64, seconds: Vec<(u64, i64, u64)>) -> ReplayEntry {
-        ReplayEntry {
-            outcome: ReplayOutcome {
-                packets: 100,
-                energy_bits: energy.to_bits(),
-                switches: 5,
-                false_switches: 1,
-                missed_switches: 2,
-                decisions: 20,
-                delay_bits: vec![0.25f64.to_bits()],
-            },
+    fn sample_entry(energy: f64, seconds: Vec<(u64, i64, u64)>) -> ReplayOutcome {
+        ReplayOutcome {
+            packets: 100,
+            energy_bits: energy.to_bits(),
+            switches: 5,
+            false_switches: 1,
+            missed_switches: 2,
+            decisions: 20,
             baseline_energy_bits: (energy * 2.0).to_bits(),
             baseline_switches: 3,
+            delay_bits: vec![0.25f64.to_bits()],
             seconds,
         }
     }
@@ -886,13 +798,14 @@ mod tests {
         let mut tiny = storm_like();
         tiny.users = 2;
         let fp = Fingerprint::of(&tiny);
-        let topo = topo_hash(tiny.cells.as_ref().unwrap());
+        let topology = tiny.cells.clone().unwrap();
+        let topo = topo_hash(&topology);
         let obs = Obs::none();
 
         let cache = RequestCache::with_dir(&dir).unwrap();
-        assert!(cache.lookup_outcomes(&fp, "makeidle", topo, obs).is_empty());
+        assert!(cache.lookup_outcomes(&fp, "makeidle", &topology, obs).is_empty());
         // Storing nothing fresh must not create a spill file.
-        cache.store_outcomes(&fp, "makeidle", topo, Vec::new(), obs);
+        cache.store_outcomes(&fp, "makeidle", &topology, Vec::new(), obs);
         let spill = dir.join(format!("{:016x}-makeidle-{topo:016x}.twr", fp.hash()));
         assert!(!spill.exists(), "empty store must not spill");
 
@@ -900,30 +813,32 @@ mod tests {
             ((0u64, 11u64), sample_entry(10.0, vec![(0, 5, 28), (1, 9, 3)])),
             ((1u64, 22u64), sample_entry(20.0, vec![])),
         ];
-        cache.store_outcomes(&fp, "makeidle", topo, fresh.clone(), obs);
+        cache.store_outcomes(&fp, "makeidle", &topology, fresh.clone(), obs);
         assert!(spill.is_file(), "missing spill file {}", spill.display());
-        let served = cache.lookup_outcomes(&fp, "makeidle", topo, obs);
+        let served = cache.lookup_outcomes(&fp, "makeidle", &topology, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(0, 11)), Some(&fresh[0].1));
 
         // A fresh cache (fresh process, conceptually) warm-starts from
         // the `.twr` file alone; a later merge keeps prior entries.
         let warm = RequestCache::with_dir(&dir).unwrap();
-        let served = warm.lookup_outcomes(&fp, "makeidle", topo, obs);
+        let served = warm.lookup_outcomes(&fp, "makeidle", &topology, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(1, 22)), Some(&fresh[1].1));
         warm.store_outcomes(
             &fp,
             "makeidle",
-            topo,
+            &topology,
             vec![((1u64, 33u64), sample_entry(30.0, vec![(0, 1, 1)]))],
             obs,
         );
-        let served = warm.lookup_outcomes(&fp, "makeidle", topo, obs);
+        let served = warm.lookup_outcomes(&fp, "makeidle", &topology, obs);
         assert_eq!(served.len(), 3, "merge must keep prior entries");
 
         // A different topology hash is a different memo entirely.
-        assert!(warm.lookup_outcomes(&fp, "makeidle", topo ^ 1, obs).is_empty());
+        let mut reweighted = topology.clone();
+        reweighted.signaling.per_promotion += 1;
+        assert!(warm.lookup_outcomes(&fp, "makeidle", &reweighted, obs).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -934,12 +849,13 @@ mod tests {
         let mut tiny = storm_like();
         tiny.users = 1;
         let fp = Fingerprint::of(&tiny);
-        let topo = topo_hash(tiny.cells.as_ref().unwrap());
+        let topology = tiny.cells.clone().unwrap();
+        let topo = topo_hash(&topology);
         let seeder = RequestCache::with_dir(&dir).unwrap();
         seeder.store_outcomes(
             &fp,
             "makeidle",
-            topo,
+            &topology,
             vec![((0u64, 7u64), sample_entry(1.5, vec![(0, 0, 4)]))],
             Obs::none(),
         );
@@ -950,7 +866,7 @@ mod tests {
         let recorder = tailwise_obs::StatsRecorder::new();
         let obs = Obs { recorder: &recorder, progress: None };
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert!(reader.lookup_outcomes(&fp, "makeidle", topo, obs).is_empty());
+        assert!(reader.lookup_outcomes(&fp, "makeidle", &topology, obs).is_empty());
         assert_eq!(recorder.snapshot().counter("replay_fallbacks"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,8 +10,9 @@
 //! how many threads produced it. Wall-clock fields are measured, not
 //! derived, and are excluded from equality.
 
+use tailwise_sim::replay_outcome;
 use tailwise_sim::report::SimReport;
-use tailwise_sim::ReplayOutcome;
+use tailwise_trace::io::ReplayOutcome;
 
 use crate::histogram::Histogram;
 
@@ -304,60 +305,26 @@ impl FleetReport {
     /// Folds one user's pair of runs (scheme, status-quo baseline) into
     /// the aggregate.
     pub fn fold_user(&mut self, days: u32, scheme_run: &SimReport, baseline: &SimReport) {
-        self.fold_user_baseline(
-            days,
-            scheme_run,
-            baseline.total_energy(),
-            baseline.switch_cycles(),
-        );
-    }
-
-    /// [`fold_user`](Self::fold_user) against a pre-computed baseline
-    /// summary — the two numbers the fold actually consumes from the
-    /// status-quo run. A cached baseline folded through here produces
-    /// the same report bit for bit as re-running the status quo, which
-    /// is what lets the fleet cache skip baseline recomputation on warm
-    /// sweep cells.
-    pub fn fold_user_baseline(
-        &mut self,
-        days: u32,
-        scheme_run: &SimReport,
-        baseline_energy_j: f64,
-        baseline_switches: u64,
-    ) {
-        // Delegating through the memoizable outcome form is what makes
-        // the replay memo bit-identical *by construction*: a live run
-        // and a cached [`ReplayOutcome`] fold through literally the
-        // same arithmetic, with every float round-tripped losslessly
-        // through `to_bits`/`from_bits`.
         self.fold_user_outcome(
             days,
-            &ReplayOutcome::of(scheme_run),
-            baseline_energy_j,
-            baseline_switches,
+            &replay_outcome(scheme_run, baseline.total_energy(), baseline.switch_cycles()),
         );
     }
 
-    /// [`fold_user_baseline`](Self::fold_user_baseline) against a
-    /// memoized [`ReplayOutcome`] instead of a live [`SimReport`] —
-    /// the fold the verdict-memoized replay cache uses for users whose
-    /// grant/deny stream it has seen before. The live fold delegates
-    /// through here, so cached and recomputed users are aggregated by
-    /// the same code path, bit for bit.
-    pub fn fold_user_outcome(
-        &mut self,
-        days: u32,
-        outcome: &ReplayOutcome,
-        baseline_energy_j: f64,
-        baseline_switches: u64,
-    ) {
+    /// Folds one user's run in its memoizable [`ReplayOutcome`] form,
+    /// status-quo baseline included. Live runs fold through here too
+    /// (via [`replay_outcome`]), so a user served from the replay memo
+    /// and one replayed afresh are aggregated by the same arithmetic,
+    /// with every float round-tripped losslessly through its bits.
+    pub fn fold_user_outcome(&mut self, days: u32, outcome: &ReplayOutcome) {
+        let baseline_energy_j = f64::from_bits(outcome.baseline_energy_bits);
         self.users += 1;
         self.user_days += days as u64;
         self.packets += outcome.packets;
         self.energy_j += outcome.energy_j();
         self.baseline_energy_j += baseline_energy_j;
         self.switches += outcome.switches;
-        self.baseline_switches += baseline_switches;
+        self.baseline_switches += outcome.baseline_switches;
         self.false_switches += outcome.false_switches;
         self.missed_switches += outcome.missed_switches;
         self.decisions += outcome.decisions;

@@ -87,12 +87,13 @@ use tailwise_radio::admission::REQUEST_MESSAGES;
 use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
-use tailwise_sim::twophase::{replay_requests, RequestTrace};
+use tailwise_sim::twophase::{replay_outcome, replay_requests, RequestTrace};
+use tailwise_trace::io::ReplayOutcome;
 use tailwise_trace::mix::splitmix64 as splitmix;
 use tailwise_trace::time::Instant;
 
 use crate::admission::AdmissionSpec;
-use crate::cache::{topo_hash, verdict_hash, ReplayEntry, RequestCache};
+use crate::cache::{verdict_hash, RequestCache};
 use crate::mobility::{MobilitySpec, Trajectory};
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
@@ -381,7 +382,7 @@ struct TopologyPartial {
     /// Freshly replayed memo entries, keyed `(user index, verdict
     /// hash)`, collected only when a request cache is configured
     /// (empty otherwise) and taught back to it after the run.
-    fresh: Vec<((u64, u64), ReplayEntry)>,
+    fresh: Vec<((u64, u64), ReplayOutcome)>,
 }
 
 impl Partial for TopologyPartial {
@@ -630,8 +631,7 @@ pub(crate) fn run_topology(
     // the stored outcome — no trace materialization, no engine run —
     // so a sweep cell pays only for the users whose verdicts changed.
     let memo = cache.map(|(cache, fingerprint)| {
-        let topo = topo_hash(topology);
-        (topo, fingerprint.days, cache.lookup_outcomes(&fingerprint, &scheme_token, topo, obs))
+        (fingerprint.days, cache.lookup_outcomes(&fingerprint, &scheme_token, topology, obs))
     });
     let verdict_hashes: Vec<u64> = match &memo {
         Some(_) => verdicts.iter().map(|v| verdict_hash(v)).collect(),
@@ -656,28 +656,23 @@ pub(crate) fn run_topology(
             for index in population.shard_range(shard) {
                 // Memo hit: fold the cached outcome and load deltas
                 // without materializing the trace or running the engine.
-                if let Some((_, fp_days, known)) = memo {
-                    if let Some(entry) = known.get(&(index, verdict_hashes[index as usize])) {
+                if let Some((fp_days, known)) = memo {
+                    if let Some(outcome) = known.get(&(index, verdict_hashes[index as usize])) {
                         let (hits, _) = replay_counters.as_ref().expect("memo implies counters");
                         hits.incr();
                         let _replay = span(obs.recorder, "replay");
                         if learn_baselines {
                             partial
                                 .baselines
-                                .push((entry.baseline_energy_bits, entry.baseline_switches));
+                                .push((outcome.baseline_energy_bits, outcome.baseline_switches));
                         }
-                        for &(cell, second, messages) in &entry.seconds {
+                        for &(cell, second, messages) in &outcome.seconds {
                             *partial.seconds[cell as usize].entry(second).or_insert(0) += messages;
                         }
                         // Synthetic populations carry a uniform
                         // days-per-user, pinned by the fingerprint.
                         let days = *fp_days;
-                        partial.report.fold_user_outcome(
-                            days,
-                            &entry.outcome,
-                            f64::from_bits(entry.baseline_energy_bits),
-                            entry.baseline_switches,
-                        );
+                        partial.report.fold_user_outcome(days, outcome);
                         drop(_replay);
                         users_simulated.incr();
                         days_counter.add(days as u64);
@@ -736,29 +731,18 @@ pub(crate) fn run_topology(
                         }
                     }
                 }
+                let mut outcome = replay_outcome(&scheme_run, baseline_energy_j, baseline_switches);
+                partial.report.fold_user_outcome(days, &outcome);
                 if memo.is_some() {
                     for (&(cell, second), &messages) in &user_seconds {
                         *partial.seconds[cell as usize].entry(second).or_insert(0) += messages;
                     }
-                    partial.fresh.push((
-                        (index, verdict_hashes[index as usize]),
-                        ReplayEntry {
-                            outcome: tailwise_sim::ReplayOutcome::of(&scheme_run),
-                            baseline_energy_bits: baseline_energy_j.to_bits(),
-                            baseline_switches,
-                            seconds: user_seconds
-                                .into_iter()
-                                .map(|((cell, second), messages)| (cell, second, messages))
-                                .collect(),
-                        },
-                    ));
+                    outcome.seconds = user_seconds
+                        .into_iter()
+                        .map(|((cell, second), messages)| (cell, second, messages))
+                        .collect();
+                    partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
                 }
-                partial.report.fold_user_baseline(
-                    days,
-                    &scheme_run,
-                    baseline_energy_j,
-                    baseline_switches,
-                );
                 drop(_replay);
                 users_simulated.incr();
                 days_counter.add(days as u64);
@@ -776,10 +760,10 @@ pub(crate) fn run_topology(
             cache.store_baselines(&fingerprint, Arc::new(baselines));
         }
     }
-    if let (Some((cache, fingerprint)), Some(&(topo, _, _))) = (cache, memo.as_ref()) {
+    if let Some((cache, fingerprint)) = cache {
         // Teach the memo what this cell had to replay (a no-op when
         // everything hit, so warm runs leave spill files untouched).
-        cache.store_outcomes(&fingerprint, &scheme_token, topo, fresh, obs);
+        cache.store_outcomes(&fingerprint, &scheme_token, topology, fresh, obs);
     }
     let mut rnc_seconds: Vec<BTreeMap<i64, u64>> = vec![BTreeMap::new(); rnc_count];
     for (cell, mut seconds) in seconds.into_iter().enumerate() {

@@ -12,8 +12,11 @@
 //!   every cell hits the memo (`replay_misses == 0`);
 //! * a cold on-disk cache spills `.twr` files that an entirely fresh
 //!   cache (a later process, conceptually) warm-starts from;
-//! * a corrupted or truncated `.twr` degrades to recomputation — the
-//!   report stays identical and `replay_fallbacks` counts the save.
+//! * a corrupted or truncated `.twr`, or one naming a cell the topology
+//!   does not have, degrades to recomputation — the report stays
+//!   identical and `replay_fallbacks` counts the save;
+//! * the spill files themselves are byte-identical at 1, 2, and 8
+//!   threads.
 
 use std::path::PathBuf;
 
@@ -21,6 +24,7 @@ use tailwise_fleet::{
     run_source_sweep_cached, RequestCache, RunManifest, SourceSet, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
+use tailwise_trace::io::{read_replay_outcomes, write_replay_outcomes};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tailwise-replay-it-{tag}-{}", std::process::id()));
@@ -109,6 +113,32 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert!(counter(&counters, "replay_spills") >= 1, "threads={threads}");
         assert_eq!(counter(&counters, "replay_fallbacks"), 0, "threads={threads}");
     }
+
+    // The spills are as deterministic as the reports: every thread
+    // count wrote the same files, byte for byte.
+    let spills = |threads: usize| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join(format!("t{threads}")))
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name().into_string().unwrap(), std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let one = spills(1);
+    let names: Vec<&str> = one.iter().map(|(name, _)| name.as_str()).collect();
+    assert!(names.iter().any(|n| n.ends_with(".twc")), "no .twc spill: {names:?}");
+    assert!(names.iter().any(|n| n.ends_with(".twr")), "no .twr spill: {names:?}");
+    for threads in [2usize, 8] {
+        let other = spills(threads);
+        let other_names: Vec<&str> = other.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, other_names, "spill names, threads={threads}");
+        for ((name, bytes), (_, other_bytes)) in one.iter().zip(&other) {
+            assert!(bytes == other_bytes, "{name} differs at threads={threads}");
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -192,6 +222,35 @@ fn corrupt_and_truncated_twr_spills_fall_back_to_recomputation() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn out_of_range_twr_cells_fall_back_instead_of_panicking() {
+    // Regression: a checksum-valid `.twr` record naming a cell the
+    // topology does not have used to index past pass 2's per-cell maps
+    // and panic the warm run. The loader now distrusts the whole file.
+    let dir = temp_dir("cells");
+    let (cold, cold_digest, _) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let spill = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "twr"))
+        .expect("cold run spilled a .twr file");
+    let file = std::fs::File::open(&spill).unwrap();
+    let (header, mut records) = read_replay_outcomes(file).unwrap();
+    let load = records
+        .iter_mut()
+        .flat_map(|r| &mut r.outcome.seconds)
+        .next()
+        .expect("some user loaded a cell");
+    load.0 = 1000;
+    write_replay_outcomes(&header, &records, std::fs::File::create(&spill).unwrap()).unwrap();
+
+    let (warm, warm_digest, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    assert_eq!(cold, warm, "an out-of-range cell must not change the answer");
+    assert_eq!(cold_digest, warm_digest, "an out-of-range cell must not change the digest");
+    assert!(counter(&counters, "replay_fallbacks") >= 1, "the untrusted .twr must be counted");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A run over a fresh cache whose `.twc` spill is intact: every cell
 /// took its streams from the disk-read file, and some users replayed
 /// live from them.
@@ -206,9 +265,10 @@ mod props {
     use tailwise_core::schemes::Scheme;
     use tailwise_fleet::FleetReport;
     use tailwise_radio::profile::CarrierProfile;
-    use tailwise_sim::{ReplayOutcome, SimConfig};
+    use tailwise_sim::{replay_outcome, SimConfig};
     use tailwise_trace::io::{
         read_replay_outcomes, write_replay_outcomes, ReplayCacheHeader, ReplayOutcomeRecord,
+        RequestCacheHeader,
     };
     use tailwise_trace::packet::{Direction, Packet};
     use tailwise_trace::time::{Duration, Instant};
@@ -228,7 +288,7 @@ mod props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The memo's full round trip — `ReplayOutcome::of` a live
+        /// The memo's full round trip — `replay_outcome` of a live
         /// replay, through `.twr` bytes, back into a report fold —
         /// must never change a single bit of the `FleetReport` the
         /// live path would have produced, rendered text included,
@@ -262,51 +322,28 @@ mod props {
 
             // Live path: the fold every uncached run performs.
             let mut direct = FleetReport::empty("prop".into(), scheme.to_string());
-            direct.fold_user_baseline(days, &live, base_energy, base_switches);
+            direct.fold_user(days, &live, &baseline);
 
             // Memo path: outcome → `.twr` bytes → outcome → fold.
-            let outcome = ReplayOutcome::of(&live);
+            let outcome = replay_outcome(&live, base_energy, base_switches);
             let header = ReplayCacheHeader {
-                master_seed: 1, users: 1, days, mix_hash: 2, sim_hash: 3, topo_hash: 4,
-                scheme: scheme.to_string(),
+                requests: RequestCacheHeader {
+                    master_seed: 1, users: 1, days, mix_hash: 2, sim_hash: 3,
+                    scheme: scheme.to_string(),
+                },
+                topo_hash: 4,
             };
-            let record = ReplayOutcomeRecord {
-                user: 0,
-                verdict_hash: verdict_bits,
-                packets: outcome.packets,
-                energy_bits: outcome.energy_bits,
-                switches: outcome.switches,
-                false_switches: outcome.false_switches,
-                missed_switches: outcome.missed_switches,
-                decisions: outcome.decisions,
-                baseline_energy_bits: base_energy.to_bits(),
-                baseline_switches: base_switches,
-                delay_bits: outcome.delay_bits.clone(),
-                seconds: Vec::new(),
-            };
+            let record =
+                ReplayOutcomeRecord { user: 0, verdict_hash: verdict_bits, outcome: outcome.clone() };
             let mut spilled = Vec::new();
             write_replay_outcomes(&header, &[record], &mut spilled).unwrap();
             let (_, records) = read_replay_outcomes(&spilled[..]).unwrap();
             prop_assert_eq!(records.len(), 1);
-            let rec = &records[0];
-            let cached = ReplayOutcome {
-                packets: rec.packets,
-                energy_bits: rec.energy_bits,
-                switches: rec.switches,
-                false_switches: rec.false_switches,
-                missed_switches: rec.missed_switches,
-                decisions: rec.decisions,
-                delay_bits: rec.delay_bits.clone(),
-            };
-            prop_assert_eq!(&cached, &outcome, "the spill must round-trip the outcome exactly");
+            let cached = &records[0].outcome;
+            prop_assert_eq!(cached, &outcome, "the spill must round-trip the outcome exactly");
 
             let mut memoized = FleetReport::empty("prop".into(), scheme.to_string());
-            memoized.fold_user_outcome(
-                days,
-                &cached,
-                f64::from_bits(rec.baseline_energy_bits),
-                rec.baseline_switches,
-            );
+            memoized.fold_user_outcome(days, cached);
             prop_assert_eq!(&direct, &memoized);
             prop_assert_eq!(direct.render(), memoized.render());
         }

@@ -48,7 +48,7 @@ pub use policy::{
     ActivePolicy, FixedWait, IdleContext, IdleDecision, IdlePolicy, NoBatching, StatusQuo,
 };
 pub use report::SimReport;
-pub use twophase::{record_requests, replay_requests, ReplayOutcome, RequestTrace};
+pub use twophase::{record_requests, replay_outcome, replay_requests, RequestTrace};
 
 #[cfg(test)]
 mod proptests {

@@ -60,7 +60,7 @@
 //! [`RrcMachine`]: tailwise_radio::rrc::RrcMachine
 
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_trace::io::RequestStream;
+use tailwise_trace::io::{ReplayOutcome, RequestStream};
 use tailwise_trace::time::Instant;
 use tailwise_trace::Trace;
 
@@ -142,69 +142,29 @@ pub fn record_requests(
     RequestTrace { times, confusion: rule.confusion }
 }
 
-/// The scalar outcome of one phase-2 replay, in exactly the shape a
-/// fleet fold consumes: energy as `f64::to_bits` words, switch and
-/// confusion counts, and the session-delay samples as bits.
-///
-/// This is what makes a replay *memoizable*. A replay's outcome is a
-/// pure function of `(profile, config, trace, requests, verdicts)`, so
-/// a coordinator that has seen the same verdict stream for the same
-/// user before can fold this struct instead of re-running the engine —
-/// and because everything floating-point is carried as raw bits, the
-/// fold is bit-identical to the live run by construction, not by
-/// rounding luck. `Eq` is derived for the same reason: two outcomes are
-/// equal iff every bit agrees.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayOutcome {
-    /// Packets in the replayed trace.
-    pub packets: u64,
-    /// Scheme-run total energy, as `f64::to_bits`.
-    pub energy_bits: u64,
-    /// Demote→promote switch cycles.
-    pub switches: u64,
-    /// Confusion-matrix false positives.
-    pub false_switches: u64,
-    /// Confusion-matrix false negatives.
-    pub missed_switches: u64,
-    /// Total scored decisions.
-    pub decisions: u64,
-    /// Session-delay samples, each as `f64::to_bits`, in record order.
-    pub delay_bits: Vec<u64>,
-}
-
-impl ReplayOutcome {
-    /// Captures the foldable outcome of a finished run.
-    pub fn of(report: &SimReport) -> ReplayOutcome {
-        ReplayOutcome {
-            packets: report.packets as u64,
-            energy_bits: report.total_energy().to_bits(),
-            switches: report.switch_cycles(),
-            false_switches: report.confusion.fp,
-            missed_switches: report.confusion.fn_,
-            decisions: report.confusion.total(),
-            delay_bits: report.session_delays.iter().map(|d| d.to_bits()).collect(),
-        }
-    }
-
-    /// Total energy in joules, recovered exactly from the stored bits.
-    pub fn energy_j(&self) -> f64 {
-        f64::from_bits(self.energy_bits)
-    }
-
-    /// The session-delay samples, recovered exactly from the stored
-    /// bits, in record order.
-    pub fn session_delays(&self) -> impl Iterator<Item = f64> + '_ {
-        self.delay_bits.iter().map(|&b| f64::from_bits(b))
-    }
-
-    /// Energy saved relative to a bare baseline total, in percent —
-    /// the same arithmetic (same bits) as
-    /// [`SimReport::savings_vs_energy`].
-    pub fn savings_vs_energy(&self, base: f64) -> f64 {
-        if base <= 0.0 {
-            return 0.0;
-        }
-        (base - self.energy_j()) / base * 100.0
+/// Captures the memoizable outcome of a finished run scored against a
+/// status-quo baseline of `baseline_energy_j` joules and
+/// `baseline_switches` switch cycles, with every float carried as its
+/// exact bits (see [`ReplayOutcome`] for why that makes a memoized fold
+/// bit-identical to the live one). The signaling-load deltas are left
+/// empty: they belong to the caller that attributes the run's
+/// transitions to cells.
+pub fn replay_outcome(
+    report: &SimReport,
+    baseline_energy_j: f64,
+    baseline_switches: u64,
+) -> ReplayOutcome {
+    ReplayOutcome {
+        packets: report.packets as u64,
+        energy_bits: report.total_energy().to_bits(),
+        switches: report.switch_cycles(),
+        false_switches: report.confusion.fp,
+        missed_switches: report.confusion.fn_,
+        decisions: report.confusion.total(),
+        baseline_energy_bits: baseline_energy_j.to_bits(),
+        baseline_switches,
+        delay_bits: report.session_delays.iter().map(|d| d.to_bits()).collect(),
+        seconds: Vec::new(),
     }
 }
 
@@ -368,7 +328,9 @@ mod tests {
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts: Vec<bool> = (0..requests.len()).map(|i| i % 2 == 0).collect();
         let report = replay_requests(&p, &cfg, &t, &requests, &verdicts);
-        let outcome = ReplayOutcome::of(&report);
+        let outcome = replay_outcome(&report, 2.5, 7);
+        assert_eq!(outcome.baseline_energy_bits, 2.5f64.to_bits());
+        assert_eq!(outcome.baseline_switches, 7);
         assert_eq!(outcome.packets, report.packets as u64);
         assert_eq!(outcome.energy_j().to_bits(), report.total_energy().to_bits());
         assert_eq!(outcome.switches, report.switch_cycles());

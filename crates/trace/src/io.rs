@@ -13,6 +13,12 @@
 //!
 //! Both readers validate monotonic timestamps via [`Trace::from_sorted`], so
 //! a corrupted file cannot produce an invalid `Trace`.
+//!
+//! The fleet cache's spills live here too: `.twc` (per-user phase-1
+//! request streams) and `.twr` (memoized phase-2 replay outcomes) are
+//! two payload layouts in one checksummed container — the `.twt`
+//! preamble, every field folded into a seeded checksum as it is written
+//! or read, and the checksum last, with nothing after it.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -87,13 +93,62 @@ fn parse_csv_line(line: &str, lineno: usize) -> Result<Packet, TraceError> {
     Ok(Packet { ts: Instant::from_micros(ts), dir, len, flow, app: AppId(app) })
 }
 
+// ------------------------------------------------------ binary framing ----
+
+/// Writes a binary format's preamble: its magic bytes, then its version.
+fn write_preamble(w: &mut impl Write, magic: &[u8; 4], version: u16) -> Result<(), TraceError> {
+    w.write_all(magic)?;
+    w.write_all(&version.to_le_bytes())?;
+    Ok(())
+}
+
+/// Reads a binary format's preamble: other magic bytes are a
+/// [`TraceError::BadHeader`], another version an
+/// [`TraceError::UnsupportedVersion`].
+fn read_preamble(r: &mut impl Read, magic: &[u8; 4], version: u16) -> Result<(), TraceError> {
+    let mut found = [0u8; 4];
+    r.read_exact(&mut found)?;
+    if &found != magic {
+        return Err(TraceError::BadHeader(String::from_utf8_lossy(&found).into_owned()));
+    }
+    let mut v = [0u8; 2];
+    r.read_exact(&mut v)?;
+    match u16::from_le_bytes(v) {
+        found if found == version => Ok(()),
+        found => Err(TraceError::UnsupportedVersion(found)),
+    }
+}
+
+/// Checks that a binary file ends right after its `count` declared
+/// items. Trailing bytes mean the count was corrupted (or the file
+/// grew), and silently ignoring them would return a wrong-but-valid
+/// value.
+fn expect_end(r: &mut impl Read, count: usize, item: &str) -> Result<(), TraceError> {
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(TraceError::Parse {
+            location: count,
+            message: format!("trailing data after the declared {item} count"),
+        });
+    }
+    Ok(())
+}
+
+/// Maps an unexpected-EOF mid-record into a positioned truncation
+/// error (other I/O failures pass through).
+fn truncated(e: std::io::Error, what: &str, location: usize) -> TraceError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        TraceError::Parse { location, message: format!("truncated {what}") }
+    } else {
+        TraceError::Io(e)
+    }
+}
+
 // ------------------------------------------------------------- binary ----
 
 /// Writes a trace in binary form.
 pub fn write_binary<W: Write>(trace: &Trace, out: W) -> Result<(), TraceError> {
     let mut w = BufWriter::new(out);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&BINARY_VERSION.to_le_bytes())?;
+    write_preamble(&mut w, BINARY_MAGIC, BINARY_VERSION)?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
     for p in trace.iter() {
         let mut rec = [0u8; RECORD_SIZE];
@@ -114,30 +169,14 @@ pub fn write_binary<W: Write>(trace: &Trace, out: W) -> Result<(), TraceError> {
 /// Reads a trace in binary form.
 pub fn read_binary<R: Read>(input: R) -> Result<Trace, TraceError> {
     let mut r = BufReader::new(input);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(TraceError::BadHeader(String::from_utf8_lossy(&magic).into_owned()));
-    }
-    let mut v = [0u8; 2];
-    r.read_exact(&mut v)?;
-    let version = u16::from_le_bytes(v);
-    if version != BINARY_VERSION {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
+    read_preamble(&mut r, BINARY_MAGIC, BINARY_VERSION)?;
     let mut c = [0u8; 8];
     r.read_exact(&mut c)?;
     let count = u64::from_le_bytes(c) as usize;
     let mut packets = Vec::with_capacity(count.min(1 << 24));
     let mut rec = [0u8; RECORD_SIZE];
     for i in 0..count {
-        r.read_exact(&mut rec).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Parse { location: i, message: "truncated record".into() }
-            } else {
-                TraceError::Io(e)
-            }
-        })?;
+        r.read_exact(&mut rec).map_err(|e| truncated(e, "record", i))?;
         let ts = i64::from_le_bytes(rec[0..8].try_into().expect("fixed slice"));
         let dir = match rec[8] {
             0 => Direction::Up,
@@ -154,17 +193,158 @@ pub fn read_binary<R: Read>(input: R) -> Result<Trace, TraceError> {
         let app = u16::from_le_bytes(rec[17..19].try_into().expect("fixed slice"));
         packets.push(Packet { ts: Instant::from_micros(ts), dir, len, flow, app: AppId(app) });
     }
-    // A well-formed file ends exactly after `count` records: trailing
-    // bytes mean the header's count was corrupted (or the file grew),
-    // and silently ignoring them would return a wrong-but-valid Trace.
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
-        return Err(TraceError::Parse {
-            location: count,
-            message: "trailing data after the declared packet count".into(),
-        });
-    }
+    expect_end(&mut r, count, "packet")?;
     Trace::from_sorted(packets)
+}
+
+// ------------------------------------------------- checksummed spills ----
+
+/// Longest scheme token a spill header may carry. Real tokens are
+/// under 32 bytes; the cap keeps a corrupted length field from driving
+/// a huge allocation.
+const SCHEME_CAP: usize = 256;
+
+/// What sets one checksummed spill format apart from another: its
+/// preamble, and the seed its checksum chain starts from.
+struct SpillFormat {
+    magic: &'static [u8; 4],
+    version: u16,
+    seed: u64,
+}
+
+/// The `.twc` request-cache format.
+const REQUEST_FORMAT: SpillFormat =
+    SpillFormat { magic: REQUEST_MAGIC, version: REQUEST_VERSION, seed: 0x71C0_CACE_0000_0000 };
+/// The `.twr` replay-memo format.
+const OUTCOME_FORMAT: SpillFormat =
+    SpillFormat { magic: OUTCOME_MAGIC, version: OUTCOME_VERSION, seed: 0x7EC0_CACE_0000_0000 };
+
+/// One checksum folding step (SplitMix64 over the running hash XOR the
+/// next word — the same avalanche the seeding hierarchy uses).
+fn fold_word(h: u64, word: u64) -> u64 {
+    crate::mix::splitmix64(h ^ word)
+}
+
+/// Folds a scheme token: its length, then each byte as a word.
+fn fold_scheme(h: u64, token: &[u8]) -> u64 {
+    token.iter().fold(fold_word(h, token.len() as u64), |h, &b| fold_word(h, b as u64))
+}
+
+/// Writes a checksummed spill file: the preamble, then little-endian
+/// fields, each folded into the checksum as it goes out, then the
+/// checksum itself.
+struct SpillWriter<W: Write> {
+    w: BufWriter<W>,
+    checksum: u64,
+}
+
+impl<W: Write> SpillWriter<W> {
+    fn new(format: &SpillFormat, out: W) -> Result<Self, TraceError> {
+        let mut w = BufWriter::new(out);
+        write_preamble(&mut w, format.magic, format.version)?;
+        Ok(SpillWriter { w, checksum: format.seed })
+    }
+
+    fn word(&mut self, word: u64) -> Result<(), TraceError> {
+        self.w.write_all(&word.to_le_bytes())?;
+        self.checksum = fold_word(self.checksum, word);
+        Ok(())
+    }
+
+    /// A 32-bit field: four bytes on disk, one word in the checksum.
+    fn word32(&mut self, word: u32) -> Result<(), TraceError> {
+        self.w.write_all(&word.to_le_bytes())?;
+        self.checksum = fold_word(self.checksum, word as u64);
+        Ok(())
+    }
+
+    /// The scheme token: a 16-bit length, then its bytes.
+    fn scheme(&mut self, token: &str) -> Result<(), TraceError> {
+        if token.len() > SCHEME_CAP {
+            return Err(TraceError::Parse {
+                location: 0,
+                message: format!("scheme token exceeds {SCHEME_CAP} bytes"),
+            });
+        }
+        self.w.write_all(&(token.len() as u16).to_le_bytes())?;
+        self.w.write_all(token.as_bytes())?;
+        self.checksum = fold_scheme(self.checksum, token.as_bytes());
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<(), TraceError> {
+        self.w.write_all(&self.checksum.to_le_bytes())?;
+        self.w.flush()?;
+        Ok(())
+    }
+}
+
+/// Reads a checksummed spill file back, mirroring [`SpillWriter`]: a
+/// file cut short is a `truncated {what}` error at the caller's
+/// position, and [`finish`](Self::finish) checks the checksum and then
+/// that nothing follows it.
+struct SpillReader<R: Read> {
+    r: BufReader<R>,
+    checksum: u64,
+}
+
+impl<R: Read> SpillReader<R> {
+    fn new(format: &SpillFormat, input: R) -> Result<Self, TraceError> {
+        let mut r = BufReader::new(input);
+        read_preamble(&mut r, format.magic, format.version)?;
+        Ok(SpillReader { r, checksum: format.seed })
+    }
+
+    fn word(&mut self, what: &str, at: usize) -> Result<u64, TraceError> {
+        let mut b = [0u8; 8];
+        self.r.read_exact(&mut b).map_err(|e| truncated(e, what, at))?;
+        let word = u64::from_le_bytes(b);
+        self.checksum = fold_word(self.checksum, word);
+        Ok(word)
+    }
+
+    fn word32(&mut self, what: &str, at: usize) -> Result<u32, TraceError> {
+        let mut b = [0u8; 4];
+        self.r.read_exact(&mut b).map_err(|e| truncated(e, what, at))?;
+        let word = u32::from_le_bytes(b);
+        self.checksum = fold_word(self.checksum, word as u64);
+        Ok(word)
+    }
+
+    fn scheme(&mut self) -> Result<String, TraceError> {
+        let mut len = [0u8; 2];
+        self.r.read_exact(&mut len).map_err(|e| truncated(e, "scheme length", 0))?;
+        let len = u16::from_le_bytes(len) as usize;
+        if len > SCHEME_CAP {
+            return Err(TraceError::Parse {
+                location: 0,
+                message: format!("scheme token length {len} exceeds {SCHEME_CAP}"),
+            });
+        }
+        let mut token = vec![0u8; len];
+        self.r.read_exact(&mut token).map_err(|e| truncated(e, "scheme token", 0))?;
+        self.checksum = fold_scheme(self.checksum, &token);
+        String::from_utf8(token).map_err(|e| TraceError::Parse {
+            location: 0,
+            message: format!("scheme token is not UTF-8: {e}"),
+        })
+    }
+
+    /// Reads the stored checksum after the `count` declared items and
+    /// checks it, then that the file ends there.
+    fn finish(mut self, count: usize, item: &str) -> Result<(), TraceError> {
+        let computed = self.checksum;
+        let stored = self.word("checksum", count)?;
+        if stored != computed {
+            return Err(TraceError::Parse {
+                location: count,
+                message: format!(
+                    "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                ),
+            });
+        }
+        expect_end(&mut self.r, count, item)
+    }
 }
 
 // ------------------------------------------------- request cache (.twc) ----
@@ -175,10 +355,6 @@ pub const REQUEST_MAGIC: &[u8; 4] = b"TWRC";
 /// confusion counts; a reader meets a version-1 file as an unsupported
 /// version.
 pub const REQUEST_VERSION: u16 = 2;
-/// Longest scheme token a `.twc` header may carry. Real tokens are
-/// under 32 bytes; the cap keeps a corrupted length field from driving
-/// a huge allocation.
-const REQUEST_SCHEME_CAP: usize = 256;
 
 /// The `.twc` header: the scenario fingerprint a cached phase-1
 /// request extraction is valid for, plus the scheme that produced it.
@@ -194,7 +370,7 @@ const REQUEST_SCHEME_CAP: usize = 256;
 pub struct RequestCacheHeader {
     /// Scenario master seed.
     pub master_seed: u64,
-    /// Population size; must equal the number of stored streams.
+    /// Population size; a `.twc` file stores exactly this many streams.
     pub users: u64,
     /// Days of traffic synthesized per user.
     pub days: u32,
@@ -204,6 +380,31 @@ pub struct RequestCacheHeader {
     pub sim_hash: u64,
     /// Stable token of the scheme that extracted the requests.
     pub scheme: String,
+}
+
+impl RequestCacheHeader {
+    /// Writes every field but the scheme token, which a `.twr` header
+    /// follows with its topology hash first.
+    fn write_fingerprint<W: Write>(&self, w: &mut SpillWriter<W>) -> Result<(), TraceError> {
+        w.word(self.master_seed)?;
+        w.word(self.users)?;
+        w.word32(self.days)?;
+        w.word(self.mix_hash)?;
+        w.word(self.sim_hash)
+    }
+
+    /// Reads what [`write_fingerprint`](Self::write_fingerprint)
+    /// wrote, leaving the scheme token for the caller to read.
+    fn read_fingerprint<R: Read>(r: &mut SpillReader<R>) -> Result<Self, TraceError> {
+        Ok(RequestCacheHeader {
+            master_seed: r.word("master seed", 0)?,
+            users: r.word("user count", 0)?,
+            days: r.word32("day count", 0)?,
+            mix_hash: r.word("mix hash", 0)?,
+            sim_hash: r.word("sim hash", 0)?,
+            scheme: String::new(),
+        })
+    }
 }
 
 /// One user's phase-1 product as a `.twc` file stores it: when the
@@ -218,27 +419,6 @@ pub struct RequestStream {
     /// negatives. The times do not determine them: a wait at or past
     /// the tail window counts a demotion without sending a request.
     pub confusion: [u64; 4],
-}
-
-/// One checksum folding step (SplitMix64 over the running hash XOR the
-/// next word — the same avalanche the seeding hierarchy uses).
-fn fold_word(h: u64, word: u64) -> u64 {
-    crate::mix::splitmix64(h ^ word)
-}
-
-/// Folds the header fields shared by writer and reader.
-fn fold_header(header: &RequestCacheHeader) -> u64 {
-    let mut h = 0x71C0_CACE_0000_0000u64;
-    h = fold_word(h, header.master_seed);
-    h = fold_word(h, header.users);
-    h = fold_word(h, header.days as u64);
-    h = fold_word(h, header.mix_hash);
-    h = fold_word(h, header.sim_hash);
-    h = fold_word(h, header.scheme.len() as u64);
-    for b in header.scheme.as_bytes() {
-        h = fold_word(h, *b as u64);
-    }
-    h
 }
 
 /// Writes per-user phase-1 request streams in `.twc` form: the header;
@@ -265,23 +445,9 @@ pub fn write_request_streams<W: Write>(
             ),
         });
     }
-    if header.scheme.len() > REQUEST_SCHEME_CAP {
-        return Err(TraceError::Parse {
-            location: 0,
-            message: format!("scheme token exceeds {REQUEST_SCHEME_CAP} bytes"),
-        });
-    }
-    let mut w = BufWriter::new(out);
-    w.write_all(REQUEST_MAGIC)?;
-    w.write_all(&REQUEST_VERSION.to_le_bytes())?;
-    w.write_all(&header.master_seed.to_le_bytes())?;
-    w.write_all(&header.users.to_le_bytes())?;
-    w.write_all(&header.days.to_le_bytes())?;
-    w.write_all(&header.mix_hash.to_le_bytes())?;
-    w.write_all(&header.sim_hash.to_le_bytes())?;
-    w.write_all(&(header.scheme.len() as u16).to_le_bytes())?;
-    w.write_all(header.scheme.as_bytes())?;
-    let mut checksum = fold_header(header);
+    let mut w = SpillWriter::new(&REQUEST_FORMAT, out)?;
+    header.write_fingerprint(&mut w)?;
+    w.scheme(&header.scheme)?;
     for (user, RequestStream { times, confusion }) in streams.iter().enumerate() {
         if let Some(pair) = times.windows(2).find(|pair| pair[0] > pair[1]) {
             return Err(TraceError::Parse {
@@ -293,20 +459,15 @@ pub fn write_request_streams<W: Write>(
                 ),
             });
         }
-        w.write_all(&(times.len() as u64).to_le_bytes())?;
-        checksum = fold_word(checksum, times.len() as u64);
+        w.word(times.len() as u64)?;
         for t in times {
-            w.write_all(&t.as_micros().to_le_bytes())?;
-            checksum = fold_word(checksum, t.as_micros() as u64);
+            w.word(t.as_micros() as u64)?;
         }
         for &count in confusion {
-            w.write_all(&count.to_le_bytes())?;
-            checksum = fold_word(checksum, count);
+            w.word(count)?;
         }
     }
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
-    Ok(())
+    w.finish()
 }
 
 /// Reads a `.twc` file back into its header and per-user streams.
@@ -322,91 +483,31 @@ pub fn write_request_streams<W: Write>(
 pub fn read_request_streams<R: Read>(
     input: R,
 ) -> Result<(RequestCacheHeader, Vec<RequestStream>), TraceError> {
-    let mut r = BufReader::new(input);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != REQUEST_MAGIC {
-        return Err(TraceError::BadHeader(String::from_utf8_lossy(&magic).into_owned()));
-    }
-    let mut v = [0u8; 2];
-    r.read_exact(&mut v)?;
-    let version = u16::from_le_bytes(v);
-    if version != REQUEST_VERSION {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    let mut u64_buf = [0u8; 8];
-    let mut read_u64 = |r: &mut BufReader<R>, what: &str, at: usize| -> Result<u64, TraceError> {
-        r.read_exact(&mut u64_buf).map_err(|e| truncated(e, what, at))?;
-        Ok(u64::from_le_bytes(u64_buf))
-    };
-    let master_seed = read_u64(&mut r, "master seed", 0)?;
-    let users = read_u64(&mut r, "user count", 0)?;
-    let mut u32_buf = [0u8; 4];
-    r.read_exact(&mut u32_buf).map_err(|e| truncated(e, "day count", 0))?;
-    let days = u32::from_le_bytes(u32_buf);
-    let mix_hash = read_u64(&mut r, "mix hash", 0)?;
-    let sim_hash = read_u64(&mut r, "sim hash", 0)?;
-    let mut len_buf = [0u8; 2];
-    r.read_exact(&mut len_buf).map_err(|e| truncated(e, "scheme length", 0))?;
-    let scheme_len = u16::from_le_bytes(len_buf) as usize;
-    if scheme_len > REQUEST_SCHEME_CAP {
-        return Err(TraceError::Parse {
-            location: 0,
-            message: format!("scheme token length {scheme_len} exceeds {REQUEST_SCHEME_CAP}"),
-        });
-    }
-    let mut scheme_bytes = vec![0u8; scheme_len];
-    r.read_exact(&mut scheme_bytes).map_err(|e| truncated(e, "scheme token", 0))?;
-    let scheme = String::from_utf8(scheme_bytes).map_err(|e| TraceError::Parse {
-        location: 0,
-        message: format!("scheme token is not UTF-8: {e}"),
-    })?;
-    let header = RequestCacheHeader { master_seed, users, days, mix_hash, sim_hash, scheme };
-
-    let mut checksum = fold_header(&header);
-    let mut streams = Vec::with_capacity((users as usize).min(1 << 24));
-    for user in 0..users as usize {
-        let mut c = [0u8; 8];
-        r.read_exact(&mut c).map_err(|e| truncated(e, "stream length", user))?;
-        let count = u64::from_le_bytes(c) as usize;
-        checksum = fold_word(checksum, count as u64);
-        let mut times = Vec::with_capacity(count.min(1 << 24));
-        let mut prev: Option<i64> = None;
+    let mut r = SpillReader::new(&REQUEST_FORMAT, input)?;
+    let mut header = RequestCacheHeader::read_fingerprint(&mut r)?;
+    header.scheme = r.scheme()?;
+    let users = header.users as usize;
+    let mut streams = Vec::with_capacity(users.min(1 << 24));
+    for user in 0..users {
+        let count = r.word("stream length", user)? as usize;
+        let mut times: Vec<Instant> = Vec::with_capacity(count.min(1 << 24));
         for _ in 0..count {
-            let mut t = [0u8; 8];
-            r.read_exact(&mut t).map_err(|e| truncated(e, "request timestamp", user))?;
-            let micros = i64::from_le_bytes(t);
-            checksum = fold_word(checksum, micros as u64);
-            if prev.is_some_and(|p| p > micros) {
+            let micros = r.word("request timestamp", user)? as i64;
+            if times.last().is_some_and(|p| p.as_micros() > micros) {
                 return Err(TraceError::Parse {
                     location: user,
                     message: format!("user {user} request times are not non-decreasing"),
                 });
             }
-            prev = Some(micros);
             times.push(Instant::from_micros(micros));
         }
         let mut confusion = [0u64; 4];
         for count in &mut confusion {
-            *count = read_u64(&mut r, "confusion count", user)?;
-            checksum = fold_word(checksum, *count);
+            *count = r.word("confusion count", user)?;
         }
         streams.push(RequestStream { times, confusion });
     }
-    let stored = read_u64(&mut r, "checksum", users as usize)?;
-    if stored != checksum {
-        return Err(TraceError::Parse {
-            location: users as usize,
-            message: format!("checksum mismatch: stored {stored:#018x}, computed {checksum:#018x}"),
-        });
-    }
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
-        return Err(TraceError::Parse {
-            location: users as usize,
-            message: "trailing data after the declared stream count".into(),
-        });
-    }
+    r.finish(users, "stream")?;
     Ok((header, streams))
 }
 
@@ -420,61 +521,55 @@ pub const OUTCOME_VERSION: u16 = 1;
 /// The `.twr` header: everything a memoized phase-2 outcome is keyed
 /// on at the population level.
 ///
-/// The first five fields mirror [`RequestCacheHeader`] (the scenario
-/// fingerprint plus the scheme token); `topo_hash` additionally pins
-/// the topology facts a per-user `(cell, second) → msgs` attribution
-/// depends on — cell count, mobility model, and the signaling message
-/// weights. Per-user verdict streams are keyed inside each record, so
-/// one file serves every sweep cell that shares the population.
+/// `requests` is the `.twc` header of the request streams the outcomes
+/// were replayed from (the scenario fingerprint plus the scheme token);
+/// `topo_hash` additionally pins the topology facts a per-user
+/// `(cell, second) → msgs` attribution depends on — cell count,
+/// mobility model, and the signaling message weights. Per-user verdict
+/// streams are keyed inside each record, so one file serves every
+/// sweep cell that shares the population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayCacheHeader {
-    /// Scenario master seed.
-    pub master_seed: u64,
-    /// Population size (records may cover any subset of users).
-    pub users: u64,
-    /// Days of traffic synthesized per user.
-    pub days: u32,
-    /// Hash of the app and carrier mixes (weights included).
-    pub mix_hash: u64,
-    /// Hash of the phase-1-relevant engine knobs.
-    pub sim_hash: u64,
+    /// The population fingerprint and scheme token. Its `users` is the
+    /// population size; the records may cover any subset of users.
+    pub requests: RequestCacheHeader,
     /// Hash of the replay-relevant topology facts (cell count,
     /// mobility model, signaling weights).
     pub topo_hash: u64,
-    /// Stable token of the scheme whose replay is memoized.
-    pub scheme: String,
 }
 
-/// One memoized per-user phase-2 outcome, as stored on disk.
+/// The scalar outcome of one user's phase-2 replay, in exactly the
+/// shape a fleet fold consumes and a `.twr` record stores: energy as
+/// `f64::to_bits` words, switch and confusion counts, the status-quo
+/// baseline the run is scored against, the session-delay samples as
+/// bits, and the user's sparse per-second signaling-load deltas.
 ///
-/// Everything the fleet report's outcome fold needs to fold the user
-/// without re-simulating: the scheme run's scalar outcome (energy and
-/// baseline energy as `f64::to_bits` words, switch/confusion counts,
-/// session-delay samples as bits) plus the user's sparse per-second
-/// signaling-load deltas. A record is valid only for the
-/// `(header, verdict_hash)` pair it is keyed under — any drift in the
-/// verdict stream re-simulates.
+/// This is what makes a replay *memoizable*. A replay's outcome is a
+/// pure function of `(profile, config, trace, requests, verdicts)`, so
+/// a coordinator that has seen the same verdict stream for the same
+/// user before can fold this struct instead of re-running the engine —
+/// and because everything floating-point is carried as raw bits, the
+/// fold is bit-identical to the live run by construction, not by
+/// rounding luck. `Eq` is derived for the same reason: two outcomes are
+/// equal iff every bit agrees. The sim crate's `replay_outcome` builds
+/// one from a finished run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayOutcomeRecord {
-    /// User index within the population.
-    pub user: u64,
-    /// SplitMix64 hash of the user's grant/deny verdict stream.
-    pub verdict_hash: u64,
-    /// Packets replayed.
+pub struct ReplayOutcome {
+    /// Packets in the replayed trace.
     pub packets: u64,
     /// Scheme-run total energy, as `f64::to_bits`.
     pub energy_bits: u64,
-    /// Promotion cycles in the scheme run.
+    /// Demote→promote switch cycles.
     pub switches: u64,
-    /// False switches (confusion-matrix false positives).
+    /// Confusion-matrix false positives.
     pub false_switches: u64,
-    /// Missed switches (confusion-matrix false negatives).
+    /// Confusion-matrix false negatives.
     pub missed_switches: u64,
     /// Total scored decisions.
     pub decisions: u64,
     /// Status-quo baseline energy, as `f64::to_bits`.
     pub baseline_energy_bits: u64,
-    /// Status-quo baseline promotion cycles.
+    /// Status-quo baseline switch cycles.
     pub baseline_switches: u64,
     /// Session-delay samples, each as `f64::to_bits`, in record order.
     pub delay_bits: Vec<u64>,
@@ -482,20 +577,39 @@ pub struct ReplayOutcomeRecord {
     pub seconds: Vec<(u64, i64, u64)>,
 }
 
-/// Folds the `.twr` header fields shared by writer and reader.
-fn fold_outcome_header(header: &ReplayCacheHeader) -> u64 {
-    let mut h = 0x7EC0_CACE_0000_0000u64;
-    h = fold_word(h, header.master_seed);
-    h = fold_word(h, header.users);
-    h = fold_word(h, header.days as u64);
-    h = fold_word(h, header.mix_hash);
-    h = fold_word(h, header.sim_hash);
-    h = fold_word(h, header.topo_hash);
-    h = fold_word(h, header.scheme.len() as u64);
-    for b in header.scheme.as_bytes() {
-        h = fold_word(h, *b as u64);
+impl ReplayOutcome {
+    /// Total energy in joules, recovered exactly from the stored bits.
+    pub fn energy_j(&self) -> f64 {
+        f64::from_bits(self.energy_bits)
     }
-    h
+
+    /// The session-delay samples, recovered exactly from the stored
+    /// bits, in record order.
+    pub fn session_delays(&self) -> impl Iterator<Item = f64> + '_ {
+        self.delay_bits.iter().map(|&b| f64::from_bits(b))
+    }
+
+    /// Energy saved relative to a bare baseline total, in percent —
+    /// the same arithmetic (same bits) as the sim crate's
+    /// `SimReport::savings_vs_energy`.
+    pub fn savings_vs_energy(&self, base: f64) -> f64 {
+        if base <= 0.0 {
+            return 0.0;
+        }
+        (base - self.energy_j()) / base * 100.0
+    }
+}
+
+/// One `.twr` record: a user's memoized outcome under the key it is
+/// valid for. Any drift in the user's verdict stream re-simulates.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ReplayOutcomeRecord {
+    /// User index within the population.
+    pub user: u64,
+    /// SplitMix64 hash of the user's grant/deny verdict stream.
+    pub verdict_hash: u64,
+    /// The outcome replaying that verdict stream produced.
+    pub outcome: ReplayOutcome,
 }
 
 /// Writes memoized replay outcomes in `.twr` form: the header, a
@@ -507,56 +621,38 @@ pub fn write_replay_outcomes<W: Write>(
     records: &[ReplayOutcomeRecord],
     out: W,
 ) -> Result<(), TraceError> {
-    if header.scheme.len() > REQUEST_SCHEME_CAP {
-        return Err(TraceError::Parse {
-            location: 0,
-            message: format!("scheme token exceeds {REQUEST_SCHEME_CAP} bytes"),
-        });
-    }
-    let mut w = BufWriter::new(out);
-    w.write_all(OUTCOME_MAGIC)?;
-    w.write_all(&OUTCOME_VERSION.to_le_bytes())?;
-    w.write_all(&header.master_seed.to_le_bytes())?;
-    w.write_all(&header.users.to_le_bytes())?;
-    w.write_all(&header.days.to_le_bytes())?;
-    w.write_all(&header.mix_hash.to_le_bytes())?;
-    w.write_all(&header.sim_hash.to_le_bytes())?;
-    w.write_all(&header.topo_hash.to_le_bytes())?;
-    w.write_all(&(header.scheme.len() as u16).to_le_bytes())?;
-    w.write_all(header.scheme.as_bytes())?;
-    let mut checksum = fold_outcome_header(header);
-    w.write_all(&(records.len() as u64).to_le_bytes())?;
-    checksum = fold_word(checksum, records.len() as u64);
-    let put = |w: &mut BufWriter<W>, checksum: &mut u64, word: u64| -> Result<(), TraceError> {
-        w.write_all(&word.to_le_bytes())?;
-        *checksum = fold_word(*checksum, word);
-        Ok(())
-    };
-    for rec in records {
-        put(&mut w, &mut checksum, rec.user)?;
-        put(&mut w, &mut checksum, rec.verdict_hash)?;
-        put(&mut w, &mut checksum, rec.packets)?;
-        put(&mut w, &mut checksum, rec.energy_bits)?;
-        put(&mut w, &mut checksum, rec.switches)?;
-        put(&mut w, &mut checksum, rec.false_switches)?;
-        put(&mut w, &mut checksum, rec.missed_switches)?;
-        put(&mut w, &mut checksum, rec.decisions)?;
-        put(&mut w, &mut checksum, rec.baseline_energy_bits)?;
-        put(&mut w, &mut checksum, rec.baseline_switches)?;
-        put(&mut w, &mut checksum, rec.delay_bits.len() as u64)?;
-        for &bits in &rec.delay_bits {
-            put(&mut w, &mut checksum, bits)?;
+    let mut w = SpillWriter::new(&OUTCOME_FORMAT, out)?;
+    header.requests.write_fingerprint(&mut w)?;
+    w.word(header.topo_hash)?;
+    w.scheme(&header.requests.scheme)?;
+    w.word(records.len() as u64)?;
+    for ReplayOutcomeRecord { user, verdict_hash, outcome: o } in records {
+        for word in [
+            *user,
+            *verdict_hash,
+            o.packets,
+            o.energy_bits,
+            o.switches,
+            o.false_switches,
+            o.missed_switches,
+            o.decisions,
+            o.baseline_energy_bits,
+            o.baseline_switches,
+        ] {
+            w.word(word)?;
         }
-        put(&mut w, &mut checksum, rec.seconds.len() as u64)?;
-        for &(cell, second, msgs) in &rec.seconds {
-            put(&mut w, &mut checksum, cell)?;
-            put(&mut w, &mut checksum, second as u64)?;
-            put(&mut w, &mut checksum, msgs)?;
+        w.word(o.delay_bits.len() as u64)?;
+        for &bits in &o.delay_bits {
+            w.word(bits)?;
+        }
+        w.word(o.seconds.len() as u64)?;
+        for &(cell, second, msgs) in &o.seconds {
+            w.word(cell)?;
+            w.word(second as u64)?;
+            w.word(msgs)?;
         }
     }
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
-    Ok(())
+    w.finish()
 }
 
 /// Reads a `.twr` file back into its header and outcome records.
@@ -569,114 +665,43 @@ pub fn write_replay_outcomes<W: Write>(
 pub fn read_replay_outcomes<R: Read>(
     input: R,
 ) -> Result<(ReplayCacheHeader, Vec<ReplayOutcomeRecord>), TraceError> {
-    let mut r = BufReader::new(input);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != OUTCOME_MAGIC {
-        return Err(TraceError::BadHeader(String::from_utf8_lossy(&magic).into_owned()));
-    }
-    let mut v = [0u8; 2];
-    r.read_exact(&mut v)?;
-    let version = u16::from_le_bytes(v);
-    if version != OUTCOME_VERSION {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    let mut u64_buf = [0u8; 8];
-    let mut read_u64 = |r: &mut BufReader<R>, what: &str, at: usize| -> Result<u64, TraceError> {
-        r.read_exact(&mut u64_buf).map_err(|e| truncated(e, what, at))?;
-        Ok(u64::from_le_bytes(u64_buf))
-    };
-    let master_seed = read_u64(&mut r, "master seed", 0)?;
-    let users = read_u64(&mut r, "user count", 0)?;
-    let mut u32_buf = [0u8; 4];
-    r.read_exact(&mut u32_buf).map_err(|e| truncated(e, "day count", 0))?;
-    let days = u32::from_le_bytes(u32_buf);
-    let mix_hash = read_u64(&mut r, "mix hash", 0)?;
-    let sim_hash = read_u64(&mut r, "sim hash", 0)?;
-    let topo_hash = read_u64(&mut r, "topology hash", 0)?;
-    let mut len_buf = [0u8; 2];
-    r.read_exact(&mut len_buf).map_err(|e| truncated(e, "scheme length", 0))?;
-    let scheme_len = u16::from_le_bytes(len_buf) as usize;
-    if scheme_len > REQUEST_SCHEME_CAP {
-        return Err(TraceError::Parse {
-            location: 0,
-            message: format!("scheme token length {scheme_len} exceeds {REQUEST_SCHEME_CAP}"),
-        });
-    }
-    let mut scheme_bytes = vec![0u8; scheme_len];
-    r.read_exact(&mut scheme_bytes).map_err(|e| truncated(e, "scheme token", 0))?;
-    let scheme = String::from_utf8(scheme_bytes).map_err(|e| TraceError::Parse {
-        location: 0,
-        message: format!("scheme token is not UTF-8: {e}"),
-    })?;
-    let header =
-        ReplayCacheHeader { master_seed, users, days, mix_hash, sim_hash, topo_hash, scheme };
-
-    let mut checksum = fold_outcome_header(&header);
-    let count = read_u64(&mut r, "record count", 0)? as usize;
-    checksum = fold_word(checksum, count as u64);
+    let mut r = SpillReader::new(&OUTCOME_FORMAT, input)?;
+    let mut requests = RequestCacheHeader::read_fingerprint(&mut r)?;
+    let topo_hash = r.word("topology hash", 0)?;
+    requests.scheme = r.scheme()?;
+    let count = r.word("record count", 0)? as usize;
     let mut records = Vec::with_capacity(count.min(1 << 24));
     for i in 0..count {
-        let get = |r: &mut BufReader<R>, checksum: &mut u64, what| -> Result<u64, TraceError> {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b).map_err(|e| truncated(e, what, i))?;
-            let word = u64::from_le_bytes(b);
-            *checksum = fold_word(*checksum, word);
-            Ok(word)
+        let mut word = |what: &str| r.word(what, i);
+        let user = word("user index")?;
+        let verdict_hash = word("verdict hash")?;
+        let mut outcome = ReplayOutcome {
+            packets: word("packet count")?,
+            energy_bits: word("energy bits")?,
+            switches: word("switch count")?,
+            false_switches: word("false-switch count")?,
+            missed_switches: word("missed-switch count")?,
+            decisions: word("decision count")?,
+            baseline_energy_bits: word("baseline energy bits")?,
+            baseline_switches: word("baseline switch count")?,
+            ..ReplayOutcome::default()
         };
-        let mut rec = ReplayOutcomeRecord {
-            user: get(&mut r, &mut checksum, "user index")?,
-            verdict_hash: get(&mut r, &mut checksum, "verdict hash")?,
-            packets: get(&mut r, &mut checksum, "packet count")?,
-            energy_bits: get(&mut r, &mut checksum, "energy bits")?,
-            switches: get(&mut r, &mut checksum, "switch count")?,
-            false_switches: get(&mut r, &mut checksum, "false-switch count")?,
-            missed_switches: get(&mut r, &mut checksum, "missed-switch count")?,
-            decisions: get(&mut r, &mut checksum, "decision count")?,
-            baseline_energy_bits: get(&mut r, &mut checksum, "baseline energy bits")?,
-            baseline_switches: get(&mut r, &mut checksum, "baseline switch count")?,
-            ..ReplayOutcomeRecord::default()
-        };
-        let delays = get(&mut r, &mut checksum, "delay count")? as usize;
-        rec.delay_bits.reserve(delays.min(1 << 24));
+        let delays = word("delay count")? as usize;
+        outcome.delay_bits.reserve(delays.min(1 << 24));
         for _ in 0..delays {
-            rec.delay_bits.push(get(&mut r, &mut checksum, "delay bits")?);
+            outcome.delay_bits.push(word("delay bits")?);
         }
-        let seconds = get(&mut r, &mut checksum, "second-map length")? as usize;
-        rec.seconds.reserve(seconds.min(1 << 24));
+        let seconds = word("second-map length")? as usize;
+        outcome.seconds.reserve(seconds.min(1 << 24));
         for _ in 0..seconds {
-            let cell = get(&mut r, &mut checksum, "second-map cell")?;
-            let second = get(&mut r, &mut checksum, "second-map second")? as i64;
-            let msgs = get(&mut r, &mut checksum, "second-map messages")?;
-            rec.seconds.push((cell, second, msgs));
+            let cell = word("second-map cell")?;
+            let second = word("second-map second")? as i64;
+            outcome.seconds.push((cell, second, word("second-map messages")?));
         }
-        records.push(rec);
+        records.push(ReplayOutcomeRecord { user, verdict_hash, outcome });
     }
-    let stored = read_u64(&mut r, "checksum", count)?;
-    if stored != checksum {
-        return Err(TraceError::Parse {
-            location: count,
-            message: format!("checksum mismatch: stored {stored:#018x}, computed {checksum:#018x}"),
-        });
-    }
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
-        return Err(TraceError::Parse {
-            location: count,
-            message: "trailing data after the declared record count".into(),
-        });
-    }
-    Ok((header, records))
-}
-
-/// Maps an unexpected-EOF mid-record into a positioned truncation
-/// error (other I/O failures pass through).
-fn truncated(e: std::io::Error, what: &str, location: usize) -> TraceError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        TraceError::Parse { location, message: format!("truncated {what}") }
-    } else {
-        TraceError::Io(e)
-    }
+    r.finish(count, "record")?;
+    Ok((ReplayCacheHeader { requests, topo_hash }, records))
 }
 
 // --------------------------------------------------------------- paths ----
@@ -879,6 +904,22 @@ mod tests {
         assert!(b.len() < c.len());
     }
 
+    /// A SplitMix64 fold of an encoding's bytes, one byte per step: with
+    /// the length beside it, enough to pin a format without spelling
+    /// every byte out.
+    fn fold_bytes(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0, |h, &b| crate::mix::splitmix64(h ^ b as u64))
+    }
+
+    #[test]
+    fn binary_encoding_is_pinned() {
+        // Pinned bytes: `.twt` files written by earlier releases must
+        // keep loading, so a codec change may not move a single byte.
+        let mut buf = Vec::new();
+        write_binary(&sample_trace(), &mut buf).unwrap();
+        assert_eq!((buf.len(), fold_bytes(&buf)), (71, 0x1c3c_c658_a619_8596));
+    }
+
     #[test]
     fn gap_durations_survive_roundtrip() {
         let t = sample_trace();
@@ -931,6 +972,14 @@ mod tests {
         let (header, streams) = read_request_streams(sample_twc().as_slice()).unwrap();
         assert_eq!(header, sample_header(3));
         assert_eq!(streams, sample_streams());
+    }
+
+    #[test]
+    fn twc_encoding_is_pinned() {
+        // Pinned bytes: a spill directory written by an earlier release
+        // must keep warm-starting, so a codec change may not move a byte.
+        let buf = sample_twc();
+        assert_eq!((buf.len(), fold_bytes(&buf)), (226, 0x24ee_a387_19c6_36d2));
     }
 
     #[test]
@@ -1019,7 +1068,7 @@ mod tests {
     #[test]
     fn twc_write_rejects_oversized_scheme_token() {
         let mut header = sample_header(0);
-        header.scheme = "x".repeat(REQUEST_SCHEME_CAP + 1);
+        header.scheme = "x".repeat(SCHEME_CAP + 1);
         let mut buf = Vec::new();
         assert!(write_request_streams(&header, &[], &mut buf).is_err());
     }
@@ -1027,15 +1076,7 @@ mod tests {
     // -------------------------------------------- replay memo (.twr) ----
 
     fn sample_outcome_header() -> ReplayCacheHeader {
-        ReplayCacheHeader {
-            master_seed: 0xBEAC4,
-            users: 3,
-            days: 3,
-            mix_hash: 0x1234_5678_9ABC_DEF0,
-            sim_hash: 0x0FED_CBA9_8765_4321,
-            topo_hash: 0xA5A5_0000_1111_2222,
-            scheme: "tail45".into(),
-        }
+        ReplayCacheHeader { requests: sample_header(3), topo_hash: 0xA5A5_0000_1111_2222 }
     }
 
     fn sample_records() -> Vec<ReplayOutcomeRecord> {
@@ -1043,16 +1084,18 @@ mod tests {
             ReplayOutcomeRecord {
                 user: 0,
                 verdict_hash: 0xDEAD_BEEF,
-                packets: 412,
-                energy_bits: 1234.5f64.to_bits(),
-                switches: 9,
-                false_switches: 2,
-                missed_switches: 1,
-                decisions: 40,
-                baseline_energy_bits: 2345.75f64.to_bits(),
-                baseline_switches: 4,
-                delay_bits: vec![0.5f64.to_bits(), 1.25f64.to_bits()],
-                seconds: vec![(0, -3, 28), (0, 90, 5), (2, 90, 6)],
+                outcome: ReplayOutcome {
+                    packets: 412,
+                    energy_bits: 1234.5f64.to_bits(),
+                    switches: 9,
+                    false_switches: 2,
+                    missed_switches: 1,
+                    decisions: 40,
+                    baseline_energy_bits: 2345.75f64.to_bits(),
+                    baseline_switches: 4,
+                    delay_bits: vec![0.5f64.to_bits(), 1.25f64.to_bits()],
+                    seconds: vec![(0, -3, 28), (0, 90, 5), (2, 90, 6)],
+                },
             },
             // A user with no delays and no signaling load at all.
             ReplayOutcomeRecord { user: 2, verdict_hash: 7, ..ReplayOutcomeRecord::default() },
@@ -1070,6 +1113,13 @@ mod tests {
         let (header, records) = read_replay_outcomes(sample_twr().as_slice()).unwrap();
         assert_eq!(header, sample_outcome_header());
         assert_eq!(records, sample_records());
+    }
+
+    #[test]
+    fn twr_encoding_is_pinned() {
+        // Pinned bytes, for the same reason as the `.twc` pin.
+        let buf = sample_twr();
+        assert_eq!((buf.len(), fold_bytes(&buf)), (354, 0x2c1b_976b_9684_ae66));
     }
 
     #[test]
@@ -1133,7 +1183,7 @@ mod tests {
     #[test]
     fn twr_write_rejects_oversized_scheme_token() {
         let mut header = sample_outcome_header();
-        header.scheme = "x".repeat(REQUEST_SCHEME_CAP + 1);
+        header.requests.scheme = "x".repeat(SCHEME_CAP + 1);
         let mut buf = Vec::new();
         assert!(write_replay_outcomes(&header, &[], &mut buf).is_err());
     }

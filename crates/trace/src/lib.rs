@@ -53,6 +53,10 @@ mod proptests {
     use proptest::prelude::*;
 
     use crate::bursts;
+    use crate::io::{
+        read_replay_outcomes, write_replay_outcomes, ReplayCacheHeader, ReplayOutcome,
+        ReplayOutcomeRecord, RequestCacheHeader,
+    };
     use crate::packet::{AppId, Direction, Packet};
     use crate::stats::{EmpiricalDist, SlidingWindow};
     use crate::time::{Duration, Instant};
@@ -389,6 +393,133 @@ mod proptests {
                 prop_assert_eq!(r.start(), Some(Instant::ZERO));
                 prop_assert_eq!(r.span(), t.span());
                 prop_assert_eq!(r.gaps(), t.gaps());
+            }
+        }
+    }
+
+    /// `.twr` records with arbitrary scalar words, delay samples and
+    /// second-map entries.
+    fn arb_twr_records(max_len: usize) -> impl Strategy<Value = Vec<ReplayOutcomeRecord>> {
+        let record = (
+            prop::collection::vec(0u64..u64::MAX, 10),
+            prop::collection::vec(0u64..u64::MAX, 0..6),
+            prop::collection::vec((0u64..64, -1_000_000i64..100_000_000, 0u64..1_000), 0..8),
+        )
+            .prop_map(|(w, delay_bits, seconds)| ReplayOutcomeRecord {
+                user: w[0],
+                verdict_hash: w[1],
+                outcome: ReplayOutcome {
+                    packets: w[2],
+                    energy_bits: w[3],
+                    switches: w[4],
+                    false_switches: w[5],
+                    missed_switches: w[6],
+                    decisions: w[7],
+                    baseline_energy_bits: w[8],
+                    baseline_switches: w[9],
+                    delay_bits,
+                    seconds,
+                },
+            });
+        prop::collection::vec(record, 0..max_len)
+    }
+
+    fn twr_header(seed: u64, scheme: &str, topo_hash: u64) -> ReplayCacheHeader {
+        ReplayCacheHeader {
+            requests: RequestCacheHeader {
+                master_seed: seed,
+                users: 1_000,
+                days: 7,
+                mix_hash: seed.rotate_left(17),
+                sim_hash: seed.rotate_right(23),
+                scheme: scheme.into(),
+            },
+            topo_hash,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn twr_roundtrip_is_identity(
+            records in arb_twr_records(6),
+            seed in 0u64..u64::MAX,
+            topo_hash in 0u64..u64::MAX,
+            scheme_pick in 0usize..7,
+        ) {
+            let schemes =
+                ["statusquo", "tail45", "iat95", "iat87.5", "makeidle", "oracle", ""];
+            let header = twr_header(seed, schemes[scheme_pick], topo_hash);
+            let mut buf = Vec::new();
+            write_replay_outcomes(&header, &records, &mut buf).unwrap();
+            let (back_header, back) = read_replay_outcomes(buf.as_slice()).unwrap();
+            prop_assert_eq!(back_header, header);
+            prop_assert_eq!(back, records);
+        }
+
+        #[test]
+        fn mutated_twr_files_fail_cleanly(
+            records in arb_twr_records(5),
+            flips in prop::collection::vec((0usize..4096, 0u8..=255), 1..8),
+            cut in 0usize..4096,
+            truncate in prop::bool::ANY,
+            (victim, word, bit, inside) in (0usize..5, 0usize..10, 0u32..64, 0usize..4096),
+        ) {
+            // The `.twc` corruption contract, for the replay memo: any
+            // byte damage must yield a clean TraceError — never a panic,
+            // an oversized allocation, or a silently different record.
+            let header = twr_header(42, "makeidle", 13);
+            let mut buf = Vec::new();
+            write_replay_outcomes(&header, &records, &mut buf).unwrap();
+            let pristine = buf.clone();
+
+            // A record's ten scalar words (its key, counts and energy
+            // bits) are plausible whatever their bits, so only the
+            // checksum can catch a flipped one; a file cut anywhere
+            // inside a record is a truncation error at that record.
+            if !records.is_empty() {
+                let victim = victim % records.len();
+                let record_len = |r: &ReplayOutcomeRecord| {
+                    8 * (10 + 1 + r.outcome.delay_bits.len() + 1 + 3 * r.outcome.seconds.len())
+                };
+                let header_len = 4 + 2 + 8 + 8 + 4 + 8 + 8 + 8 + 2 + "makeidle".len() + 8;
+                let start = header_len + records[..victim].iter().map(record_len).sum::<usize>();
+                let mut flipped = pristine.clone();
+                flipped[start + 8 * word + bit as usize / 8] ^= 1 << (bit % 8);
+                match read_replay_outcomes(flipped.as_slice()) {
+                    Err(crate::TraceError::Parse { message, .. }) => {
+                        prop_assert!(message.contains("checksum mismatch"), "{}", message);
+                    }
+                    other => prop_assert!(false, "flipped word read back as {:?}", other),
+                }
+                let cut_at = start + inside % record_len(&records[victim]);
+                match read_replay_outcomes(&pristine[..cut_at]) {
+                    Err(crate::TraceError::Parse { location, message }) => {
+                        prop_assert_eq!(location, victim);
+                        prop_assert!(message.starts_with("truncated "), "{}", message);
+                    }
+                    other => prop_assert!(false, "cut record read back as {:?}", other),
+                }
+            }
+            if truncate {
+                buf.truncate(cut % (buf.len() + 1));
+            }
+            for (at, byte) in flips {
+                if !buf.is_empty() {
+                    let at = at % buf.len();
+                    buf[at] = byte;
+                }
+            }
+            match read_replay_outcomes(buf.as_slice()) {
+                Err(_) => {}
+                Ok((h, back)) => {
+                    // The mutations may have reassembled the original
+                    // file; anything else must have been rejected.
+                    prop_assert_eq!(buf, pristine);
+                    prop_assert_eq!(h, header);
+                    prop_assert_eq!(back, records);
+                }
             }
         }
     }
