@@ -58,9 +58,9 @@
 //! outcomes — load through one path: a missing file is a miss, and a
 //! corrupt, truncated, or mismatched-header file, or one holding a user
 //! or cell outside the population, is a *fallback* — counted on the
-//! `cache_fallbacks` (resp. `replay_fallbacks`) counter, recomputed
-//! from scratch, never trusted. Both spill through one write-then-rename
-//! path, whose failures count on the same fallback counters. The
+//! `cache_fallbacks` (resp. `replay_fallbacks`) counter, recomputed,
+//! never trusted. Both spill through one write-then-rename path, whose
+//! failures count on the same fallback counters. The
 //! bit-identity harnesses in `tests/cache_fleet.rs` and
 //! `tests/replay_fleet.rs` pin that a cached, spilled, reloaded, or
 //! fallback run produces byte-identical reports.
