@@ -116,15 +116,11 @@ fn fleet_phases(c: &mut Criterion) {
 /// serves every cell's extraction and baselines from a pre-warmed
 /// in-memory cache, leaving only the per-cell adjudicate + replay
 /// (plus pass-2 trace synthesis — replay consumes traces, which the
-/// runner regenerates rather than holds).
-///
-/// Measured honestly (2 threads, debug-free release, 2026-08): single
-/// 2.88 s, uncached sweep 11.84 s (4.1x), warm sweep 158 ms. The warm
-/// number collapsed from PR 7's 2.13x-of-single to well under one run
-/// because the replay memo (`sweep_replay_memo` below) now serves
-/// pass-2 outcomes too: after the first measured iteration every
-/// `(user, verdict-stream)` pair is cached, so iterations fold stored
-/// outcomes instead of re-running the engine per cell.
+/// runner regenerates rather than holds). The replay memo
+/// (`sweep_replay_memo` below) serves pass-2 outcomes too: after the
+/// first measured iteration every `(user, verdict-stream)` pair is
+/// cached, so iterations fold stored outcomes instead of re-running the
+/// engine per cell.
 fn sweep_cached(c: &mut Criterion) {
     let mut base = fleet_scenario(16);
     base.cells = Some(NetworkTopology::with_rncs(3, 12));
@@ -153,11 +149,6 @@ fn sweep_cached(c: &mut Criterion) {
 /// the engine, and only adjudication + folding remain per cell. The
 /// honest miss rate of the measured shape prints alongside (0% once
 /// warm — the sweep's verdict streams are deterministic).
-///
-/// Measured (2 threads, 2026-08): single run 3.16 s, warm memoized
-/// 4-cell sweep 141 ms ±2 ms — 0.045x a single run against the
-/// issue's ≤1.6x acceptance bar, with 64 replay hits and 0 misses
-/// per warm sweep.
 fn sweep_replay_memo(c: &mut Criterion) {
     let mut base = fleet_scenario(16);
     base.cells = Some(NetworkTopology::with_rncs(3, 12));

@@ -14,6 +14,7 @@
 
 mod args;
 
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::process::ExitCode;
@@ -166,7 +167,7 @@ COMMANDS
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(raw) {
+    match run(raw, &mut Stdout::new(io::stdout())) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("tailwise: {e}");
@@ -175,20 +176,61 @@ fn main() -> ExitCode {
     }
 }
 
-fn dispatch(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
+/// Standard output as the subcommands write it. It remembers whether
+/// the reader went away, so [`run`] can tell a closed pipe from a
+/// broken connection to a fleet service, which fails the command.
+struct Stdout<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> Stdout<W> {
+    fn new(inner: W) -> Stdout<W> {
+        Stdout { inner, closed: false }
+    }
+
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        self.closed |= result.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::BrokenPipe);
+        result
+    }
+}
+
+impl<W: Write> Write for Stdout<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.inner.write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let flushed = self.inner.flush();
+        self.note(flushed)
+    }
+}
+
+/// Runs one command line against `out`. A reader that closes the pipe
+/// early — `tailwise sim x.twt | head -2` — ends the command quietly
+/// and successfully: it has everything it asked for.
+fn run<W: Write>(raw: Vec<String>, out: &mut Stdout<W>) -> Result<(), Box<dyn std::error::Error>> {
+    match dispatch(raw, out).and_then(|()| Ok(out.flush()?)) {
+        Err(_) if out.closed => Ok(()),
+        result => result,
+    }
+}
+
+fn dispatch(raw: Vec<String>, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
-        print!("{HELP}");
+        write!(out, "{HELP}")?;
         return Ok(());
     }
     let args = Args::parse_with_switches(raw, SWITCHES)?;
     match args.command.as_str() {
-        "gen" => cmd_gen(&args),
-        "info" => cmd_info(&args),
-        "convert" => cmd_convert(&args),
-        "sim" => cmd_sim(&args),
-        "attribute" => cmd_attribute(&args),
-        "fleet" => cmd_fleet(&args),
-        "carriers" => cmd_carriers(&args),
+        "gen" => cmd_gen(&args, out),
+        "info" => cmd_info(&args, out),
+        "convert" => cmd_convert(&args, out),
+        "sim" => cmd_sim(&args, out),
+        "attribute" => cmd_attribute(&args, out),
+        "fleet" => cmd_fleet(&args, out),
+        "carriers" => cmd_carriers(&args, out),
         other => Err(Box::new(ArgError(format!("unknown command {other:?}; try `tailwise help`")))),
     }
 }
@@ -205,9 +247,9 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn std::error::Error>> {
     Ok(tailwise_trace::io::load(Path::new(path))?)
 }
 
-fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["app", "user", "days", "hours", "seed"])?;
-    let out = args.positional(0).ok_or_else(|| ArgError("gen needs an output path".into()))?;
+    let path = args.positional(0).ok_or_else(|| ArgError("gen needs an output path".into()))?;
     let seed: u64 = args.opt_parse("seed")?.unwrap_or(1);
     let trace = if let Some(user) = args.opt_parse::<usize>("user")? {
         let presets = UserModel::verizon_3g_users();
@@ -218,7 +260,7 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             Some(d) => model.scaled_to_days(d.max(1)),
             None => model.clone(),
         };
-        println!("generating {} ({} days)…", model.name, model.days);
+        writeln!(out, "generating {} ({} days)…", model.name, model.days)?;
         model.generate()
     } else {
         let kind = app_from(args.opt_or("app", "im"))?;
@@ -228,35 +270,36 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        println!("generating {} for {hours} h (seed {seed})…", kind.name());
+        writeln!(out, "generating {} for {hours} h (seed {seed})…", kind.name())?;
         kind.default_model().generate(Duration::from_secs_f64(hours * 3600.0), &mut rng)
     };
-    tailwise_trace::io::save(&trace, Path::new(out))?;
-    println!("wrote {out}: {}", trace.summary());
+    tailwise_trace::io::save(&trace, Path::new(path))?;
+    writeln!(out, "wrote {path}: {}", trace.summary())?;
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&[])?;
     let path = args.positional(0).ok_or_else(|| ArgError("info needs a trace path".into()))?;
     let trace = load_trace(path)?;
-    println!("{path}: {}", trace.summary());
+    writeln!(out, "{path}: {}", trace.summary())?;
     if trace.is_empty() {
         return Ok(());
     }
     let bursts = tailwise_trace::bursts::segment_default(&trace);
     if let Some(s) = tailwise_trace::bursts::stats(&bursts) {
-        println!(
+        writeln!(
+            out,
             "bursts : {} (mean {:.1} pkts, mean inter-burst gap {:.2} s)",
             s.count,
             s.mean_len,
             s.mean_interburst_gap.as_secs_f64()
-        );
+        )?;
     }
     let dist = tailwise_trace::stats::EmpiricalDist::from_samples(trace.gaps());
     for q in [0.5, 0.9, 0.95, 0.99] {
         if let Some(v) = dist.quantile(q) {
-            println!("IAT p{:<4}: {:.4} s", q * 100.0, v.as_secs_f64());
+            writeln!(out, "IAT p{:<4}: {:.4} s", q * 100.0, v.as_secs_f64())?;
         }
     }
     for (app, count) in trace.apps() {
@@ -265,12 +308,12 @@ fn cmd_info(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             .find(|k| k.id() == app)
             .map(|k| k.name().to_string())
             .unwrap_or_else(|| app.to_string());
-        println!("app    : {name} — {count} packets");
+        writeln!(out, "app    : {name} — {count} packets")?;
     }
     Ok(())
 }
 
-fn cmd_convert(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_convert(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["device"])?;
     let input = args.positional(0).ok_or_else(|| ArgError("convert needs an input path".into()))?;
     let output =
@@ -289,11 +332,11 @@ fn cmd_convert(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         load_trace(input)?
     };
     tailwise_trace::io::save(&trace, Path::new(output))?;
-    println!("wrote {output}: {}", trace.summary());
+    writeln!(out, "wrote {output}: {}", trace.summary())?;
     Ok(())
 }
 
-fn cmd_sim(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["carrier", "window"])?;
     let path = args.positional(0).ok_or_else(|| ArgError("sim needs a trace path".into()))?;
     let trace = load_trace(path)?;
@@ -302,51 +345,56 @@ fn cmd_sim(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(n) = args.opt_parse::<usize>("window")? {
         config.window_capacity = n.max(1);
     }
-    println!(
+    writeln!(
+        out,
         "{} on {} — {} packets over {:.1} h\n",
         path,
         profile.name,
         trace.len(),
         trace.span().as_secs_f64() / 3600.0
-    );
+    )?;
     let base = Scheme::StatusQuo.run(&profile, &config, &trace);
-    println!(
+    writeln!(
+        out,
         "{:<28} {:>12} {:>8} {:>10} {:>9}",
         "scheme", "energy (J)", "saved", "switches", "delay(s)"
-    );
+    )?;
     let mut schemes = vec![Scheme::StatusQuo];
     schemes.extend(Scheme::paper_set());
     for scheme in schemes {
         let r = scheme.run(&profile, &config, &trace);
-        println!(
+        writeln!(
+            out,
             "{:<28} {:>12.1} {:>7.1}% {:>10} {:>9.2}",
             r.scheme,
             r.total_energy(),
             r.savings_vs(&base),
             r.switch_cycles(),
             r.mean_session_delay(),
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_attribute(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_attribute(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["carrier"])?;
     let path = args.positional(0).ok_or_else(|| ArgError("attribute needs a trace path".into()))?;
     let trace = load_trace(path)?;
     let profile = carrier_from(args)?;
     let attr = tailwise_sim::attribution::attribute(&profile, &SimConfig::default(), &trace);
-    println!(
+    writeln!(
+        out,
         "{:<12} {:>9} {:>12} {:>7} {:>10} {:>10}",
         "app", "packets", "energy (J)", "share", "data (J)", "tail (J)"
-    );
+    )?;
     for a in &attr.apps {
         let name = AppKind::ALL
             .iter()
             .find(|k| k.id() == a.app)
             .map(|k| k.name().to_string())
             .unwrap_or_else(|| a.app.to_string());
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>9} {:>12.1} {:>6.1}% {:>10.1} {:>10.1}",
             name,
             a.packets,
@@ -354,7 +402,7 @@ fn cmd_attribute(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             attr.share(a.app) * 100.0,
             a.energy.data(),
             a.energy.tail(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -432,11 +480,15 @@ impl RunObservability {
     }
 
     /// Writes the `--metrics` manifest, if one was requested.
-    fn write_manifest(&self, manifest: &RunManifest) -> Result<(), Box<dyn std::error::Error>> {
+    fn write_manifest(
+        &self,
+        manifest: &RunManifest,
+        out: &mut dyn Write,
+    ) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(path) = &self.metrics {
             manifest.to_file(path)?;
             if !self.quiet {
-                println!("wrote run manifest to {path}");
+                writeln!(out, "wrote run manifest to {path}")?;
             }
         }
         Ok(())
@@ -571,18 +623,18 @@ fn topology_from_flags(
     Ok(Some(topology))
 }
 
-fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     match args.positional(0) {
-        Some("run") => return cmd_fleet_run(args),
-        Some("export") => return cmd_fleet_export(args),
-        Some("synth") => return cmd_fleet_synth(args),
-        Some("manifest") => return cmd_fleet_manifest(args),
-        Some("serve") => return cmd_fleet_serve(args),
-        Some("submit") => return cmd_fleet_submit(args),
-        Some("watch") => return cmd_fleet_watch(args),
-        Some("jobs") => return cmd_fleet_jobs(args),
-        Some("cancel") => return cmd_fleet_cancel(args),
-        Some("shutdown") => return cmd_fleet_shutdown(args),
+        Some("run") => return cmd_fleet_run(args, out),
+        Some("export") => return cmd_fleet_export(args, out),
+        Some("synth") => return cmd_fleet_synth(args, out),
+        Some("manifest") => return cmd_fleet_manifest(args, out),
+        Some("serve") => return cmd_fleet_serve(args, out),
+        Some("submit") => return cmd_fleet_submit(args, out),
+        Some("watch") => return cmd_fleet_watch(args, out),
+        Some("jobs") => return cmd_fleet_jobs(args, out),
+        Some("cancel") => return cmd_fleet_cancel(args, out),
+        Some("shutdown") => return cmd_fleet_shutdown(args, out),
         Some(other) => {
             return Err(Box::new(ArgError(format!(
                 "unknown fleet subcommand {other:?}; expected `run <file.toml>`, \
@@ -625,7 +677,8 @@ fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         None => String::new(),
     };
     if !obs.quiet {
-        println!(
+        writeln!(
+            out,
             "simulating {} users × {} day(s) of {} on {}{} ({} threads, seed {})…",
             scenario.users,
             scenario.days_per_user,
@@ -634,7 +687,7 @@ fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             topology,
             threads,
             scenario.master_seed,
-        );
+        )?;
     }
     let sampler = obs.start_sampler();
     let seed = scenario.master_seed;
@@ -643,10 +696,10 @@ fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(sampler) = sampler {
         sampler.finish();
     }
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if obs.metrics.is_some() {
         let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
-        obs.write_manifest(&manifest)?;
+        obs.write_manifest(&manifest, out)?;
     }
     Ok(())
 }
@@ -656,7 +709,7 @@ fn cmd_fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// machine-readable contract. `--require-phases` additionally errors
 /// when any phase timing is zero (the CI assertion that observation
 /// actually saw work in every phase).
-fn cmd_fleet_manifest(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_manifest(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     reject_run_only_flags(args, "manifest")?;
     args.check_known(&["require-phases", "digest"])?;
     if args.flag("digest") && args.flag("require-phases") {
@@ -678,10 +731,11 @@ fn cmd_fleet_manifest(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if args.flag("digest") {
         // Only the digest, so `$(tailwise fleet manifest --digest a.toml)`
         // compares runs across machines and thread counts.
-        println!("{:016x}", manifest.digest());
+        writeln!(out, "{:016x}", manifest.digest())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{path}: {} — {} run(s) of {} ({}), seed {}, {} thread(s), {:.2} s wall",
         manifest.name,
         manifest.reports.len(),
@@ -690,12 +744,12 @@ fn cmd_fleet_manifest(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         manifest.seed,
         manifest.threads,
         manifest.wall_seconds,
-    );
+    )?;
     for (name, seconds) in manifest.timings.phases() {
-        println!("  {name:<11} {seconds:>8.2} s");
+        writeln!(out, "  {name:<11} {seconds:>8.2} s")?;
     }
     for (name, value) in &manifest.counters {
-        println!("  {name:<24} {value}");
+        writeln!(out, "  {name:<24} {value}")?;
     }
     if args.flag("require-phases") {
         let zero = manifest.zero_phases();
@@ -706,7 +760,7 @@ fn cmd_fleet_manifest(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 zero.join(", ")
             ))));
         }
-        println!("all phase timings present and positive");
+        writeln!(out, "all phase timings present and positive")?;
     }
     Ok(())
 }
@@ -733,7 +787,7 @@ fn service_connect(addr: &str) -> Result<Client, ArgError> {
 /// scenario jobs over TCP, execute them on a bounded worker pool
 /// against one process-wide phase-1 cache, and stream results live.
 /// Blocks until a client's `shutdown` request drains the job queue.
-fn cmd_fleet_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_serve(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr", "workers", "threads", "cache", "quiet"])?;
     if let Some(extra) = args.positional(1) {
         return Err(Box::new(ArgError(format!(
@@ -761,22 +815,24 @@ fn cmd_fleet_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let server = Server::start(config)?;
     if !quiet {
-        println!(
+        writeln!(
+            out,
             "fleet service listening on {} ({} worker(s) × {} thread(s){})",
             server.local_addr(),
             workers,
             threads,
             spill,
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "submit with `tailwise fleet submit <file.toml> --addr {0}`; stop with \
              `tailwise fleet shutdown --addr {0}`",
             server.local_addr(),
-        );
+        )?;
     }
     server.join();
     if !quiet {
-        println!("fleet service drained and stopped");
+        writeln!(out, "fleet service drained and stopped")?;
     }
     Ok(())
 }
@@ -789,6 +845,7 @@ fn stream_job(
     client: &mut Client,
     quiet: bool,
     metrics: Option<&str>,
+    out: &mut dyn Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
     loop {
         let Some(msg) = client.recv()? else {
@@ -801,7 +858,7 @@ fn stream_job(
         match msg {
             ServerMsg::Accepted { job, name, queue } => {
                 if !quiet {
-                    println!("job {job} accepted: {name} (queue position {queue})");
+                    writeln!(out, "job {job} accepted: {name} (queue position {queue})")?;
                 }
             }
             ServerMsg::Progress { users_done, users_total, user_days, elapsed_s, .. } => {
@@ -815,18 +872,19 @@ fn stream_job(
             ServerMsg::Row { index, label, users, energy_j, saved_pct, .. } => {
                 if !quiet {
                     let label = if label.is_empty() { "run".to_string() } else { label };
-                    println!(
+                    writeln!(
+                        out,
                         "  cell {index} done: {label} — {users} users, \
                          {energy_j:.1} J, {saved_pct:.1}% saved"
-                    );
+                    )?;
                 }
             }
-            ServerMsg::Report { text, .. } => print!("{text}"),
+            ServerMsg::Report { text, .. } => write!(out, "{text}")?,
             ServerMsg::Manifest { text, .. } => {
                 if let Some(path) = metrics {
                     std::fs::write(path, &text)?;
                     if !quiet {
-                        println!("wrote run manifest to {path}");
+                        writeln!(out, "wrote run manifest to {path}")?;
                     }
                 }
             }
@@ -848,7 +906,7 @@ fn stream_job(
 /// `tailwise fleet submit <file.toml>`: hand a scenario file to a
 /// running service and (unless `--detach`) stream the job to
 /// completion — the served twin of `fleet run`.
-fn cmd_fleet_submit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_submit(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr", "detach", "metrics", "quiet"])?;
     let path = args
         .positional(1)
@@ -875,9 +933,9 @@ fn cmd_fleet_submit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         // or rejected.
         return match client.recv()? {
             Some(ServerMsg::Accepted { job, name, queue }) => {
-                println!("job {job} accepted: {name} (queue position {queue})");
+                writeln!(out, "job {job} accepted: {name} (queue position {queue})")?;
                 if !args.flag("quiet") {
-                    println!("follow it with `tailwise fleet watch {job} --addr {addr}`");
+                    writeln!(out, "follow it with `tailwise fleet watch {job} --addr {addr}`")?;
                 }
                 Ok(())
             }
@@ -887,13 +945,13 @@ fn cmd_fleet_submit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         };
     }
-    stream_job(&mut client, args.flag("quiet"), args.opt("metrics"))
+    stream_job(&mut client, args.flag("quiet"), args.opt("metrics"), out)
 }
 
 /// `tailwise fleet watch <job>`: re-attach to a job's stream — the
 /// replayable history (acceptance, finished rows, final payloads)
 /// first, then everything live.
-fn cmd_fleet_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_watch(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr", "metrics", "quiet"])?;
     let job: u64 = args
         .positional(1)
@@ -902,21 +960,21 @@ fn cmd_fleet_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|_| ArgError("fleet watch needs a numeric job id".into()))?;
     let mut client = service_connect(&service_addr(args))?;
     client.send(&ClientMsg::Watch { job })?;
-    stream_job(&mut client, args.flag("quiet"), args.opt("metrics"))
+    stream_job(&mut client, args.flag("quiet"), args.opt("metrics"), out)
 }
 
 /// `tailwise fleet jobs`: list every job the service knows about.
-fn cmd_fleet_jobs(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_jobs(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr"])?;
     let mut client = service_connect(&service_addr(args))?;
     client.send(&ClientMsg::Jobs)?;
     loop {
         match client.recv()? {
             Some(ServerMsg::Job { job, state, name }) => {
-                println!("job {job:>4}  {state:<10} {name}");
+                writeln!(out, "job {job:>4}  {state:<10} {name}")?;
             }
             Some(ServerMsg::End { count }) => {
-                println!("{count} job(s)");
+                writeln!(out, "{count} job(s)")?;
                 return Ok(());
             }
             Some(ServerMsg::Error { message }) => return Err(Box::new(ArgError(message))),
@@ -931,7 +989,7 @@ fn cmd_fleet_jobs(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `tailwise fleet cancel <job>`: cancel a job — dequeued on the spot
 /// if it has not started, stopped between sweep cells if it has.
-fn cmd_fleet_cancel(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_cancel(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr"])?;
     let job: u64 = args
         .positional(1)
@@ -943,9 +1001,9 @@ fn cmd_fleet_cancel(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     match client.recv()? {
         Some(ServerMsg::Job { job, state, name }) => {
             if state == "running" {
-                println!("job {job} ({name}) is running; it stops between sweep cells");
+                writeln!(out, "job {job} ({name}) is running; it stops between sweep cells")?;
             } else {
-                println!("job {job} ({name}) is now {state}");
+                writeln!(out, "job {job} ({name}) is now {state}")?;
             }
             Ok(())
         }
@@ -956,14 +1014,17 @@ fn cmd_fleet_cancel(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `tailwise fleet shutdown`: ask the service to drain every accepted
 /// job and stop, then wait for the drain to finish (connection EOF).
-fn cmd_fleet_shutdown(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_shutdown(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr", "quiet"])?;
     let mut client = service_connect(&service_addr(args))?;
     client.send(&ClientMsg::Shutdown)?;
     match client.recv()? {
         Some(ServerMsg::ShuttingDown { unfinished }) => {
             if !args.flag("quiet") {
-                println!("fleet service shutting down: {unfinished} unfinished job(s) draining…");
+                writeln!(
+                    out,
+                    "fleet service shutting down: {unfinished} unfinished job(s) draining…"
+                )?;
             }
         }
         Some(ServerMsg::Error { message }) => return Err(Box::new(ArgError(message))),
@@ -973,7 +1034,7 @@ fn cmd_fleet_shutdown(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     client.recv_until_eof()?;
     if !args.flag("quiet") {
-        println!("fleet service stopped");
+        writeln!(out, "fleet service stopped")?;
     }
     Ok(())
 }
@@ -981,7 +1042,7 @@ fn cmd_fleet_shutdown(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// `tailwise fleet run <file.toml>`: execute an on-disk scenario file —
 /// a single fleet run (synthetic or corpus replay), or a sweep matrix
 /// folded into one comparison table.
-fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["threads", "progress", "quiet", "metrics", "cache", "no-cache"])?;
     let path = args
         .positional(1)
@@ -1002,13 +1063,14 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     if set.is_sweep() {
         if !obs.quiet {
-            println!(
+            writeln!(
+                out,
                 "running {} from {path}: {} scenario(s) across {} sweep axis(es), {} threads…",
                 set.source.name(),
                 set.expansion_count(),
                 set.axes.len(),
                 threads,
-            );
+            )?;
         }
         let sampler = obs.start_sampler();
         let report =
@@ -1016,10 +1078,10 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(sampler) = sampler {
             sampler.finish();
         }
-        print!("{}", report.render());
+        write!(out, "{}", report.render())?;
         if obs.metrics.is_some() {
             let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
-            obs.write_manifest(&manifest)?;
+            obs.write_manifest(&manifest, out)?;
         }
         return Ok(());
     }
@@ -1031,7 +1093,8 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     if !obs.quiet {
         match &set.source {
-            tailwise_fleet::UserSource::Synthetic(base) => println!(
+            tailwise_fleet::UserSource::Synthetic(base) => writeln!(
+                out,
                 "running {} from {path}: {} users × {} day(s) of {}{} ({} threads, seed {})…",
                 base.name,
                 base.users,
@@ -1040,15 +1103,16 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 topology(&base.cells),
                 threads,
                 base.master_seed,
-            ),
-            tailwise_fleet::UserSource::Corpus(base) => println!(
+            )?,
+            tailwise_fleet::UserSource::Corpus(base) => writeln!(
+                out,
                 "replaying {} from {path}: corpus {} under {}{} ({} threads)…",
                 base.name,
                 base.spec.dir.display(),
                 base.scheme.label(),
                 topology(&base.cells),
                 threads,
-            ),
+            )?,
         }
     }
     let sampler = obs.start_sampler();
@@ -1056,10 +1120,10 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(sampler) = sampler {
         sampler.finish();
     }
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if obs.metrics.is_some() {
         let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
-        obs.write_manifest(&manifest)?;
+        obs.write_manifest(&manifest, out)?;
     }
     Ok(())
 }
@@ -1068,34 +1132,36 @@ fn cmd_fleet_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// synthetic scenario into an on-disk trace corpus — one file per user,
 /// zero-padded so the deterministic corpus walk replays users in
 /// synthesis order. The instant self-test fixture for `[corpus]` runs.
-fn cmd_fleet_synth(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_synth(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     reject_run_only_flags(args, "synth")?;
     args.check_known(&["out", "format", "threads"])?;
     let path = args
         .positional(1)
         .ok_or_else(|| ArgError("fleet synth needs a scenario file path".into()))?;
-    let out = args
+    let dir = args
         .opt("out")
         .ok_or_else(|| ArgError("fleet synth needs --out <dir> for the corpus".into()))?;
     let format: tailwise_trace::TraceFormat =
         args.opt_or("format", "twt").parse().map_err(ArgError)?;
     let threads = threads_from(args)?;
     let scenario = tailwise_fleet::Scenario::from_file(path)?;
-    println!(
-        "synthesizing {} users × {} day(s) into {out} ({} format, {threads} threads)…",
+    writeln!(
+        out,
+        "synthesizing {} users × {} day(s) into {dir} ({} format, {threads} threads)…",
         scenario.users, scenario.days_per_user, format,
-    );
-    let written = tailwise_fleet::synth_corpus(&scenario, Path::new(out), format, threads)?;
-    println!(
-        "wrote {written} trace files to {out} — replay them with a [corpus] scenario \
+    )?;
+    let written = tailwise_fleet::synth_corpus(&scenario, Path::new(dir), format, threads)?;
+    writeln!(
+        out,
+        "wrote {written} trace files to {dir} — replay them with a [corpus] scenario \
          (see docs/SCENARIO_FORMAT.md §5)"
-    );
+    )?;
     Ok(())
 }
 
 /// `tailwise fleet export <out.toml>`: write the flag-built scenario to
 /// a scenario file (the starting point for hand-edited experiments).
-fn cmd_fleet_export(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet_export(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     reject_run_only_flags(args, "export")?;
     args.check_known(&[
         "users",
@@ -1112,7 +1178,7 @@ fn cmd_fleet_export(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "rnc-admission",
         "mobility",
     ])?;
-    let out =
+    let path =
         args.positional(1).ok_or_else(|| ArgError("fleet export needs an output path".into()))?;
     if let Some(extra) = args.positional(2) {
         return Err(Box::new(ArgError(format!(
@@ -1120,24 +1186,27 @@ fn cmd_fleet_export(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ))));
     }
     let scenario = fleet_scenario_from_flags(args)?;
-    scenario.to_file(out)?;
-    println!(
-        "wrote {out}: {} users × {} day(s) of {} (run with `tailwise fleet run {out}`)",
+    scenario.to_file(path)?;
+    writeln!(
+        out,
+        "wrote {path}: {} users × {} day(s) of {} (run with `tailwise fleet run {path}`)",
         scenario.users,
         scenario.days_per_user,
         scenario.scheme.label(),
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_carriers(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_carriers(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&[])?;
-    println!(
+    writeln!(
+        out,
         "{:<14} {:>8} {:>8} {:>6} {:>6} {:>8} {:>10} {:>11}",
         "carrier", "Pt1(mW)", "Pt2(mW)", "t1(s)", "t2(s)", "promo(s)", "Esw(J)", "thresh(s)"
-    );
+    )?;
     for p in CarrierProfile::all_presets() {
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>8.0} {:>8.0} {:>6.1} {:>6.1} {:>8.1} {:>10.2} {:>11.2}",
             p.name,
             p.p_dch * 1000.0,
@@ -1147,7 +1216,7 @@ fn cmd_carriers(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             p.promotion_delay.as_secs_f64(),
             p.e_switch(),
             p.t_threshold().as_secs_f64(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -1278,18 +1347,25 @@ mod tests {
     #[test]
     fn service_subcommand_flags_are_validated() {
         // serve: no operands, positive workers.
-        let err = cmd_fleet_serve(&obs_args(&["serve", "stray.toml"])).unwrap_err().to_string();
+        let err = cmd_fleet_serve(&obs_args(&["serve", "stray.toml"]), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("takes no operands"), "{err}");
-        let err = cmd_fleet_serve(&obs_args(&["serve", "--workers", "0"])).unwrap_err().to_string();
+        let err = cmd_fleet_serve(&obs_args(&["serve", "--workers", "0"]), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--workers must be at least 1"), "{err}");
 
         // submit: needs a file; --detach hangs up before the manifest.
-        let err = cmd_fleet_submit(&obs_args(&["submit"])).unwrap_err().to_string();
-        assert!(err.contains("needs a scenario file"), "{err}");
         let err =
-            cmd_fleet_submit(&obs_args(&["submit", "a.toml", "--detach", "--metrics", "m.toml"]))
-                .unwrap_err()
-                .to_string();
+            cmd_fleet_submit(&obs_args(&["submit"]), &mut io::sink()).unwrap_err().to_string();
+        assert!(err.contains("needs a scenario file"), "{err}");
+        let err = cmd_fleet_submit(
+            &obs_args(&["submit", "a.toml", "--detach", "--metrics", "m.toml"]),
+            &mut io::sink(),
+        )
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("--detach conflicts with --metrics"), "{err}");
 
         // watch / cancel: numeric job ids only.
@@ -1297,8 +1373,8 @@ mod tests {
             let run = |extra: &[&str]| -> String {
                 let args = obs_args(extra);
                 let result = match sub {
-                    "watch" => cmd_fleet_watch(&args),
-                    _ => cmd_fleet_cancel(&args),
+                    "watch" => cmd_fleet_watch(&args, &mut io::sink()),
+                    _ => cmd_fleet_cancel(&args, &mut io::sink()),
                 };
                 result.unwrap_err().to_string()
             };
@@ -1309,12 +1385,10 @@ mod tests {
 
     #[test]
     fn digest_conflicts_with_require_phases() {
-        let err = cmd_fleet_manifest(&obs_args(&[
-            "manifest",
-            "/nonexistent/run.toml",
-            "--digest",
-            "--require-phases",
-        ]))
+        let err = cmd_fleet_manifest(
+            &obs_args(&["manifest", "/nonexistent/run.toml", "--digest", "--require-phases"]),
+            &mut io::sink(),
+        )
         .unwrap_err()
         .to_string();
         // Flags are validated before I/O: the conflict is diagnosed
@@ -1380,5 +1454,37 @@ mod tests {
         // --progress attaches the live table.
         let progress = RunObservability::from_args(&obs_args(&["--progress"]), 4).unwrap();
         assert!(progress.obs().progress.is_some());
+    }
+
+    /// A writer whose every write fails with `kind`.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_command_quietly() {
+        // Regression: writes to a closed pipe panicked ("failed
+        // printing to stdout: Broken pipe", exit 101). They now fail
+        // the subcommand with the write error…
+        let carriers = || vec!["carriers".to_string()];
+        let err = dispatch(carriers(), &mut Failing(io::ErrorKind::BrokenPipe)).unwrap_err();
+        let kind = err.downcast_ref::<io::Error>().map(io::Error::kind);
+        assert_eq!(kind, Some(io::ErrorKind::BrokenPipe), "{err}");
+        // …which `run` turns into a quiet success when stdout closed…
+        let mut closed = Stdout::new(Failing(io::ErrorKind::BrokenPipe));
+        assert!(run(carriers(), &mut closed).is_ok());
+        assert!(closed.closed);
+        // …while any other write failure still fails the command.
+        let mut full = Stdout::new(Failing(io::ErrorKind::Other));
+        assert!(run(carriers(), &mut full).is_err());
+        assert!(!full.closed);
     }
 }

@@ -39,13 +39,13 @@
 //! `(Fingerprint, scheme token, topology hash)` at the population
 //! level and `(user index, verdict-stream hash)` per user. A memo hit
 //! folds a stored [`ReplayOutcome`] (status-quo baseline and the user's
-//! sparse `(cell, second) → msgs` load deltas included) instead of
+//! sparse `(cell, second, msgs)` load deltas included) instead of
 //! materializing the trace and re-running the engine; a sweep cell pays
 //! only for the users whose verdicts changed. The `topo_hash` pins
 //! exactly the facts the per-cell attribution depends on — cell count,
 //! mobility model, signaling message weights — and deliberately
 //! excludes the RNC shape and admission axes (verdicts already capture
-//! every admission decision; RNC loads are derived from the cell maps
+//! every admission decision; RNC loads are derived from the cell loads
 //! at fold time), which is what lets an admission sweep share one memo.
 //! Counters: `replay_hits` / `replay_misses` per user (emitted only
 //! when a cache is configured), `replay_spills` per `.twr` write, and
@@ -56,8 +56,9 @@
 //! The cache can be wrong about the disk but never about the answer.
 //! Both spill kinds — `.twc` request streams and `.twr` replay
 //! outcomes — load through one path: a missing file is a miss, and a
-//! corrupt, truncated, or mismatched-header file, or one holding a user
-//! or cell outside the population, is a *fallback* — counted on the
+//! corrupt, truncated, or mismatched-header file, one holding a user or
+//! cell outside the population, or one whose load deltas are not
+//! strictly ascending by `(cell, second)`, is a *fallback* — counted on the
 //! `cache_fallbacks` (resp. `replay_fallbacks`) counter, recomputed,
 //! never trusted. Both spill through one write-then-rename path, whose
 //! failures count on the same fallback counters. The
@@ -229,15 +230,15 @@ pub(crate) fn verdict_hash(verdicts: &[bool]) -> u64 {
     h
 }
 
-/// Hashes the topology facts a memoized per-user `(cell, second) →
-/// msgs` attribution depends on: the cell count (the assignment
+/// Hashes the topology facts a memoized per-user `(cell, second,
+/// msgs)` attribution depends on: the cell count (the assignment
 /// modulus), the mobility model (which cell a mobile user occupies at
 /// each instant), and the five per-transition signaling weights.
 ///
 /// Deliberately excluded: the RNC count (cell→RNC grouping happens at
 /// fold time, after the memo), the admission policies and budgets
 /// (verdicts already capture every admission decision; budgets only
-/// score the folded maps), and `per_handoff` (handoff messages are
+/// score the folded loads), and `per_handoff` (handoff messages are
 /// charged at adjudication time every run, never memoized).
 fn topo_hash(topology: &NetworkTopology) -> u64 {
     let mut h = 0x70B0_10CA_0000_0000u64;
@@ -456,11 +457,15 @@ impl RequestCache {
             return Arc::clone(hit);
         }
         let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
-        // The fold indexes its per-cell maps with the stored cells, so
-        // a user or cell outside the population makes the file untrusted.
+        // The fold indexes its per-cell runs with the stored cells and
+        // merges the triples as sorted runs, so a user or cell outside
+        // the population, or triples not strictly ascending by
+        // `(cell, second)`, make the file untrusted.
         let trusted = |r: &ReplayOutcomeRecord| {
+            let seconds = &r.outcome.seconds;
             r.user < fingerprint.users
-                && r.outcome.seconds.iter().all(|&(cell, _, _)| cell < topology.cells)
+                && seconds.iter().all(|&(cell, _, _)| cell < topology.cells)
+                && seconds.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
         };
         let path = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr"));
         let loaded = path.and_then(|path| {
@@ -477,6 +482,12 @@ impl RequestCache {
     /// the merged map to `.twr` when a directory is configured. A warm
     /// run with nothing fresh is a no-op — existing spill files are
     /// left untouched, byte for byte.
+    ///
+    /// The memo grows in place: when the caller has dropped the handle
+    /// [`lookup_outcomes`](Self::lookup_outcomes) gave it, the cache
+    /// holds the only one and nothing is copied (a handle still held
+    /// elsewhere keeps its snapshot, copy-on-write). The spill borrows
+    /// the memo's outcomes.
     pub(crate) fn store_outcomes(
         &self,
         fingerprint: &Fingerprint,
@@ -493,22 +504,19 @@ impl RequestCache {
         let merged: Outcomes = {
             let mut map = self.outcomes.lock().expect("replay memo map");
             let slot = map.entry(key).or_default();
-            let mut merged = (**slot).clone();
-            merged.extend(fresh);
-            let merged = Arc::new(merged);
-            *slot = Arc::clone(&merged);
-            merged
+            Arc::make_mut(slot).extend(fresh);
+            Arc::clone(slot)
         };
         let Some(path) = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr")) else {
             return;
         };
         // Records sorted by key: equal memos spill equal bytes.
-        let mut records: Vec<ReplayOutcomeRecord> = merged
+        let mut records: Vec<ReplayOutcomeRecord<&ReplayOutcome>> = merged
             .iter()
             .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
                 user,
                 verdict_hash,
-                outcome: outcome.clone(),
+                outcome,
             })
             .collect();
         records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));

@@ -40,18 +40,25 @@
 //!    user's pass-1 requests and scripted verdicts
 //!    ([`replay_requests`]): no policy runs, each gap is demoted or not
 //!    by the recorded request that falls in it, and the confusion matrix
-//!    is pass 1's. The replay folds energy into the [`FleetReport`] and
-//!    RRC-message events into per-cell per-second load maps, each
-//!    transition in the cell the user's [`Trajectory`] names; RNC loads
-//!    fold from their member cells. A sweep that replays one population
-//!    under several admission policies thus runs the scheme's policy
-//!    once per user, not once per cell.
+//!    is pass 1's. The replay folds energy into the [`FleetReport`]; one
+//!    walk over the time-ordered transition log turns its RRC messages
+//!    into the user's `(cell, second, msgs)` load deltas, each transition
+//!    in the cell the user's [`Trajectory`] names, strictly ascending by
+//!    `(cell, second)` — exactly the `.twr` record payload. Loads are
+//!    sorted `(second, msgs)` runs that add by linear merge: a live
+//!    user's deltas and a memo hit's stored ones merge into the shard's
+//!    per-cell runs, shards into the frontier's, handoff charges into
+//!    their cells', and cells into their RNC's. A sweep that replays one
+//!    population under several admission policies thus runs the
+//!    scheme's policy once per user, not once per cell.
 //!
 //! Peak memory stays **one trace per worker** in both passes — the
 //! re-synthesis/re-load is exactly what buys that bound. Between the
 //! passes the run holds O(total requests) timestamps plus four
 //! confusion counts per user and, afterwards, one verdict byte per
-//! request plus O(active seconds) load counters per cell.
+//! request plus one `(second, msgs)` pair per active second of each
+//! cell and RNC — never an array over the time span, which corpus
+//! traces and `.twr` files choose.
 //!
 //! ## Determinism
 //!
@@ -63,7 +70,8 @@
 //! event sort realizes the total `(time, user, kind)` order, which
 //! without handoffs is the `(time, user, seq)` order of
 //! [`merge_requests`]; admission policies are deterministic by
-//! contract; per-second load counters are integer adds. With the
+//! contract; per-second loads are integer adds, and a merge of sorted
+//! runs yields the same run in any grouping. With the
 //! frontier merging shard partials in shard order, a topology run is
 //! bit-identical at any thread count — the same contract the
 //! radio-isolated runner makes, pinned by `tests/cell_fleet.rs` and
@@ -78,12 +86,12 @@
 //! combination at parse time with a positioned error; programmatic
 //! misuse panics here.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_obs::{span, Obs};
 use tailwise_radio::admission::REQUEST_MESSAGES;
+use tailwise_radio::rrc::Transition;
 use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
@@ -368,13 +376,152 @@ fn adjudication_streams(
     per_rnc
 }
 
+/// Per-second RRC-message load: `(second, msgs)` pairs, strictly
+/// ascending by second. It holds only the seconds that saw a message
+/// (or a zero-weight transition), never an array over the time span —
+/// corpus traces and `.twr` files choose the seconds, so the span can
+/// be anything an `i64` holds.
+type Load = Vec<(i64, u64)>;
+
+/// Adds the strictly ascending `(second, msgs)` run `run` into `load`
+/// in one linear merge; a second both hold sums. The result is strictly
+/// ascending again, so loads add in any grouping to the same run.
+fn add_load(load: &mut Load, run: impl ExactSizeIterator<Item = (i64, u64)>) {
+    if load.is_empty() || run.len() == 0 {
+        load.extend(run);
+    } else {
+        let mut merged = Vec::with_capacity(load.len() + run.len());
+        let mut held = load.iter().copied().peekable();
+        for (second, messages) in run {
+            while let Some(earlier) = held.next_if(|&(at, _)| at < second) {
+                merged.push(earlier);
+            }
+            let same = held.next_if(|&(at, _)| at == second).map_or(0, |(_, m)| m);
+            merged.push((second, same + messages));
+        }
+        merged.extend(held);
+        *load = merged;
+    }
+    debug_assert!(load.windows(2).all(|w| w[0].0 < w[1].0), "load runs must be strictly ascending");
+}
+
+/// Charges `messages` at `second` to a load built in time order: the
+/// last entry absorbs a repeat of its second, a later second appends.
+fn charge_load(load: &mut Load, second: i64, messages: u64) {
+    match load.last_mut() {
+        Some((last, held)) if *last == second => *held += messages,
+        last => {
+            debug_assert!(
+                last.is_none_or(|&mut (at, _)| at < second),
+                "charges come in time order"
+            );
+            load.push((second, messages));
+        }
+    }
+}
+
+/// What a load adds up to: `(total messages, peak messages in one
+/// second, seconds over budget)`.
+type LoadScore = (u64, u64, u64);
+
+fn score_load(load: &[(i64, u64)], budget: &SignalingBudget) -> LoadScore {
+    load.iter().fold((0, 0, 0), |(total, peak, overloaded), &(_, messages)| {
+        (total + messages, peak.max(messages), overloaded + budget.overloaded(messages) as u64)
+    })
+}
+
+/// Scores every cell and RNC of a run. A cell's load is its replay-time
+/// load plus the handoff messages charged to it at adjudication time,
+/// so handoff storms overload the same budgets as everything else; an
+/// RNC's is its own handoff exchanges (boundary crossings, `rnc_loads`
+/// on entry) plus its member cells' loads.
+fn score_loads(
+    topology: &NetworkTopology,
+    rnc_of: &[usize],
+    cell_loads: Vec<Load>,
+    cell_handoffs: Vec<Load>,
+    mut rnc_loads: Vec<Load>,
+) -> (Vec<LoadScore>, Vec<LoadScore>) {
+    let mut cell_scores = Vec::with_capacity(cell_loads.len());
+    for ((mut load, handoffs), &rnc) in cell_loads.into_iter().zip(cell_handoffs).zip(rnc_of) {
+        add_load(&mut load, handoffs.into_iter());
+        cell_scores.push(score_load(&load, &topology.cell_budget));
+        add_load(&mut rnc_loads[rnc], load.into_iter());
+    }
+    let rnc_scores = rnc_loads.iter().map(|load| score_load(load, &topology.rnc_budget)).collect();
+    (cell_scores, rnc_scores)
+}
+
+/// Load deltas from time-ordered `(cell, second, msgs)` charges:
+/// triples strictly ascending by `(cell, second)`, each summing the
+/// charges of its pair — the `.twr` payload.
+///
+/// One walk run-length encodes the charges per `(cell, second)`. A
+/// static user's list comes out sorted; a commuter's, whose cells
+/// alternate over the day, is sorted and coalesced afterwards.
+fn load_deltas(charges: impl IntoIterator<Item = (u64, i64, u64)>) -> Vec<(u64, i64, u64)> {
+    let mut deltas: Vec<(u64, i64, u64)> = Vec::new();
+    let mut ascending = true;
+    for (cell, second, messages) in charges {
+        match deltas.last_mut() {
+            Some((c, s, held)) if (*c, *s) == (cell, second) => *held += messages,
+            last => {
+                ascending &= last.is_none_or(|&mut (c, s, _)| (c, s) < (cell, second));
+                deltas.push((cell, second, messages));
+            }
+        }
+    }
+    if !ascending {
+        deltas.sort_unstable_by_key(|&(cell, second, _)| (cell, second));
+        deltas.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+    }
+    // The memo may keep the list for the rest of the process: drop the
+    // growth slack rather than hold it there.
+    deltas.shrink_to_fit();
+    deltas
+}
+
+/// User `index`'s [`load_deltas`] from the time-ordered transition log
+/// of their pass-2 replay, each transition charged to the cell the
+/// user's trajectory names when it fires.
+fn user_load(
+    topology: &NetworkTopology,
+    master_seed: u64,
+    index: u64,
+    transitions: &[Transition],
+) -> Vec<(u64, i64, u64)> {
+    let trajectory = topology.trajectory(master_seed, index);
+    load_deltas(transitions.iter().map(|t| {
+        // Pass 2 attributes each transition to the cell the user
+        // occupies when it happens — the same assignment seam pass-1
+        // adjudication resolves requests through
+        // ([`NetworkTopology::user_cell`]).
+        let cell = trajectory.cell_at(t.at);
+        debug_assert_eq!(
+            cell,
+            topology.user_cell(master_seed, index, t.at),
+            "user {index} at {:?}",
+            t.at
+        );
+        let second = t.at.as_micros().div_euclid(1_000_000);
+        (cell, second, topology.signaling.messages_for(t) as u64)
+    }))
+}
+
 /// Pass-2 shard partial: the energy fold plus each cell's per-second
-/// RRC-message counters. Counter addition commutes, but the frontier
-/// still folds in shard order, keeping the whole partial deterministic.
+/// RRC-message [`Load`]. Users' deltas merge in as they replay or hit
+/// the memo; the frontier merges partials in shard order. Load addition
+/// commutes, so the order only keeps the whole partial deterministic.
 struct TopologyPartial {
     report: FleetReport,
-    /// Per cell: second index → RRC messages in that second.
-    seconds: Vec<BTreeMap<i64, u64>>,
+    /// Per cell: the summed load of this partial's users, one sorted run.
+    seconds: Vec<Load>,
     /// Per-user status-quo summaries `(energy bits, switch cycles)` in
     /// user-index order, collected only when a request cache wants to
     /// learn this population's baselines (empty otherwise).
@@ -385,13 +532,23 @@ struct TopologyPartial {
     fresh: Vec<((u64, u64), ReplayOutcome)>,
 }
 
+impl TopologyPartial {
+    /// Adds one user's `(cell, second, msgs)` deltas, strictly
+    /// ascending by `(cell, second)`, into the per-cell loads: one merge
+    /// per cell the user loaded.
+    fn add_user_load(&mut self, deltas: &[(u64, i64, u64)]) {
+        for cell_deltas in deltas.chunk_by(|a, b| a.0 == b.0) {
+            let run = cell_deltas.iter().map(|&(_, second, messages)| (second, messages));
+            add_load(&mut self.seconds[cell_deltas[0].0 as usize], run);
+        }
+    }
+}
+
 impl Partial for TopologyPartial {
     fn absorb(&mut self, mut other: TopologyPartial) {
         self.report.merge(&other.report);
         for (mine, theirs) in self.seconds.iter_mut().zip(other.seconds) {
-            for (second, messages) in theirs {
-                *mine.entry(second).or_insert(0) += messages;
-            }
+            add_load(mine, theirs.into_iter());
         }
         // Shard-order absorption reassembles user-index order, exactly
         // as pass 1's request-stream collection does.
@@ -506,10 +663,12 @@ pub(crate) fn run_topology(
     let mut denied_by_rnc = vec![0u64; rnc_count];
     let mut inter_rnc_handoffs = vec![0u64; rnc_count];
     // Handoff messages per cell/RNC per second, charged at adjudication
-    // time and merged into the replay-time load maps below so handoff
-    // storms count against the same budgets as everything else.
-    let mut cell_handoff_seconds: Vec<BTreeMap<i64, u64>> = vec![BTreeMap::new(); cell_count];
-    let mut rnc_handoff_seconds: Vec<BTreeMap<i64, u64>> = vec![BTreeMap::new(); rnc_count];
+    // time and merged into the replay-time loads below so handoff
+    // storms count against the same budgets as everything else. Each
+    // cell's and RNC's charges all come from one partition, in time
+    // order, so they build sorted runs by appending.
+    let mut cell_handoff_seconds: Vec<Load> = vec![Load::new(); cell_count];
+    let mut rnc_handoff_seconds: Vec<Load> = vec![Load::new(); rnc_count];
     let mut hint_grants = 0u64;
     let mut cell_policies: Vec<_> =
         (0..cell_count).map(|_| topology.cell_admission.build()).collect();
@@ -528,7 +687,7 @@ pub(crate) fn run_topology(
                     // observes the load even though handoffs are never
                     // admission decisions.
                     cell_policies[cell].observe(e.at, messages);
-                    *cell_handoff_seconds[cell].entry(second).or_insert(0) += messages as u64;
+                    charge_load(&mut cell_handoff_seconds[cell], second, messages as u64);
                     if let AdjEventKind::HandoffOut { .. } = e.kind {
                         cell_loads[cell].handoffs_out += 1;
                         if crosses {
@@ -545,7 +704,7 @@ pub(crate) fn run_topology(
                         // own exchange on top of the member cells' —
                         // the reactive governor sees it.
                         rnc_policy.observe(e.at, messages);
-                        *rnc_handoff_seconds[rnc].entry(second).or_insert(0) += messages as u64;
+                        charge_load(&mut rnc_handoff_seconds[rnc], second, messages as u64);
                     }
                 }
                 AdjEventKind::Request { seq, hinted } => {
@@ -637,11 +796,9 @@ pub(crate) fn run_topology(
         Some(_) => verdicts.iter().map(|v| verdict_hash(v)).collect(),
         None => Vec::new(),
     };
-    let memo = &memo;
-    let verdict_hashes = &verdict_hashes;
     let empty_partial = || TopologyPartial {
         report: population.empty_report(),
-        seconds: vec![BTreeMap::new(); cell_count],
+        seconds: vec![Load::new(); cell_count],
         baselines: Vec::new(),
         fresh: Vec::new(),
     };
@@ -656,7 +813,7 @@ pub(crate) fn run_topology(
             for index in population.shard_range(shard) {
                 // Memo hit: fold the cached outcome and load deltas
                 // without materializing the trace or running the engine.
-                if let Some((fp_days, known)) = memo {
+                if let Some((fp_days, known)) = &memo {
                     if let Some(outcome) = known.get(&(index, verdict_hashes[index as usize])) {
                         let (hits, _) = replay_counters.as_ref().expect("memo implies counters");
                         hits.incr();
@@ -666,9 +823,7 @@ pub(crate) fn run_topology(
                                 .baselines
                                 .push((outcome.baseline_energy_bits, outcome.baseline_switches));
                         }
-                        for &(cell, second, messages) in &outcome.seconds {
-                            *partial.seconds[cell as usize].entry(second).or_insert(0) += messages;
-                        }
+                        partial.add_user_load(&outcome.seconds);
                         // Synthetic populations carry a uniform
                         // days-per-user, pinned by the fingerprint.
                         let days = *fp_days;
@@ -697,50 +852,19 @@ pub(crate) fn run_topology(
                 if learn_baselines {
                     partial.baselines.push((baseline_energy_j.to_bits(), baseline_switches));
                 }
-                let mut scheme_run = replay_requests(
+                let scheme_run = replay_requests(
                     &carrier,
                     &replay_sim,
                     &trace,
                     &streams[index as usize],
                     &verdicts[index as usize],
                 );
-                // The user's own (cell, second) → msgs deltas, grouped
-                // before folding so the memoized form and the live fold
-                // apply the exact same integer additions.
-                let mut user_seconds: BTreeMap<(u64, i64), u64> = BTreeMap::new();
-                if let Some(transitions) = scheme_run.transitions.take() {
-                    let trajectory = topology.trajectory(master_seed, index);
-                    for t in &transitions {
-                        // Pass 2 attributes each transition to the cell
-                        // the user occupies when it happens — the same
-                        // assignment seam pass-1 adjudication resolves
-                        // requests through ([`NetworkTopology::user_cell`]).
-                        let cell = trajectory.cell_at(t.at) as usize;
-                        debug_assert_eq!(
-                            cell as u64,
-                            topology.user_cell(master_seed, index, t.at),
-                            "user {index} at {:?}",
-                            t.at
-                        );
-                        let second = t.at.as_micros().div_euclid(1_000_000);
-                        let messages = topology.signaling.messages_for(t) as u64;
-                        if memo.is_some() {
-                            *user_seconds.entry((cell as u64, second)).or_insert(0) += messages;
-                        } else {
-                            *partial.seconds[cell].entry(second).or_insert(0) += messages;
-                        }
-                    }
-                }
                 let mut outcome = replay_outcome(&scheme_run, baseline_energy_j, baseline_switches);
+                let transitions = scheme_run.transitions.as_deref().unwrap_or_default();
+                outcome.seconds = user_load(topology, master_seed, index, transitions);
+                partial.add_user_load(&outcome.seconds);
                 partial.report.fold_user_outcome(days, &outcome);
                 if memo.is_some() {
-                    for (&(cell, second), &messages) in &user_seconds {
-                        *partial.seconds[cell as usize].entry(second).or_insert(0) += messages;
-                    }
-                    outcome.seconds = user_seconds
-                        .into_iter()
-                        .map(|((cell, second), messages)| (cell, second, messages))
-                        .collect();
                     partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
                 }
                 drop(_replay);
@@ -751,6 +875,9 @@ pub(crate) fn run_topology(
             }
             Ok(partial)
         })?;
+    // The run's memo handle goes before the store below, which then
+    // extends the cache's copy in place.
+    drop(memo);
 
     // ---- Per-cell and per-RNC load accounting. -----------------------
     let TopologyPartial { mut report, seconds, baselines, fresh } = folded;
@@ -765,29 +892,20 @@ pub(crate) fn run_topology(
         // everything hit, so warm runs leave spill files untouched).
         cache.store_outcomes(&fingerprint, &scheme_token, topology, fresh, obs);
     }
-    let mut rnc_seconds: Vec<BTreeMap<i64, u64>> = vec![BTreeMap::new(); rnc_count];
-    for (cell, mut seconds) in seconds.into_iter().enumerate() {
-        // Handoff messages charged at adjudication time join the
-        // replay-time load before totals, peaks, and overload are
-        // computed — handoff storms overload the same budgets.
-        for (second, messages) in std::mem::take(&mut cell_handoff_seconds[cell]) {
-            *seconds.entry(second).or_insert(0) += messages;
-        }
-        let rnc = rnc_of[cell];
-        let load = &mut cell_loads[cell];
-        for (second, messages) in seconds {
-            load.total_messages += messages;
-            load.peak_messages_per_s = load.peak_messages_per_s.max(messages);
-            if topology.cell_budget.overloaded(messages) {
-                load.overload_seconds += 1;
-            }
-            *rnc_seconds[rnc].entry(second).or_insert(0) += messages;
-        }
+    let (cell_scores, rnc_scores) =
+        score_loads(topology, &rnc_of, seconds, cell_handoff_seconds, rnc_handoff_seconds);
+    for (load, score) in cell_loads.iter_mut().zip(cell_scores) {
+        (load.total_messages, load.peak_messages_per_s, load.overload_seconds) = score;
     }
-    let mut rnc_loads: Vec<RncLoad> = (0..rnc_count)
-        .map(|rnc| RncLoad {
+    let mut rnc_loads: Vec<RncLoad> = rnc_scores
+        .into_iter()
+        .enumerate()
+        .map(|(rnc, (total_messages, peak_messages_per_s, overload_seconds))| RncLoad {
             denied_by_rnc: denied_by_rnc[rnc],
             inter_rnc_handoffs: inter_rnc_handoffs[rnc],
+            total_messages,
+            peak_messages_per_s,
+            overload_seconds,
             ..RncLoad::default()
         })
         .collect();
@@ -797,21 +915,6 @@ pub(crate) fn run_topology(
         rnc.users += load.users;
         rnc.granted += load.granted;
         rnc.denied += load.denied;
-    }
-    for (rnc, mut seconds) in rnc_seconds.into_iter().enumerate() {
-        // The RNC's own handoff exchanges (boundary crossings) count
-        // against its budget on top of the member cells' load.
-        for (second, messages) in std::mem::take(&mut rnc_handoff_seconds[rnc]) {
-            *seconds.entry(second).or_insert(0) += messages;
-        }
-        let load = &mut rnc_loads[rnc];
-        for (_, messages) in seconds {
-            load.total_messages += messages;
-            load.peak_messages_per_s = load.peak_messages_per_s.max(messages);
-            if topology.rnc_budget.overloaded(messages) {
-                load.overload_seconds += 1;
-            }
-        }
     }
     report.signaling = Some(FleetSignaling {
         cell_capacity_per_s: topology.cell_budget.capacity_per_s,
@@ -946,6 +1049,129 @@ mod tests {
                         .collect();
                     prop_assert_eq!(order, expect);
                 }
+            }
+        }
+    }
+
+    mod load_props {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::prop::collection::vec;
+        use std::collections::BTreeMap;
+
+        const CELLS: u64 = 4;
+
+        /// The reference fold: every charge summed into a per-cell
+        /// `second → msgs` map, every RNC's map the sum of its own
+        /// charges and its member cells' maps.
+        fn reference_scores(
+            topology: &NetworkTopology,
+            rnc_of: &[usize],
+            charges: &[(u64, i64, u64)],
+            rnc_charges: &[(usize, i64, u64)],
+        ) -> (Vec<LoadScore>, Vec<LoadScore>) {
+            let mut cells = vec![BTreeMap::<i64, u64>::new(); CELLS as usize];
+            let mut rncs = vec![BTreeMap::<i64, u64>::new(); topology.rncs as usize];
+            for &(cell, second, messages) in charges {
+                *cells[cell as usize].entry(second).or_insert(0) += messages;
+            }
+            for &(rnc, second, messages) in rnc_charges {
+                *rncs[rnc].entry(second).or_insert(0) += messages;
+            }
+            for (cell, map) in cells.iter().enumerate() {
+                for (&second, &messages) in map {
+                    *rncs[rnc_of[cell]].entry(second).or_insert(0) += messages;
+                }
+            }
+            let score = |map: &BTreeMap<i64, u64>, budget: &SignalingBudget| {
+                let total = map.values().sum();
+                let peak = map.values().copied().max().unwrap_or(0);
+                let overloaded = map.values().filter(|&&m| budget.overloaded(m)).count() as u64;
+                (total, peak, overloaded)
+            };
+            (
+                cells.iter().map(|m| score(m, &topology.cell_budget)).collect(),
+                rncs.iter().map(|m| score(m, &topology.rnc_budget)).collect(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Per-user deltas, shard partials absorbed in shard order,
+            /// handoff charges and the per-RNC fold, all on sorted runs,
+            /// score every cell and RNC exactly as a `BTreeMap` fold of
+            /// the same charges does — over negative and zero seconds,
+            /// zero-message charges, and a commuter who leaves a cell
+            /// and re-enters it within one second.
+            #[test]
+            fn sorted_run_fold_matches_a_btreemap_fold(
+                users in vec((-4i64..3, vec((0..CELLS, 0i64..3, 0u64..5), 0..24)), 0..10),
+                cuts in vec(prop::bool::ANY, 11),
+                mut handoffs in vec((0..CELLS, -4i64..30, 0u64..4, prop::bool::ANY), 0..16),
+                (rncs, cell_cap, rnc_cap) in (1..=CELLS, 0u64..8, 0u64..20),
+            ) {
+                let mut topology = NetworkTopology::with_rncs(rncs, CELLS);
+                topology.cell_budget = SignalingBudget::per_second(cell_cap);
+                topology.rnc_budget = SignalingBudget::per_second(rnc_cap);
+                let rnc_of = rnc_table(&topology);
+
+                // Time-ordered charges per user; the first user commutes
+                // 1 → 2 → 1 within second 5.
+                let mut per_user = vec![vec![(1, 5, 2), (2, 5, 1), (1, 5, 3), (1, 6, 0)]];
+                per_user.extend(users.into_iter().map(|(start, steps)| {
+                    let mut second = start;
+                    steps.into_iter().map(|(cell, gap, messages)| {
+                        second += gap;
+                        (cell, second, messages)
+                    }).collect::<Vec<_>>()
+                }));
+
+                let empty = || TopologyPartial {
+                    report: FleetReport::empty("prop".into(), "makeidle".into()),
+                    seconds: vec![Load::new(); CELLS as usize],
+                    baselines: Vec::new(),
+                    fresh: Vec::new(),
+                };
+                let mut shards = vec![empty()];
+                for (user, charges) in per_user.iter().enumerate() {
+                    let deltas = load_deltas(charges.iter().copied());
+                    // Exactly what a per-user `(cell, second)` map holds.
+                    let mut map = BTreeMap::<(u64, i64), u64>::new();
+                    for &(cell, second, messages) in charges {
+                        *map.entry((cell, second)).or_insert(0) += messages;
+                    }
+                    let expect: Vec<_> = map.into_iter().map(|((c, s), m)| (c, s, m)).collect();
+                    prop_assert_eq!(&deltas, &expect, "user {}", user);
+                    shards.last_mut().unwrap().add_user_load(&deltas);
+                    if cuts.get(user).copied().unwrap_or(false) {
+                        shards.push(empty());
+                    }
+                }
+                let mut shards = shards.into_iter();
+                let mut total = shards.next().unwrap();
+                for shard in shards {
+                    total.absorb(shard);
+                }
+
+                handoffs.sort_by_key(|&(_, second, _, _)| second);
+                let mut cell_handoffs = vec![Load::new(); CELLS as usize];
+                let mut rnc_handoffs = vec![Load::new(); rncs as usize];
+                let mut rnc_charges = Vec::new();
+                for &(cell, second, messages, crosses) in &handoffs {
+                    charge_load(&mut cell_handoffs[cell as usize], second, messages);
+                    if crosses {
+                        let rnc = rnc_of[cell as usize];
+                        charge_load(&mut rnc_handoffs[rnc], second, messages);
+                        rnc_charges.push((rnc, second, messages));
+                    }
+                }
+
+                let mut charges: Vec<(u64, i64, u64)> = per_user.concat();
+                charges.extend(handoffs.iter().map(|&(cell, second, messages, _)| (cell, second, messages)));
+                let expect = reference_scores(&topology, &rnc_of, &charges, &rnc_charges);
+                let scored = score_loads(&topology, &rnc_of, total.seconds, cell_handoffs, rnc_handoffs);
+                prop_assert_eq!(scored, expect);
             }
         }
     }

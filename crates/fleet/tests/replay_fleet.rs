@@ -9,12 +9,14 @@
 //!   `RunManifest::digest()` included) to the uncached sweep at 1, 2,
 //!   and 8 threads, while `replay_hits` shows the reuse happened;
 //! * a second sweep over the same cache replays nothing: every user in
-//!   every cell hits the memo (`replay_misses == 0`);
+//!   every cell hits the memo (`replay_misses == 0`) and no spill file
+//!   is rewritten;
 //! * a cold on-disk cache spills `.twr` files that an entirely fresh
 //!   cache (a later process, conceptually) warm-starts from;
-//! * a corrupted or truncated `.twr`, or one naming a cell the topology
-//!   does not have, degrades to recomputation — the report stays
-//!   identical and `replay_fallbacks` counts the save;
+//! * a corrupted or truncated `.twr`, one naming a cell the topology
+//!   does not have, or one whose load triples are not strictly
+//!   ascending by `(cell, second)`, degrades to recomputation — the
+//!   report stays identical and `replay_fallbacks` counts the save;
 //! * the spill files themselves are byte-identical at 1, 2, and 8
 //!   threads.
 
@@ -116,17 +118,7 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
 
     // The spills are as deterministic as the reports: every thread
     // count wrote the same files, byte for byte.
-    let spills = |threads: usize| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join(format!("t{threads}")))
-            .unwrap()
-            .map(|entry| {
-                let entry = entry.unwrap();
-                (entry.file_name().into_string().unwrap(), std::fs::read(entry.path()).unwrap())
-            })
-            .collect();
-        files.sort();
-        files
-    };
+    let spills = |threads: usize| spill_bytes(&dir.join(format!("t{threads}")));
     let one = spills(1);
     let names: Vec<&str> = one.iter().map(|(name, _)| name.as_str()).collect();
     assert!(names.iter().any(|n| n.ends_with(".twc")), "no .twc spill: {names:?}");
@@ -158,6 +150,7 @@ fn warm_sweep_replays_nothing_and_a_fresh_cache_warm_starts_from_disk() {
         .filter(|p| p.extension().is_some_and(|e| e == "twr"))
         .collect();
     assert!(!spills.is_empty(), "cold run should spill .twr outcomes");
+    let spilled = spill_bytes(&dir);
 
     // Same cache again: the memo already knows every (user, verdict)
     // pair in the sweep, so the warm run replays nothing at all.
@@ -167,6 +160,8 @@ fn warm_sweep_replays_nothing_and_a_fresh_cache_warm_starts_from_disk() {
     assert_eq!(counter(&warm_counters, "replay_misses"), 0, "warm sweep must replay nothing");
     assert!(counter(&warm_counters, "replay_hits") >= USERS);
     assert_eq!(counter(&warm_counters, "replay_fallbacks"), 0);
+    assert_spilled_nothing(&warm_counters);
+    assert!(spill_bytes(&dir) == spilled, "a warm run must leave every spill untouched");
 
     // An entirely fresh cache over the same directory — a later
     // process — warm-starts from the .twr spills alone.
@@ -177,7 +172,28 @@ fn warm_sweep_replays_nothing_and_a_fresh_cache_warm_starts_from_disk() {
     assert_eq!(cold_digest, disk_digest);
     assert_eq!(counter(&disk_counters, "replay_misses"), 0, "disk warm-start must replay nothing");
     assert!(counter(&disk_counters, "replay_hits") >= USERS);
+    assert_spilled_nothing(&disk_counters);
+    assert!(spill_bytes(&dir) == spilled, "a disk warm-start must leave every spill untouched");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every file in a spill directory, by name, with its bytes.
+fn spill_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name().into_string().unwrap(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A warm run rewrites no spill of either kind.
+fn assert_spilled_nothing(counters: &tailwise_obs::Snapshot) {
+    assert_eq!(counter(counters, "replay_spills"), 0, "a warm run must not re-spill outcomes");
+    assert_eq!(counter(counters, "cache_spills"), 0, "a warm run must not re-spill requests");
 }
 
 #[test]
@@ -248,6 +264,43 @@ fn out_of_range_twr_cells_fall_back_instead_of_panicking() {
     assert_eq!(cold, warm, "an out-of-range cell must not change the answer");
     assert_eq!(cold_digest, warm_digest, "an out-of-range cell must not change the digest");
     assert!(counter(&counters, "replay_fallbacks") >= 1, "the untrusted .twr must be counted");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn out_of_order_twr_triples_fall_back_instead_of_folding() {
+    // Pass 2 merges each record's load triples as runs sorted by
+    // `(cell, second)`. A checksum-valid `.twr` whose triples break
+    // that order — two adjacent triples swapped, or one `(cell, second)`
+    // repeated — is distrusted as a whole, counted, and recomputed.
+    let dir = temp_dir("order");
+    let (cold, cold_digest, _) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let spill = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "twr"))
+        .expect("cold run spilled a .twr file");
+    let file = std::fs::File::open(&spill).unwrap();
+    let (header, pristine) = read_replay_outcomes(file).unwrap();
+    let loaded = pristine
+        .iter()
+        .position(|r| r.outcome.seconds.len() >= 2)
+        .expect("some user loaded two seconds");
+    type Rewrite = fn(&mut Vec<(u64, i64, u64)>);
+    let swapped: Rewrite = |seconds| seconds.swap(0, 1);
+    let repeated: Rewrite = |seconds| seconds.insert(1, seconds[0]);
+    for (what, rewrite) in [("swapped", swapped), ("repeated", repeated)] {
+        let mut records = pristine.clone();
+        rewrite(&mut records[loaded].outcome.seconds);
+        let out = std::fs::File::create(&spill).unwrap();
+        write_replay_outcomes(&header, &records, out).unwrap();
+
+        let cache = RequestCache::with_dir(&dir).unwrap();
+        let (warm, warm_digest, counters) = run_storm(2, Some(&cache));
+        assert_eq!(cold, warm, "{what} triples must not change the answer");
+        assert_eq!(cold_digest, warm_digest, "{what} triples must not change the digest");
+        assert!(counter(&counters, "replay_fallbacks") >= 1, "{what} triples must be counted");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

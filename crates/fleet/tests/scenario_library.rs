@@ -152,3 +152,75 @@ fn sweep_runner_agrees_with_source_runner_on_synthetic_files() {
     let via_source = run_source(&row.source, 2, Obs::none(), None).unwrap();
     assert_eq!(row.report, via_source, "{}", row.label);
 }
+
+mod fuzz {
+    //! Damaged scenario files are errors positioned inside the text,
+    //! never panics: byte mutations and truncations of every library
+    //! file through `SourceSet::from_toml_str`.
+
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::prop::collection::vec;
+
+    fn library_texts() -> Vec<Vec<u8>> {
+        library_files().iter().map(|path| std::fs::read(path).unwrap()).collect()
+    }
+
+    /// Parses `bytes` (invalid UTF-8 replaced): a set, or an error on a
+    /// line of the text — at most one past its last.
+    fn parses_in_place(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let src = String::from_utf8_lossy(bytes);
+        if let Err(err) = SourceSet::from_toml_str(&src) {
+            let lines = src.lines().count();
+            prop_assert!((1..=lines + 1).contains(&err.pos.line), "{} in {} line(s)", err, lines);
+        }
+        Ok(())
+    }
+
+    /// Bytes that mean something to the scenario grammar, or any byte
+    /// at all.
+    fn scenario_byte() -> impl Strategy<Value = u8> {
+        const GRAMMAR: &[u8] = b"[]=\"#.,-_ \n0123456789aez{}";
+        (prop::bool::ANY, 0..GRAMMAR.len(), 0u8..=255).prop_map(|(grammar, i, byte)| {
+            if grammar {
+                GRAMMAR[i]
+            } else {
+                byte
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn mutated_scenario_files_parse_or_fail_in_place(
+            pick in 0usize..64,
+            edits in vec((0usize..1 << 20, 0u8..3, scenario_byte()), 1..6),
+        ) {
+            let texts = library_texts();
+            let mut bytes = texts[pick % texts.len()].clone();
+            for (at, op, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    1 if at < bytes.len() => bytes[at] = byte,
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            parses_in_place(&bytes)?;
+        }
+
+        #[test]
+        fn truncated_scenario_files_parse_or_fail_in_place(
+            pick in 0usize..64,
+            cut in 0usize..1 << 20,
+        ) {
+            let texts = library_texts();
+            let bytes = &texts[pick % texts.len()];
+            parses_in_place(&bytes[..cut % (bytes.len() + 1)])?;
+        }
+    }
+}

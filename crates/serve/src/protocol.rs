@@ -465,25 +465,20 @@ impl Fields {
 mod tests {
     use super::*;
 
-    #[test]
-    fn client_messages_round_trip() {
-        let messages = vec![
+    /// One client message of every kind.
+    fn client_messages() -> Vec<ClientMsg> {
+        vec![
             ClientMsg::Submit { scenario: "[scenario]\nname = \"x\"\nusers = 5\n".into() },
             ClientMsg::Watch { job: 42 },
             ClientMsg::Jobs,
             ClientMsg::Cancel { job: 7 },
             ClientMsg::Shutdown,
-        ];
-        for msg in messages {
-            let line = msg.encode();
-            assert!(!line.contains('\n'), "encoded line must be newline-free: {line:?}");
-            assert_eq!(ClientMsg::decode(&line).unwrap(), msg, "{line}");
-        }
+        ]
     }
 
-    #[test]
-    fn server_messages_round_trip() {
-        let messages = vec![
+    /// One server message of every kind.
+    fn server_messages() -> Vec<ServerMsg> {
+        vec![
             ServerMsg::Accepted { job: 1, name: "rnc storm".into(), queue: 2 },
             ServerMsg::Progress {
                 job: 1,
@@ -509,8 +504,21 @@ mod tests {
             ServerMsg::End { count: 4 },
             ServerMsg::Error { message: "1:1: unknown request \"submot\"".into() },
             ServerMsg::ShuttingDown { unfinished: 2 },
-        ];
-        for msg in messages {
+        ]
+    }
+
+    #[test]
+    fn client_messages_round_trip() {
+        for msg in client_messages() {
+            let line = msg.encode();
+            assert!(!line.contains('\n'), "encoded line must be newline-free: {line:?}");
+            assert_eq!(ClientMsg::decode(&line).unwrap(), msg, "{line}");
+        }
+    }
+
+    #[test]
+    fn server_messages_round_trip() {
+        for msg in server_messages() {
             let line = msg.encode();
             assert!(!line.contains('\n'), "encoded line must be newline-free: {line:?}");
             assert_eq!(ServerMsg::decode(&line).unwrap(), msg, "{line}");
@@ -569,5 +577,75 @@ mod tests {
             ClientMsg::decode(&msg.encode()).unwrap(),
             ClientMsg::Submit { scenario: nasty.into() }
         );
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::prop::collection::vec;
+
+        /// The encoded line of every client and server message kind.
+        fn encodings() -> Vec<String> {
+            let client = client_messages().iter().map(ClientMsg::encode).collect::<Vec<_>>();
+            client.into_iter().chain(server_messages().iter().map(ServerMsg::encode)).collect()
+        }
+
+        /// Both decoders over `line`: each answers with a message or an
+        /// error positioned inside the line — line 1, a column no
+        /// further than one past its last character — never a panic.
+        fn decodes_in_place(line: &str) -> Result<(), TestCaseError> {
+            let end = line.chars().count() + 1;
+            let errors = [ClientMsg::decode(line).err(), ServerMsg::decode(line).err()];
+            for err in errors.into_iter().flatten() {
+                prop_assert_eq!(err.pos.line, 1, "{} for {:?}", err, line);
+                prop_assert!((1..=end).contains(&err.pos.col), "{} for {:?}", err, line);
+            }
+            Ok(())
+        }
+
+        /// Characters that mean something to the line grammar, or any
+        /// character at all.
+        fn protocol_char() -> impl Strategy<Value = char> {
+            const GRAMMAR: [char; 9] = ['"', '\\', '=', ' ', 'n', '0', '-', '.', 'é'];
+            (prop::bool::ANY, 0..GRAMMAR.len(), 0u32..0x11_0000).prop_map(|(grammar, i, code)| {
+                if grammar {
+                    GRAMMAR[i]
+                } else {
+                    char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn mutated_lines_decode_or_fail_in_place(
+                pick in 0usize..64,
+                edits in vec((0usize..1 << 16, 0u8..3, protocol_char()), 1..4),
+            ) {
+                let encodings = encodings();
+                let mut chars: Vec<char> = encodings[pick % encodings.len()].chars().collect();
+                for (at, op, c) in edits {
+                    let at = at % (chars.len() + 1);
+                    match op {
+                        1 if at < chars.len() => chars[at] = c,
+                        2 if at < chars.len() => {
+                            chars.remove(at);
+                        }
+                        _ => chars.insert(at, c),
+                    }
+                }
+                decodes_in_place(&chars.into_iter().collect::<String>())?;
+            }
+
+            #[test]
+            fn truncated_lines_decode_or_fail_in_place(pick in 0usize..64, cut in 0usize..1 << 16) {
+                let encodings = encodings();
+                let chars: Vec<char> = encodings[pick % encodings.len()].chars().collect();
+                let cut = cut % (chars.len() + 1);
+                decodes_in_place(&chars[..cut].iter().collect::<String>())?;
+            }
+        }
     }
 }

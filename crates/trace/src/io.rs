@@ -20,6 +20,7 @@
 //! preamble, every field folded into a seeded checksum as it is written
 //! or read, and the checksum last, with nothing after it.
 
+use std::borrow::Borrow;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -573,7 +574,9 @@ pub struct ReplayOutcome {
     pub baseline_switches: u64,
     /// Session-delay samples, each as `f64::to_bits`, in record order.
     pub delay_bits: Vec<u64>,
-    /// Sparse signaling-load deltas: `(cell, second, msgs)` triples.
+    /// Sparse signaling-load deltas: `(cell, second, msgs)` triples,
+    /// strictly ascending by `(cell, second)`. The codec stores any
+    /// order; the fleet's replay memo distrusts a record that breaks it.
     pub seconds: Vec<(u64, i64, u64)>,
 }
 
@@ -602,23 +605,28 @@ impl ReplayOutcome {
 
 /// One `.twr` record: a user's memoized outcome under the key it is
 /// valid for. Any drift in the user's verdict stream re-simulates.
+///
+/// The outcome is owned when read back (`O = ReplayOutcome`) and may be
+/// borrowed when written (`O = &ReplayOutcome`), so a memo spills
+/// without copying its outcomes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayOutcomeRecord {
+pub struct ReplayOutcomeRecord<O = ReplayOutcome> {
     /// User index within the population.
     pub user: u64,
     /// SplitMix64 hash of the user's grant/deny verdict stream.
     pub verdict_hash: u64,
     /// The outcome replaying that verdict stream produced.
-    pub outcome: ReplayOutcome,
+    pub outcome: O,
 }
 
 /// Writes memoized replay outcomes in `.twr` form: the header, a
 /// record count, the per-user records, and a trailing 64-bit checksum
 /// over every field — the same corrupt-spills-recompute-never-lie
-/// contract as [`write_request_streams`].
-pub fn write_replay_outcomes<W: Write>(
+/// contract as [`write_request_streams`]. Records are written as given;
+/// owned and borrowed outcomes produce the same bytes.
+pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
     header: &ReplayCacheHeader,
-    records: &[ReplayOutcomeRecord],
+    records: &[ReplayOutcomeRecord<O>],
     out: W,
 ) -> Result<(), TraceError> {
     let mut w = SpillWriter::new(&OUTCOME_FORMAT, out)?;
@@ -626,7 +634,8 @@ pub fn write_replay_outcomes<W: Write>(
     w.word(header.topo_hash)?;
     w.scheme(&header.requests.scheme)?;
     w.word(records.len() as u64)?;
-    for ReplayOutcomeRecord { user, verdict_hash, outcome: o } in records {
+    for ReplayOutcomeRecord { user, verdict_hash, outcome } in records {
+        let o = outcome.borrow();
         for word in [
             *user,
             *verdict_hash,
@@ -1125,7 +1134,7 @@ mod tests {
     #[test]
     fn twr_roundtrips_empty_record_set() {
         let mut buf = Vec::new();
-        write_replay_outcomes(&sample_outcome_header(), &[], &mut buf).unwrap();
+        write_replay_outcomes::<_, ReplayOutcome>(&sample_outcome_header(), &[], &mut buf).unwrap();
         let (header, records) = read_replay_outcomes(buf.as_slice()).unwrap();
         assert_eq!(header, sample_outcome_header());
         assert!(records.is_empty());
@@ -1185,6 +1194,6 @@ mod tests {
         let mut header = sample_outcome_header();
         header.requests.scheme = "x".repeat(SCHEME_CAP + 1);
         let mut buf = Vec::new();
-        assert!(write_replay_outcomes(&header, &[], &mut buf).is_err());
+        assert!(write_replay_outcomes::<_, ReplayOutcome>(&header, &[], &mut buf).is_err());
     }
 }
