@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Duration;
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
     run, run_source, run_source_sweep_cached, AdmissionSpec, FleetReport, NetworkTopology,
@@ -28,9 +29,14 @@ fn run_under(scenario: &Scenario, obs: Obs<'_>, cache: Option<&RequestCache>) ->
     run_source(&source, 2, obs, cache).expect("synthetic runs never fail")
 }
 
-/// A synthetic sweep on 2 threads against `cache`.
-fn sweep_under(set: &SourceSet, obs: Obs<'_>, cache: Option<&RequestCache>) -> SweepReport {
-    run_source_sweep_cached(set, 2, obs, cache).expect("synthetic sweeps never fail")
+/// A synthetic sweep on `threads` threads against `cache`.
+fn sweep_under(
+    set: &SourceSet,
+    threads: usize,
+    obs: Obs<'_>,
+    cache: Option<&RequestCache>,
+) -> SweepReport {
+    run_source_sweep_cached(set, threads, obs, cache).expect("synthetic sweeps never fail")
 }
 
 /// The admission sweep `sweep_cached` and `sweep_replay_memo` measure.
@@ -130,14 +136,14 @@ fn sweep_cached(c: &mut Criterion) {
     group.throughput(Throughput::Elements(base.user_days()));
     group.bench_function("single_run", |b| b.iter(|| black_box(run(black_box(&base), 2))));
     group.bench_function("sweep_uncached", |b| {
-        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), None)))
+        b.iter(|| black_box(sweep_under(black_box(&set), 2, Obs::none(), None)))
     });
     group.bench_function("sweep_warm", |b| {
         // Warm the cache once; every measured iteration then replays
         // all four cells from it.
         let cache = RequestCache::in_memory();
         run_under(&base, Obs::none(), Some(&cache));
-        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), Some(&cache))))
+        b.iter(|| black_box(sweep_under(black_box(&set), 2, Obs::none(), Some(&cache))))
     });
     group.finish();
 }
@@ -148,7 +154,9 @@ fn sweep_cached(c: &mut Criterion) {
 /// fold stored outcomes instead of synthesizing traces and re-running
 /// the engine, and only adjudication + folding remain per cell. The
 /// honest miss rate of the measured shape prints alongside (0% once
-/// warm — the sweep's verdict streams are deterministic).
+/// warm — the sweep's verdict streams are deterministic). The warm sweep
+/// runs on 2 threads and on 1: adjudication runs one RNC partition per
+/// worker, so the pair shows how that layer scales.
 fn sweep_replay_memo(c: &mut Criterion) {
     let mut base = fleet_scenario(16);
     base.cells = Some(NetworkTopology::with_rncs(3, 12));
@@ -156,26 +164,31 @@ fn sweep_replay_memo(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sweep_replay_memo");
     group.throughput(Throughput::Elements(base.user_days()));
+    // A warm sweep takes tens of milliseconds: the default 300 ms of
+    // samples cannot tell the thread counts apart on a noisy host.
+    group.measurement_time(Duration::from_secs(3));
     group.bench_function("single_run", |b| b.iter(|| black_box(run(black_box(&base), 2))));
-    group.bench_function("sweep_warm_memo", |b| {
-        // Warm with one full sweep: phase-1 extraction, baselines, and
-        // every cell's replay outcomes all land in the cache.
-        let cache = RequestCache::in_memory();
-        sweep_under(&set, Obs::none(), Some(&cache));
-        // Record the measured shape's honest hit/miss split once.
-        let recorder = StatsRecorder::new();
-        let obs = Obs { recorder: &recorder, progress: None };
-        sweep_under(&set, obs, Some(&cache));
-        let snapshot = recorder.snapshot();
-        let hits = snapshot.counters.get("replay_hits").copied().unwrap_or(0);
-        let misses = snapshot.counters.get("replay_misses").copied().unwrap_or(0);
-        eprintln!(
-            "sweep_replay_memo warm shape: {hits} replay hits, {misses} misses \
-             ({:.1}% miss rate)",
-            100.0 * misses as f64 / (hits + misses).max(1) as f64
-        );
-        b.iter(|| black_box(sweep_under(black_box(&set), Obs::none(), Some(&cache))))
-    });
+    // Warm with one full sweep: phase-1 extraction, baselines, and
+    // every cell's replay outcomes all land in the cache.
+    let cache = RequestCache::in_memory();
+    sweep_under(&set, 2, Obs::none(), Some(&cache));
+    // Record the measured shape's honest hit/miss split once.
+    let recorder = StatsRecorder::new();
+    let obs = Obs { recorder: &recorder, progress: None };
+    sweep_under(&set, 2, obs, Some(&cache));
+    let snapshot = recorder.snapshot();
+    let hits = snapshot.counters.get("replay_hits").copied().unwrap_or(0);
+    let misses = snapshot.counters.get("replay_misses").copied().unwrap_or(0);
+    eprintln!(
+        "sweep_replay_memo warm shape: {hits} replay hits, {misses} misses \
+         ({:.1}% miss rate)",
+        100.0 * misses as f64 / (hits + misses).max(1) as f64
+    );
+    for (label, threads) in [("sweep_warm_memo", 2), ("sweep_warm_memo_1thread", 1)] {
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(sweep_under(black_box(&set), threads, Obs::none(), Some(&cache))))
+        });
+    }
     group.finish();
 }
 

@@ -256,8 +256,8 @@ fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::E
         let model = presets
             .get(user.wrapping_sub(1))
             .ok_or_else(|| ArgError(format!("--user must be 1..={}", presets.len())))?;
-        let model = match args.opt_parse::<u32>("days")? {
-            Some(d) => model.scaled_to_days(d.max(1)),
+        let model = match count_flag::<u32>(args, "days")? {
+            Some(d) => model.scaled_to_days(d),
             None => model.clone(),
         };
         writeln!(out, "generating {} ({} days)…", model.name, model.days)?;
@@ -411,6 +411,19 @@ fn scheme_from(name: &str) -> Result<Scheme, ArgError> {
     name.parse().map_err(ArgError)
 }
 
+/// The value of count flag `--key`, if given. Zero is an error, never
+/// clamped to one: the matching scenario-file keys reject it too.
+fn count_flag<T>(args: &Args, key: &str) -> Result<Option<T>, ArgError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match args.opt_parse::<T>(key)? {
+        Some(n) if n == T::default() => Err(ArgError(format!("--{key} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
 fn threads_from(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
     match args.opt_parse("threads")? {
         Some(t) if t > 0 => Ok(t),
@@ -551,11 +564,11 @@ fn fleet_scenario_from_flags(
     };
     let mut scenario = tailwise_fleet::Scenario::new(users, scheme, carrier);
     scenario.master_seed = args.opt_parse("seed")?.unwrap_or(1);
-    if let Some(days) = args.opt_parse::<u32>("days")? {
-        scenario.days_per_user = days.max(1);
+    if let Some(days) = count_flag(args, "days")? {
+        scenario.days_per_user = days;
     }
-    if let Some(shard) = args.opt_parse::<u64>("shard")? {
-        scenario.shard_size = shard.max(1);
+    if let Some(shard) = count_flag(args, "shard")? {
+        scenario.shard_size = shard;
     }
     scenario.cells = topology_from_flags(args, &scheme)?;
     Ok(scenario)
@@ -569,12 +582,7 @@ fn topology_from_flags(
     args: &Args,
     scheme: &Scheme,
 ) -> Result<Option<tailwise_fleet::NetworkTopology>, Box<dyn std::error::Error>> {
-    let cells = match args.opt_parse::<u64>("cells")? {
-        Some(0) => return Err(Box::new(ArgError("--cells must be at least 1".into()))),
-        Some(cells) => Some(cells),
-        None => None,
-    };
-    let Some(cells) = cells else {
+    let Some(cells) = count_flag::<u64>(args, "cells")? else {
         if let Some(flag) = TOPOLOGY_FLAGS[1..].iter().find(|flag| args.opt(flag).is_some()) {
             return Err(Box::new(ArgError(format!(
                 "--{flag} needs --cells: the flag configures a network topology, and without \
@@ -589,8 +597,7 @@ fn topology_from_flags(
              grant outcomes, so the exact two-pass replay does not apply"
         ))));
     }
-    let rncs = match args.opt_parse::<u64>("rncs")? {
-        Some(0) => return Err(Box::new(ArgError("--rncs must be at least 1".into()))),
+    let rncs = match count_flag::<u64>(args, "rncs")? {
         Some(rncs) if rncs > cells => {
             return Err(Box::new(ArgError(format!(
                 "cannot spread {cells} cell(s) over {rncs} RNCs; --rncs must be ≤ --cells"
@@ -795,11 +802,7 @@ fn cmd_fleet_serve(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::
              `tailwise fleet submit <file.toml>`)"
         ))));
     }
-    let workers = match args.opt_parse::<usize>("workers")? {
-        Some(0) => return Err(Box::new(ArgError("--workers must be at least 1".into()))),
-        Some(n) => n,
-        None => 2,
-    };
+    let workers = count_flag(args, "workers")?.unwrap_or(2);
     let quiet = args.flag("quiet");
     let config = ServeConfig {
         addr: service_addr(args),
@@ -1290,6 +1293,36 @@ mod tests {
         assert!(err.contains("cannot run scheme"), "{err}");
         let err = build_err(&["--cells", "4", "--admission", "reactive"]);
         assert!(err.contains("watermark"), "{err}");
+    }
+
+    #[test]
+    fn zero_days_and_shard_sizes_are_errors_not_clamped() {
+        // Scenario files reject both keys at zero; the flags that set
+        // them do too, in every subcommand that takes them.
+        let dir = std::env::temp_dir().join(format!("tailwise-cli-zero-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("e.toml");
+        let path = file.to_str().unwrap();
+        for (flag, zero) in [("--days", ["--days", "0"]), ("--shard", ["--shard", "0"])] {
+            let mut export = vec!["export", path, "--users", "3"];
+            export.extend(zero);
+            let err = cmd_fleet_export(&obs_args(&export), &mut io::sink()).unwrap_err();
+            assert!(err.to_string().contains(&format!("{flag} must be at least 1")), "{err}");
+            assert!(!file.exists(), "{flag} 0 must not write a scenario");
+            let mut run = vec!["--users", "1", "--threads", "1"];
+            run.extend(zero);
+            let err = cmd_fleet(&obs_args(&run), &mut io::sink()).unwrap_err();
+            assert!(err.to_string().contains(&format!("{flag} must be at least 1")), "{err}");
+        }
+        let gen = Args::parse_with_switches(
+            ["gen", path, "--user", "1", "--days", "0"].map(String::from).to_vec(),
+            &[],
+        )
+        .unwrap();
+        let err = cmd_gen(&gen, &mut io::sink()).unwrap_err();
+        assert!(err.to_string().contains("--days must be at least 1"), "{err}");
+        assert!(!file.exists(), "--days 0 must not write a trace");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -27,13 +27,18 @@
 //! 2. **Adjudication** — every request becomes an event in the
 //!    partition of the RNC owning the cell its user occupies at that
 //!    instant, beside both sides of every handoff its cells see (none
-//!    under static mobility). Each partition is sorted into
-//!    `(time, user, kind)` order and fed through fresh admission-policy
-//!    instances: the request's cell decides first, then the RNC; a
-//!    denial at either level denies. Every verdict's adjudication-time
-//!    message cost (`per_fd_demotion` per grant, [`REQUEST_MESSAGES`]
-//!    per denial) is observed by both levels, so load-reactive policies
-//!    see the rate they are protecting.
+//!    under static mobility). A partition touches only its own cells,
+//!    its own RNC's policy and verdicts no other partition holds, so the
+//!    sharded runner adjudicates the RNCs in parallel, one partition per
+//!    shard: the worker builds the RNC's events, sorts them into
+//!    `(time, user, kind)` order and feeds them through fresh
+//!    admission-policy instances — the request's cell decides first,
+//!    then the RNC; a denial at either level denies. Every verdict's
+//!    adjudication-time message cost (`per_fd_demotion` per grant,
+//!    [`REQUEST_MESSAGES`] per denial) is observed by both levels, so
+//!    load-reactive policies see the rate they are protecting. The
+//!    frontier absorbs the partitions in RNC order: per-cell counts,
+//!    handoff loads and the denied `(user, seq)` pairs.
 //! 3. **Pass 2** — the sharded runner *re-materializes* each user's
 //!    trace (synthesis and corpus walks are deterministic, so the same
 //!    index yields the same trace) and replays it exactly from the
@@ -58,7 +63,9 @@
 //! confusion counts per user and, afterwards, one verdict byte per
 //! request plus one `(second, msgs)` pair per active second of each
 //! cell and RNC — never an array over the time span, which corpus
-//! traces and `.twr` files choose.
+//! traces and `.twr` files choose. Adjudication's events live only
+//! while their partition is in flight, so at most `threads` RNCs'
+//! events exist at once.
 //!
 //! ## Determinism
 //!
@@ -300,36 +307,34 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
         .collect()
 }
 
-/// Every RNC's adjudication stream, sorted into its deterministic
+/// RNC `rnc`'s adjudication partition, sorted into its deterministic
 /// `(time, user, kind)` order. `streams[i]` is user `i`'s pass-1
 /// product, with time-sorted requests, and `rnc_of` the [`rnc_table`].
 ///
-/// A request lands in the partition of the RNC owning the cell the user
-/// occupies at that instant. Handoffs are charged over the user's active
-/// span: through the end of the calendar day of their last request (see
-/// the mobility module docs for why the horizon derives from the request
-/// stream). A handoff charges its source side in the source cell's RNC
-/// partition and its target side in the target's — each partition stays
-/// self-contained, so per-RNC adjudication order never depends on
-/// another RNC.
+/// A request belongs to the partition of the RNC owning the cell the
+/// user occupies at that instant. Handoffs are charged over the user's
+/// active span: through the end of the calendar day of their last
+/// request (see the mobility module docs for why the horizon derives
+/// from the request stream). A handoff charges its source side in the
+/// source cell's RNC partition and its target side in the target's —
+/// each partition is self-contained, so it builds and adjudicates
+/// without looking at any other.
 ///
-/// Each user's request cells come from walking their time-sorted
-/// handoff list alongside their requests, with no per-request cell
-/// lookup. The list is empty under static mobility: every request then
-/// stays in the cell [`NetworkTopology::user_cell`] names, the user's
-/// home cell. Each request's handoff hint comes from the user's
+/// Each user's time-sorted handoff list cuts their requests into
+/// residence segments, one cell each; a segment outside this RNC is
+/// skipped whole, found by binary search, with no per-request cell
+/// lookup. The list is empty under static mobility: a static user's one
+/// segment is their home cell, so a user homed in another RNC is
+/// skipped outright. Each request's handoff hint comes from the user's
 /// [`Trajectory`], derived once per user.
-fn adjudication_streams(
+fn rnc_events(
     topology: &NetworkTopology,
     master_seed: u64,
     streams: &[RequestTrace],
     rnc_of: &[usize],
-) -> Vec<Vec<AdjEvent>> {
-    // An even share of the requests per RNC up front spares the
-    // partitions most of their regrowth.
-    let share = streams.iter().map(RequestTrace::len).sum::<usize>() / topology.rncs as usize;
-    let mut per_rnc: Vec<Vec<AdjEvent>> =
-        (0..topology.rncs).map(|_| Vec::with_capacity(share)).collect();
+    rnc: usize,
+) -> Vec<AdjEvent> {
+    let mut events = Vec::new();
     for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
         let times = &stream.times;
@@ -341,39 +346,195 @@ fn adjudication_streams(
             let (from_rnc, to_rnc) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
             let crosses = from_rnc != to_rnc;
             let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell };
-            per_rnc[from_rnc].push(side(AdjEventKind::HandoffOut { crosses }, h.from));
-            per_rnc[to_rnc].push(side(AdjEventKind::HandoffIn { crosses }, h.to));
+            if from_rnc == rnc {
+                events.push(side(AdjEventKind::HandoffOut { crosses }, h.from));
+            }
+            if to_rnc == rnc {
+                events.push(side(AdjEventKind::HandoffIn { crosses }, h.to));
+            }
         }
         // The cell held before the first handoff — or, with none, over
-        // the whole active span.
+        // the whole active span — then each handoff's target from its
+        // instant on.
         let mut cell = handoffs.first().map_or_else(|| trajectory.cell_at(first), |h| h.from);
-        let mut pending = handoffs.iter().peekable();
-        for (seq, &at) in times.iter().enumerate() {
-            while let Some(h) = pending.next_if(|h| h.at <= at) {
+        let mut start = 0;
+        for next in handoffs.iter().map(Some).chain([None]) {
+            let end = next
+                .map_or(times.len(), |h| start + times[start..].partition_point(|&at| at < h.at));
+            if rnc_of[cell as usize] == rnc {
+                for (seq, &at) in (start..).zip(&times[start..end]) {
+                    debug_assert_eq!(
+                        cell,
+                        topology.user_cell(master_seed, user, at),
+                        "user {user} at {at:?}"
+                    );
+                    let hinted = trajectory.handoff_within(at);
+                    debug_assert_eq!(
+                        hinted,
+                        topology.mobility.handoff_within(master_seed, user, topology.cells, at),
+                        "user {user} at {at:?}"
+                    );
+                    let kind = AdjEventKind::Request { seq: seq as u32, hinted };
+                    events.push(AdjEvent { at, user, kind, cell });
+                }
+            }
+            if let Some(h) = next {
                 cell = h.to;
             }
-            debug_assert_eq!(
-                cell,
-                topology.user_cell(master_seed, user, at),
-                "user {user} at {at:?}"
-            );
-            let hinted = trajectory.handoff_within(at);
-            debug_assert_eq!(
-                hinted,
-                topology.mobility.handoff_within(master_seed, user, topology.cells, at),
-                "user {user} at {at:?}"
-            );
-            let kind = AdjEventKind::Request { seq: seq as u32, hinted };
-            per_rnc[rnc_of[cell as usize]].push(AdjEvent { at, user, kind, cell });
+            start = end;
         }
     }
-    for events in &mut per_rnc {
-        // Each user's requests arrive as presorted runs, which the stable
-        // sort merges rather than re-sorts. The order is strict, so
-        // stability itself changes nothing.
-        events.sort();
+    // Each user's requests arrive as presorted runs, which the stable
+    // sort merges rather than re-sorts. The order is strict, so
+    // stability itself changes nothing.
+    events.sort();
+    events
+}
+
+/// What adjudication hands pass 2 and the load accounting: one RNC's
+/// partition as [`adjudicate_rnc`] returns it, or the whole run's once
+/// the frontier has absorbed every partition in RNC order. RNCs own
+/// contiguous cell blocks, so appending the partitions' per-cell
+/// vectors in RNC order yields them in cell order.
+#[derive(Default)]
+struct Adjudication {
+    /// Per cell: users homed there, grants, denials and handoff
+    /// counts. The message-load fields are scored after pass 2.
+    cells: Vec<CellLoad>,
+    /// Per RNC: the denials it issued and the handoffs leaving it for
+    /// another RNC. The rest is summed and scored after pass 2.
+    rncs: Vec<RncLoad>,
+    /// Per cell: the handoff messages charged to it, per second.
+    cell_handoffs: Vec<Load>,
+    /// Per RNC: its own boundary-crossing handoff exchanges, per
+    /// second.
+    rnc_handoffs: Vec<Load>,
+    /// Requests granted on the mobility hint, bypassing both gates.
+    hint_grants: u64,
+    /// Every denied request as `(user, seq)`; every other is a grant.
+    denials: Vec<(u64, u32)>,
+}
+
+impl Partial for Adjudication {
+    fn absorb(&mut self, mut other: Adjudication) {
+        self.cells.append(&mut other.cells);
+        self.rncs.append(&mut other.rncs);
+        self.cell_handoffs.append(&mut other.cell_handoffs);
+        self.rnc_handoffs.append(&mut other.rnc_handoffs);
+        self.hint_grants += other.hint_grants;
+        self.denials.append(&mut other.denials);
     }
-    per_rnc
+}
+
+/// Adjudicates RNC `rnc`'s partition ([`rnc_events`]) through fresh
+/// admission policies for the RNC and each of its cells. The result's
+/// per-cell vectors cover exactly the RNC's cells, its per-RNC vectors
+/// the RNC alone.
+fn adjudicate_rnc(
+    topology: &NetworkTopology,
+    master_seed: u64,
+    streams: &[RequestTrace],
+    rnc_of: &[usize],
+    rnc: usize,
+) -> Adjudication {
+    let first_cell = rnc_of.partition_point(|&owner| owner < rnc);
+    let cell_count = rnc_of.partition_point(|&owner| owner <= rnc) - first_cell;
+    let mut cells = vec![CellLoad::default(); cell_count];
+    for user in 0..streams.len() as u64 {
+        let home = topology.home_cell(master_seed, user) as usize;
+        if rnc_of[home] == rnc {
+            cells[home - first_cell].users += 1;
+        }
+    }
+    // Handoff messages per second, charged here and merged into the
+    // replay-time loads after pass 2 so handoff storms count against
+    // the same budgets as everything else. The events come in time
+    // order, so the runs build by appending.
+    let mut cell_handoffs = vec![Load::new(); cell_count];
+    let mut rnc_handoffs = Load::new();
+    let mut rnc_load = RncLoad::default();
+    let mut hint_grants = 0;
+    let mut denials = Vec::new();
+    let mut cell_policies: Vec<_> =
+        (0..cell_count).map(|_| topology.cell_admission.build()).collect();
+    let mut rnc_policy = topology.rnc_admission.build();
+    let signaling = &topology.signaling;
+    for e in rnc_events(topology, master_seed, streams, rnc_of, rnc) {
+        let cell = e.cell as usize - first_cell;
+        match e.kind {
+            AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
+                let messages = signaling.per_handoff;
+                let second = e.at.as_micros().div_euclid(1_000_000);
+                // Each side charges its own cell — the cell's policy
+                // observes the load even though handoffs are never
+                // admission decisions.
+                cell_policies[cell].observe(e.at, messages);
+                charge_load(&mut cell_handoffs[cell], second, messages as u64);
+                if let AdjEventKind::HandoffOut { .. } = e.kind {
+                    cells[cell].handoffs_out += 1;
+                    if crosses {
+                        // Attributed to the source RNC, like
+                        // denied_by_rnc is attributed where the
+                        // decision happened.
+                        rnc_load.inter_rnc_handoffs += 1;
+                    }
+                } else {
+                    cells[cell].handoffs_in += 1;
+                }
+                if crosses {
+                    // Boundary-crossing handoffs cost the RNC its own
+                    // exchange on top of the member cells' — the
+                    // reactive governor sees it.
+                    rnc_policy.observe(e.at, messages);
+                    charge_load(&mut rnc_handoffs, second, messages as u64);
+                }
+            }
+            AdjEventKind::Request { seq, hinted } => {
+                // Two gates: the cell decides whether to forward, the RNC
+                // whether to admit. A cell-level denial never reaches
+                // the RNC's decision logic, but its request message
+                // still transits the RNC, so both levels observe every
+                // request's adjudication-time cost. Forwarding commits
+                // the cell's own policy state: a rate-limited cell that
+                // forwards a request the RNC then refuses has still
+                // spent its grant slot.
+                //
+                // Hinted requests — the mobility model predicts a
+                // handoff within its hint window — bypass both gates:
+                // the network wants the device dormant *before* the
+                // handoff (an idle-mode cell reselection is far cheaper
+                // than an active handover), and the release still costs
+                // its grant messages. Static mobility never hints.
+                let (cell_ok, ok) = if hinted {
+                    (true, true)
+                } else {
+                    let cell_ok = cell_policies[cell].admit(e.at);
+                    (cell_ok, cell_ok && rnc_policy.admit(e.at))
+                };
+                let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
+                cell_policies[cell].observe(e.at, messages);
+                rnc_policy.observe(e.at, messages);
+                if ok {
+                    cells[cell].granted += 1;
+                    hint_grants += hinted as u64;
+                } else {
+                    cells[cell].denied += 1;
+                    denials.push((e.user, seq));
+                    if cell_ok {
+                        rnc_load.denied_by_rnc += 1;
+                    }
+                }
+            }
+        }
+    }
+    Adjudication {
+        cells,
+        rncs: vec![rnc_load],
+        cell_handoffs,
+        rnc_handoffs: vec![rnc_handoffs],
+        hint_grants,
+        denials,
+    }
 }
 
 /// Per-second RRC-message load: `(second, msgs)` pairs, strictly
@@ -563,10 +724,12 @@ impl Partial for TopologyPartial {
 ///
 /// Observation: trace materialization in either pass records under the
 /// `synthesize` span, pass-1 request extraction under `simulate`,
-/// adjudication under `adjudicate`, and pass-2 scripted replay under
-/// `replay`. Live progress counts each user once per executed pass, so
-/// the expected total published to the table is `2 × users` — or
-/// `1 × users` when a request-cache hit skips pass 1 entirely.
+/// each RNC partition's adjudication under one `adjudicate` span on the
+/// worker that ran it, and pass-2 scripted replay under `replay`. Live
+/// progress counts each user once per executed pass, so the expected
+/// total published to the table is `2 × users` — or `1 × users` when a
+/// request-cache hit skips pass 1 entirely; adjudication publishes
+/// none.
 ///
 /// `cache`: an optional [`RequestCache`], consulted when the population
 /// has a [`Fingerprint`](crate::cache::Fingerprint) (synthetic
@@ -647,121 +810,54 @@ pub(crate) fn run_topology(
          against its fingerprint before serving an entry)"
     );
 
-    // ---- Adjudication: each RNC consumes its partition's events in ---
-    // (time, user, kind) order, requests interleaved with the handoff
-    // charges of its cells.
-    let adjudicate = span(obs.recorder, "adjudicate");
-    let cell_count = topology.cells as usize;
-    let rnc_count = topology.rncs as usize;
+    // ---- Adjudication: one RNC partition per shard, built, sorted ----
+    // and gated by whichever worker claims it, absorbed in RNC order.
+    // Live progress counts users, so this pass publishes none.
     let rnc_of = rnc_table(topology);
-    let mut cell_loads = vec![CellLoad::default(); cell_count];
-    let mut verdicts: Vec<Vec<bool>> = Vec::with_capacity(streams.len());
-    for (index, stream) in streams.iter().enumerate() {
-        cell_loads[topology.home_cell(master_seed, index as u64) as usize].users += 1;
-        verdicts.push(vec![false; stream.len()]);
+    let Adjudication {
+        cells: mut cell_loads,
+        rncs: mut rnc_loads,
+        cell_handoffs,
+        rnc_handoffs,
+        hint_grants,
+        denials,
+    } = run_sharded(
+        topology.rncs,
+        threads,
+        Obs { progress: None, ..obs },
+        &Adjudication::default,
+        &|rnc, _| {
+            let _adjudicate = span(obs.recorder, "adjudicate");
+            Ok(adjudicate_rnc(topology, master_seed, &streams, &rnc_of, rnc as usize))
+        },
+    )?;
+    let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
+    let denied: u64 = cell_loads.iter().map(|c| c.denied).sum();
+    // Conservation: a request no partition adjudicated would replay as a
+    // grant.
+    assert_eq!(
+        granted + denied,
+        streams.iter().map(|s| s.len() as u64).sum::<u64>(),
+        "every request must be adjudicated by exactly one RNC partition"
+    );
+    debug_assert_eq!(denials.len() as u64, denied);
+    let mut verdicts: Vec<Vec<bool>> = streams.iter().map(|s| vec![true; s.len()]).collect();
+    for (user, seq) in denials {
+        verdicts[user as usize][seq as usize] = false;
     }
-    let mut denied_by_rnc = vec![0u64; rnc_count];
-    let mut inter_rnc_handoffs = vec![0u64; rnc_count];
-    // Handoff messages per cell/RNC per second, charged at adjudication
-    // time and merged into the replay-time loads below so handoff
-    // storms count against the same budgets as everything else. Each
-    // cell's and RNC's charges all come from one partition, in time
-    // order, so they build sorted runs by appending.
-    let mut cell_handoff_seconds: Vec<Load> = vec![Load::new(); cell_count];
-    let mut rnc_handoff_seconds: Vec<Load> = vec![Load::new(); rnc_count];
-    let mut hint_grants = 0u64;
-    let mut cell_policies: Vec<_> =
-        (0..cell_count).map(|_| topology.cell_admission.build()).collect();
-    let signaling = &topology.signaling;
-    for (rnc, events) in
-        adjudication_streams(topology, master_seed, &streams, &rnc_of).into_iter().enumerate()
-    {
-        let mut rnc_policy = topology.rnc_admission.build();
-        for e in events {
-            let cell = e.cell as usize;
-            match e.kind {
-                AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
-                    let messages = signaling.per_handoff;
-                    let second = e.at.as_micros().div_euclid(1_000_000);
-                    // Each side charges its own cell — the cell's policy
-                    // observes the load even though handoffs are never
-                    // admission decisions.
-                    cell_policies[cell].observe(e.at, messages);
-                    charge_load(&mut cell_handoff_seconds[cell], second, messages as u64);
-                    if let AdjEventKind::HandoffOut { .. } = e.kind {
-                        cell_loads[cell].handoffs_out += 1;
-                        if crosses {
-                            // Attributed to the source RNC, like
-                            // denied_by_rnc is attributed where the
-                            // decision happened.
-                            inter_rnc_handoffs[rnc] += 1;
-                        }
-                    } else {
-                        cell_loads[cell].handoffs_in += 1;
-                    }
-                    if crosses {
-                        // Boundary-crossing handoffs cost the RNC its
-                        // own exchange on top of the member cells' —
-                        // the reactive governor sees it.
-                        rnc_policy.observe(e.at, messages);
-                        charge_load(&mut rnc_handoff_seconds[rnc], second, messages as u64);
-                    }
-                }
-                AdjEventKind::Request { seq, hinted } => {
-                    // Two gates: the cell decides whether to forward, the
-                    // RNC whether to admit. A cell-level denial never
-                    // reaches the RNC's decision logic, but its request
-                    // message still transits the RNC, so both levels
-                    // observe every request's adjudication-time cost.
-                    // Forwarding commits the cell's own policy state: a
-                    // rate-limited cell that forwards a request the RNC
-                    // then refuses has still spent its grant slot.
-                    //
-                    // Hinted requests — the mobility model predicts a
-                    // handoff within its hint window — bypass both
-                    // gates: the network wants the device dormant
-                    // *before* the handoff (an idle-mode cell reselection
-                    // is far cheaper than an active handover), and the
-                    // release still costs its grant messages. Static
-                    // mobility never hints.
-                    let (cell_ok, ok) = if hinted {
-                        (true, true)
-                    } else {
-                        let cell_ok = cell_policies[cell].admit(e.at);
-                        (cell_ok, cell_ok && rnc_policy.admit(e.at))
-                    };
-                    let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
-                    cell_policies[cell].observe(e.at, messages);
-                    rnc_policy.observe(e.at, messages);
-                    verdicts[e.user as usize][seq as usize] = ok;
-                    if ok {
-                        cell_loads[cell].granted += 1;
-                        hint_grants += hinted as u64;
-                    } else {
-                        cell_loads[cell].denied += 1;
-                        if cell_ok {
-                            denied_by_rnc[rnc] += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    drop(cell_policies);
-    drop(adjudicate);
     let verdicts = &verdicts;
     let streams = &streams;
     if obs.recorder.enabled() {
-        let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
-        let denied: u64 = cell_loads.iter().map(|c| c.denied).sum();
         obs.recorder.counter("requests_granted").add(granted);
         obs.recorder.counter("requests_denied").add(denied);
-        obs.recorder.counter("requests_denied_by_rnc").add(denied_by_rnc.iter().sum());
+        let denied_by_rnc = rnc_loads.iter().map(|r| r.denied_by_rnc).sum();
+        obs.recorder.counter("requests_denied_by_rnc").add(denied_by_rnc);
         // Handoffs are conserved: every one has exactly one in-side.
         let handoffs: u64 = cell_loads.iter().map(|c| c.handoffs_in).sum();
         if handoffs > 0 {
             obs.recorder.counter("handoffs").add(handoffs);
-            obs.recorder.counter("inter_rnc_handoffs").add(inter_rnc_handoffs.iter().sum());
+            let inter_rnc = rnc_loads.iter().map(|r| r.inter_rnc_handoffs).sum();
+            obs.recorder.counter("inter_rnc_handoffs").add(inter_rnc);
         }
         if hint_grants > 0 {
             obs.recorder.counter("hint_grants").add(hint_grants);
@@ -798,7 +894,7 @@ pub(crate) fn run_topology(
     };
     let empty_partial = || TopologyPartial {
         report: population.empty_report(),
-        seconds: vec![Load::new(); cell_count],
+        seconds: vec![Load::new(); topology.cells as usize],
         baselines: Vec::new(),
         fresh: Vec::new(),
     };
@@ -893,22 +989,13 @@ pub(crate) fn run_topology(
         cache.store_outcomes(&fingerprint, &scheme_token, topology, fresh, obs);
     }
     let (cell_scores, rnc_scores) =
-        score_loads(topology, &rnc_of, seconds, cell_handoff_seconds, rnc_handoff_seconds);
+        score_loads(topology, &rnc_of, seconds, cell_handoffs, rnc_handoffs);
     for (load, score) in cell_loads.iter_mut().zip(cell_scores) {
         (load.total_messages, load.peak_messages_per_s, load.overload_seconds) = score;
     }
-    let mut rnc_loads: Vec<RncLoad> = rnc_scores
-        .into_iter()
-        .enumerate()
-        .map(|(rnc, (total_messages, peak_messages_per_s, overload_seconds))| RncLoad {
-            denied_by_rnc: denied_by_rnc[rnc],
-            inter_rnc_handoffs: inter_rnc_handoffs[rnc],
-            total_messages,
-            peak_messages_per_s,
-            overload_seconds,
-            ..RncLoad::default()
-        })
-        .collect();
+    for (load, score) in rnc_loads.iter_mut().zip(rnc_scores) {
+        (load.total_messages, load.peak_messages_per_s, load.overload_seconds) = score;
+    }
     for (cell, load) in cell_loads.iter().enumerate() {
         let rnc = &mut rnc_loads[rnc_of[cell]];
         rnc.cells += 1;
@@ -989,6 +1076,7 @@ mod tests {
     mod merge_props {
         use super::*;
         use proptest::prelude::*;
+        use proptest::prop::collection::vec;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1026,8 +1114,8 @@ mod tests {
                     .iter()
                     .map(|times| RequestTrace { times: times.clone(), ..RequestTrace::default() })
                     .collect();
-                let partitions = adjudication_streams(&topology, seed, &recorded, &rnc_of);
-                for (rnc, events) in partitions.iter().enumerate() {
+                for rnc in 0..rncs as usize {
+                    let events = rnc_events(&topology, seed, &recorded, &rnc_of, rnc);
                     let members: Vec<(u64, Vec<Instant>)> = streams
                         .iter()
                         .enumerate()
@@ -1049,6 +1137,72 @@ mod tests {
                         .collect();
                     prop_assert_eq!(order, expect);
                 }
+            }
+
+            /// The RNC partitions split a run's events without loss or
+            /// duplication, static or commuting: every `(user, seq)`
+            /// sits in exactly one partition — the RNC owning the cell
+            /// the user occupies at that instant, charged to that cell
+            /// — every handoff side appears once, the out-side in the
+            /// source cell's RNC and the in-side in the target's, and
+            /// each partition is strictly ascending. Request times
+            /// spread over a day and a bit, so commuters cross RNCs.
+            #[test]
+            fn rnc_partitions_hold_every_event_exactly_once(
+                shapes in vec(vec(0i64..108_000_000_000, 0..24), 0..24),
+                (rncs, extra_cells, seed, commute) in
+                    (1u64..=4, 0u64..6, 0u64..1_000, prop::bool::ANY),
+            ) {
+                let mut topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
+                if commute {
+                    topology.mobility = MobilitySpec::commute();
+                }
+                let rnc_of = rnc_table(&topology);
+                let recorded: Vec<RequestTrace> = shapes
+                    .into_iter()
+                    .map(|mut times| {
+                        times.sort_unstable();
+                        let times = times.into_iter().map(Instant::from_micros).collect();
+                        RequestTrace { times, ..RequestTrace::default() }
+                    })
+                    .collect();
+
+                // Every event once, tagged with the RNC it belongs to,
+                // from the spec-level oracles.
+                let mut expect: Vec<(usize, AdjEvent)> = Vec::new();
+                for (user, trace) in recorded.iter().enumerate() {
+                    let user = user as u64;
+                    for (seq, &at) in trace.times.iter().enumerate() {
+                        let cell = topology.user_cell(seed, user, at);
+                        let hinted =
+                            topology.mobility.handoff_within(seed, user, topology.cells, at);
+                        let kind = AdjEventKind::Request { seq: seq as u32, hinted };
+                        expect.push((rnc_of[cell as usize], AdjEvent { at, user, kind, cell }));
+                    }
+                    let Some(last) = trace.times.last() else { continue };
+                    let days = last.as_micros() as u64 / 86_400_000_000 + 1;
+                    for h in topology.mobility.handoffs(seed, user, topology.cells, days) {
+                        let (from, to) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
+                        let crosses = from != to;
+                        let side = |kind, cell| AdjEvent { at: h.at, user, kind, cell };
+                        expect.push((from, side(AdjEventKind::HandoffOut { crosses }, h.from)));
+                        expect.push((to, side(AdjEventKind::HandoffIn { crosses }, h.to)));
+                    }
+                }
+                expect.sort();
+
+                let mut held: Vec<(usize, AdjEvent)> = Vec::new();
+                for rnc in 0..rncs as usize {
+                    let events = rnc_events(&topology, seed, &recorded, &rnc_of, rnc);
+                    prop_assert!(
+                        events.windows(2).all(|w| w[0] < w[1]),
+                        "RNC {} is not strictly ascending",
+                        rnc
+                    );
+                    held.extend(events.into_iter().map(|e| (rnc, e)));
+                }
+                held.sort();
+                prop_assert_eq!(held, expect);
             }
         }
     }
