@@ -42,10 +42,11 @@ USAGE
 COMMANDS
   gen <out>        synthesize a workload trace
                      --app <news|im|microblog|game|email|social|finance>
-                     --user <1..6>        (3G user presets; overrides --app)
+                     --user <1..6>        (3G user presets, each with its own apps and seed;
+                                          not with --app/--hours/--seed)
                      --days <n>           (with --user; default preset days)
-                     --hours <h>          (with --app; default 2)
-                     --seed <n>           (default 1)
+                     --hours <h>          (not with --user; default 2)
+                     --seed <n>           (not with --user; default 1)
   info <trace>     summary, burst stats and IAT percentiles
   convert <in> <out>
                    convert between trace formats; reads .pcap/.csv/.twt
@@ -250,8 +251,17 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn std::error::Error>> {
 fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["app", "user", "days", "hours", "seed"])?;
     let path = args.positional(0).ok_or_else(|| ArgError("gen needs an output path".into()))?;
-    let seed: u64 = args.opt_parse("seed")?.unwrap_or(1);
+    // Each mode rejects the flags only the other one reads, so no flag
+    // is ever silently ignored.
     let trace = if let Some(user) = args.opt_parse::<usize>("user")? {
+        if let Some(flag) =
+            ["app", "hours", "seed"].into_iter().find(|flag| args.opt(flag).is_some())
+        {
+            return Err(Box::new(ArgError(format!(
+                "--{flag} conflicts with --user: a user preset carries its own apps, length \
+                 and seed"
+            ))));
+        }
         let presets = UserModel::verizon_3g_users();
         let model = presets
             .get(user.wrapping_sub(1))
@@ -263,6 +273,13 @@ fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::E
         writeln!(out, "generating {} ({} days)…", model.name, model.days)?;
         model.generate()
     } else {
+        if args.opt("days").is_some() {
+            return Err(Box::new(ArgError(
+                "--days needs --user: it sets a preset's length; an --app trace is --hours long"
+                    .into(),
+            )));
+        }
+        let seed: u64 = args.opt_parse("seed")?.unwrap_or(1);
         let kind = app_from(args.opt_or("app", "im"))?;
         let hours: f64 = args.opt_parse("hours")?.unwrap_or(2.0);
         if hours <= 0.0 {
@@ -1322,6 +1339,34 @@ mod tests {
         let err = cmd_gen(&gen, &mut io::sink()).unwrap_err();
         assert!(err.to_string().contains("--days must be at least 1"), "{err}");
         assert!(!file.exists(), "--days 0 must not write a trace");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gen_rejects_the_flags_its_mode_ignores() {
+        let dir = std::env::temp_dir().join(format!("tailwise-cli-gen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("g.twt");
+        let path = file.to_str().unwrap();
+        let gen = |extra: &[&str]| {
+            let mut words = vec!["gen".to_string(), path.to_string()];
+            words.extend(extra.iter().map(|s| s.to_string()));
+            cmd_gen(&Args::parse_with_switches(words, &[]).unwrap(), &mut io::sink())
+        };
+        for (extra, message) in [
+            (&["--app", "im", "--hours", "1", "--days", "3"][..], "--days needs --user"),
+            (&["--days", "3"], "--days needs --user"),
+            (&["--user", "1", "--app", "im"], "--app conflicts with --user"),
+            (&["--user", "1", "--hours", "1"], "--hours conflicts with --user"),
+            (&["--user", "1", "--days", "2", "--seed", "7"], "--seed conflicts with --user"),
+        ] {
+            let err = gen(extra).unwrap_err();
+            assert!(err.to_string().contains(message), "{extra:?}: {err}");
+            assert!(!file.exists(), "{extra:?} must not write a trace");
+        }
+        // The README's invocation still writes its trace.
+        gen(&["--app", "im", "--hours", "2", "--seed", "7"]).unwrap();
+        assert!(file.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,15 +18,19 @@ impl Client {
     /// Connects to `addr` (e.g. `127.0.0.1:7433`).
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
 
-    /// Sends one request.
+    /// Sends one request: the encoded line and its `\n` in one write.
+    /// The socket has Nagle's algorithm off (`TCP_NODELAY`), so the
+    /// request leaves at once instead of waiting for the server's
+    /// delayed ACK of the previous segment.
     pub fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
-        self.writer.write_all(msg.encode().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut line = msg.encode();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// Receives the next server message. `Ok(None)` is a clean EOF —

@@ -181,12 +181,20 @@ struct RegistryInner {
     shutting_down: bool,
 }
 
+impl RegistryInner {
+    fn drained(&self) -> bool {
+        self.shutting_down && self.queue.is_empty() && self.running == 0
+    }
+}
+
 /// The server-wide job table: submissions enter, the worker pool
 /// drains, connections watch.
 #[derive(Debug)]
 pub struct JobRegistry {
     inner: Mutex<RegistryInner>,
-    /// Signalled on queue pushes and on shutdown.
+    /// Signalled on queue pushes, job completions, dequeues and
+    /// shutdown: workers wait on it in `next_job`, drain waiters in
+    /// `wait_drained`.
     wake: Condvar,
 }
 
@@ -282,6 +290,8 @@ impl JobRegistry {
             JobState::Queued => {
                 inner.queue.retain(|&queued| queued != id);
                 drop(inner);
+                // Dequeuing the last queued job can complete a drain.
+                self.wake.notify_all();
                 job.publish(ServerMsg::Cancelled { job: id });
                 job.set_state(JobState::Cancelled);
                 CancelOutcome::Dequeued
@@ -316,8 +326,15 @@ impl JobRegistry {
     /// Whether shutdown has begun *and* every accepted job has
     /// finished — the point where connections may close.
     pub fn drained(&self) -> bool {
+        self.inner.lock().expect("job registry").drained()
+    }
+
+    /// Blocks until [`JobRegistry::drained`] holds (the shutdown path).
+    /// Woken by every job completion and every dequeue, so it returns
+    /// as soon as the last accepted job ends.
+    pub fn wait_drained(&self) {
         let inner = self.inner.lock().expect("job registry");
-        inner.shutting_down && inner.queue.is_empty() && inner.running == 0
+        drop(self.wake.wait_while(inner, |inner| !inner.drained()).expect("job registry"));
     }
 }
 
@@ -325,6 +342,7 @@ impl JobRegistry {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use std::time::Duration;
 
     fn tiny_set() -> SourceSet {
         SourceSet::from_toml_str(
@@ -423,5 +441,49 @@ mod tests {
         registry.finish_job();
         assert_eq!(registry.cancel(running.id), CancelOutcome::AlreadyFinished);
         assert_eq!(registry.cancel(999), CancelOutcome::Unknown);
+    }
+
+    /// Blocks a thread in `wait_drained`, runs `release`, and requires
+    /// the waiter to return. Both waits are timed, so a missing notify
+    /// fails the test instead of hanging it.
+    fn assert_release_wakes_drain_waiter(
+        registry: &Arc<JobRegistry>,
+        what: &str,
+        release: impl FnOnce(),
+    ) {
+        let (tx, rx) = channel();
+        let waiter = {
+            let registry = Arc::clone(registry);
+            std::thread::spawn(move || {
+                registry.wait_drained();
+                let _ = tx.send(());
+            })
+        };
+        // Not drained yet: the waiter stays blocked, and the pause lets
+        // it reach the condvar before the release.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "released before the drain");
+        release();
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what} must wake drain waiters"));
+        waiter.join().expect("drain waiter");
+    }
+
+    #[test]
+    fn the_last_finish_or_dequeue_wakes_drain_waiters() {
+        let registry = Arc::new(JobRegistry::new());
+        registry.submit("r".into(), tiny_set()).unwrap();
+        let running = registry.next_job().unwrap();
+        assert_eq!(registry.begin_shutdown(), 1);
+        assert_release_wakes_drain_waiter(&registry, "finish_job", || {
+            running.set_state(JobState::Done);
+            registry.finish_job();
+        });
+
+        let registry = Arc::new(JobRegistry::new());
+        let (queued, _) = registry.submit("q".into(), tiny_set()).unwrap();
+        assert_eq!(registry.begin_shutdown(), 1);
+        assert_release_wakes_drain_waiter(&registry, "cancelling a queued job", || {
+            assert_eq!(registry.cancel(queued.id), CancelOutcome::Dequeued);
+        });
     }
 }

@@ -11,7 +11,9 @@
 //!   can poll the shutdown flag) plus a writer thread draining the
 //!   connection's outgoing line channel. Replies and job-stream
 //!   fan-out share that one channel, so concurrent writes never
-//!   interleave mid-line.
+//!   interleave mid-line. The socket has `TCP_NODELAY` set and each
+//!   line leaves in one write with its `\n`, so no line waits for the
+//!   client's delayed ACK.
 //! * **worker pool** — `workers` threads looping over
 //!   [`JobRegistry::next_job`]; each runs one job at a time against
 //!   the process-wide shared [`RequestCache`].
@@ -289,6 +291,7 @@ fn handle_connection(
     local_addr: SocketAddr,
     read_timeout: Duration,
 ) {
+    let _ = stream.set_nodelay(true);
     let Ok(write_stream) = stream.try_clone() else { return };
     let (tx, rx) = channel::<String>();
     let writer = std::thread::Builder::new()
@@ -313,14 +316,12 @@ fn handle_connection(
 /// — until the close sentinel, a failed write (client vanished), or
 /// every sender hanging up.
 fn write_lines(mut stream: TcpStream, rx: Receiver<String>) {
-    while let Ok(line) = rx.recv() {
+    while let Ok(mut line) = rx.recv() {
         if line == CLOSE_SENTINEL {
             return;
         }
-        if stream.write_all(line.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
+        line.push('\n');
+        if stream.write_all(line.as_bytes()).is_err() {
             return;
         }
     }
@@ -350,7 +351,7 @@ fn reader_loop(
                     let shutdown = dispatch(trimmed, line_no, registry, tx, local_addr);
                     if shutdown == Dispatch::CloseAfterDrain {
                         line.clear();
-                        wait_for_drain(registry);
+                        registry.wait_drained();
                         return;
                     }
                 }
@@ -467,14 +468,6 @@ fn dispatch(
         }
     }
     Dispatch::KeepReading
-}
-
-/// Blocks until every accepted job has drained (shutdown path). The
-/// registry wakes waiters on every job completion.
-fn wait_for_drain(registry: &Arc<JobRegistry>) {
-    while !registry.drained() {
-        std::thread::sleep(Duration::from_millis(25));
-    }
 }
 
 fn send(tx: &Sender<String>, msg: &ServerMsg) {
