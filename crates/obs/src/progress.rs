@@ -216,8 +216,11 @@ impl ProgressWatcher {
                     }
                     let guard = lock.lock().expect("progress watcher stop flag");
                     // Condvar wait (not sleep) so finish() interrupts a
-                    // long interval promptly for its final sample.
-                    let _unused = cvar.wait_timeout(guard, every);
+                    // long interval promptly for its final sample. The
+                    // flag is rechecked under the lock: a finish() that
+                    // lands while the sink runs has already notified,
+                    // and a bare wait would ride out the interval.
+                    let _unused = cvar.wait_timeout_while(guard, every, |stop| !*stop);
                 }
             })
             .expect("spawning the progress watcher thread failed");
@@ -442,6 +445,30 @@ mod tests {
         // The thread is joined: nothing ticks after finish() returns.
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(seen.lock().unwrap().len(), count, "no stale tick after finish()");
+    }
+
+    #[test]
+    fn watcher_stopped_while_its_sink_runs_does_not_ride_out_the_interval() {
+        // finish() lands while the first sample is in the sink, between
+        // the watcher's flag read and its interval wait, so its notify
+        // finds no waiter. The wait must see the flag instead of
+        // sleeping out the 60 s interval. Timed, so a regression fails
+        // instead of hanging.
+        let table = Arc::new(ProgressTable::new(1));
+        let (sampling_tx, sampling_rx) = std::sync::mpsc::channel();
+        let watcher = ProgressWatcher::start(table, Duration::from_secs(60), move |_update| {
+            let _ = sampling_tx.send(());
+            std::thread::sleep(Duration::from_millis(100));
+        });
+        sampling_rx.recv_timeout(Duration::from_secs(5)).expect("first sample");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            watcher.finish();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("finish() during a sample must not wait out the interval");
     }
 
     #[test]
