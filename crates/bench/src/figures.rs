@@ -1,8 +1,8 @@
 //! One reproduction function per table and figure of the paper.
 //!
 //! Each function returns [`Table`]s carrying exactly the rows/series the
-//! paper plots; the `src/bin/figNN_*` binaries are thin wrappers that call
-//! one function and `emit()` the result. `repro_all` runs everything.
+//! paper plots; [`crate::experiments`] names each function, gives its
+//! tables their CSV stems, and is what the `repro` binary runs.
 //!
 //! Carrier notes: Figures 1 and 9 come from the paper's HTC G1 (a
 //! T-Mobile device), so those use the T-Mobile 3G profile; Figures 10/12a/

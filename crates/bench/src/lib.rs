@@ -1,11 +1,14 @@
 //! # tailwise-bench
 //!
-//! The reproduction harness: one target per table and figure of *"Traffic-
-//! Aware Techniques to Reduce 3G/LTE Wireless Energy Consumption"* (Deng &
-//! Balakrishnan, CoNEXT 2012), plus ablations of choices the paper leaves
-//! open: MakeIdle's candidate grid and decision rule, the fast-dormancy
-//! demotion cost, the Learn-α width and MakeActive's loss scale γ.
+//! The reproduction harness: one experiment per table and figure of
+//! *"Traffic-Aware Techniques to Reduce 3G/LTE Wireless Energy
+//! Consumption"* (Deng & Balakrishnan, CoNEXT 2012), plus ablations of
+//! choices the paper leaves open: MakeIdle's candidate grid and decision
+//! rule, the fast-dormancy demotion cost, the Learn-α width and
+//! MakeActive's loss scale γ.
 //!
+//! * [`experiments`] — the experiment list: each experiment's name, CSV
+//!   stems and the figure function behind it;
 //! * [`figures`] — one function per experiment, returning the same
 //!   rows/series the paper plots;
 //! * [`datasets`] — deterministic, disk-cached generation of the §6.1
@@ -14,15 +17,17 @@
 //!   validation;
 //! * [`table`] — console/CSV result tables.
 //!
-//! Binaries: `fig01_energy_breakdown` … `fig18_carrier_switches`,
-//! `tab01_power` … `tab03_session_delays`, `ablation_*`, and `repro_all`
-//! (runs everything and fills `results/`). Criterion benches measure the
-//! §6.6 per-packet control overhead and the engine/generator throughput.
+//! One binary, `repro`, runs the experiments: with no arguments every one
+//! of them, in list order, filling `results/`; with names (`repro
+//! fig10_verizon3g tab03_session_delays`) only those. Criterion benches
+//! measure the §6.6 per-packet control overhead and the engine/generator
+//! throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod datasets;
+pub mod experiments;
 pub mod figures;
 pub mod groundtruth;
 pub mod table;

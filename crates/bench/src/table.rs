@@ -1,6 +1,6 @@
 //! Result tables: fixed-width console rendering plus CSV persistence.
 //!
-//! Every figure/table binary produces one or more [`Table`]s — the same
+//! Every experiment produces one or more [`Table`]s — the same
 //! rows the paper plots — prints them, and writes a CSV under
 //! [`results_dir`] for any plotting stack to consume.
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use args::{ArgError, Args};
 use tailwise_core::schemes::Scheme;
-use tailwise_fleet::RunManifest;
+use tailwise_fleet::{RunManifest, SourceSet, UserSource};
 use tailwise_obs::{Obs, ProgressSampler, ProgressTable, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_serve::{Client, ClientMsg, ServeConfig, Server, ServerMsg};
@@ -149,7 +149,7 @@ COMMANDS
   fleet jobs       list the service's jobs            --addr <ip:port>
   fleet cancel <job>
                    cancel a job: dequeued if still queued, stopped
-                   between sweep cells if running    --addr <ip:port>
+                   at the end of its current cell    --addr <ip:port>
   fleet shutdown   drain every accepted job, then stop the service
                    (waits for the drain)             --addr <ip:port>
   fleet export <out.toml>
@@ -713,16 +713,33 @@ fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error:
             scenario.master_seed,
         )?;
     }
+    let set = SourceSet { source: UserSource::Synthetic(scenario), axes: Vec::new() };
+    run_set(&set, threads, &obs, cache.as_ref(), out)
+}
+
+/// Runs `set` as a sweep — a set without axes is a one-row sweep — and
+/// writes its report (the run's own for a bare set, the comparison
+/// table for a sweep) and the `--metrics` manifest.
+fn run_set(
+    set: &SourceSet,
+    threads: usize,
+    obs: &RunObservability,
+    cache: Option<&tailwise_fleet::RequestCache>,
+    out: &mut dyn Write,
+) -> Result<(), Box<dyn std::error::Error>> {
     let sampler = obs.start_sampler();
-    let seed = scenario.master_seed;
-    let source = tailwise_fleet::UserSource::Synthetic(scenario);
-    let report = tailwise_fleet::run_source(&source, threads, obs.obs(), cache.as_ref())?;
+    let report = tailwise_fleet::run_source_sweep_cached(set, threads, obs.obs(), cache)?;
     if let Some(sampler) = sampler {
         sampler.finish();
     }
-    write!(out, "{}", report.render())?;
+    if set.is_sweep() {
+        write!(out, "{}", report.render())?;
+    } else {
+        write!(out, "{}", report.rows[0].report.render())?;
+    }
     if obs.metrics.is_some() {
-        let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
+        let seed = set.source.master_seed();
+        let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
         obs.write_manifest(&manifest, out)?;
     }
     Ok(())
@@ -1008,7 +1025,8 @@ fn cmd_fleet_jobs(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::e
 }
 
 /// `tailwise fleet cancel <job>`: cancel a job — dequeued on the spot
-/// if it has not started, stopped between sweep cells if it has.
+/// if it has not started, stopped at the end of its current cell if it
+/// has.
 fn cmd_fleet_cancel(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["addr"])?;
     let job: u64 = args
@@ -1021,7 +1039,10 @@ fn cmd_fleet_cancel(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std:
     match client.recv()? {
         Some(ServerMsg::Job { job, state, name }) => {
             if state == "running" {
-                writeln!(out, "job {job} ({name}) is running; it stops between sweep cells")?;
+                writeln!(
+                    out,
+                    "job {job} ({name}) is running; it stops at the end of its current cell"
+                )?;
             } else {
                 writeln!(out, "job {job} ({name}) is now {state}")?;
             }
@@ -1073,38 +1094,10 @@ fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::er
              (run files one at a time, or express the matrix as [[sweep]] axes in one file)"
         ))));
     }
-    let set = tailwise_fleet::SourceSet::from_file(path)?;
+    let set = SourceSet::from_file(path)?;
     let threads = threads_from(args)?;
     let obs = RunObservability::from_args(args, threads)?;
     let cache = cache_from_args(args)?;
-    let seed = match &set.source {
-        tailwise_fleet::UserSource::Synthetic(base) => base.master_seed,
-        tailwise_fleet::UserSource::Corpus(base) => base.master_seed,
-    };
-    if set.is_sweep() {
-        if !obs.quiet {
-            writeln!(
-                out,
-                "running {} from {path}: {} scenario(s) across {} sweep axis(es), {} threads…",
-                set.source.name(),
-                set.expansion_count(),
-                set.axes.len(),
-                threads,
-            )?;
-        }
-        let sampler = obs.start_sampler();
-        let report =
-            tailwise_fleet::run_source_sweep_cached(&set, threads, obs.obs(), cache.as_ref())?;
-        if let Some(sampler) = sampler {
-            sampler.finish();
-        }
-        write!(out, "{}", report.render())?;
-        if obs.metrics.is_some() {
-            let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
-            obs.write_manifest(&manifest, out)?;
-        }
-        return Ok(());
-    }
     let topology = |cells: &Option<tailwise_fleet::NetworkTopology>| match cells {
         Some(topology) => {
             format!(" across {} RNC(s) / {} cell(s)", topology.rncs, topology.cells)
@@ -1113,7 +1106,15 @@ fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::er
     };
     if !obs.quiet {
         match &set.source {
-            tailwise_fleet::UserSource::Synthetic(base) => writeln!(
+            _ if set.is_sweep() => writeln!(
+                out,
+                "running {} from {path}: {} scenario(s) across {} sweep axis(es), {} threads…",
+                set.source.name(),
+                set.expansion_count(),
+                set.axes.len(),
+                threads,
+            )?,
+            UserSource::Synthetic(base) => writeln!(
                 out,
                 "running {} from {path}: {} users × {} day(s) of {}{} ({} threads, seed {})…",
                 base.name,
@@ -1124,7 +1125,7 @@ fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::er
                 threads,
                 base.master_seed,
             )?,
-            tailwise_fleet::UserSource::Corpus(base) => writeln!(
+            UserSource::Corpus(base) => writeln!(
                 out,
                 "replaying {} from {path}: corpus {} under {}{} ({} threads)…",
                 base.name,
@@ -1135,17 +1136,7 @@ fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::er
             )?,
         }
     }
-    let sampler = obs.start_sampler();
-    let report = tailwise_fleet::run_source(&set.source, threads, obs.obs(), cache.as_ref())?;
-    if let Some(sampler) = sampler {
-        sampler.finish();
-    }
-    write!(out, "{}", report.render())?;
-    if obs.metrics.is_some() {
-        let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
-        obs.write_manifest(&manifest, out)?;
-    }
-    Ok(())
+    run_set(&set, threads, &obs, cache.as_ref(), out)
 }
 
 /// `tailwise fleet synth <scenario.toml> --out <dir>`: materialize a

@@ -95,16 +95,6 @@ impl Scheme {
     /// always-accept fast-dormancy assumption.
     pub fn run(&self, profile: &CarrierProfile, config: &SimConfig, trace: &Trace) -> SimReport {
         let mut report = match self {
-            Scheme::StatusQuo => run(profile, config, trace, &mut StatusQuo),
-            Scheme::FixedTail45 => {
-                run(profile, config, trace, &mut FixedWait::four_and_a_half_seconds())
-            }
-            Scheme::PercentileIat(q) => {
-                let wait = percentile_iat(trace, *q);
-                run(profile, config, trace, &mut FixedWait::new(wait, self.label()))
-            }
-            Scheme::MakeIdle => run(profile, config, trace, &mut MakeIdle::new()),
-            Scheme::Oracle => run(profile, config, trace, &mut OracleIdle),
             Scheme::MakeIdleActiveFix => {
                 let mut batcher = FixedDelayBound::from_trace(profile, config, trace);
                 run_batched(
@@ -124,6 +114,10 @@ impl Scheme {
                 &mut LearningDelay::new(),
                 &mut tailwise_radio::fastdormancy::AlwaysAccept,
             ),
+            _ => {
+                let mut policy = self.idle_policy(trace).expect("every other scheme is scriptable");
+                run(profile, config, trace, policy.as_mut())
+            }
         };
         report.scheme = self.label();
         report

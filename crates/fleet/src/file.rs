@@ -682,9 +682,7 @@ fn check_sim_representable(sim: &SimConfig) -> Result<(), ScenError> {
     let default = SimConfig::default();
     let hidden = [
         ("record_decisions", sim.record_decisions == default.record_decisions),
-        ("decision_log_limit", sim.decision_log_limit == default.decision_log_limit),
         ("record_timeline", sim.record_timeline == default.record_timeline),
-        ("timeline_limit", sim.timeline_limit == default.timeline_limit),
         ("record_transitions", sim.record_transitions == default.record_transitions),
         ("transition_log_limit", sim.transition_log_limit == default.transition_log_limit),
     ];

@@ -68,6 +68,12 @@ impl Partial for FleetReport {
     }
 }
 
+/// Shards that only have side effects (`synth_corpus` writing trace
+/// files) fold nothing.
+impl Partial for () {
+    fn absorb(&mut self, _: ()) {}
+}
+
 /// Ordered accumulation: concatenating per-shard vectors in shard order
 /// yields the population in user-index order (the topology runner's
 /// pass-1 request collection).

@@ -25,15 +25,15 @@
 //! fixture generator that keeps binary blobs out of git.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use tailwise_core::schemes::Scheme;
+use tailwise_obs::Obs;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_scenfile::{Pos, ScenError};
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::corpus::{Corpus, TraceFormat};
 
+use crate::runner::run_sharded;
 use crate::scenario::Scenario;
 use crate::sweep::SweepAxis;
 
@@ -62,6 +62,15 @@ impl UserSource {
         match self {
             UserSource::Synthetic(s) => s.scheme,
             UserSource::Corpus(c) => c.scheme,
+        }
+    }
+
+    /// The master seed every user's seed derives from (a run
+    /// manifest's `seed`).
+    pub fn master_seed(&self) -> u64 {
+        match self {
+            UserSource::Synthetic(s) => s.master_seed,
+            UserSource::Corpus(c) => c.master_seed,
         }
     }
 
@@ -206,7 +215,7 @@ impl CorpusScenario {
         self.resolve_observed(tailwise_obs::Obs::none())
     }
 
-    /// [`resolve`](Self::resolve) under an [`Obs`](tailwise_obs::Obs)
+    /// [`resolve`](Self::resolve) under an [`Obs`]
     /// handle: every directory walk counts on `corpus_walks`, which is
     /// how the sweep tests pin that an N-row corpus sweep resolves the
     /// walk exactly once and replays the pinned file list for every row.
@@ -355,12 +364,13 @@ impl SourceSet {
 /// file per user, named `user_<index>` with enough zero padding that
 /// the corpus walk's sorted order reproduces the synthetic user order.
 ///
-/// Generation is sharded across `threads` workers, each writing one
-/// user's trace and dropping it before the next — the synth side keeps
-/// the runner's one-trace-per-worker memory bound. Replaying the
-/// resulting corpus with the same master seed and carrier mix
-/// reproduces the synthetic run's energy numbers user for user (pinned
-/// by `tests/corpus_fleet.rs`).
+/// Generation runs on the fleet runner's sharded core, one shard per
+/// user, across `threads` workers, each writing one user's trace and
+/// dropping it before the next — the synth side keeps the runner's
+/// one-trace-per-worker memory bound. Replaying the resulting corpus
+/// with the same master seed and carrier mix reproduces the synthetic
+/// run's energy numbers user for user (pinned by
+/// `tests/corpus_fleet.rs`).
 ///
 /// Refuses to write into a directory that already holds trace files:
 /// the walk would interleave stale files with fresh ones and silently
@@ -404,39 +414,16 @@ pub fn synth_corpus(
     // Enough zero padding that lexicographic file order equals numeric
     // user order (min 6 digits so small corpora can grow in place).
     let width = scenario.users.saturating_sub(1).to_string().len().max(6);
-    let cursor = AtomicU64::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<ScenError>> = Mutex::new(None);
-    let threads = threads.max(1).min(scenario.users.max(1) as usize);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= scenario.users {
-                    break;
-                }
-                let (_, model) = scenario.user(index);
-                let trace = model.generate();
-                let path = dir.join(format!("user_{index:0width$}.{}", format.extension()));
-                if let Err(e) = tailwise_trace::io::save(&trace, &path) {
-                    let mut slot = error.lock().expect("synth error slot");
-                    slot.get_or_insert_with(|| {
-                        ScenError::emit(format!("cannot write {}: {e}", path.display()))
-                    });
-                    failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-                // `trace` drops here: one trace per worker, synth side too.
-            });
-        }
+    let written = run_sharded(scenario.users, threads, Obs::none(), &|| (), &|index, _| {
+        let (_, model) = scenario.user(index);
+        let path = dir.join(format!("user_{index:0width$}.{}", format.extension()));
+        tailwise_trace::io::save(&model.generate(), &path)
+            .map_err(|e| ScenError::emit(format!("cannot write {}: {e}", path.display())))
     });
 
-    match error.into_inner().expect("synth error slot") {
-        Some(e) => {
+    match written {
+        Ok(()) => Ok(scenario.users),
+        Err(e) => {
             // Best-effort cleanup of this run's partial output. The
             // directory held no trace files when we started (checked
             // above), so every trace file present now is ours to remove
@@ -449,7 +436,6 @@ pub fn synth_corpus(
             }
             Err(e)
         }
-        None => Ok(scenario.users),
     }
 }
 

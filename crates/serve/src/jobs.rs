@@ -77,7 +77,7 @@ struct JobInner {
     last_progress: Option<ServerMsg>,
     /// Live outgoing line channels, one per watching connection.
     subscribers: Vec<Sender<String>>,
-    /// Set by `cancel`; the executor checks it between sweep cells.
+    /// Set by `cancel`; the executor checks it at the end of each cell.
     cancel_requested: bool,
 }
 
@@ -112,14 +112,29 @@ impl Job {
     /// ones. Progress ticks replace the retained last tick; everything
     /// else appends to the replayable log.
     pub fn publish(&self, msg: ServerMsg) {
+        self.inner.lock().expect("job state").publish(msg);
+    }
+
+    /// Ends the job with its terminal message — `done`, `failed` or
+    /// `cancelled` — and the state that message names. Under one lock
+    /// the message is logged and published, the state set and every
+    /// subscriber dropped, so a client that has read the terminal line
+    /// sees the terminal state in any later `jobs` listing.
+    ///
+    /// # Panics
+    ///
+    /// On any other message.
+    pub fn finish(&self, terminal: ServerMsg) {
+        let state = match terminal {
+            ServerMsg::Done { .. } => JobState::Done,
+            ServerMsg::Failed { .. } => JobState::Failed,
+            ServerMsg::Cancelled { .. } => JobState::Cancelled,
+            _ => panic!("{terminal:?} does not end a job"),
+        };
         let mut inner = self.inner.lock().expect("job state");
-        let line = msg.encode();
-        if matches!(msg, ServerMsg::Progress { .. }) {
-            inner.last_progress = Some(msg);
-        } else {
-            inner.log.push(msg);
-        }
-        inner.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
+        inner.publish(terminal);
+        inner.state = state;
+        inner.subscribers.clear();
     }
 
     /// Subscribes a connection: replays the history (log, then the
@@ -145,16 +160,22 @@ impl Job {
         // delivered its terminal event.
     }
 
-    /// Transitions the state (no event — callers publish the matching
-    /// protocol message themselves).
-    pub fn set_state(&self, state: JobState) {
-        let mut inner = self.inner.lock().expect("job state");
-        inner.state = state;
-        if !state.is_open() {
-            // Terminal: live subscribers have received the terminal
-            // event via publish; drop the channel ends.
-            inner.subscribers.clear();
+    /// Marks a claimed job running (no event: the run's rows are its
+    /// first news).
+    fn mark_running(&self) {
+        self.inner.lock().expect("job state").state = JobState::Running;
+    }
+}
+
+impl JobInner {
+    fn publish(&mut self, msg: ServerMsg) {
+        let line = msg.encode();
+        if matches!(msg, ServerMsg::Progress { .. }) {
+            self.last_progress = Some(msg);
+        } else {
+            self.log.push(msg);
         }
+        self.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
     }
 }
 
@@ -163,8 +184,8 @@ impl Job {
 pub enum CancelOutcome {
     /// The job was queued: dequeued and terminally cancelled here.
     Dequeued,
-    /// The job is running: the flag is set, the executor will stop
-    /// between sweep cells.
+    /// The job is running: the flag is set, the executor will stop at
+    /// the end of the current cell.
     Signalled,
     /// The job had already reached a terminal state.
     AlreadyFinished,
@@ -248,7 +269,7 @@ impl JobRegistry {
             if let Some(id) = inner.queue.pop_front() {
                 let job = Arc::clone(inner.jobs.get(&id).expect("queued job exists"));
                 inner.running += 1;
-                job.set_state(JobState::Running);
+                job.mark_running();
                 return Some(job);
             }
             if inner.shutting_down {
@@ -258,8 +279,8 @@ impl JobRegistry {
         }
     }
 
-    /// Marks a running job finished (whatever its terminal state — the
-    /// executor has already set it and published the terminal event).
+    /// Counts a running job out of the pool (the executor has already
+    /// ended it with [`Job::finish`]).
     pub fn finish_job(&self) {
         let mut inner = self.inner.lock().expect("job registry");
         inner.running = inner.running.saturating_sub(1);
@@ -292,8 +313,7 @@ impl JobRegistry {
                 drop(inner);
                 // Dequeuing the last queued job can complete a drain.
                 self.wake.notify_all();
-                job.publish(ServerMsg::Cancelled { job: id });
-                job.set_state(JobState::Cancelled);
+                job.finish(ServerMsg::Cancelled { job: id });
                 CancelOutcome::Dequeued
             }
             JobState::Running => {
@@ -372,9 +392,9 @@ mod tests {
         // Shutdown drains the queue: b still runs.
         let second = registry.next_job().unwrap();
         assert_eq!(second.id, 2);
-        second.set_state(JobState::Done);
+        second.finish(ServerMsg::Done { job: second.id });
         registry.finish_job();
-        first.set_state(JobState::Done);
+        first.finish(ServerMsg::Done { job: first.id });
         registry.finish_job();
         assert!(registry.drained());
         assert!(registry.next_job().is_none(), "workers exit after the drain");
@@ -414,10 +434,41 @@ mod tests {
         assert!(replay[1].contains("users_done=2"), "{replay:?}");
 
         // Live publish reaches the live subscriber and prunes the dead.
-        job.publish(ServerMsg::Done { job: job.id });
-        job.set_state(JobState::Done);
+        job.finish(ServerMsg::Done { job: job.id });
         let live: Vec<String> = rx.try_iter().collect();
         assert_eq!(live, vec![ServerMsg::Done { job: job.id }.encode()]);
+    }
+
+    #[test]
+    fn a_subscriber_that_read_the_terminal_line_reads_the_terminal_state() {
+        let registry = JobRegistry::new();
+        for round in 0..2000u64 {
+            let (job, _) = registry.submit(format!("j{round}"), tiny_set()).unwrap();
+            let (tx, rx) = channel::<String>();
+            job.subscribe(tx);
+            let (terminal, state) = match round % 3 {
+                0 => (ServerMsg::Done { job: job.id }, JobState::Done),
+                1 => (ServerMsg::Failed { job: job.id, error: "boom".into() }, JobState::Failed),
+                _ => (ServerMsg::Cancelled { job: job.id }, JobState::Cancelled),
+            };
+            let line = terminal.encode();
+            let finisher = {
+                let job = Arc::clone(&job);
+                std::thread::spawn(move || job.finish(terminal))
+            };
+            let got = rx.recv_timeout(Duration::from_secs(5)).expect("the terminal line arrives");
+            assert_eq!(got, line);
+            assert_eq!(job.state(), state, "round {round}: state lags the terminal line");
+            finisher.join().expect("finisher");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not end a job")]
+    fn finish_refuses_a_message_that_is_not_terminal() {
+        let registry = JobRegistry::new();
+        let (job, _) = registry.submit("x".into(), tiny_set()).unwrap();
+        job.finish(ServerMsg::Accepted { job: job.id, name: "x".into(), queue: 0 });
     }
 
     #[test]
@@ -437,7 +488,7 @@ mod tests {
         assert_eq!(claimed.id, running.id);
         assert_eq!(registry.cancel(running.id), CancelOutcome::Signalled);
         assert!(running.cancel_requested());
-        running.set_state(JobState::Cancelled);
+        running.finish(ServerMsg::Cancelled { job: running.id });
         registry.finish_job();
         assert_eq!(registry.cancel(running.id), CancelOutcome::AlreadyFinished);
         assert_eq!(registry.cancel(999), CancelOutcome::Unknown);
@@ -475,7 +526,7 @@ mod tests {
         let running = registry.next_job().unwrap();
         assert_eq!(registry.begin_shutdown(), 1);
         assert_release_wakes_drain_waiter(&registry, "finish_job", || {
-            running.set_state(JobState::Done);
+            running.finish(ServerMsg::Done { job: running.id });
             registry.finish_job();
         });
 

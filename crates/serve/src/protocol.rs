@@ -44,8 +44,8 @@ pub enum ClientMsg {
     /// List every job the server knows about.
     Jobs,
     /// Cancel a job: a queued job is dequeued immediately; a running
-    /// sweep stops between cells. See `docs/SERVICE.md` for the exact
-    /// semantics.
+    /// job stops at the end of its current cell. See `docs/SERVICE.md`
+    /// for the exact semantics.
     Cancel {
         /// Job id to cancel.
         job: u64,

@@ -31,14 +31,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tailwise_fleet::{
-    run_source, run_source_sweep_streamed, RequestCache, RunManifest, SourceSet, SweepRow,
-    UserSource,
-};
+use tailwise_fleet::{run_source_sweep_streamed, RequestCache, RunManifest, SourceSet, SweepRow};
 use tailwise_obs::{Obs, ProgressTable, ProgressUpdate, ProgressWatcher, StatsRecorder};
 use tailwise_scenfile::ScenError;
 
-use crate::jobs::{CancelOutcome, Job, JobRegistry, JobState};
+use crate::jobs::{CancelOutcome, Job, JobRegistry};
 use crate::protocol::{ClientMsg, ServerMsg};
 
 /// A single protocol line may carry a whole scenario file or manifest;
@@ -183,8 +180,7 @@ impl Server {
 /// Runs one job to its terminal state, streaming progress and rows.
 fn execute_job(job: &Arc<Job>, config: &ServeConfig, cache: &Arc<RequestCache>) {
     if job.cancel_requested() {
-        job.publish(ServerMsg::Cancelled { job: job.id });
-        job.set_state(JobState::Cancelled);
+        job.finish(ServerMsg::Cancelled { job: job.id });
         return;
     }
     let recorder = StatsRecorder::new();
@@ -216,27 +212,22 @@ fn execute_job(job: &Arc<Job>, config: &ServeConfig, cache: &Arc<RequestCache>) 
     let outcome = run_job(job, config.threads, obs, cache);
     watcher.finish();
 
-    match outcome {
+    job.finish(match outcome {
         Ok(Some((report_text, manifest))) => {
             job.publish(ServerMsg::Report { job: job.id, text: report_text });
             job.publish(ServerMsg::Manifest { job: job.id, text: manifest.to_toml_string() });
-            job.publish(ServerMsg::Done { job: job.id });
-            job.set_state(JobState::Done);
+            ServerMsg::Done { job: job.id }
         }
-        Ok(None) => {
-            job.publish(ServerMsg::Cancelled { job: job.id });
-            job.set_state(JobState::Cancelled);
-        }
-        Err(e) => {
-            job.publish(ServerMsg::Failed { job: job.id, error: e.to_string() });
-            job.set_state(JobState::Failed);
-        }
-    }
+        Ok(None) => ServerMsg::Cancelled { job: job.id },
+        Err(e) => ServerMsg::Failed { job: job.id, error: e.to_string() },
+    });
 }
 
-/// The run itself: sweep files stream a row per cell (and honor
-/// cancellation between cells); single runs produce one report.
-/// Returns `Ok(None)` when the job was cancelled mid-sweep.
+/// The run itself. Every submission runs as a sweep — a file without
+/// `[[sweep]]` axes is a one-row sweep with an empty label — streaming
+/// a row per cell and honoring cancellation at each cell's end. A bare
+/// file renders its one report, a sweep the comparison table. Returns
+/// `Ok(None)` when the job was cancelled.
 fn run_job(
     job: &Arc<Job>,
     threads: usize,
@@ -244,43 +235,25 @@ fn run_job(
     cache: &Arc<RequestCache>,
 ) -> Result<Option<(String, RunManifest)>, ScenError> {
     let set = &job.set;
-    let seed = match &set.source {
-        UserSource::Synthetic(base) => base.master_seed,
-        UserSource::Corpus(base) => base.master_seed,
-    };
-    if set.is_sweep() {
-        let mut on_row = |index: usize, row: &SweepRow| {
-            job.publish(ServerMsg::Row {
-                job: job.id,
-                index: index as u64,
-                label: row.label.clone(),
-                users: row.report.users,
-                energy_j: row.report.energy_j,
-                saved_pct: row.report.aggregate_savings_pct(),
-            });
-            !job.cancel_requested()
-        };
-        let Some(report) = run_source_sweep_streamed(set, threads, obs, Some(cache), &mut on_row)?
-        else {
-            return Ok(None);
-        };
-        let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
-        Ok(Some((report.render(), manifest)))
-    } else {
-        let report = run_source(&set.source, threads, obs, Some(cache))?;
-        // Stream the single run as row 0 too, so watchers get one
-        // uniform "a result landed" shape for sweeps and plain runs.
+    let mut on_row = |index: usize, row: &SweepRow| {
         job.publish(ServerMsg::Row {
             job: job.id,
-            index: 0,
-            label: String::new(),
-            users: report.users,
-            energy_j: report.energy_j,
-            saved_pct: report.aggregate_savings_pct(),
+            index: index as u64,
+            label: row.label.clone(),
+            users: row.report.users,
+            energy_j: row.report.energy_j,
+            saved_pct: row.report.aggregate_savings_pct(),
         });
-        let manifest = RunManifest::for_report(&report, threads, seed, &obs.recorder.snapshot());
-        Ok(Some((report.render(), manifest)))
-    }
+        !job.cancel_requested()
+    };
+    let Some(report) = run_source_sweep_streamed(set, threads, obs, Some(cache), &mut on_row)?
+    else {
+        return Ok(None);
+    };
+    let seed = set.source.master_seed();
+    let manifest = RunManifest::for_sweep(&report, threads, seed, &obs.recorder.snapshot());
+    let text = if set.is_sweep() { report.render() } else { report.rows[0].report.render() };
+    Ok(Some((text, manifest)))
 }
 
 /// One client connection: a writer thread draining the outgoing line

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use tailwise_fleet::{run_source_sweep_cached, RunManifest, SourceSet, UserSource};
+use tailwise_fleet::{run_source, run_source_sweep_cached, RunManifest, SourceSet};
 use tailwise_obs::{Obs, Recorder as _, StatsRecorder};
 use tailwise_serve::{Client, ClientMsg, JobState, ServeConfig, Server, ServerMsg};
 
@@ -179,10 +179,7 @@ fn streamed_job_matches_the_batch_run_bit_for_bit() {
         "streamed report == batch report in every deterministic column"
     );
 
-    let seed = match &set.source {
-        UserSource::Synthetic(base) => base.master_seed,
-        UserSource::Corpus(base) => base.master_seed,
-    };
+    let seed = set.source.master_seed();
     let local_manifest = RunManifest::for_sweep(&local, 2, seed, &recorder.snapshot());
     let streamed =
         RunManifest::from_toml_str(manifest_text(&got)).expect("streamed manifest parses");
@@ -191,6 +188,41 @@ fn streamed_job_matches_the_batch_run_bit_for_bit() {
         local_manifest.digest(),
         "streamed manifest digest == batch manifest digest"
     );
+}
+
+/// A file without `[[sweep]]` axes runs as a one-row sweep: one row
+/// with an empty label streams, the report is the plain run's report,
+/// and the manifest digests like `for_report` of a plain `run_source`.
+#[test]
+fn a_bare_job_matches_the_plain_run() {
+    let server = start_server(1);
+    let mut client = connect(&server);
+    let got = submit_and_drain(&mut client, TINY);
+    assert!(matches!(got.last(), Some(ServerMsg::Done { .. })), "tiny job succeeded: {got:?}");
+    let rows: Vec<&ServerMsg> = got.iter().filter(|m| matches!(m, ServerMsg::Row { .. })).collect();
+    assert!(
+        matches!(rows[..], [ServerMsg::Row { index: 0, label, .. }] if label.is_empty()),
+        "one unlabelled row: {rows:?}"
+    );
+
+    let set = SourceSet::from_toml_str(TINY).expect("fixture parses");
+    let recorder = StatsRecorder::new();
+    let local = run_source(&set.source, 2, Obs { recorder: &recorder, progress: None }, None)
+        .expect("local run");
+    let local_manifest =
+        RunManifest::for_report(&local, 2, set.source.master_seed(), &recorder.snapshot());
+    let streamed =
+        RunManifest::from_toml_str(manifest_text(&got)).expect("streamed manifest parses");
+    assert_eq!(streamed.digest(), local_manifest.digest(), "served == plain manifest digest");
+    // The speed and phase lines are measured wall-clock time.
+    let deterministic = |report: &str| -> Vec<String> {
+        report
+            .lines()
+            .filter(|line| !line.starts_with("speed") && !line.starts_with("phases"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(deterministic(report_text(&got)), deterministic(&local.render()));
 }
 
 #[test]
@@ -418,7 +450,11 @@ fn request_round_trips_do_not_wait_for_delayed_acks() {
     let started = Instant::now();
     for _ in 0..20 {
         client.send(&ClientMsg::Jobs).expect("jobs goes out");
-        assert!(matches!(client.recv().unwrap(), Some(ServerMsg::Job { .. })));
+        let listed = client.recv().unwrap();
+        assert!(
+            matches!(&listed, Some(ServerMsg::Job { state, .. }) if state == "done"),
+            "a job whose `done` was read lists as done: {listed:?}"
+        );
         assert!(matches!(client.recv().unwrap(), Some(ServerMsg::End { count: 1 })));
     }
     let elapsed = started.elapsed();

@@ -36,6 +36,12 @@ use crate::metrics::Confusion;
 use crate::policy::{IdleContext, IdleDecision, IdlePolicy};
 use crate::report::SimReport;
 
+/// Maximum decision-log entries a run keeps (`record_decisions`).
+pub const DECISION_LOG_LIMIT: usize = 200_000;
+
+/// Maximum power-timeline segments a run keeps (`record_timeline`).
+pub const TIMELINE_LIMIT: usize = 200_000;
+
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -48,14 +54,10 @@ pub struct SimConfig {
     /// (the paper's n; default 100, swept in Fig. 13).
     pub window_capacity: usize,
     /// Record per-gap `(time, wait)` decisions (Fig. 14). Bounded by
-    /// `decision_log_limit`.
+    /// [`DECISION_LOG_LIMIT`].
     pub record_decisions: bool,
-    /// Maximum decision-log entries kept.
-    pub decision_log_limit: usize,
-    /// Record the power timeline (Fig. 3). Bounded by `timeline_limit`.
+    /// Record the power timeline (Fig. 3). Bounded by [`TIMELINE_LIMIT`].
     pub record_timeline: bool,
-    /// Maximum timeline segments kept.
-    pub timeline_limit: usize,
     /// Record every RRC transition with its timestamp (used by the
     /// cell-level signaling analysis). Bounded by `transition_log_limit`.
     pub record_transitions: bool,
@@ -69,9 +71,7 @@ impl Default for SimConfig {
             intra_burst_gap: Duration::from_millis(500),
             window_capacity: 100,
             record_decisions: false,
-            decision_log_limit: 200_000,
             record_timeline: false,
-            timeline_limit: 200_000,
             record_transitions: false,
             transition_log_limit: 2_000_000,
         }
@@ -146,7 +146,7 @@ pub fn run_with_release(
         let (decision, request) = rule.decide(gap);
         if let IdleDecision::DemoteAfter(w) = decision {
             if config.record_decisions
-                && decisions.len() < config.decision_log_limit
+                && decisions.len() < DECISION_LOG_LIMIT
                 && gap.len > config.intra_burst_gap
             {
                 decisions.push((gap.start, w));
@@ -484,7 +484,7 @@ fn push_segment(
     power: f64,
     kind: SegmentKind,
 ) {
-    if !config.record_timeline || timeline.len() >= config.timeline_limit || end <= start {
+    if !config.record_timeline || timeline.len() >= TIMELINE_LIMIT || end <= start {
         return;
     }
     timeline.push(PowerSegment { start, end, power, kind });
