@@ -21,7 +21,10 @@ fn main() -> ExitCode {
     println!("tailwise reproduction — {what}\n");
     let mut harness = None;
     for experiment in selected {
-        experiment.emit(&mut harness);
+        if let Err(e) = experiment.emit(&mut harness) {
+            eprintln!("repro: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     println!(
         "done in {:.1}s — CSVs in {:?}",

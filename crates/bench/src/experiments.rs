@@ -30,18 +30,20 @@ pub struct Experiment {
 
 impl Experiment {
     /// Computes the experiment's tables, prints each and writes it
-    /// under its stem in [`results_dir`](crate::table::results_dir).
-    /// The harness is built on the first experiment that needs it and
-    /// shared by every later one.
-    pub fn emit(&self, harness: &mut Option<Harness>) {
+    /// under its stem in [`results_dir`](crate::table::results_dir),
+    /// stopping at the first CSV that cannot be written. The harness is
+    /// built on the first experiment that needs it and shared by every
+    /// later one.
+    pub fn emit(&self, harness: &mut Option<Harness>) -> std::io::Result<()> {
         let tables = match self.tables {
             Tables::Standalone(tables) => tables(),
             Tables::Harness(tables) => tables(harness.get_or_insert_with(Harness::new)),
         };
         assert_eq!(tables.len(), self.stems.len(), "{} table/stem count mismatch", self.name);
         for (table, stem) in tables.iter().zip(self.stems) {
-            table.emit(stem);
+            table.emit(stem)?;
         }
+        Ok(())
     }
 }
 

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use tailwise_core::makeactive::{LearningConfig, LearningDelay};
 use tailwise_core::makeidle::{MakeIdle, MakeIdleConfig};
 use tailwise_core::schemes::Scheme;
-use tailwise_radio::fastdormancy::AlwaysAccept;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_sim::batching::run_batched;
 use tailwise_sim::engine::{run, SimConfig};
@@ -382,7 +381,7 @@ pub fn fig16_learning_dynamics(h: &mut Harness) -> Table {
     let (user, trace) = h.users_3g()[0].clone();
     let mut idle = MakeIdle::new();
     let mut learner = LearningDelay::new();
-    let _ = run_batched(&profile, &h.cfg, &trace, &mut idle, &mut learner, &mut AlwaysAccept);
+    let _ = run_batched(&profile, &h.cfg, &trace, &mut idle, &mut learner);
     let mut t = Table::new(
         format!("Fig 16 — delay value vs learning iteration ({user}, Verizon 3G)"),
         &["iteration", "delay_s", "buffered_bursts"],
@@ -587,14 +586,7 @@ pub fn ablation_gamma(h: &mut Harness) -> Table {
             base_sw += base.switch_cycles();
             let mut learner =
                 LearningDelay::with_config(LearningConfig { gamma, ..Default::default() });
-            let r = run_batched(
-                &profile,
-                &h.cfg,
-                trace,
-                &mut MakeIdle::new(),
-                &mut learner,
-                &mut AlwaysAccept,
-            );
+            let r = run_batched(&profile, &h.cfg, trace, &mut MakeIdle::new(), &mut learner);
             e += r.total_energy();
             sw += r.switch_cycles();
             delays.extend_from_slice(&r.session_delays);
@@ -665,7 +657,7 @@ pub fn ablation_decision_rule(h: &mut Harness) -> Table {
 /// MakeIdle devices, with and without MakeActive batching, and the effect
 /// of a base-station rate limit.
 pub fn ext_cell_signaling(h: &mut Harness) -> Table {
-    use tailwise_radio::fastdormancy::RateLimited;
+    use tailwise_radio::admission::{AlwaysAccept, RateLimited};
     use tailwise_radio::signaling::SignalingModel;
     use tailwise_sim::cell::{run_cell, CellDevice};
     use tailwise_trace::time::Duration as D;
@@ -775,14 +767,7 @@ pub fn ablation_alpha_experts(h: &mut Harness) -> Table {
     for m in [1usize, 2, 4, 8, 16] {
         let mut learner =
             LearningDelay::with_config(LearningConfig { alpha_experts: m, ..Default::default() });
-        let r = run_batched(
-            &profile,
-            &h.cfg,
-            &trace,
-            &mut MakeIdle::new(),
-            &mut learner,
-            &mut AlwaysAccept,
-        );
+        let r = run_batched(&profile, &h.cfg, &trace, &mut MakeIdle::new(), &mut learner);
         t.push(vec![
             m.to_string(),
             f1(r.savings_vs(&base)),

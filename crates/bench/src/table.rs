@@ -86,11 +86,14 @@ impl Table {
     }
 
     /// Prints and saves under `results/<stem>.csv`, returning the path.
-    pub fn emit(&self, stem: &str) -> PathBuf {
+    /// A CSV that cannot be written is an error naming its path.
+    pub fn emit(&self, stem: &str) -> std::io::Result<PathBuf> {
         self.print();
         let path = results_dir().join(format!("{stem}.csv"));
-        self.save_csv(&path).unwrap_or_else(|e| eprintln!("warning: could not save {path:?}: {e}"));
-        path
+        self.save_csv(&path).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("could not save {}: {e}", path.display()))
+        })?;
+        Ok(path)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The `repro` binary end to end: a named selection writes exactly its
-//! experiments' CSVs, and an unknown name fails before anything runs.
+//! experiments' CSVs, an unknown name fails before anything runs, and a
+//! CSV that cannot be written fails the run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,5 +61,19 @@ fn an_unknown_name_fails_lists_the_experiments_and_writes_nothing() {
         assert!(stderr.contains(name), "the valid names are listed: {stderr}");
     }
     assert!(files_in(&dir).is_empty(), "nothing runs before every name is checked");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_csv_that_cannot_be_written_fails_the_run_and_names_its_path() {
+    let dir = results_dir("unwritable");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").expect("create a regular file");
+    let results = file.join("results");
+    let out = repro(&results, &["tab01_power"]);
+    assert_eq!(out.status.code(), Some(1), "an unwritten CSV must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let csv = results.join("tab01_power.csv");
+    assert!(stderr.contains(&format!("could not save {}", csv.display())), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -97,23 +97,11 @@ impl Scheme {
         let mut report = match self {
             Scheme::MakeIdleActiveFix => {
                 let mut batcher = FixedDelayBound::from_trace(profile, config, trace);
-                run_batched(
-                    profile,
-                    config,
-                    trace,
-                    &mut MakeIdle::new(),
-                    &mut batcher,
-                    &mut tailwise_radio::fastdormancy::AlwaysAccept,
-                )
+                run_batched(profile, config, trace, &mut MakeIdle::new(), &mut batcher)
             }
-            Scheme::MakeIdleActiveLearn => run_batched(
-                profile,
-                config,
-                trace,
-                &mut MakeIdle::new(),
-                &mut LearningDelay::new(),
-                &mut tailwise_radio::fastdormancy::AlwaysAccept,
-            ),
+            Scheme::MakeIdleActiveLearn => {
+                run_batched(profile, config, trace, &mut MakeIdle::new(), &mut LearningDelay::new())
+            }
             _ => {
                 let mut policy = self.idle_policy(trace).expect("every other scheme is scriptable");
                 run(profile, config, trace, policy.as_mut())

@@ -3,8 +3,7 @@
 //! An [`AdmissionSpec`] is the file-representable description of an
 //! [`AdmissionPolicy`]: the runner builds one fresh policy instance per
 //! network element (cell or RNC), so elements never share admission
-//! state. The spec replaces the old hard-coded `ReleaseSpec` dispatch —
-//! the same three specs serve both hierarchy levels:
+//! state. The same three specs serve both hierarchy levels:
 //!
 //! * [`Always`](AdmissionSpec::Always) — the paper's §2.2 modeling
 //!   assumption: every request honored;
@@ -30,8 +29,7 @@
 //! | `reactive:<watermark>` | deny at ≥ `<watermark>` msg/s over a 1 s window |
 //! | `reactive:<watermark>:<window>` | same, over a `<window>`-second rolling window |
 
-use tailwise_radio::admission::{AdmissionPolicy, LoadReactive};
-use tailwise_radio::fastdormancy::{AlwaysAccept, RateLimited};
+use tailwise_radio::admission::{AdmissionPolicy, AlwaysAccept, LoadReactive, RateLimited};
 use tailwise_trace::time::Duration;
 
 /// A declarative (file-representable) admission policy for one level of

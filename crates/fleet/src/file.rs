@@ -18,20 +18,22 @@
 //! in turn requires a scriptable scheme (the MakeActive variants are
 //! positioned errors there, base value and sweep values alike).
 //!
-//! Round-trip contract: for any scenario whose carrier profiles are
-//! built-in presets (the only carriers the format can name) and whose
-//! engine config only customizes the exposed `[sim]` keys,
-//! `scenario_from_doc(parse(scenario_to_toml(s))) == s` — pinned by a
-//! property test in this module. Emission failures are
+//! Round-trip contract: the writer reads its own text back with the
+//! parser and returns it only when it reads back equal to the value
+//! written, so the parser alone decides what a file can hold. Anything
+//! else — a value the parser rejects, or one the format cannot spell
+//! and reads back differently — is a
 //! [`ScenErrorKind::Emit`](tailwise_scenfile::ScenErrorKind::Emit)
-//! errors, the same type the read path uses.
+//! error, the same type the read path uses, carrying the parser's
+//! message or the first field that reads back differently. Property
+//! tests in this module pin both halves.
 
 use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
-use tailwise_scenfile::{parse, str_elements, u64_elements, DocWriter, ScenError, Table};
+use tailwise_radio::signaling::SignalingBudget;
+use tailwise_scenfile::{parse, str_elements, u64_elements, DocWriter, Pos, ScenError, Table};
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::corpus::TraceFormat;
 use tailwise_trace::time::Duration;
@@ -198,8 +200,8 @@ pub(crate) fn source_set_from_str(src: &str) -> Result<SourceSet, ScenError> {
     Ok(SourceSet { source: UserSource::Corpus(base), axes })
 }
 
-/// The positioned/emit error body for a non-scriptable scheme meeting a
-/// `[cells]` topology (parse and write paths share the wording).
+/// The error body for a non-scriptable scheme meeting a `[cells]`
+/// topology (the base scheme and sweep values share the wording).
 fn unscriptable_scheme_message(scheme: &Scheme) -> String {
     format!(
         "scheme \"{scheme}\" cannot run on a [cells] topology: MakeActive batching depends \
@@ -373,42 +375,68 @@ fn mobility_from_table(table: &Table) -> Result<MobilitySpec, ScenError> {
     }
 }
 
-/// Serializes either kind of source, plus sweep axes, to document text
-/// that parses back to an equal value.
+/// Serializes either kind of source, plus sweep axes, to document text,
+/// then reads that text back with [`source_set_from_str`]: the text is
+/// returned only when it reads back equal to what was written. The
+/// parser is the only judge of what a file can hold, so anything it
+/// rejects or reads differently is an emit error, never a file that
+/// fails to load or loads as another scenario.
 pub(crate) fn source_set_to_toml(
     source: &UserSource,
     axes: &[SweepAxis],
 ) -> Result<String, ScenError> {
-    match source {
-        UserSource::Synthetic(base) => synthetic_to_toml(base, axes),
-        UserSource::Corpus(base) => corpus_to_toml(base, axes),
+    let text = match source {
+        UserSource::Synthetic(base) => synthetic_to_toml(base, axes)?,
+        UserSource::Corpus(base) => corpus_to_toml(base, axes)?,
+    };
+    let back = source_set_from_str(&text).map_err(|e| {
+        let at = match text.lines().nth(e.pos.line.saturating_sub(1)) {
+            Some(line) if e.pos != Pos::START => format!(" at `{}`", line.trim()),
+            _ => String::new(),
+        };
+        ScenError::emit(format!("the written text does not read back{at}: {}", e.message))
+    })?;
+    if back.source != *source || back.axes != axes {
+        return Err(ScenError::emit(first_difference(source, axes, back)));
+    }
+    Ok(text)
+}
+
+/// Names the first field of a written set that reads back differently:
+/// the first line where the two `{:#?}` renderings differ. Corpus
+/// provenance (`dir_pos`, `origin`) is not identity, so it is copied
+/// across before rendering.
+fn first_difference(source: &UserSource, axes: &[SweepAxis], mut back: SourceSet) -> String {
+    if let (UserSource::Corpus(written), UserSource::Corpus(read)) = (source, &mut back.source) {
+        read.spec.dir_pos = written.spec.dir_pos;
+        read.spec.origin.clone_from(&written.spec.origin);
+    }
+    let written = format!("{:#?}", (source, axes));
+    let read = format!("{:#?}", (&back.source, &back.axes));
+    let mut lines = written.lines().zip(read.lines());
+    match lines.find(|(w, r)| w != r) {
+        Some((w, r)) => format!("`{}` reads back as `{}`", w.trim(), r.trim()),
+        None => "the written text reads back as a different scenario".into(),
     }
 }
 
 /// Serializes a synthetic scenario: the shared envelope plus `users`,
 /// `days_per_user` and the `[[app]]` mix.
 fn synthetic_to_toml(base: &Scenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
-    check_sim_representable(&base.sim)?;
-    check_nonzero(&[
-        ("days_per_user", u64::from(base.days_per_user)),
-        ("shard_size", base.shard_size),
-        ("window_capacity", base.sim.window_capacity as u64),
-    ])?;
-    check_topology_representable(&base.cells, &base.scheme, axes)?;
     let mut w = header();
     w.blank().table("scenario");
     w.str("name", &base.name);
     w.uint("users", base.users);
     w.uint("days_per_user", u64::from(base.days_per_user));
-    w.str("scheme", &scheme_token(&base.scheme)?);
+    w.str("scheme", &base.scheme.to_string());
     w.uint("master_seed", base.master_seed);
     w.uint("shard_size", base.shard_size);
     write_sim(&mut w, &base.sim);
     write_topology(&mut w, &base.cells);
     write_carriers(&mut w, &base.carrier_mix)?;
     for (kind, weight) in &base.app_mix {
-        check_weight(*weight, kind.token())?;
-        w.blank().array_table("app").str("kind", kind.token()).float("weight", *weight);
+        w.blank().array_table("app").str("kind", kind.token());
+        write_weight(&mut w, kind.token(), *weight)?;
     }
     write_axes(&mut w, axes)?;
     Ok(w.finish())
@@ -417,25 +445,16 @@ fn synthetic_to_toml(base: &Scenario, axes: &[SweepAxis]) -> Result<String, Scen
 /// Serializes a corpus scenario: the shared envelope plus the
 /// `[corpus]` table instead of `users`/`[[app]]`.
 fn corpus_to_toml(base: &CorpusScenario, axes: &[SweepAxis]) -> Result<String, ScenError> {
-    check_sim_representable(&base.sim)?;
-    check_nonzero(&[
-        ("shard_size", base.shard_size),
-        ("window_capacity", base.sim.window_capacity as u64),
-    ])?;
-    check_topology_representable(&base.cells, &base.scheme, axes)?;
     let dir = base.spec.dir.to_str().ok_or_else(|| {
         ScenError::emit(format!(
             "corpus directory {:?} is not valid UTF-8 and cannot be written to a scenario file",
             base.spec.dir
         ))
     })?;
-    if base.spec.formats.is_empty() {
-        return Err(ScenError::emit("corpus format filter must admit at least one format"));
-    }
     let mut w = header();
     w.blank().table("scenario");
     w.str("name", &base.name);
-    w.str("scheme", &scheme_token(&base.scheme)?);
+    w.str("scheme", &base.scheme.to_string());
     w.uint("master_seed", base.master_seed);
     w.uint("shard_size", base.shard_size);
     write_sim(&mut w, &base.sim);
@@ -467,82 +486,6 @@ fn write_sim(w: &mut DocWriter, sim: &SimConfig) {
     w.blank().table("sim");
     w.float("intra_burst_gap_s", sim.intra_burst_gap.as_secs_f64());
     w.uint("window_capacity", sim.window_capacity as u64);
-}
-
-/// Emission-side guard for one level's [`AdmissionSpec`]: the written
-/// document must parse back to the identical spec.
-fn check_admission_representable(level: &str, spec: &AdmissionSpec) -> Result<(), ScenError> {
-    match spec {
-        AdmissionSpec::Always => Ok(()),
-        AdmissionSpec::RateLimited { min_interval } => {
-            if *min_interval <= Duration::ZERO {
-                return Err(ScenError::emit(format!(
-                    "{level} rate-limited admission interval must be positive, got {min_interval}"
-                )));
-            }
-            Ok(())
-        }
-        AdmissionSpec::LoadReactive { window_s, .. } => {
-            if *window_s == 0 {
-                return Err(ScenError::emit(format!(
-                    "{level} reactive admission window of 0 is not representable \
-                     (scenario files require ≥ 1 second)"
-                )));
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Emission-side guard for `[cells]`/`[rnc]`: the written document must
-/// parse back, so everything the parser rejects is refused here too.
-fn check_topology_representable(
-    cells: &Option<NetworkTopology>,
-    scheme: &Scheme,
-    axes: &[SweepAxis],
-) -> Result<(), ScenError> {
-    let Some(topology) = cells else {
-        if axes.iter().any(|axis| matches!(axis, SweepAxis::Admission(_))) {
-            return Err(ScenError::emit(
-                "sweep axis `admission` requires a [cells] topology to apply to",
-            ));
-        }
-        if axes.iter().any(|axis| matches!(axis, SweepAxis::Mobility(_))) {
-            return Err(ScenError::emit(
-                "sweep axis `mobility` requires a [cells] topology to apply to",
-            ));
-        }
-        return Ok(());
-    };
-    if topology.cells == 0 {
-        return Err(ScenError::emit(
-            "cell count of 0 is not representable (scenario files require ≥ 1)",
-        ));
-    }
-    if topology.rncs == 0 || topology.rncs > topology.cells {
-        return Err(ScenError::emit(format!(
-            "cannot spread {} cell(s) over {} RNCs (scenario files require 1 ≤ RNCs ≤ cells)",
-            topology.cells, topology.rncs
-        )));
-    }
-    if topology.signaling != SignalingModel::default() {
-        return Err(ScenError::emit(
-            "network topology customizes the RRC signaling message model, which is not \
-             representable in scenario files (they always use the default)",
-        ));
-    }
-    check_admission_representable("cell", &topology.cell_admission)?;
-    check_admission_representable("RNC", &topology.rnc_admission)?;
-    let mut schemes: Vec<&Scheme> = vec![scheme];
-    for axis in axes {
-        if let SweepAxis::Schemes(values) = axis {
-            schemes.extend(values);
-        }
-    }
-    match schemes.into_iter().find(|s| !s.scriptable()) {
-        None => Ok(()),
-        Some(bad) => Err(ScenError::emit(unscriptable_scheme_message(bad))),
-    }
 }
 
 /// Writes one level's admission keys (the structured spelling the
@@ -599,25 +542,37 @@ fn write_carriers(
     w: &mut DocWriter,
     carrier_mix: &[(CarrierProfile, f64)],
 ) -> Result<(), ScenError> {
-    // The schema requires ≥ 1 [[carrier]]; emitting none would produce
-    // a document from_toml_str rejects.
-    if carrier_mix.is_empty() {
-        return Err(ScenError::emit(
-            "scenario has an empty carrier mix; files need at least one [[carrier]] entry",
-        ));
-    }
     for (profile, weight) in carrier_mix {
-        let slug = profile.slug().ok_or_else(|| {
-            ScenError::emit(format!(
-                "carrier profile {:?} does not match any built-in preset; \
-                 scenario files can only name presets ({})",
-                profile.name,
-                CarrierProfile::PRESET_SLUGS.join(", ")
-            ))
-        })?;
-        check_weight(*weight, slug)?;
-        w.blank().array_table("carrier").str("profile", slug).float("weight", *weight);
+        let slug = preset_slug(profile)?;
+        w.blank().array_table("carrier").str("profile", slug);
+        write_weight(w, slug, *weight)?;
     }
+    Ok(())
+}
+
+/// The preset slug a carrier is written as: the format names carriers
+/// only by preset, so a customized profile has no spelling at all.
+fn preset_slug(profile: &CarrierProfile) -> Result<&'static str, ScenError> {
+    profile.slug().ok_or_else(|| {
+        ScenError::emit(format!(
+            "carrier profile {:?} does not match any built-in preset; \
+             scenario files can only name presets ({})",
+            profile.name,
+            CarrierProfile::PRESET_SLUGS.join(", ")
+        ))
+    })
+}
+
+/// Writes a mix entry's `weight`. The format has no spelling for a
+/// non-finite number, so such a weight is refused here; every other
+/// weight rule is the parser's.
+fn write_weight(w: &mut DocWriter, what: &str, weight: f64) -> Result<(), ScenError> {
+    if !weight.is_finite() {
+        return Err(ScenError::emit(format!(
+            "weight of {what:?} is {weight}; scenario files hold only finite numbers"
+        )));
+    }
+    w.float("weight", weight);
     Ok(())
 }
 
@@ -626,22 +581,11 @@ fn write_axes(w: &mut DocWriter, axes: &[SweepAxis]) -> Result<(), ScenError> {
         w.blank().array_table("sweep");
         match axis {
             SweepAxis::Schemes(schemes) => {
-                let tokens =
-                    schemes.iter().map(scheme_token).collect::<Result<Vec<String>, ScenError>>()?;
+                let tokens: Vec<String> = schemes.iter().map(Scheme::to_string).collect();
                 w.str("axis", "scheme").str_array("values", &tokens);
             }
             SweepAxis::Carriers(carriers) => {
-                let slugs = carriers
-                    .iter()
-                    .map(|c| {
-                        c.slug().map(str::to_string).ok_or_else(|| {
-                            ScenError::emit(format!(
-                                "sweep carrier {:?} is not a built-in preset",
-                                c.name
-                            ))
-                        })
-                    })
-                    .collect::<Result<Vec<String>, ScenError>>()?;
+                let slugs = carriers.iter().map(preset_slug).collect::<Result<Vec<_>, _>>()?;
                 w.str("axis", "carrier").str_array("values", &slugs);
             }
             SweepAxis::Users(sizes) => {
@@ -660,68 +604,12 @@ fn write_axes(w: &mut DocWriter, axes: &[SweepAxis]) -> Result<(), ScenError> {
     Ok(())
 }
 
-/// The scheme's on-disk token, verified loadable: the token must parse
-/// back to the identical scheme, so `to_file` can never produce a file
-/// `from_file` rejects (e.g. `PercentileIat(1.0)` would print `iat100`,
-/// which the parser refuses) or reads back differently.
-fn scheme_token(scheme: &Scheme) -> Result<String, ScenError> {
-    let token = scheme.to_string();
-    match token.parse::<Scheme>() {
-        Ok(parsed) if parsed == *scheme => Ok(token),
-        _ => Err(ScenError::emit(format!(
-            "scheme {scheme:?} has no loadable on-disk token ({token:?} does not parse back \
-             to it); IAT percentiles must lie strictly inside (0, 1)"
-        ))),
-    }
-}
-
-/// Errors when the engine config customizes a field the on-disk format
-/// cannot express — the alternative is a `to_file` that succeeds and a
-/// `from_file` that silently returns a different scenario.
-fn check_sim_representable(sim: &SimConfig) -> Result<(), ScenError> {
-    let default = SimConfig::default();
-    let hidden = [
-        ("record_decisions", sim.record_decisions == default.record_decisions),
-        ("record_timeline", sim.record_timeline == default.record_timeline),
-        ("record_transitions", sim.record_transitions == default.record_transitions),
-        ("transition_log_limit", sim.transition_log_limit == default.transition_log_limit),
-    ];
-    match hidden.iter().find(|(_, unchanged)| !unchanged) {
-        None => Ok(()),
-        Some((field, _)) => Err(ScenError::emit(format!(
-            "sim config field `{field}` differs from its default and is not representable \
-             in scenario files (only intra_burst_gap_s and window_capacity are; see \
-             docs/SCENARIO_FORMAT.md §2.2)"
-        ))),
-    }
-}
-
-/// Emission-side guard for fields the format requires to be ≥ 1.
-fn check_nonzero(fields: &[(&str, u64)]) -> Result<(), ScenError> {
-    match fields.iter().find(|(_, value)| *value == 0) {
-        None => Ok(()),
-        Some((field, _)) => Err(ScenError::emit(format!(
-            "{field} of 0 is not representable (scenario files require ≥ 1)"
-        ))),
-    }
-}
-
 /// A positioned "must be at least 1" error for `key` — zero is always a
 /// bug in the file (the format's rule is loud failure, never a silent
 /// clamp that runs a different experiment than the author wrote).
 fn at_least_one(table: &Table, key: &str) -> ScenError {
     let pos = table.get(key).map(|i| i.pos).unwrap_or(table.pos());
     ScenError::at(pos, format!("`{key}` must be at least 1"))
-}
-
-fn check_weight(weight: f64, what: &str) -> Result<(), ScenError> {
-    if weight.is_finite() && weight > 0.0 {
-        Ok(())
-    } else {
-        Err(ScenError::emit(format!(
-            "weight of {what:?} must be a positive finite number, got {weight}"
-        )))
-    }
 }
 
 /// Parses the `[[carrier]]` / `[[app]]` weighted-entry arrays.
@@ -885,7 +773,8 @@ fn default_name(users: u64, scheme: &Scheme, carrier_mix: &[(CarrierProfile, f64
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use tailwise_scenfile::{Pos, ScenErrorKind};
+    use tailwise_radio::signaling::SignalingModel;
+    use tailwise_scenfile::ScenErrorKind;
 
     const MINIMAL: &str = concat!(
         "[scenario]\n",
@@ -1465,7 +1354,7 @@ mod tests {
         topology.signaling.per_promotion = 99;
         s.cells = Some(topology);
         let err = write_synthetic(&s, &[]).unwrap_err();
-        assert!(err.message.contains("signaling message model"), "{err}");
+        assert!(err.message.contains("`per_promotion: 99,` reads back as"), "{err}");
     }
 
     // ------------------------------------------------------------------
@@ -1800,12 +1689,12 @@ mod tests {
         let mut s = Scenario::new(4, Scheme::PercentileIat(1.0), CarrierProfile::att_hspa());
         let err = write_synthetic(&s, &[]).unwrap_err();
         assert_eq!(err.kind, ScenErrorKind::Emit);
-        assert!(err.message.contains("no loadable on-disk token"), "{err}");
+        assert!(err.message.contains("IAT percentile must be in (0, 100), got 100"), "{err}");
         // …and the same guard covers sweep axis values.
         s.scheme = Scheme::MakeIdle;
         let axes = vec![SweepAxis::Schemes(vec![Scheme::MakeIdle, Scheme::PercentileIat(0.0)])];
         let err = write_synthetic(&s, &axes).unwrap_err();
-        assert!(err.message.contains("no loadable on-disk token"), "{err}");
+        assert!(err.message.contains("IAT percentile must be in (0, 100), got 0"), "{err}");
     }
 
     #[test]
@@ -1813,19 +1702,19 @@ mod tests {
         let mut s = Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
         s.sim.record_decisions = true;
         let err = write_synthetic(&s, &[]).unwrap_err();
-        assert!(err.message.contains("`record_decisions`"), "{err}");
-        assert!(err.message.contains("not representable"), "{err}");
+        assert!(err.message.contains("`record_decisions: true,`"), "{err}");
+        assert!(err.message.contains("reads back as `record_decisions: false,`"), "{err}");
 
         s.sim.record_decisions = false;
         s.sim.transition_log_limit = 7;
         let err = write_synthetic(&s, &[]).unwrap_err();
-        assert!(err.message.contains("`transition_log_limit`"), "{err}");
+        assert!(err.message.contains("`transition_log_limit: 7,`"), "{err}");
 
         // Zero-valued identity fields are equally unrepresentable.
         s.sim = SimConfig::default();
         s.shard_size = 0;
         let err = write_synthetic(&s, &[]).unwrap_err();
-        assert!(err.message.contains("shard_size of 0"), "{err}");
+        assert!(err.message.contains("`shard_size` must be at least 1"), "{err}");
         assert_eq!(err.kind, ScenErrorKind::Emit);
     }
 
@@ -1840,16 +1729,92 @@ mod tests {
     #[test]
     fn empty_carrier_mixes_cannot_serialize() {
         // Emitting zero [[carrier]] tables would write a document the
-        // parser rejects; both source kinds refuse up front instead.
+        // parser rejects; both source kinds refuse instead.
         let mut s = Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
         s.carrier_mix.clear();
         let err = write_synthetic(&s, &[]).unwrap_err();
-        assert!(err.message.contains("empty carrier mix"), "{err}");
+        assert!(err.message.contains("at least one `[[carrier]]` entry"), "{err}");
         let mut c = CorpusScenario::new("corpus", Scheme::MakeIdle, CarrierProfile::att_hspa());
         c.carrier_mix.clear();
         let err = source_set_to_toml(&UserSource::Corpus(c), &[]).unwrap_err();
-        assert!(err.message.contains("empty carrier mix"), "{err}");
+        assert!(err.message.contains("at least one `[[carrier]]` entry"), "{err}");
         assert_eq!(err.kind, ScenErrorKind::Emit);
+    }
+
+    #[test]
+    fn values_the_parser_rejects_cannot_serialize() {
+        let synthetic = || Scenario::new(4, Scheme::MakeIdle, CarrierProfile::att_hspa());
+        let celled = || Scenario { cells: Some(NetworkTopology::new(4)), ..synthetic() };
+        let corpus = || CorpusScenario::new("traces", Scheme::MakeIdle, CarrierProfile::att_hspa());
+        let late_commute = MobilitySpec::Commute {
+            home_hour: 17,
+            work_hour: 8,
+            jitter_pct: mobility::DEFAULT_JITTER_PCT,
+            hint_s: mobility::DEFAULT_HINT_S,
+        };
+        let cases: Vec<(&str, UserSource, Vec<SweepAxis>)> = vec![
+            (
+                "`[[app]]`",
+                UserSource::Synthetic(Scenario { app_mix: vec![], ..synthetic() }),
+                vec![],
+            ),
+            ("`values = []`", UserSource::Synthetic(synthetic()), vec![SweepAxis::Schemes(vec![])]),
+            (
+                "`values = []`",
+                UserSource::Synthetic(synthetic()),
+                vec![SweepAxis::Carriers(vec![])],
+            ),
+            ("sweep axis `users`", UserSource::Corpus(corpus()), vec![SweepAxis::Users(vec![5])]),
+            (
+                "`axis = \"admission\"`",
+                UserSource::Synthetic(celled()),
+                vec![SweepAxis::Admission(vec![AdmissionSpec::RateLimited {
+                    min_interval: Duration::ZERO,
+                }])],
+            ),
+            (
+                "`axis = \"admission\"`",
+                UserSource::Synthetic(celled()),
+                vec![SweepAxis::Admission(vec![AdmissionSpec::LoadReactive {
+                    watermark_per_s: 5,
+                    window_s: 0,
+                }])],
+            ),
+            (
+                "`[mobility]`",
+                UserSource::Synthetic(Scenario {
+                    cells: Some(NetworkTopology {
+                        mobility: late_commute,
+                        ..NetworkTopology::new(4)
+                    }),
+                    ..synthetic()
+                }),
+                vec![],
+            ),
+            (
+                "`axis = \"mobility\"`",
+                UserSource::Synthetic(celled()),
+                vec![SweepAxis::Mobility(vec![late_commute])],
+            ),
+            (
+                "`intra_burst_gap_s`",
+                UserSource::Synthetic(Scenario {
+                    sim: SimConfig { intra_burst_gap: Duration::ZERO, ..SimConfig::default() },
+                    ..synthetic()
+                }),
+                vec![],
+            ),
+            (
+                "`dir`",
+                UserSource::Corpus(CorpusScenario { spec: CorpusSpec::new(""), ..corpus() }),
+                vec![],
+            ),
+        ];
+        for (key, source, axes) in cases {
+            let err = source_set_to_toml(&source, &axes).expect_err(key);
+            assert_eq!(err.kind, ScenErrorKind::Emit, "{err}");
+            assert!(err.message.contains(key), "{key}: {err}");
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2050,6 +2015,99 @@ mod tests {
                 .map_err(|e| TestCaseError::fail(format!("{e}\n---\n{text}")))?;
             prop_assert!(reparsed.axes.is_empty());
             prop_assert_eq!(reparsed.source, source);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Inputs drawn around the format's limits — zero counts, empty
+        /// mixes and axes, unordered commute hours, zero admission
+        /// intervals and windows, a `users` axis on a corpus, non-finite
+        /// weights — each about one draw in eight, so most cases hold
+        /// none or one of them: the writer either refuses with an emit
+        /// error or writes text that reads back equal.
+        #[test]
+        fn written_text_always_reads_back_equal(
+            (corpus, users, days, shard, scheme_i) in
+                (prop::bool::ANY, 0u64..8, 0u32..8, 0u64..8, 0usize..8),
+            (gap_us, window, carriers, apps, weight_i) in
+                (0i64..8, 0u64..8, 0usize..8, 0usize..8, 0usize..16),
+            (cells_which, cell_count, rncs, interval_us, window_s) in
+                (0usize..4, 0u64..8, 0u64..8, 0i64..8, 0u64..8),
+            (home_hour, work_hour, axis_kind, axis_len, dir_i) in
+                (5u32..12, 10u32..25, 0usize..6, 0usize..6, 0usize..8),
+        ) {
+            let scheme = match scheme_i {
+                0 => Scheme::PercentileIat(1.0),
+                1 => Scheme::MakeIdleActiveFix,
+                _ => Scheme::MakeIdle,
+            };
+            let weight = [f64::NAN, 0.0, -1.0].get(weight_i).copied().unwrap_or(weight_i as f64);
+            let carrier_mix = vec![(CarrierProfile::att_hspa(), weight); carriers];
+            let sim = SimConfig {
+                intra_burst_gap: Duration::from_micros(gap_us),
+                window_capacity: window as usize,
+                ..SimConfig::default()
+            };
+            let admission = match cells_which {
+                2 => AdmissionSpec::RateLimited { min_interval: Duration::from_micros(interval_us) },
+                3 => AdmissionSpec::LoadReactive { watermark_per_s: 5, window_s },
+                _ => AdmissionSpec::Always,
+            };
+            let commute =
+                MobilitySpec::Commute { home_hour, work_hour, jitter_pct: 5, hint_s: 60 };
+            let cells = (cells_which > 0).then(|| NetworkTopology {
+                cells: cell_count,
+                rncs: if rncs == 7 { cell_count + 1 } else { rncs.min(cell_count) },
+                cell_admission: admission.clone(),
+                mobility: if cells_which == 1 { commute } else { MobilitySpec::Static },
+                ..NetworkTopology::new(1)
+            });
+            let axes = match axis_kind {
+                0 => vec![],
+                1 => vec![SweepAxis::Schemes(vec![scheme; axis_len])],
+                2 => vec![SweepAxis::Carriers(vec![CarrierProfile::verizon_lte(); axis_len])],
+                3 => vec![SweepAxis::Users(vec![users; axis_len])],
+                4 => vec![SweepAxis::Admission(vec![admission; axis_len])],
+                _ => vec![SweepAxis::Mobility(vec![commute; axis_len])],
+            };
+            let source = if corpus {
+                let mut spec = CorpusSpec::new(if dir_i == 0 { "" } else { "traces" });
+                spec.formats.truncate(apps);
+                UserSource::Corpus(CorpusScenario {
+                    name: "limits".into(),
+                    scheme,
+                    carrier_mix,
+                    master_seed: 7,
+                    shard_size: shard,
+                    sim,
+                    cells,
+                    spec,
+                })
+            } else {
+                UserSource::Synthetic(Scenario {
+                    name: "limits".into(),
+                    users,
+                    days_per_user: days,
+                    scheme,
+                    carrier_mix,
+                    app_mix: vec![(AppKind::Im, weight); apps],
+                    master_seed: 7,
+                    shard_size: shard,
+                    sim,
+                    cells,
+                })
+            };
+            let set = SourceSet { source, axes };
+            match set.to_toml_string() {
+                Err(e) => prop_assert_eq!(e.kind, ScenErrorKind::Emit),
+                Ok(text) => {
+                    let back = SourceSet::from_toml_str(&text)
+                        .map_err(|e| TestCaseError::fail(format!("{e}\n---\n{text}")))?;
+                    prop_assert_eq!(back, set);
+                }
+            }
         }
     }
 }

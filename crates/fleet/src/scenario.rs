@@ -139,14 +139,15 @@ impl Scenario {
 
     /// Serializes the scenario to document text that
     /// [`from_toml_str`](Self::from_toml_str) parses back to an equal
-    /// value (pinned by a property test).
+    /// value: the writer reads its text back and returns it only when
+    /// it reads back equal.
     ///
     /// Errors — with
     /// [`ScenErrorKind::Emit`](tailwise_scenfile::ScenErrorKind::Emit),
     /// the same [`ScenError`] type the read path uses — when the
-    /// scenario is not representable on disk: carrier profiles must be
-    /// built-in presets, and every mix weight must be positive and
-    /// finite.
+    /// scenario does not read back equal: the error carries the
+    /// parser's message, or names the first field that reads back
+    /// differently.
     pub fn to_toml_string(&self) -> Result<String, ScenError> {
         SourceSet { source: UserSource::Synthetic(self.clone()), axes: Vec::new() }.to_toml_string()
     }

@@ -73,23 +73,6 @@ impl UserSource {
             UserSource::Corpus(c) => c.master_seed,
         }
     }
-
-    /// Loads a source from an on-disk scenario file — synthetic or
-    /// `[corpus]` — rejecting files that declare `[[sweep]]` axes (load
-    /// those with [`SourceSet::from_file`]).
-    pub fn from_file(path: impl AsRef<Path>) -> Result<UserSource, ScenError> {
-        let path = path.as_ref();
-        let set = SourceSet::from_file(path)?;
-        if set.is_sweep() {
-            return Err(ScenError::at(
-                Pos::START,
-                "file declares [[sweep]] axes; load it with SourceSet::from_file \
-                 (or run it with `tailwise fleet run`)",
-            )
-            .with_origin(path.display().to_string()));
-        }
-        Ok(set.source)
-    }
 }
 
 /// The on-disk footprint of a corpus: which directory, how to walk it,
@@ -302,8 +285,9 @@ impl SourceSet {
     }
 
     /// Serializes the set back to document text that parses to an equal
-    /// value (see [`Scenario::to_toml_string`] for the synthetic
-    /// representability rules; corpus directories must be valid UTF-8).
+    /// value: the writer reads its text back and refuses, with an emit
+    /// error, anything that does not read back equal (see
+    /// [`Scenario::to_toml_string`]).
     pub fn to_toml_string(&self) -> Result<String, ScenError> {
         crate::file::source_set_to_toml(&self.source, &self.axes)
     }

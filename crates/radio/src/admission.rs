@@ -1,21 +1,21 @@
 //! Network-side admission control for fast-dormancy requests.
 //!
-//! [`ReleasePolicy`] models one
-//! decision point in isolation: a request arrives, the policy says yes
-//! or no. Real controllers decide *under load* — the RNC that the
-//! paper's §8 signaling-storm concern is about sees every RRC message
-//! its cells carry, and a sane admission policy reacts to that rate
-//! rather than to request spacing alone. This module is the
-//! generalization: an [`AdmissionPolicy`] is a release policy that can
-//! additionally **observe** the signaling traffic charged to its
-//! network element (cell or RNC) and fold it into future verdicts.
+//! 3GPP Release 8 turned fast dormancy into a *request*: the device
+//! asks, the network decides (§2.2). The paper's simulations assume
+//! every request is granted and flag carrier policy as an open question
+//! (§8, future work). An [`AdmissionPolicy`] is that decision point: a
+//! request arrives, the policy says yes or no, and a denied request
+//! leaves the inactivity timers in charge. Real controllers decide
+//! *under load* — the RNC that the paper's §8 signaling-storm concern
+//! is about sees every RRC message its cells carry — so a policy can
+//! also **observe** the signaling traffic charged to its network
+//! element (cell or RNC) and fold it into future verdicts.
 //!
-//! Every [`ReleasePolicy`] is automatically an [`AdmissionPolicy`]
-//! that ignores the load feed (blanket impl below), so the paper's
-//! `always`-accept assumption and the rate-limited base station remain
-//! first-class admission policies. [`LoadReactive`] is the new,
-//! genuinely load-coupled one: it denies requests while the rolling
-//! message rate over its window sits at or above a watermark.
+//! [`AlwaysAccept`] is the paper's assumption and [`RateLimited`] a
+//! base station that spaces its grants; both ignore the load feed.
+//! [`LoadReactive`] is the load-coupled one: it denies requests while
+//! the rolling message rate over its window sits at or above a
+//! watermark.
 //!
 //! ## Message accounting at the admission point
 //!
@@ -36,9 +36,7 @@
 
 use std::collections::VecDeque;
 
-use tailwise_trace::time::Instant;
-
-use crate::fastdormancy::ReleasePolicy;
+use tailwise_trace::time::{Duration, Instant};
 
 /// RRC messages a *denied* fast-dormancy request still costs the
 /// network element that refused it: the request itself transited the
@@ -65,20 +63,45 @@ pub trait AdmissionPolicy {
     fn observe(&mut self, at: Instant, messages: u32) {
         let _ = (at, messages);
     }
-
-    /// Diagnostic name for reports.
-    fn name(&self) -> &'static str;
 }
 
-/// Every release policy is an admission policy that ignores the load
-/// feed — the paper's per-request decision points lift unchanged into
-/// the hierarchy.
-impl<P: ReleasePolicy + ?Sized> AdmissionPolicy for P {
-    fn admit(&mut self, at: Instant) -> bool {
-        self.accept(at)
+/// The paper's modeling assumption: every request is honored (§2.2).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AlwaysAccept;
+
+impl AdmissionPolicy for AlwaysAccept {
+    fn admit(&mut self, _at: Instant) -> bool {
+        true
     }
-    fn name(&self) -> &'static str {
-        ReleasePolicy::name(self)
+}
+
+/// Rate-limited admission: requests within `min_interval` of the last
+/// *admitted* request are denied. Models a base station protecting
+/// itself from signaling storms — the §8 concern about "multiple phones
+/// triggering the feature".
+#[derive(Debug, Clone, Copy)]
+pub struct RateLimited {
+    min_interval: Duration,
+    last_admit: Option<Instant>,
+}
+
+impl RateLimited {
+    /// Creates a policy that admits at most one request per
+    /// `min_interval`.
+    pub fn new(min_interval: Duration) -> RateLimited {
+        RateLimited { min_interval, last_admit: None }
+    }
+}
+
+impl AdmissionPolicy for RateLimited {
+    fn admit(&mut self, at: Instant) -> bool {
+        match self.last_admit {
+            Some(prev) if at - prev < self.min_interval => false,
+            _ => {
+                self.last_admit = Some(at);
+                true
+            }
+        }
     }
 }
 
@@ -155,33 +178,21 @@ impl AdmissionPolicy for LoadReactive {
         }
         self.in_window += messages as u64;
     }
-
-    fn name(&self) -> &'static str {
-        "load-reactive"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastdormancy::{AlwaysAccept, NeverAccept, RateLimited};
-    use tailwise_trace::time::Duration;
 
     fn t(s: i64) -> Instant {
         Instant::from_secs(s)
     }
 
     #[test]
-    fn release_policies_lift_to_admission() {
-        // The blanket impl: the paper's decision points keep working
-        // through the new surface, load feed ignored.
+    fn always_and_rate_limited_ignore_the_load_feed() {
         let mut always: Box<dyn AdmissionPolicy> = Box::new(AlwaysAccept);
-        let mut never: Box<dyn AdmissionPolicy> = Box::new(NeverAccept);
         always.observe(t(0), 1_000_000);
-        never.observe(t(0), 0);
-        assert!(always.admit(t(1)));
-        assert!(!never.admit(t(1)));
-        assert_eq!(always.name(), "always-accept");
+        assert!((0..10).all(|s| always.admit(t(s))));
 
         let mut limited: Box<dyn AdmissionPolicy> =
             Box::new(RateLimited::new(Duration::from_secs(10)));
@@ -189,6 +200,29 @@ mod tests {
         limited.observe(t(1), 9999); // no effect on spacing
         assert!(!limited.admit(t(5)));
         assert!(limited.admit(t(10)));
+    }
+
+    #[test]
+    fn rate_limit_enforces_spacing() {
+        let mut p = RateLimited::new(Duration::from_secs(10));
+        let s = Instant::from_secs_f64;
+        assert!(p.admit(s(0.0)));
+        assert!(!p.admit(s(5.0)));
+        assert!(!p.admit(s(9.9)));
+        assert!(p.admit(s(10.0)));
+        assert!(!p.admit(s(15.0)));
+        assert!(p.admit(s(20.0)));
+    }
+
+    #[test]
+    fn rate_limit_denials_do_not_reset_the_clock() {
+        let mut p = RateLimited::new(Duration::from_secs(10));
+        assert!(p.admit(t(0)));
+        for s in 1..=3 {
+            assert!(!p.admit(t(s)));
+        }
+        // Still measured from the admit at t=0, not the last denial.
+        assert!(p.admit(Instant::from_secs_f64(10.5)));
     }
 
     #[test]

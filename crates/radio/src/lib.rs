@@ -12,9 +12,9 @@
 //!   two-state) with inactivity timers and fast dormancy;
 //! * [`energy`] — the single energy integrator every scheme is measured by,
 //!   decomposed per Figure 1;
-//! * [`fastdormancy`] — base-station release policies for fast-dormancy
-//!   requests (always-accept per the paper, plus rate-limited/fractional
-//!   variants for the §8 future-work questions);
+//! * [`admission`] — network-side admission of fast-dormancy requests
+//!   (always-accept per the paper, plus rate-limited and load-reactive
+//!   policies for the §8 future-work questions);
 //! * [`signaling`] — switch-cycle and message-level signaling accounting.
 
 #![forbid(unsafe_code)]
@@ -22,14 +22,12 @@
 
 pub mod admission;
 pub mod energy;
-pub mod fastdormancy;
 pub mod profile;
 pub mod rrc;
 pub mod signaling;
 
-pub use admission::{AdmissionPolicy, LoadReactive};
+pub use admission::{AdmissionPolicy, AlwaysAccept, LoadReactive, RateLimited};
 pub use energy::{EnergyBreakdown, EnergyMeter};
-pub use fastdormancy::{AlwaysAccept, FractionalAccept, NeverAccept, RateLimited, ReleasePolicy};
 pub use profile::{CarrierProfile, RadioTech};
 pub use rrc::{
     Advance, Residence, RrcMachine, RrcState, Transition, TransitionCause, TransitionCounters,

@@ -302,8 +302,8 @@ impl RrcMachine {
 
     /// Requests fast dormancy at the current machine time: demotes DCH or
     /// FACH straight to Idle (§2.2; we model the base station as always
-    /// accepting, per the paper's simplification — a configurable release
-    /// policy lives in [`crate::fastdormancy`]).
+    /// accepting, per the paper's simplification — configurable
+    /// admission policies live in [`crate::admission`]).
     ///
     /// Returns the demotion transition, or `None` if the radio was already
     /// Idle (the request is idempotent).

@@ -15,13 +15,12 @@
 //! the horizon by which MakeIdle will have demoted (its candidate waits are
 //! capped at `t_threshold`, where switching provably beats holding).
 
-use tailwise_radio::fastdormancy::ReleasePolicy;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_trace::bursts::{self, Burst};
 use tailwise_trace::time::{Duration, Instant};
 use tailwise_trace::Trace;
 
-use crate::engine::{run_with_release, SimConfig};
+use crate::engine::{run, SimConfig};
 use crate::policy::{ActivePolicy, IdlePolicy};
 use crate::report::SimReport;
 
@@ -138,17 +137,17 @@ fn close_round(
 }
 
 /// Runs the full MakeIdle+MakeActive pipeline: batch sessions, then replay
-/// the batched trace under `idle_policy`.
+/// the batched trace under `idle_policy`, with the paper's always-accept
+/// fast-dormancy assumption.
 pub fn run_batched(
     profile: &CarrierProfile,
     config: &SimConfig,
     trace: &Trace,
     idle_policy: &mut dyn IdlePolicy,
     active: &mut dyn ActivePolicy,
-    release: &mut dyn ReleasePolicy,
 ) -> SimReport {
     let outcome = batch_sessions(profile, config, trace, active);
-    let mut report = run_with_release(profile, config, &outcome.trace, idle_policy, release);
+    let mut report = run(profile, config, &outcome.trace, idle_policy);
     report.scheme = format!("{}+{}", report.scheme, active.name());
     report.session_delays = outcome.delays;
     report.batching_rounds = outcome.rounds;
@@ -250,14 +249,7 @@ mod tests {
         let plain = crate::engine::run(&p, &cfg, &t, &mut idle);
         let mut idle = crate::policy::FixedWait::new(Duration::from_millis(1000), "1s");
         let mut hold = Hold(20.0, Vec::new());
-        let batched = run_batched(
-            &p,
-            &cfg,
-            &t,
-            &mut idle,
-            &mut hold,
-            &mut tailwise_radio::fastdormancy::AlwaysAccept,
-        );
+        let batched = run_batched(&p, &cfg, &t, &mut idle, &mut hold);
         assert!(
             batched.switch_cycles() < plain.switch_cycles() / 2,
             "{} vs {}",

@@ -6,8 +6,7 @@
 //!
 //! * every device runs its own trace and [`IdlePolicy`];
 //! * all fast-dormancy requests flow through **one shared**
-//!   [`AdmissionPolicy`] (the base station), in global timestamp order —
-//!   any release policy lifts into that surface unchanged, and
+//!   [`AdmissionPolicy`] (the base station), in global timestamp order;
 //!   load-reactive policies additionally observe the adjudication-time
 //!   message load ([`tailwise_radio::admission`]);
 //! * the cell report aggregates energy, grants/denials, and the
@@ -76,8 +75,8 @@ impl CellReport {
 /// A load-reactive policy ([`tailwise_radio::admission::LoadReactive`])
 /// observes the adjudication-time message load (grants cost
 /// [`SignalingModel::per_fd_demotion`] messages, denials
-/// [`REQUEST_MESSAGES`]), while lifted release policies
-/// (e.g. [`tailwise_radio::fastdormancy::RateLimited`]) ignore it.
+/// [`REQUEST_MESSAGES`]), while stateless policies
+/// (e.g. [`tailwise_radio::admission::RateLimited`]) ignore it.
 pub fn run_cell(
     profile: &CarrierProfile,
     config: &SimConfig,
@@ -155,7 +154,7 @@ pub fn run_cell(
 mod tests {
     use super::*;
     use crate::policy::FixedWait;
-    use tailwise_radio::fastdormancy::{AlwaysAccept, RateLimited};
+    use tailwise_radio::admission::{AlwaysAccept, RateLimited};
     use tailwise_trace::packet::{Direction, Packet};
     use tailwise_trace::time::Duration;
 

@@ -6,8 +6,8 @@
 //! 1. asks the policy how long it would wait before requesting fast
 //!    dormancy (the decision may not inspect the future);
 //! 2. plays the gap forward on the [`RrcMachine`], applying the demotion if
-//!    the gap outlasts the chosen wait and the base station's
-//!    [`ReleasePolicy`] accepts;
+//!    the gap outlasts the chosen wait and the base station grants the
+//!    request;
 //! 3. charges every joule to the shared [`EnergyMeter`]: intra-burst gaps
 //!    (≤ `intra_burst_gap`) at the direction's bulk power (the paper's
 //!    per-second data model), tail time at the state powers, and switch
@@ -24,7 +24,6 @@
 //! with recorded requests in place of the policy.
 
 use tailwise_radio::energy::EnergyMeter;
-use tailwise_radio::fastdormancy::{AlwaysAccept, ReleasePolicy};
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::rrc::{RrcMachine, RrcState, Transition, TransitionCause};
 use tailwise_trace::packet::Packet;
@@ -127,16 +126,18 @@ pub enum SegmentKind {
     Promotion,
 }
 
-/// Runs `idle_policy` over `trace`, with the base station honoring
-/// fast-dormancy requests per `release`.
+/// Runs `idle_policy` over `trace`, with the base station granting the
+/// fast-dormancy request sent at `at` iff `grant(at)`, in request order.
 ///
-/// Use [`run`] for the paper's always-accept assumption.
+/// Use [`run`] for the paper's always-accept assumption. This lock-step
+/// form is the reference the two-phase replay of [`crate::twophase`] is
+/// held to.
 pub fn run_with_release(
     profile: &CarrierProfile,
     config: &SimConfig,
     trace: &Trace,
     idle_policy: &mut dyn IdlePolicy,
-    release: &mut dyn ReleasePolicy,
+    mut grant: impl FnMut(Instant) -> bool,
 ) -> SimReport {
     check_inputs(profile, config);
     let scheme = idle_policy.name();
@@ -152,7 +153,7 @@ pub fn run_with_release(
                 decisions.push((gap.start, w));
             }
         }
-        request.map(|at| (at, release.accept(at)))
+        request.map(|at| (at, grant(at)))
     });
     report.confusion = rule.confusion;
     report.decisions = config.record_decisions.then_some(decisions);
@@ -166,7 +167,7 @@ pub fn run(
     trace: &Trace,
     idle_policy: &mut dyn IdlePolicy,
 ) -> SimReport {
-    run_with_release(profile, config, trace, idle_policy, &mut AlwaysAccept)
+    run_with_release(profile, config, trace, idle_policy, |_| true)
 }
 
 /// Panics on an invalid profile or config, before any run starts.
@@ -494,7 +495,6 @@ fn push_segment(
 mod tests {
     use super::*;
     use crate::policy::{FixedWait, StatusQuo};
-    use tailwise_radio::fastdormancy::NeverAccept;
     use tailwise_trace::packet::{Direction, Packet};
 
     fn att() -> CarrierProfile {
@@ -633,7 +633,7 @@ mod tests {
         let mut pol = FixedWait::new(Duration::ZERO, "immediate");
         let accepted = run(&p, &cfg, &t, &mut pol);
         let mut pol = FixedWait::new(Duration::ZERO, "immediate");
-        let denied = run_with_release(&p, &cfg, &t, &mut pol, &mut NeverAccept);
+        let denied = run_with_release(&p, &cfg, &t, &mut pol, |_| false);
         assert_eq!(denied.denied_fd, 2);
         assert_eq!(denied.counters.fd_demotions, 0);
         // With every request denied the energy reverts to status quo.

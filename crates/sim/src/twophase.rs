@@ -31,9 +31,10 @@
 //!
 //! ## Exactness contract
 //!
-//! For any trace, profile, config and (deterministic) release policy
-//! `R`, feeding phase 1's request times through `R` and replaying the
-//! verdicts yields a report **bit-identical** to the lock-step
+//! For any trace, profile, config and deterministic grant rule `R` (a
+//! closure from request time to verdict), feeding phase 1's request
+//! times through `R` and replaying the verdicts yields a report
+//! **bit-identical** to the lock-step
 //! `run_with_release(.., R)` — same energy bits, same counters, same
 //! confusion matrix, same denials and premature promotions. Pinned by
 //! the property tests below over random traces × policies × release
@@ -73,8 +74,8 @@ use crate::report::SimReport;
 /// the decisions behind those requests scored against the Oracle rule.
 ///
 /// Times are in trace order (strictly non-decreasing) — exactly the
-/// order the engine presents requests to a
-/// [`ReleasePolicy`](tailwise_radio::fastdormancy::ReleasePolicy), so a
+/// order the lock-step engine asks its grant rule about them
+/// ([`run_with_release`](crate::engine::run_with_release)), so a
 /// coordinator can merge streams from many devices and hand each device
 /// back one verdict per entry.
 ///
@@ -225,10 +226,8 @@ mod tests {
     use crate::oracle::OracleIdle;
     use crate::policy::{FixedWait, IdleContext, IdleDecision, StatusQuo};
     use proptest::prelude::*;
-    use tailwise_radio::admission::{AdmissionPolicy, LoadReactive, REQUEST_MESSAGES};
-    use tailwise_radio::fastdormancy::{
-        AlwaysAccept, FractionalAccept, NeverAccept, RateLimited, ReleasePolicy,
-    };
+    use tailwise_radio::admission::{AdmissionPolicy, LoadReactive, RateLimited, REQUEST_MESSAGES};
+    use tailwise_trace::mix::splitmix64;
     use tailwise_trace::packet::{Direction, Packet};
     use tailwise_trace::time::Duration;
 
@@ -243,10 +242,10 @@ mod tests {
         Trace::from_sorted(pkts).unwrap()
     }
 
-    /// Adjudicates a request trace through a release policy, the way a
+    /// Adjudicates a request trace through a grant rule, the way a
     /// single-device coordinator would.
-    fn adjudicate(requests: &RequestTrace, release: &mut dyn ReleasePolicy) -> Vec<bool> {
-        requests.times.iter().map(|&at| release.accept(at)).collect()
+    fn adjudicate(requests: &RequestTrace, mut grant: impl FnMut(Instant) -> bool) -> Vec<bool> {
+        requests.times.iter().map(|&at| grant(at)).collect()
     }
 
     #[test]
@@ -441,32 +440,35 @@ mod tests {
         Reactive(u64, u64),
     }
 
-    /// Lifts a load-observing [`AdmissionPolicy`] into a
-    /// [`ReleasePolicy`] by charging each verdict's adjudication-time
-    /// messages back into the policy — exactly what a cell coordinator
-    /// does, so the lock-step reference and the external adjudication
-    /// see the same stateful policy.
-    struct ObservingRelease<A: AdmissionPolicy>(A);
-
-    impl<A: AdmissionPolicy> ReleasePolicy for ObservingRelease<A> {
-        fn accept(&mut self, at: Instant) -> bool {
-            let ok = self.0.admit(at);
-            self.0.observe(at, if ok { 3 } else { REQUEST_MESSAGES });
-            ok
-        }
-        fn name(&self) -> &'static str {
-            "observing-admission"
-        }
-    }
-
-    fn build_release(choice: ReleaseChoice) -> Box<dyn ReleasePolicy> {
+    /// A fresh grant rule for `choice`. Every rule is deterministic, so
+    /// two instances give the lock-step reference and the external
+    /// adjudication the same verdicts.
+    fn build_release(choice: ReleaseChoice) -> Box<dyn FnMut(Instant) -> bool> {
         match choice {
-            ReleaseChoice::Always => Box::new(AlwaysAccept),
-            ReleaseChoice::Never => Box::new(NeverAccept),
-            ReleaseChoice::Fractional(p) => Box::new(FractionalAccept::new(p as f64 / 255.0, 42)),
-            ReleaseChoice::RateLimited(ms) => Box::new(RateLimited::new(Duration::from_millis(ms))),
+            ReleaseChoice::Always => Box::new(|_| true),
+            ReleaseChoice::Never => Box::new(|_| false),
+            ReleaseChoice::Fractional(p) => {
+                // About p/255 of requests, by a hash of the request count.
+                let mut count = 0u64;
+                Box::new(move |_| {
+                    count += 1;
+                    splitmix64(42 ^ count) % 255 < u64::from(p)
+                })
+            }
+            ReleaseChoice::RateLimited(ms) => {
+                let mut policy = RateLimited::new(Duration::from_millis(ms));
+                Box::new(move |at| policy.admit(at))
+            }
             ReleaseChoice::Reactive(watermark, window) => {
-                Box::new(ObservingRelease(LoadReactive::new(watermark, window)))
+                // Each verdict's adjudication-time messages are charged
+                // back into the policy, exactly as a cell coordinator
+                // does.
+                let mut policy = LoadReactive::new(watermark, window);
+                Box::new(move |at| {
+                    let ok = policy.admit(at);
+                    policy.observe(at, if ok { 3 } else { REQUEST_MESSAGES });
+                    ok
+                })
             }
         }
     }
@@ -513,12 +515,12 @@ mod tests {
             // Reference: the lock-step engine consulting the release
             // policy inline.
             let reference =
-                run_with_release(p, &cfg, &t, build_policy(policy).as_mut(), build_release(release).as_mut());
+                run_with_release(p, &cfg, &t, build_policy(policy).as_mut(), build_release(release));
 
             // Two-phase: extract requests, adjudicate externally with a
             // fresh instance of the same release policy, replay.
             let requests = record_requests(p, &cfg, &t, build_policy(policy).as_mut());
-            let verdicts = adjudicate(&requests, build_release(release).as_mut());
+            let verdicts = adjudicate(&requests, build_release(release));
             let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
 
             prop_assert_eq!(replayed.energy, reference.energy);
@@ -545,24 +547,6 @@ mod tests {
             (n, offset) in (1u64..6, 0u64..6),
             carrier in 0usize..4,
         ) {
-            /// Grants request `i` iff `i % n == offset % n` — the
-            /// stateful twin of the pattern script.
-            struct EveryNth {
-                n: u64,
-                offset: u64,
-                counter: u64,
-            }
-            impl ReleasePolicy for EveryNth {
-                fn accept(&mut self, _at: Instant) -> bool {
-                    let ok = self.counter % self.n == self.offset % self.n;
-                    self.counter += 1;
-                    ok
-                }
-                fn name(&self) -> &'static str {
-                    "every-nth"
-                }
-            }
-
             let p = &CarrierProfile::paper_carriers()[carrier];
             let cfg = SimConfig::default();
             let t = trace_from_gaps(&gaps_ms);
@@ -571,13 +555,15 @@ mod tests {
             let verdicts: Vec<bool> =
                 (0..requests.len() as u64).map(|i| i % n == offset % n).collect();
             let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
-            let reference = run_with_release(
-                p,
-                &cfg,
-                &t,
-                build_policy(policy).as_mut(),
-                &mut EveryNth { n, offset, counter: 0 },
-            );
+            // Grants request `i` iff `i % n == offset % n` — the
+            // stateful twin of the pattern script.
+            let mut counter = 0u64;
+            let every_nth = move |_| {
+                let ok = counter % n == offset % n;
+                counter += 1;
+                ok
+            };
+            let reference = run_with_release(p, &cfg, &t, build_policy(policy).as_mut(), every_nth);
 
             prop_assert_eq!(replayed.energy, reference.energy);
             prop_assert_eq!(replayed.counters, reference.counters);
