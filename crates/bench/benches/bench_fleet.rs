@@ -59,7 +59,12 @@ fn fleet_throughput(c: &mut Criterion) {
     let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut group = c.benchmark_group("fleet_throughput");
     group.throughput(Throughput::Elements(scenario.user_days()));
-    for threads in [1usize, 2, max_threads] {
+    // One case per distinct count: on a 2-core host `max_threads` is 2,
+    // and a repeated label would be a duplicate key in the `--json` ledger.
+    let mut thread_counts = vec![1usize, 2, max_threads];
+    thread_counts.sort_unstable();
+    thread_counts.dedup();
+    for threads in thread_counts {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{threads}threads")),
             &threads,

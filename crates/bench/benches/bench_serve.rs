@@ -4,10 +4,14 @@
 //!
 //! `warm_repeat` times submit→`done` of an exact repeat, every user a
 //! phase-1 cache and replay-memo hit, so what is left is adjudication,
-//! the memo folds, the report and manifest, and the protocol.
-//! `jobs_round_trip` times one `jobs` exchange on the same connection
-//! (each reply is a `job` line and an `end` line): the protocol alone.
-//! It runs first, while the registry holds only the cold job.
+//! the memo folds, the report and manifest, and the protocol. Both of
+//! its admission levels are `always`, so adjudication only counts the
+//! requests. `warm_repeat_reactive` repeats the same job with a
+//! `reactive:50:5` RNC, whose every request is gated, after one cold
+//! run of its own. `jobs_round_trip` times one `jobs` exchange on the
+//! same connection (each reply is a `job` line and an `end` line): the
+//! protocol alone. It runs first, while the registry holds only the
+//! cold job.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -89,6 +93,16 @@ fn served_job(c: &mut Criterion) {
     });
     group.bench_function("warm_repeat", |b| {
         b.iter(|| submit_until_done(&mut client, black_box(SCENARIO)))
+    });
+    let always = "admission = \"always\"\n\n[[carrier]]";
+    assert!(SCENARIO.contains(always), "the RNC level is the last admission line");
+    let reactive = SCENARIO.replace(
+        always,
+        "admission = \"reactive\"\nwatermark_per_s = 50\nwindow_s = 5\n\n[[carrier]]",
+    );
+    submit_until_done(&mut client, &reactive);
+    group.bench_function("warm_repeat_reactive", |b| {
+        b.iter(|| submit_until_done(&mut client, black_box(&reactive)))
     });
     group.finish();
 

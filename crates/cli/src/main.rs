@@ -1301,6 +1301,12 @@ mod tests {
         assert!(err.contains("cannot run scheme"), "{err}");
         let err = build_err(&["--cells", "4", "--admission", "reactive"]);
         assert!(err.contains("watermark"), "{err}");
+        // An interval that rounds to zero microseconds is no interval.
+        for flag in ["--admission", "--rnc-admission"] {
+            let err = build_err(&["--cells", "4", "--rncs", "2", flag, "rate-limited:0.0000001"]);
+            assert!(err.contains(&format!("{flag} \"rate-limited:0.0000001\"")), "{err}");
+            assert!(err.contains("must be positive in whole microseconds"), "{err}");
+        }
     }
 
     #[test]

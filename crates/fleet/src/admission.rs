@@ -32,6 +32,16 @@
 use tailwise_radio::admission::{AdmissionPolicy, AlwaysAccept, LoadReactive, RateLimited};
 use tailwise_trace::time::Duration;
 
+/// `secs` as a [`Duration`] when it is finite and rounds to at least one
+/// microsecond, the grain a `Duration` holds. Every interval a scenario
+/// file or token gives is checked here, on the value the run will use:
+/// a positive float under half a microsecond would otherwise become a
+/// zero interval.
+pub(crate) fn positive_duration(secs: f64) -> Option<Duration> {
+    let duration = Duration::from_secs_f64(secs);
+    (secs.is_finite() && duration > Duration::ZERO).then_some(duration)
+}
+
 /// A declarative (file-representable) admission policy for one level of
 /// the network hierarchy. See the module docs for the variants and the
 /// token grammar.
@@ -124,10 +134,12 @@ impl std::str::FromStr for AdmissionSpec {
                 let secs: f64 = secs
                     .parse()
                     .map_err(|_| format!("rate-limited interval {secs:?} is not a number"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(format!("rate-limited interval must be positive, got {secs}"));
-                }
-                Ok(AdmissionSpec::RateLimited { min_interval: Duration::from_secs_f64(secs) })
+                let Some(min_interval) = positive_duration(secs) else {
+                    return Err(format!(
+                        "rate-limited interval must be positive in whole microseconds, got {secs}"
+                    ));
+                };
+                Ok(AdmissionSpec::RateLimited { min_interval })
             }
             "reactive" => {
                 let (watermark, window) = match args.as_slice() {
@@ -198,6 +210,12 @@ mod tests {
             assert_eq!(token.parse::<AdmissionSpec>().unwrap(), spec, "token {token:?}");
         }
         assert_eq!("reactive:120".parse::<AdmissionSpec>().unwrap().to_string(), "reactive:120");
+        // The shortest interval a token can hold: half a microsecond
+        // rounds up to one.
+        assert_eq!(
+            "rate-limited:0.0000005".parse::<AdmissionSpec>().unwrap(),
+            AdmissionSpec::RateLimited { min_interval: Duration::from_micros(1) }
+        );
     }
 
     #[test]
@@ -207,6 +225,9 @@ mod tests {
             ("always:1", "takes no parameters"),
             ("rate-limited", "exactly one parameter"),
             ("rate-limited:0", "must be positive"),
+            ("rate-limited:0.0000001", "must be positive in whole microseconds, got 0.0000001"),
+            ("rate-limited:-1", "must be positive"),
+            ("rate-limited:inf", "must be positive"),
             ("rate-limited:soon", "not a number"),
             ("reactive", "needs a watermark"),
             ("reactive:fast", "not a message rate"),

@@ -36,10 +36,9 @@ use tailwise_radio::signaling::SignalingBudget;
 use tailwise_scenfile::{parse, str_elements, u64_elements, DocWriter, Pos, ScenError, Table};
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::corpus::TraceFormat;
-use tailwise_trace::time::Duration;
 use tailwise_workload::apps::AppKind;
 
-use crate::admission::AdmissionSpec;
+use crate::admission::{positive_duration, AdmissionSpec};
 use crate::mobility::{self, MobilitySpec};
 use crate::scenario::Scenario;
 use crate::source::{CorpusScenario, CorpusSpec, SourceSet, UserSource};
@@ -242,13 +241,15 @@ fn admission_from_table(table: &Table) -> Result<AdmissionSpec, ScenError> {
                     "admission = \"rate-limited\" needs `min_interval_s`",
                 ));
             };
-            if !(interval.is_finite() && interval > 0.0) {
+            let Some(min_interval) = positive_duration(interval) else {
                 return Err(ScenError::at(
                     interval_pos,
-                    format!("`min_interval_s` must be positive, got {interval}"),
+                    format!(
+                        "`min_interval_s` must be positive in whole microseconds, got {interval}"
+                    ),
                 ));
-            }
-            Ok(AdmissionSpec::RateLimited { min_interval: Duration::from_secs_f64(interval) })
+            };
+            Ok(AdmissionSpec::RateLimited { min_interval })
         }
         "reactive" => {
             reject_param("min_interval_s", "rate-limited")?;
@@ -646,14 +647,14 @@ fn sim_from_doc(doc: &Table) -> Result<SimConfig, ScenError> {
     let Some(table) = doc.table("sim") else { return Ok(sim) };
     table.deny_unknown(&["intra_burst_gap_s", "window_capacity"], &[], &[])?;
     if let Some(gap) = table.get_float("intra_burst_gap_s")? {
-        if !(gap.is_finite() && gap > 0.0) {
+        let Some(gap) = positive_duration(gap) else {
             let pos = table.get("intra_burst_gap_s").map(|i| i.pos).unwrap_or(table.pos());
             return Err(ScenError::at(
                 pos,
-                format!("`intra_burst_gap_s` must be positive, got {gap}"),
+                format!("`intra_burst_gap_s` must be positive in whole microseconds, got {gap}"),
             ));
-        }
-        sim.intra_burst_gap = Duration::from_secs_f64(gap);
+        };
+        sim.intra_burst_gap = gap;
     }
     match table.get_u64("window_capacity")? {
         Some(0) => return Err(at_least_one(table, "window_capacity")),
@@ -775,6 +776,7 @@ mod tests {
     use proptest::prelude::*;
     use tailwise_radio::signaling::SignalingModel;
     use tailwise_scenfile::ScenErrorKind;
+    use tailwise_trace::time::Duration;
 
     const MINIMAL: &str = concat!(
         "[scenario]\n",
@@ -1207,6 +1209,22 @@ mod tests {
         ));
         assert!(e.message.contains("needs `min_interval_s`"), "{e}");
 
+        // Checked after rounding to whole microseconds: a positive
+        // interval under half a microsecond would be a zero interval.
+        let limited = "admission = \"rate-limited\"\nmin_interval_s = 0.0000001\n";
+        for (levels, line) in [
+            (format!("[cells]\ncount = 2\n{limited}"), 6),
+            (format!("[cells]\ncount = 2\n[rnc]\ncount = 1\n{limited}"), 8),
+        ] {
+            let e = err_of(&format!(
+                "[scenario]\nusers = 5\n{levels}[[carrier]]\nprofile = \"att-hspa\"\n\
+                 [[app]]\nkind = \"im\"\n"
+            ));
+            assert_eq!(e.pos, Pos::new(line, 18), "{e}");
+            let expect = "`min_interval_s` must be positive in whole microseconds, got 0.0000001";
+            assert!(e.message.contains(expect), "{e}");
+        }
+
         let e = err_of(concat!(
             "[scenario]\nusers = 5\n",
             "[cells]\ncount = 2\nadmission = \"sometimes\"\n", // 5 (value at col 13)
@@ -1552,6 +1570,16 @@ mod tests {
         let e = err_of(zero_window);
         assert_eq!(e.pos, Pos::new(4, 19));
         assert!(e.message.contains("`window_capacity` must be at least 1"), "{e}");
+
+        // A gap under half a microsecond rounds to zero: refused as one.
+        let e = err_of(&zero_window.replace("window_capacity = 0", "intra_burst_gap_s = 4e-7"));
+        assert_eq!(e.pos, Pos::new(4, 21));
+        let expect = "`intra_burst_gap_s` must be positive in whole microseconds, got 0.0000004";
+        assert!(e.message.contains(expect), "{e}");
+        let half = zero_window.replace("window_capacity = 0", "intra_burst_gap_s = 5e-7");
+        let shortest = source_set_from_str(&half).expect("half a microsecond rounds up to one");
+        let UserSource::Synthetic(scenario) = shortest.source else { panic!("synthetic") };
+        assert_eq!(scenario.sim.intra_burst_gap, Duration::from_micros(1));
     }
 
     // ------------------------------------------------------------------

@@ -36,9 +36,14 @@
 //!    then the RNC; a denial at either level denies. Every verdict's
 //!    adjudication-time message cost (`per_fd_demotion` per grant,
 //!    [`REQUEST_MESSAGES`] per denial) is observed by both levels, so
-//!    load-reactive policies see the rate they are protecting. The
-//!    frontier absorbs the partitions in RNC order: per-cell counts,
-//!    handoff loads and the denied `(user, seq)` pairs.
+//!    load-reactive policies see the rate they are protecting. When
+//!    both levels are [`AdmissionSpec::Always`] (the paper's §2.2
+//!    assumption), no verdict can be a denial, so the partition builds
+//!    no request events: the same walk counts each residence segment's
+//!    requests as its cell's grants and their handoff hints, and only
+//!    the handoff sides are sorted and charged. The frontier absorbs the
+//!    partitions in RNC order: per-cell counts, handoff loads and the
+//!    denied `(user, seq)` pairs.
 //! 3. **Pass 2** — the sharded runner *re-materializes* each user's
 //!    trace (synthesis and corpus walks are deterministic, so the same
 //!    index yields the same trace) and replays it exactly from the
@@ -208,6 +213,14 @@ impl NetworkTopology {
         cell_of(master_seed, index, self.cells)
     }
 
+    /// Whether either admission level can deny a fast-dormancy request.
+    /// When neither can — both `always`, the paper's §2.2 assumption —
+    /// every verdict is a grant by construction, and adjudication counts
+    /// requests instead of gating them.
+    fn can_deny(&self) -> bool {
+        self.cell_admission != AdmissionSpec::Always || self.rnc_admission != AdmissionSpec::Always
+    }
+
     /// Asserts the count invariants programmatic construction can
     /// violate (scenario files reject them at parse time).
     fn validate_counts(&self) {
@@ -307,9 +320,12 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
         .collect()
 }
 
-/// RNC `rnc`'s adjudication partition, sorted into its deterministic
-/// `(time, user, kind)` order. `streams[i]` is user `i`'s pass-1
-/// product, with time-sorted requests, and `rnc_of` the [`rnc_table`].
+/// Walks RNC `rnc`'s share of every user, the way its adjudication
+/// partition is built: pushes each handoff side the RNC owns into
+/// `events`, and hands `segment` every residence segment spent in one
+/// of its cells, as `(events, user, cell, first seq, request times,
+/// trajectory)`. `streams[i]` is user `i`'s pass-1 product, with
+/// time-sorted requests, and `rnc_of` the [`rnc_table`].
 ///
 /// A request belongs to the partition of the RNC owning the cell the
 /// user occupies at that instant. Handoffs are charged over the user's
@@ -323,18 +339,20 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 /// Each user's time-sorted handoff list cuts their requests into
 /// residence segments, one cell each; a segment outside this RNC is
 /// skipped whole, found by binary search, with no per-request cell
-/// lookup. The list is empty under static mobility: a static user's one
-/// segment is their home cell, so a user homed in another RNC is
-/// skipped outright. Each request's handoff hint comes from the user's
-/// [`Trajectory`], derived once per user.
-fn rnc_events(
+/// lookup (debug builds check every request's cell against
+/// [`NetworkTopology::user_cell`]). The list is empty under static
+/// mobility: a static user's one segment is their home cell, so a user
+/// homed in another RNC is skipped outright. Each user's [`Trajectory`]
+/// is derived once and lent to `segment` for the handoff hints.
+fn walk_partition(
     topology: &NetworkTopology,
     master_seed: u64,
     streams: &[RequestTrace],
     rnc_of: &[usize],
     rnc: usize,
-) -> Vec<AdjEvent> {
-    let mut events = Vec::new();
+    events: &mut Vec<AdjEvent>,
+    mut segment: impl FnMut(&mut Vec<AdjEvent>, u64, u64, usize, &[Instant], &Trajectory),
+) {
     for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
         let times = &stream.times;
@@ -362,21 +380,14 @@ fn rnc_events(
             let end = next
                 .map_or(times.len(), |h| start + times[start..].partition_point(|&at| at < h.at));
             if rnc_of[cell as usize] == rnc {
-                for (seq, &at) in (start..).zip(&times[start..end]) {
+                for &at in &times[start..end] {
                     debug_assert_eq!(
                         cell,
                         topology.user_cell(master_seed, user, at),
                         "user {user} at {at:?}"
                     );
-                    let hinted = trajectory.handoff_within(at);
-                    debug_assert_eq!(
-                        hinted,
-                        topology.mobility.handoff_within(master_seed, user, topology.cells, at),
-                        "user {user} at {at:?}"
-                    );
-                    let kind = AdjEventKind::Request { seq: seq as u32, hinted };
-                    events.push(AdjEvent { at, user, kind, cell });
                 }
+                segment(events, user, cell, start, &times[start..end], &trajectory);
             }
             if let Some(h) = next {
                 cell = h.to;
@@ -384,6 +395,52 @@ fn rnc_events(
             start = end;
         }
     }
+}
+
+/// Whether user `user`'s `trajectory` hints a handoff at `at`; debug
+/// builds check it against the spec-level [`MobilitySpec::handoff_within`].
+fn hinted(
+    topology: &NetworkTopology,
+    master_seed: u64,
+    user: u64,
+    trajectory: &Trajectory,
+    at: Instant,
+) -> bool {
+    let hinted = trajectory.handoff_within(at);
+    debug_assert_eq!(
+        hinted,
+        topology.mobility.handoff_within(master_seed, user, topology.cells, at),
+        "user {user} at {at:?}"
+    );
+    hinted
+}
+
+/// RNC `rnc`'s adjudication partition ([`walk_partition`]), every
+/// request an event beside the handoff sides, sorted into its
+/// deterministic `(time, user, kind)` order.
+fn rnc_events(
+    topology: &NetworkTopology,
+    master_seed: u64,
+    streams: &[RequestTrace],
+    rnc_of: &[usize],
+    rnc: usize,
+) -> Vec<AdjEvent> {
+    let mut events = Vec::new();
+    walk_partition(
+        topology,
+        master_seed,
+        streams,
+        rnc_of,
+        rnc,
+        &mut events,
+        |events, user, cell, first, times, trajectory| {
+            for (seq, &at) in (first..).zip(times) {
+                let hinted = hinted(topology, master_seed, user, trajectory, at);
+                let kind = AdjEventKind::Request { seq: seq as u32, hinted };
+                events.push(AdjEvent { at, user, kind, cell });
+            }
+        },
+    );
     // Each user's requests arrive as presorted runs, which the stable
     // sort merges rather than re-sorts. The order is strict, so
     // stability itself changes nothing.
@@ -426,16 +483,23 @@ impl Partial for Adjudication {
     }
 }
 
-/// Adjudicates RNC `rnc`'s partition ([`rnc_events`]) through fresh
-/// admission policies for the RNC and each of its cells. The result's
-/// per-cell vectors cover exactly the RNC's cells, its per-RNC vectors
-/// the RNC alone.
+/// Adjudicates RNC `rnc`'s partition. The result's per-cell vectors
+/// cover exactly the RNC's cells, its per-RNC vectors the RNC alone.
+///
+/// With `gate`, every request is an event ([`rnc_events`]) fed through
+/// fresh admission policies for the RNC and each of its cells. Without
+/// it — [`NetworkTopology::can_deny`] is false, so every verdict is a
+/// grant by construction — the partition's walk counts each residence
+/// segment's requests into its cell's grants and their handoff hints
+/// into `hint_grants`, and only the handoff sides become events, sorted
+/// and charged exactly as the gated path charges them.
 fn adjudicate_rnc(
     topology: &NetworkTopology,
     master_seed: u64,
     streams: &[RequestTrace],
     rnc_of: &[usize],
     rnc: usize,
+    gate: bool,
 ) -> Adjudication {
     let first_cell = rnc_of.partition_point(|&owner| owner < rnc);
     let cell_count = rnc_of.partition_point(|&owner| owner <= rnc) - first_cell;
@@ -446,6 +510,29 @@ fn adjudicate_rnc(
             cells[home - first_cell].users += 1;
         }
     }
+    let mut hint_grants = 0;
+    let events = if gate {
+        rnc_events(topology, master_seed, streams, rnc_of, rnc)
+    } else {
+        let mut handoffs = Vec::new();
+        walk_partition(
+            topology,
+            master_seed,
+            streams,
+            rnc_of,
+            rnc,
+            &mut handoffs,
+            |_, user, cell, _, times, trajectory| {
+                cells[cell as usize - first_cell].granted += times.len() as u64;
+                hint_grants += times
+                    .iter()
+                    .filter(|&&at| hinted(topology, master_seed, user, trajectory, at))
+                    .count() as u64;
+            },
+        );
+        handoffs.sort();
+        handoffs
+    };
     // Handoff messages per second, charged here and merged into the
     // replay-time loads after pass 2 so handoff storms count against
     // the same budgets as everything else. The events come in time
@@ -453,13 +540,12 @@ fn adjudicate_rnc(
     let mut cell_handoffs = vec![Load::new(); cell_count];
     let mut rnc_handoffs = Load::new();
     let mut rnc_load = RncLoad::default();
-    let mut hint_grants = 0;
     let mut denials = Vec::new();
     let mut cell_policies: Vec<_> =
         (0..cell_count).map(|_| topology.cell_admission.build()).collect();
     let mut rnc_policy = topology.rnc_admission.build();
     let signaling = &topology.signaling;
-    for e in rnc_events(topology, master_seed, streams, rnc_of, rnc) {
+    for e in events {
         let cell = e.cell as usize - first_cell;
         match e.kind {
             AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
@@ -811,9 +897,11 @@ pub(crate) fn run_topology(
     );
 
     // ---- Adjudication: one RNC partition per shard, built, sorted ----
-    // and gated by whichever worker claims it, absorbed in RNC order.
-    // Live progress counts users, so this pass publishes none.
+    // and gated by whichever worker claims it (its requests only counted
+    // when no level can deny), absorbed in RNC order. Live progress
+    // counts users, so this pass publishes none.
     let rnc_of = rnc_table(topology);
+    let gate = topology.can_deny();
     let Adjudication {
         cells: mut cell_loads,
         rncs: mut rnc_loads,
@@ -828,7 +916,7 @@ pub(crate) fn run_topology(
         &Adjudication::default,
         &|rnc, _| {
             let _adjudicate = span(obs.recorder, "adjudicate");
-            Ok(adjudicate_rnc(topology, master_seed, &streams, &rnc_of, rnc as usize))
+            Ok(adjudicate_rnc(topology, master_seed, &streams, &rnc_of, rnc as usize, gate))
         },
     )?;
     let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
@@ -1078,6 +1166,31 @@ mod tests {
         use proptest::prelude::*;
         use proptest::prop::collection::vec;
 
+        /// The partition tests' fleet: `rncs` RNCs over `rncs +
+        /// extra_cells` cells, static or commuting, one user per
+        /// request-time shape.
+        fn partition_fleet(
+            shapes: Vec<Vec<i64>>,
+            rncs: u64,
+            extra_cells: u64,
+            commute: bool,
+        ) -> (NetworkTopology, Vec<usize>, Vec<RequestTrace>) {
+            let mut topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
+            if commute {
+                topology.mobility = MobilitySpec::commute();
+            }
+            let rnc_of = rnc_table(&topology);
+            let recorded = shapes
+                .into_iter()
+                .map(|mut times| {
+                    times.sort_unstable();
+                    let times = times.into_iter().map(Instant::from_micros).collect();
+                    RequestTrace { times, ..RequestTrace::default() }
+                })
+                .collect();
+            (topology, rnc_of, recorded)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1153,19 +1266,8 @@ mod tests {
                 (rncs, extra_cells, seed, commute) in
                     (1u64..=4, 0u64..6, 0u64..1_000, prop::bool::ANY),
             ) {
-                let mut topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
-                if commute {
-                    topology.mobility = MobilitySpec::commute();
-                }
-                let rnc_of = rnc_table(&topology);
-                let recorded: Vec<RequestTrace> = shapes
-                    .into_iter()
-                    .map(|mut times| {
-                        times.sort_unstable();
-                        let times = times.into_iter().map(Instant::from_micros).collect();
-                        RequestTrace { times, ..RequestTrace::default() }
-                    })
-                    .collect();
+                let (topology, rnc_of, recorded) =
+                    partition_fleet(shapes, rncs, extra_cells, commute);
 
                 // Every event once, tagged with the RNC it belongs to,
                 // from the spec-level oracles.
@@ -1203,6 +1305,45 @@ mod tests {
                 }
                 held.sort();
                 prop_assert_eq!(held, expect);
+            }
+
+            /// With both levels `always`, counting each residence
+            /// segment's requests adjudicates every RNC partition
+            /// exactly as gating its full event stream through
+            /// `AlwaysAccept` does: the same per-cell users, grants,
+            /// denials and handoff counts, the same per-cell and per-RNC
+            /// handoff loads, inter-RNC handoffs and hint grants, and no
+            /// denials. Same fleets as above: commuters cross RNCs and
+            /// some requests fall inside a handoff hint window.
+            #[test]
+            fn counted_adjudication_matches_the_gated_event_path(
+                shapes in vec(vec(0i64..108_000_000_000, 0..24), 0..24),
+                (rncs, extra_cells, seed, commute) in
+                    (1u64..=4, 0u64..6, 0u64..1_000, prop::bool::ANY),
+            ) {
+                let (topology, rnc_of, recorded) =
+                    partition_fleet(shapes, rncs, extra_cells, commute);
+                prop_assert!(!topology.can_deny());
+                for rnc in 0..rncs as usize {
+                    let counted = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc, false);
+                    let gated = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc, true);
+                    prop_assert_eq!(&counted.cells, &gated.cells, "RNC {} cells", rnc);
+                    prop_assert_eq!(&counted.rncs, &gated.rncs, "RNC {}", rnc);
+                    prop_assert_eq!(
+                        &counted.cell_handoffs,
+                        &gated.cell_handoffs,
+                        "RNC {} cell handoff loads",
+                        rnc
+                    );
+                    prop_assert_eq!(
+                        &counted.rnc_handoffs,
+                        &gated.rnc_handoffs,
+                        "RNC {} handoff load",
+                        rnc
+                    );
+                    prop_assert_eq!(counted.hint_grants, gated.hint_grants, "RNC {} hints", rnc);
+                    prop_assert!(counted.denials.is_empty() && gated.denials.is_empty());
+                }
             }
         }
     }
