@@ -117,7 +117,7 @@ COMMANDS
                                           phase-1 extraction)
   fleet manifest <run.toml>
                    re-parse a --metrics run manifest (strict) and
-                   print its provenance, phase timings and counters
+                   print its provenance, phase timings, counters and gauges
                      --require-phases     (error unless every phase
                                           timing is positive)
                      --digest             (print only the 16-hex-digit
@@ -789,7 +789,7 @@ fn cmd_fleet_manifest(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn st
     for (name, seconds) in manifest.timings.phases() {
         writeln!(out, "  {name:<11} {seconds:>8.2} s")?;
     }
-    for (name, value) in &manifest.counters {
+    for (name, value) in manifest.counters.iter().chain(&manifest.gauges) {
         writeln!(out, "  {name:<24} {value}")?;
     }
     if args.flag("require-phases") {

@@ -39,14 +39,15 @@
 //! `(Fingerprint, scheme token, topology hash)` at the population
 //! level and `(user index, verdict-stream hash)` per user. A memo hit
 //! folds a stored [`ReplayOutcome`] (status-quo baseline and the user's
-//! sparse `(cell, second, msgs)` load deltas included) instead of
-//! materializing the trace and re-running the engine; a sweep cell pays
-//! only for the users whose verdicts changed. The `topo_hash` pins
-//! exactly the facts the per-cell attribution depends on — cell count,
-//! mobility model, signaling message weights — and deliberately
-//! excludes the RNC shape and admission axes (verdicts already capture
-//! every admission decision; RNC loads are derived from the cell loads
-//! at fold time), which is what lets an admission sweep share one memo.
+//! `(cell, second, msgs)` load deltas, as compact byte runs, included)
+//! instead of materializing the trace and re-running the engine; a
+//! sweep cell pays only for the users whose verdicts changed. The
+//! `topo_hash` pins exactly the facts the per-cell attribution depends
+//! on — cell count, mobility model, signaling message weights — and
+//! deliberately excludes the RNC shape and admission axes (verdicts
+//! already capture every admission decision; RNC loads are derived from
+//! the cell loads at fold time), which is what lets an admission sweep
+//! share one memo.
 //! Counters: `replay_hits` / `replay_misses` per user (emitted only
 //! when a cache is configured), `replay_spills` per `.twr` write, and
 //! `replay_fallbacks` for untrusted files.
@@ -56,12 +57,12 @@
 //! The cache can be wrong about the disk but never about the answer.
 //! Both spill kinds — `.twc` request streams and `.twr` replay
 //! outcomes — load through one path: a missing file is a miss, and a
-//! corrupt, truncated, or mismatched-header file, one holding a user or
-//! cell outside the population, or one whose load deltas are not
-//! strictly ascending by `(cell, second)`, is a *fallback* — counted on the
-//! `cache_fallbacks` (resp. `replay_fallbacks`) counter, recomputed,
-//! never trusted. Both spill through one write-then-rename path, whose
-//! failures count on the same fallback counters. The
+//! corrupt, truncated, or mismatched-header file (an older format
+//! version included), one holding a user or cell outside the
+//! population, or one whose load runs are malformed, is a *fallback* —
+//! counted on the `cache_fallbacks` (resp. `replay_fallbacks`) counter,
+//! recomputed, never trusted. Both spill through one write-then-rename
+//! path, whose failures count on the same fallback counters. The
 //! bit-identity harnesses in `tests/cache_fleet.rs` and
 //! `tests/replay_fleet.rs` pin that a cached, spilled, reloaded, or
 //! fallback run produces byte-identical reports.
@@ -80,6 +81,7 @@ use tailwise_trace::io::{
     ReplayCacheHeader, ReplayOutcome, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
 };
 use tailwise_trace::mix::splitmix64 as splitmix;
+use tailwise_trace::time::Instant;
 use tailwise_trace::TraceError;
 
 use crate::scenario::Scenario;
@@ -330,6 +332,47 @@ fn spill(
     }
 }
 
+/// What one store of a [`RequestCache`] holds: its per-user entries,
+/// and the heap bytes they occupy (allocated capacity, not length).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreSize {
+    /// Per-user items held: request streams, baselines or memoized
+    /// outcomes.
+    pub entries: u64,
+    /// Heap bytes allocated for them.
+    pub bytes: u64,
+}
+
+/// The sizes of a [`RequestCache`]'s three stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheSizes {
+    /// Phase-1 request streams.
+    pub streams: StoreSize,
+    /// Status-quo baseline summaries.
+    pub baselines: StoreSize,
+    /// The replay memo's outcomes.
+    pub memo: StoreSize,
+}
+
+impl CacheSizes {
+    /// Sets one gauge per store and measure: `cache_stream_entries`,
+    /// `cache_stream_bytes`, `cache_baseline_entries`,
+    /// `cache_baseline_bytes`, `cache_memo_entries` and
+    /// `cache_memo_bytes`.
+    pub fn record(&self, recorder: &dyn tailwise_obs::Recorder) {
+        for (name, value) in [
+            ("cache_stream_entries", self.streams.entries),
+            ("cache_stream_bytes", self.streams.bytes),
+            ("cache_baseline_entries", self.baselines.entries),
+            ("cache_baseline_bytes", self.baselines.bytes),
+            ("cache_memo_entries", self.memo.entries),
+            ("cache_memo_bytes", self.memo.bytes),
+        ] {
+            recorder.gauge(name, value);
+        }
+    }
+}
+
 /// A phase-1 request (and baseline) cache, plus the phase-2 replay
 /// memo, shared across fleet runs.
 ///
@@ -365,6 +408,32 @@ impl RequestCache {
     /// The spill directory, when this cache has one.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
+    }
+
+    /// What each store holds now, in entries and heap bytes.
+    pub fn sizes(&self) -> CacheSizes {
+        use std::mem::size_of;
+        let mut sizes = CacheSizes::default();
+        for streams in self.streams.lock().expect("request cache map").values() {
+            sizes.streams.entries += streams.len() as u64;
+            sizes.streams.bytes += (streams.capacity() * size_of::<RequestTrace>()
+                + streams.iter().map(|s| s.times.capacity() * size_of::<Instant>()).sum::<usize>())
+                as u64;
+        }
+        for baselines in self.baselines.lock().expect("baseline cache map").values() {
+            sizes.baselines.entries += baselines.len() as u64;
+            sizes.baselines.bytes += (baselines.capacity() * size_of::<(u64, u64)>()) as u64;
+        }
+        for outcomes in self.outcomes.lock().expect("replay memo map").values() {
+            sizes.memo.entries += outcomes.len() as u64;
+            let held: usize = outcomes
+                .values()
+                .map(|o| o.delay_bits.capacity() * size_of::<u64>() + o.load.as_bytes().len())
+                .sum();
+            let slots = outcomes.capacity() * size_of::<((u64, u64), ReplayOutcome)>();
+            sizes.memo.bytes += (slots + held) as u64;
+        }
+        sizes
     }
 
     /// The spill file named for a fingerprint and scheme (scheme tokens
@@ -457,15 +526,12 @@ impl RequestCache {
             return Arc::clone(hit);
         }
         let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
-        // The fold indexes its per-cell runs with the stored cells and
-        // merges the triples as sorted runs, so a user or cell outside
-        // the population, or triples not strictly ascending by
-        // `(cell, second)`, make the file untrusted.
+        // The fold indexes its per-cell loads with the stored cells, so
+        // a user or cell outside the population makes the file
+        // untrusted. The reader has already checked that the load runs
+        // are canonical, hence strictly ascending by `(cell, second)`.
         let trusted = |r: &ReplayOutcomeRecord| {
-            let seconds = &r.outcome.seconds;
-            r.user < fingerprint.users
-                && seconds.iter().all(|&(cell, _, _)| cell < topology.cells)
-                && seconds.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
+            r.user < fingerprint.users && r.outcome.load.runs().all(|run| run.cell < topology.cells)
         };
         let path = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr"));
         let loaded = path.and_then(|path| {
@@ -532,7 +598,6 @@ mod tests {
     use tailwise_core::schemes::Scheme;
     use tailwise_obs::{Obs, Recorder as _};
     use tailwise_sim::Confusion;
-    use tailwise_trace::time::Instant;
     use tailwise_workload::apps::AppKind;
 
     /// Request streams with a distinct confusion matrix per user, so a
@@ -733,7 +798,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn sample_entry(energy: f64, seconds: Vec<(u64, i64, u64)>) -> ReplayOutcome {
+    fn sample_entry(energy: f64, triples: Vec<(u64, i64, u64)>) -> ReplayOutcome {
         ReplayOutcome {
             packets: 100,
             energy_bits: energy.to_bits(),
@@ -744,7 +809,7 @@ mod tests {
             baseline_energy_bits: (energy * 2.0).to_bits(),
             baseline_switches: 3,
             delay_bits: vec![0.25f64.to_bits()],
-            seconds,
+            load: tailwise_trace::load::LoadDeltas::from_triples(triples).unwrap(),
         }
     }
 

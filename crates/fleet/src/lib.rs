@@ -103,7 +103,7 @@ pub mod sweep;
 pub mod topology;
 
 pub use admission::AdmissionSpec;
-pub use cache::{Fingerprint, RequestCache};
+pub use cache::{CacheSizes, Fingerprint, RequestCache, StoreSize};
 pub use histogram::Histogram;
 pub use manifest::{ManifestReport, ManifestSignaling, RunManifest};
 pub use mobility::{Handoff, MobilitySpec};

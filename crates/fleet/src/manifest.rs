@@ -14,6 +14,7 @@
 //! [run]       # provenance: name, scheme, source, seed, threads, runs, wall_seconds
 //! [timings]   # synthesize_s / simulate_s / adjudicate_s / replay_s, worker_busy = [...]
 //! [counters]  # every recorder counter, verbatim
+//! [gauges]    # every recorder gauge's last value, verbatim
 //! [[report]]  # one per produced FleetReport: headline figures
 //! ```
 
@@ -104,6 +105,9 @@ pub struct RunManifest {
     pub timings: RunTimings,
     /// Every recorder counter, verbatim (names are bare keys).
     pub counters: BTreeMap<String, u64>,
+    /// Every recorder gauge's last value, verbatim (names are bare
+    /// keys): the request cache's store sizes after a cached run.
+    pub gauges: BTreeMap<String, u64>,
     /// Headline figures: one row per produced report.
     pub reports: Vec<ManifestReport>,
 }
@@ -207,6 +211,7 @@ impl RunManifest {
             wall_seconds,
             timings: RunTimings::from_snapshot(snapshot, wall_seconds),
             counters: snapshot.counters.clone(),
+            gauges: snapshot.gauges.clone(),
             reports,
         }
     }
@@ -232,6 +237,10 @@ impl RunManifest {
         w.float_array("worker_busy", &self.timings.worker_busy);
         w.blank().table("counters");
         for (name, value) in &self.counters {
+            w.uint(name, *value);
+        }
+        w.blank().table("gauges");
+        for (name, value) in &self.gauges {
             w.uint(name, *value);
         }
         for report in &self.reports {
@@ -279,7 +288,7 @@ impl RunManifest {
     /// positioned errors, exactly like scenario files.
     pub fn from_toml_str(src: &str) -> Result<RunManifest, ScenError> {
         let doc = parse(src)?;
-        doc.deny_unknown(&[], &["run", "timings", "counters"], &["report"])?;
+        doc.deny_unknown(&[], &["run", "timings", "counters", "gauges"], &["report"])?;
 
         let run = doc.table("run").ok_or_else(|| missing_table("run"))?;
         run.deny_unknown(
@@ -309,12 +318,19 @@ impl RunManifest {
             worker_busy: float_elements("worker_busy", timings_table.req_array("worker_busy")?)?,
         };
 
-        let mut counters = BTreeMap::new();
-        if let Some(table) = doc.table("counters") {
-            for key in table.keys() {
-                counters.insert(key.to_string(), table.req_u64(key)?);
+        // Both optional: a run may record neither, and manifests written
+        // before gauges were recorded carry no `[gauges]` table.
+        let uints = |name: &str| -> Result<BTreeMap<String, u64>, ScenError> {
+            let mut values = BTreeMap::new();
+            if let Some(table) = doc.table(name) {
+                for key in table.keys() {
+                    values.insert(key.to_string(), table.req_u64(key)?);
+                }
             }
-        }
+            Ok(values)
+        };
+        let counters = uints("counters")?;
+        let gauges = uints("gauges")?;
 
         let mut reports = Vec::new();
         for row in doc.array_of_tables("report") {
@@ -336,6 +352,7 @@ impl RunManifest {
             wall_seconds,
             timings,
             counters,
+            gauges,
             reports,
         })
     }
@@ -353,7 +370,8 @@ impl RunManifest {
     /// One well-mixed word over the manifest's *deterministic* content:
     /// provenance (name, scheme, source, seed) and every `[[report]]`
     /// row's simulation figures. Measurement details — thread count,
-    /// wall clocks, phase timings, recorder counters — are excluded,
+    /// wall clocks, phase timings, recorder counters and gauges — are
+    /// excluded,
     /// mirroring [`FleetReport`]'s `PartialEq`. Two runs of the same
     /// scenario digest equally at any thread count, observed or not,
     /// batch or streamed through the fleet service; `fleet manifest
@@ -564,6 +582,30 @@ mod tests {
         assert_eq!(parsed.counters["cache_fallbacks"], 2);
         assert_eq!(parsed.counters["corpus_walks"], 1);
         assert_eq!(parsed, manifest);
+    }
+
+    #[test]
+    fn gauges_round_trip_and_stay_out_of_the_digest() {
+        let mut snapshot = sample_snapshot();
+        snapshot.gauges.insert("cache_memo_bytes".into(), 123_456);
+        snapshot.gauges.insert("cache_memo_entries".into(), 16);
+        let manifest = RunManifest::for_report(&sample_report(), 2, 77, &snapshot);
+        let text = manifest.to_toml_string();
+        assert!(text.contains("\n[gauges]\ncache_memo_bytes = 123456\n"), "{text}");
+        let parsed = RunManifest::from_toml_str(&text).unwrap();
+        assert_eq!(parsed, manifest);
+        assert_eq!(parsed.gauges["cache_memo_entries"], 16);
+        // Measurement, like the counters: the digest ignores them.
+        let bare = RunManifest::for_report(&sample_report(), 2, 77, &sample_snapshot());
+        assert!(bare.gauges.is_empty());
+        assert_eq!(bare.digest(), manifest.digest());
+        // A manifest written before gauges existed has no table at all.
+        let old =
+            text.replace("\n[gauges]\ncache_memo_bytes = 123456\ncache_memo_entries = 16\n", "\n");
+        assert!(!old.contains("[gauges]"), "{old}");
+        let parsed_old = RunManifest::from_toml_str(&old).unwrap();
+        assert!(parsed_old.gauges.is_empty());
+        assert_eq!(parsed_old.digest(), manifest.digest());
     }
 
     #[test]

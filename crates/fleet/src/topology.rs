@@ -54,11 +54,13 @@
 //!    walk over the time-ordered transition log turns its RRC messages
 //!    into the user's `(cell, second, msgs)` load deltas, each transition
 //!    in the cell the user's [`Trajectory`] names, strictly ascending by
-//!    `(cell, second)` — exactly the `.twr` record payload. Loads are
-//!    sorted `(second, msgs)` runs that add by linear merge: a live
-//!    user's deltas and a memo hit's stored ones merge into the shard's
-//!    per-cell runs, shards into the frontier's, handoff charges into
-//!    their cells', and cells into their RNC's. A sweep that replays one
+//!    `(cell, second)`, encoded as [`LoadDeltas`] byte runs — exactly
+//!    what the memo holds and a `.twr` record stores. Loads are sorted
+//!    `(second, msgs)` runs that add by linear merge: each cell run of a
+//!    live user's deltas or a memo hit's stored ones decodes in one pass
+//!    and merges into the shard's load for that cell, shards into the
+//!    frontier's, handoff charges into their cells', and cells into
+//!    their RNC's. A sweep that replays one
 //!    population under several admission policies thus runs the
 //!    scheme's policy once per user, not once per cell.
 //!
@@ -109,6 +111,7 @@ use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
 use tailwise_sim::twophase::{replay_outcome, replay_requests, RequestTrace};
 use tailwise_trace::io::ReplayOutcome;
+use tailwise_trace::load::LoadDeltas;
 use tailwise_trace::mix::splitmix64 as splitmix;
 use tailwise_trace::time::Instant;
 
@@ -633,22 +636,37 @@ type Load = Vec<(i64, u64)>;
 /// Adds the strictly ascending `(second, msgs)` run `run` into `load`
 /// in one linear merge; a second both hold sums. The result is strictly
 /// ascending again, so loads add in any grouping to the same run.
-fn add_load(load: &mut Load, run: impl ExactSizeIterator<Item = (i64, u64)>) {
-    if load.is_empty() || run.len() == 0 {
-        load.extend(run);
-    } else {
-        let mut merged = Vec::with_capacity(load.len() + run.len());
-        let mut held = load.iter().copied().peekable();
-        for (second, messages) in run {
-            while let Some(earlier) = held.next_if(|&(at, _)| at < second) {
-                merged.push(earlier);
-            }
-            let same = held.next_if(|&(at, _)| at == second).map_or(0, |(_, m)| m);
-            merged.push((second, same + messages));
+///
+/// The merge runs backward inside `load`'s own buffer, grown by
+/// `run.len()` slots: a fold adds thousands of runs, and a fresh
+/// buffer per merge would allocate and fault in a whole cell load each
+/// time.
+fn add_load(load: &mut Load, run: &[(i64, u64)]) {
+    let held = load.len();
+    load.resize(held + run.len(), (0, 0));
+    // `load[..earlier]` holds the entries still to merge and
+    // `load[next..]` the merged tail; the slots between are free, one
+    // per run entry still to merge and one per second summed so far, so
+    // a write never lands on an unread entry.
+    let (mut earlier, mut next) = (held, load.len());
+    for &(second, messages) in run.iter().rev() {
+        while earlier > 0 && load[earlier - 1].0 > second {
+            next -= 1;
+            earlier -= 1;
+            load[next] = load[earlier];
         }
-        merged.extend(held);
-        *load = merged;
+        let same = if earlier > 0 && load[earlier - 1].0 == second {
+            earlier -= 1;
+            load[earlier].1
+        } else {
+            0
+        };
+        next -= 1;
+        load[next] = (second, same + messages);
     }
+    // `load[..earlier]` never moved; each summed second left one unused
+    // slot between it and the merged tail.
+    load.drain(earlier..next);
     debug_assert!(load.windows(2).all(|w| w[0].0 < w[1].0), "load runs must be strictly ascending");
 }
 
@@ -691,9 +709,9 @@ fn score_loads(
 ) -> (Vec<LoadScore>, Vec<LoadScore>) {
     let mut cell_scores = Vec::with_capacity(cell_loads.len());
     for ((mut load, handoffs), &rnc) in cell_loads.into_iter().zip(cell_handoffs).zip(rnc_of) {
-        add_load(&mut load, handoffs.into_iter());
+        add_load(&mut load, &handoffs);
         cell_scores.push(score_load(&load, &topology.cell_budget));
-        add_load(&mut rnc_loads[rnc], load.into_iter());
+        add_load(&mut rnc_loads[rnc], &load);
     }
     let rnc_scores = rnc_loads.iter().map(|load| score_load(load, &topology.rnc_budget)).collect();
     (cell_scores, rnc_scores)
@@ -701,12 +719,12 @@ fn score_loads(
 
 /// Load deltas from time-ordered `(cell, second, msgs)` charges:
 /// triples strictly ascending by `(cell, second)`, each summing the
-/// charges of its pair — the `.twr` payload.
+/// charges of its pair, encoded as the memo and `.twr` keep them.
 ///
 /// One walk run-length encodes the charges per `(cell, second)`. A
 /// static user's list comes out sorted; a commuter's, whose cells
 /// alternate over the day, is sorted and coalesced afterwards.
-fn load_deltas(charges: impl IntoIterator<Item = (u64, i64, u64)>) -> Vec<(u64, i64, u64)> {
+fn load_deltas(charges: impl IntoIterator<Item = (u64, i64, u64)>) -> LoadDeltas {
     let mut deltas: Vec<(u64, i64, u64)> = Vec::new();
     let mut ascending = true;
     for (cell, second, messages) in charges {
@@ -728,10 +746,7 @@ fn load_deltas(charges: impl IntoIterator<Item = (u64, i64, u64)>) -> Vec<(u64, 
             same
         });
     }
-    // The memo may keep the list for the rest of the process: drop the
-    // growth slack rather than hold it there.
-    deltas.shrink_to_fit();
-    deltas
+    LoadDeltas::from_triples(deltas).expect("coalesced charges are strictly ascending")
 }
 
 /// User `index`'s [`load_deltas`] from the time-ordered transition log
@@ -742,7 +757,7 @@ fn user_load(
     master_seed: u64,
     index: u64,
     transitions: &[Transition],
-) -> Vec<(u64, i64, u64)> {
+) -> LoadDeltas {
     let trajectory = topology.trajectory(master_seed, index);
     load_deltas(transitions.iter().map(|t| {
         // Pass 2 attributes each transition to the cell the user
@@ -777,16 +792,24 @@ struct TopologyPartial {
     /// hash)`, collected only when a request cache is configured
     /// (empty otherwise) and taught back to it after the run.
     fresh: Vec<((u64, u64), ReplayOutcome)>,
+    /// One cell run's decoded `(second, msgs)` entries, reused from
+    /// user to user.
+    decoded: Load,
 }
 
 impl TopologyPartial {
-    /// Adds one user's `(cell, second, msgs)` deltas, strictly
-    /// ascending by `(cell, second)`, into the per-cell loads: one merge
-    /// per cell the user loaded.
-    fn add_user_load(&mut self, deltas: &[(u64, i64, u64)]) {
-        for cell_deltas in deltas.chunk_by(|a, b| a.0 == b.0) {
-            let run = cell_deltas.iter().map(|&(_, second, messages)| (second, messages));
-            add_load(&mut self.seconds[cell_deltas[0].0 as usize], run);
+    /// Adds one user's load deltas into the per-cell loads: each cell
+    /// run decodes in one pass, straight into a cell no user has loaded
+    /// yet, else into the reused buffer, which then merges.
+    fn add_user_load(&mut self, deltas: &LoadDeltas) {
+        for run in deltas.runs() {
+            let load = &mut self.seconds[run.cell as usize];
+            if load.is_empty() {
+                run.decode_into(load);
+            } else {
+                run.decode_into(&mut self.decoded);
+                add_load(load, &self.decoded);
+            }
         }
     }
 }
@@ -795,7 +818,7 @@ impl Partial for TopologyPartial {
     fn absorb(&mut self, mut other: TopologyPartial) {
         self.report.merge(&other.report);
         for (mine, theirs) in self.seconds.iter_mut().zip(other.seconds) {
-            add_load(mine, theirs.into_iter());
+            add_load(mine, &theirs);
         }
         // Shard-order absorption reassembles user-index order, exactly
         // as pass 1's request-stream collection does.
@@ -985,6 +1008,7 @@ pub(crate) fn run_topology(
         seconds: vec![Load::new(); topology.cells as usize],
         baselines: Vec::new(),
         fresh: Vec::new(),
+        decoded: Load::new(),
     };
     let folded: TopologyPartial =
         run_sharded(shard_count, threads, obs, &empty_partial, &|shard, ctx| {
@@ -1007,7 +1031,7 @@ pub(crate) fn run_topology(
                                 .baselines
                                 .push((outcome.baseline_energy_bits, outcome.baseline_switches));
                         }
-                        partial.add_user_load(&outcome.seconds);
+                        partial.add_user_load(&outcome.load);
                         // Synthetic populations carry a uniform
                         // days-per-user, pinned by the fingerprint.
                         let days = *fp_days;
@@ -1045,8 +1069,8 @@ pub(crate) fn run_topology(
                 );
                 let mut outcome = replay_outcome(&scheme_run, baseline_energy_j, baseline_switches);
                 let transitions = scheme_run.transitions.as_deref().unwrap_or_default();
-                outcome.seconds = user_load(topology, master_seed, index, transitions);
-                partial.add_user_load(&outcome.seconds);
+                outcome.load = user_load(topology, master_seed, index, transitions);
+                partial.add_user_load(&outcome.load);
                 partial.report.fold_user_outcome(days, &outcome);
                 if memo.is_some() {
                     partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
@@ -1064,7 +1088,7 @@ pub(crate) fn run_topology(
     drop(memo);
 
     // ---- Per-cell and per-RNC load accounting. -----------------------
-    let TopologyPartial { mut report, seconds, baselines, fresh } = folded;
+    let TopologyPartial { mut report, seconds, baselines, fresh, .. } = folded;
     if learn_baselines {
         if let Some((cache, fingerprint)) = cache {
             debug_assert_eq!(baselines.len() as u64, users);
@@ -1075,6 +1099,9 @@ pub(crate) fn run_topology(
         // Teach the memo what this cell had to replay (a no-op when
         // everything hit, so warm runs leave spill files untouched).
         cache.store_outcomes(&fingerprint, &scheme_token, topology, fresh, obs);
+        if obs.recorder.enabled() {
+            cache.sizes().record(obs.recorder);
+        }
     }
     let (cell_scores, rnc_scores) =
         score_loads(topology, &rnc_of, seconds, cell_handoffs, rnc_handoffs);
@@ -1427,6 +1454,7 @@ mod tests {
                     seconds: vec![Load::new(); CELLS as usize],
                     baselines: Vec::new(),
                     fresh: Vec::new(),
+                    decoded: Load::new(),
                 };
                 let mut shards = vec![empty()];
                 for (user, charges) in per_user.iter().enumerate() {
@@ -1437,7 +1465,7 @@ mod tests {
                         *map.entry((cell, second)).or_insert(0) += messages;
                     }
                     let expect: Vec<_> = map.into_iter().map(|((c, s), m)| (c, s, m)).collect();
-                    prop_assert_eq!(&deltas, &expect, "user {}", user);
+                    prop_assert_eq!(deltas.to_triples(), expect, "user {}", user);
                     shards.last_mut().unwrap().add_user_load(&deltas);
                     if cuts.get(user).copied().unwrap_or(false) {
                         shards.push(empty());

@@ -239,3 +239,50 @@ fn sweep_manifest_round_trips_with_every_key() {
         assert!(timings.phases().iter().any(|(_, s)| *s > 0.0), "{}", row.label);
     }
 }
+
+#[test]
+fn cached_run_manifests_carry_the_cache_store_gauges() {
+    // A cached sweep sets one gauge per store and measure after each
+    // cell; the manifest keeps the last values, writes them as its
+    // `[gauges]` table, reads them back, and leaves them out of the
+    // digest.
+    let base = storm_scenario(12);
+    let set = SourceSet {
+        source: UserSource::Synthetic(base.clone()),
+        axes: vec![SweepAxis::Admission(vec![
+            AdmissionSpec::Always,
+            AdmissionSpec::LoadReactive { watermark_per_s: 5, window_s: 5 },
+        ])],
+    };
+    let recorder = StatsRecorder::new();
+    let obs = Obs { recorder: &recorder, progress: None };
+    let cache = RequestCache::in_memory();
+    let sweep = run_source_sweep_cached(&set, 2, obs, Some(&cache)).unwrap();
+    let manifest = RunManifest::for_sweep(&sweep, 2, base.master_seed, &recorder.snapshot());
+
+    let sizes = cache.sizes();
+    for (name, value) in [
+        ("cache_stream_entries", sizes.streams.entries),
+        ("cache_stream_bytes", sizes.streams.bytes),
+        ("cache_baseline_entries", sizes.baselines.entries),
+        ("cache_baseline_bytes", sizes.baselines.bytes),
+        ("cache_memo_entries", sizes.memo.entries),
+        ("cache_memo_bytes", sizes.memo.bytes),
+    ] {
+        assert!(value > 0, "{name} is zero");
+        assert_eq!(manifest.gauges.get(name), Some(&value), "{name}");
+    }
+    // One stream and one baseline per user; at least one memo entry per
+    // user (a user whose verdicts changed between cells holds two).
+    assert_eq!((sizes.streams.entries, sizes.baselines.entries), (12, 12));
+    assert!(sizes.memo.entries >= 12, "{sizes:?}");
+
+    let text = manifest.to_toml_string();
+    assert!(text.contains("\n[gauges]\n"), "{text}");
+    let parsed = RunManifest::from_toml_str(&text).unwrap();
+    assert_eq!(parsed, manifest);
+    let uncached = run_source_sweep_cached(&set, 2, Obs::none(), None).unwrap();
+    let uncached = RunManifest::for_sweep(&uncached, 2, base.master_seed, &Default::default());
+    assert!(uncached.gauges.is_empty());
+    assert_eq!(uncached.digest(), manifest.digest(), "gauges must stay out of the digest");
+}

@@ -14,11 +14,11 @@
 //! * a cold on-disk cache spills `.twr` files that an entirely fresh
 //!   cache (a later process, conceptually) warm-starts from;
 //! * a corrupted or truncated `.twr`, one naming a cell the topology
-//!   does not have, or one whose load triples are not strictly
-//!   ascending by `(cell, second)`, degrades to recomputation — the
-//!   report stays identical and `replay_fallbacks` counts the save;
+//!   does not have, or one in the version-1 layout, degrades to
+//!   recomputation — the report stays identical and `replay_fallbacks`
+//!   counts the save;
 //! * the spill files themselves are byte-identical at 1, 2, and 8
-//!   threads.
+//!   threads, and store each load triple in at most 2.5 bytes.
 
 use std::path::PathBuf;
 
@@ -26,7 +26,11 @@ use tailwise_fleet::{
     run_source_sweep_cached, RequestCache, RunManifest, SourceSet, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
-use tailwise_trace::io::{read_replay_outcomes, write_replay_outcomes};
+use tailwise_trace::io::{
+    read_replay_outcomes, write_replay_outcomes, ReplayCacheHeader, ReplayOutcomeRecord,
+};
+use tailwise_trace::load::LoadDeltas;
+use tailwise_trace::mix::splitmix64;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tailwise-replay-it-{tag}-{}", std::process::id()));
@@ -254,10 +258,13 @@ fn out_of_range_twr_cells_fall_back_instead_of_panicking() {
     let (header, mut records) = read_replay_outcomes(file).unwrap();
     let load = records
         .iter_mut()
-        .flat_map(|r| &mut r.outcome.seconds)
-        .next()
+        .map(|r| &mut r.outcome.load)
+        .find(|load| !load.is_empty())
         .expect("some user loaded a cell");
-    load.0 = 1000;
+    // Moving the last triple to cell 1000 keeps the order strict.
+    let mut triples = load.to_triples();
+    triples.last_mut().unwrap().0 = 1000;
+    *load = LoadDeltas::from_triples(triples).unwrap();
     write_replay_outcomes(&header, &records, std::fs::File::create(&spill).unwrap()).unwrap();
 
     let (warm, warm_digest, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
@@ -267,40 +274,128 @@ fn out_of_range_twr_cells_fall_back_instead_of_panicking() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn out_of_order_twr_triples_fall_back_instead_of_folding() {
-    // Pass 2 merges each record's load triples as runs sorted by
-    // `(cell, second)`. A checksum-valid `.twr` whose triples break
-    // that order — two adjacent triples swapped, or one `(cell, second)`
-    // repeated — is distrusted as a whole, counted, and recomputed.
-    let dir = temp_dir("order");
-    let (cold, cold_digest, _) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
-    let spill = std::fs::read_dir(&dir)
+/// Every `.twr` spill in `dir`.
+fn twr_spills(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut spills: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "twr"))
-        .expect("cold run spilled a .twr file");
-    let file = std::fs::File::open(&spill).unwrap();
-    let (header, pristine) = read_replay_outcomes(file).unwrap();
-    let loaded = pristine
-        .iter()
-        .position(|r| r.outcome.seconds.len() >= 2)
-        .expect("some user loaded two seconds");
-    type Rewrite = fn(&mut Vec<(u64, i64, u64)>);
-    let swapped: Rewrite = |seconds| seconds.swap(0, 1);
-    let repeated: Rewrite = |seconds| seconds.insert(1, seconds[0]);
-    for (what, rewrite) in [("swapped", swapped), ("repeated", repeated)] {
-        let mut records = pristine.clone();
-        rewrite(&mut records[loaded].outcome.seconds);
-        let out = std::fs::File::create(&spill).unwrap();
-        write_replay_outcomes(&header, &records, out).unwrap();
+        .filter(|p| p.extension().is_some_and(|e| e == "twr"))
+        .collect();
+    spills.sort();
+    spills
+}
 
-        let cache = RequestCache::with_dir(&dir).unwrap();
-        let (warm, warm_digest, counters) = run_storm(2, Some(&cache));
-        assert_eq!(cold, warm, "{what} triples must not change the answer");
-        assert_eq!(cold_digest, warm_digest, "{what} triples must not change the digest");
-        assert!(counter(&counters, "replay_fallbacks") >= 1, "{what} triples must be counted");
+/// `records` in the version-1 `.twr` layout: the version-2 header and
+/// scalar fields, but each load triple as three 8-byte words.
+fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8> {
+    let mut out = b"TWRO".to_vec();
+    out.extend_from_slice(&1u16.to_le_bytes());
+    let mut checksum = 0x7EC0_CACE_0000_0000u64;
+    let mut word = |out: &mut Vec<u8>, word: u64, bytes: usize| {
+        out.extend_from_slice(&word.to_le_bytes()[..bytes]);
+        checksum = splitmix64(checksum ^ word);
+    };
+    let fingerprint = &header.requests;
+    word(&mut out, fingerprint.master_seed, 8);
+    word(&mut out, fingerprint.users, 8);
+    word(&mut out, fingerprint.days as u64, 4);
+    word(&mut out, fingerprint.mix_hash, 8);
+    word(&mut out, fingerprint.sim_hash, 8);
+    word(&mut out, header.topo_hash, 8);
+    word(&mut out, fingerprint.scheme.len() as u64, 2);
+    for &b in fingerprint.scheme.as_bytes() {
+        word(&mut out, b as u64, 1);
     }
+    word(&mut out, records.len() as u64, 8);
+    for r in records {
+        let o = &r.outcome;
+        for scalar in [
+            r.user,
+            r.verdict_hash,
+            o.packets,
+            o.energy_bits,
+            o.switches,
+            o.false_switches,
+            o.missed_switches,
+            o.decisions,
+            o.baseline_energy_bits,
+            o.baseline_switches,
+            o.delay_bits.len() as u64,
+        ] {
+            word(&mut out, scalar, 8);
+        }
+        for &bits in &o.delay_bits {
+            word(&mut out, bits, 8);
+        }
+        let triples = o.load.to_triples();
+        word(&mut out, triples.len() as u64, 8);
+        for (cell, second, msgs) in triples {
+            for field in [cell, second as u64, msgs] {
+                word(&mut out, field, 8);
+            }
+        }
+    }
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn v1_twr_spills_fall_back_once_and_are_rewritten_as_v2() {
+    // A spill directory written before the compact load runs holds
+    // version-1 `.twr` files. A run meets each as an unsupported
+    // version: one `replay_fallbacks`, a live replay of its users, the
+    // same answer, and a version-2 file in its place that the next run
+    // warm-starts from.
+    let dir = temp_dir("v1");
+    let (cold, cold_digest, _) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let spills = twr_spills(&dir);
+    assert!(!spills.is_empty(), "cold run spilled no .twr file");
+    let mut current = Vec::new();
+    for spill in &spills {
+        let (header, records) = read_replay_outcomes(std::fs::File::open(spill).unwrap()).unwrap();
+        std::fs::write(spill, v1_twr(&header, &records)).unwrap();
+        current.push(records);
+    }
+
+    let (warm, warm_digest, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    assert_eq!(cold, warm, "a v1 .twr must not change the answer");
+    assert_eq!(cold_digest, warm_digest, "a v1 .twr must not change the digest");
+    assert_eq!(counter(&counters, "replay_fallbacks"), spills.len() as u64, "one per v1 file");
+    assert!(counter(&counters, "replay_misses") >= USERS, "the v1 file's users replay live");
+    for (spill, records) in spills.iter().zip(&current) {
+        let bytes = std::fs::read(spill).unwrap();
+        assert_eq!(&bytes[..6], b"TWRO\x02\x00", "{} was not rewritten as v2", spill.display());
+        let (_, rewritten) = read_replay_outcomes(bytes.as_slice()).unwrap();
+        assert_eq!(&rewritten, records, "the rewrite must hold what the v1 file held");
+    }
+
+    let (again, again_digest, counters) =
+        run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    assert_eq!(cold, again);
+    assert_eq!(cold_digest, again_digest);
+    assert_eq!(counter(&counters, "replay_fallbacks"), 0);
+    assert_eq!(counter(&counters, "replay_misses"), 0, "the v2 rewrite must warm-start");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn twr_spills_store_a_load_triple_in_at_most_two_and_a_half_bytes() {
+    // The storm's users charge a message count of at most a few dozen
+    // to most seconds' cells, a few seconds apart: about two bytes a
+    // triple as varint runs, against 24 as three words. The bound covers
+    // the whole file, record heads and checksum included.
+    let dir = temp_dir("density");
+    run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let (mut bytes, mut triples) = (0u64, 0u64);
+    for spill in twr_spills(&dir) {
+        let file = std::fs::read(&spill).unwrap();
+        let (_, records) = read_replay_outcomes(file.as_slice()).unwrap();
+        bytes += file.len() as u64;
+        triples += records.iter().map(|r| r.outcome.load.len()).sum::<u64>();
+    }
+    assert!(triples > 10_000, "only {triples} triples spilled");
+    let per_triple = bytes as f64 / triples as f64;
+    assert!(per_triple <= 2.5, "{per_triple:.3} bytes per triple ({bytes} B, {triples} triples)");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

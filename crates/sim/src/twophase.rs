@@ -62,6 +62,7 @@
 
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_trace::io::{ReplayOutcome, RequestStream};
+use tailwise_trace::load::LoadDeltas;
 use tailwise_trace::time::Instant;
 use tailwise_trace::Trace;
 
@@ -138,8 +139,11 @@ pub fn record_requests(
     let pkts = trace.packets();
     let tail_window = profile.tail_window();
     let mut rule = RequestRule::new(profile, config, idle_policy);
-    let times =
+    let mut times: Vec<Instant> =
         (0..pkts.len()).filter_map(|i| rule.decide(Gap::after(pkts, i, tail_window)).1).collect();
+    // A request cache may keep the stream for the rest of the process:
+    // drop the growth slack rather than hold it there.
+    times.shrink_to_fit();
     RequestTrace { times, confusion: rule.confusion }
 }
 
@@ -165,7 +169,7 @@ pub fn replay_outcome(
         baseline_energy_bits: baseline_energy_j.to_bits(),
         baseline_switches,
         delay_bits: report.session_delays.iter().map(|d| d.to_bits()).collect(),
-        seconds: Vec::new(),
+        load: LoadDeltas::default(),
     }
 }
 
@@ -246,6 +250,19 @@ mod tests {
     /// single-device coordinator would.
     fn adjudicate(requests: &RequestTrace, mut grant: impl FnMut(Instant) -> bool) -> Vec<bool> {
         requests.times.iter().map(|&at| grant(at)).collect()
+    }
+
+    #[test]
+    fn recorded_request_times_hold_no_growth_slack() {
+        // A request cache keeps a stream as long as it lives, so the
+        // stream is stored at its length: 21 requests, one after each
+        // packet, not the 32 slots a doubling collect would leave.
+        let p = CarrierProfile::verizon_lte();
+        let t = trace_from_gaps(&[3_000; 20]);
+        let mut wait_zero = FixedWait::new(Duration::ZERO, "x");
+        let r = record_requests(&p, &SimConfig::default(), &t, &mut wait_zero);
+        assert_eq!(r.len(), 21);
+        assert_eq!(r.times.capacity(), r.len());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::TraceError;
+use crate::load::LoadDeltas;
 use crate::packet::{AppId, Direction, Packet};
 use crate::time::Instant;
 use crate::trace::Trace;
@@ -231,6 +232,16 @@ fn fold_scheme(h: u64, token: &[u8]) -> u64 {
     token.iter().fold(fold_word(h, token.len() as u64), |h, &b| fold_word(h, b as u64))
 }
 
+/// Folds a byte string eight bytes at a time, each chunk a little-endian
+/// word, the last one zero-padded. The caller folds the length first.
+fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(h, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        fold_word(h, u64::from_le_bytes(word))
+    })
+}
+
 /// Writes a checksummed spill file: the preamble, then little-endian
 /// fields, each folded into the checksum as it goes out, then the
 /// checksum itself.
@@ -256,6 +267,14 @@ impl<W: Write> SpillWriter<W> {
     fn word32(&mut self, word: u32) -> Result<(), TraceError> {
         self.w.write_all(&word.to_le_bytes())?;
         self.checksum = fold_word(self.checksum, word as u64);
+        Ok(())
+    }
+
+    /// A byte string whose length the caller has written: the bytes as
+    /// they are, folded eight at a time.
+    fn bytes(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
+        self.w.write_all(bytes)?;
+        self.checksum = fold_bytes(self.checksum, bytes);
         Ok(())
     }
 
@@ -310,6 +329,19 @@ impl<R: Read> SpillReader<R> {
         let word = u32::from_le_bytes(b);
         self.checksum = fold_word(self.checksum, word as u64);
         Ok(word)
+    }
+
+    /// Reads the `len` bytes [`SpillWriter::bytes`] wrote. The buffer
+    /// grows only as bytes arrive, so a corrupted length cannot drive a
+    /// huge allocation.
+    fn bytes(&mut self, len: u64, what: &str, at: usize) -> Result<Vec<u8>, TraceError> {
+        let mut bytes = Vec::with_capacity(len.min(1 << 20) as usize);
+        (&mut self.r).take(len).read_to_end(&mut bytes)?;
+        if (bytes.len() as u64) < len {
+            return Err(TraceError::Parse { location: at, message: format!("truncated {what}") });
+        }
+        self.checksum = fold_bytes(self.checksum, &bytes);
+        Ok(bytes)
     }
 
     fn scheme(&mut self) -> Result<String, TraceError> {
@@ -516,8 +548,10 @@ pub fn read_request_streams<R: Read>(
 
 /// Magic bytes of the replay-memo format.
 pub const OUTCOME_MAGIC: &[u8; 4] = b"TWRO";
-/// Current replay-memo format version.
-pub const OUTCOME_VERSION: u16 = 1;
+/// Current replay-memo format version. Version 2 stores each record's
+/// load deltas as [`LoadDeltas`] byte runs instead of 24-byte triples; a
+/// reader meets a version-1 file as an unsupported version.
+pub const OUTCOME_VERSION: u16 = 2;
 
 /// The `.twr` header: everything a memoized phase-2 outcome is keyed
 /// on at the population level.
@@ -543,7 +577,7 @@ pub struct ReplayCacheHeader {
 /// shape a fleet fold consumes and a `.twr` record stores: energy as
 /// `f64::to_bits` words, switch and confusion counts, the status-quo
 /// baseline the run is scored against, the session-delay samples as
-/// bits, and the user's sparse per-second signaling-load deltas.
+/// bits, and the user's per-second signaling-load deltas.
 ///
 /// This is what makes a replay *memoizable*. A replay's outcome is a
 /// pure function of `(profile, config, trace, requests, verdicts)`, so
@@ -574,10 +608,9 @@ pub struct ReplayOutcome {
     pub baseline_switches: u64,
     /// Session-delay samples, each as `f64::to_bits`, in record order.
     pub delay_bits: Vec<u64>,
-    /// Sparse signaling-load deltas: `(cell, second, msgs)` triples,
-    /// strictly ascending by `(cell, second)`. The codec stores any
-    /// order; the fleet's replay memo distrusts a record that breaks it.
-    pub seconds: Vec<(u64, i64, u64)>,
+    /// Signaling-load deltas: `(cell, second, msgs)` triples strictly
+    /// ascending by `(cell, second)`, as compact byte runs.
+    pub load: LoadDeltas,
 }
 
 impl ReplayOutcome {
@@ -654,12 +687,9 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
         for &bits in &o.delay_bits {
             w.word(bits)?;
         }
-        w.word(o.seconds.len() as u64)?;
-        for &(cell, second, msgs) in &o.seconds {
-            w.word(cell)?;
-            w.word(second as u64)?;
-            w.word(msgs)?;
-        }
+        w.word(o.load.len())?;
+        w.word(o.load.as_bytes().len() as u64)?;
+        w.bytes(o.load.as_bytes())?;
     }
     w.finish()
 }
@@ -667,10 +697,11 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
 /// Reads a `.twr` file back into its header and outcome records.
 ///
 /// The failure discipline matches [`read_request_streams`]: wrong
-/// magic, unknown version, oversized scheme token, truncation anywhere,
-/// trailing bytes, and checksum mismatch are all typed
-/// [`TraceError`]s, never a panic, an unbounded allocation, or a
-/// silently wrong outcome.
+/// magic, unknown version (a version-1 file included), oversized scheme
+/// token, truncation anywhere, load runs that are not canonical or do
+/// not hold their declared triple count ([`LoadDeltas::from_bytes`]),
+/// trailing bytes, and checksum mismatch are all typed [`TraceError`]s,
+/// never a panic, an unbounded allocation, or a silently wrong outcome.
 pub fn read_replay_outcomes<R: Read>(
     input: R,
 ) -> Result<(ReplayCacheHeader, Vec<ReplayOutcomeRecord>), TraceError> {
@@ -700,13 +731,16 @@ pub fn read_replay_outcomes<R: Read>(
         for _ in 0..delays {
             outcome.delay_bits.push(word("delay bits")?);
         }
-        let seconds = word("second-map length")? as usize;
-        outcome.seconds.reserve(seconds.min(1 << 24));
-        for _ in 0..seconds {
-            let cell = word("second-map cell")?;
-            let second = word("second-map second")? as i64;
-            outcome.seconds.push((cell, second, word("second-map messages")?));
-        }
+        let triples = word("load triple count")?;
+        let len = word("load byte length")?;
+        let bytes = r.bytes(len, "load runs", i)?;
+        outcome.load = LoadDeltas::from_bytes(triples, bytes).map_err(|e| match e {
+            TraceError::Parse { location, message } => TraceError::Parse {
+                location: i,
+                message: format!("malformed load runs at byte {location}: {message}"),
+            },
+            other => other,
+        })?;
         records.push(ReplayOutcomeRecord { user, verdict_hash, outcome });
     }
     r.finish(count, "record")?;
@@ -1103,7 +1137,7 @@ mod tests {
                     baseline_energy_bits: 2345.75f64.to_bits(),
                     baseline_switches: 4,
                     delay_bits: vec![0.5f64.to_bits(), 1.25f64.to_bits()],
-                    seconds: vec![(0, -3, 28), (0, 90, 5), (2, 90, 6)],
+                    load: LoadDeltas::from_triples([(0, -3, 28), (0, 90, 5), (2, 90, 6)]).unwrap(),
                 },
             },
             // A user with no delays and no signaling load at all.
@@ -1126,9 +1160,10 @@ mod tests {
 
     #[test]
     fn twr_encoding_is_pinned() {
-        // Pinned bytes, for the same reason as the `.twc` pin.
+        // Pinned bytes, for the same reason as the `.twc` pin: version 2,
+        // whose load runs replaced version 1's 24-byte triples.
         let buf = sample_twr();
-        assert_eq!((buf.len(), fold_bytes(&buf)), (354, 0x2c1b_976b_9684_ae66));
+        assert_eq!((buf.len(), fold_bytes(&buf)), (311, 0xb74d_0fe8_7f6d_d509));
     }
 
     #[test]
@@ -1152,6 +1187,72 @@ mod tests {
             read_replay_outcomes(bad.as_slice()),
             Err(TraceError::UnsupportedVersion(99))
         ));
+        // Version 1 stored 24-byte triples.
+        let mut old = buf.clone();
+        old[4] = 1;
+        assert!(matches!(
+            read_replay_outcomes(old.as_slice()),
+            Err(TraceError::UnsupportedVersion(1))
+        ));
+    }
+
+    /// A one-record `.twr` whose load fields are `triples` and `bytes`
+    /// as given, under a valid checksum: what a writer with a broken
+    /// encoder would leave behind.
+    fn twr_with_load(triples: u64, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let header = sample_outcome_header();
+        let mut w = SpillWriter::new(&OUTCOME_FORMAT, &mut buf).unwrap();
+        header.requests.write_fingerprint(&mut w).unwrap();
+        w.word(header.topo_hash).unwrap();
+        w.scheme(&header.requests.scheme).unwrap();
+        w.word(1).unwrap();
+        // Ten scalar words, no delays.
+        for word in [0, 7, 1, 2, 3, 4, 5, 6, 7, 8, 0] {
+            w.word(word).unwrap();
+        }
+        w.word(triples).unwrap();
+        w.word(bytes.len() as u64).unwrap();
+        w.bytes(bytes).unwrap();
+        w.finish().unwrap();
+        buf
+    }
+
+    #[test]
+    fn twr_rejects_malformed_load_runs_under_a_valid_checksum() {
+        // The canonical runs of (0, 1, 2), (0, 3, 4), (5, 0, 1).
+        let valid = [0, 2, 4, 2, 2, 1, 4, 4, 1, 2, 0, 1];
+        let (_, records) = read_replay_outcomes(twr_with_load(3, &valid).as_slice()).unwrap();
+        assert_eq!(records[0].outcome.load.to_triples(), [(0, 1, 2), (0, 3, 4), (5, 0, 1)]);
+        let cases: [(&str, Vec<u8>, u64); 6] = [
+            ("truncated", valid[..11].to_vec(), 3),
+            ("padding byte", [&[0x80, 0][..], &valid[1..]].concat(), 3),
+            ("overflows 64 bits", [&[0xFF; 9][..], &[2], &valid[1..]].concat(), 3),
+            ("eleven bytes", [&[0x80; 10][..], &[1], &valid[1..]].concat(), 3),
+            ("count mismatch", valid.to_vec(), 2),
+            // A run claiming 2^62 entries in a 4-byte body.
+            (
+                "huge run",
+                [&[0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40][..], &valid[2..]]
+                    .concat(),
+                3,
+            ),
+        ];
+        for (what, bytes, triples) in cases {
+            match read_replay_outcomes(twr_with_load(triples, &bytes).as_slice()) {
+                Err(TraceError::Parse { location: 0, message }) => {
+                    assert!(message.starts_with("malformed load runs"), "{what}: {message}");
+                }
+                other => panic!("{what}: read back as {other:?}"),
+            }
+        }
+        // A byte length past the end of the file is a truncation, read
+        // without allocating the declared length.
+        let mut huge = twr_with_load(3, &valid);
+        let at = huge.len() - 8 - valid.len() - 8;
+        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_replay_outcomes(huge.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("truncated load runs"), "{err}");
     }
 
     #[test]

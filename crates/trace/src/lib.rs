@@ -16,6 +16,8 @@
 //!   that MakeIdle's online predictor is built on (§4.2);
 //! * [`bursts`] — burst/session segmentation used by MakeActive (§5);
 //! * [`io`] — CSV and binary persistence with full validation;
+//! * [`load`] — the compact per-second signaling-load deltas a replayed
+//!   user leaves behind, and their byte-run codec;
 //! * [`corpus`] — deterministic sorted directory walks over on-disk
 //!   trace corpora, the substrate for population-scale trace replay;
 //! * [`pcap`] — libpcap ingestion with device-relative direction
@@ -32,6 +34,7 @@ pub mod bursts;
 pub mod corpus;
 pub mod error;
 pub mod io;
+pub mod load;
 pub mod mix;
 pub mod packet;
 pub mod pcap;
@@ -57,6 +60,7 @@ mod proptests {
         read_replay_outcomes, write_replay_outcomes, ReplayCacheHeader, ReplayOutcome,
         ReplayOutcomeRecord, RequestCacheHeader,
     };
+    use crate::load::LoadDeltas;
     use crate::packet::{AppId, Direction, Packet};
     use crate::stats::{EmpiricalDist, SlidingWindow};
     use crate::time::{Duration, Instant};
@@ -398,14 +402,19 @@ mod proptests {
     }
 
     /// `.twr` records with arbitrary scalar words, delay samples and
-    /// second-map entries.
+    /// load deltas.
     fn arb_twr_records(max_len: usize) -> impl Strategy<Value = Vec<ReplayOutcomeRecord>> {
         let record = (
             prop::collection::vec(0u64..u64::MAX, 10),
             prop::collection::vec(0u64..u64::MAX, 0..6),
             prop::collection::vec((0u64..64, -1_000_000i64..100_000_000, 0u64..1_000), 0..8),
         )
-            .prop_map(|(w, delay_bits, seconds)| ReplayOutcomeRecord {
+            .prop_map(|(w, delay_bits, mut triples)| {
+                triples.sort_unstable_by_key(|&(cell, second, _)| (cell, second));
+                triples.dedup_by_key(|&mut (cell, second, _)| (cell, second));
+                (w, delay_bits, LoadDeltas::from_triples(triples).unwrap())
+            })
+            .prop_map(|(w, delay_bits, load)| ReplayOutcomeRecord {
                 user: w[0],
                 verdict_hash: w[1],
                 outcome: ReplayOutcome {
@@ -418,7 +427,7 @@ mod proptests {
                     baseline_energy_bits: w[8],
                     baseline_switches: w[9],
                     delay_bits,
-                    seconds,
+                    load,
                 },
             });
         prop::collection::vec(record, 0..max_len)
@@ -481,7 +490,7 @@ mod proptests {
             if !records.is_empty() {
                 let victim = victim % records.len();
                 let record_len = |r: &ReplayOutcomeRecord| {
-                    8 * (10 + 1 + r.outcome.delay_bits.len() + 1 + 3 * r.outcome.seconds.len())
+                    8 * (10 + 1 + r.outcome.delay_bits.len() + 2) + r.outcome.load.as_bytes().len()
                 };
                 let header_len = 4 + 2 + 8 + 8 + 4 + 8 + 8 + 8 + 2 + "makeidle".len() + 8;
                 let start = header_len + records[..victim].iter().map(record_len).sum::<usize>();
