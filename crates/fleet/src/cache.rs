@@ -7,28 +7,26 @@
 //! admission axis. A [`RequestCache`] exploits that: the first cell pays
 //! the extraction pass and every later cell replays the stored request
 //! streams, so an N-cell sweep costs one extraction plus N cheap
-//! replays. The status-quo baseline each user is scored against is even
-//! more reusable — it is scheme-independent — so the cache also keeps a
-//! per-user `(energy, switches)` baseline summary keyed on the
-//! population alone.
+//! replays. Each user's stream carries the `(energy, switches)` summary
+//! of their status-quo run, the baseline pass 2 scores them against, so
+//! a hit serves that too.
 //!
 //! ## Keys
 //!
 //! A [`Fingerprint`] is the scheme-independent identity of a synthetic
 //! population: master seed, user count, days, a hash of the app/carrier
 //! mixes, and a hash of the behavior-relevant engine knobs. Request
-//! streams are keyed on `(Fingerprint, scheme token)` — the stream
-//! depends on the scheme's idle policy — while baselines are keyed on
-//! the `Fingerprint` alone. Anything the fingerprint excludes (the
-//! admission axes, the cell/RNC topology, mobility, shard size, thread
-//! count, observation knobs) provably cannot change phase-1 output,
-//! which is exactly what makes sweep cells share entries. Mobility in
-//! particular is excluded *by decision, not omission*: phase 1 extracts
-//! each user's request stream from their traffic alone, before any cell
-//! membership is consulted — movement changes where a request is
-//! adjudicated, never whether it is made — so a mobility sweep shares
-//! one extraction pass exactly like an admission sweep (pinned by the
-//! golden fingerprint tests below).
+//! streams are keyed on `(Fingerprint, scheme token)`: the stream
+//! depends on the scheme's idle policy. Anything the fingerprint
+//! excludes (the admission axes, the cell/RNC topology, mobility, shard
+//! size, thread count, observation knobs) provably cannot change
+//! phase-1 output, which is exactly what makes sweep cells share
+//! entries. Mobility in particular is excluded *by decision, not
+//! omission*: phase 1 extracts each user's request stream from their
+//! traffic alone, before any cell membership is consulted — movement
+//! changes where a request is adjudicated, never whether it is made —
+//! so a mobility sweep shares one extraction pass exactly like an
+//! admission sweep (pinned by the golden fingerprint tests below).
 //!
 //! ## The replay memo
 //!
@@ -38,16 +36,16 @@
 //! memoizes each user's phase-2 outcome, keyed on
 //! `(Fingerprint, scheme token, topology hash)` at the population
 //! level and `(user index, verdict-stream hash)` per user. A memo hit
-//! folds a stored [`ReplayOutcome`] (status-quo baseline and the user's
-//! `(cell, second, msgs)` load deltas, as compact byte runs, included)
-//! instead of materializing the trace and re-running the engine; a
-//! sweep cell pays only for the users whose verdicts changed. The
-//! `topo_hash` pins exactly the facts the per-cell attribution depends
-//! on — cell count, mobility model, signaling message weights — and
-//! deliberately excludes the RNC shape and admission axes (verdicts
-//! already capture every admission decision; RNC loads are derived from
-//! the cell loads at fold time), which is what lets an admission sweep
-//! share one memo.
+//! folds a stored [`ReplayOutcome`] (the user's `(cell, second, msgs)`
+//! load deltas, as compact byte runs, included) against the baseline
+//! its stream carries, instead of materializing the trace and
+//! re-running the engine; a sweep cell pays only for the users whose
+//! verdicts changed. The `topo_hash` pins exactly the facts the
+//! per-cell attribution depends on — cell count, mobility model,
+//! signaling message weights — and deliberately excludes the RNC shape
+//! and admission axes (verdicts already capture every admission
+//! decision; RNC loads are derived from the cell loads at fold time),
+//! which is what lets an admission sweep share one memo.
 //! Counters: `replay_hits` / `replay_misses` per user (emitted only
 //! when a cache is configured), `replay_spills` per `.twr` write, and
 //! `replay_fallbacks` for untrusted files.
@@ -75,7 +73,7 @@ use std::sync::{Arc, Mutex};
 
 use tailwise_obs::Obs;
 use tailwise_radio::profile::{CarrierProfile, RadioTech};
-use tailwise_sim::RequestTrace;
+use tailwise_sim::{Confusion, RequestTrace};
 use tailwise_trace::io::{
     read_replay_outcomes, read_request_streams, write_replay_outcomes, write_request_streams,
     ReplayCacheHeader, ReplayOutcome, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
@@ -85,7 +83,7 @@ use tailwise_trace::time::Instant;
 use tailwise_trace::TraceError;
 
 use crate::scenario::Scenario;
-use crate::topology::NetworkTopology;
+use crate::topology::{NetworkTopology, UserRequests};
 
 /// The scheme-independent identity of a synthetic population: everything
 /// that feeds phase-1 request extraction *except* the scheme itself.
@@ -260,13 +258,36 @@ fn topo_hash(topology: &NetworkTopology) -> u64 {
 }
 
 /// Per-user phase-1 products, index-ordered (`streams[i]` is user
-/// `i`'s non-decreasing request times and the confusion counts of the
-/// decisions behind them).
-type Streams = Arc<Vec<RequestTrace>>;
-/// Per-user baseline summaries, index-ordered: `(energy bits, switch
-/// cycles)` of the status-quo run. Energy travels as `f64::to_bits` so
-/// the entry is `Eq`-comparable and round-trips exactly.
-type Baselines = Arc<Vec<(u64, u64)>>;
+/// `i`'s request stream and status-quo baseline).
+type Streams = Arc<Vec<UserRequests>>;
+
+/// A `.twc` stream is exactly a pass-1 record: its times, its four
+/// confusion counts and its two baseline words, so the two conversions
+/// are inverses and a spill round-trips the record bit for bit.
+impl From<RequestStream> for UserRequests {
+    fn from(stream: RequestStream) -> UserRequests {
+        let [tp, fp, tn, fn_] = stream.confusion;
+        let confusion = Confusion { tp, fp, tn, fn_ };
+        UserRequests {
+            requests: RequestTrace { times: stream.times, confusion },
+            baseline: (stream.baseline_energy_bits, stream.baseline_switches),
+        }
+    }
+}
+
+impl From<&UserRequests> for RequestStream {
+    fn from(user: &UserRequests) -> RequestStream {
+        let Confusion { tp, fp, tn, fn_ } = user.requests.confusion;
+        let (baseline_energy_bits, baseline_switches) = user.baseline;
+        RequestStream {
+            times: user.requests.times.clone(),
+            confusion: [tp, fp, tn, fn_],
+            baseline_energy_bits,
+            baseline_switches,
+        }
+    }
+}
+
 /// Memoized replay outcomes for one `(fingerprint, scheme, topology)`
 /// population, keyed by `(user index, verdict hash)` — exactly the
 /// records of its `.twr` file.
@@ -336,35 +357,29 @@ fn spill(
 /// and the heap bytes they occupy (allocated capacity, not length).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreSize {
-    /// Per-user items held: request streams, baselines or memoized
-    /// outcomes.
+    /// Per-user items held: request streams or memoized outcomes.
     pub entries: u64,
     /// Heap bytes allocated for them.
     pub bytes: u64,
 }
 
-/// The sizes of a [`RequestCache`]'s three stores.
+/// The sizes of a [`RequestCache`]'s two stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSizes {
-    /// Phase-1 request streams.
+    /// Phase-1 request streams, baselines included.
     pub streams: StoreSize,
-    /// Status-quo baseline summaries.
-    pub baselines: StoreSize,
     /// The replay memo's outcomes.
     pub memo: StoreSize,
 }
 
 impl CacheSizes {
     /// Sets one gauge per store and measure: `cache_stream_entries`,
-    /// `cache_stream_bytes`, `cache_baseline_entries`,
-    /// `cache_baseline_bytes`, `cache_memo_entries` and
+    /// `cache_stream_bytes`, `cache_memo_entries` and
     /// `cache_memo_bytes`.
     pub fn record(&self, recorder: &dyn tailwise_obs::Recorder) {
         for (name, value) in [
             ("cache_stream_entries", self.streams.entries),
             ("cache_stream_bytes", self.streams.bytes),
-            ("cache_baseline_entries", self.baselines.entries),
-            ("cache_baseline_bytes", self.baselines.bytes),
             ("cache_memo_entries", self.memo.entries),
             ("cache_memo_bytes", self.memo.bytes),
         ] {
@@ -373,8 +388,8 @@ impl CacheSizes {
     }
 }
 
-/// A phase-1 request (and baseline) cache, plus the phase-2 replay
-/// memo, shared across fleet runs.
+/// A phase-1 request cache, plus the phase-2 replay memo, shared across
+/// fleet runs.
 ///
 /// Always holds in-memory maps; optionally spills request streams to a
 /// directory as `.twc` files and replay outcomes as `.twr` files, so
@@ -385,7 +400,6 @@ impl CacheSizes {
 pub struct RequestCache {
     dir: Option<PathBuf>,
     streams: Mutex<HashMap<(Fingerprint, String), Streams>>,
-    baselines: Mutex<HashMap<Fingerprint, Baselines>>,
     outcomes: Mutex<HashMap<(Fingerprint, String, u64), Outcomes>>,
 }
 
@@ -416,13 +430,9 @@ impl RequestCache {
         let mut sizes = CacheSizes::default();
         for streams in self.streams.lock().expect("request cache map").values() {
             sizes.streams.entries += streams.len() as u64;
-            sizes.streams.bytes += (streams.capacity() * size_of::<RequestTrace>()
-                + streams.iter().map(|s| s.times.capacity() * size_of::<Instant>()).sum::<usize>())
-                as u64;
-        }
-        for baselines in self.baselines.lock().expect("baseline cache map").values() {
-            sizes.baselines.entries += baselines.len() as u64;
-            sizes.baselines.bytes += (baselines.capacity() * size_of::<(u64, u64)>()) as u64;
+            let times: usize =
+                streams.iter().map(|s| s.requests.times.capacity() * size_of::<Instant>()).sum();
+            sizes.streams.bytes += (streams.capacity() * size_of::<UserRequests>() + times) as u64;
         }
         for outcomes in self.outcomes.lock().expect("replay memo map").values() {
             sizes.memo.entries += outcomes.len() as u64;
@@ -461,7 +471,7 @@ impl RequestCache {
             let header = fingerprint.header(scheme);
             let loaded =
                 load_spill(&path, read_request_streams, &header, |_| true, "cache_fallbacks", obs)?;
-            let streams: Streams = Arc::new(loaded.into_iter().map(RequestTrace::from).collect());
+            let streams: Streams = Arc::new(loaded.into_iter().map(UserRequests::from).collect());
             self.streams.lock().expect("request cache map").insert(key, Arc::clone(&streams));
             Some(streams)
         });
@@ -492,18 +502,6 @@ impl RequestCache {
         let header = fingerprint.header(scheme);
         let write = |file| write_request_streams(&header, &stored, file);
         spill(&path, write, "cache_spills", "cache_fallbacks", obs);
-    }
-
-    /// Looks up the per-user baseline summaries for a population
-    /// (in-memory only — baselines are cheap to hold and recompute
-    /// compared to spilling them).
-    pub(crate) fn lookup_baselines(&self, fingerprint: &Fingerprint) -> Option<Baselines> {
-        self.baselines.lock().expect("baseline cache map").get(fingerprint).map(Arc::clone)
-    }
-
-    /// Stores per-user baseline summaries for a population.
-    pub(crate) fn store_baselines(&self, fingerprint: &Fingerprint, baselines: Baselines) {
-        self.baselines.lock().expect("baseline cache map").insert(*fingerprint, baselines);
     }
 
     /// Looks up the memoized replay outcomes for a population on a
@@ -597,20 +595,54 @@ mod tests {
     use super::*;
     use tailwise_core::schemes::Scheme;
     use tailwise_obs::{Obs, Recorder as _};
-    use tailwise_sim::Confusion;
     use tailwise_workload::apps::AppKind;
 
-    /// Request streams with a distinct confusion matrix per user, so a
-    /// spill round trip that lost or shuffled the counts would show.
+    /// Request streams with a distinct confusion matrix and baseline per
+    /// user, so a spill round trip that lost or shuffled them would show.
     fn streams_of(per_user: Vec<Vec<Instant>>) -> Streams {
-        let traces = per_user.into_iter().enumerate().map(|(i, times)| {
+        let users = per_user.into_iter().enumerate().map(|(i, times)| {
             let i = i as u64;
-            RequestTrace {
-                times,
-                confusion: Confusion { tp: i + 1, fp: 2 * i, tn: 40 + i, fn_: 7 },
+            UserRequests {
+                requests: RequestTrace {
+                    times,
+                    confusion: Confusion { tp: i + 1, fp: 2 * i, tn: 40 + i, fn_: 7 },
+                },
+                baseline: ((1.5 + i as f64).to_bits(), 3 * i + 1),
             }
         });
-        Arc::new(traces.collect())
+        Arc::new(users.collect())
+    }
+
+    #[test]
+    fn stream_conversions_round_trip() {
+        use tailwise_sim::engine::SimConfig;
+        use tailwise_sim::policy::FixedWait;
+        use tailwise_trace::packet::{Direction, Packet};
+        use tailwise_trace::time::Duration;
+        use tailwise_trace::Trace;
+
+        let p = CarrierProfile::att_hspa();
+        let cfg = SimConfig::default();
+        let mut at = Instant::ZERO;
+        let mut packets = vec![Packet::new(at, Direction::Down, 500)];
+        for gap_ms in [30_000, 400, 20_000] {
+            at += Duration::from_millis(gap_ms);
+            packets.push(Packet::new(at, Direction::Up, 500));
+        }
+        let t = Trace::from_sorted(packets).unwrap();
+        let wait = &mut FixedWait::new(Duration::from_secs(1), "1s");
+        let requests = tailwise_sim::record_requests(&p, &cfg, &t, wait);
+        assert_eq!((requests.confusion.tp, requests.confusion.tn), (3, 1));
+        let status_quo = Scheme::StatusQuo.run(&p, &cfg, &t);
+        let baseline = (status_quo.total_energy().to_bits(), status_quo.switch_cycles());
+        let user = UserRequests { requests, baseline };
+        // The stable-serialization identity: a pass-1 record is exactly
+        // its times, its confusion counts and its baseline words.
+        let stream = RequestStream::from(&user);
+        assert_eq!(stream.times, user.requests.times);
+        assert_eq!(stream.confusion, [3, 0, 1, 0]);
+        assert_eq!((stream.baseline_energy_bits, stream.baseline_switches), baseline);
+        assert_eq!(UserRequests::from(stream), user);
     }
 
     /// The `rnc_storm.toml` population in miniature — the golden
@@ -706,11 +738,6 @@ mod tests {
         assert_eq!(cache.lookup(&fp, "makeidle", obs).as_deref(), Some(&*streams));
         // A different scheme is a different entry.
         assert!(cache.lookup(&fp, "tail45", obs).is_none());
-        // Baselines key on the fingerprint alone.
-        assert!(cache.lookup_baselines(&fp).is_none());
-        let baselines: Baselines = Arc::new(vec![(1, 2), (3, 4), (5, 6)]);
-        cache.store_baselines(&fp, Arc::clone(&baselines));
-        assert_eq!(cache.lookup_baselines(&fp).as_deref(), Some(&*baselines));
     }
 
     #[test]
@@ -806,8 +833,6 @@ mod tests {
             false_switches: 1,
             missed_switches: 2,
             decisions: 20,
-            baseline_energy_bits: (energy * 2.0).to_bits(),
-            baseline_switches: 3,
             delay_bits: vec![0.25f64.to_bits()],
             load: tailwise_trace::load::LoadDeltas::from_triples(triples).unwrap(),
         }

@@ -305,26 +305,26 @@ impl FleetReport {
     /// Folds one user's pair of runs (scheme, status-quo baseline) into
     /// the aggregate.
     pub fn fold_user(&mut self, days: u32, scheme_run: &SimReport, baseline: &SimReport) {
-        self.fold_user_outcome(
-            days,
-            &replay_outcome(scheme_run, baseline.total_energy(), baseline.switch_cycles()),
-        );
+        let baseline = (baseline.total_energy().to_bits(), baseline.switch_cycles());
+        self.fold_user_outcome(days, baseline, &replay_outcome(scheme_run));
     }
 
     /// Folds one user's run in its memoizable [`ReplayOutcome`] form,
-    /// status-quo baseline included. Live runs fold through here too
-    /// (via [`replay_outcome`]), so a user served from the replay memo
-    /// and one replayed afresh are aggregated by the same arithmetic,
-    /// with every float round-tripped losslessly through its bits.
-    pub fn fold_user_outcome(&mut self, days: u32, outcome: &ReplayOutcome) {
-        let baseline_energy_j = f64::from_bits(outcome.baseline_energy_bits);
+    /// scored against `baseline`, the user's status-quo run as `(energy
+    /// bits, switch cycles)`. Live runs fold through here too (via
+    /// [`replay_outcome`]), so a user served from the replay memo and one
+    /// replayed afresh are aggregated by the same arithmetic, with every
+    /// float round-tripped losslessly through its bits.
+    pub fn fold_user_outcome(&mut self, days: u32, baseline: (u64, u64), outcome: &ReplayOutcome) {
+        let (baseline_energy_bits, baseline_switches) = baseline;
+        let baseline_energy_j = f64::from_bits(baseline_energy_bits);
         self.users += 1;
         self.user_days += days as u64;
         self.packets += outcome.packets;
         self.energy_j += outcome.energy_j();
         self.baseline_energy_j += baseline_energy_j;
         self.switches += outcome.switches;
-        self.baseline_switches += outcome.baseline_switches;
+        self.baseline_switches += baseline_switches;
         self.false_switches += outcome.false_switches;
         self.missed_switches += outcome.missed_switches;
         self.decisions += outcome.decisions;

@@ -19,11 +19,12 @@
 //! API ([`tailwise_sim::twophase`]):
 //!
 //! 1. **Pass 1** — the sharded runner streams every user through the
-//!    cheap phase-1 request scan ([`Scheme::request_trace`]): one trace
-//!    materialized per worker, dropped immediately, only the
-//!    time-stamped request stream and the confusion matrix of the
-//!    decisions behind it kept. This is the only pass that runs the
-//!    scheme's policy.
+//!    cheap phase-1 request scan ([`Scheme::request_trace`]) and the
+//!    status-quo run the user is scored against: one trace materialized
+//!    per worker, dropped immediately, only the time-stamped request
+//!    stream, the confusion matrix of the decisions behind it and the
+//!    status quo's energy and switch cycles kept (`UserRequests`).
+//!    This is the only pass that runs the scheme's policy.
 //! 2. **Adjudication** — every request becomes an event in the
 //!    partition of the RNC owning the cell its user occupies at that
 //!    instant, beside both sides of every handoff its cells see (none
@@ -50,29 +51,29 @@
 //!    user's pass-1 requests and scripted verdicts
 //!    ([`replay_requests`]): no policy runs, each gap is demoted or not
 //!    by the recorded request that falls in it, and the confusion matrix
-//!    is pass 1's. The replay folds energy into the [`FleetReport`]; one
-//!    walk over the time-ordered transition log turns its RRC messages
-//!    into the user's `(cell, second, msgs)` load deltas, each transition
-//!    in the cell the user's [`Trajectory`] names, strictly ascending by
-//!    `(cell, second)`, encoded as [`LoadDeltas`] byte runs — exactly
-//!    what the memo holds and a `.twr` record stores. Loads are sorted
-//!    `(second, msgs)` runs that add by linear merge: each cell run of a
-//!    live user's deltas or a memo hit's stored ones decodes in one pass
-//!    and merges into the shard's load for that cell, shards into the
-//!    frontier's, handoff charges into their cells', and cells into
-//!    their RNC's. A sweep that replays one
-//!    population under several admission policies thus runs the
-//!    scheme's policy once per user, not once per cell.
+//!    is pass 1's. The replay folds energy into the [`FleetReport`],
+//!    scored against pass 1's baseline; one walk over the time-ordered
+//!    transition log turns its RRC messages into the user's `(cell,
+//!    second, msgs)` load deltas, each transition in the cell the user's
+//!    [`Trajectory`] names, strictly ascending by `(cell, second)`,
+//!    encoded as [`LoadDeltas`] byte runs — exactly what the memo holds
+//!    and a `.twr` record stores. Loads are sorted `(second, msgs)` runs
+//!    that add by linear merge: each cell run of a live user's deltas or
+//!    a memo hit's stored ones decodes in one pass and merges into the
+//!    shard's load for that cell, shards into the frontier's, handoff
+//!    charges into their cells', and cells into their RNC's. A sweep
+//!    that replays one population under several admission policies thus
+//!    runs the scheme's policy once per user, not once per cell.
 //!
 //! Peak memory stays **one trace per worker** in both passes — the
 //! re-synthesis/re-load is exactly what buys that bound. Between the
 //! passes the run holds O(total requests) timestamps plus four
-//! confusion counts per user and, afterwards, one verdict byte per
-//! request plus one `(second, msgs)` pair per active second of each
-//! cell and RNC — never an array over the time span, which corpus
-//! traces and `.twr` files choose. Adjudication's events live only
-//! while their partition is in flight, so at most `threads` RNCs'
-//! events exist at once.
+//! confusion counts and two baseline words per user and, afterwards,
+//! one verdict byte per request plus one `(second, msgs)` pair per
+//! active second of each cell and RNC — never an array over the time
+//! span, which corpus traces and `.twr` files choose. Adjudication's
+//! events live only while their partition is in flight, so at most
+//! `threads` RNCs' events exist at once.
 //!
 //! ## Determinism
 //!
@@ -323,11 +324,25 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
         .collect()
 }
 
+/// One user's pass-1 record: the scheme's request stream, and the
+/// status-quo run over the same trace that pass 2 scores the user
+/// against, as `(energy bits, switch cycles)`. Energy travels as
+/// `f64::to_bits`, so the record is `Eq`-comparable and a `.twc` spill
+/// round-trips it exactly.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct UserRequests {
+    /// Request times and the confusion counts of the decisions behind
+    /// them.
+    pub(crate) requests: RequestTrace,
+    /// The status-quo run's `(energy bits, switch cycles)`.
+    pub(crate) baseline: (u64, u64),
+}
+
 /// Walks RNC `rnc`'s share of every user, the way its adjudication
 /// partition is built: pushes each handoff side the RNC owns into
 /// `events`, and hands `segment` every residence segment spent in one
 /// of its cells, as `(events, user, cell, first seq, request times,
-/// trajectory)`. `streams[i]` is user `i`'s pass-1 product, with
+/// trajectory)`. `streams[i]` is user `i`'s pass-1 record, with
 /// time-sorted requests, and `rnc_of` the [`rnc_table`].
 ///
 /// A request belongs to the partition of the RNC owning the cell the
@@ -350,7 +365,7 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 fn walk_partition(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[RequestTrace],
+    streams: &[UserRequests],
     rnc_of: &[usize],
     rnc: usize,
     events: &mut Vec<AdjEvent>,
@@ -358,7 +373,7 @@ fn walk_partition(
 ) {
     for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
-        let times = &stream.times;
+        let times = &stream.requests.times;
         let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
         let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
         let trajectory = topology.trajectory(master_seed, user);
@@ -424,7 +439,7 @@ fn hinted(
 fn rnc_events(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[RequestTrace],
+    streams: &[UserRequests],
     rnc_of: &[usize],
     rnc: usize,
 ) -> Vec<AdjEvent> {
@@ -499,7 +514,7 @@ impl Partial for Adjudication {
 fn adjudicate_rnc(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[RequestTrace],
+    streams: &[UserRequests],
     rnc_of: &[usize],
     rnc: usize,
     gate: bool,
@@ -784,10 +799,6 @@ struct TopologyPartial {
     report: FleetReport,
     /// Per cell: the summed load of this partial's users, one sorted run.
     seconds: Vec<Load>,
-    /// Per-user status-quo summaries `(energy bits, switch cycles)` in
-    /// user-index order, collected only when a request cache wants to
-    /// learn this population's baselines (empty otherwise).
-    baselines: Vec<(u64, u64)>,
     /// Freshly replayed memo entries, keyed `(user index, verdict
     /// hash)`, collected only when a request cache is configured
     /// (empty otherwise) and taught back to it after the run.
@@ -820,9 +831,6 @@ impl Partial for TopologyPartial {
         for (mine, theirs) in self.seconds.iter_mut().zip(other.seconds) {
             add_load(mine, &theirs);
         }
-        // Shard-order absorption reassembles user-index order, exactly
-        // as pass 1's request-stream collection does.
-        self.baselines.append(&mut other.baselines);
         self.fresh.append(&mut other.fresh);
     }
 }
@@ -832,21 +840,20 @@ impl Partial for TopologyPartial {
 /// and memory bounds.
 ///
 /// Observation: trace materialization in either pass records under the
-/// `synthesize` span, pass-1 request extraction under `simulate`,
-/// each RNC partition's adjudication under one `adjudicate` span on the
-/// worker that ran it, and pass-2 scripted replay under `replay`. Live
-/// progress counts each user once per executed pass, so the expected
-/// total published to the table is `2 × users` — or `1 × users` when a
-/// request-cache hit skips pass 1 entirely; adjudication publishes
-/// none.
+/// `synthesize` span, pass-1 request extraction and status-quo run
+/// under `simulate`, each RNC partition's adjudication under one
+/// `adjudicate` span on the worker that ran it, and pass-2 scripted
+/// replay under `replay`, one span per user, plus one on the calling
+/// thread for the load scoring after it. Live progress counts each user
+/// once per executed pass, so the expected total published to the table
+/// is `2 × users` — or `1 × users` when a request-cache hit skips pass 1
+/// entirely; adjudication publishes none.
 ///
 /// `cache`: an optional [`RequestCache`], consulted when the population
 /// has a [`Fingerprint`](crate::cache::Fingerprint) (synthetic
-/// populations do). On a hit, pass 1 is skipped and the cached streams
-/// adjudicated directly; on a miss, the extracted streams are stored
-/// for the next cell. Pass 2 similarly serves per-user status-quo
-/// baselines from the cache (they are scheme-independent) and teaches
-/// it the baselines it had to compute. Cached and uncached runs are
+/// populations do). On a hit, pass 1 is skipped and the cached streams,
+/// baselines included, adjudicated directly; on a miss, the extracted
+/// streams are stored for the next cell. Cached and uncached runs are
 /// bit-identical — the harness in `tests/cache_fleet.rs` pins this.
 pub(crate) fn run_topology(
     population: &Population<'_>,
@@ -868,9 +875,10 @@ pub(crate) fn run_topology(
     let shard_count = population.shard_count();
     let cache = cache.zip(population.fingerprint());
 
-    // ---- Pass 1: cheap request extraction (one trace per worker). ----
-    // Or, on a cache hit, no pass at all: the streams were extracted by
-    // an earlier cell of the same population and scheme.
+    // ---- Pass 1: request extraction and the status-quo baseline ------
+    // (one trace per worker). Or, on a cache hit, no pass at all: the
+    // streams were extracted by an earlier cell of the same population
+    // and scheme.
     let scheme_token = scheme.to_string();
     let cached_streams =
         cache.and_then(|(cache, fingerprint)| cache.lookup(&fingerprint, &scheme_token, obs));
@@ -880,23 +888,27 @@ pub(crate) fn run_topology(
         // truthful from the first progress frame.
         table.add_users_total(if cached_streams.is_some() { users } else { users * 2 });
     }
-    let streams: Arc<Vec<RequestTrace>> = match cached_streams {
+    let streams: Arc<Vec<UserRequests>> = match cached_streams {
         Some(streams) => streams,
         None => {
-            let extracted: Vec<(u64, RequestTrace)> =
+            let extracted: Vec<(u64, UserRequests)> =
                 run_sharded(shard_count, threads, obs, &Vec::new, &|shard, ctx| {
                     let mut partial = Vec::new();
                     for index in population.shard_range(shard) {
                         let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
-                        let requests = {
+                        let user = {
                             let _simulate = span(obs.recorder, "simulate");
-                            scheme
+                            let requests = scheme
                                 .request_trace(&carrier, sim, &trace)
-                                .expect("scriptable scheme always yields a request trace")
+                                .expect("scriptable scheme always yields a request trace");
+                            let status_quo = Scheme::StatusQuo.run(&carrier, sim, &trace);
+                            let baseline =
+                                (status_quo.total_energy().to_bits(), status_quo.switch_cycles());
+                            UserRequests { requests, baseline }
                         };
-                        partial.push((index, requests));
+                        partial.push((index, user));
                         ctx.user_done(days as u64);
-                        // `trace` drops here: pass 1 keeps only the requests.
+                        // `trace` drops here: pass 1 keeps only the record.
                     }
                     Ok(partial)
                 })?;
@@ -904,8 +916,7 @@ pub(crate) fn run_topology(
                 extracted.iter().enumerate().all(|(at, (index, _))| at as u64 == *index),
                 "shard-order merge must reassemble users in index order"
             );
-            let streams =
-                Arc::new(extracted.into_iter().map(|(_, requests)| requests).collect::<Vec<_>>());
+            let streams = Arc::new(extracted.into_iter().map(|(_, user)| user).collect::<Vec<_>>());
             if let Some((cache, fingerprint)) = cache {
                 cache.store(&fingerprint, &scheme_token, Arc::clone(&streams), obs);
             }
@@ -948,11 +959,12 @@ pub(crate) fn run_topology(
     // grant.
     assert_eq!(
         granted + denied,
-        streams.iter().map(|s| s.len() as u64).sum::<u64>(),
+        streams.iter().map(|s| s.requests.len() as u64).sum::<u64>(),
         "every request must be adjudicated by exactly one RNC partition"
     );
     debug_assert_eq!(denials.len() as u64, denied);
-    let mut verdicts: Vec<Vec<bool>> = streams.iter().map(|s| vec![true; s.len()]).collect();
+    let mut verdicts: Vec<Vec<bool>> =
+        streams.iter().map(|s| vec![true; s.requests.len()]).collect();
     for (user, seq) in denials {
         verdicts[user as usize][seq as usize] = false;
     }
@@ -981,17 +993,6 @@ pub(crate) fn run_topology(
     // lift it — the log is per user and dropped before the next one.
     let replay_sim =
         SimConfig { record_transitions: true, transition_log_limit: usize::MAX, ..sim.clone() };
-    // The status-quo baseline is scheme-independent, so a cache that
-    // already knows this population serves it; a first encounter
-    // collects the summaries in shard order and teaches the cache.
-    let cached_baselines =
-        cache.and_then(|(cache, fingerprint)| cache.lookup_baselines(&fingerprint));
-    debug_assert!(
-        cached_baselines.as_ref().is_none_or(|b| b.len() as u64 == users),
-        "cached baselines must cover the population exactly"
-    );
-    let learn_baselines = cache.is_some() && cached_baselines.is_none();
-    let cached_baselines = &cached_baselines;
     // The replay memo: per-user outcomes from earlier cells of the same
     // population, keyed by each user's verdict-stream hash. A hit folds
     // the stored outcome — no trace materialization, no engine run —
@@ -1006,7 +1007,6 @@ pub(crate) fn run_topology(
     let empty_partial = || TopologyPartial {
         report: population.empty_report(),
         seconds: vec![Load::new(); topology.cells as usize],
-        baselines: Vec::new(),
         fresh: Vec::new(),
         decoded: Load::new(),
     };
@@ -1019,6 +1019,7 @@ pub(crate) fn run_topology(
             });
             let mut partial = empty_partial();
             for index in population.shard_range(shard) {
+                let user = &streams[index as usize];
                 // Memo hit: fold the cached outcome and load deltas
                 // without materializing the trace or running the engine.
                 if let Some((fp_days, known)) = &memo {
@@ -1026,16 +1027,11 @@ pub(crate) fn run_topology(
                         let (hits, _) = replay_counters.as_ref().expect("memo implies counters");
                         hits.incr();
                         let _replay = span(obs.recorder, "replay");
-                        if learn_baselines {
-                            partial
-                                .baselines
-                                .push((outcome.baseline_energy_bits, outcome.baseline_switches));
-                        }
                         partial.add_user_load(&outcome.load);
                         // Synthetic populations carry a uniform
                         // days-per-user, pinned by the fingerprint.
                         let days = *fp_days;
-                        partial.report.fold_user_outcome(days, outcome);
+                        partial.report.fold_user_outcome(days, user.baseline, outcome);
                         drop(_replay);
                         users_simulated.incr();
                         days_counter.add(days as u64);
@@ -1047,31 +1043,18 @@ pub(crate) fn run_topology(
                 }
                 let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
                 let _replay = span(obs.recorder, "replay");
-                let (baseline_energy_j, baseline_switches) = match cached_baselines {
-                    Some(bases) => {
-                        let (energy_bits, switches) = bases[index as usize];
-                        (f64::from_bits(energy_bits), switches)
-                    }
-                    None => {
-                        let baseline = Scheme::StatusQuo.run(&carrier, sim, &trace);
-                        (baseline.total_energy(), baseline.switch_cycles())
-                    }
-                };
-                if learn_baselines {
-                    partial.baselines.push((baseline_energy_j.to_bits(), baseline_switches));
-                }
                 let scheme_run = replay_requests(
                     &carrier,
                     &replay_sim,
                     &trace,
-                    &streams[index as usize],
+                    &user.requests,
                     &verdicts[index as usize],
                 );
-                let mut outcome = replay_outcome(&scheme_run, baseline_energy_j, baseline_switches);
+                let mut outcome = replay_outcome(&scheme_run);
                 let transitions = scheme_run.transitions.as_deref().unwrap_or_default();
                 outcome.load = user_load(topology, master_seed, index, transitions);
                 partial.add_user_load(&outcome.load);
-                partial.report.fold_user_outcome(days, &outcome);
+                partial.report.fold_user_outcome(days, user.baseline, &outcome);
                 if memo.is_some() {
                     partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
                 }
@@ -1088,13 +1071,7 @@ pub(crate) fn run_topology(
     drop(memo);
 
     // ---- Per-cell and per-RNC load accounting. -----------------------
-    let TopologyPartial { mut report, seconds, baselines, fresh, .. } = folded;
-    if learn_baselines {
-        if let Some((cache, fingerprint)) = cache {
-            debug_assert_eq!(baselines.len() as u64, users);
-            cache.store_baselines(&fingerprint, Arc::new(baselines));
-        }
-    }
+    let TopologyPartial { mut report, seconds, fresh, .. } = folded;
     if let Some((cache, fingerprint)) = cache {
         // Teach the memo what this cell had to replay (a no-op when
         // everything hit, so warm runs leave spill files untouched).
@@ -1103,6 +1080,9 @@ pub(crate) fn run_topology(
             cache.sizes().record(obs.recorder);
         }
     }
+    // The scoring and the roll-up are pass 2's last work: one `replay`
+    // span on this thread.
+    let scoring = span(obs.recorder, "replay");
     let (cell_scores, rnc_scores) =
         score_loads(topology, &rnc_of, seconds, cell_handoffs, rnc_handoffs);
     for (load, score) in cell_loads.iter_mut().zip(cell_scores) {
@@ -1118,6 +1098,7 @@ pub(crate) fn run_topology(
         rnc.granted += load.granted;
         rnc.denied += load.denied;
     }
+    drop(scoring);
     report.signaling = Some(FleetSignaling {
         cell_capacity_per_s: topology.cell_budget.capacity_per_s,
         rnc_capacity_per_s: topology.rnc_budget.capacity_per_s,
@@ -1193,6 +1174,12 @@ mod tests {
         use proptest::prelude::*;
         use proptest::prop::collection::vec;
 
+        /// A pass-1 record of `times` alone.
+        fn recorded(times: Vec<Instant>) -> UserRequests {
+            let requests = RequestTrace { times, ..RequestTrace::default() };
+            UserRequests { requests, ..UserRequests::default() }
+        }
+
         /// The partition tests' fleet: `rncs` RNCs over `rncs +
         /// extra_cells` cells, static or commuting, one user per
         /// request-time shape.
@@ -1201,7 +1188,7 @@ mod tests {
             rncs: u64,
             extra_cells: u64,
             commute: bool,
-        ) -> (NetworkTopology, Vec<usize>, Vec<RequestTrace>) {
+        ) -> (NetworkTopology, Vec<usize>, Vec<UserRequests>) {
             let mut topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
             if commute {
                 topology.mobility = MobilitySpec::commute();
@@ -1211,8 +1198,7 @@ mod tests {
                 .into_iter()
                 .map(|mut times| {
                     times.sort_unstable();
-                    let times = times.into_iter().map(Instant::from_micros).collect();
-                    RequestTrace { times, ..RequestTrace::default() }
+                    recorded(times.into_iter().map(Instant::from_micros).collect())
                 })
                 .collect();
             (topology, rnc_of, recorded)
@@ -1250,10 +1236,8 @@ mod tests {
                     .collect();
                 let topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
                 let rnc_of = rnc_table(&topology);
-                let recorded: Vec<RequestTrace> = streams
-                    .iter()
-                    .map(|times| RequestTrace { times: times.clone(), ..RequestTrace::default() })
-                    .collect();
+                let recorded: Vec<UserRequests> =
+                    streams.iter().map(|times| recorded(times.clone())).collect();
                 for rnc in 0..rncs as usize {
                     let events = rnc_events(&topology, seed, &recorded, &rnc_of, rnc);
                     let members: Vec<(u64, Vec<Instant>)> = streams
@@ -1299,16 +1283,17 @@ mod tests {
                 // Every event once, tagged with the RNC it belongs to,
                 // from the spec-level oracles.
                 let mut expect: Vec<(usize, AdjEvent)> = Vec::new();
-                for (user, trace) in recorded.iter().enumerate() {
+                for (user, record) in recorded.iter().enumerate() {
                     let user = user as u64;
-                    for (seq, &at) in trace.times.iter().enumerate() {
+                    let times = &record.requests.times;
+                    for (seq, &at) in times.iter().enumerate() {
                         let cell = topology.user_cell(seed, user, at);
                         let hinted =
                             topology.mobility.handoff_within(seed, user, topology.cells, at);
                         let kind = AdjEventKind::Request { seq: seq as u32, hinted };
                         expect.push((rnc_of[cell as usize], AdjEvent { at, user, kind, cell }));
                     }
-                    let Some(last) = trace.times.last() else { continue };
+                    let Some(last) = times.last() else { continue };
                     let days = last.as_micros() as u64 / 86_400_000_000 + 1;
                     for h in topology.mobility.handoffs(seed, user, topology.cells, days) {
                         let (from, to) = (rnc_of[h.from as usize], rnc_of[h.to as usize]);
@@ -1452,7 +1437,6 @@ mod tests {
                 let empty = || TopologyPartial {
                     report: FleetReport::empty("prop".into(), "makeidle".into()),
                     seconds: vec![Load::new(); CELLS as usize],
-                    baselines: Vec::new(),
                     fresh: Vec::new(),
                     decoded: Load::new(),
                 };

@@ -14,6 +14,7 @@
 //! * a corrupted or truncated spill file degrades to recomputation —
 //!   the report stays identical and `cache_fallbacks` counts the save;
 //!   so does a spill left by an older format version;
+//! * every cached stream carries its user's status-quo baseline;
 //! * a corpus sweep resolves its directory walk exactly once
 //!   (`corpus_walks == 1`), however many rows it expands into.
 
@@ -26,7 +27,9 @@ use tailwise_fleet::{
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_trace::io::{read_request_streams, RequestCacheHeader, RequestStream};
+use tailwise_trace::io::{
+    read_request_streams, RequestCacheHeader, RequestStream, REQUEST_VERSION,
+};
 use tailwise_trace::mix::splitmix64;
 use tailwise_trace::TraceFormat;
 use tailwise_workload::apps::AppKind;
@@ -100,9 +103,10 @@ fn only_spill(dir: &std::path::Path, ext: &str) -> PathBuf {
     spills.pop().unwrap()
 }
 
-/// `streams` in the `.twc` layout of format version 1, which stored
-/// each user's request times and no confusion counts.
-fn version_1_twc(header: &RequestCacheHeader, streams: &[RequestStream]) -> Vec<u8> {
+/// `streams` in the `.twc` layout of format version 1 or 2. Version 1
+/// stored each user's request times alone, version 2 their confusion
+/// counts after them; neither stored a baseline.
+fn old_twc(version: u16, header: &RequestCacheHeader, streams: &[RequestStream]) -> Vec<u8> {
     let fold = |h: u64, word: u64| splitmix64(h ^ word);
     let mut checksum = 0x71C0_CACE_0000_0000u64;
     for word in [header.master_seed, header.users, header.days as u64, header.mix_hash] {
@@ -113,7 +117,7 @@ fn version_1_twc(header: &RequestCacheHeader, streams: &[RequestStream]) -> Vec<
         checksum = fold(checksum, b as u64);
     }
     let mut out = b"TWRC".to_vec();
-    out.extend(1u16.to_le_bytes());
+    out.extend(version.to_le_bytes());
     out.extend(header.master_seed.to_le_bytes());
     out.extend(header.users.to_le_bytes());
     out.extend(header.days.to_le_bytes());
@@ -127,6 +131,12 @@ fn version_1_twc(header: &RequestCacheHeader, streams: &[RequestStream]) -> Vec<
         for t in &stream.times {
             out.extend(t.as_micros().to_le_bytes());
             checksum = fold(checksum, t.as_micros() as u64);
+        }
+        if version == 2 {
+            for count in stream.confusion {
+                out.extend(count.to_le_bytes());
+                checksum = fold(checksum, count);
+            }
         }
     }
     out.extend(checksum.to_le_bytes());
@@ -227,30 +237,65 @@ fn corrupt_and_truncated_spills_fall_back_to_recomputation() {
 #[test]
 fn version_1_spill_is_a_counted_fallback() {
     let (reference, reference_counters) = run_storm(2, None);
+    let reference_digest = digest(&reference, &reference_counters);
 
     // The population's streams, as the current version spills them…
-    let seed_dir = temp_dir("v1-seed");
+    let seed_dir = temp_dir("old-seed");
     run_storm(2, Some(&RequestCache::with_dir(&seed_dir).unwrap()));
     let seed_spill = only_spill(&seed_dir, "twc");
     let (header, streams) =
         read_request_streams(std::fs::File::open(&seed_spill).unwrap()).unwrap();
 
-    // …left under the same name in version 1's layout, with no other
-    // spill beside it.
-    let dir = temp_dir("v1");
-    std::fs::create_dir_all(&dir).unwrap();
-    let spill = dir.join(seed_spill.file_name().unwrap());
-    std::fs::write(&spill, version_1_twc(&header, &streams)).unwrap();
-    let (report, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
-    assert_eq!(counter(&counters, "cache_fallbacks"), 1, "the old file must be one fallback");
-    assert_eq!(counter(&counters, "cache_misses"), 1, "the first cell must extract again");
-    assert_eq!(reference, report, "an old spill must not change the answer");
-    assert_eq!(digest(&reference, &reference_counters), digest(&report, &counters));
+    // …left under the same name in an older version's layout, with no
+    // other spill beside it.
+    for version in [1, 2] {
+        let dir = temp_dir(&format!("v{version}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spill = dir.join(seed_spill.file_name().unwrap());
+        std::fs::write(&spill, old_twc(version, &header, &streams)).unwrap();
+        let (report, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+        assert_eq!(counter(&counters, "cache_fallbacks"), 1, "a v{version} file is one fallback");
+        assert_eq!(counter(&counters, "cache_misses"), 1, "the first cell must extract again");
+        assert_eq!(reference, report, "a v{version} spill must not change the answer");
+        assert_eq!(reference_digest, digest(&report, &counters), "v{version}");
 
-    // The run replaced the old file with the current version.
-    let (_, rewritten) = read_request_streams(std::fs::File::open(&spill).unwrap()).unwrap();
-    assert_eq!(rewritten, streams);
+        // The run replaced the old file with the current version…
+        let bytes = std::fs::read(&spill).unwrap();
+        assert_eq!(bytes[4..6], REQUEST_VERSION.to_le_bytes(), "v{version} was not rewritten");
+        let (_, rewritten) = read_request_streams(bytes.as_slice()).unwrap();
+        assert_eq!(rewritten, streams);
+
+        // …which the next run warm-starts from.
+        let (again, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+        assert_eq!(reference, again);
+        assert_eq!(counter(&counters, "cache_misses"), 0, "the v{version} rewrite must warm-start");
+        assert_eq!(counter(&counters, "cache_fallbacks"), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
     std::fs::remove_dir_all(&seed_dir).unwrap();
+}
+
+#[test]
+fn cached_stream_baselines_are_each_users_status_quo_run() {
+    // Pass 1 scores the status quo beside each user's requests, and the
+    // cache keeps and spills the two together: every stream's baseline
+    // words are that user's own status-quo run, bit for bit.
+    let dir = temp_dir("baselines");
+    run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let (_, streams) =
+        read_request_streams(std::fs::File::open(only_spill(&dir, "twc")).unwrap()).unwrap();
+    let set = storm_set();
+    let UserSource::Synthetic(base) = &set.source else { unreachable!("storm is synthetic") };
+    assert_eq!(streams.len() as u64, USERS);
+    for (index, stream) in streams.iter().enumerate() {
+        let (carrier, model) = base.user(index as u64);
+        let status_quo = Scheme::StatusQuo.run(&carrier, &base.sim, &model.generate());
+        assert_eq!(
+            (stream.baseline_energy_bits, stream.baseline_switches),
+            (status_quo.total_energy().to_bits(), status_quo.switch_cycles()),
+            "user {index}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -90,6 +90,9 @@ fn observed_topology_run_is_bit_identical_at_1_2_8_threads() {
 
         // Counters line up with the report.
         let snapshot = recorder.snapshot();
+        // Pass 2 records one `replay` span per user, and the load
+        // scoring after it one more, on the calling thread.
+        assert_eq!(snapshot.spans["replay"].count, scenario.users + 1, "threads={threads}");
         assert_eq!(snapshot.counters.get("users_simulated"), Some(&scenario.users));
         assert_eq!(snapshot.counters.get("user_days"), Some(&baseline.user_days));
         let granted = snapshot.counters.get("requests_granted").copied().unwrap_or(0);
@@ -264,18 +267,23 @@ fn cached_run_manifests_carry_the_cache_store_gauges() {
     for (name, value) in [
         ("cache_stream_entries", sizes.streams.entries),
         ("cache_stream_bytes", sizes.streams.bytes),
-        ("cache_baseline_entries", sizes.baselines.entries),
-        ("cache_baseline_bytes", sizes.baselines.bytes),
         ("cache_memo_entries", sizes.memo.entries),
         ("cache_memo_bytes", sizes.memo.bytes),
     ] {
         assert!(value > 0, "{name} is zero");
         assert_eq!(manifest.gauges.get(name), Some(&value), "{name}");
     }
-    // One stream and one baseline per user; at least one memo entry per
-    // user (a user whose verdicts changed between cells holds two).
-    assert_eq!((sizes.streams.entries, sizes.baselines.entries), (12, 12));
+    // One stream per user, its baseline included; at least one memo
+    // entry per user (a user whose verdicts changed between cells holds
+    // two).
+    assert_eq!(sizes.streams.entries, 12);
     assert!(sizes.memo.entries >= 12, "{sizes:?}");
+    // Two stores, two gauges each, and nothing else.
+    let names: Vec<&str> = manifest.gauges.keys().map(String::as_str).collect();
+    assert_eq!(
+        names,
+        ["cache_memo_bytes", "cache_memo_entries", "cache_stream_bytes", "cache_stream_entries"]
+    );
 
     let text = manifest.to_toml_string();
     assert!(text.contains("\n[gauges]\n"), "{text}");

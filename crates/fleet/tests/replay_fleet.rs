@@ -14,7 +14,7 @@
 //! * a cold on-disk cache spills `.twr` files that an entirely fresh
 //!   cache (a later process, conceptually) warm-starts from;
 //! * a corrupted or truncated `.twr`, one naming a cell the topology
-//!   does not have, or one in the version-1 layout, degrades to
+//!   does not have, or one in an older version's layout, degrades to
 //!   recomputation — the report stays identical and `replay_fallbacks`
 //!   counts the save;
 //! * the spill files themselves are byte-identical at 1, 2, and 8
@@ -27,7 +27,8 @@ use tailwise_fleet::{
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_trace::io::{
-    read_replay_outcomes, write_replay_outcomes, ReplayCacheHeader, ReplayOutcomeRecord,
+    read_replay_outcomes, read_request_streams, write_replay_outcomes, ReplayCacheHeader,
+    ReplayOutcomeRecord, OUTCOME_VERSION,
 };
 use tailwise_trace::load::LoadDeltas;
 use tailwise_trace::mix::splitmix64;
@@ -285,11 +286,19 @@ fn twr_spills(dir: &std::path::Path) -> Vec<PathBuf> {
     spills
 }
 
-/// `records` in the version-1 `.twr` layout: the version-2 header and
-/// scalar fields, but each load triple as three 8-byte words.
-fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8> {
+/// `records` in the `.twr` layout of format version 1 or 2, each scored
+/// against its user's entry in `baselines`. Both versions stored ten
+/// scalar words per record, the status-quo baseline's two among them;
+/// version 1 stored each load triple as three 8-byte words, version 2
+/// the load runs.
+fn old_twr(
+    version: u16,
+    header: &ReplayCacheHeader,
+    records: &[ReplayOutcomeRecord],
+    baselines: &[(u64, u64)],
+) -> Vec<u8> {
     let mut out = b"TWRO".to_vec();
-    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
     let mut checksum = 0x7EC0_CACE_0000_0000u64;
     let mut word = |out: &mut Vec<u8>, word: u64, bytes: usize| {
         out.extend_from_slice(&word.to_le_bytes()[..bytes]);
@@ -309,6 +318,7 @@ fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8
     word(&mut out, records.len() as u64, 8);
     for r in records {
         let o = &r.outcome;
+        let (baseline_energy_bits, baseline_switches) = baselines[r.user as usize];
         for scalar in [
             r.user,
             r.verdict_hash,
@@ -318,8 +328,8 @@ fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8
             o.false_switches,
             o.missed_switches,
             o.decisions,
-            o.baseline_energy_bits,
-            o.baseline_switches,
+            baseline_energy_bits,
+            baseline_switches,
             o.delay_bits.len() as u64,
         ] {
             word(&mut out, scalar, 8);
@@ -327,11 +337,24 @@ fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8
         for &bits in &o.delay_bits {
             word(&mut out, bits, 8);
         }
-        let triples = o.load.to_triples();
-        word(&mut out, triples.len() as u64, 8);
-        for (cell, second, msgs) in triples {
-            for field in [cell, second as u64, msgs] {
-                word(&mut out, field, 8);
+        if version == 1 {
+            let triples = o.load.to_triples();
+            word(&mut out, triples.len() as u64, 8);
+            for (cell, second, msgs) in triples {
+                for field in [cell, second as u64, msgs] {
+                    word(&mut out, field, 8);
+                }
+            }
+        } else {
+            let runs = o.load.as_bytes();
+            word(&mut out, o.load.len(), 8);
+            word(&mut out, runs.len() as u64, 8);
+            // The runs' bytes as they are, folded eight at a time, the
+            // last chunk zero-padded.
+            for chunk in runs.chunks(8) {
+                let mut padded = [0u8; 8];
+                padded[..chunk.len()].copy_from_slice(chunk);
+                word(&mut out, u64::from_le_bytes(padded), chunk.len());
             }
         }
     }
@@ -340,41 +363,55 @@ fn v1_twr(header: &ReplayCacheHeader, records: &[ReplayOutcomeRecord]) -> Vec<u8
 }
 
 #[test]
-fn v1_twr_spills_fall_back_once_and_are_rewritten_as_v2() {
+fn old_twr_spills_fall_back_once_and_are_rewritten() {
     // A spill directory written before the compact load runs holds
-    // version-1 `.twr` files. A run meets each as an unsupported
-    // version: one `replay_fallbacks`, a live replay of its users, the
-    // same answer, and a version-2 file in its place that the next run
-    // warm-starts from.
-    let dir = temp_dir("v1");
+    // version-1 `.twr` files, and one written before the baseline moved
+    // into the `.twc` streams version-2 files. A run meets each as an
+    // unsupported version: one `replay_fallbacks`, a live replay of its
+    // users, the same answer, and a current-version file in its place
+    // that the next run warm-starts from.
+    let dir = temp_dir("old");
     let (cold, cold_digest, _) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let twc = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "twc"))
+        .expect("cold run spilled a .twc file");
+    let (_, streams) = read_request_streams(std::fs::File::open(twc).unwrap()).unwrap();
+    let baselines: Vec<(u64, u64)> =
+        streams.iter().map(|s| (s.baseline_energy_bits, s.baseline_switches)).collect();
     let spills = twr_spills(&dir);
     assert!(!spills.is_empty(), "cold run spilled no .twr file");
-    let mut current = Vec::new();
-    for spill in &spills {
-        let (header, records) = read_replay_outcomes(std::fs::File::open(spill).unwrap()).unwrap();
-        std::fs::write(spill, v1_twr(&header, &records)).unwrap();
-        current.push(records);
-    }
+    let current: Vec<_> = spills
+        .iter()
+        .map(|spill| read_replay_outcomes(std::fs::File::open(spill).unwrap()).unwrap())
+        .collect();
 
-    let (warm, warm_digest, counters) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
-    assert_eq!(cold, warm, "a v1 .twr must not change the answer");
-    assert_eq!(cold_digest, warm_digest, "a v1 .twr must not change the digest");
-    assert_eq!(counter(&counters, "replay_fallbacks"), spills.len() as u64, "one per v1 file");
-    assert!(counter(&counters, "replay_misses") >= USERS, "the v1 file's users replay live");
-    for (spill, records) in spills.iter().zip(&current) {
-        let bytes = std::fs::read(spill).unwrap();
-        assert_eq!(&bytes[..6], b"TWRO\x02\x00", "{} was not rewritten as v2", spill.display());
-        let (_, rewritten) = read_replay_outcomes(bytes.as_slice()).unwrap();
-        assert_eq!(&rewritten, records, "the rewrite must hold what the v1 file held");
-    }
+    for version in [1, 2] {
+        for (spill, (header, records)) in spills.iter().zip(&current) {
+            std::fs::write(spill, old_twr(version, header, records, &baselines)).unwrap();
+        }
+        let (warm, warm_digest, counters) =
+            run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+        assert_eq!(cold, warm, "a v{version} .twr must not change the answer");
+        assert_eq!(cold_digest, warm_digest, "a v{version} .twr must not change the digest");
+        let fallbacks = counter(&counters, "replay_fallbacks");
+        assert_eq!(fallbacks, spills.len() as u64, "one per v{version} file");
+        assert!(counter(&counters, "replay_misses") >= USERS, "the old file's users replay live");
+        for (spill, (_, records)) in spills.iter().zip(&current) {
+            let bytes = std::fs::read(spill).unwrap();
+            assert_eq!(bytes[4..6], OUTCOME_VERSION.to_le_bytes(), "{spill:?} kept v{version}");
+            let (_, rewritten) = read_replay_outcomes(bytes.as_slice()).unwrap();
+            assert_eq!(&rewritten, records, "the rewrite must hold what the v{version} file held");
+        }
 
-    let (again, again_digest, counters) =
-        run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
-    assert_eq!(cold, again);
-    assert_eq!(cold_digest, again_digest);
-    assert_eq!(counter(&counters, "replay_fallbacks"), 0);
-    assert_eq!(counter(&counters, "replay_misses"), 0, "the v2 rewrite must warm-start");
+        let (again, again_digest, counters) =
+            run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+        assert_eq!(cold, again);
+        assert_eq!(cold_digest, again_digest);
+        assert_eq!(counter(&counters, "replay_fallbacks"), 0);
+        assert_eq!(counter(&counters, "replay_misses"), 0, "the rewrite must warm-start");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -466,14 +503,13 @@ mod props {
                 (0..requests.len()).map(|i| verdict_bits >> (i % 64) & 1 == 1).collect();
             let live = scheme.run_scripted(&carrier, &cfg, &trace, &verdicts).unwrap();
             let baseline = Scheme::StatusQuo.run(&carrier, &cfg, &trace);
-            let (base_energy, base_switches) = (baseline.total_energy(), baseline.switch_cycles());
 
             // Live path: the fold every uncached run performs.
             let mut direct = FleetReport::empty("prop".into(), scheme.to_string());
             direct.fold_user(days, &live, &baseline);
 
             // Memo path: outcome → `.twr` bytes → outcome → fold.
-            let outcome = replay_outcome(&live, base_energy, base_switches);
+            let outcome = replay_outcome(&live);
             let header = ReplayCacheHeader {
                 requests: RequestCacheHeader {
                     master_seed: 1, users: 1, days, mix_hash: 2, sim_hash: 3,
@@ -491,7 +527,8 @@ mod props {
             prop_assert_eq!(cached, &outcome, "the spill must round-trip the outcome exactly");
 
             let mut memoized = FleetReport::empty("prop".into(), scheme.to_string());
-            memoized.fold_user_outcome(days, cached);
+            let summary = (baseline.total_energy().to_bits(), baseline.switch_cycles());
+            memoized.fold_user_outcome(days, summary, cached);
             prop_assert_eq!(&direct, &memoized);
             prop_assert_eq!(direct.render(), memoized.render());
         }

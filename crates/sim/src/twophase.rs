@@ -61,7 +61,7 @@
 //! [`RrcMachine`]: tailwise_radio::rrc::RrcMachine
 
 use tailwise_radio::profile::CarrierProfile;
-use tailwise_trace::io::{ReplayOutcome, RequestStream};
+use tailwise_trace::io::ReplayOutcome;
 use tailwise_trace::load::LoadDeltas;
 use tailwise_trace::time::Instant;
 use tailwise_trace::Trace;
@@ -82,8 +82,7 @@ use crate::report::SimReport;
 ///
 /// This is the stable serialization contract: a `RequestTrace` is
 /// *exactly* its times and its confusion counts — no hidden state — so
-/// the [`RequestStream`] conversions are inverses, and any container
-/// that round-trips a `RequestStream` (the fleet cache's `.twc` spill
+/// any container that stores both (the fleet cache's `.twc` spill
 /// format) round-trips the trace bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
@@ -103,20 +102,6 @@ impl RequestTrace {
     /// True when the device never requests dormancy (e.g. status quo).
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
-    }
-}
-
-impl From<RequestStream> for RequestTrace {
-    fn from(stream: RequestStream) -> RequestTrace {
-        let [tp, fp, tn, fn_] = stream.confusion;
-        RequestTrace { times: stream.times, confusion: Confusion { tp, fp, tn, fn_ } }
-    }
-}
-
-impl From<&RequestTrace> for RequestStream {
-    fn from(trace: &RequestTrace) -> RequestStream {
-        let Confusion { tp, fp, tn, fn_ } = trace.confusion;
-        RequestStream { times: trace.times.clone(), confusion: [tp, fp, tn, fn_] }
     }
 }
 
@@ -147,18 +132,12 @@ pub fn record_requests(
     RequestTrace { times, confusion: rule.confusion }
 }
 
-/// Captures the memoizable outcome of a finished run scored against a
-/// status-quo baseline of `baseline_energy_j` joules and
-/// `baseline_switches` switch cycles, with every float carried as its
-/// exact bits (see [`ReplayOutcome`] for why that makes a memoized fold
-/// bit-identical to the live one). The signaling-load deltas are left
-/// empty: they belong to the caller that attributes the run's
-/// transitions to cells.
-pub fn replay_outcome(
-    report: &SimReport,
-    baseline_energy_j: f64,
-    baseline_switches: u64,
-) -> ReplayOutcome {
+/// Captures the memoizable outcome of a finished run, with every float
+/// carried as its exact bits (see [`ReplayOutcome`] for why that makes
+/// a memoized fold bit-identical to the live one). The signaling-load
+/// deltas are left empty: they belong to the caller that attributes the
+/// run's transitions to cells.
+pub fn replay_outcome(report: &SimReport) -> ReplayOutcome {
     ReplayOutcome {
         packets: report.packets as u64,
         energy_bits: report.total_energy().to_bits(),
@@ -166,8 +145,6 @@ pub fn replay_outcome(
         false_switches: report.confusion.fp,
         missed_switches: report.confusion.fn_,
         decisions: report.confusion.total(),
-        baseline_energy_bits: baseline_energy_j.to_bits(),
-        baseline_switches,
         delay_bits: report.session_delays.iter().map(|d| d.to_bits()).collect(),
         load: LoadDeltas::default(),
     }
@@ -291,21 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_conversions_round_trip() {
-        let p = CarrierProfile::att_hspa();
-        let cfg = SimConfig::default();
-        let t = trace_from_gaps(&[30_000, 400, 20_000]);
-        let r = record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
-        assert_eq!((r.confusion.tp, r.confusion.tn), (3, 1));
-        // The stable-serialization identity: a trace is exactly its
-        // times and its confusion counts.
-        let stream = RequestStream::from(&r);
-        assert_eq!(stream.times, r.times);
-        assert_eq!(stream.confusion, [3, 0, 1, 0]);
-        assert_eq!(RequestTrace::from(stream), r);
-    }
-
-    #[test]
     fn waits_at_or_beyond_the_tail_window_never_request() {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
@@ -344,9 +306,7 @@ mod tests {
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts: Vec<bool> = (0..requests.len()).map(|i| i % 2 == 0).collect();
         let report = replay_requests(&p, &cfg, &t, &requests, &verdicts);
-        let outcome = replay_outcome(&report, 2.5, 7);
-        assert_eq!(outcome.baseline_energy_bits, 2.5f64.to_bits());
-        assert_eq!(outcome.baseline_switches, 7);
+        let outcome = replay_outcome(&report);
         assert_eq!(outcome.packets, report.packets as u64);
         assert_eq!(outcome.energy_j().to_bits(), report.total_energy().to_bits());
         assert_eq!(outcome.switches, report.switch_cycles());

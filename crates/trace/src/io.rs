@@ -385,9 +385,9 @@ impl<R: Read> SpillReader<R> {
 /// Magic bytes of the request-cache format.
 pub const REQUEST_MAGIC: &[u8; 4] = b"TWRC";
 /// Current request-cache format version. Version 2 added each user's
-/// confusion counts; a reader meets a version-1 file as an unsupported
-/// version.
-pub const REQUEST_VERSION: u16 = 2;
+/// confusion counts and version 3 their status-quo baseline; a reader
+/// meets an older file as an unsupported version.
+pub const REQUEST_VERSION: u16 = 3;
 
 /// The `.twc` header: the scenario fingerprint a cached phase-1
 /// request extraction is valid for, plus the scheme that produced it.
@@ -441,8 +441,8 @@ impl RequestCacheHeader {
 }
 
 /// One user's phase-1 product as a `.twc` file stores it: when the
-/// device would request fast dormancy, and how the decisions behind
-/// those requests scored.
+/// device would request fast dormancy, how the decisions behind those
+/// requests scored, and the status-quo run the user is scored against.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestStream {
     /// Fast-dormancy request times, non-decreasing.
@@ -452,12 +452,16 @@ pub struct RequestStream {
     /// negatives. The times do not determine them: a wait at or past
     /// the tail window counts a demotion without sending a request.
     pub confusion: [u64; 4],
+    /// Status-quo total energy over the user's trace, as `f64::to_bits`.
+    pub baseline_energy_bits: u64,
+    /// Status-quo switch cycles over the user's trace.
+    pub baseline_switches: u64,
 }
 
 /// Writes per-user phase-1 request streams in `.twc` form: the header;
 /// per user, a length-prefixed timestamp vector followed by the four
-/// confusion counts; and a trailing 64-bit checksum over everything the
-/// header and payload encode.
+/// confusion counts and the two baseline words; and a trailing 64-bit
+/// checksum over everything the header and payload encode.
 ///
 /// `streams[i]` must be user `i`'s stream, with non-decreasing request
 /// times (the phase-1 contract), and `streams.len()` must equal
@@ -481,7 +485,8 @@ pub fn write_request_streams<W: Write>(
     let mut w = SpillWriter::new(&REQUEST_FORMAT, out)?;
     header.write_fingerprint(&mut w)?;
     w.scheme(&header.scheme)?;
-    for (user, RequestStream { times, confusion }) in streams.iter().enumerate() {
+    for (user, stream) in streams.iter().enumerate() {
+        let RequestStream { times, confusion, baseline_energy_bits, baseline_switches } = stream;
         if let Some(pair) = times.windows(2).find(|pair| pair[0] > pair[1]) {
             return Err(TraceError::Parse {
                 location: user,
@@ -496,8 +501,8 @@ pub fn write_request_streams<W: Write>(
         for t in times {
             w.word(t.as_micros() as u64)?;
         }
-        for &count in confusion {
-            w.word(count)?;
+        for &word in confusion.iter().chain([baseline_energy_bits, baseline_switches]) {
+            w.word(word)?;
         }
     }
     w.finish()
@@ -506,13 +511,13 @@ pub fn write_request_streams<W: Write>(
 /// Reads a `.twc` file back into its header and per-user streams.
 ///
 /// Every failure mode a rotten file can exhibit — wrong magic, unknown
-/// version (a version-1 file included), oversized or non-UTF-8 scheme
+/// version (an older one included), oversized or non-UTF-8 scheme
 /// token, truncated stream, out-of-order timestamps, trailing bytes,
 /// checksum mismatch — is a typed [`TraceError`], never a panic or an
 /// unbounded allocation, and never a silently wrong stream: the
-/// checksum covers the header, every timestamp and every confusion
-/// count, so a single flipped payload byte is caught even though any
-/// individual value is plausible.
+/// checksum covers the header, every timestamp, every confusion count
+/// and every baseline word, so a single flipped payload byte is caught
+/// even though any individual value is plausible.
 pub fn read_request_streams<R: Read>(
     input: R,
 ) -> Result<(RequestCacheHeader, Vec<RequestStream>), TraceError> {
@@ -538,7 +543,9 @@ pub fn read_request_streams<R: Read>(
         for count in &mut confusion {
             *count = r.word("confusion count", user)?;
         }
-        streams.push(RequestStream { times, confusion });
+        let baseline_energy_bits = r.word("baseline energy bits", user)?;
+        let baseline_switches = r.word("baseline switch count", user)?;
+        streams.push(RequestStream { times, confusion, baseline_energy_bits, baseline_switches });
     }
     r.finish(users, "stream")?;
     Ok((header, streams))
@@ -549,9 +556,10 @@ pub fn read_request_streams<R: Read>(
 /// Magic bytes of the replay-memo format.
 pub const OUTCOME_MAGIC: &[u8; 4] = b"TWRO";
 /// Current replay-memo format version. Version 2 stores each record's
-/// load deltas as [`LoadDeltas`] byte runs instead of 24-byte triples; a
-/// reader meets a version-1 file as an unsupported version.
-pub const OUTCOME_VERSION: u16 = 2;
+/// load deltas as [`LoadDeltas`] byte runs instead of 24-byte triples,
+/// and version 3 drops the status-quo baseline, which the `.twc` stream
+/// carries; a reader meets an older file as an unsupported version.
+pub const OUTCOME_VERSION: u16 = 3;
 
 /// The `.twr` header: everything a memoized phase-2 outcome is keyed
 /// on at the population level.
@@ -575,9 +583,11 @@ pub struct ReplayCacheHeader {
 
 /// The scalar outcome of one user's phase-2 replay, in exactly the
 /// shape a fleet fold consumes and a `.twr` record stores: energy as
-/// `f64::to_bits` words, switch and confusion counts, the status-quo
-/// baseline the run is scored against, the session-delay samples as
-/// bits, and the user's per-second signaling-load deltas.
+/// `f64::to_bits` words, switch and confusion counts, the session-delay
+/// samples as bits, and the user's per-second signaling-load deltas.
+/// The status-quo baseline the run is scored against is not part of
+/// it: it depends on the user's trace alone, and the fold takes it
+/// beside the outcome.
 ///
 /// This is what makes a replay *memoizable*. A replay's outcome is a
 /// pure function of `(profile, config, trace, requests, verdicts)`, so
@@ -602,10 +612,6 @@ pub struct ReplayOutcome {
     pub missed_switches: u64,
     /// Total scored decisions.
     pub decisions: u64,
-    /// Status-quo baseline energy, as `f64::to_bits`.
-    pub baseline_energy_bits: u64,
-    /// Status-quo baseline switch cycles.
-    pub baseline_switches: u64,
     /// Session-delay samples, each as `f64::to_bits`, in record order.
     pub delay_bits: Vec<u64>,
     /// Signaling-load deltas: `(cell, second, msgs)` triples strictly
@@ -678,8 +684,6 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
             o.false_switches,
             o.missed_switches,
             o.decisions,
-            o.baseline_energy_bits,
-            o.baseline_switches,
         ] {
             w.word(word)?;
         }
@@ -697,7 +701,7 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
 /// Reads a `.twr` file back into its header and outcome records.
 ///
 /// The failure discipline matches [`read_request_streams`]: wrong
-/// magic, unknown version (a version-1 file included), oversized scheme
+/// magic, unknown version (an older one included), oversized scheme
 /// token, truncation anywhere, load runs that are not canonical or do
 /// not hold their declared triple count ([`LoadDeltas::from_bytes`]),
 /// trailing bytes, and checksum mismatch are all typed [`TraceError`]s,
@@ -722,8 +726,6 @@ pub fn read_replay_outcomes<R: Read>(
             false_switches: word("false-switch count")?,
             missed_switches: word("missed-switch count")?,
             decisions: word("decision count")?,
-            baseline_energy_bits: word("baseline energy bits")?,
-            baseline_switches: word("baseline switch count")?,
             ..ReplayOutcome::default()
         };
         let delays = word("delay count")? as usize;
@@ -990,9 +992,16 @@ mod tests {
             RequestStream {
                 times: vec![Instant::from_micros(-7), Instant::ZERO, Instant::from_secs(9)],
                 confusion: [3, 1, 40, 2],
+                baseline_energy_bits: 2345.75f64.to_bits(),
+                baseline_switches: 4,
             },
             // A user whose decisions never sent a request, yet scored.
-            RequestStream { times: vec![], confusion: [0, 0, 17, 5] },
+            RequestStream {
+                times: vec![],
+                confusion: [0, 0, 17, 5],
+                baseline_energy_bits: 0.5f64.to_bits(),
+                baseline_switches: 0,
+            },
             RequestStream {
                 times: vec![
                     Instant::from_millis(4),
@@ -1000,6 +1009,8 @@ mod tests {
                     Instant::from_secs(100),
                 ],
                 confusion: [u64::MAX, 0, 1 << 40, 9],
+                baseline_energy_bits: f64::MAX.to_bits(),
+                baseline_switches: u64::MAX,
             },
         ]
     }
@@ -1021,8 +1032,9 @@ mod tests {
     fn twc_encoding_is_pinned() {
         // Pinned bytes: a spill directory written by an earlier release
         // must keep warm-starting, so a codec change may not move a byte.
+        // Version 3, whose streams carry their user's baseline.
         let buf = sample_twc();
-        assert_eq!((buf.len(), fold_bytes(&buf)), (226, 0x24ee_a387_19c6_36d2));
+        assert_eq!((buf.len(), fold_bytes(&buf)), (274, 0xefbe_92bb_db91_72cd));
     }
 
     #[test]
@@ -1046,13 +1058,15 @@ mod tests {
             read_request_streams(bad.as_slice()),
             Err(TraceError::UnsupportedVersion(99))
         ));
-        // Version 1 stored no confusion counts.
-        let mut old = buf.clone();
-        old[4] = 1;
-        assert!(matches!(
-            read_request_streams(old.as_slice()),
-            Err(TraceError::UnsupportedVersion(1))
-        ));
+        // Version 1 stored no confusion counts, version 2 no baseline.
+        for version in [1, 2] {
+            let mut old = buf.clone();
+            old[4] = version;
+            assert!(matches!(
+                read_request_streams(old.as_slice()),
+                Err(TraceError::UnsupportedVersion(v)) if v == version as u16
+            ));
+        }
     }
 
     #[test]
@@ -1101,7 +1115,7 @@ mod tests {
     fn twc_write_rejects_unsorted_stream() {
         let streams = vec![RequestStream {
             times: vec![Instant::from_secs(2), Instant::from_secs(1)],
-            confusion: [0; 4],
+            ..RequestStream::default()
         }];
         let mut buf = Vec::new();
         let err = write_request_streams(&sample_header(1), &streams, &mut buf).unwrap_err();
@@ -1134,8 +1148,6 @@ mod tests {
                     false_switches: 2,
                     missed_switches: 1,
                     decisions: 40,
-                    baseline_energy_bits: 2345.75f64.to_bits(),
-                    baseline_switches: 4,
                     delay_bits: vec![0.5f64.to_bits(), 1.25f64.to_bits()],
                     load: LoadDeltas::from_triples([(0, -3, 28), (0, 90, 5), (2, 90, 6)]).unwrap(),
                 },
@@ -1160,10 +1172,10 @@ mod tests {
 
     #[test]
     fn twr_encoding_is_pinned() {
-        // Pinned bytes, for the same reason as the `.twc` pin: version 2,
-        // whose load runs replaced version 1's 24-byte triples.
+        // Pinned bytes, for the same reason as the `.twc` pin: version 3,
+        // whose records leave the baseline to the `.twc` streams.
         let buf = sample_twr();
-        assert_eq!((buf.len(), fold_bytes(&buf)), (311, 0xb74d_0fe8_7f6d_d509));
+        assert_eq!((buf.len(), fold_bytes(&buf)), (279, 0xa97f_51f7_587c_d50e));
     }
 
     #[test]
@@ -1187,13 +1199,15 @@ mod tests {
             read_replay_outcomes(bad.as_slice()),
             Err(TraceError::UnsupportedVersion(99))
         ));
-        // Version 1 stored 24-byte triples.
-        let mut old = buf.clone();
-        old[4] = 1;
-        assert!(matches!(
-            read_replay_outcomes(old.as_slice()),
-            Err(TraceError::UnsupportedVersion(1))
-        ));
+        // Version 1 stored 24-byte triples, version 2 a baseline.
+        for version in [1, 2] {
+            let mut old = buf.clone();
+            old[4] = version;
+            assert!(matches!(
+                read_replay_outcomes(old.as_slice()),
+                Err(TraceError::UnsupportedVersion(v)) if v == version as u16
+            ));
+        }
     }
 
     /// A one-record `.twr` whose load fields are `triples` and `bytes`
@@ -1207,8 +1221,8 @@ mod tests {
         w.word(header.topo_hash).unwrap();
         w.scheme(&header.requests.scheme).unwrap();
         w.word(1).unwrap();
-        // Ten scalar words, no delays.
-        for word in [0, 7, 1, 2, 3, 4, 5, 6, 7, 8, 0] {
+        // Eight scalar words, no delays.
+        for word in [0, 7, 1, 2, 3, 4, 5, 6, 0] {
             w.word(word).unwrap();
         }
         w.word(triples).unwrap();

@@ -274,6 +274,7 @@ mod proptests {
                 (
                     prop::collection::vec(-1_000i64..100_000_000, 0..50),
                     (0u64..u64::MAX, 0u64..1_000, 0u64..u64::MAX, 0u64..1_000),
+                    (0u64..u64::MAX, 0u64..u64::MAX),
                 ),
                 0..12,
             ),
@@ -282,11 +283,13 @@ mod proptests {
         ) {
             let streams: Vec<crate::io::RequestStream> = streams
                 .into_iter()
-                .map(|(mut s, (tp, fp, tn, fn_))| {
+                .map(|(mut s, (tp, fp, tn, fn_), (energy_bits, switches))| {
                     s.sort_unstable();
                     crate::io::RequestStream {
                         times: s.into_iter().map(Instant::from_micros).collect(),
                         confusion: [tp, fp, tn, fn_],
+                        baseline_energy_bits: energy_bits,
+                        baseline_switches: switches,
                     }
                 })
                 .collect();
@@ -316,7 +319,7 @@ mod proptests {
             flips in prop::collection::vec((0usize..4096, 0u8..=255), 1..8),
             cut in 0usize..4096,
             truncate in prop::bool::ANY,
-            (victim, word, bit, short) in (0usize..8, 0usize..4, 0u32..64, 1usize..8),
+            (victim, word, bit, short) in (0usize..8, 0usize..6, 0u32..64, 1usize..8),
         ) {
             // Same corruption contract as .twt, tightened by the trailing
             // checksum: any byte damage to a valid .twc file must yield a
@@ -330,6 +333,8 @@ mod proptests {
                     crate::io::RequestStream {
                         times: s.into_iter().map(Instant::from_micros).collect(),
                         confusion: [seed, seed * 3, seed * 7 + 1, seed / 2],
+                        baseline_energy_bits: (seed as f64 * 0.25).to_bits(),
+                        baseline_switches: seed / 3,
                     }
                 })
                 .collect();
@@ -345,13 +350,14 @@ mod proptests {
             crate::io::write_request_streams(&header, &streams, &mut buf).unwrap();
             let pristine = buf.clone();
 
-            // A confusion count is a plausible number whatever its bits,
-            // so only the checksum can catch a flipped one; a file cut
-            // inside one is a truncation error at that user's record.
+            // A confusion count or baseline word is a plausible number
+            // whatever its bits, so only the checksum can catch a flipped
+            // one; a file cut inside one is a truncation error at that
+            // user's record.
             if !streams.is_empty() {
                 let victim = victim % streams.len();
                 let header_len = 4 + 2 + 8 + 8 + 4 + 8 + 8 + 2 + header.scheme.len();
-                let before: usize = streams[..victim].iter().map(|s| 8 + 8 * s.times.len() + 32).sum();
+                let before: usize = streams[..victim].iter().map(|s| 8 + 8 * s.times.len() + 48).sum();
                 let at = header_len + before + 8 + 8 * streams[victim].times.len() + 8 * word;
                 let mut flipped = pristine.clone();
                 flipped[at + bit as usize / 8] ^= 1 << (bit % 8);
@@ -364,7 +370,8 @@ mod proptests {
                 match crate::io::read_request_streams(&pristine[..at + short]) {
                     Err(crate::TraceError::Parse { location, message }) => {
                         prop_assert_eq!(location, victim);
-                        prop_assert!(message.contains("truncated confusion count"), "{}", message);
+                        let what = if word < 4 { "confusion count" } else { "baseline" };
+                        prop_assert!(message.contains(&format!("truncated {what}")), "{}", message);
                     }
                     other => prop_assert!(false, "cut count read back as {:?}", other),
                 }
@@ -405,7 +412,7 @@ mod proptests {
     /// load deltas.
     fn arb_twr_records(max_len: usize) -> impl Strategy<Value = Vec<ReplayOutcomeRecord>> {
         let record = (
-            prop::collection::vec(0u64..u64::MAX, 10),
+            prop::collection::vec(0u64..u64::MAX, 8),
             prop::collection::vec(0u64..u64::MAX, 0..6),
             prop::collection::vec((0u64..64, -1_000_000i64..100_000_000, 0u64..1_000), 0..8),
         )
@@ -424,8 +431,6 @@ mod proptests {
                     false_switches: w[5],
                     missed_switches: w[6],
                     decisions: w[7],
-                    baseline_energy_bits: w[8],
-                    baseline_switches: w[9],
                     delay_bits,
                     load,
                 },
@@ -473,7 +478,7 @@ mod proptests {
             flips in prop::collection::vec((0usize..4096, 0u8..=255), 1..8),
             cut in 0usize..4096,
             truncate in prop::bool::ANY,
-            (victim, word, bit, inside) in (0usize..5, 0usize..10, 0u32..64, 0usize..4096),
+            (victim, word, bit, inside) in (0usize..5, 0usize..8, 0u32..64, 0usize..4096),
         ) {
             // The `.twc` corruption contract, for the replay memo: any
             // byte damage must yield a clean TraceError — never a panic,
@@ -483,14 +488,14 @@ mod proptests {
             write_replay_outcomes(&header, &records, &mut buf).unwrap();
             let pristine = buf.clone();
 
-            // A record's ten scalar words (its key, counts and energy
+            // A record's eight scalar words (its key, counts and energy
             // bits) are plausible whatever their bits, so only the
             // checksum can catch a flipped one; a file cut anywhere
             // inside a record is a truncation error at that record.
             if !records.is_empty() {
                 let victim = victim % records.len();
                 let record_len = |r: &ReplayOutcomeRecord| {
-                    8 * (10 + 1 + r.outcome.delay_bits.len() + 2) + r.outcome.load.as_bytes().len()
+                    8 * (8 + 1 + r.outcome.delay_bits.len() + 2) + r.outcome.load.as_bytes().len()
                 };
                 let header_len = 4 + 2 + 8 + 8 + 4 + 8 + 8 + 8 + 2 + "makeidle".len() + 8;
                 let start = header_len + records[..victim].iter().map(record_len).sum::<usize>();
