@@ -45,7 +45,15 @@ fn engine_throughput(c: &mut Criterion) {
     let verdicts = vec![true; requests.len()];
     group.bench_function("MakeIdle recorded replay", |b| {
         b.iter(|| {
-            black_box(replay_requests(&profile, &cfg, black_box(&trace), &requests, &verdicts))
+            let (times, confusion) = (&requests.times, requests.confusion);
+            black_box(replay_requests(
+                &profile,
+                &cfg,
+                black_box(&trace),
+                times,
+                confusion,
+                &verdicts,
+            ))
         })
     });
     group.finish();

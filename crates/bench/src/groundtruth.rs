@@ -14,6 +14,7 @@
 //! `power × duration`.
 
 use tailwise_radio::profile::CarrierProfile;
+use tailwise_trace::mix::splitmix64;
 use tailwise_trace::Direction;
 
 /// Transfer sizes of the §6.1 validation runs, bytes.
@@ -34,10 +35,7 @@ pub fn efficiency_factor(bytes: u64) -> f64 {
 /// Deterministic per-run "measurement noise" in `[-0.04, +0.04]`,
 /// splitmix-hashed from the run index.
 pub fn run_noise(run: usize) -> f64 {
-    let mut z = (run as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+    let u = (splitmix64(run as u64) >> 11) as f64 / (1u64 << 53) as f64;
     (u * 2.0 - 1.0) * 0.04
 }
 

@@ -82,9 +82,12 @@ COMMANDS
                                           per-RNC signaling load; needs --cells)
                      --rnc-capacity <m>   (RRC msgs/sec an RNC absorbs before
                                           a second counts as overloaded;
-                                          needs --rncs)
+                                          needs --cells; one RNC unless
+                                          --rncs says otherwise)
                      --rnc-admission <p>  (RNC-level admission policy, same
-                                          tokens as --admission; needs --rncs)
+                                          tokens as --admission; needs
+                                          --cells; one RNC unless --rncs
+                                          says otherwise)
                      --mobility <m>       (user movement between cells: static |
                                           commute[:<home_hour>:<work_hour>
                                           [:<jitter_pct>[:<hint_s>]]];
@@ -593,8 +596,9 @@ fn fleet_scenario_from_flags(
 
 /// Builds the optional network topology from the `--cells`-family
 /// flags. Every topology flag given *without* `--cells` is an error,
-/// never silently ignored; the RNC-level flags additionally require
-/// `--rncs`.
+/// never silently ignored. Without `--rncs` the cells sit under one
+/// RNC, which the RNC-level flags configure — the topology a scenario
+/// file's `[cells]` and `[rnc]` tables build.
 fn topology_from_flags(
     args: &Args,
     scheme: &Scheme,
@@ -614,25 +618,13 @@ fn topology_from_flags(
              grant outcomes, so the exact two-pass replay does not apply"
         ))));
     }
-    let rncs = match count_flag::<u64>(args, "rncs")? {
-        Some(rncs) if rncs > cells => {
-            return Err(Box::new(ArgError(format!(
-                "cannot spread {cells} cell(s) over {rncs} RNCs; --rncs must be ≤ --cells"
-            ))))
-        }
-        Some(rncs) => Some(rncs),
-        None => None,
-    };
-    if rncs.is_none() {
-        for flag in ["rnc-capacity", "rnc-admission"] {
-            if args.opt(flag).is_some() {
-                return Err(Box::new(ArgError(format!(
-                    "--{flag} needs --rncs: it configures the RNC level of the hierarchy"
-                ))));
-            }
-        }
+    let rncs = count_flag::<u64>(args, "rncs")?.unwrap_or(1);
+    if rncs > cells {
+        return Err(Box::new(ArgError(format!(
+            "cannot spread {cells} cell(s) over {rncs} RNCs; --rncs must be ≤ --cells"
+        ))));
     }
-    let mut topology = tailwise_fleet::NetworkTopology::with_rncs(rncs.unwrap_or(1), cells);
+    let mut topology = tailwise_fleet::NetworkTopology::with_rncs(rncs, cells);
     topology.cell_budget.capacity_per_s = args.opt_parse::<u64>("capacity")?;
     topology.rnc_budget.capacity_per_s = args.opt_parse::<u64>("rnc-capacity")?;
     if let Some(spec) = args.opt_parse::<tailwise_fleet::AdmissionSpec>("admission")? {
@@ -1285,10 +1277,36 @@ mod tests {
     }
 
     #[test]
-    fn rnc_level_flags_without_rncs_are_errors() {
-        for (flag, value) in [("--rnc-capacity", "120"), ("--rnc-admission", "reactive:9")] {
-            let err = build_err(&["--cells", "4", flag, value]);
-            assert!(err.contains("needs --rncs"), "{flag}: {err}");
+    fn rnc_level_flags_build_what_the_file_builds() {
+        // Without --rncs the RNC-level flags configure the one RNC the
+        // cells sit under, exactly as a file's [rnc] table without a
+        // count does.
+        let file = |rnc: &str| {
+            let text = format!(
+                "[scenario]\nname = \"x\"\nusers = 8\n\n[cells]\ncount = 4\n\n[rnc]\n{rnc}\n\n\
+                 [[carrier]]\nprofile = \"verizon-lte\"\n\n[[app]]\nkind = \"im\"\nweight = 1.0\n"
+            );
+            let set =
+                tailwise_fleet::SourceSet::from_toml_str(&text).expect("scenario text parses");
+            let tailwise_fleet::UserSource::Synthetic(scenario) = set.source else {
+                panic!("a synthetic scenario")
+            };
+            scenario.cells.expect("the file builds a topology")
+        };
+        for (flags, rnc) in [
+            (&["--rnc-capacity", "400"][..], "capacity_per_s = 400"),
+            (&["--rnc-admission", "reactive:9"], "admission = \"reactive\"\nwatermark_per_s = 9"),
+            (
+                &["--rnc-capacity", "400", "--rnc-admission", "rate-limited:2"],
+                "capacity_per_s = 400\nadmission = \"rate-limited\"\nmin_interval_s = 2",
+            ),
+        ] {
+            let mut args = vec!["--users", "8", "--cells", "4"];
+            args.extend(flags);
+            let scenario = fleet_scenario_from_flags(&fleet_args(&args)).expect("flags build");
+            let topology = scenario.cells.expect("the flags build a topology");
+            assert_eq!(topology.rncs, 1, "{flags:?}");
+            assert_eq!(topology, file(rnc), "{flags:?}");
         }
     }
 

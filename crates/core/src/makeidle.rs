@@ -76,7 +76,7 @@ impl Default for MakeIdleConfig {
     }
 }
 
-/// Fingerprint of every profile/config input the cached candidate grid
+/// The key over every profile/config input the cached candidate grid
 /// and cut points depend on (`t_threshold` fixes the waits; `t1`, the
 /// tail window, `p_dch` and `p_fach` fix each wait's hold energy; `t1`
 /// and the tail window are also cut points).

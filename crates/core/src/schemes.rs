@@ -174,7 +174,8 @@ impl Scheme {
         verdicts: &[bool],
     ) -> Option<SimReport> {
         let requests = self.request_trace(profile, config, trace)?;
-        let mut report = replay_requests(profile, config, trace, &requests, verdicts);
+        let mut report =
+            replay_requests(profile, config, trace, &requests.times, requests.confusion, verdicts);
         report.scheme = self.label();
         Some(report)
     }

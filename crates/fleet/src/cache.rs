@@ -11,43 +11,49 @@
 //! of their status-quo run, the baseline pass 2 scores them against, so
 //! a hit serves that too.
 //!
-//! ## Keys
+//! ## Keys and records
 //!
-//! A [`Fingerprint`] is the scheme-independent identity of a synthetic
-//! population: master seed, user count, days, a hash of the app/carrier
-//! mixes, and a hash of the behavior-relevant engine knobs. Request
-//! streams are keyed on `(Fingerprint, scheme token)`: the stream
-//! depends on the scheme's idle policy. Anything the fingerprint
-//! excludes (the admission axes, the cell/RNC topology, mobility, shard
-//! size, thread count, observation knobs) provably cannot change
-//! phase-1 output, which is exactly what makes sweep cells share
-//! entries. Mobility in particular is excluded *by decision, not
-//! omission*: phase 1 extracts each user's request stream from their
-//! traffic alone, before any cell membership is consulted — movement
-//! changes where a request is adjudicated, never whether it is made —
-//! so a mobility sweep shares one extraction pass exactly like an
-//! admission sweep (pinned by the golden fingerprint tests below).
+//! The cache keys on its spill headers and holds the records its spill
+//! files store. A population's [`RequestCacheHeader`] is its
+//! scheme-independent identity — master seed, user count, days, a hash
+//! of the app/carrier mixes, and a hash of the behavior-relevant engine
+//! knobs — plus the scheme token: the stream depends on the scheme's
+//! idle policy. The stream store maps that header to the population's
+//! [`RequestStream`]s, index-ordered, which a `.twc` spill writes and
+//! reads as they are. Anything the header excludes (the admission
+//! axes, the cell/RNC topology, mobility, shard size, thread count,
+//! observation knobs) provably cannot change phase-1 output, which is
+//! exactly what makes sweep cells share entries. Mobility in particular
+//! is excluded *by decision, not omission*: phase 1 extracts each
+//! user's request stream from their traffic alone, before any cell
+//! membership is consulted — movement changes where a request is
+//! adjudicated, never whether it is made — so a mobility sweep shares
+//! one extraction pass exactly like an admission sweep (pinned by the
+//! golden identity tests below). Spill files are named for a hash of
+//! the identity fields and the scheme token.
 //!
 //! ## The replay memo
 //!
 //! Phase 1 is not the whole bill: across sweep cells the vast majority
 //! of users receive *bit-identical* grant/deny verdict streams — only
 //! users near a loaded cell or RNC flip. The cache therefore also
-//! memoizes each user's phase-2 outcome, keyed on
-//! `(Fingerprint, scheme token, topology hash)` at the population
-//! level and `(user index, verdict-stream hash)` per user. A memo hit
-//! folds a stored [`ReplayOutcome`] (the user's `(cell, second, msgs)`
-//! load deltas, as compact byte runs, included) against the baseline
-//! its stream carries, instead of materializing the trace and
-//! re-running the engine; a sweep cell pays only for the users whose
-//! verdicts changed. The `topo_hash` pins exactly the facts the
-//! per-cell attribution depends on — cell count, mobility model,
-//! signaling message weights — and deliberately excludes the RNC shape
-//! and admission axes (verdicts already capture every admission
+//! memoizes each user's phase-2 outcome, keyed on the population's
+//! [`ReplayCacheHeader`] — its request header plus a topology hash — at
+//! the population level and `(user index, verdict-stream hash)` per
+//! user. A memo hit folds a stored [`ReplayOutcome`] (the user's
+//! `(cell, second, msgs)` load deltas, as compact byte runs, included)
+//! against the baseline its stream carries, instead of materializing
+//! the trace and re-running the engine; a sweep cell pays only for the
+//! users whose verdicts changed. The topology hash pins exactly the
+//! facts the per-cell attribution depends on — cell count, mobility
+//! model, signaling message weights — and deliberately excludes the RNC
+//! shape and admission axes (verdicts already capture every admission
 //! decision; RNC loads are derived from the cell loads at fold time),
-//! which is what lets an admission sweep share one memo.
-//! Counters: `replay_hits` / `replay_misses` per user (emitted only
-//! when a cache is configured), `replay_spills` per `.twr` write, and
+//! which is what lets an admission sweep share one memo. Fresh outcomes
+//! merge in memory; the run entry points write each memo the run
+//! changed to its `.twr` spill once, as they return. Counters:
+//! `replay_hits` / `replay_misses` per user (emitted only when a cache
+//! is configured), `replay_spills` per `.twr` write, and
 //! `replay_fallbacks` for untrusted files.
 //!
 //! ## Fallback contract
@@ -73,66 +79,28 @@ use std::sync::{Arc, Mutex};
 
 use tailwise_obs::Obs;
 use tailwise_radio::profile::{CarrierProfile, RadioTech};
-use tailwise_sim::{Confusion, RequestTrace};
 use tailwise_trace::io::{
     read_replay_outcomes, read_request_streams, write_replay_outcomes, write_request_streams,
     ReplayCacheHeader, ReplayOutcome, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
 };
-use tailwise_trace::mix::splitmix64 as splitmix;
+use tailwise_trace::mix::{fold, fold_bytes};
 use tailwise_trace::time::Instant;
 use tailwise_trace::TraceError;
 
 use crate::scenario::Scenario;
-use crate::topology::{NetworkTopology, UserRequests};
+use crate::topology::NetworkTopology;
 
-/// The scheme-independent identity of a synthetic population: everything
-/// that feeds phase-1 request extraction *except* the scheme itself.
-///
-/// Two scenarios with equal fingerprints synthesize bit-identical users
-/// and traces; the excluded fields (scheme, admission policies,
-/// topology shape, mobility, shard size) affect only adjudication and
-/// the fold, never the per-user request streams. Golden tests below pin
-/// both directions: identity-field changes miss, policy-axis changes
-/// hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint {
-    /// Scenario master seed (roots the whole seeding hierarchy).
-    pub master_seed: u64,
-    /// Population size.
-    pub users: u64,
-    /// Days synthesized per user (after the runner's ≥ 1 clamp).
-    pub days: u32,
-    /// Hash over the app and carrier mixes, weights included.
-    pub mix_hash: u64,
-    /// Hash over the behavior-relevant engine knobs
-    /// (`intra_burst_gap`, `window_capacity`; the record/limit knobs
-    /// are observational and deliberately excluded).
-    pub sim_hash: u64,
-}
-
-/// One hash folding step (SplitMix64 avalanche, the same primitive the
-/// seeding hierarchy and the `.twc` checksum use).
-fn fold(h: u64, word: u64) -> u64 {
-    splitmix(h ^ word)
-}
-
-/// Folds a byte string unambiguously (length first, then bytes).
-fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    h = fold(h, bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = fold(h, u64::from_le_bytes(word));
-    }
-    h
+/// Folds a string unambiguously: its length, then its bytes.
+fn fold_text(h: u64, text: &str) -> u64 {
+    fold_bytes(fold(h, text.len() as u64), text.as_bytes())
 }
 
 /// Folds every behavior-relevant field of a carrier profile. Weights
-/// and numeric fields hash by exact bit pattern: a fingerprint must
+/// and numeric fields hash by exact bit pattern: a cache key must
 /// never conflate two profiles that simulate differently, however
 /// close their numbers.
 fn fold_carrier(mut h: u64, carrier: &CarrierProfile) -> u64 {
-    h = fold_bytes(h, carrier.name.as_bytes());
+    h = fold_text(h, carrier.name);
     h = fold(
         h,
         match carrier.tech {
@@ -157,59 +125,56 @@ fn fold_carrier(mut h: u64, carrier: &CarrierProfile) -> u64 {
     h
 }
 
-impl Fingerprint {
-    /// Computes the fingerprint of a synthetic scenario.
-    pub fn of(scenario: &Scenario) -> Fingerprint {
-        let mut mix = 0xF1D0_0000_0000_0000u64;
-        mix = fold(mix, scenario.app_mix.len() as u64);
-        for (kind, weight) in &scenario.app_mix {
-            mix = fold_bytes(mix, kind.token().as_bytes());
-            mix = fold(mix, weight.to_bits());
-        }
-        mix = fold(mix, scenario.carrier_mix.len() as u64);
-        for (carrier, weight) in &scenario.carrier_mix {
-            mix = fold_carrier(mix, carrier);
-            mix = fold(mix, weight.to_bits());
-        }
-        let mut sim = 0x51AB_0000_0000_0000u64;
-        sim = fold(sim, scenario.sim.intra_burst_gap.as_micros() as u64);
-        sim = fold(sim, scenario.sim.window_capacity as u64);
-        Fingerprint {
-            master_seed: scenario.master_seed,
-            users: scenario.users,
-            days: scenario.days_per_user.max(1),
-            mix_hash: mix,
-            sim_hash: sim,
-        }
+/// The `.twc` header a synthetic scenario's request streams are stored
+/// under: everything that feeds phase-1 request extraction — master
+/// seed, user count, days (after the runner's ≥ 1 clamp), a hash over
+/// the app and carrier mixes (weights included), a hash over the
+/// behavior-relevant engine knobs (`intra_burst_gap`,
+/// `window_capacity`; the record/limit knobs are observational) — and
+/// the scheme that extracts them.
+///
+/// Two scenarios with equal identity fields synthesize bit-identical
+/// users and traces; the excluded fields (admission policies, topology
+/// shape, mobility, shard size) affect only adjudication and the fold,
+/// never the per-user request streams. Golden tests below pin both
+/// directions: identity-field changes miss, policy-axis changes hit.
+pub(crate) fn request_header(scenario: &Scenario) -> RequestCacheHeader {
+    let mut mix = 0xF1D0_0000_0000_0000u64;
+    mix = fold(mix, scenario.app_mix.len() as u64);
+    for (kind, weight) in &scenario.app_mix {
+        mix = fold_text(mix, kind.token());
+        mix = fold(mix, weight.to_bits());
     }
+    mix = fold(mix, scenario.carrier_mix.len() as u64);
+    for (carrier, weight) in &scenario.carrier_mix {
+        mix = fold_carrier(mix, carrier);
+        mix = fold(mix, weight.to_bits());
+    }
+    let mut sim = 0x51AB_0000_0000_0000u64;
+    sim = fold(sim, scenario.sim.intra_burst_gap.as_micros() as u64);
+    sim = fold(sim, scenario.sim.window_capacity as u64);
+    RequestCacheHeader {
+        master_seed: scenario.master_seed,
+        users: scenario.users,
+        days: scenario.days_per_user.max(1),
+        mix_hash: mix,
+        sim_hash: sim,
+        scheme: scenario.scheme.to_string(),
+    }
+}
 
-    /// Collapses the fingerprint to one well-mixed word (the spill file
-    /// name stem). Equal fingerprints always collapse equally; the
-    /// golden tests pin concrete values so the on-disk naming cannot
-    /// drift silently between releases.
-    pub fn hash(&self) -> u64 {
-        let mut h = 0x7A11_0000_0000_0000u64;
-        h = fold(h, self.master_seed);
-        h = fold(h, self.users);
-        h = fold(h, self.days as u64);
-        h = fold(h, self.mix_hash);
-        h = fold(h, self.sim_hash);
-        h
-    }
-
-    /// The header a spill file announcing this fingerprint and scheme
-    /// carries (a `.twr` header embeds it). A stored header that
-    /// differs is a stale or foreign file → fallback.
-    fn header(&self, scheme: &str) -> RequestCacheHeader {
-        RequestCacheHeader {
-            master_seed: self.master_seed,
-            users: self.users,
-            days: self.days,
-            mix_hash: self.mix_hash,
-            sim_hash: self.sim_hash,
-            scheme: scheme.to_string(),
-        }
-    }
+/// Collapses a header's identity fields — all but the scheme token — to
+/// one well-mixed word, the spill file name stem. Equal identities
+/// always collapse equally; the golden tests pin concrete values so the
+/// on-disk naming cannot drift silently between releases.
+fn stem(header: &RequestCacheHeader) -> u64 {
+    let mut h = 0x7A11_0000_0000_0000u64;
+    h = fold(h, header.master_seed);
+    h = fold(h, header.users);
+    h = fold(h, header.days as u64);
+    h = fold(h, header.mix_hash);
+    h = fold(h, header.sim_hash);
+    h
 }
 
 /// Hashes a user's grant/deny verdict stream to the per-user memo key:
@@ -240,10 +205,10 @@ pub(crate) fn verdict_hash(verdicts: &[bool]) -> u64 {
 /// (verdicts already capture every admission decision; budgets only
 /// score the folded loads), and `per_handoff` (handoff messages are
 /// charged at adjudication time every run, never memoized).
-fn topo_hash(topology: &NetworkTopology) -> u64 {
+pub(crate) fn topo_hash(topology: &NetworkTopology) -> u64 {
     let mut h = 0x70B0_10CA_0000_0000u64;
     h = fold(h, topology.cells);
-    h = fold_bytes(h, topology.mobility.to_string().as_bytes());
+    h = fold_text(h, &topology.mobility.to_string());
     let s = &topology.signaling;
     for weight in [
         s.per_promotion,
@@ -257,41 +222,23 @@ fn topo_hash(topology: &NetworkTopology) -> u64 {
     h
 }
 
-/// Per-user phase-1 products, index-ordered (`streams[i]` is user
-/// `i`'s request stream and status-quo baseline).
-type Streams = Arc<Vec<UserRequests>>;
+/// Per-user phase-1 records, index-ordered (`streams[i]` is user `i`'s
+/// request stream and status-quo baseline) — exactly the streams of
+/// the population's `.twc` file.
+type Streams = Arc<Vec<RequestStream>>;
 
-/// A `.twc` stream is exactly a pass-1 record: its times, its four
-/// confusion counts and its two baseline words, so the two conversions
-/// are inverses and a spill round-trips the record bit for bit.
-impl From<RequestStream> for UserRequests {
-    fn from(stream: RequestStream) -> UserRequests {
-        let [tp, fp, tn, fn_] = stream.confusion;
-        let confusion = Confusion { tp, fp, tn, fn_ };
-        UserRequests {
-            requests: RequestTrace { times: stream.times, confusion },
-            baseline: (stream.baseline_energy_bits, stream.baseline_switches),
-        }
-    }
-}
-
-impl From<&UserRequests> for RequestStream {
-    fn from(user: &UserRequests) -> RequestStream {
-        let Confusion { tp, fp, tn, fn_ } = user.requests.confusion;
-        let (baseline_energy_bits, baseline_switches) = user.baseline;
-        RequestStream {
-            times: user.requests.times.clone(),
-            confusion: [tp, fp, tn, fn_],
-            baseline_energy_bits,
-            baseline_switches,
-        }
-    }
-}
-
-/// Memoized replay outcomes for one `(fingerprint, scheme, topology)`
-/// population, keyed by `(user index, verdict hash)` — exactly the
-/// records of its `.twr` file.
+/// Memoized replay outcomes for one population on one topology, keyed
+/// by `(user index, verdict hash)` — exactly the records of its `.twr`
+/// file.
 type Outcomes = Arc<HashMap<(u64, u64), ReplayOutcome>>;
+
+/// One population's replay memo, and whether it holds outcomes its
+/// `.twr` spill does not.
+#[derive(Debug, Default)]
+struct Memo {
+    outcomes: Outcomes,
+    unspilled: bool,
+}
 
 /// The one load path both spill kinds share. A missing file is a plain
 /// miss: `None`, nothing counted. A file that cannot be opened or read,
@@ -399,8 +346,8 @@ impl CacheSizes {
 #[derive(Debug, Default)]
 pub struct RequestCache {
     dir: Option<PathBuf>,
-    streams: Mutex<HashMap<(Fingerprint, String), Streams>>,
-    outcomes: Mutex<HashMap<(Fingerprint, String, u64), Outcomes>>,
+    streams: Mutex<HashMap<RequestCacheHeader, Streams>>,
+    memos: Mutex<HashMap<ReplayCacheHeader, Memo>>,
 }
 
 impl RequestCache {
@@ -431,10 +378,11 @@ impl RequestCache {
         for streams in self.streams.lock().expect("request cache map").values() {
             sizes.streams.entries += streams.len() as u64;
             let times: usize =
-                streams.iter().map(|s| s.requests.times.capacity() * size_of::<Instant>()).sum();
-            sizes.streams.bytes += (streams.capacity() * size_of::<UserRequests>() + times) as u64;
+                streams.iter().map(|s| s.times.capacity() * size_of::<Instant>()).sum();
+            sizes.streams.bytes += (streams.capacity() * size_of::<RequestStream>() + times) as u64;
         }
-        for outcomes in self.outcomes.lock().expect("replay memo map").values() {
+        for memo in self.memos.lock().expect("replay memo map").values() {
+            let outcomes = &memo.outcomes;
             sizes.memo.entries += outcomes.len() as u64;
             let held: usize = outcomes
                 .values()
@@ -446,147 +394,149 @@ impl RequestCache {
         sizes
     }
 
-    /// The spill file named for a fingerprint and scheme (scheme tokens
-    /// are filename-safe by construction), ending in `suffix`.
-    fn spill_path(&self, fingerprint: &Fingerprint, scheme: &str, suffix: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{:016x}-{scheme}{suffix}", fingerprint.hash())))
+    /// The spill file for a population's request header, ending in
+    /// `suffix`: the identity stem, then the scheme token (filename-safe
+    /// by construction).
+    fn spill_path(&self, header: &RequestCacheHeader, suffix: &str) -> Option<PathBuf> {
+        let dir = self.dir.as_ref()?;
+        Some(dir.join(format!("{:016x}-{}{suffix}", stem(header), header.scheme)))
     }
 
-    /// Looks up the request streams for `(fingerprint, scheme)`:
-    /// memory first, then the `.twc` spill. Counts exactly one of
+    /// The `.twr` spill file of a memo.
+    fn memo_path(&self, header: &ReplayCacheHeader) -> Option<PathBuf> {
+        self.spill_path(&header.requests, &format!("-{:016x}.twr", header.topo_hash))
+    }
+
+    /// Looks up the request streams stored under `header`: memory
+    /// first, then the `.twc` spill. Counts exactly one of
     /// `cache_hits` / `cache_misses` per call, plus `cache_fallbacks`
     /// when an on-disk file existed but could not be trusted.
-    pub(crate) fn lookup(
-        &self,
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        obs: Obs<'_>,
-    ) -> Option<Streams> {
-        let key = (*fingerprint, scheme.to_string());
-        let hit = self.streams.lock().expect("request cache map").get(&key).map(Arc::clone);
+    pub(crate) fn lookup(&self, header: &RequestCacheHeader, obs: Obs<'_>) -> Option<Streams> {
+        let hit = self.streams.lock().expect("request cache map").get(header).map(Arc::clone);
         let hit = hit.or_else(|| {
-            let path = self.spill_path(fingerprint, scheme, ".twc")?;
-            let header = fingerprint.header(scheme);
+            let path = self.spill_path(header, ".twc")?;
             let loaded =
-                load_spill(&path, read_request_streams, &header, |_| true, "cache_fallbacks", obs)?;
-            let streams: Streams = Arc::new(loaded.into_iter().map(UserRequests::from).collect());
-            self.streams.lock().expect("request cache map").insert(key, Arc::clone(&streams));
+                load_spill(&path, read_request_streams, header, |_| true, "cache_fallbacks", obs)?;
+            let streams = Arc::new(loaded);
+            self.streams
+                .lock()
+                .expect("request cache map")
+                .insert(header.clone(), Arc::clone(&streams));
             Some(streams)
         });
         obs.recorder.counter(if hit.is_some() { "cache_hits" } else { "cache_misses" }).incr();
         hit
     }
 
-    /// Stores freshly extracted request streams, spilling them to
-    /// `.twc` when a directory is configured.
-    pub(crate) fn store(
-        &self,
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        streams: Streams,
-        obs: Obs<'_>,
-    ) {
+    /// Stores freshly extracted request streams under `header`,
+    /// spilling them to `.twc` as they are when a directory is
+    /// configured.
+    pub(crate) fn store(&self, header: &RequestCacheHeader, streams: Streams, obs: Obs<'_>) {
         debug_assert_eq!(
             streams.len() as u64,
-            fingerprint.users,
-            "stream count must match the fingerprint's population"
+            header.users,
+            "stream count must match the header's population"
         );
         self.streams
             .lock()
             .expect("request cache map")
-            .insert((*fingerprint, scheme.to_string()), Arc::clone(&streams));
-        let Some(path) = self.spill_path(fingerprint, scheme, ".twc") else { return };
-        let stored: Vec<RequestStream> = streams.iter().map(RequestStream::from).collect();
-        let header = fingerprint.header(scheme);
-        let write = |file| write_request_streams(&header, &stored, file);
+            .insert(header.clone(), Arc::clone(&streams));
+        let Some(path) = self.spill_path(header, ".twc") else { return };
+        let write = |file| write_request_streams(header, &streams, file);
         spill(&path, write, "cache_spills", "cache_fallbacks", obs);
     }
 
-    /// Looks up the memoized replay outcomes for a population on a
-    /// topology: memory first, then the `.twr` spill. Always returns a
-    /// map (possibly empty) — per-user hit/miss accounting happens at
-    /// the replay loop, where the verdict hashes are known. An on-disk
-    /// file that cannot be trusted counts one `replay_fallbacks` and is
-    /// ignored; the run recomputes and later overwrites it with a
-    /// repaired spill.
+    /// Looks up the memoized replay outcomes stored under `header`, for
+    /// a topology of `cells` cells: memory first, then the `.twr`
+    /// spill. Always returns a map (possibly empty) — per-user hit/miss
+    /// accounting happens at the replay loop, where the verdict hashes
+    /// are known. An on-disk file that cannot be trusted counts one
+    /// `replay_fallbacks` and is ignored; the run recomputes, and the
+    /// memo's next write repairs it.
     pub(crate) fn lookup_outcomes(
         &self,
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        topology: &NetworkTopology,
+        header: &ReplayCacheHeader,
+        cells: u64,
         obs: Obs<'_>,
     ) -> Outcomes {
-        let topo = topo_hash(topology);
-        let key = (*fingerprint, scheme.to_string(), topo);
-        if let Some(hit) = self.outcomes.lock().expect("replay memo map").get(&key) {
-            return Arc::clone(hit);
+        if let Some(memo) = self.memos.lock().expect("replay memo map").get(header) {
+            return Arc::clone(&memo.outcomes);
         }
-        let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
         // The fold indexes its per-cell loads with the stored cells, so
         // a user or cell outside the population makes the file
         // untrusted. The reader has already checked that the load runs
         // are canonical, hence strictly ascending by `(cell, second)`.
         let trusted = |r: &ReplayOutcomeRecord| {
-            r.user < fingerprint.users && r.outcome.load.runs().all(|run| run.cell < topology.cells)
+            r.user < header.requests.users && r.outcome.load.runs().all(|run| run.cell < cells)
         };
-        let path = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr"));
-        let loaded = path.and_then(|path| {
-            load_spill(&path, read_replay_outcomes, &header, trusted, "replay_fallbacks", obs)
+        let loaded = self.memo_path(header).and_then(|path| {
+            load_spill(&path, read_replay_outcomes, header, trusted, "replay_fallbacks", obs)
         });
         let Some(records) = loaded else { return Arc::new(HashMap::new()) };
         let outcomes: Outcomes =
             Arc::new(records.into_iter().map(|r| ((r.user, r.verdict_hash), r.outcome)).collect());
-        self.outcomes.lock().expect("replay memo map").insert(key, Arc::clone(&outcomes));
+        let memo = Memo { outcomes: Arc::clone(&outcomes), unspilled: false };
+        self.memos.lock().expect("replay memo map").insert(header.clone(), memo);
         outcomes
     }
 
-    /// Merges freshly computed replay outcomes into the memo and spills
-    /// the merged map to `.twr` when a directory is configured. A warm
-    /// run with nothing fresh is a no-op — existing spill files are
-    /// left untouched, byte for byte.
+    /// Merges freshly computed replay outcomes into the memo stored
+    /// under `header`, in memory only: [`write_memos`](Self::write_memos)
+    /// spills it. Nothing fresh is a no-op.
     ///
     /// The memo grows in place: when the caller has dropped the handle
     /// [`lookup_outcomes`](Self::lookup_outcomes) gave it, the cache
     /// holds the only one and nothing is copied (a handle still held
-    /// elsewhere keeps its snapshot, copy-on-write). The spill borrows
-    /// the memo's outcomes.
+    /// elsewhere keeps its snapshot, copy-on-write).
     pub(crate) fn store_outcomes(
         &self,
-        fingerprint: &Fingerprint,
-        scheme: &str,
-        topology: &NetworkTopology,
+        header: ReplayCacheHeader,
         fresh: Vec<((u64, u64), ReplayOutcome)>,
-        obs: Obs<'_>,
     ) {
         if fresh.is_empty() {
             return;
         }
-        let topo = topo_hash(topology);
-        let key = (*fingerprint, scheme.to_string(), topo);
-        let merged: Outcomes = {
-            let mut map = self.outcomes.lock().expect("replay memo map");
-            let slot = map.entry(key).or_default();
-            Arc::make_mut(slot).extend(fresh);
-            Arc::clone(slot)
-        };
-        let Some(path) = self.spill_path(fingerprint, scheme, &format!("-{topo:016x}.twr")) else {
-            return;
-        };
-        // Records sorted by key: equal memos spill equal bytes.
-        let mut records: Vec<ReplayOutcomeRecord<&ReplayOutcome>> = merged
-            .iter()
-            .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
-                user,
-                verdict_hash,
-                outcome,
+        let mut memos = self.memos.lock().expect("replay memo map");
+        let memo = memos.entry(header).or_default();
+        Arc::make_mut(&mut memo.outcomes).extend(fresh);
+        memo.unspilled = true;
+    }
+
+    /// Writes every memo that holds outcomes its `.twr` file does not,
+    /// each as one spill of its whole merged map, when a directory is
+    /// configured. A memo nothing was merged into since it was loaded
+    /// or last written is left untouched, byte for byte. The run entry
+    /// points call this once as they return, however the run ends, so a
+    /// sweep writes each memo it changed once, however many of its
+    /// cells replayed anyone.
+    pub(crate) fn write_memos(&self, obs: Obs<'_>) {
+        let unspilled: Vec<(PathBuf, ReplayCacheHeader, Outcomes)> = self
+            .memos
+            .lock()
+            .expect("replay memo map")
+            .iter_mut()
+            .filter(|(_, memo)| memo.unspilled)
+            .filter_map(|(header, memo)| {
+                let path = self.memo_path(header)?;
+                memo.unspilled = false;
+                Some((path, header.clone(), Arc::clone(&memo.outcomes)))
             })
             .collect();
-        records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));
-        let header = ReplayCacheHeader { requests: fingerprint.header(scheme), topo_hash: topo };
-        let write = |file| write_replay_outcomes(&header, &records, file);
-        spill(&path, write, "replay_spills", "replay_fallbacks", obs);
+        for (path, header, outcomes) in unspilled {
+            // Records sorted by key: equal memos spill equal bytes. The
+            // spill borrows the memo's outcomes.
+            let mut records: Vec<ReplayOutcomeRecord<&ReplayOutcome>> = outcomes
+                .iter()
+                .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
+                    user,
+                    verdict_hash,
+                    outcome,
+                })
+                .collect();
+            records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));
+            let write = |file| write_replay_outcomes(&header, &records, file);
+            spill(&path, write, "replay_spills", "replay_fallbacks", obs);
+        }
     }
 }
 
@@ -602,51 +552,18 @@ mod tests {
     fn streams_of(per_user: Vec<Vec<Instant>>) -> Streams {
         let users = per_user.into_iter().enumerate().map(|(i, times)| {
             let i = i as u64;
-            UserRequests {
-                requests: RequestTrace {
-                    times,
-                    confusion: Confusion { tp: i + 1, fp: 2 * i, tn: 40 + i, fn_: 7 },
-                },
-                baseline: ((1.5 + i as f64).to_bits(), 3 * i + 1),
+            RequestStream {
+                times,
+                confusion: [i + 1, 2 * i, 40 + i, 7],
+                baseline_energy_bits: (1.5 + i as f64).to_bits(),
+                baseline_switches: 3 * i + 1,
             }
         });
         Arc::new(users.collect())
     }
 
-    #[test]
-    fn stream_conversions_round_trip() {
-        use tailwise_sim::engine::SimConfig;
-        use tailwise_sim::policy::FixedWait;
-        use tailwise_trace::packet::{Direction, Packet};
-        use tailwise_trace::time::Duration;
-        use tailwise_trace::Trace;
-
-        let p = CarrierProfile::att_hspa();
-        let cfg = SimConfig::default();
-        let mut at = Instant::ZERO;
-        let mut packets = vec![Packet::new(at, Direction::Down, 500)];
-        for gap_ms in [30_000, 400, 20_000] {
-            at += Duration::from_millis(gap_ms);
-            packets.push(Packet::new(at, Direction::Up, 500));
-        }
-        let t = Trace::from_sorted(packets).unwrap();
-        let wait = &mut FixedWait::new(Duration::from_secs(1), "1s");
-        let requests = tailwise_sim::record_requests(&p, &cfg, &t, wait);
-        assert_eq!((requests.confusion.tp, requests.confusion.tn), (3, 1));
-        let status_quo = Scheme::StatusQuo.run(&p, &cfg, &t);
-        let baseline = (status_quo.total_energy().to_bits(), status_quo.switch_cycles());
-        let user = UserRequests { requests, baseline };
-        // The stable-serialization identity: a pass-1 record is exactly
-        // its times, its confusion counts and its baseline words.
-        let stream = RequestStream::from(&user);
-        assert_eq!(stream.times, user.requests.times);
-        assert_eq!(stream.confusion, [3, 0, 1, 0]);
-        assert_eq!((stream.baseline_energy_bits, stream.baseline_switches), baseline);
-        assert_eq!(UserRequests::from(stream), user);
-    }
-
     /// The `rnc_storm.toml` population in miniature — the golden
-    /// fingerprint subject.
+    /// identity subject.
     fn storm_like() -> Scenario {
         let mut s = Scenario::new(600, Scheme::MakeIdle, CarrierProfile::verizon_lte());
         s.master_seed = 2012;
@@ -656,52 +573,64 @@ mod tests {
         s
     }
 
+    /// The request header of `storm_like()` cut to `users` users.
+    fn tiny_header(users: u64) -> RequestCacheHeader {
+        let mut tiny = storm_like();
+        tiny.users = users;
+        request_header(&tiny)
+    }
+
     #[test]
     fn identity_changes_miss_and_policy_changes_hit() {
-        let base = Fingerprint::of(&storm_like());
+        let base = request_header(&storm_like());
 
         // Identity fields: each change must invalidate.
         let mut reseeded = storm_like();
         reseeded.master_seed = 2013;
-        assert_ne!(Fingerprint::of(&reseeded), base, "master seed must invalidate");
+        assert_ne!(request_header(&reseeded), base, "master seed must invalidate");
 
         let mut resized = storm_like();
         resized.users = 601;
-        assert_ne!(Fingerprint::of(&resized), base, "user count must invalidate");
+        assert_ne!(request_header(&resized), base, "user count must invalidate");
 
         let mut remixed = storm_like();
         remixed.app_mix = vec![(AppKind::Im, 3.0), (AppKind::Email, 2.5)];
-        assert_ne!(Fingerprint::of(&remixed), base, "app mix must invalidate");
+        assert_ne!(request_header(&remixed), base, "app mix must invalidate");
 
         let mut recarriered = storm_like();
         recarriered.carrier_mix = vec![(CarrierProfile::att_hspa(), 1.0)];
-        assert_ne!(Fingerprint::of(&recarriered), base, "carrier mix must invalidate");
+        assert_ne!(request_header(&recarriered), base, "carrier mix must invalidate");
 
         let mut longer = storm_like();
         longer.days_per_user = 2;
-        assert_ne!(Fingerprint::of(&longer), base, "day count must invalidate");
+        assert_ne!(request_header(&longer), base, "day count must invalidate");
+
+        // The scheme keys the extraction, never the population: it
+        // changes the scheme token alone, and the spill stem not at all.
+        let mut reschemed = storm_like();
+        reschemed.scheme = Scheme::FixedTail45;
+        let header = request_header(&reschemed);
+        assert_eq!(header.scheme, "tail45");
+        assert_eq!(stem(&header), stem(&base), "scheme axis must not move the population");
+        assert_eq!(RequestCacheHeader { scheme: base.scheme.clone(), ..header }, base);
 
         // Policy axes: sweeping them must NOT invalidate — that reuse
         // is the whole point of the cache.
-        let mut reschemed = storm_like();
-        reschemed.scheme = Scheme::FixedTail45;
-        assert_eq!(Fingerprint::of(&reschemed), base, "scheme axis must not invalidate");
-
         let mut readmitted = storm_like();
         readmitted.cells.as_mut().unwrap().rnc_admission =
             crate::admission::AdmissionSpec::LoadReactive { watermark_per_s: 50, window_s: 5 };
-        assert_eq!(Fingerprint::of(&readmitted), base, "admission axis must not invalidate");
+        assert_eq!(request_header(&readmitted), base, "admission axis must not invalidate");
 
         let mut resharded = storm_like();
         resharded.shard_size = 64;
-        assert_eq!(Fingerprint::of(&resharded), base, "shard size must not invalidate");
+        assert_eq!(request_header(&resharded), base, "shard size must not invalidate");
 
         // Mobility is a topology axis: it moves requests between cells
         // but never changes which requests exist, so a mobility sweep
         // must share the static run's extraction pass.
         let mut commuted = storm_like();
         commuted.cells.as_mut().unwrap().mobility = crate::mobility::MobilitySpec::commute();
-        assert_eq!(Fingerprint::of(&commuted), base, "mobility axis must not invalidate");
+        assert_eq!(request_header(&commuted), base, "mobility axis must not invalidate");
     }
 
     #[test]
@@ -709,57 +638,54 @@ mod tests {
         // Pinned literals: the on-disk `.twc` naming contract. If a
         // deliberate hashing change lands, re-pin these — silently
         // drifting values would orphan every existing spill directory.
-        assert_eq!(Fingerprint::of(&storm_like()).hash(), 0x7defa3bb02aa2399);
+        assert_eq!(stem(&request_header(&storm_like())), 0x7defa3bb02aa2399);
         let mut reseeded = storm_like();
         reseeded.master_seed = 1;
-        assert_eq!(Fingerprint::of(&reseeded).hash(), 0x66c706f38c02825a);
+        assert_eq!(stem(&request_header(&reseeded)), 0x66c706f38c02825a);
     }
 
     #[test]
     fn day_clamp_is_fingerprint_visible() {
         // days_per_user 0 and 1 synthesize the same population (the
-        // runner clamps to ≥ 1), so they must share a fingerprint.
+        // runner clamps to ≥ 1), so they must share a header.
         let mut zero = storm_like();
         zero.days_per_user = 0;
-        assert_eq!(Fingerprint::of(&zero), Fingerprint::of(&storm_like()));
+        assert_eq!(request_header(&zero), request_header(&storm_like()));
     }
 
     #[test]
     fn memory_cache_round_trips_and_counts() {
         let cache = RequestCache::in_memory();
-        let mut tiny = storm_like();
-        tiny.users = 3;
-        let fp = Fingerprint::of(&tiny);
+        let header = tiny_header(3);
         let obs = Obs::none();
-        assert!(cache.lookup(&fp, "makeidle", obs).is_none());
+        assert!(cache.lookup(&header, obs).is_none());
         let streams: Streams =
             streams_of(vec![vec![Instant::from_secs(1)], vec![], vec![Instant::from_secs(2)]]);
-        cache.store(&fp, "makeidle", Arc::clone(&streams), obs);
-        assert_eq!(cache.lookup(&fp, "makeidle", obs).as_deref(), Some(&*streams));
+        cache.store(&header, Arc::clone(&streams), obs);
+        assert_eq!(cache.lookup(&header, obs).as_deref(), Some(&*streams));
         // A different scheme is a different entry.
-        assert!(cache.lookup(&fp, "tail45", obs).is_none());
+        let tail45 = RequestCacheHeader { scheme: "tail45".into(), ..header };
+        assert!(cache.lookup(&tail45, obs).is_none());
     }
 
     #[test]
     fn disk_cache_spills_and_warm_starts() {
         let dir = std::env::temp_dir().join(format!("tailwise-cache-unit-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        // The spill header claims the fingerprint's user count, so the
+        // The spill header claims the population's user count, so the
         // stream vector must match it — two users here.
-        let mut tiny = storm_like();
-        tiny.users = 2;
-        let fp = Fingerprint::of(&tiny);
+        let header = tiny_header(2);
         let streams = streams_of(vec![vec![Instant::ZERO, Instant::from_secs(3)], vec![]]);
 
         let writer = RequestCache::with_dir(&dir).unwrap();
-        writer.store(&fp, "makeidle", Arc::clone(&streams), Obs::none());
-        let spilled = dir.join(format!("{:016x}-makeidle.twc", fp.hash()));
+        writer.store(&header, Arc::clone(&streams), Obs::none());
+        let spilled = dir.join(format!("{:016x}-makeidle.twc", stem(&header)));
         assert!(spilled.is_file(), "missing spill file {}", spilled.display());
 
         // A fresh cache (fresh process, conceptually) warm-starts from
         // the spill file alone.
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert_eq!(reader.lookup(&fp, "makeidle", Obs::none()).as_deref(), Some(&*streams));
+        assert_eq!(reader.lookup(&header, Obs::none()).as_deref(), Some(&*streams));
 
         // Corrupt the file: a third cache must fall back cleanly.
         let mut bytes = std::fs::read(&spilled).unwrap();
@@ -767,21 +693,19 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&spilled, &bytes).unwrap();
         let fallback = RequestCache::with_dir(&dir).unwrap();
-        assert!(fallback.lookup(&fp, "makeidle", Obs::none()).is_none());
+        assert!(fallback.lookup(&header, Obs::none()).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_stores_of_one_key_never_corrupt_the_spill() {
         // Regression: the spill tmp filename used to be pid-only, so
-        // two threads in one process storing the same (fingerprint,
-        // scheme) interleaved writes into a single tmp file — a corrupt
-        // spill surfacing later as silent cache_fallbacks.
+        // two threads in one process storing the same header
+        // interleaved writes into a single tmp file — a corrupt spill
+        // surfacing later as silent cache_fallbacks.
         let dir = std::env::temp_dir().join(format!("tailwise-cache-race-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut tiny = storm_like();
-        tiny.users = 2;
-        let fp = Fingerprint::of(&tiny);
+        let header = tiny_header(2);
         let streams = streams_of(vec![vec![Instant::ZERO, Instant::from_secs(7)], vec![]]);
 
         let recorder = tailwise_obs::StatsRecorder::new();
@@ -790,12 +714,12 @@ mod tests {
             std::thread::scope(|scope| {
                 for _thread in 0..8 {
                     let writer = &writer;
-                    let fp = &fp;
+                    let header = &header;
                     let streams = Arc::clone(&streams);
                     let recorder = &recorder;
                     scope.spawn(move || {
                         let obs = Obs { recorder, progress: None };
-                        writer.store(fp, "makeidle", streams, obs);
+                        writer.store(header, streams, obs);
                     });
                 }
             });
@@ -818,7 +742,7 @@ mod tests {
         let read_recorder = tailwise_obs::StatsRecorder::new();
         let read_obs = Obs { recorder: &read_recorder, progress: None };
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert_eq!(reader.lookup(&fp, "makeidle", read_obs).as_deref(), Some(&*streams));
+        assert_eq!(reader.lookup(&header, read_obs).as_deref(), Some(&*streams));
         let read_snapshot = read_recorder.snapshot();
         assert_eq!(read_snapshot.counter("cache_hits"), 1);
         assert_eq!(read_snapshot.counter("cache_fallbacks"), 0);
@@ -893,50 +817,57 @@ mod tests {
     fn replay_memo_round_trips_in_memory_and_on_disk() {
         let dir = std::env::temp_dir().join(format!("tailwise-memo-unit-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut tiny = storm_like();
-        tiny.users = 2;
-        let fp = Fingerprint::of(&tiny);
-        let topology = tiny.cells.clone().unwrap();
-        let topo = topo_hash(&topology);
-        let obs = Obs::none();
+        let topology = storm_like().cells.unwrap();
+        let header =
+            ReplayCacheHeader { requests: tiny_header(2), topo_hash: topo_hash(&topology) };
+        let recorder = tailwise_obs::StatsRecorder::new();
+        let obs = Obs { recorder: &recorder, progress: None };
 
         let cache = RequestCache::with_dir(&dir).unwrap();
-        assert!(cache.lookup_outcomes(&fp, "makeidle", &topology, obs).is_empty());
+        assert!(cache.lookup_outcomes(&header, topology.cells, obs).is_empty());
         // Storing nothing fresh must not create a spill file.
-        cache.store_outcomes(&fp, "makeidle", &topology, Vec::new(), obs);
-        let spill = dir.join(format!("{:016x}-makeidle-{topo:016x}.twr", fp.hash()));
+        cache.store_outcomes(header.clone(), Vec::new());
+        cache.write_memos(obs);
+        let spill = dir.join(format!(
+            "{:016x}-makeidle-{:016x}.twr",
+            stem(&header.requests),
+            header.topo_hash
+        ));
         assert!(!spill.exists(), "empty store must not spill");
 
         let fresh = vec![
             ((0u64, 11u64), sample_entry(10.0, vec![(0, 5, 28), (1, 9, 3)])),
             ((1u64, 22u64), sample_entry(20.0, vec![])),
         ];
-        cache.store_outcomes(&fp, "makeidle", &topology, fresh.clone(), obs);
+        cache.store_outcomes(header.clone(), fresh.clone());
+        // A store merges in memory; the write step spills, once.
+        assert!(!spill.exists(), "a store must leave the spill to the write step");
+        cache.write_memos(obs);
+        cache.write_memos(obs);
         assert!(spill.is_file(), "missing spill file {}", spill.display());
-        let served = cache.lookup_outcomes(&fp, "makeidle", &topology, obs);
+        assert_eq!(recorder.snapshot().counter("replay_spills"), 1, "one write per change");
+        let served = cache.lookup_outcomes(&header, topology.cells, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(0, 11)), Some(&fresh[0].1));
 
         // A fresh cache (fresh process, conceptually) warm-starts from
         // the `.twr` file alone; a later merge keeps prior entries.
         let warm = RequestCache::with_dir(&dir).unwrap();
-        let served = warm.lookup_outcomes(&fp, "makeidle", &topology, obs);
+        let served = warm.lookup_outcomes(&header, topology.cells, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(1, 22)), Some(&fresh[1].1));
         warm.store_outcomes(
-            &fp,
-            "makeidle",
-            &topology,
+            header.clone(),
             vec![((1u64, 33u64), sample_entry(30.0, vec![(0, 1, 1)]))],
-            obs,
         );
-        let served = warm.lookup_outcomes(&fp, "makeidle", &topology, obs);
+        let served = warm.lookup_outcomes(&header, topology.cells, obs);
         assert_eq!(served.len(), 3, "merge must keep prior entries");
 
         // A different topology hash is a different memo entirely.
         let mut reweighted = topology.clone();
         reweighted.signaling.per_promotion += 1;
-        assert!(warm.lookup_outcomes(&fp, "makeidle", &reweighted, obs).is_empty());
+        let other = ReplayCacheHeader { topo_hash: topo_hash(&reweighted), ..header.clone() };
+        assert!(warm.lookup_outcomes(&other, reweighted.cells, obs).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -944,27 +875,27 @@ mod tests {
     fn corrupt_replay_spills_fall_back_and_count() {
         let dir = std::env::temp_dir().join(format!("tailwise-memo-bad-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut tiny = storm_like();
-        tiny.users = 1;
-        let fp = Fingerprint::of(&tiny);
-        let topology = tiny.cells.clone().unwrap();
-        let topo = topo_hash(&topology);
+        let topology = storm_like().cells.unwrap();
+        let header =
+            ReplayCacheHeader { requests: tiny_header(1), topo_hash: topo_hash(&topology) };
         let seeder = RequestCache::with_dir(&dir).unwrap();
         seeder.store_outcomes(
-            &fp,
-            "makeidle",
-            &topology,
+            header.clone(),
             vec![((0u64, 7u64), sample_entry(1.5, vec![(0, 0, 4)]))],
-            Obs::none(),
         );
-        let spill = dir.join(format!("{:016x}-makeidle-{topo:016x}.twr", fp.hash()));
+        seeder.write_memos(Obs::none());
+        let spill = dir.join(format!(
+            "{:016x}-makeidle-{:016x}.twr",
+            stem(&header.requests),
+            header.topo_hash
+        ));
         let pristine = std::fs::read(&spill).unwrap();
         std::fs::write(&spill, &pristine[..pristine.len() - 3]).unwrap();
 
         let recorder = tailwise_obs::StatsRecorder::new();
         let obs = Obs { recorder: &recorder, progress: None };
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert!(reader.lookup_outcomes(&fp, "makeidle", &topology, obs).is_empty());
+        assert!(reader.lookup_outcomes(&header, topology.cells, obs).is_empty());
         assert_eq!(recorder.snapshot().counter("replay_fallbacks"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -984,17 +915,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let mut tiny = storm_like();
         tiny.users = 1;
-        let fp = Fingerprint::of(&tiny);
+        tiny.scheme = scheme;
+        let header = request_header(&tiny);
+        assert_eq!(header.scheme, token);
         let streams = streams_of(vec![vec![Instant::from_secs(11)]]);
         let writer = RequestCache::with_dir(&dir).unwrap();
-        writer.store(&fp, &token, Arc::clone(&streams), Obs::none());
-        let spilled = dir.join(format!("{:016x}-iat92.5.twc", fp.hash()));
+        writer.store(&header, Arc::clone(&streams), Obs::none());
+        let spilled = dir.join(format!("{:016x}-iat92.5.twc", stem(&header)));
         assert!(spilled.is_file(), "missing spill file {}", spilled.display());
 
         let read_recorder = tailwise_obs::StatsRecorder::new();
         let read_obs = Obs { recorder: &read_recorder, progress: None };
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert_eq!(reader.lookup(&fp, &token, read_obs).as_deref(), Some(&*streams));
+        assert_eq!(reader.lookup(&header, read_obs).as_deref(), Some(&*streams));
         assert_eq!(read_recorder.snapshot().counter("cache_hits"), 1);
         assert_eq!(read_recorder.snapshot().counter("cache_fallbacks"), 0);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -35,10 +35,12 @@
 //!   sweep pair [`run_source_sweep_cached`] /
 //!   [`run_source_sweep_streamed`];
 //! * [`cache`] — phase-1 request caching for sweeps: a [`RequestCache`]
-//!   keyed on the scenario's scheme-independent [`Fingerprint`] lets an
-//!   N-cell admission or scheme sweep pay one extraction pass and serve
-//!   every later cell from memory (or a `.twc` spill directory), with a
-//!   corrupt-or-mismatched file always falling back to recomputation;
+//!   keyed on the population's `.twc` header lets an N-cell admission
+//!   or scheme sweep pay one extraction pass and serve every later cell
+//!   from memory (or a `.twc` spill directory, whose records it holds
+//!   as they are), memoizes each user's replay for the cells after, and
+//!   always falls back to recomputation on a corrupt-or-mismatched
+//!   file;
 //! * [`topology`]/[`admission`] — the hierarchical radio network: a
 //!   [`NetworkTopology`] partitions users across cells and groups the
 //!   cells under RNCs; every fast-dormancy request passes two pluggable
@@ -103,7 +105,7 @@ pub mod sweep;
 pub mod topology;
 
 pub use admission::AdmissionSpec;
-pub use cache::{CacheSizes, Fingerprint, RequestCache, StoreSize};
+pub use cache::{CacheSizes, RequestCache, StoreSize};
 pub use histogram::Histogram;
 pub use manifest::{ManifestReport, ManifestSignaling, RunManifest};
 pub use mobility::{Handoff, MobilitySpec};

@@ -377,29 +377,20 @@ impl RunManifest {
     /// batch or streamed through the fleet service; `fleet manifest
     /// --digest` exposes this for shell-level comparisons.
     pub fn digest(&self) -> u64 {
-        use tailwise_trace::mix::splitmix64;
-        fn fold(h: u64, word: u64) -> u64 {
-            splitmix64(h ^ word)
-        }
-        fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-            h = fold(h, bytes.len() as u64);
-            for chunk in bytes.chunks(8) {
-                let mut word = [0u8; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                h = fold(h, u64::from_le_bytes(word));
-            }
-            h
-        }
+        use tailwise_trace::mix::{fold, fold_bytes};
+        // Length first, so adjacent strings cannot trade bytes.
+        let fold_text =
+            |h: u64, text: &str| fold_bytes(fold(h, text.len() as u64), text.as_bytes());
         let mut h = 0xD16E_0000_0000_0000u64;
-        h = fold_bytes(h, self.name.as_bytes());
-        h = fold_bytes(h, self.scheme.as_bytes());
-        h = fold_bytes(h, self.source.as_bytes());
+        h = fold_text(h, &self.name);
+        h = fold_text(h, &self.scheme);
+        h = fold_text(h, &self.source);
         h = fold(h, self.seed);
         h = fold(h, self.reports.len() as u64);
         for report in &self.reports {
-            h = fold_bytes(h, report.label.as_bytes());
-            h = fold_bytes(h, report.scenario.as_bytes());
-            h = fold_bytes(h, report.scheme.as_bytes());
+            h = fold_text(h, &report.label);
+            h = fold_text(h, &report.scenario);
+            h = fold_text(h, &report.scheme);
             for word in [
                 report.users,
                 report.user_days,

@@ -44,9 +44,10 @@ use tailwise_radio::profile::CarrierProfile;
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::corpus::Corpus;
+use tailwise_trace::io::RequestCacheHeader;
 use tailwise_trace::Trace;
 
-use crate::cache::{Fingerprint, RequestCache};
+use crate::cache::{request_header, RequestCache};
 use crate::report::{FleetReport, RunTimings};
 use crate::scenario::{draw_carrier, Scenario};
 use crate::source::{CorpusScenario, UserSource};
@@ -220,12 +221,13 @@ impl<'a> Population<'a> {
         }
     }
 
-    /// The key a [`RequestCache`] stores this population under. Only
-    /// synthetic populations have one: a corpus is whatever its
-    /// directory holds, so corpus replays never touch the cache.
-    pub(crate) fn fingerprint(&self) -> Option<Fingerprint> {
+    /// The header a [`RequestCache`] keys this population's request
+    /// streams on. Only synthetic populations have one: a corpus is
+    /// whatever its directory holds, so corpus replays never touch the
+    /// cache.
+    pub(crate) fn cache_header(&self) -> Option<RequestCacheHeader> {
         match &self.members {
-            Members::Synthetic(scenario) => Some(Fingerprint::of(scenario)),
+            Members::Synthetic(scenario) => Some(request_header(scenario)),
             Members::Corpus { .. } => None,
         }
     }
@@ -288,7 +290,9 @@ pub fn run(scenario: &Scenario, threads: usize) -> FleetReport {
 /// enabled. Neither does caching: the cache applies to synthetic
 /// cell-topology runs (the two-pass runner is where phase 1 exists as a
 /// separate artifact), and a cached run is bit-identical to an uncached
-/// one — only the `cache_*` counters and the wall clock differ.
+/// one — only the `cache_*` counters and the wall clock differ. The
+/// replay memo the run changed is written to the cache's directory
+/// before this returns, whether the run succeeded or not.
 pub fn run_source(
     source: &UserSource,
     threads: usize,
@@ -296,7 +300,11 @@ pub fn run_source(
     cache: Option<&RequestCache>,
 ) -> Result<FleetReport, ScenError> {
     let walk = resolve_walk(source, obs)?;
-    run_population(&Population::of(source, walk.as_ref(), obs)?, threads, obs, cache)
+    let report = run_population(&Population::of(source, walk.as_ref(), obs)?, threads, obs, cache);
+    if let Some(cache) = cache {
+        cache.write_memos(obs);
+    }
+    report
 }
 
 /// Walks a corpus source's directory once (`None` for synthetic

@@ -52,9 +52,8 @@ pub enum SweepAxis {
     /// `commute[:<home_hour>:<work_hour>[:<jitter_pct>[:<hint_s>]]]`).
     /// Requires a `[cells]` topology, like `admission`; the handoff
     /// comparison holds the population fixed while movement varies —
-    /// and, because mobility is excluded from the request-cache
-    /// [`Fingerprint`](crate::cache::Fingerprint), every cell shares
-    /// one extraction pass.
+    /// and, because mobility is excluded from the request cache's
+    /// population header, every cell shares one extraction pass.
     Mobility(Vec<MobilitySpec>),
 }
 
@@ -211,6 +210,11 @@ pub fn run_source_sweep_cached(
 /// [`SweepReport`] — one implementation produces both, so a streamed
 /// sweep stays bit-identical to a batch [`run_source_sweep_cached`] of
 /// the same set.
+///
+/// The cells share one replay memo per population and topology: each
+/// memo the sweep changed is written to the cache's directory once,
+/// before this returns — after the last row, a cancellation or an
+/// error alike.
 pub fn run_source_sweep_streamed(
     set: &SourceSet,
     threads: usize,
@@ -220,17 +224,24 @@ pub fn run_source_sweep_streamed(
 ) -> Result<Option<SweepReport>, ScenError> {
     let walk = resolve_walk(&set.source, obs)?;
     let mut rows = Vec::with_capacity(set.expansion_count());
-    for (index, (label, source)) in set.expand_labeled()?.into_iter().enumerate() {
-        let population = Population::of(&source, walk.as_ref(), obs)?;
-        let report = run_population(&population, threads, obs, cache)?;
-        let row = SweepRow { label, source, report };
-        let keep_going = on_row(index, &row);
-        rows.push(row);
-        if !keep_going {
-            return Ok(None);
+    let mut run_cells = || -> Result<bool, ScenError> {
+        for (index, (label, source)) in set.expand_labeled()?.into_iter().enumerate() {
+            let population = Population::of(&source, walk.as_ref(), obs)?;
+            let report = run_population(&population, threads, obs, cache)?;
+            let row = SweepRow { label, source, report };
+            let keep_going = on_row(index, &row);
+            rows.push(row);
+            if !keep_going {
+                return Ok(false);
+            }
         }
+        Ok(true)
+    };
+    let finished = run_cells();
+    if let Some(cache) = cache {
+        cache.write_memos(obs);
     }
-    Ok(Some(SweepReport { name: set.source.name().to_string(), rows }))
+    Ok(finished?.then(|| SweepReport { name: set.source.name().to_string(), rows }))
 }
 
 impl SweepReport {

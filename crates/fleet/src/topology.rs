@@ -21,10 +21,12 @@
 //! 1. **Pass 1** — the sharded runner streams every user through the
 //!    cheap phase-1 request scan ([`Scheme::request_trace`]) and the
 //!    status-quo run the user is scored against: one trace materialized
-//!    per worker, dropped immediately, only the time-stamped request
-//!    stream, the confusion matrix of the decisions behind it and the
-//!    status quo's energy and switch cycles kept (`UserRequests`).
-//!    This is the only pass that runs the scheme's policy.
+//!    per worker, dropped immediately, only the user's
+//!    [`RequestStream`] kept: the time-stamped requests, the confusion
+//!    counts of the decisions behind them and the status quo's energy
+//!    and switch cycles — the record a request cache holds and a `.twc`
+//!    file stores as it is. This is the only pass that runs the
+//!    scheme's policy.
 //! 2. **Adjudication** — every request becomes an event in the
 //!    partition of the RNC owning the cell its user occupies at that
 //!    instant, beside both sides of every handoff its cells see (none
@@ -106,18 +108,21 @@ use std::sync::Arc;
 use tailwise_core::schemes::Scheme;
 use tailwise_obs::{span, Obs};
 use tailwise_radio::admission::REQUEST_MESSAGES;
+use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::rrc::Transition;
 use tailwise_radio::signaling::{SignalingBudget, SignalingModel};
 use tailwise_scenfile::ScenError;
 use tailwise_sim::engine::SimConfig;
 use tailwise_sim::twophase::{replay_outcome, replay_requests, RequestTrace};
-use tailwise_trace::io::ReplayOutcome;
+use tailwise_sim::Confusion;
+use tailwise_trace::io::{ReplayCacheHeader, ReplayOutcome, RequestStream};
 use tailwise_trace::load::LoadDeltas;
 use tailwise_trace::mix::splitmix64 as splitmix;
 use tailwise_trace::time::Instant;
+use tailwise_trace::Trace;
 
 use crate::admission::AdmissionSpec;
-use crate::cache::{verdict_hash, RequestCache};
+use crate::cache::{topo_hash, verdict_hash, RequestCache};
 use crate::mobility::{MobilitySpec, Trajectory};
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
@@ -324,18 +329,26 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
         .collect()
 }
 
-/// One user's pass-1 record: the scheme's request stream, and the
-/// status-quo run over the same trace that pass 2 scores the user
-/// against, as `(energy bits, switch cycles)`. Energy travels as
-/// `f64::to_bits`, so the record is `Eq`-comparable and a `.twc` spill
-/// round-trips it exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct UserRequests {
-    /// Request times and the confusion counts of the decisions behind
-    /// them.
-    pub(crate) requests: RequestTrace,
-    /// The status-quo run's `(energy bits, switch cycles)`.
-    pub(crate) baseline: (u64, u64),
+/// One user's pass-1 record over `trace`: `scheme`'s request stream,
+/// its times moved out of the [`RequestTrace`] and its confusion kept
+/// as the four counts, beside the energy bits and switch cycles of the
+/// status-quo run pass 2 scores the user against.
+fn pass_one_record(
+    scheme: Scheme,
+    carrier: &CarrierProfile,
+    sim: &SimConfig,
+    trace: &Trace,
+) -> RequestStream {
+    let RequestTrace { times, confusion: Confusion { tp, fp, tn, fn_ } } = scheme
+        .request_trace(carrier, sim, trace)
+        .expect("scriptable scheme always yields a request trace");
+    let status_quo = Scheme::StatusQuo.run(carrier, sim, trace);
+    RequestStream {
+        times,
+        confusion: [tp, fp, tn, fn_],
+        baseline_energy_bits: status_quo.total_energy().to_bits(),
+        baseline_switches: status_quo.switch_cycles(),
+    }
 }
 
 /// Walks RNC `rnc`'s share of every user, the way its adjudication
@@ -365,7 +378,7 @@ pub(crate) struct UserRequests {
 fn walk_partition(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[UserRequests],
+    streams: &[RequestStream],
     rnc_of: &[usize],
     rnc: usize,
     events: &mut Vec<AdjEvent>,
@@ -373,7 +386,7 @@ fn walk_partition(
 ) {
     for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
-        let times = &stream.requests.times;
+        let times = &stream.times;
         let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
         let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
         let trajectory = topology.trajectory(master_seed, user);
@@ -439,7 +452,7 @@ fn hinted(
 fn rnc_events(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[UserRequests],
+    streams: &[RequestStream],
     rnc_of: &[usize],
     rnc: usize,
 ) -> Vec<AdjEvent> {
@@ -514,7 +527,7 @@ impl Partial for Adjudication {
 fn adjudicate_rnc(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[UserRequests],
+    streams: &[RequestStream],
     rnc_of: &[usize],
     rnc: usize,
     gate: bool,
@@ -850,11 +863,12 @@ impl Partial for TopologyPartial {
 /// entirely; adjudication publishes none.
 ///
 /// `cache`: an optional [`RequestCache`], consulted when the population
-/// has a [`Fingerprint`](crate::cache::Fingerprint) (synthetic
-/// populations do). On a hit, pass 1 is skipped and the cached streams,
-/// baselines included, adjudicated directly; on a miss, the extracted
-/// streams are stored for the next cell. Cached and uncached runs are
-/// bit-identical — the harness in `tests/cache_fleet.rs` pins this.
+/// has a request header (synthetic populations do). On a hit, pass 1 is
+/// skipped and the cached streams, baselines included, adjudicated
+/// directly; on a miss, the extracted streams are stored for the next
+/// cell. Pass 2's fresh outcomes merge into the replay memo, which the
+/// run entry points write once as they return. Cached and uncached runs
+/// are bit-identical — the harness in `tests/cache_fleet.rs` pins this.
 pub(crate) fn run_topology(
     population: &Population<'_>,
     topology: &NetworkTopology,
@@ -873,52 +887,44 @@ pub(crate) fn run_topology(
     topology.validate_counts();
     let users = population.users;
     let shard_count = population.shard_count();
-    let cache = cache.zip(population.fingerprint());
+    let cache = cache.zip(population.cache_header());
 
     // ---- Pass 1: request extraction and the status-quo baseline ------
     // (one trace per worker). Or, on a cache hit, no pass at all: the
     // streams were extracted by an earlier cell of the same population
     // and scheme.
-    let scheme_token = scheme.to_string();
-    let cached_streams =
-        cache.and_then(|(cache, fingerprint)| cache.lookup(&fingerprint, &scheme_token, obs));
+    let cached_streams = cache.as_ref().and_then(|(cache, header)| cache.lookup(header, obs));
     if let Some(table) = obs.progress {
         // Each executed pass touches every user; a cache hit runs only
         // pass 2. Published before the work so the denominator is
         // truthful from the first progress frame.
         table.add_users_total(if cached_streams.is_some() { users } else { users * 2 });
     }
-    let streams: Arc<Vec<UserRequests>> = match cached_streams {
+    let streams: Arc<Vec<RequestStream>> = match cached_streams {
         Some(streams) => streams,
         None => {
-            let extracted: Vec<(u64, UserRequests)> =
-                run_sharded(shard_count, threads, obs, &Vec::new, &|shard, ctx| {
-                    let mut partial = Vec::new();
-                    for index in population.shard_range(shard) {
-                        let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
-                        let user = {
-                            let _simulate = span(obs.recorder, "simulate");
-                            let requests = scheme
-                                .request_trace(&carrier, sim, &trace)
-                                .expect("scriptable scheme always yields a request trace");
-                            let status_quo = Scheme::StatusQuo.run(&carrier, sim, &trace);
-                            let baseline =
-                                (status_quo.total_energy().to_bits(), status_quo.switch_cycles());
-                            UserRequests { requests, baseline }
-                        };
-                        partial.push((index, user));
-                        ctx.user_done(days as u64);
-                        // `trace` drops here: pass 1 keeps only the record.
-                    }
-                    Ok(partial)
-                })?;
-            debug_assert!(
-                extracted.iter().enumerate().all(|(at, (index, _))| at as u64 == *index),
-                "shard-order merge must reassemble users in index order"
-            );
-            let streams = Arc::new(extracted.into_iter().map(|(_, user)| user).collect::<Vec<_>>());
-            if let Some((cache, fingerprint)) = cache {
-                cache.store(&fingerprint, &scheme_token, Arc::clone(&streams), obs);
+            // Shards append in shard order, which is user-index order,
+            // into a vector sized for the population: the cache may hold
+            // it for the rest of the process, so it keeps no growth
+            // slack.
+            let presized = || Vec::with_capacity(users as usize);
+            let extracted = run_sharded(shard_count, threads, obs, &presized, &|shard, ctx| {
+                let mut partial = Vec::new();
+                for index in population.shard_range(shard) {
+                    let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
+                    let record = {
+                        let _simulate = span(obs.recorder, "simulate");
+                        pass_one_record(scheme, &carrier, sim, &trace)
+                    };
+                    partial.push(record);
+                    ctx.user_done(days as u64);
+                    // `trace` drops here: pass 1 keeps only the record.
+                }
+                Ok(partial)
+            })?;
+            let streams = Arc::new(extracted);
+            if let Some((cache, header)) = &cache {
+                cache.store(header, Arc::clone(&streams), obs);
             }
             streams
         }
@@ -927,7 +933,7 @@ pub(crate) fn run_topology(
         streams.len() as u64,
         users,
         "request streams must cover the population exactly (the cache validates this \
-         against its fingerprint before serving an entry)"
+         against its header before serving an entry)"
     );
 
     // ---- Adjudication: one RNC partition per shard, built, sorted ----
@@ -959,12 +965,11 @@ pub(crate) fn run_topology(
     // grant.
     assert_eq!(
         granted + denied,
-        streams.iter().map(|s| s.requests.len() as u64).sum::<u64>(),
+        streams.iter().map(|s| s.times.len() as u64).sum::<u64>(),
         "every request must be adjudicated by exactly one RNC partition"
     );
     debug_assert_eq!(denials.len() as u64, denied);
-    let mut verdicts: Vec<Vec<bool>> =
-        streams.iter().map(|s| vec![true; s.requests.len()]).collect();
+    let mut verdicts: Vec<Vec<bool>> = streams.iter().map(|s| vec![true; s.times.len()]).collect();
     for (user, seq) in denials {
         verdicts[user as usize][seq as usize] = false;
     }
@@ -997,8 +1002,10 @@ pub(crate) fn run_topology(
     // population, keyed by each user's verdict-stream hash. A hit folds
     // the stored outcome — no trace materialization, no engine run —
     // so a sweep cell pays only for the users whose verdicts changed.
-    let memo = cache.map(|(cache, fingerprint)| {
-        (fingerprint.days, cache.lookup_outcomes(&fingerprint, &scheme_token, topology, obs))
+    let memo = cache.map(|(cache, requests)| {
+        let header = ReplayCacheHeader { requests, topo_hash: topo_hash(topology) };
+        let known = cache.lookup_outcomes(&header, topology.cells, obs);
+        (cache, header, known)
     });
     let verdict_hashes: Vec<u64> = match &memo {
         Some(_) => verdicts.iter().map(|v| verdict_hash(v)).collect(),
@@ -1020,18 +1027,19 @@ pub(crate) fn run_topology(
             let mut partial = empty_partial();
             for index in population.shard_range(shard) {
                 let user = &streams[index as usize];
+                let baseline = (user.baseline_energy_bits, user.baseline_switches);
                 // Memo hit: fold the cached outcome and load deltas
                 // without materializing the trace or running the engine.
-                if let Some((fp_days, known)) = &memo {
+                if let Some((_, header, known)) = &memo {
                     if let Some(outcome) = known.get(&(index, verdict_hashes[index as usize])) {
                         let (hits, _) = replay_counters.as_ref().expect("memo implies counters");
                         hits.incr();
                         let _replay = span(obs.recorder, "replay");
                         partial.add_user_load(&outcome.load);
                         // Synthetic populations carry a uniform
-                        // days-per-user, pinned by the fingerprint.
-                        let days = *fp_days;
-                        partial.report.fold_user_outcome(days, user.baseline, outcome);
+                        // days-per-user, pinned by the request header.
+                        let days = header.requests.days;
+                        partial.report.fold_user_outcome(days, baseline, outcome);
                         drop(_replay);
                         users_simulated.incr();
                         days_counter.add(days as u64);
@@ -1043,18 +1051,20 @@ pub(crate) fn run_topology(
                 }
                 let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
                 let _replay = span(obs.recorder, "replay");
+                let [tp, fp, tn, fn_] = user.confusion;
                 let scheme_run = replay_requests(
                     &carrier,
                     &replay_sim,
                     &trace,
-                    &user.requests,
+                    &user.times,
+                    Confusion { tp, fp, tn, fn_ },
                     &verdicts[index as usize],
                 );
                 let mut outcome = replay_outcome(&scheme_run);
                 let transitions = scheme_run.transitions.as_deref().unwrap_or_default();
                 outcome.load = user_load(topology, master_seed, index, transitions);
                 partial.add_user_load(&outcome.load);
-                partial.report.fold_user_outcome(days, user.baseline, &outcome);
+                partial.report.fold_user_outcome(days, baseline, &outcome);
                 if memo.is_some() {
                     partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
                 }
@@ -1066,16 +1076,16 @@ pub(crate) fn run_topology(
             }
             Ok(partial)
         })?;
-    // The run's memo handle goes before the store below, which then
-    // extends the cache's copy in place.
-    drop(memo);
 
     // ---- Per-cell and per-RNC load accounting. -----------------------
     let TopologyPartial { mut report, seconds, fresh, .. } = folded;
-    if let Some((cache, fingerprint)) = cache {
+    if let Some((cache, header, known)) = memo {
         // Teach the memo what this cell had to replay (a no-op when
         // everything hit, so warm runs leave spill files untouched).
-        cache.store_outcomes(&fingerprint, &scheme_token, topology, fresh, obs);
+        // The run's handle goes first, so the store extends the cache's
+        // copy in place.
+        drop(known);
+        cache.store_outcomes(header, fresh);
         if obs.recorder.enabled() {
             cache.sizes().record(obs.recorder);
         }
@@ -1175,9 +1185,8 @@ mod tests {
         use proptest::prop::collection::vec;
 
         /// A pass-1 record of `times` alone.
-        fn recorded(times: Vec<Instant>) -> UserRequests {
-            let requests = RequestTrace { times, ..RequestTrace::default() };
-            UserRequests { requests, ..UserRequests::default() }
+        fn recorded(times: Vec<Instant>) -> RequestStream {
+            RequestStream { times, ..RequestStream::default() }
         }
 
         /// The partition tests' fleet: `rncs` RNCs over `rncs +
@@ -1188,7 +1197,7 @@ mod tests {
             rncs: u64,
             extra_cells: u64,
             commute: bool,
-        ) -> (NetworkTopology, Vec<usize>, Vec<UserRequests>) {
+        ) -> (NetworkTopology, Vec<usize>, Vec<RequestStream>) {
             let mut topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
             if commute {
                 topology.mobility = MobilitySpec::commute();
@@ -1236,7 +1245,7 @@ mod tests {
                     .collect();
                 let topology = NetworkTopology::with_rncs(rncs, rncs + extra_cells);
                 let rnc_of = rnc_table(&topology);
-                let recorded: Vec<UserRequests> =
+                let recorded: Vec<RequestStream> =
                     streams.iter().map(|times| recorded(times.clone())).collect();
                 for rnc in 0..rncs as usize {
                     let events = rnc_events(&topology, seed, &recorded, &rnc_of, rnc);
@@ -1285,7 +1294,7 @@ mod tests {
                 let mut expect: Vec<(usize, AdjEvent)> = Vec::new();
                 for (user, record) in recorded.iter().enumerate() {
                     let user = user as u64;
-                    let times = &record.requests.times;
+                    let times = &record.times;
                     for (seq, &at) in times.iter().enumerate() {
                         let cell = topology.user_cell(seed, user, at);
                         let hinted =
@@ -1530,5 +1539,45 @@ mod tests {
             AdmissionSpec::RateLimited { min_interval: Duration::from_secs(5) }.build();
         assert!(limited.admit(Instant::ZERO));
         assert!(!limited.admit(Instant::from_secs(1)));
+    }
+
+    #[test]
+    fn pass_one_records_replay_exactly_like_their_request_trace() {
+        // A pass-1 record is exactly the scheme's request trace — its
+        // times, held at their length, and its confusion counts — plus
+        // the status quo's baseline words, so pass 2 replaying from the
+        // record is the scheme's scripted run, bit for bit.
+        use tailwise_trace::packet::{Direction, Packet};
+        let p = CarrierProfile::att_hspa();
+        let cfg = SimConfig::default();
+        let mut at = Instant::ZERO;
+        let mut packets = vec![Packet::new(at, Direction::Down, 500)];
+        for gap_ms in [30_000, 400, 20_000, 9_000, 45_000] {
+            at += Duration::from_millis(gap_ms);
+            packets.push(Packet::new(at, Direction::Up, 500));
+        }
+        let t = Trace::from_sorted(packets).unwrap();
+        let scheme = Scheme::FixedTail45;
+        let record = pass_one_record(scheme, &p, &cfg, &t);
+
+        let requests = scheme.request_trace(&p, &cfg, &t).unwrap();
+        assert_eq!(record.times, requests.times);
+        assert!(record.times.len() >= 3, "{:?}", record.times);
+        assert_eq!(record.times.capacity(), record.times.len());
+        let Confusion { tp, fp, tn, fn_ } = requests.confusion;
+        assert_eq!(record.confusion, [tp, fp, tn, fn_]);
+        let status_quo = Scheme::StatusQuo.run(&p, &cfg, &t);
+        assert_eq!(record.baseline_energy_bits, status_quo.total_energy().to_bits());
+        assert_eq!(record.baseline_switches, status_quo.switch_cycles());
+
+        let verdicts: Vec<bool> = (0..record.times.len()).map(|i| i % 2 == 0).collect();
+        let [tp, fp, tn, fn_] = record.confusion;
+        let confusion = Confusion { tp, fp, tn, fn_ };
+        let replayed = replay_requests(&p, &cfg, &t, &record.times, confusion, &verdicts);
+        let scripted = scheme.run_scripted(&p, &cfg, &t, &verdicts).unwrap();
+        assert_eq!(replayed.total_energy().to_bits(), scripted.total_energy().to_bits());
+        assert_eq!(replayed.counters, scripted.counters);
+        assert_eq!(replayed.confusion, scripted.confusion);
+        assert_eq!(replayed.denied_fd, scripted.denied_fd);
     }
 }

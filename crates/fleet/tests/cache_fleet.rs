@@ -14,7 +14,9 @@
 //! * a corrupted or truncated spill file degrades to recomputation —
 //!   the report stays identical and `cache_fallbacks` counts the save;
 //!   so does a spill left by an older format version;
-//! * every cached stream carries its user's status-quo baseline;
+//! * every cached stream carries its user's status-quo baseline, and
+//!   a cold run holds the streams at exactly the size they read back
+//!   from its spill at;
 //! * a corpus sweep resolves its directory walk exactly once
 //!   (`corpus_walks == 1`), however many rows it expands into.
 
@@ -296,6 +298,23 @@ fn cached_stream_baselines_are_each_users_status_quo_run() {
             "user {index}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cold_streams_weigh_what_their_spill_reads_back_as() {
+    // Pass 1 collects the population's streams at their length, so the
+    // stream store of a cold run weighs exactly what the same streams
+    // weigh once a later process reads them back from the `.twc`.
+    let dir = temp_dir("slack");
+    let (_, cold) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    let (_, warm) = run_storm(2, Some(&RequestCache::with_dir(&dir).unwrap()));
+    assert_eq!(counter(&cold, "cache_misses"), 1, "the cold run extracts");
+    assert_eq!(counter(&warm, "cache_misses"), 0, "the warm run reads the spill back");
+    let bytes =
+        |snapshot: &tailwise_obs::Snapshot| snapshot.gauges.get("cache_stream_bytes").copied();
+    assert!(bytes(&cold).is_some_and(|b| b > 0), "{:?}", cold.gauges);
+    assert_eq!(bytes(&cold), bytes(&warm));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

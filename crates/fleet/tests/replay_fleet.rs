@@ -11,8 +11,9 @@
 //! * a second sweep over the same cache replays nothing: every user in
 //!   every cell hits the memo (`replay_misses == 0`) and no spill file
 //!   is rewritten;
-//! * a cold on-disk cache spills `.twr` files that an entirely fresh
-//!   cache (a later process, conceptually) warm-starts from;
+//! * a cold on-disk cache spills `.twr` files, each memo written once
+//!   however many cells replayed into it, that an entirely fresh cache
+//!   (a later process, conceptually) warm-starts from;
 //! * a corrupted or truncated `.twr`, one naming a cell the topology
 //!   does not have, or one in an older version's layout, degrades to
 //!   recomputation — the report stays identical and `replay_fallbacks`
@@ -23,7 +24,8 @@
 use std::path::PathBuf;
 
 use tailwise_fleet::{
-    run_source_sweep_cached, RequestCache, RunManifest, SourceSet, SweepReport, UserSource,
+    run_source_sweep_cached, AdmissionSpec, RequestCache, RunManifest, SourceSet, SweepAxis,
+    SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_trace::io::{
@@ -117,7 +119,7 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert_eq!(baseline, cached, "disk memo, threads={threads}");
         assert_eq!(rendered(&baseline), rendered(&cached), "disk memo, threads={threads}");
         assert_eq!(base_digest, digest, "disk manifest digest, threads={threads}");
-        assert!(counter(&counters, "replay_spills") >= 1, "threads={threads}");
+        assert_eq!(counter(&counters, "replay_spills"), 1, "threads={threads}");
         assert_eq!(counter(&counters, "replay_fallbacks"), 0, "threads={threads}");
     }
 
@@ -148,7 +150,7 @@ fn warm_sweep_replays_nothing_and_a_fresh_cache_warm_starts_from_disk() {
     let cold_cache = RequestCache::with_dir(&dir).unwrap();
     let (cold, cold_digest, cold_counters) = run_storm(2, Some(&cold_cache));
     assert!(counter(&cold_counters, "replay_misses") >= USERS, "first cell replays everyone");
-    assert!(counter(&cold_counters, "replay_spills") >= 1);
+    assert_eq!(counter(&cold_counters, "replay_spills"), 1, "one memo, written once");
     let spills: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -179,6 +181,36 @@ fn warm_sweep_replays_nothing_and_a_fresh_cache_warm_starts_from_disk() {
     assert!(counter(&disk_counters, "replay_hits") >= USERS);
     assert_spilled_nothing(&disk_counters);
     assert!(spill_bytes(&dir) == spilled, "a disk warm-start must leave every spill untouched");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_cold_sweep_writes_its_memo_once() {
+    // Both admission cells replay users into the one memo the sweep
+    // shares — the second cell those whose verdicts changed — and the
+    // memo reaches its `.twr` file in one write, as the sweep returns,
+    // holding every outcome either cell replayed. At this scale the
+    // storm's own watermark denies nobody, so the reactive cell gates
+    // at 2 msg/s instead.
+    let dir = temp_dir("once");
+    let mut set = storm_set();
+    set.axes = vec![SweepAxis::Admission(vec![
+        AdmissionSpec::Always,
+        AdmissionSpec::LoadReactive { watermark_per_s: 2, window_s: 5 },
+    ])];
+    let recorder = StatsRecorder::new();
+    let obs = Obs { recorder: &recorder, progress: None };
+    let cache = RequestCache::with_dir(&dir).unwrap();
+    let cold = run_source_sweep_cached(&set, 2, obs, Some(&cache)).unwrap();
+    let counters = recorder.snapshot();
+    assert_eq!(cold.rows.len(), 2, "the sweep runs two admission cells");
+    let misses = counter(&counters, "replay_misses");
+    assert!(misses > USERS, "the second cell must replay someone ({misses} misses)");
+    assert_eq!(counter(&counters, "replay_spills"), 1, "one memo, one write");
+    let spills = twr_spills(&dir);
+    assert_eq!(spills.len(), 1, "{spills:?}");
+    let (_, records) = read_replay_outcomes(std::fs::File::open(&spills[0]).unwrap()).unwrap();
+    assert_eq!(records.len() as u64, misses, "the write must hold both cells' outcomes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -122,7 +122,9 @@ pub fn run_cell(
     let mut reports = Vec::with_capacity(devices.len());
     let mut message_events: Vec<(Instant, u32)> = Vec::new();
     for ((dev, recorded), verdict_list) in devices.iter().zip(&requests).zip(verdicts) {
-        let mut r = replay_requests(profile, &replay_config, &dev.trace, recorded, &verdict_list);
+        let RequestTrace { times, confusion } = recorded;
+        let mut r =
+            replay_requests(profile, &replay_config, &dev.trace, times, *confusion, &verdict_list);
         r.scheme = format!("{} ({})", dev.policy.name(), dev.name);
         if let Some(ts) = r.transitions.take() {
             message_events.extend(ts.iter().map(|t| (t.at, signaling.messages_for(t))));

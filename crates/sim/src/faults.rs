@@ -9,6 +9,7 @@
 //! seed; the engine side of fault injection (denied fast dormancy) lives
 //! in `tailwise-radio`'s release policies.
 
+use tailwise_trace::mix::{splitmix64, GAMMA};
 use tailwise_trace::time::Duration;
 use tailwise_trace::Trace;
 
@@ -20,15 +21,13 @@ struct Stream {
 
 impl Stream {
     fn new(seed: u64) -> Stream {
-        Stream { state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15) }
+        Stream { state: seed.wrapping_add(GAMMA) }
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// Uniform in [0, 1).

@@ -81,9 +81,13 @@ use crate::report::SimReport;
 /// back one verdict per entry.
 ///
 /// This is the stable serialization contract: a `RequestTrace` is
-/// *exactly* its times and its confusion counts — no hidden state — so
-/// any container that stores both (the fleet cache's `.twc` spill
-/// format) round-trips the trace bit for bit.
+/// *exactly* its times and its confusion counts — no hidden state. A
+/// [`RequestStream`](tailwise_trace::io::RequestStream) stores both (the
+/// confusion as its four counts, `tp, fp, tn, fn_`) beside the user's
+/// status-quo baseline, so it round-trips the trace bit for bit: the
+/// fleet moves each user's times into one, and its request cache holds
+/// and spills that stream as it is. [`replay_requests`] reads the two
+/// fields straight from either.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
     /// Timestamp of each fast-dormancy request.
@@ -151,34 +155,35 @@ pub fn replay_outcome(report: &SimReport) -> ReplayOutcome {
 }
 
 /// Phase 2: replays the full engine over `trace` from phase 1's
-/// `requests`, with the base station scripted to answer request `i`
-/// with `verdicts[i]`.
+/// request `times` and decision `confusion`, with the base station
+/// scripted to answer request `i` with `verdicts[i]`.
 ///
 /// No policy runs: a gap is demoted at recorded request `t` iff `t`
 /// falls in the gap's `[prev, next)` interval, and the report's
 /// confusion matrix is the one phase 1 recorded. The report keeps no
 /// decision log and names no scheme; callers label it.
 ///
-/// `requests` must be what [`record_requests`] returned for the same
-/// `(profile, config, trace)`, and `verdicts` must hold exactly one
-/// entry per request — that is the two-phase contract. Every mismatch
-/// the replay can see panics: a verdict count that differs, a request
-/// that falls in no gap, or a request the walk never reaches. A drifted
-/// trace is a bug, not an input to report on.
+/// `times` and `confusion` must be the fields of what
+/// [`record_requests`] returned for the same `(profile, config,
+/// trace)`, and `verdicts` must hold exactly one entry per request —
+/// that is the two-phase contract. Every mismatch the replay can see
+/// panics: a verdict count that differs, a request that falls in no
+/// gap, or a request the walk never reaches. A drifted trace is a bug,
+/// not an input to report on.
 pub fn replay_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
     trace: &Trace,
-    requests: &RequestTrace,
+    times: &[Instant],
+    confusion: Confusion,
     verdicts: &[bool],
 ) -> SimReport {
     check_inputs(profile, config);
     assert_eq!(
         verdicts.len(),
-        requests.len(),
+        times.len(),
         "phase-2 replay needs one verdict per recorded request"
     );
-    let times = &requests.times;
     let mut next = 0;
     let mut report = walk(profile, config, trace, String::new(), |gap| {
         let at = *times.get(next).filter(|&&at| at < gap.end)?;
@@ -196,7 +201,7 @@ pub fn replay_requests(
         "phase-2 replay reached fewer requests than phase 1 recorded: phase 1 ran on another \
          trace"
     );
-    report.confusion = requests.confusion;
+    report.confusion = confusion;
     report
 }
 
@@ -290,7 +295,8 @@ mod tests {
         let requests =
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts = vec![true; requests.len()];
-        let replayed = replay_requests(&p, &cfg, &t, &requests, &verdicts);
+        let replayed =
+            replay_requests(&p, &cfg, &t, &requests.times, requests.confusion, &verdicts);
         let direct = run(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         assert_eq!(replayed.energy, direct.energy);
         assert_eq!(replayed.counters, direct.counters);
@@ -305,7 +311,7 @@ mod tests {
         let requests =
             record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::from_secs(1), "1s"));
         let verdicts: Vec<bool> = (0..requests.len()).map(|i| i % 2 == 0).collect();
-        let report = replay_requests(&p, &cfg, &t, &requests, &verdicts);
+        let report = replay_requests(&p, &cfg, &t, &requests.times, requests.confusion, &verdicts);
         let outcome = replay_outcome(&report);
         assert_eq!(outcome.packets, report.packets as u64);
         assert_eq!(outcome.energy_j().to_bits(), report.total_energy().to_bits());
@@ -331,7 +337,7 @@ mod tests {
         let t = trace_from_gaps(&[30_000]);
         // StatusQuo sends no requests; one scripted verdict is a bug.
         let requests = record_requests(&p, &cfg, &t, &mut StatusQuo);
-        replay_requests(&p, &cfg, &t, &requests, &[true]);
+        replay_requests(&p, &cfg, &t, &requests.times, requests.confusion, &[true]);
     }
 
     #[test]
@@ -341,7 +347,7 @@ mod tests {
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000]);
         let requests = record_requests(&p, &cfg, &t, &mut FixedWait::new(Duration::ZERO, "now"));
-        replay_requests(&p, &cfg, &t, &requests, &[]);
+        replay_requests(&p, &cfg, &t, &requests.times, requests.confusion, &[]);
     }
 
     #[test]
@@ -350,9 +356,8 @@ mod tests {
         let p = CarrierProfile::att_hspa();
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000]);
-        let times = vec![Instant::from_secs(1), Instant::from_secs(2)];
-        let requests = RequestTrace { times, confusion: Confusion::default() };
-        replay_requests(&p, &cfg, &t, &requests, &[true, true]);
+        let times = [Instant::from_secs(1), Instant::from_secs(2)];
+        replay_requests(&p, &cfg, &t, &times, Confusion::default(), &[true, true]);
     }
 
     #[test]
@@ -362,9 +367,8 @@ mod tests {
         let cfg = SimConfig::default();
         let t = trace_from_gaps(&[30_000]);
         // The walk ends at the trailing tail flush, 46.6 s here.
-        let requests =
-            RequestTrace { times: vec![Instant::from_secs(100)], confusion: Confusion::default() };
-        replay_requests(&p, &cfg, &t, &requests, &[true]);
+        let times = [Instant::from_secs(100)];
+        replay_requests(&p, &cfg, &t, &times, Confusion::default(), &[true]);
     }
 
     /// The exactness contract, exhaustively: phase 1 + external
@@ -498,7 +502,8 @@ mod tests {
             // fresh instance of the same release policy, replay.
             let requests = record_requests(p, &cfg, &t, build_policy(policy).as_mut());
             let verdicts = adjudicate(&requests, build_release(release));
-            let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
+            let replayed =
+                replay_requests(p, &cfg, &t, &requests.times, requests.confusion, &verdicts);
 
             prop_assert_eq!(replayed.energy, reference.energy);
             prop_assert_eq!(replayed.counters, reference.counters);
@@ -531,7 +536,8 @@ mod tests {
             let requests = record_requests(p, &cfg, &t, build_policy(policy).as_mut());
             let verdicts: Vec<bool> =
                 (0..requests.len() as u64).map(|i| i % n == offset % n).collect();
-            let replayed = replay_requests(p, &cfg, &t, &requests, &verdicts);
+            let replayed =
+                replay_requests(p, &cfg, &t, &requests.times, requests.confusion, &verdicts);
             // Grants request `i` iff `i % n == offset % n` — the
             // stateful twin of the pattern script.
             let mut counter = 0u64;

@@ -26,6 +26,7 @@ use std::path::Path;
 
 use crate::error::TraceError;
 use crate::load::LoadDeltas;
+use crate::mix::{fold, fold_bytes};
 use crate::packet::{AppId, Direction, Packet};
 use crate::time::Instant;
 use crate::trace::Trace;
@@ -221,25 +222,9 @@ const REQUEST_FORMAT: SpillFormat =
 const OUTCOME_FORMAT: SpillFormat =
     SpillFormat { magic: OUTCOME_MAGIC, version: OUTCOME_VERSION, seed: 0x7EC0_CACE_0000_0000 };
 
-/// One checksum folding step (SplitMix64 over the running hash XOR the
-/// next word — the same avalanche the seeding hierarchy uses).
-fn fold_word(h: u64, word: u64) -> u64 {
-    crate::mix::splitmix64(h ^ word)
-}
-
 /// Folds a scheme token: its length, then each byte as a word.
 fn fold_scheme(h: u64, token: &[u8]) -> u64 {
-    token.iter().fold(fold_word(h, token.len() as u64), |h, &b| fold_word(h, b as u64))
-}
-
-/// Folds a byte string eight bytes at a time, each chunk a little-endian
-/// word, the last one zero-padded. The caller folds the length first.
-fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
-    bytes.chunks(8).fold(h, |h, chunk| {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        fold_word(h, u64::from_le_bytes(word))
-    })
+    token.iter().fold(fold(h, token.len() as u64), |h, &b| fold(h, b as u64))
 }
 
 /// Writes a checksummed spill file: the preamble, then little-endian
@@ -259,14 +244,14 @@ impl<W: Write> SpillWriter<W> {
 
     fn word(&mut self, word: u64) -> Result<(), TraceError> {
         self.w.write_all(&word.to_le_bytes())?;
-        self.checksum = fold_word(self.checksum, word);
+        self.checksum = fold(self.checksum, word);
         Ok(())
     }
 
     /// A 32-bit field: four bytes on disk, one word in the checksum.
     fn word32(&mut self, word: u32) -> Result<(), TraceError> {
         self.w.write_all(&word.to_le_bytes())?;
-        self.checksum = fold_word(self.checksum, word as u64);
+        self.checksum = fold(self.checksum, word as u64);
         Ok(())
     }
 
@@ -319,7 +304,7 @@ impl<R: Read> SpillReader<R> {
         let mut b = [0u8; 8];
         self.r.read_exact(&mut b).map_err(|e| truncated(e, what, at))?;
         let word = u64::from_le_bytes(b);
-        self.checksum = fold_word(self.checksum, word);
+        self.checksum = fold(self.checksum, word);
         Ok(word)
     }
 
@@ -327,7 +312,7 @@ impl<R: Read> SpillReader<R> {
         let mut b = [0u8; 4];
         self.r.read_exact(&mut b).map_err(|e| truncated(e, what, at))?;
         let word = u32::from_le_bytes(b);
-        self.checksum = fold_word(self.checksum, word as u64);
+        self.checksum = fold(self.checksum, word as u64);
         Ok(word)
     }
 
@@ -398,8 +383,9 @@ pub const REQUEST_VERSION: u16 = 3;
 /// depend on the scheme's idle policy). A reader whose expected
 /// fingerprint or scheme disagrees with the stored one must treat the
 /// file as a miss and recompute; the split is what lets an admission
-/// sweep reuse one extraction across every cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// sweep reuse one extraction across every cell. The fleet's request
+/// cache keys its streams on this header itself, in memory as on disk.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RequestCacheHeader {
     /// Scenario master seed.
     pub master_seed: u64,
@@ -440,9 +426,11 @@ impl RequestCacheHeader {
     }
 }
 
-/// One user's phase-1 product as a `.twc` file stores it: when the
-/// device would request fast dormancy, how the decisions behind those
-/// requests scored, and the status-quo run the user is scored against.
+/// One user's phase-1 product: when the device would request fast
+/// dormancy, how the decisions behind those requests scored, and the
+/// status-quo run the user is scored against. The fleet's two-pass
+/// runner builds it, its request cache holds it, and a `.twc` file
+/// stores it field for field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestStream {
     /// Fast-dormancy request times, non-decreasing.
@@ -570,8 +558,9 @@ pub const OUTCOME_VERSION: u16 = 3;
 /// `(cell, second) → msgs` attribution depends on — cell count,
 /// mobility model, and the signaling message weights. Per-user verdict
 /// streams are keyed inside each record, so one file serves every
-/// sweep cell that shares the population.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// sweep cell that shares the population. The fleet's replay memo keys
+/// its outcomes on this header itself.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplayCacheHeader {
     /// The population fingerprint and scheme token. Its `users` is the
     /// population size; the records may cover any subset of users.
