@@ -655,72 +655,80 @@ pub fn ablation_decision_rule(h: &mut Harness) -> Table {
 
 /// §8 future work: base-station signaling load as the cell fills with
 /// MakeIdle devices, with and without MakeActive batching, and the effect
-/// of a base-station rate limit.
+/// of a base-station rate limit. Each cell is a one-cell fleet whose
+/// phones replay their one-day traces from a corpus, adjudicated and
+/// counted by the fleet's topology runner.
 pub fn ext_cell_signaling(h: &mut Harness) -> Table {
-    use tailwise_radio::admission::{AlwaysAccept, RateLimited};
-    use tailwise_radio::signaling::SignalingModel;
-    use tailwise_sim::cell::{run_cell, CellDevice};
+    use tailwise_fleet::{AdmissionSpec, CorpusScenario, FleetReport, NetworkTopology, UserSource};
     use tailwise_trace::time::Duration as D;
 
     let profile = CarrierProfile::verizon_3g();
-    let model = SignalingModel::default();
     // One-day slices of the user population as the phones in the cell.
     let day = tailwise_workload::DAY;
     let slice = |trace: &Trace| trace.slice(Instant::ZERO, Instant::ZERO + day);
     let population: Vec<Trace> =
         h.users_3g().iter().chain(h.users_lte()).map(|(_, t)| slice(t)).collect();
+    let dir = std::env::temp_dir().join(format!("tailwise-cell-signaling-{}", std::process::id()));
 
-    let make_devices = |n: usize, batched: bool| -> Vec<CellDevice> {
-        (0..n)
-            .map(|i| {
-                let trace = population[i % population.len()].clone();
-                let trace = if batched {
-                    tailwise_sim::batching::batch_sessions(
-                        &profile,
-                        &h.cfg,
-                        &trace,
-                        &mut tailwise_core::makeactive::LearningDelay::new(),
-                    )
-                    .trace
-                } else {
-                    trace
-                };
-                CellDevice { name: format!("phone {i}"), trace, policy: Box::new(MakeIdle::new()) }
-            })
-            .collect()
+    // `n` phones in one cell behind `admission`. The corpus holds exactly
+    // their traces, named so the walk keeps phone order, and one shard
+    // sums their energy in that order.
+    let cell = |n: usize, batched: bool, admission: AdmissionSpec| -> FleetReport {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create the phone corpus directory");
+        for i in 0..n {
+            let trace = &population[i % population.len()];
+            let trace = if batched {
+                tailwise_sim::batching::batch_sessions(
+                    &profile,
+                    &h.cfg,
+                    trace,
+                    &mut tailwise_core::makeactive::LearningDelay::new(),
+                )
+                .trace
+            } else {
+                trace.clone()
+            };
+            tailwise_trace::io::save(&trace, &dir.join(format!("phone-{i:03}.twt")))
+                .expect("write a phone trace");
+        }
+        let mut scenario = CorpusScenario::new(&dir, Scheme::MakeIdle, profile.clone());
+        scenario.shard_size = n as u64;
+        scenario.sim = h.cfg.clone();
+        let mut topology = NetworkTopology::new(1);
+        topology.cell_admission = admission;
+        scenario.cells = Some(topology);
+        let source = UserSource::Corpus(scenario);
+        tailwise_fleet::run_source(&source, 1, tailwise_obs::Obs::none(), None)
+            .expect("the phone corpus replays")
     };
 
     let mut t = Table::new(
         "Extension (§8) — base-station load vs cell population (Verizon 3G)",
         &["devices", "scheme", "release", "msgs_total", "peak_msgs_per_s", "denied", "energy_kJ"],
     );
+    let mut row = |n: usize, scheme: &str, release: &str, report: FleetReport| {
+        let load = report.signaling.expect("a cell run reports its signaling load");
+        t.push(vec![
+            n.to_string(),
+            scheme.into(),
+            release.into(),
+            load.total_messages().to_string(),
+            load.peak_messages_per_s().to_string(),
+            load.denied().to_string(),
+            f2(report.energy_j / 1000.0),
+        ]);
+    };
     for n in [3usize, 6, 12] {
-        for (batched, label) in [(false, "MakeIdle"), (true, "MakeIdle+MakeActive")] {
-            let r = run_cell(&profile, &h.cfg, make_devices(n, batched), &mut AlwaysAccept, &model);
-            t.push(vec![
-                n.to_string(),
-                label.into(),
-                "always-accept".into(),
-                r.total_messages.to_string(),
-                r.peak_messages_per_s.to_string(),
-                r.denied.to_string(),
-                f2(r.total_energy() / 1000.0),
-            ]);
+        for (batched, scheme) in [(false, "MakeIdle"), (true, "MakeIdle+MakeActive")] {
+            row(n, scheme, "always-accept", cell(n, batched, AdmissionSpec::Always));
         }
         // A protective base station: at most one release grant per second
         // across the whole cell.
-        let mut limited = RateLimited::new(D::from_secs(1));
-        let r = run_cell(&profile, &h.cfg, make_devices(n, false), &mut limited, &model);
-        t.push(vec![
-            n.to_string(),
-            "MakeIdle".into(),
-            "rate-limited 1/s".into(),
-            r.total_messages.to_string(),
-            r.peak_messages_per_s.to_string(),
-            r.denied.to_string(),
-            f2(r.total_energy() / 1000.0),
-        ]);
+        let limited = AdmissionSpec::RateLimited { min_interval: D::from_secs(1) };
+        row(n, "MakeIdle", "rate-limited 1/s", cell(n, false, limited));
     }
+    std::fs::remove_dir_all(&dir).ok();
     t
 }
 

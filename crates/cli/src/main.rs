@@ -22,9 +22,10 @@ use std::sync::Arc;
 
 use args::{ArgError, Args};
 use tailwise_core::schemes::Scheme;
-use tailwise_fleet::{RunManifest, SourceSet, UserSource};
+use tailwise_fleet::{AdmissionSpec, MobilitySpec, RunManifest, SourceSet, UserSource};
 use tailwise_obs::{Obs, ProgressSampler, ProgressTable, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
+use tailwise_radio::signaling::SignalingBudget;
 use tailwise_serve::{Client, ClientMsg, ServeConfig, Server, ServerMsg};
 use tailwise_sim::engine::SimConfig;
 use tailwise_trace::time::Duration;
@@ -53,11 +54,13 @@ COMMANDS
                      --device <ipv4>      (required for pcap input)
   sim <trace>      run every evaluation scheme over a trace
                      --carrier <tmobile|att|verizon-3g|verizon-lte|sprint-3g|sprint-lte>
-                     --window <n>         (MakeIdle history, default 100)
+                     --window <n>         (MakeIdle history, default 100; at least 1)
   attribute <trace>
                    per-application energy attribution (status quo)
                      --carrier <...>
-  fleet            population-scale parallel simulation (tailwise-fleet)
+  fleet            population-scale parallel simulation (tailwise-fleet);
+                   each scenario flag is judged as the scenario-file key
+                   it sets (docs/SCENARIO_FORMAT.md §2.7)
                      --users <n>          (default 1000)
                      --scheme <statusquo|tail45|iat95|makeidle|oracle|
                                makeidle-activefix|makeidle-activelearn>
@@ -157,7 +160,8 @@ COMMANDS
                    (waits for the drain)             --addr <ip:port>
   fleet export <out.toml>
                    write the flag-built fleet scenario to a scenario file
-                     (accepts the same flags as `fleet`, minus --threads)
+                     (accepts the scenario flags of `fleet`, none of its
+                     run flags)
   fleet synth <scenario.toml>
                    materialize a synthetic scenario into an on-disk trace
                    corpus: one trace file per user, named so the corpus
@@ -285,8 +289,15 @@ fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::E
         let seed: u64 = args.opt_parse("seed")?.unwrap_or(1);
         let kind = app_from(args.opt_or("app", "im"))?;
         let hours: f64 = args.opt_parse("hours")?.unwrap_or(2.0);
-        if hours <= 0.0 {
-            return Err(Box::new(ArgError("--hours must be positive".into())));
+        // `Duration::from_secs_f64` saturates an overlong span (a trace
+        // that never ends) and zeroes a NaN one.
+        if !(hours > 0.0 && hours * 3600.0 * 1e6 < i64::MAX as f64) {
+            return Err(Box::new(ArgError(format!(
+                "--hours {:?}: must be positive and finite, and fit a trace's µs clock (at \
+                 most {:.0} h)",
+                args.opt_or("hours", ""),
+                i64::MAX as f64 / 3.6e9
+            ))));
         }
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -359,12 +370,12 @@ fn cmd_convert(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::erro
 fn cmd_sim(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     args.check_known(&["carrier", "window"])?;
     let path = args.positional(0).ok_or_else(|| ArgError("sim needs a trace path".into()))?;
+    let mut config = SimConfig::default();
+    if let Some(n) = count_flag(args, "window")? {
+        config.window_capacity = n;
+    }
     let trace = load_trace(path)?;
     let profile = carrier_from(args)?;
-    let mut config = SimConfig::default();
-    if let Some(n) = args.opt_parse::<usize>("window")? {
-        config.window_capacity = n.max(1);
-    }
     writeln!(
         out,
         "{} on {} — {} packets over {:.1} h\n",
@@ -568,14 +579,42 @@ fn reject_run_only_flags(args: &Args, subcommand: &str) -> Result<(), ArgError> 
     Ok(())
 }
 
-/// The network-topology flag set shared by `fleet` and `fleet export`.
-const TOPOLOGY_FLAGS: [&str; 7] =
-    ["cells", "capacity", "admission", "rncs", "rnc-capacity", "rnc-admission", "mobility"];
+/// The scenario flags of `fleet` and `fleet export`, each with the
+/// table and key of the scenario-file line it sets. The file's parser
+/// judges every value: [`flag_scenario`] writes the flag-built set and
+/// reads it back, and [`blame_flag`] reports a refused line on its flag.
+const SCENARIO_FLAGS: [(&str, &str, &str); 13] = [
+    ("users", "[scenario]", "users"),
+    ("scheme", "[scenario]", "scheme"),
+    ("days", "[scenario]", "days_per_user"),
+    ("seed", "[scenario]", "master_seed"),
+    ("shard", "[scenario]", "shard_size"),
+    ("carrier", "[[carrier]]", "profile"),
+    ("cells", "[cells]", "count"),
+    ("capacity", "[cells]", "capacity_per_s"),
+    ("admission", "[cells]", "admission"),
+    ("rncs", "[rnc]", "count"),
+    ("rnc-capacity", "[rnc]", "capacity_per_s"),
+    ("rnc-admission", "[rnc]", "admission"),
+    ("mobility", "[mobility]", "model"),
+];
 
-/// Builds the scenario described by the `fleet` / `fleet export` flags.
-fn fleet_scenario_from_flags(
-    args: &Args,
-) -> Result<tailwise_fleet::Scenario, Box<dyn std::error::Error>> {
+/// The flags of the run subcommands, `fleet` and `fleet run`, beside
+/// the scenario they run.
+const RUN_FLAGS: [&str; 6] = ["threads", "progress", "quiet", "metrics", "cache", "no-cache"];
+
+/// The flags `check_known` admits for a subcommand taking the scenario
+/// flags plus `extra`.
+fn scenario_flags_and<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    SCENARIO_FLAGS.iter().map(|&(flag, ..)| flag).chain(extra.iter().copied()).collect()
+}
+
+/// Builds the scenario the `fleet` / `fleet export` flags describe from
+/// the flag types alone, and returns it with its file text: the set is
+/// a scenario file that is never written, judged by the file's parser
+/// through [`SourceSet::to_toml_string`]'s read-back. A value the parser
+/// refuses is reported on the flag that set it ([`blame_flag`]).
+fn flag_scenario(args: &Args) -> Result<(SourceSet, String), Box<dyn std::error::Error>> {
     let users: u64 = args.opt_parse("users")?.unwrap_or(1000);
     let scheme = scheme_from(args.opt_or("scheme", "makeidle"))?;
     let carrier = match args.opt("carrier") {
@@ -583,28 +622,29 @@ fn fleet_scenario_from_flags(
         None => CarrierProfile::verizon_lte(),
     };
     let mut scenario = tailwise_fleet::Scenario::new(users, scheme, carrier);
-    scenario.master_seed = args.opt_parse("seed")?.unwrap_or(1);
-    if let Some(days) = count_flag(args, "days")? {
-        scenario.days_per_user = days;
-    }
-    if let Some(shard) = count_flag(args, "shard")? {
-        scenario.shard_size = shard;
-    }
-    scenario.cells = topology_from_flags(args, &scheme)?;
-    Ok(scenario)
+    scenario.master_seed = args.opt_parse("seed")?.unwrap_or(scenario.master_seed);
+    scenario.days_per_user = args.opt_parse("days")?.unwrap_or(scenario.days_per_user);
+    scenario.shard_size = args.opt_parse("shard")?.unwrap_or(scenario.shard_size);
+    scenario.cells = topology_from_flags(args)?;
+    let set = SourceSet { source: UserSource::Synthetic(scenario), axes: Vec::new() };
+    let text = set.to_toml_string().map_err(|e| blame_flag(args, e))?;
+    Ok((set, text))
 }
 
 /// Builds the optional network topology from the `--cells`-family
-/// flags. Every topology flag given *without* `--cells` is an error,
-/// never silently ignored. Without `--rncs` the cells sit under one
-/// RNC, which the RNC-level flags configure — the topology a scenario
-/// file's `[cells]` and `[rnc]` tables build.
+/// flags. The one rule kept here: a topology flag given *without*
+/// `--cells` is an error, since it would configure nothing. Without
+/// `--rncs` the cells sit under one RNC, which the RNC-level flags
+/// configure — the topology a scenario file's `[cells]` and `[rnc]`
+/// tables build.
 fn topology_from_flags(
     args: &Args,
-    scheme: &Scheme,
 ) -> Result<Option<tailwise_fleet::NetworkTopology>, Box<dyn std::error::Error>> {
-    let Some(cells) = count_flag::<u64>(args, "cells")? else {
-        if let Some(flag) = TOPOLOGY_FLAGS[1..].iter().find(|flag| args.opt(flag).is_some()) {
+    let Some(cells) = args.opt_parse("cells")? else {
+        let topology_flag = SCENARIO_FLAGS.iter().find(|&&(flag, table, _)| {
+            matches!(table, "[cells]" | "[rnc]" | "[mobility]") && args.opt(flag).is_some()
+        });
+        if let Some((flag, ..)) = topology_flag {
             return Err(Box::new(ArgError(format!(
                 "--{flag} needs --cells: the flag configures a network topology, and without \
                  one it would be silently ignored"
@@ -612,31 +652,32 @@ fn topology_from_flags(
         }
         return Ok(None);
     };
-    if !scheme.scriptable() {
-        return Err(Box::new(ArgError(format!(
-            "--cells cannot run scheme {scheme}: MakeActive batching depends on \
-             grant outcomes, so the exact two-pass replay does not apply"
-        ))));
+    Ok(Some(tailwise_fleet::NetworkTopology {
+        rncs: args.opt_parse("rncs")?.unwrap_or(1),
+        cells,
+        cell_budget: SignalingBudget { capacity_per_s: args.opt_parse("capacity")? },
+        rnc_budget: SignalingBudget { capacity_per_s: args.opt_parse("rnc-capacity")? },
+        cell_admission: args.opt_parse("admission")?.unwrap_or(AdmissionSpec::Always),
+        rnc_admission: args.opt_parse("rnc-admission")?.unwrap_or(AdmissionSpec::Always),
+        mobility: args.opt_parse("mobility")?.unwrap_or(MobilitySpec::Static),
+        ..tailwise_fleet::NetworkTopology::new(1)
+    }))
+}
+
+/// Reports the writer's refusal of a flag-built scenario on the flag
+/// that set the refused line, as `--<flag> <value>: <the parser's
+/// reason>`; the writer's error names the line and its table.
+fn blame_flag(args: &Args, err: impl std::error::Error + 'static) -> Box<dyn std::error::Error> {
+    let message = err.to_string();
+    let blamed = SCENARIO_FLAGS.iter().find_map(|&(flag, table, key)| {
+        let value = args.opt(flag)?;
+        let (line, reason) = message.split_once(&format!("` in `{table}`: "))?;
+        line.contains(&format!(" at `{key} = ")).then(|| format!("--{flag} {value:?}: {reason}"))
+    });
+    match blamed {
+        Some(message) => Box::new(ArgError(message)),
+        None => Box::new(err),
     }
-    let rncs = count_flag::<u64>(args, "rncs")?.unwrap_or(1);
-    if rncs > cells {
-        return Err(Box::new(ArgError(format!(
-            "cannot spread {cells} cell(s) over {rncs} RNCs; --rncs must be ≤ --cells"
-        ))));
-    }
-    let mut topology = tailwise_fleet::NetworkTopology::with_rncs(rncs, cells);
-    topology.cell_budget.capacity_per_s = args.opt_parse::<u64>("capacity")?;
-    topology.rnc_budget.capacity_per_s = args.opt_parse::<u64>("rnc-capacity")?;
-    if let Some(spec) = args.opt_parse::<tailwise_fleet::AdmissionSpec>("admission")? {
-        topology.cell_admission = spec;
-    }
-    if let Some(spec) = args.opt_parse::<tailwise_fleet::AdmissionSpec>("rnc-admission")? {
-        topology.rnc_admission = spec;
-    }
-    if let Some(spec) = args.opt_parse::<tailwise_fleet::MobilitySpec>("mobility")? {
-        topology.mobility = spec;
-    }
-    Ok(Some(topology))
 }
 
 fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
@@ -661,52 +702,61 @@ fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error:
         }
         None => {}
     }
-    args.check_known(&[
-        "users",
-        "scheme",
-        "carrier",
-        "days",
-        "threads",
-        "seed",
-        "shard",
-        "cells",
-        "capacity",
-        "admission",
-        "rncs",
-        "rnc-capacity",
-        "rnc-admission",
-        "mobility",
-        "progress",
-        "quiet",
-        "metrics",
-        "cache",
-        "no-cache",
-    ])?;
+    args.check_known(&scenario_flags_and(&RUN_FLAGS))?;
+    let (set, _) = flag_scenario(args)?;
+    run_scenario(args, &set, "flags", out)
+}
+
+/// Runs `set`, read from `from` (a scenario file, or the flags), under
+/// the run flags: the preamble line, then [`run_set`].
+fn run_scenario(
+    args: &Args,
+    set: &SourceSet,
+    from: &str,
+    out: &mut dyn Write,
+) -> Result<(), Box<dyn std::error::Error>> {
     let threads = threads_from(args)?;
-    let scenario = fleet_scenario_from_flags(args)?;
     let obs = RunObservability::from_args(args, threads)?;
     let cache = cache_from_args(args)?;
-    let topology = match &scenario.cells {
+    let topology = |cells: &Option<tailwise_fleet::NetworkTopology>| match cells {
         Some(topology) => {
             format!(" across {} RNC(s) / {} cell(s)", topology.rncs, topology.cells)
         }
         None => String::new(),
     };
     if !obs.quiet {
-        writeln!(
-            out,
-            "simulating {} users × {} day(s) of {} on {}{} ({} threads, seed {})…",
-            scenario.users,
-            scenario.days_per_user,
-            scenario.scheme.label(),
-            scenario.carrier_mix[0].0.name,
-            topology,
-            threads,
-            scenario.master_seed,
-        )?;
+        match &set.source {
+            _ if set.is_sweep() => writeln!(
+                out,
+                "running {} from {from}: {} scenario(s) across {} sweep axis(es), {} threads…",
+                set.source.name(),
+                set.expansion_count(),
+                set.axes.len(),
+                threads,
+            )?,
+            UserSource::Synthetic(base) => writeln!(
+                out,
+                "running {} from {from}: {} users × {} day(s) of {}{} ({} threads, seed {})…",
+                base.name,
+                base.users,
+                base.days_per_user,
+                base.scheme.label(),
+                topology(&base.cells),
+                threads,
+                base.master_seed,
+            )?,
+            UserSource::Corpus(base) => writeln!(
+                out,
+                "replaying {} from {from}: corpus {} under {}{} ({} threads)…",
+                base.name,
+                base.spec.dir.display(),
+                base.scheme.label(),
+                topology(&base.cells),
+                threads,
+            )?,
+        }
     }
-    let set = SourceSet { source: UserSource::Synthetic(scenario), axes: Vec::new() };
-    run_set(&set, threads, &obs, cache.as_ref(), out)
+    run_set(set, threads, &obs, cache.as_ref(), out)
 }
 
 /// Runs `set` as a sweep — a set without axes is a one-row sweep — and
@@ -1076,7 +1126,7 @@ fn cmd_fleet_shutdown(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn st
 /// a single fleet run (synthetic or corpus replay), or a sweep matrix
 /// folded into one comparison table.
 fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
-    args.check_known(&["threads", "progress", "quiet", "metrics", "cache", "no-cache"])?;
+    args.check_known(&RUN_FLAGS)?;
     let path = args
         .positional(1)
         .ok_or_else(|| ArgError("fleet run needs a scenario file path".into()))?;
@@ -1086,49 +1136,7 @@ fn cmd_fleet_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::er
              (run files one at a time, or express the matrix as [[sweep]] axes in one file)"
         ))));
     }
-    let set = SourceSet::from_file(path)?;
-    let threads = threads_from(args)?;
-    let obs = RunObservability::from_args(args, threads)?;
-    let cache = cache_from_args(args)?;
-    let topology = |cells: &Option<tailwise_fleet::NetworkTopology>| match cells {
-        Some(topology) => {
-            format!(" across {} RNC(s) / {} cell(s)", topology.rncs, topology.cells)
-        }
-        None => String::new(),
-    };
-    if !obs.quiet {
-        match &set.source {
-            _ if set.is_sweep() => writeln!(
-                out,
-                "running {} from {path}: {} scenario(s) across {} sweep axis(es), {} threads…",
-                set.source.name(),
-                set.expansion_count(),
-                set.axes.len(),
-                threads,
-            )?,
-            UserSource::Synthetic(base) => writeln!(
-                out,
-                "running {} from {path}: {} users × {} day(s) of {}{} ({} threads, seed {})…",
-                base.name,
-                base.users,
-                base.days_per_user,
-                base.scheme.label(),
-                topology(&base.cells),
-                threads,
-                base.master_seed,
-            )?,
-            UserSource::Corpus(base) => writeln!(
-                out,
-                "replaying {} from {path}: corpus {} under {}{} ({} threads)…",
-                base.name,
-                base.spec.dir.display(),
-                base.scheme.label(),
-                topology(&base.cells),
-                threads,
-            )?,
-        }
-    }
-    run_set(&set, threads, &obs, cache.as_ref(), out)
+    run_scenario(args, &SourceSet::from_file(path)?, path, out)
 }
 
 /// `tailwise fleet synth <scenario.toml> --out <dir>`: materialize a
@@ -1166,21 +1174,7 @@ fn cmd_fleet_synth(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::
 /// a scenario file (the starting point for hand-edited experiments).
 fn cmd_fleet_export(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     reject_run_only_flags(args, "export")?;
-    args.check_known(&[
-        "users",
-        "scheme",
-        "carrier",
-        "days",
-        "seed",
-        "shard",
-        "cells",
-        "capacity",
-        "admission",
-        "rncs",
-        "rnc-capacity",
-        "rnc-admission",
-        "mobility",
-    ])?;
+    args.check_known(&scenario_flags_and(&[]))?;
     let path =
         args.positional(1).ok_or_else(|| ArgError("fleet export needs an output path".into()))?;
     if let Some(extra) = args.positional(2) {
@@ -1188,8 +1182,12 @@ fn cmd_fleet_export(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn std:
             "fleet export takes exactly one output path, got extra operand {extra:?}"
         ))));
     }
-    let scenario = fleet_scenario_from_flags(args)?;
-    scenario.to_file(path)?;
+    let (set, text) = flag_scenario(args)?;
+    std::fs::write(path, text)
+        .map_err(|e| ArgError(format!("cannot write scenario file {path}: {e}")))?;
+    let UserSource::Synthetic(scenario) = &set.source else {
+        unreachable!("the flags build a synthetic population")
+    };
     writeln!(
         out,
         "wrote {path}: {} users × {} day(s) of {} (run with `tailwise fleet run {path}`)",
@@ -1240,7 +1238,15 @@ mod tests {
     }
 
     fn build_err(extra: &[&str]) -> String {
-        fleet_scenario_from_flags(&fleet_args(extra)).unwrap_err().to_string()
+        flag_scenario(&fleet_args(extra)).unwrap_err().to_string()
+    }
+
+    /// The synthetic scenario the flags build.
+    fn build(extra: &[&str]) -> tailwise_fleet::Scenario {
+        match flag_scenario(&fleet_args(extra)).expect("flags build").0.source {
+            UserSource::Synthetic(scenario) => scenario,
+            UserSource::Corpus(_) => unreachable!("the flags build a synthetic population"),
+        }
     }
 
     #[test]
@@ -1258,9 +1264,7 @@ mod tests {
 
     #[test]
     fn mobility_flag_parses_tokens_and_rejects_bad_ones() {
-        let scenario =
-            fleet_scenario_from_flags(&fleet_args(&["--cells", "4", "--mobility", "commute:6:19"]))
-                .unwrap();
+        let scenario = build(&["--cells", "4", "--mobility", "commute:6:19"]);
         assert_eq!(
             scenario.cells.expect("topology built").mobility,
             tailwise_fleet::MobilitySpec::Commute {
@@ -1303,7 +1307,7 @@ mod tests {
         ] {
             let mut args = vec!["--users", "8", "--cells", "4"];
             args.extend(flags);
-            let scenario = fleet_scenario_from_flags(&fleet_args(&args)).expect("flags build");
+            let scenario = build(&args);
             let topology = scenario.cells.expect("the flags build a topology");
             assert_eq!(topology.rncs, 1, "{flags:?}");
             assert_eq!(topology, file(rnc), "{flags:?}");
@@ -1312,11 +1316,37 @@ mod tests {
 
     #[test]
     fn counts_are_validated() {
-        assert!(build_err(&["--cells", "0"]).contains("--cells must be at least 1"));
-        assert!(build_err(&["--cells", "4", "--rncs", "0"]).contains("--rncs must be at least 1"));
-        assert!(build_err(&["--cells", "4", "--rncs", "5"]).contains("cannot spread 4 cell(s)"));
-        let err = build_err(&["--cells", "4", "--scheme", "makeidle-activelearn"]);
-        assert!(err.contains("cannot run scheme"), "{err}");
+        // The scenario parser judges the flag-built file; its refusal
+        // names the flag, the value, and the parser's rule, and neither
+        // `fleet` nor `fleet export` writes anything.
+        let dir = std::env::temp_dir().join(format!("tailwise-cli-counts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (file, manifest) = (dir.join("c.toml"), dir.join("m.toml"));
+        let (path, metrics) = (file.to_str().unwrap(), manifest.to_str().unwrap());
+        for (flags, blamed, rule) in [
+            (&["--cells", "0"][..], "--cells \"0\": ", "`count` must be at least 1"),
+            (&["--cells", "4", "--rncs", "0"], "--rncs \"0\": ", "`count` must be at least 1"),
+            (&["--cells", "4", "--rncs", "5"], "--rncs \"5\": ", "cannot spread 4 cell(s) over 5"),
+            (
+                &["--cells", "4", "--scheme", "makeidle-activelearn"],
+                "--scheme \"makeidle-activelearn\": ",
+                "cannot run on a [cells] topology",
+            ),
+        ] {
+            let err = build_err(flags);
+            assert!(err.starts_with(blamed), "{flags:?}: {err}");
+            assert!(err.contains(rule), "{flags:?}: {err}");
+            let mut export = vec!["export", path, "--users", "2"];
+            export.extend(flags);
+            let exported = cmd_fleet_export(&obs_args(&export), &mut io::sink()).unwrap_err();
+            assert_eq!(exported.to_string(), err);
+            let mut run = vec!["--users", "2", "--threads", "1", "--metrics", metrics];
+            run.extend(flags);
+            let ran = cmd_fleet(&obs_args(&run), &mut io::sink()).unwrap_err();
+            assert_eq!(ran.to_string(), err);
+            assert!(!file.exists() && !manifest.exists(), "{flags:?} must write nothing");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
         let err = build_err(&["--cells", "4", "--admission", "reactive"]);
         assert!(err.contains("watermark"), "{err}");
         // An interval that rounds to zero microseconds is no interval.
@@ -1335,17 +1365,27 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("e.toml");
         let path = file.to_str().unwrap();
-        for (flag, zero) in [("--days", ["--days", "0"]), ("--shard", ["--shard", "0"])] {
+        for (flag, key) in [("--days", "days_per_user"), ("--shard", "shard_size")] {
+            // The parser's rule for the file key, blamed on the flag.
+            let blamed = format!("{flag} \"0\": `{key}` must be at least 1");
             let mut export = vec!["export", path, "--users", "3"];
-            export.extend(zero);
+            export.extend([flag, "0"]);
             let err = cmd_fleet_export(&obs_args(&export), &mut io::sink()).unwrap_err();
-            assert!(err.to_string().contains(&format!("{flag} must be at least 1")), "{err}");
+            assert_eq!(err.to_string(), blamed);
             assert!(!file.exists(), "{flag} 0 must not write a scenario");
             let mut run = vec!["--users", "1", "--threads", "1"];
-            run.extend(zero);
+            run.extend([flag, "0"]);
             let err = cmd_fleet(&obs_args(&run), &mut io::sink()).unwrap_err();
-            assert!(err.to_string().contains(&format!("{flag} must be at least 1")), "{err}");
+            assert_eq!(err.to_string(), blamed);
         }
+        // `sim --window 0` is an error too, before the trace is read.
+        let sim = Args::parse_with_switches(
+            ["sim", path, "--window", "0"].map(String::from).to_vec(),
+            &[],
+        )
+        .unwrap();
+        let err = cmd_sim(&sim, &mut io::sink()).unwrap_err();
+        assert_eq!(err.to_string(), "--window must be at least 1");
         let gen = Args::parse_with_switches(
             ["gen", path, "--user", "1", "--days", "0"].map(String::from).to_vec(),
             &[],
@@ -1374,6 +1414,13 @@ mod tests {
             (&["--user", "1", "--app", "im"], "--app conflicts with --user"),
             (&["--user", "1", "--hours", "1"], "--hours conflicts with --user"),
             (&["--user", "1", "--days", "2", "--seed", "7"], "--seed conflicts with --user"),
+            // A span that is no number, no finite number, or no µs count
+            // an i64 holds is refused before anything is generated.
+            (&["--hours", "nan"], "--hours \"nan\": must be positive and finite"),
+            (&["--hours", "inf"], "--hours \"inf\": must be positive and finite"),
+            (&["--hours", "1e300"], "--hours \"1e300\": must be positive and finite"),
+            (&["--hours", "2562047789"], "at most 2562047788 h"),
+            (&["--hours", "0"], "--hours \"0\": must be positive and finite"),
         ] {
             let err = gen(extra).unwrap_err();
             assert!(err.to_string().contains(message), "{extra:?}: {err}");
@@ -1387,7 +1434,7 @@ mod tests {
 
     #[test]
     fn full_hierarchy_flags_build_the_topology() {
-        let scenario = fleet_scenario_from_flags(&fleet_args(&[
+        let scenario = build(&[
             "--users",
             "50",
             "--cells",
@@ -1402,8 +1449,7 @@ mod tests {
             "400",
             "--rnc-admission",
             "reactive:50:5",
-        ]))
-        .unwrap();
+        ]);
         let topology = scenario.cells.expect("topology built");
         assert_eq!((topology.rncs, topology.cells), (3, 12));
         assert_eq!(topology.cell_budget.capacity_per_s, Some(120));
@@ -1420,14 +1466,14 @@ mod tests {
         );
 
         // The flat default: --cells alone is one always-admitting RNC.
-        let scenario = fleet_scenario_from_flags(&fleet_args(&["--cells", "4"])).unwrap();
+        let scenario = build(&["--cells", "4"]);
         let topology = scenario.cells.expect("topology built");
         assert_eq!(topology.rncs, 1);
         assert_eq!(topology.cell_admission, AdmissionSpec::Always);
         assert_eq!(topology.rnc_admission, AdmissionSpec::Always);
 
         // No topology flags at all: no topology.
-        let scenario = fleet_scenario_from_flags(&fleet_args(&["--users", "10"])).unwrap();
+        let scenario = build(&["--users", "10"]);
         assert!(scenario.cells.is_none());
     }
 

@@ -381,7 +381,9 @@ fn mobility_from_table(table: &Table) -> Result<MobilitySpec, ScenError> {
 /// returned only when it reads back equal to what was written. The
 /// parser is the only judge of what a file can hold, so anything it
 /// rejects or reads differently is an emit error, never a file that
-/// fails to load or loads as another scenario.
+/// fails to load or loads as another scenario. A rejection quotes the
+/// refused line and its table ("at `count = 5` in `[rnc]`") before the
+/// parser's reason.
 pub(crate) fn source_set_to_toml(
     source: &UserSource,
     axes: &[SweepAxis],
@@ -391,8 +393,16 @@ pub(crate) fn source_set_to_toml(
         UserSource::Corpus(base) => corpus_to_toml(base, axes)?,
     };
     let back = source_set_from_str(&text).map_err(|e| {
-        let at = match text.lines().nth(e.pos.line.saturating_sub(1)) {
-            Some(line) if e.pos != Pos::START => format!(" at `{}`", line.trim()),
+        // The quoted line and the table holding it, so a caller can map
+        // the error back to the field that wrote it.
+        let lines: Vec<&str> = text.lines().take(e.pos.line).collect();
+        let at = match lines.last() {
+            Some(line) if e.pos != Pos::START => {
+                match lines.iter().rev().find(|line| line.starts_with('[')) {
+                    Some(table) if table != line => format!(" at `{}` in `{table}`", line.trim()),
+                    _ => format!(" at `{}`", line.trim()),
+                }
+            }
             _ => String::new(),
         };
         ScenError::emit(format!("the written text does not read back{at}: {}", e.message))
@@ -513,10 +523,10 @@ fn write_topology(w: &mut DocWriter, cells: &Option<NetworkTopology>) {
         w.uint("capacity_per_s", capacity);
     }
     write_admission(w, &topology.cell_admission);
-    // The [rnc] table is emitted only when the hierarchy is non-flat or
-    // the RNC level is configured; a flat default parses back
-    // identically without one.
-    if topology.rncs > 1
+    // The [rnc] table is emitted only when the RNC count is not the
+    // default one or the RNC level is configured; a flat default parses
+    // back identically without one.
+    if topology.rncs != 1
         || topology.rnc_budget != SignalingBudget::UNBOUNDED
         || topology.rnc_admission != AdmissionSpec::Always
     {
@@ -1780,7 +1790,16 @@ mod tests {
             jitter_pct: mobility::DEFAULT_JITTER_PCT,
             hint_s: mobility::DEFAULT_HINT_S,
         };
+        let counts = |rncs: u64, cells: u64| {
+            let topology = NetworkTopology { rncs, cells, ..NetworkTopology::new(4) };
+            UserSource::Synthetic(Scenario { cells: Some(topology), ..synthetic() })
+        };
         let cases: Vec<(&str, UserSource, Vec<SweepAxis>)> = vec![
+            // The error names the table of the line it quotes, and a
+            // zero RNC count is written, not dropped as the default.
+            ("`count = 0` in `[cells]`", counts(1, 0), vec![]),
+            ("`count = 0` in `[rnc]`", counts(0, 4), vec![]),
+            ("`count = 5` in `[rnc]`", counts(5, 4), vec![]),
             (
                 "`[[app]]`",
                 UserSource::Synthetic(Scenario { app_mix: vec![], ..synthetic() }),

@@ -642,6 +642,26 @@ mod tests {
     }
 
     #[test]
+    fn a_window_beyond_every_gap_runs_as_any_window_that_holds_them() {
+        // Regression: the window reserved its capacity up front, so
+        // `window_capacity = 1000000000000` aborted the run on an 8 TB
+        // allocation. Any window larger than the user's gap count holds
+        // every gap, so the two runs must report alike.
+        let file = |window: u64| {
+            format!(
+                "[scenario]\nusers = 1\nmaster_seed = 7\n\n[sim]\nwindow_capacity = {window}\n\n\
+                 [[carrier]]\nprofile = \"verizon-lte\"\n\n[[app]]\nkind = \"email\"\n"
+            )
+        };
+        let huge = Scenario::from_toml_str(&file(1_000_000_000_000)).unwrap();
+        let gaps = huge.user(0).1.generate().len() as u64;
+        let fitted = Scenario::from_toml_str(&file(gaps + 1)).unwrap();
+        let report = run(&huge, 1);
+        assert!(report.decisions > 0, "MakeIdle never decided");
+        assert_eq!(report, run(&fitted, 1));
+    }
+
+    #[test]
     fn days_spanned_rounds_up_and_floors_at_one() {
         use tailwise_trace::{Direction, Instant, Packet, Trace};
         let empty = Trace::new();

@@ -224,7 +224,7 @@ pub fn run_source_sweep_streamed(
 ) -> Result<Option<SweepReport>, ScenError> {
     let walk = resolve_walk(&set.source, obs)?;
     let mut rows = Vec::with_capacity(set.expansion_count());
-    let mut run_cells = || -> Result<bool, ScenError> {
+    let mut run_rows = || -> Result<bool, ScenError> {
         for (index, (label, source)) in set.expand_labeled()?.into_iter().enumerate() {
             let population = Population::of(&source, walk.as_ref(), obs)?;
             let report = run_population(&population, threads, obs, cache)?;
@@ -237,7 +237,7 @@ pub fn run_source_sweep_streamed(
         }
         Ok(true)
     };
-    let finished = run_cells();
+    let finished = run_rows();
     if let Some(cache) = cache {
         cache.write_memos(obs);
     }

@@ -1,8 +1,8 @@
 //! The phase-1 request cache never changes an answer — only the bill.
 //!
 //! Pins the caching acceptance claims end-to-end against the library's
-//! `rnc_storm.toml` admission sweep (shrunk to CI scale, structure kept
-//! exactly as declared on disk):
+//! `rnc_storm.toml` admission sweep (shrunk to CI scale, with its
+//! reactive cell gated tight enough to deny at that scale):
 //!
 //! * a cached sweep — in-memory or disk-backed — produces a
 //!   **bit-identical** `SweepReport` (including rendered text) to the
@@ -24,8 +24,8 @@ use std::path::PathBuf;
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
-    run_source_sweep_cached, synth_corpus, CorpusScenario, RequestCache, RunManifest, Scenario,
-    SourceSet, SweepAxis, SweepReport, UserSource,
+    run_source_sweep_cached, synth_corpus, AdmissionSpec, CorpusScenario, RequestCache,
+    RunManifest, Scenario, SourceSet, SweepAxis, SweepReport, UserSource,
 };
 use tailwise_obs::{Obs, Recorder, StatsRecorder};
 use tailwise_radio::profile::CarrierProfile;
@@ -45,10 +45,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The storm population: 4 shards, the last one ragged.
 const USERS: u64 = 10;
 
-/// The library's RNC-storm admission sweep, shrunk to CI scale. Only
-/// the population size, shard size and predictor window change; the
-/// topology, mixes, seed, and `[[sweep]]` axes stay exactly as declared
-/// on disk.
+/// The library's RNC-storm admission sweep, shrunk to CI scale. The
+/// population size, shard size and predictor window change, and the
+/// reactive cell's watermark falls to 7 msg/s. At this scale the
+/// storm's own 50 msg/s denies nobody, so that cell would hand every
+/// user the first cell's verdicts, while 6 msg/s or less denies almost
+/// every user something; at 7 it denies a few users, so the cell folds
+/// memo hits and live replays. The topology, mixes and seed stay
+/// exactly as declared on disk.
 fn storm_set() -> SourceSet {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/rnc_storm.toml");
     let mut set = SourceSet::from_file(path).expect("library storm file parses");
@@ -56,6 +60,10 @@ fn storm_set() -> SourceSet {
     base.users = USERS;
     base.shard_size = 3; // ragged last shard
     base.sim.window_capacity = 25; // smaller predictor window: CI speed
+    set.axes = vec![SweepAxis::Admission(vec![
+        AdmissionSpec::Always,
+        AdmissionSpec::LoadReactive { watermark_per_s: 7, window_s: 5 },
+    ])];
     set
 }
 
@@ -163,6 +171,7 @@ fn cached_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert_eq!(counter(&counters, "cache_misses"), 1, "threads={threads}");
         assert!(counter(&counters, "cache_hits") >= 1, "threads={threads}");
         assert_eq!(counter(&counters, "cache_fallbacks"), 0, "threads={threads}");
+        assert_hits_and_replays(&counters, threads);
 
         // Disk-backed cache: same contract, plus a spill.
         let disk_dir = dir.join(format!("t{threads}"));
@@ -172,8 +181,16 @@ fn cached_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert_eq!(rendered(&baseline), rendered(&cached), "disk cache, threads={threads}");
         assert!(counter(&counters, "cache_spills") >= 1, "threads={threads}");
         assert_eq!(counter(&counters, "cache_fallbacks"), 0, "threads={threads}");
+        assert_hits_and_replays(&counters, threads);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first cell replays every user, so more misses than users and at
+/// least one hit mean the gated second cell folded both.
+fn assert_hits_and_replays(counters: &tailwise_obs::Snapshot, threads: usize) {
+    assert!(counter(counters, "replay_hits") >= 1, "threads={threads}");
+    assert!(counter(counters, "replay_misses") > USERS, "threads={threads}");
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //! * Rate-limited cells deny requests, and denials cost energy.
 //! * Load-reactive RNC admission measurably cuts RNC overload seconds
 //!   versus `always` on a storm population — the energy/signaling
-//!   trade adjudicated at the controller.
+//!   trade adjudicated at the controller — and the same watermark on
+//!   the cells sheds messages at the base stations.
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
@@ -98,6 +99,13 @@ fn unlimited_single_rnc_single_cell_matches_radio_isolated_exactly() {
         assert_eq!(signaling.rncs[0].total_messages, signaling.cells[0].total_messages);
         assert_eq!(signaling.rncs[0].peak_messages_per_s, signaling.cells[0].peak_messages_per_s);
     }
+
+    // An empty cell absorbs nothing.
+    let empty = run(&Scenario { users: 0, ..celled }, 2);
+    let signaling = empty.signaling.as_ref().expect("topology runs carry signaling");
+    assert_eq!(empty.energy_j, 0.0);
+    assert_eq!((signaling.granted(), signaling.total_messages()), (0, 0));
+    assert_eq!(signaling.peak_messages_per_s(), 0);
 }
 
 #[test]
@@ -232,9 +240,9 @@ fn reactive_rnc_admission_cuts_overload_versus_always() {
     scenario.cells = Some(always);
     let free = run(&scenario, 4);
 
+    let watermark = AdmissionSpec::LoadReactive { watermark_per_s: 1, window_s: 5 };
     let mut reactive = scenario.clone();
-    let topology = reactive.cells.as_mut().unwrap();
-    topology.rnc_admission = AdmissionSpec::LoadReactive { watermark_per_s: 1, window_s: 5 };
+    reactive.cells.as_mut().unwrap().rnc_admission = watermark.clone();
     let governed = run(&reactive, 4);
 
     let free_signaling = free.signaling.as_ref().unwrap();
@@ -244,6 +252,7 @@ fn reactive_rnc_admission_cuts_overload_versus_always() {
         "storm scenario must overload the always-accept RNC"
     );
     assert!(governed_signaling.denied_by_rnc() > 0, "watermark never engaged");
+    assert!(governed_signaling.granted() > 0, "governor latched shut");
     assert!(
         governed_signaling.rnc_overload_seconds() < free_signaling.rnc_overload_seconds(),
         "reactive admission must cut RNC overload seconds: {} vs {}",
@@ -255,6 +264,19 @@ fn reactive_rnc_admission_cuts_overload_versus_always() {
         "shed releases must shed messages"
     );
     assert!(governed.energy_j > free.energy_j, "shedding load costs device energy");
+
+    // The same watermark on each cell governs the storm at the base
+    // stations instead: the cells deny, still grant, shed messages, and
+    // the devices pay in energy.
+    let mut reactive_cells = scenario.clone();
+    reactive_cells.cells.as_mut().unwrap().cell_admission = watermark;
+    let governed = run(&reactive_cells, 4);
+    let governed_signaling = governed.signaling.as_ref().unwrap();
+    assert!(governed_signaling.denied() > 0, "cell watermark never engaged");
+    assert_eq!(governed_signaling.denied_by_rnc(), 0, "an always-accept RNC denies nothing");
+    assert!(governed_signaling.granted() > 0, "cell governors latched shut");
+    assert!(governed_signaling.total_messages() < free_signaling.total_messages());
+    assert!(governed.energy_j > free.energy_j);
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! The phase-2 replay memo never changes an answer — only the bill.
 //!
 //! Pins the replay-memo acceptance claims end-to-end against the
-//! library's `rnc_storm.toml` admission sweep (shrunk to CI scale,
-//! structure kept exactly as declared on disk):
+//! library's `rnc_storm.toml` admission sweep (shrunk to CI scale, with
+//! its reactive cell gated tight enough to deny at that scale):
 //!
 //! * a memoized sweep — in-memory or disk-backed — produces a
 //!   **bit-identical** `SweepReport` (rendered text and
 //!   `RunManifest::digest()` included) to the uncached sweep at 1, 2,
-//!   and 8 threads, while `replay_hits` shows the reuse happened;
+//!   and 8 threads, while `replay_hits` and `replay_misses` show the
+//!   second cell folding both memo hits and live replays;
 //! * a second sweep over the same cache replays nothing: every user in
 //!   every cell hits the memo (`replay_misses == 0`) and no spill file
 //!   is rewritten;
@@ -44,10 +45,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The storm population: 4 shards, the last one ragged.
 const USERS: u64 = 10;
 
-/// The library's RNC-storm admission sweep, shrunk to CI scale. Only
-/// the population size, shard size and predictor window change; the
-/// topology, mixes, seed, and `[[sweep]]` axes stay exactly as declared
-/// on disk.
+/// The library's RNC-storm admission sweep, shrunk to CI scale. The
+/// population size, shard size and predictor window change, and the
+/// reactive cell's watermark falls to 7 msg/s. At this scale the
+/// storm's own 50 msg/s denies nobody, so that cell would hand every
+/// user the first cell's verdicts, while 6 msg/s or less denies almost
+/// every user something; at 7 it denies a few users, so the cell folds
+/// memo hits and live replays. The topology, mixes and seed stay
+/// exactly as declared on disk.
 fn storm_set() -> SourceSet {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/rnc_storm.toml");
     let mut set = SourceSet::from_file(path).expect("library storm file parses");
@@ -55,6 +60,10 @@ fn storm_set() -> SourceSet {
     base.users = USERS;
     base.shard_size = 3; // ragged last shard
     base.sim.window_capacity = 25; // smaller predictor window: CI speed
+    set.axes = vec![SweepAxis::Admission(vec![
+        AdmissionSpec::Always,
+        AdmissionSpec::LoadReactive { watermark_per_s: 7, window_s: 5 },
+    ])];
     set
 }
 
@@ -109,7 +118,7 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert_eq!(baseline, cached, "memory memo, threads={threads}");
         assert_eq!(rendered(&baseline), rendered(&cached), "memory memo, threads={threads}");
         assert_eq!(base_digest, digest, "manifest digest, threads={threads}");
-        assert!(counter(&counters, "replay_hits") >= 1, "threads={threads}");
+        assert_hits_and_replays(&counters, threads);
         assert_eq!(counter(&counters, "replay_fallbacks"), 0, "threads={threads}");
 
         // Disk-backed cache: same contract, plus a .twr spill.
@@ -119,6 +128,7 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         assert_eq!(baseline, cached, "disk memo, threads={threads}");
         assert_eq!(rendered(&baseline), rendered(&cached), "disk memo, threads={threads}");
         assert_eq!(base_digest, digest, "disk manifest digest, threads={threads}");
+        assert_hits_and_replays(&counters, threads);
         assert_eq!(counter(&counters, "replay_spills"), 1, "threads={threads}");
         assert_eq!(counter(&counters, "replay_fallbacks"), 0, "threads={threads}");
     }
@@ -139,6 +149,13 @@ fn memoized_sweeps_are_bit_identical_to_uncached_at_1_2_8_threads() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first cell replays every user, so more misses than users and at
+/// least one hit mean the gated second cell folded both.
+fn assert_hits_and_replays(counters: &tailwise_obs::Snapshot, threads: usize) {
+    assert!(counter(counters, "replay_hits") >= 1, "threads={threads}");
+    assert!(counter(counters, "replay_misses") > USERS, "threads={threads}");
 }
 
 #[test]
@@ -189,15 +206,9 @@ fn a_cold_sweep_writes_its_memo_once() {
     // Both admission cells replay users into the one memo the sweep
     // shares — the second cell those whose verdicts changed — and the
     // memo reaches its `.twr` file in one write, as the sweep returns,
-    // holding every outcome either cell replayed. At this scale the
-    // storm's own watermark denies nobody, so the reactive cell gates
-    // at 2 msg/s instead.
+    // holding every outcome either cell replayed.
     let dir = temp_dir("once");
-    let mut set = storm_set();
-    set.axes = vec![SweepAxis::Admission(vec![
-        AdmissionSpec::Always,
-        AdmissionSpec::LoadReactive { watermark_per_s: 2, window_s: 5 },
-    ])];
+    let set = storm_set();
     let recorder = StatsRecorder::new();
     let obs = Obs { recorder: &recorder, progress: None };
     let cache = RequestCache::with_dir(&dir).unwrap();

@@ -15,8 +15,8 @@
 //!   extracts a device's fast-dormancy request stream without a full
 //!   simulation, phase 2 replays the engine exactly from those recorded
 //!   requests against a scripted grant/deny sequence, without running
-//!   the policy again — the substrate for every multi-device
-//!   coordinator (the in-memory [`cell`], the fleet's cell topologies);
+//!   the policy again — the substrate of the fleet's cell topologies,
+//!   the one multi-device coordinator;
 //! * [`batching`] — the MakeActive trace transform (§5) and the combined
 //!   MakeIdle+MakeActive pipeline;
 //! * [`oracle`] — the offline-optimal comparator (§6.2);
@@ -29,7 +29,6 @@
 
 pub mod attribution;
 pub mod batching;
-pub mod cell;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
@@ -40,7 +39,6 @@ pub mod twophase;
 
 pub use attribution::{attribute, AppEnergy, AttributionReport};
 pub use batching::{batch_sessions, run_batched, BatchingOutcome};
-pub use cell::{run_cell, CellDevice, CellReport};
 pub use engine::{run, run_with_release, PowerSegment, SegmentKind, SimConfig};
 pub use metrics::Confusion;
 pub use oracle::OracleIdle;

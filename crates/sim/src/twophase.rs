@@ -7,10 +7,9 @@
 //! only the packet timestamps and the policy's view of them (the
 //! inter-arrival window, which the engine feeds from gaps regardless of
 //! whether earlier requests were granted: a denial changes the *radio's*
-//! state, never the observed gaps). That independence is what made the
-//! in-memory cell simulation ([`crate::cell`]) exact; this module
-//! promotes it from an implementation detail to the engine's public
-//! surface:
+//! state, never the observed gaps). That independence makes a
+//! coordinator that adjudicates many devices' requests exact; this
+//! module is the engine's public surface for it:
 //!
 //! * **Phase 1** — [`record_requests`]: a cheap streaming pass that
 //!   runs the policy once over the trace and keeps what it decided: the

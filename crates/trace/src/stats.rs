@@ -172,7 +172,9 @@ impl Clone for SlidingWindow {
 }
 
 impl SlidingWindow {
-    /// Creates a window holding at most `capacity` samples.
+    /// Creates a window holding at most `capacity` samples. Its buffers
+    /// grow with the samples pushed, so a capacity beyond any stream's
+    /// length allocates nothing up front.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -180,8 +182,8 @@ impl SlidingWindow {
         assert!(capacity > 0, "SlidingWindow capacity must be positive");
         SlidingWindow {
             capacity,
-            arrivals: VecDeque::with_capacity(capacity),
-            sorted: Vec::with_capacity(capacity),
+            arrivals: VecDeque::new(),
+            sorted: Vec::new(),
             stream: fresh_stream(),
             pushes: 0,
             evicted: None,
