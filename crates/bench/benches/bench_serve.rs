@@ -7,8 +7,10 @@
 //! the memo folds, the report and manifest, and the protocol. Both of
 //! its admission levels are `always`, so adjudication only counts the
 //! requests. `warm_repeat_reactive` repeats the same job with a
-//! `reactive:50:5` RNC, whose every request is gated, after one cold
-//! run of its own. `jobs_round_trip` times one `jobs` exchange on the
+//! `reactive:50:5` RNC, after one cold run of its own. Its adjudication
+//! also counts, then computes the all-grant load bound, which at 16
+//! phones never reaches the watermark, so no request is gated.
+//! `jobs_round_trip` times one `jobs` exchange on the
 //! same connection (each reply is a `job` line and an `end` line): the
 //! protocol alone. It runs first, while the registry holds only the
 //! cold job.

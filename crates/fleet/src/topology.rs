@@ -27,26 +27,32 @@
 //!    and switch cycles — the record a request cache holds and a `.twc`
 //!    file stores as it is. This is the only pass that runs the
 //!    scheme's policy.
-//! 2. **Adjudication** — every request becomes an event in the
-//!    partition of the RNC owning the cell its user occupies at that
-//!    instant, beside both sides of every handoff its cells see (none
-//!    under static mobility). A partition touches only its own cells,
-//!    its own RNC's policy and verdicts no other partition holds, so the
-//!    sharded runner adjudicates the RNCs in parallel, one partition per
-//!    shard: the worker builds the RNC's events, sorts them into
+//! 2. **Adjudication** — every request belongs to the partition of the
+//!    RNC owning the cell its user occupies at that instant, beside both
+//!    sides of every handoff its cells see (none under static
+//!    mobility). A partition touches only its own cells, its own RNC's
+//!    policy and verdicts no other partition holds, so the sharded
+//!    runner adjudicates the RNCs in parallel, one partition per shard.
+//!    The worker walks the partition's residence segments once, counting
+//!    each segment's requests as its cell's grants and their handoff
+//!    hints, and sorts and charges the handoff sides. Then it gates only
+//!    where a denial is possible: every verdict's adjudication-time
+//!    message cost (`per_fd_demotion` per grant, [`REQUEST_MESSAGES`]
+//!    per denial) is observed by both levels, so load-reactive policies
+//!    see the rate they are protecting, and the load with every request
+//!    charged the larger of the two bounds that rate from above. A
+//!    request whose bound stays under the watermark at every `reactive`
+//!    level is a certain grant; around the others, the *contested*
+//!    ones, the worker builds each span's events from one window before
+//!    its first contested request through its last, sorts them into
 //!    `(time, user, kind)` order and feeds them through fresh
 //!    admission-policy instances — the request's cell decides first,
-//!    then the RNC; a denial at either level denies. Every verdict's
-//!    adjudication-time message cost (`per_fd_demotion` per grant,
-//!    [`REQUEST_MESSAGES`] per denial) is observed by both levels, so
-//!    load-reactive policies see the rate they are protecting. When
-//!    both levels are [`AdmissionSpec::Always`] (the paper's §2.2
-//!    assumption), no verdict can be a denial, so the partition builds
-//!    no request events: the same walk counts each residence segment's
-//!    requests as its cell's grants and their handoff hints, and only
-//!    the handoff sides are sorted and charged. The frontier absorbs the
-//!    partitions in RNC order: per-cell counts, handoff loads and the
-//!    denied `(user, seq)` pairs.
+//!    then the RNC; a denial at either level denies. `rate-limited` has
+//!    no such bound, so its partitions are gated whole; when both
+//!    levels are [`AdmissionSpec::Always`] (the paper's §2.2
+//!    assumption), nothing is. The frontier absorbs the partitions in
+//!    RNC order: per-cell counts, handoff loads and the denied `(user,
+//!    seq)` pairs.
 //! 3. **Pass 2** — the sharded runner *re-materializes* each user's
 //!    trace (synthesis and corpus walks are deterministic, so the same
 //!    index yields the same trace) and replays it exactly from the
@@ -73,9 +79,11 @@
 //! confusion counts and two baseline words per user and, afterwards,
 //! one verdict byte per request plus one `(second, msgs)` pair per
 //! active second of each cell and RNC — never an array over the time
-//! span, which corpus traces and `.twr` files choose. Adjudication's
-//! events live only while their partition is in flight, so at most
-//! `threads` RNCs' events exist at once.
+//! span, which corpus traces and `.twr` files choose. Adjudication
+//! holds, per partition in flight, its residence segments and handoff
+//! sides, a fixed block of per-second counters per `reactive` element
+//! for the bound, and the events of its gated spans only — all of its
+//! requests' events when a level is `rate-limited`.
 //!
 //! ## Determinism
 //!
@@ -103,6 +111,8 @@
 //! combination at parse time with a positioned error; programmatic
 //! misuse panics here.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use tailwise_core::schemes::Scheme;
@@ -220,14 +230,6 @@ impl NetworkTopology {
     /// comparable between static and mobile runs of the same fleet.
     pub fn home_cell(&self, master_seed: u64, index: u64) -> u64 {
         cell_of(master_seed, index, self.cells)
-    }
-
-    /// Whether either admission level can deny a fast-dormancy request.
-    /// When neither can — both `always`, the paper's §2.2 assumption —
-    /// every verdict is a grant by construction, and adjudication counts
-    /// requests instead of gating them.
-    fn can_deny(&self) -> bool {
-        self.cell_admission != AdmissionSpec::Always || self.rnc_admission != AdmissionSpec::Always
     }
 
     /// Asserts the count invariants programmatic construction can
@@ -375,20 +377,20 @@ fn pass_one_record(
 /// mobility: a static user's one segment is their home cell, so a user
 /// homed in another RNC is skipped outright. Each user's [`Trajectory`]
 /// is derived once and lent to `segment` for the handoff hints.
-fn walk_partition(
+fn walk_partition<'a>(
     topology: &NetworkTopology,
     master_seed: u64,
-    streams: &[RequestStream],
+    streams: &'a [RequestStream],
     rnc_of: &[usize],
     rnc: usize,
     events: &mut Vec<AdjEvent>,
-    mut segment: impl FnMut(&mut Vec<AdjEvent>, u64, u64, usize, &[Instant], &Trajectory),
+    mut segment: impl FnMut(&mut Vec<AdjEvent>, u64, u64, usize, &'a [Instant], &Trajectory),
 ) {
     for (user, stream) in streams.iter().enumerate() {
         let user = user as u64;
         let times = &stream.times;
         let (Some(&first), Some(&last)) = (times.first(), times.last()) else { continue };
-        let horizon_days = (last.as_micros().div_euclid(1_000_000).max(0) as u64) / 86_400 + 1;
+        let horizon_days = (second_of(last).max(0) as u64) / 86_400 + 1;
         let trajectory = topology.trajectory(master_seed, user);
         let handoffs = trajectory.handoffs(horizon_days);
         for h in &handoffs {
@@ -446,37 +448,41 @@ fn hinted(
     hinted
 }
 
-/// RNC `rnc`'s adjudication partition ([`walk_partition`]), every
-/// request an event beside the handoff sides, sorted into its
-/// deterministic `(time, user, kind)` order.
-fn rnc_events(
-    topology: &NetworkTopology,
-    master_seed: u64,
-    streams: &[RequestStream],
-    rnc_of: &[usize],
-    rnc: usize,
-) -> Vec<AdjEvent> {
-    let mut events = Vec::new();
-    walk_partition(
-        topology,
-        master_seed,
-        streams,
-        rnc_of,
-        rnc,
-        &mut events,
-        |events, user, cell, first, times, trajectory| {
-            for (seq, &at) in (first..).zip(times) {
-                let hinted = hinted(topology, master_seed, user, trajectory, at);
-                let kind = AdjEventKind::Request { seq: seq as u32, hinted };
-                events.push(AdjEvent { at, user, kind, cell });
-            }
-        },
-    );
-    // Each user's requests arrive as presorted runs, which the stable
-    // sort merges rather than re-sorts. The order is strict, so
-    // stability itself changes nothing.
-    events.sort();
-    events
+/// One residence segment of an RNC partition ([`walk_partition`]): the
+/// requests `times`, numbered from `first` in user `user`'s stream,
+/// made while the user sat in cell `cell`. Those from `hinted_from` on
+/// fall inside a handoff hint window.
+struct Segment<'a> {
+    user: u64,
+    cell: u64,
+    first: usize,
+    times: &'a [Instant],
+    hinted_from: usize,
+}
+
+impl<'a> Segment<'a> {
+    /// The segment of `times`, finding where its hinted requests begin.
+    /// The hint asks whether the user's next handoff lies within the
+    /// hint window, and inside one residence segment every request's
+    /// next handoff is the same, so the hinted requests are a suffix and
+    /// one binary search finds it (debug builds check every request).
+    fn new(
+        topology: &NetworkTopology,
+        master_seed: u64,
+        user: u64,
+        cell: u64,
+        first: usize,
+        times: &'a [Instant],
+        trajectory: &Trajectory,
+    ) -> Segment<'a> {
+        let hinted_at = |at| hinted(topology, master_seed, user, trajectory, at);
+        let hinted_from = times.partition_point(|&at| !hinted_at(at));
+        debug_assert!(
+            times.iter().enumerate().all(|(i, &at)| hinted_at(at) == (i >= hinted_from)),
+            "user {user}: a segment's hinted requests must be its suffix"
+        );
+        Segment { user, cell, first, times, hinted_from }
+    }
 }
 
 /// What adjudication hands pass 2 and the load accounting: one RNC's
@@ -501,6 +507,9 @@ struct Adjudication {
     hint_grants: u64,
     /// Every denied request as `(user, seq)`; every other is a grant.
     denials: Vec<(u64, u32)>,
+    /// Requests fed through an admission policy: the non-hinted
+    /// requests of the gated spans.
+    requests_gated: u64,
 }
 
 impl Partial for Adjudication {
@@ -511,26 +520,26 @@ impl Partial for Adjudication {
         self.rnc_handoffs.append(&mut other.rnc_handoffs);
         self.hint_grants += other.hint_grants;
         self.denials.append(&mut other.denials);
+        self.requests_gated += other.requests_gated;
     }
 }
 
 /// Adjudicates RNC `rnc`'s partition. The result's per-cell vectors
 /// cover exactly the RNC's cells, its per-RNC vectors the RNC alone.
 ///
-/// With `gate`, every request is an event ([`rnc_events`]) fed through
-/// fresh admission policies for the RNC and each of its cells. Without
-/// it — [`NetworkTopology::can_deny`] is false, so every verdict is a
-/// grant by construction — the partition's walk counts each residence
-/// segment's requests into its cell's grants and their handoff hints
-/// into `hint_grants`, and only the handoff sides become events, sorted
-/// and charged exactly as the gated path charges them.
+/// One walk ([`walk_partition`]) counts each residence segment's
+/// requests as its cell's grants and their handoff hints into
+/// `hint_grants`, and collects the handoff sides, which are sorted and
+/// charged: the counts, and the per-second handoff loads. Then only the
+/// [`contested_spans`] are gated ([`gate_spans`]): a request outside
+/// them is a grant whatever the policies decide elsewhere. With both
+/// levels `always` there are none, so the partition builds no event.
 fn adjudicate_rnc(
     topology: &NetworkTopology,
     master_seed: u64,
     streams: &[RequestStream],
     rnc_of: &[usize],
     rnc: usize,
-    gate: bool,
 ) -> Adjudication {
     let first_cell = rnc_of.partition_point(|&owner| owner < rnc);
     let cell_count = rnc_of.partition_point(|&owner| owner <= rnc) - first_cell;
@@ -542,116 +551,391 @@ fn adjudicate_rnc(
         }
     }
     let mut hint_grants = 0;
-    let events = if gate {
-        rnc_events(topology, master_seed, streams, rnc_of, rnc)
-    } else {
-        let mut handoffs = Vec::new();
-        walk_partition(
-            topology,
-            master_seed,
-            streams,
-            rnc_of,
-            rnc,
-            &mut handoffs,
-            |_, user, cell, _, times, trajectory| {
-                cells[cell as usize - first_cell].granted += times.len() as u64;
-                hint_grants += times
-                    .iter()
-                    .filter(|&&at| hinted(topology, master_seed, user, trajectory, at))
-                    .count() as u64;
-            },
-        );
-        handoffs.sort();
-        handoffs
-    };
+    let mut segments = Vec::new();
+    let mut handoffs = Vec::new();
+    walk_partition(
+        topology,
+        master_seed,
+        streams,
+        rnc_of,
+        rnc,
+        &mut handoffs,
+        |_, user, cell, first, times, trajectory| {
+            if times.is_empty() {
+                return;
+            }
+            let segment = Segment::new(topology, master_seed, user, cell, first, times, trajectory);
+            cells[cell as usize - first_cell].granted += times.len() as u64;
+            hint_grants += (times.len() - segment.hinted_from) as u64;
+            segments.push(segment);
+        },
+    );
+    handoffs.sort();
     // Handoff messages per second, charged here and merged into the
     // replay-time loads after pass 2 so handoff storms count against
-    // the same budgets as everything else. The events come in time
+    // the same budgets as everything else. The sides come in time
     // order, so the runs build by appending.
     let mut cell_handoffs = vec![Load::new(); cell_count];
     let mut rnc_handoffs = Load::new();
     let mut rnc_load = RncLoad::default();
-    let mut denials = Vec::new();
-    let mut cell_policies: Vec<_> =
-        (0..cell_count).map(|_| topology.cell_admission.build()).collect();
-    let mut rnc_policy = topology.rnc_admission.build();
-    let signaling = &topology.signaling;
-    for e in events {
+    let messages = topology.signaling.per_handoff as u64;
+    for e in &handoffs {
         let cell = e.cell as usize - first_cell;
-        match e.kind {
-            AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
-                let messages = signaling.per_handoff;
-                let second = e.at.as_micros().div_euclid(1_000_000);
-                // Each side charges its own cell — the cell's policy
-                // observes the load even though handoffs are never
-                // admission decisions.
-                cell_policies[cell].observe(e.at, messages);
-                charge_load(&mut cell_handoffs[cell], second, messages as u64);
-                if let AdjEventKind::HandoffOut { .. } = e.kind {
-                    cells[cell].handoffs_out += 1;
-                    if crosses {
-                        // Attributed to the source RNC, like
-                        // denied_by_rnc is attributed where the
-                        // decision happened.
-                        rnc_load.inter_rnc_handoffs += 1;
-                    }
-                } else {
-                    cells[cell].handoffs_in += 1;
-                }
-                if crosses {
-                    // Boundary-crossing handoffs cost the RNC its own
-                    // exchange on top of the member cells' — the
-                    // reactive governor sees it.
-                    rnc_policy.observe(e.at, messages);
-                    charge_load(&mut rnc_handoffs, second, messages as u64);
-                }
+        let second = second_of(e.at);
+        charge_load(&mut cell_handoffs[cell], second, messages);
+        let crosses = match e.kind {
+            AdjEventKind::HandoffOut { crosses } => {
+                cells[cell].handoffs_out += 1;
+                // Attributed to the source RNC, like denied_by_rnc is
+                // attributed where the decision happened.
+                rnc_load.inter_rnc_handoffs += crosses as u64;
+                crosses
             }
-            AdjEventKind::Request { seq, hinted } => {
-                // Two gates: the cell decides whether to forward, the RNC
-                // whether to admit. A cell-level denial never reaches
-                // the RNC's decision logic, but its request message
-                // still transits the RNC, so both levels observe every
-                // request's adjudication-time cost. Forwarding commits
-                // the cell's own policy state: a rate-limited cell that
-                // forwards a request the RNC then refuses has still
-                // spent its grant slot.
-                //
-                // Hinted requests — the mobility model predicts a
-                // handoff within its hint window — bypass both gates:
-                // the network wants the device dormant *before* the
-                // handoff (an idle-mode cell reselection is far cheaper
-                // than an active handover), and the release still costs
-                // its grant messages. Static mobility never hints.
-                let (cell_ok, ok) = if hinted {
-                    (true, true)
-                } else {
-                    let cell_ok = cell_policies[cell].admit(e.at);
-                    (cell_ok, cell_ok && rnc_policy.admit(e.at))
-                };
-                let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
-                cell_policies[cell].observe(e.at, messages);
-                rnc_policy.observe(e.at, messages);
-                if ok {
-                    cells[cell].granted += 1;
-                    hint_grants += hinted as u64;
-                } else {
-                    cells[cell].denied += 1;
-                    denials.push((e.user, seq));
-                    if cell_ok {
-                        rnc_load.denied_by_rnc += 1;
-                    }
-                }
+            AdjEventKind::HandoffIn { crosses } => {
+                cells[cell].handoffs_in += 1;
+                crosses
             }
+            AdjEventKind::Request { .. } => unreachable!("the walk collects only handoff sides"),
+        };
+        if crosses {
+            // Boundary-crossing handoffs cost the RNC its own exchange
+            // on top of the member cells'.
+            charge_load(&mut rnc_handoffs, second, messages);
         }
     }
-    Adjudication {
+    let spans = contested_spans(topology, &segments, &handoffs, first_cell, cell_count);
+    let mut adjudication = Adjudication {
         cells,
         rncs: vec![rnc_load],
         cell_handoffs,
         rnc_handoffs: vec![rnc_handoffs],
         hint_grants,
-        denials,
+        denials: Vec::new(),
+        requests_gated: 0,
+    };
+    gate_spans(topology, &spans, &segments, &handoffs, first_cell, &mut adjudication);
+    adjudication
+}
+
+/// Seconds of per-second load the contested-span bound holds per
+/// network element at once; also the longest `reactive` window it
+/// bounds.
+const BOUND_BLOCK_S: i64 = 4096;
+
+/// A stretch of an RNC partition gated through fresh admission
+/// policies: every event from `start` through `end`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    start: Instant,
+    end: Instant,
+}
+
+/// What the all-grant load bound proves about one admission level.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Certainty {
+    /// Every request is admitted (`always`).
+    Always,
+    /// A request is admitted while the messages of its window, the
+    /// `window_s` whole seconds up to its own, stay under `limit`
+    /// (`reactive`).
+    Below { limit: u64, window_s: i64 },
+    /// Nothing: `rate-limited` state reaches back to the last grant,
+    /// however old, and a window longer than [`BOUND_BLOCK_S`] outgrows
+    /// the bound's block. Every non-hinted request is contested.
+    Never,
+}
+
+impl Certainty {
+    fn of(spec: &AdmissionSpec) -> Certainty {
+        match *spec {
+            AdmissionSpec::Always => Certainty::Always,
+            AdmissionSpec::LoadReactive { watermark_per_s, window_s }
+                if (1..=BOUND_BLOCK_S as u64).contains(&window_s) =>
+            {
+                // The same saturating product the policy compares with.
+                let limit = watermark_per_s.saturating_mul(window_s);
+                Certainty::Below { limit, window_s: window_s as i64 }
+            }
+            AdmissionSpec::LoadReactive { .. } | AdmissionSpec::RateLimited { .. } => {
+                Certainty::Never
+            }
+        }
     }
+}
+
+/// The spans of an RNC partition that must be gated, ascending and
+/// disjoint.
+///
+/// The all-grant load — every request charged `max(per_fd_demotion,
+/// REQUEST_MESSAGES)`, every handoff side `per_handoff` wherever
+/// [`gate_spans`] charges it — bounds the load a policy observes from
+/// above at every instant, since neither verdict costs more than that
+/// max. So a non-hinted request whose window of that load stays under
+/// the limit at every `reactive` level is a certain grant; the others
+/// are *contested*. A span starts `W − 1` seconds before its first
+/// contested second, `W` the larger reactive window, and ends at its
+/// last contested request; it merges into the span before it when it
+/// does not start after that span's last contested second. No state
+/// older than one window changes a `reactive` verdict, and everything
+/// in a span before its first contested request is a certain grant, so
+/// fresh policies decide a span exactly as the whole stream would.
+///
+/// The load is counted one aligned block of [`BOUND_BLOCK_S`] seconds
+/// at a time, in one row of counters per element whose level is
+/// `reactive` (each cell, the RNC), after the previous block's last
+/// `W − 1` seconds. Segments wait in a queue keyed by their next
+/// request's second, so a block touches only the requests inside it,
+/// and empty stretches are skipped: memory is fixed per element,
+/// whatever seconds the traces choose. A level with no bound
+/// ([`Certainty::Never`]) contests every non-hinted request, so the
+/// partition is gated whole, through its last one.
+fn contested_spans(
+    topology: &NetworkTopology,
+    segments: &[Segment<'_>],
+    handoffs: &[AdjEvent],
+    first_cell: usize,
+    cell_count: usize,
+) -> Vec<Span> {
+    let levels = [Certainty::of(&topology.cell_admission), Certainty::of(&topology.rnc_admission)];
+    if levels.contains(&Certainty::Never) {
+        let last =
+            segments.iter().filter(|s| s.hinted_from > 0).map(|s| s.times[s.hinted_from - 1]).max();
+        let start = Instant::from_micros(i64::MIN);
+        return last.map(|end| vec![Span { start, end }]).unwrap_or_default();
+    }
+    // One `(limit, window)` per row: the cells' rows, then the RNC's.
+    let mut rows = Vec::new();
+    let cell_rows = match levels[0] {
+        Certainty::Below { limit, window_s } => {
+            rows.resize(cell_count, (limit, window_s));
+            true
+        }
+        _ => false,
+    };
+    let rnc_row = match levels[1] {
+        Certainty::Below { limit, window_s } => {
+            rows.push((limit, window_s));
+            Some(rows.len() - 1)
+        }
+        _ => None,
+    };
+    let Some(window_s) = rows.iter().map(|&(_, window_s)| window_s).max() else {
+        return Vec::new();
+    };
+    let per_request = topology.signaling.per_fd_demotion.max(REQUEST_MESSAGES) as u64;
+    let per_handoff = topology.signaling.per_handoff as u64;
+    let block_len = BOUND_BLOCK_S as usize;
+    // Each row's loads: the `pre` seconds before the block, then the
+    // block's; and per block second, its latest non-hinted request.
+    let pre = window_s as usize - 1;
+    let width = pre + block_len;
+    let mut loads = vec![0u64; rows.len() * width];
+    let mut latest: Vec<Option<Instant>> = vec![None; rows.len() * block_len];
+    let mut sums = vec![0u64; rows.len()];
+    let mut queue: BinaryHeap<Reverse<(i64, usize, usize)>> = segments
+        .iter()
+        .enumerate()
+        .map(|(index, segment)| Reverse((second_of(segment.times[0]), index, 0)))
+        .collect();
+    let mut sides = handoffs.iter().peekable();
+    let mut spans: Vec<Span> = Vec::new();
+    let mut base = None;
+    loop {
+        let next_request = queue.peek().map(|&Reverse((second, ..))| second);
+        let next_side = sides.peek().map(|e| second_of(e.at));
+        let Some(next) = next_request.into_iter().chain(next_side).min() else { break };
+        let block = next.div_euclid(BOUND_BLOCK_S) * BOUND_BLOCK_S;
+        if base == Some(block - BOUND_BLOCK_S) {
+            for row in loads.chunks_exact_mut(width) {
+                row.copy_within(block_len.., 0);
+                row[pre..].fill(0);
+            }
+        } else {
+            // The seconds before the block saw nothing.
+            loads.fill(0);
+        }
+        latest.fill(None);
+        base = Some(block);
+        let end = block + BOUND_BLOCK_S;
+        let mut charge = |row: usize, second: i64, messages: u64, at: Option<Instant>| {
+            let j = (second - block) as usize;
+            loads[row * width + pre + j] += messages;
+            let held = &mut latest[row * block_len + j];
+            *held = (*held).max(at);
+        };
+        while let Some(&Reverse((second, index, from))) = queue.peek() {
+            if second >= end {
+                break;
+            }
+            queue.pop();
+            let segment = &segments[index];
+            let cell_row = cell_rows.then(|| segment.cell as usize - first_cell);
+            for (i, &at) in (from..).zip(&segment.times[from..]) {
+                let second = second_of(at);
+                if second >= end {
+                    queue.push(Reverse((second, index, i)));
+                    break;
+                }
+                let contestable = (i < segment.hinted_from).then_some(at);
+                for row in cell_row.into_iter().chain(rnc_row) {
+                    charge(row, second, per_request, contestable);
+                }
+            }
+        }
+        while let Some(e) = sides.next_if(|e| second_of(e.at) < end) {
+            let crosses = matches!(
+                e.kind,
+                AdjEventKind::HandoffOut { crosses: true }
+                    | AdjEventKind::HandoffIn { crosses: true }
+            );
+            let cell_row = cell_rows.then(|| e.cell as usize - first_cell);
+            for row in cell_row.into_iter().chain(rnc_row.filter(|_| crosses)) {
+                charge(row, second_of(e.at), per_handoff, None);
+            }
+        }
+        // Each row's window sum, second by second: the latest non-hinted
+        // request of a second whose sum reaches its limit is contested.
+        for (sum, (row, &(_, window_s))) in
+            sums.iter_mut().zip(loads.chunks_exact(width).zip(&rows))
+        {
+            *sum = row[pre + 1 - window_s as usize..pre].iter().sum();
+        }
+        for j in 0..block_len {
+            let mut contested = None;
+            for (r, (sum, &(limit, window_s))) in sums.iter_mut().zip(&rows).enumerate() {
+                let row = &loads[r * width..][..width];
+                *sum += row[pre + j];
+                if *sum >= limit {
+                    contested = contested.max(latest[r * block_len + j]);
+                }
+                *sum -= row[pre + j + 1 - window_s as usize];
+            }
+            let Some(at) = contested else { continue };
+            let start = (block + j as i64).saturating_sub(window_s - 1);
+            match spans.last_mut() {
+                Some(span) if start <= second_of(span.end) => span.end = at,
+                _ => {
+                    let start = Instant::from_micros(start.saturating_mul(1_000_000));
+                    spans.push(Span { start, end: at });
+                }
+            }
+        }
+    }
+    spans
+}
+
+/// Gates `spans` (ascending, disjoint) of an RNC partition whose walk
+/// counted every request as a grant. Each span's events — the requests
+/// of `segments` inside it and the sorted `handoffs` sides inside it —
+/// are sorted into the `(time, user, kind)` order and fed through fresh
+/// admission policies for the RNC and each of its cells: the request's
+/// cell decides first, then the RNC; a denial at either level turns the
+/// counted grant into a denial. Every verdict's adjudication-time cost
+/// (`per_fd_demotion` per grant, [`REQUEST_MESSAGES`] per denial) is
+/// observed by both levels, and each handoff side by its cell and, when
+/// it crosses an RNC boundary, by the RNC.
+///
+/// A segment's requests are found by one binary search into the spans,
+/// then one into the segment per span that holds any of them, so
+/// building costs the spans' events, never segments × spans.
+fn gate_spans(
+    topology: &NetworkTopology,
+    spans: &[Span],
+    segments: &[Segment<'_>],
+    handoffs: &[AdjEvent],
+    first_cell: usize,
+    adjudication: &mut Adjudication,
+) {
+    let mut events = Vec::new();
+    for segment in segments {
+        let times = segment.times;
+        let mut i = 0;
+        let mut k = spans.partition_point(|span| span.end < times[0]);
+        while let Some(span) = spans.get(k) {
+            i += times[i..].partition_point(|&at| at < span.start);
+            while let Some(&at) = times.get(i).filter(|&&at| at <= span.end) {
+                let seq = (segment.first + i) as u32;
+                let kind = AdjEventKind::Request { seq, hinted: i >= segment.hinted_from };
+                events.push(AdjEvent { at, user: segment.user, kind, cell: segment.cell });
+                i += 1;
+            }
+            let Some(&next) = times.get(i) else { break };
+            k += 1 + spans[k + 1..].partition_point(|span| span.end < next);
+        }
+    }
+    for span in spans {
+        let from = handoffs.partition_point(|e| e.at < span.start);
+        let to = from + handoffs[from..].partition_point(|e| e.at <= span.end);
+        events.extend_from_slice(&handoffs[from..to]);
+    }
+    // Each segment's requests arrive as presorted runs, which the
+    // stable sort merges rather than re-sorts. The order is strict, so
+    // stability itself changes nothing.
+    events.sort();
+
+    let Adjudication { cells, rncs, denials, requests_gated, .. } = adjudication;
+    let signaling = &topology.signaling;
+    let mut events = events.into_iter().peekable();
+    for span in spans {
+        let mut cell_policies: Vec<_> =
+            (0..cells.len()).map(|_| topology.cell_admission.build()).collect();
+        let mut rnc_policy = topology.rnc_admission.build();
+        while let Some(e) = events.next_if(|e| e.at <= span.end) {
+            let cell = e.cell as usize - first_cell;
+            let cell_policy = &mut cell_policies[cell];
+            match e.kind {
+                AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
+                    // The cell's policy observes the load even though
+                    // handoffs are never admission decisions.
+                    cell_policy.observe(e.at, signaling.per_handoff);
+                    if crosses {
+                        rnc_policy.observe(e.at, signaling.per_handoff);
+                    }
+                }
+                AdjEventKind::Request { seq, hinted } => {
+                    // Two gates: the cell decides whether to forward,
+                    // the RNC whether to admit. A cell-level denial
+                    // never reaches the RNC's decision logic, but its
+                    // request message still transits the RNC, so both
+                    // levels observe every request's cost. Forwarding
+                    // commits the cell's own policy state: a
+                    // rate-limited cell that forwards a request the RNC
+                    // then refuses has still spent its grant slot.
+                    //
+                    // Hinted requests — the mobility model predicts a
+                    // handoff within its hint window — bypass both
+                    // gates: the network wants the device dormant
+                    // *before* the handoff (an idle-mode cell
+                    // reselection is far cheaper than an active
+                    // handover), and the release still costs its grant
+                    // messages. Static mobility never hints.
+                    let (cell_ok, ok) = if hinted {
+                        (true, true)
+                    } else {
+                        *requests_gated += 1;
+                        let cell_ok = cell_policy.admit(e.at);
+                        (cell_ok, cell_ok && rnc_policy.admit(e.at))
+                    };
+                    let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
+                    cell_policy.observe(e.at, messages);
+                    rnc_policy.observe(e.at, messages);
+                    if !ok {
+                        cells[cell].granted -= 1;
+                        cells[cell].denied += 1;
+                        denials.push((e.user, seq));
+                        if cell_ok {
+                            rncs[0].denied_by_rnc += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The whole second `at` falls in.
+fn second_of(at: Instant) -> i64 {
+    at.as_micros().div_euclid(1_000_000)
 }
 
 /// Per-second RRC-message load: `(second, msgs)` pairs, strictly
@@ -799,7 +1083,7 @@ fn user_load(
             "user {index} at {:?}",
             t.at
         );
-        let second = t.at.as_micros().div_euclid(1_000_000);
+        let second = second_of(t.at);
         (cell, second, topology.signaling.messages_for(t) as u64)
     }))
 }
@@ -904,11 +1188,9 @@ pub(crate) fn run_topology(
         Some(streams) => streams,
         None => {
             // Shards append in shard order, which is user-index order,
-            // into a vector sized for the population: the cache may hold
-            // it for the rest of the process, so it keeps no growth
-            // slack.
-            let presized = || Vec::with_capacity(users as usize);
-            let extracted = run_sharded(shard_count, threads, obs, &presized, &|shard, ctx| {
+            // into a vector that grows as it absorbs them: the declared
+            // user count is no promise the process can hold that many.
+            let extracted = run_sharded(shard_count, threads, obs, &Vec::new, &|shard, ctx| {
                 let mut partial = Vec::new();
                 for index in population.shard_range(shard) {
                     let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
@@ -922,7 +1204,10 @@ pub(crate) fn run_topology(
                 }
                 Ok(partial)
             })?;
-            let streams = Arc::new(extracted);
+            // The cache may hold the streams for the rest of the
+            // process, so they keep no growth slack: the boxed slice
+            // sheds it.
+            let streams = Arc::new(Vec::from(extracted.into_boxed_slice()));
             if let Some((cache, header)) = &cache {
                 cache.store(header, Arc::clone(&streams), obs);
             }
@@ -936,12 +1221,11 @@ pub(crate) fn run_topology(
          against its header before serving an entry)"
     );
 
-    // ---- Adjudication: one RNC partition per shard, built, sorted ----
-    // and gated by whichever worker claims it (its requests only counted
-    // when no level can deny), absorbed in RNC order. Live progress
-    // counts users, so this pass publishes none.
+    // ---- Adjudication: one RNC partition per shard, counted and ------
+    // gated where contested by whichever worker claims it, absorbed in
+    // RNC order. Live progress counts users, so this pass publishes
+    // none.
     let rnc_of = rnc_table(topology);
-    let gate = topology.can_deny();
     let Adjudication {
         cells: mut cell_loads,
         rncs: mut rnc_loads,
@@ -949,6 +1233,7 @@ pub(crate) fn run_topology(
         rnc_handoffs,
         hint_grants,
         denials,
+        requests_gated,
     } = run_sharded(
         topology.rncs,
         threads,
@@ -956,7 +1241,7 @@ pub(crate) fn run_topology(
         &Adjudication::default,
         &|rnc, _| {
             let _adjudicate = span(obs.recorder, "adjudicate");
-            Ok(adjudicate_rnc(topology, master_seed, &streams, &rnc_of, rnc as usize, gate))
+            Ok(adjudicate_rnc(topology, master_seed, &streams, &rnc_of, rnc as usize))
         },
     )?;
     let granted: u64 = cell_loads.iter().map(|c| c.granted).sum();
@@ -978,6 +1263,7 @@ pub(crate) fn run_topology(
     if obs.recorder.enabled() {
         obs.recorder.counter("requests_granted").add(granted);
         obs.recorder.counter("requests_denied").add(denied);
+        obs.recorder.counter("requests_gated").add(requests_gated);
         let denied_by_rnc = rnc_loads.iter().map(|r| r.denied_by_rnc).sum();
         obs.recorder.counter("requests_denied_by_rnc").add(denied_by_rnc);
         // Handoffs are conserved: every one has exactly one in-side.
@@ -1122,6 +1408,125 @@ pub(crate) fn run_topology(
 mod tests {
     use super::*;
     use tailwise_trace::time::Duration;
+
+    /// RNC `rnc`'s adjudication partition ([`walk_partition`]), every
+    /// request an event beside the handoff sides, sorted into its
+    /// deterministic `(time, user, kind)` order.
+    fn rnc_events(
+        topology: &NetworkTopology,
+        master_seed: u64,
+        streams: &[RequestStream],
+        rnc_of: &[usize],
+        rnc: usize,
+    ) -> Vec<AdjEvent> {
+        let mut events = Vec::new();
+        walk_partition(
+            topology,
+            master_seed,
+            streams,
+            rnc_of,
+            rnc,
+            &mut events,
+            |events, user, cell, first, times, trajectory| {
+                for (seq, &at) in (first..).zip(times) {
+                    let hinted = hinted(topology, master_seed, user, trajectory, at);
+                    let kind = AdjEventKind::Request { seq: seq as u32, hinted };
+                    events.push(AdjEvent { at, user, kind, cell });
+                }
+            },
+        );
+        // Each user's requests arrive as presorted runs, which the stable
+        // sort merges rather than re-sorts. The order is strict, so
+        // stability itself changes nothing.
+        events.sort();
+        events
+    }
+
+    /// The full event path, the oracle [`adjudicate_rnc`] is held to:
+    /// every event of RNC `rnc`'s partition ([`rnc_events`]) fed through
+    /// fresh admission policies for the RNC and each of its cells.
+    fn reference_adjudication(
+        topology: &NetworkTopology,
+        master_seed: u64,
+        streams: &[RequestStream],
+        rnc_of: &[usize],
+        rnc: usize,
+    ) -> Adjudication {
+        let first_cell = rnc_of.partition_point(|&owner| owner < rnc);
+        let cell_count = rnc_of.partition_point(|&owner| owner <= rnc) - first_cell;
+        let mut cells = vec![CellLoad::default(); cell_count];
+        for user in 0..streams.len() as u64 {
+            let home = topology.home_cell(master_seed, user) as usize;
+            if rnc_of[home] == rnc {
+                cells[home - first_cell].users += 1;
+            }
+        }
+        let mut hint_grants = 0;
+        let mut requests_gated = 0;
+        let events = rnc_events(topology, master_seed, streams, rnc_of, rnc);
+        let mut cell_handoffs = vec![Load::new(); cell_count];
+        let mut rnc_handoffs = Load::new();
+        let mut rnc_load = RncLoad::default();
+        let mut denials = Vec::new();
+        let mut cell_policies: Vec<_> =
+            (0..cell_count).map(|_| topology.cell_admission.build()).collect();
+        let mut rnc_policy = topology.rnc_admission.build();
+        let signaling = &topology.signaling;
+        for e in events {
+            let cell = e.cell as usize - first_cell;
+            match e.kind {
+                AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
+                    let messages = signaling.per_handoff;
+                    let second = e.at.as_micros().div_euclid(1_000_000);
+                    cell_policies[cell].observe(e.at, messages);
+                    charge_load(&mut cell_handoffs[cell], second, messages as u64);
+                    if let AdjEventKind::HandoffOut { .. } = e.kind {
+                        cells[cell].handoffs_out += 1;
+                        if crosses {
+                            rnc_load.inter_rnc_handoffs += 1;
+                        }
+                    } else {
+                        cells[cell].handoffs_in += 1;
+                    }
+                    if crosses {
+                        rnc_policy.observe(e.at, messages);
+                        charge_load(&mut rnc_handoffs, second, messages as u64);
+                    }
+                }
+                AdjEventKind::Request { seq, hinted } => {
+                    let (cell_ok, ok) = if hinted {
+                        (true, true)
+                    } else {
+                        requests_gated += 1;
+                        let cell_ok = cell_policies[cell].admit(e.at);
+                        (cell_ok, cell_ok && rnc_policy.admit(e.at))
+                    };
+                    let messages = if ok { signaling.per_fd_demotion } else { REQUEST_MESSAGES };
+                    cell_policies[cell].observe(e.at, messages);
+                    rnc_policy.observe(e.at, messages);
+                    if ok {
+                        cells[cell].granted += 1;
+                        hint_grants += hinted as u64;
+                    } else {
+                        cells[cell].denied += 1;
+                        denials.push((e.user, seq));
+                        if cell_ok {
+                            rnc_load.denied_by_rnc += 1;
+                        }
+                    }
+                }
+            }
+        }
+        Adjudication {
+            cells,
+            rncs: vec![rnc_load],
+            cell_handoffs,
+            rnc_handoffs: vec![rnc_handoffs],
+            hint_grants,
+            denials,
+            requests_gated,
+        }
+    }
 
     #[test]
     fn cell_assignment_is_deterministic_and_roughly_uniform() {
@@ -1328,14 +1733,14 @@ mod tests {
                 prop_assert_eq!(held, expect);
             }
 
-            /// With both levels `always`, counting each residence
-            /// segment's requests adjudicates every RNC partition
-            /// exactly as gating its full event stream through
-            /// `AlwaysAccept` does: the same per-cell users, grants,
-            /// denials and handoff counts, the same per-cell and per-RNC
-            /// handoff loads, inter-RNC handoffs and hint grants, and no
-            /// denials. Same fleets as above: commuters cross RNCs and
-            /// some requests fall inside a handoff hint window.
+            /// With both levels `always`, the counting walk adjudicates
+            /// every RNC partition exactly as gating its full event
+            /// stream through `AlwaysAccept` does, and gates nothing:
+            /// the same per-cell users, grants, denials and handoff
+            /// counts, the same per-cell and per-RNC handoff loads,
+            /// inter-RNC handoffs and hint grants, and no denials. Same
+            /// fleets as above: commuters cross RNCs and some requests
+            /// fall inside a handoff hint window.
             #[test]
             fn counted_adjudication_matches_the_gated_event_path(
                 shapes in vec(vec(0i64..108_000_000_000, 0..24), 0..24),
@@ -1344,28 +1749,135 @@ mod tests {
             ) {
                 let (topology, rnc_of, recorded) =
                     partition_fleet(shapes, rncs, extra_cells, commute);
-                prop_assert!(!topology.can_deny());
                 for rnc in 0..rncs as usize {
-                    let counted = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc, false);
-                    let gated = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc, true);
-                    prop_assert_eq!(&counted.cells, &gated.cells, "RNC {} cells", rnc);
-                    prop_assert_eq!(&counted.rncs, &gated.rncs, "RNC {}", rnc);
-                    prop_assert_eq!(
-                        &counted.cell_handoffs,
-                        &gated.cell_handoffs,
-                        "RNC {} cell handoff loads",
-                        rnc
-                    );
-                    prop_assert_eq!(
-                        &counted.rnc_handoffs,
-                        &gated.rnc_handoffs,
-                        "RNC {} handoff load",
-                        rnc
-                    );
-                    prop_assert_eq!(counted.hint_grants, gated.hint_grants, "RNC {} hints", rnc);
-                    prop_assert!(counted.denials.is_empty() && gated.denials.is_empty());
+                    let counted = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc);
+                    let gated = reference_adjudication(&topology, seed, &recorded, &rnc_of, rnc);
+                    same_adjudication(&counted, &gated, rnc)?;
+                    prop_assert!(gated.denials.is_empty());
+                    prop_assert_eq!(counted.requests_gated, 0, "RNC {}", rnc);
                 }
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Gating only the contested spans adjudicates every RNC
+            /// partition exactly as the full event path does, at
+            /// settings that deny: dense requests, each user's over 1 s
+            /// to four minutes around an hour boundary, where half the
+            /// commuters detour and hand off — half the time one a bound
+            /// block also starts at, so window loads carry into the next
+            /// block;
+            /// `always`,
+            /// `rate-limited` (up to 10 s) and `reactive` (0–6 msg/s
+            /// over 1–5 s) at both levels; handoff sides costing 0–4
+            /// messages, and grants 0–4, free half the time, where the
+            /// bound's `max` with a denial's cost matters. Only the
+            /// gated spans' requests reach a policy.
+            #[test]
+            fn span_gating_matches_the_full_event_path(
+                users in vec((1i64..=240, vec(0i64..1_000_000, 0..96)), 0..16),
+                (hour, rncs, extra_cells, seed, commute, at_block) in
+                    (1i64..40, 1u64..=4, 0u64..4, 0u64..1_000, prop::bool::ANY, prop::bool::ANY),
+                (cell_admission, rnc_admission) in (admission(), admission()),
+                (per_fd_demotion, per_handoff) in
+                    ((0u32..=8).prop_map(|d| d.saturating_sub(4)), 0u32..=4),
+            ) {
+                // Block 29 starts 16 s before hour 33: both boundaries.
+                let boundary_s = if at_block { 29 * BOUND_BLOCK_S } else { hour * 3_600 };
+                // Each user's requests spread over their own 1–240 s
+                // around the boundary.
+                let shapes = users.into_iter().map(|(spread_s, draws)| {
+                    let start = boundary_s * 1_000_000 - spread_s * 500_000;
+                    draws.into_iter().map(|d| start + d * spread_s).collect()
+                });
+                let (mut topology, rnc_of, recorded) =
+                    partition_fleet(shapes.collect(), rncs, extra_cells, commute);
+                if commute {
+                    topology.mobility = MobilitySpec::Commute {
+                        home_hour: 8,
+                        work_hour: 17,
+                        jitter_pct: 50,
+                        hint_s: 60,
+                    };
+                }
+                topology.cell_admission = cell_admission;
+                topology.rnc_admission = rnc_admission;
+                topology.signaling.per_fd_demotion = per_fd_demotion;
+                topology.signaling.per_handoff = per_handoff;
+                for rnc in 0..rncs as usize {
+                    let spans = adjudicate_rnc(&topology, seed, &recorded, &rnc_of, rnc);
+                    let full = reference_adjudication(&topology, seed, &recorded, &rnc_of, rnc);
+                    same_adjudication(&spans, &full, rnc)?;
+                    prop_assert!(spans.requests_gated >= full.denials.len() as u64);
+                    prop_assert!(spans.requests_gated <= full.requests_gated);
+                }
+            }
+        }
+
+        /// A `reactive` window as long as a bound block is bounded like
+        /// any other; a longer one is not, so its partitions are gated
+        /// whole. Both adjudicate exactly.
+        #[test]
+        fn windows_longer_than_a_bound_block_gate_their_partitions_whole() {
+            let shapes = (0..6)
+                .map(|user| (0..40).map(|i| (user * 7 + i * 3) * 1_000_000).collect())
+                .collect();
+            let (mut topology, rnc_of, recorded) = partition_fleet(shapes, 2, 1, false);
+            // 240 requests of 3 messages: no 4,096-s window reaches 4,096.
+            let all = recorded.iter().map(|r| r.times.len() as u64).sum();
+            for (window_s, gated) in [(BOUND_BLOCK_S as u64, 0), (BOUND_BLOCK_S as u64 + 1, all)] {
+                topology.rnc_admission =
+                    AdmissionSpec::LoadReactive { watermark_per_s: 1, window_s };
+                let mut held = 0;
+                for rnc in 0..2 {
+                    let spans = adjudicate_rnc(&topology, 7, &recorded, &rnc_of, rnc);
+                    let full = reference_adjudication(&topology, 7, &recorded, &rnc_of, rnc);
+                    same_adjudication(&spans, &full, rnc).unwrap();
+                    held += spans.requests_gated;
+                }
+                assert_eq!(held, gated, "window {window_s} s");
+            }
+        }
+
+        /// An admission level that can deny the dense fleets above, or
+        /// `always`: reactive half the time, the others a quarter each.
+        fn admission() -> impl Strategy<Value = AdmissionSpec> {
+            (0u8..4, 1i64..=10_000, 0u64..=6, 1u64..=5).prop_map(
+                |(kind, ms, watermark_per_s, window_s)| match kind {
+                    0 => AdmissionSpec::Always,
+                    1 => AdmissionSpec::RateLimited { min_interval: Duration::from_millis(ms) },
+                    _ => AdmissionSpec::LoadReactive { watermark_per_s, window_s },
+                },
+            )
+        }
+
+        /// Holds RNC `rnc`'s two adjudications equal in everything pass 2
+        /// and the load accounting read: per-cell and per-RNC counts,
+        /// both handoff loads, hint grants and the denied requests.
+        fn same_adjudication(
+            new: &Adjudication,
+            reference: &Adjudication,
+            rnc: usize,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(&new.cells, &reference.cells, "RNC {} cells", rnc);
+            prop_assert_eq!(&new.rncs, &reference.rncs, "RNC {}", rnc);
+            prop_assert_eq!(
+                &new.cell_handoffs,
+                &reference.cell_handoffs,
+                "RNC {} cell handoff loads",
+                rnc
+            );
+            prop_assert_eq!(&new.rnc_handoffs, &reference.rnc_handoffs, "RNC {} handoff load", rnc);
+            prop_assert_eq!(new.hint_grants, reference.hint_grants, "RNC {} hints", rnc);
+            let sorted = |denials: &[(u64, u32)]| {
+                let mut denials = denials.to_vec();
+                denials.sort_unstable();
+                denials
+            };
+            prop_assert_eq!(sorted(&new.denials), sorted(&reference.denials), "RNC {}", rnc);
+            Ok(())
         }
     }
 

@@ -17,6 +17,8 @@
 //!   versus `always` on a storm population — the energy/signaling
 //!   trade adjudicated at the controller — and the same watermark on
 //!   the cells sheds messages at the base stations.
+//! * Only contested requests reach an admission policy: none when both
+//!   levels are `always`, a fraction when a reactive RNC denies a few.
 
 use tailwise_core::schemes::Scheme;
 use tailwise_fleet::{
@@ -393,4 +395,35 @@ fn makeactive_delays_surface_as_population_percentiles() {
     let plain = run(&base_scenario(), 4);
     assert_eq!(plain.session_delays.count(), 0);
     assert_eq!(plain.session_delay_percentile(0.95), None);
+}
+
+#[test]
+fn only_contested_requests_reach_an_admission_policy() {
+    // `requests_gated` counts the requests fed through an admission
+    // policy. With both levels `always` no verdict can be a denial, so
+    // none is; a reactive RNC gates at least the requests it denies,
+    // but not the ones its all-grant load bound proves it grants.
+    let mut scenario = base_scenario();
+    scenario.carrier_mix = vec![(CarrierProfile::verizon_lte(), 1.0)];
+    scenario.cells = Some(NetworkTopology::with_rncs(1, 4));
+    let counters = |scenario: &Scenario| {
+        let recorder = StatsRecorder::new();
+        let obs = Obs { recorder: &recorder, progress: None };
+        run_source(&UserSource::Synthetic(scenario.clone()), 2, obs, None).unwrap();
+        let snapshot = recorder.snapshot();
+        let count = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
+        (count("requests_granted"), count("requests_denied"), count("requests_gated"))
+    };
+    let (granted, denied, gated) = counters(&scenario);
+    assert!(granted > 0);
+    assert_eq!((denied, gated), (0, 0), "an all-`always` run gates nothing");
+
+    scenario.cells.as_mut().unwrap().rnc_admission =
+        AdmissionSpec::LoadReactive { watermark_per_s: 8, window_s: 5 };
+    let (granted, denied, gated) = counters(&scenario);
+    assert!(denied > 0, "the watermark never engaged");
+    assert!(
+        (denied..granted + denied).contains(&gated),
+        "{gated} requests gated of {granted} granted and {denied} denied"
+    );
 }

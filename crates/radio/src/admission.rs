@@ -32,6 +32,17 @@
 //! property the fleet's bit-identical-at-any-thread-count contract
 //! rests on.
 //!
+//! Neither verdict costs more than `max(per_fd_demotion,
+//! REQUEST_MESSAGES)`, so the load with every request charged that much
+//! bounds what a policy observes from above at every instant. Where
+//! that bound keeps a [`LoadReactive`] window under its watermark, the
+//! request is a certain grant, and a certain grant never reaches a
+//! policy: the fleet's adjudicator feeds fresh policies only the spans
+//! around the other requests, each from one window before them — no
+//! older state changes a load-reactive verdict — so every verdict is
+//! the one the whole stream would give. [`RateLimited`] state reaches
+//! back to the last grant, however old, so it is fed the whole stream.
+//!
 //! [`observe`]: AdmissionPolicy::observe
 
 use std::collections::VecDeque;
