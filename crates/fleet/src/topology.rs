@@ -81,9 +81,10 @@
 //! active second of each cell and RNC — never an array over the time
 //! span, which corpus traces and `.twr` files choose. Adjudication
 //! holds, per partition in flight, its residence segments and handoff
-//! sides, a fixed block of per-second counters per `reactive` element
-//! for the bound, and the events of its gated spans only — all of its
-//! requests' events when a level is `rate-limited`.
+//! sides, for the bound a block of per-second counters for the RNC and
+//! — when the cells are `reactive` — a window sum per cell and about
+//! two blocks' cell charges, and the events of its gated spans only —
+//! all of its requests' events when a level is `rate-limited`.
 //!
 //! ## Determinism
 //!
@@ -617,9 +618,8 @@ fn adjudicate_rnc(
     adjudication
 }
 
-/// Seconds of per-second load the contested-span bound holds per
-/// network element at once; also the longest `reactive` window it
-/// bounds.
+/// Seconds of the contested-span bound's block: the charges it buckets
+/// at once, and the longest `reactive` window it bounds.
 const BOUND_BLOCK_S: i64 = 4096;
 
 /// A stretch of an RNC partition gated through fresh admission
@@ -661,6 +661,52 @@ impl Certainty {
             }
         }
     }
+
+    /// A `reactive` level's `(limit, window_s)`.
+    fn bound(self) -> Option<(u64, i64)> {
+        match self {
+            Certainty::Below { limit, window_s } => Some((limit, window_s)),
+            Certainty::Always | Certainty::Never => None,
+        }
+    }
+}
+
+/// One all-grant charge of a cell in the [`contested_spans`] bound:
+/// `messages` at `at`, in whole second `second`, in the partition's cell
+/// `cell` (counted from its first cell).
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    at: Instant,
+    second: i64,
+    cell: usize,
+    messages: u32,
+    /// A request that meets both gates: the one charge a window that
+    /// reaches its limit contests.
+    gated: bool,
+}
+
+/// Appends `charges`, all inside the [`BOUND_BLOCK_S`] seconds from
+/// `base`, to `sorted` in second order: a counting sort, `starts` (one
+/// slot per second of the block) its scratch.
+fn sort_by_second(charges: &[Charge], base: i64, starts: &mut [usize], sorted: &mut Vec<Charge>) {
+    let j = |c: &Charge| (c.second - base) as usize;
+    starts.fill(0);
+    for c in charges {
+        starts[j(c)] += 1;
+    }
+    let mut next = sorted.len();
+    for start in starts.iter_mut() {
+        let count = *start;
+        *start = next;
+        next += count;
+    }
+    // Every appended slot is overwritten below; the copy only sizes them.
+    sorted.extend_from_slice(charges);
+    for c in charges {
+        let slot = &mut starts[j(c)];
+        sorted[*slot] = *c;
+        *slot += 1;
+    }
 }
 
 /// The spans of an RNC partition that must be gated, ascending and
@@ -681,14 +727,21 @@ impl Certainty {
 /// fresh policies decide a span exactly as the whole stream would.
 ///
 /// The load is counted one aligned block of [`BOUND_BLOCK_S`] seconds
-/// at a time, in one row of counters per element whose level is
-/// `reactive` (each cell, the RNC), after the previous block's last
-/// `W − 1` seconds. Segments wait in a queue keyed by their next
-/// request's second, so a block touches only the requests inside it,
-/// and empty stretches are skipped: memory is fixed per element,
-/// whatever seconds the traces choose. A level with no bound
-/// ([`Certainty::Never`]) contests every non-hinted request, so the
-/// partition is gated whole, through its last one.
+/// at a time. The RNC, one element, counts its load per second of the
+/// block, after the previous block's last `W − 1` seconds, beside each
+/// second's latest gated request. The cells, as many as the RNC holds,
+/// keep one window sum each when their level is `reactive`: the block's
+/// cell charges are sorted by second ([`sort_by_second`]) behind those
+/// still inside the window, and a charge leaves its cell's sum once the
+/// swept second has moved the window past its own. Segments wait in a
+/// queue keyed by their next request's second, so a block touches only
+/// its own requests, and empty stretches are skipped. Memory is a block
+/// of counters, a sum per cell and about two blocks' charges, and the
+/// work the partition's charges plus one pass over each visited block —
+/// whatever seconds the traces choose and however many cells the RNC
+/// holds. A level with no bound ([`Certainty::Never`]) contests every
+/// non-hinted request, so the partition is gated whole, through its
+/// last one.
 fn contested_spans(
     topology: &NetworkTopology,
     segments: &[Segment<'_>],
@@ -703,35 +756,28 @@ fn contested_spans(
         let start = Instant::from_micros(i64::MIN);
         return last.map(|end| vec![Span { start, end }]).unwrap_or_default();
     }
-    // One `(limit, window)` per row: the cells' rows, then the RNC's.
-    let mut rows = Vec::new();
-    let cell_rows = match levels[0] {
-        Certainty::Below { limit, window_s } => {
-            rows.resize(cell_count, (limit, window_s));
-            true
-        }
-        _ => false,
-    };
-    let rnc_row = match levels[1] {
-        Certainty::Below { limit, window_s } => {
-            rows.push((limit, window_s));
-            Some(rows.len() - 1)
-        }
-        _ => None,
-    };
-    let Some(window_s) = rows.iter().map(|&(_, window_s)| window_s).max() else {
+    let [cell_bound, rnc_bound] = levels.map(Certainty::bound);
+    let Some(window_s) = cell_bound.iter().chain(&rnc_bound).map(|&(_, window_s)| window_s).max()
+    else {
         return Vec::new();
     };
-    let per_request = topology.signaling.per_fd_demotion.max(REQUEST_MESSAGES) as u64;
-    let per_handoff = topology.signaling.per_handoff as u64;
+    let per_request = topology.signaling.per_fd_demotion.max(REQUEST_MESSAGES);
+    let per_handoff = topology.signaling.per_handoff;
     let block_len = BOUND_BLOCK_S as usize;
-    // Each row's loads: the `pre` seconds before the block, then the
-    // block's; and per block second, its latest non-hinted request.
-    let pre = window_s as usize - 1;
-    let width = pre + block_len;
-    let mut loads = vec![0u64; rows.len() * width];
-    let mut latest: Vec<Option<Instant>> = vec![None; rows.len() * block_len];
-    let mut sums = vec![0u64; rows.len()];
+    // The RNC's loads: the `pre` seconds before the block, then the
+    // block's; and per block second, its latest gated request. An
+    // unbounded RNC's are counted but never read.
+    let rnc_window = rnc_bound.map_or(1, |(_, window_s)| window_s) as usize;
+    let pre = rnc_window - 1;
+    let mut rnc_loads = vec![0u64; pre + block_len];
+    let mut latest: Vec<Option<Instant>> = vec![None; block_len];
+    // The cells' charges in second order, from the oldest still inside
+    // the window; the sums hold those from `kept` on.
+    let mut cell_charges = Vec::new();
+    let mut sorted: Vec<Charge> = Vec::new();
+    let mut starts = vec![0; block_len];
+    let mut cell_sums = vec![0u64; cell_count];
+    let mut kept = 0;
     let mut queue: BinaryHeap<Reverse<(i64, usize, usize)>> = segments
         .iter()
         .enumerate()
@@ -739,79 +785,92 @@ fn contested_spans(
         .collect();
     let mut sides = handoffs.iter().peekable();
     let mut spans: Vec<Span> = Vec::new();
-    let mut base = None;
+    let mut previous = None;
     loop {
         let next_request = queue.peek().map(|&Reverse((second, ..))| second);
         let next_side = sides.peek().map(|e| second_of(e.at));
         let Some(next) = next_request.into_iter().chain(next_side).min() else { break };
-        let block = next.div_euclid(BOUND_BLOCK_S) * BOUND_BLOCK_S;
-        if base == Some(block - BOUND_BLOCK_S) {
-            for row in loads.chunks_exact_mut(width) {
-                row.copy_within(block_len.., 0);
-                row[pre..].fill(0);
-            }
+        let base = next.div_euclid(BOUND_BLOCK_S) * BOUND_BLOCK_S;
+        if previous == Some(base - BOUND_BLOCK_S) {
+            rnc_loads.copy_within(block_len.., 0);
+            rnc_loads[pre..].fill(0);
         } else {
             // The seconds before the block saw nothing.
-            loads.fill(0);
+            rnc_loads.fill(0);
         }
         latest.fill(None);
-        base = Some(block);
-        let end = block + BOUND_BLOCK_S;
-        let mut charge = |row: usize, second: i64, messages: u64, at: Option<Instant>| {
-            let j = (second - block) as usize;
-            loads[row * width + pre + j] += messages;
-            let held = &mut latest[row * block_len + j];
-            *held = (*held).max(at);
-        };
+        previous = Some(base);
+        let end = base + BOUND_BLOCK_S;
+        cell_charges.clear();
         while let Some(&Reverse((second, index, from))) = queue.peek() {
             if second >= end {
                 break;
             }
             queue.pop();
             let segment = &segments[index];
-            let cell_row = cell_rows.then(|| segment.cell as usize - first_cell);
+            let cell = segment.cell as usize - first_cell;
             for (i, &at) in (from..).zip(&segment.times[from..]) {
                 let second = second_of(at);
                 if second >= end {
                     queue.push(Reverse((second, index, i)));
                     break;
                 }
-                let contestable = (i < segment.hinted_from).then_some(at);
-                for row in cell_row.into_iter().chain(rnc_row) {
-                    charge(row, second, per_request, contestable);
+                let j = (second - base) as usize;
+                let gated = i < segment.hinted_from;
+                rnc_loads[pre + j] += per_request as u64;
+                if gated {
+                    latest[j] = latest[j].max(Some(at));
+                }
+                if cell_bound.is_some() {
+                    let messages = per_request;
+                    cell_charges.push(Charge { at, second, cell, messages, gated });
                 }
             }
         }
         while let Some(e) = sides.next_if(|e| second_of(e.at) < end) {
-            let crosses = matches!(
-                e.kind,
-                AdjEventKind::HandoffOut { crosses: true }
-                    | AdjEventKind::HandoffIn { crosses: true }
-            );
-            let cell_row = cell_rows.then(|| e.cell as usize - first_cell);
-            for row in cell_row.into_iter().chain(rnc_row.filter(|_| crosses)) {
-                charge(row, second_of(e.at), per_handoff, None);
+            let (at, second, cell) = (e.at, second_of(e.at), e.cell as usize - first_cell);
+            if let AdjEventKind::HandoffOut { crosses: true }
+            | AdjEventKind::HandoffIn { crosses: true } = e.kind
+            {
+                rnc_loads[pre + (second - base) as usize] += per_handoff as u64;
+            }
+            if cell_bound.is_some() {
+                let messages = per_handoff;
+                cell_charges.push(Charge { at, second, cell, messages, gated: false });
             }
         }
-        // Each row's window sum, second by second: the latest non-hinted
-        // request of a second whose sum reaches its limit is contested.
-        for (sum, (row, &(_, window_s))) in
-            sums.iter_mut().zip(loads.chunks_exact(width).zip(&rows))
-        {
-            *sum = row[pre + 1 - window_s as usize..pre].iter().sum();
-        }
+        // Drop the cell charges the window has left, then sort the
+        // block's in behind the rest.
+        sorted.drain(..kept);
+        kept = 0;
+        let from = sorted.len();
+        sort_by_second(&cell_charges, base, &mut starts, &mut sorted);
+        let mut seconds = sorted[from..].chunk_by(|a, b| a.second == b.second).peekable();
+        let mut rnc_sum: u64 = rnc_loads[..pre].iter().sum();
         for j in 0..block_len {
-            let mut contested = None;
-            for (r, (sum, &(limit, window_s))) in sums.iter_mut().zip(&rows).enumerate() {
-                let row = &loads[r * width..][..width];
-                *sum += row[pre + j];
-                if *sum >= limit {
-                    contested = contested.max(latest[r * block_len + j]);
+            // The RNC's window `(j − window, j]`: its latest gated
+            // request is contested when the sum reaches the limit.
+            rnc_sum += rnc_loads[pre + j];
+            let mut contested =
+                latest[j].filter(|_| rnc_bound.is_some_and(|(limit, _)| rnc_sum >= limit));
+            rnc_sum -= rnc_loads[pre + j + 1 - rnc_window];
+            let second = base + j as i64;
+            if let (Some((limit, window_s)), Some(charges)) =
+                (cell_bound, seconds.next_if(|charges| charges[0].second == second))
+            {
+                while let Some(c) = sorted.get(kept).filter(|c| c.second <= second - window_s) {
+                    cell_sums[c.cell] -= c.messages as u64;
+                    kept += 1;
                 }
-                *sum -= row[pre + j + 1 - window_s as usize];
+                for c in charges {
+                    cell_sums[c.cell] += c.messages as u64;
+                }
+                // So is a cell's latest gated request when its sum does.
+                let over = charges.iter().filter(|c| c.gated && cell_sums[c.cell] >= limit);
+                contested = contested.max(over.map(|c| c.at).max());
             }
             let Some(at) = contested else { continue };
-            let start = (block + j as i64).saturating_sub(window_s - 1);
+            let start = second.saturating_sub(window_s - 1);
             match spans.last_mut() {
                 Some(span) if start <= second_of(span.end) => span.end = at,
                 _ => {
@@ -828,16 +887,18 @@ fn contested_spans(
 /// counted every request as a grant. Each span's events — the requests
 /// of `segments` inside it and the sorted `handoffs` sides inside it —
 /// are sorted into the `(time, user, kind)` order and fed through fresh
-/// admission policies for the RNC and each of its cells: the request's
-/// cell decides first, then the RNC; a denial at either level turns the
-/// counted grant into a denial. Every verdict's adjudication-time cost
-/// (`per_fd_demotion` per grant, [`REQUEST_MESSAGES`] per denial) is
-/// observed by both levels, and each handoff side by its cell and, when
-/// it crosses an RNC boundary, by the RNC.
+/// admission policies: the RNC's, and one for each cell the span
+/// charges, built at its first event. The request's cell decides first,
+/// then the RNC; a denial at either level turns the counted grant into
+/// a denial. Every verdict's adjudication-time cost (`per_fd_demotion`
+/// per grant, [`REQUEST_MESSAGES`] per denial) is observed by both
+/// levels, and each handoff side by its cell and, when it crosses an
+/// RNC boundary, by the RNC.
 ///
 /// A segment's requests are found by one binary search into the spans,
 /// then one into the segment per span that holds any of them, so
-/// building costs the spans' events, never segments × spans.
+/// building costs the spans' events, never segments × spans, and a
+/// span's policies cost the cells it charges, never the RNC's.
 fn gate_spans(
     topology: &NetworkTopology,
     spans: &[Span],
@@ -875,14 +936,20 @@ fn gate_spans(
 
     let Adjudication { cells, rncs, denials, requests_gated, .. } = adjudication;
     let signaling = &topology.signaling;
+    let mut cell_policies: Vec<Option<_>> = (0..cells.len()).map(|_| None).collect();
+    let mut charged = Vec::new();
     let mut events = events.into_iter().peekable();
     for span in spans {
-        let mut cell_policies: Vec<_> =
-            (0..cells.len()).map(|_| topology.cell_admission.build()).collect();
+        for cell in charged.drain(..) {
+            cell_policies[cell] = None;
+        }
         let mut rnc_policy = topology.rnc_admission.build();
         while let Some(e) = events.next_if(|e| e.at <= span.end) {
             let cell = e.cell as usize - first_cell;
-            let cell_policy = &mut cell_policies[cell];
+            let cell_policy = cell_policies[cell].get_or_insert_with(|| {
+                charged.push(cell);
+                topology.cell_admission.build()
+            });
             match e.kind {
                 AdjEventKind::HandoffOut { crosses } | AdjEventKind::HandoffIn { crosses } => {
                     // The cell's policy observes the load even though
@@ -1838,6 +1905,69 @@ mod tests {
                     held += spans.requests_gated;
                 }
                 assert_eq!(held, gated, "window {window_s} s");
+            }
+        }
+
+        /// A window reaching back across a bound block's start carries
+        /// the previous block's load, at either level: three grants
+        /// (9 messages) in the last two seconds of one block and the
+        /// first of the next leave a `reactive:2:5` window one grant
+        /// short of its limit, so the next second's first request is
+        /// granted and its second denied. Counted from the block's start
+        /// alone, that second would look certain.
+        #[test]
+        fn window_loads_carry_across_bound_blocks() {
+            let block_s = 29 * BOUND_BLOCK_S;
+            let at = |second: i64, micros: i64| (block_s + second) * 1_000_000 + micros;
+            let shapes = vec![vec![at(-2, 0), at(-1, 0), at(0, 0), at(1, 0)], vec![at(1, 500_000)]];
+            let (mut topology, rnc_of, recorded) = partition_fleet(shapes, 1, 0, false);
+            let reactive = AdmissionSpec::LoadReactive { watermark_per_s: 2, window_s: 5 };
+            for cell_level in [false, true] {
+                (topology.cell_admission, topology.rnc_admission) = if cell_level {
+                    (reactive.clone(), AdmissionSpec::Always)
+                } else {
+                    (AdmissionSpec::Always, reactive.clone())
+                };
+                let spans = adjudicate_rnc(&topology, 3, &recorded, &rnc_of, 0);
+                let full = reference_adjudication(&topology, 3, &recorded, &rnc_of, 0);
+                assert_eq!(full.denials, [(1, 0)], "cell level {cell_level}");
+                same_adjudication(&spans, &full, 0).unwrap();
+            }
+        }
+
+        /// Hundreds of `reactive` cells on one RNC, static or
+        /// commuting, under an `always` or a `reactive` RNC, adjudicate
+        /// exactly: the bound keeps one window sum per cell, and each
+        /// span builds policies only for the cells it charges. Cells
+        /// that hold two overlapping users deny, and most requests stay
+        /// ungated.
+        #[test]
+        fn hundreds_of_reactive_cells_on_one_rnc_adjudicate_exactly() {
+            // 400 users over 300 cells, each requesting every 2–6 s for
+            // a few minutes around 09:00, when commuters have left home.
+            let shapes: Vec<Vec<i64>> = (0..400i64)
+                .map(|user| {
+                    let (start, step) = (9 * 3_600 + user * 7, 2 + user % 5);
+                    (0..60).map(|i| (start + i * step) * 1_000_000 + user).collect()
+                })
+                .collect();
+            for commute in [false, true] {
+                let (mut topology, rnc_of, recorded) =
+                    partition_fleet(shapes.clone(), 1, 299, commute);
+                topology.cell_admission =
+                    AdmissionSpec::LoadReactive { watermark_per_s: 3, window_s: 3 };
+                for rnc_admission in [
+                    AdmissionSpec::Always,
+                    AdmissionSpec::LoadReactive { watermark_per_s: 30, window_s: 5 },
+                ] {
+                    topology.rnc_admission = rnc_admission;
+                    let spans = adjudicate_rnc(&topology, 11, &recorded, &rnc_of, 0);
+                    let full = reference_adjudication(&topology, 11, &recorded, &rnc_of, 0);
+                    same_adjudication(&spans, &full, 0).unwrap();
+                    let context = format!("commute {commute}, RNC {:?}", topology.rnc_admission);
+                    assert!(!full.denials.is_empty(), "{context}: nothing denied");
+                    assert!(spans.requests_gated < full.requests_gated / 2, "{context}");
+                }
             }
         }
 
