@@ -38,20 +38,22 @@
 //! of users receive *bit-identical* grant/deny verdict streams — only
 //! users near a loaded cell or RNC flip. The cache therefore also
 //! memoizes each user's phase-2 outcome, keyed on the population's
-//! [`ReplayCacheHeader`] — its request header plus a topology hash — at
-//! the population level and `(user index, verdict-stream hash)` per
-//! user. A memo hit folds a stored [`ReplayOutcome`] (the user's
-//! `(cell, second, msgs)` load deltas, as compact byte runs, included)
-//! against the baseline its stream carries, instead of materializing
-//! the trace and re-running the engine; a sweep cell pays only for the
-//! users whose verdicts changed. The topology hash pins exactly the
-//! facts the per-cell attribution depends on — cell count, mobility
-//! model, signaling message weights — and deliberately excludes the RNC
-//! shape and admission axes (verdicts already capture every admission
-//! decision; RNC loads are derived from the cell loads at fold time),
-//! which is what lets an admission sweep share one memo. Fresh outcomes
-//! merge in memory; the run entry points write each memo the run
-//! changed to its `.twr` spill once, as they return. Counters:
+//! [`ReplayCacheHeader`] — its request header plus a hash of the
+//! signaling weights — at the population level and `(user index,
+//! verdict-stream hash)` per user. A memo hit folds a stored
+//! [`ReplayOutcome`] (the user's per-second `(second, msgs)` load run,
+//! as compact bytes, included) against the baseline its stream carries,
+//! instead of materializing the trace and re-running the engine; a
+//! sweep cell pays only for the users whose verdicts changed. An
+//! outcome names no cell: the fold attributes each second's messages to
+//! the cell the user occupies then. So the key pins only the five
+//! per-transition signaling weights the run is summed with, and leaves
+//! out every other topology fact — cell and RNC counts, mobility,
+//! admission policies, budgets and `per_handoff` (handoffs are charged
+//! at adjudication time every run). One memo per population and scheme
+//! thus serves every admission policy, cell count and mobility model.
+//! Fresh outcomes merge in memory; the run entry points write each memo
+//! the run changed to its `.twr` spill once, as they return. Counters:
 //! `replay_hits` / `replay_misses` per user (emitted only when a cache
 //! is configured), `replay_spills` per `.twr` write, and
 //! `replay_fallbacks` for untrusted files.
@@ -60,16 +62,16 @@
 //!
 //! The cache can be wrong about the disk but never about the answer.
 //! Both spill kinds — `.twc` request streams and `.twr` replay
-//! outcomes — load through one path: a missing file is a miss, and a
-//! corrupt, truncated, or mismatched-header file (an older format
-//! version included), one holding a user or cell outside the
-//! population, or one whose load runs are malformed, is a *fallback* —
-//! counted on the `cache_fallbacks` (resp. `replay_fallbacks`) counter,
-//! recomputed, never trusted. Both spill through one write-then-rename
-//! path, whose failures count on the same fallback counters. The
-//! bit-identity harnesses in `tests/cache_fleet.rs` and
-//! `tests/replay_fleet.rs` pin that a cached, spilled, reloaded, or
-//! fallback run produces byte-identical reports.
+//! outcomes — load through one path, timed as a `spill_read` span: a
+//! missing file is a miss, and a corrupt, truncated, or
+//! mismatched-header file (an older format version included), one
+//! holding a user outside the population, or one whose load runs are
+//! malformed, is a *fallback* — counted on the `cache_fallbacks` (resp.
+//! `replay_fallbacks`) counter, recomputed, never trusted. Both spill
+//! through one write-then-rename path, timed as a `spill_write` span,
+//! whose failures count on the same fallback counters. The bit-identity
+//! harness in `tests/cache_fleet.rs` pins that a cached, spilled,
+//! reloaded, or fallback run produces byte-identical reports.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -77,8 +79,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tailwise_obs::Obs;
+use tailwise_obs::{span, Obs};
 use tailwise_radio::profile::{CarrierProfile, RadioTech};
+use tailwise_radio::signaling::SignalingModel;
 use tailwise_trace::io::{
     read_replay_outcomes, read_request_streams, write_replay_outcomes, write_request_streams,
     ReplayCacheHeader, ReplayOutcome, ReplayOutcomeRecord, RequestCacheHeader, RequestStream,
@@ -88,7 +91,6 @@ use tailwise_trace::time::Instant;
 use tailwise_trace::TraceError;
 
 use crate::scenario::Scenario;
-use crate::topology::NetworkTopology;
 
 /// Folds a string unambiguously: its length, then its bytes.
 fn fold_text(h: u64, text: &str) -> u64 {
@@ -195,27 +197,24 @@ pub(crate) fn verdict_hash(verdicts: &[bool]) -> u64 {
     h
 }
 
-/// Hashes the topology facts a memoized per-user `(cell, second,
-/// msgs)` attribution depends on: the cell count (the assignment
-/// modulus), the mobility model (which cell a mobile user occupies at
-/// each instant), and the five per-transition signaling weights.
+/// Hashes what a memoized per-user `(second, msgs)` load depends on
+/// beyond the request header and the verdicts: the five per-transition
+/// signaling weights it is summed with.
 ///
-/// Deliberately excluded: the RNC count (cell→RNC grouping happens at
-/// fold time, after the memo), the admission policies and budgets
-/// (verdicts already capture every admission decision; budgets only
-/// score the folded loads), and `per_handoff` (handoff messages are
-/// charged at adjudication time every run, never memoized).
-pub(crate) fn topo_hash(topology: &NetworkTopology) -> u64 {
-    let mut h = 0x70B0_10CA_0000_0000u64;
-    h = fold(h, topology.cells);
-    h = fold_text(h, &topology.mobility.to_string());
-    let s = &topology.signaling;
+/// Nothing else of the topology enters: the load names no cell (the
+/// fold attributes cells, so cell count and mobility stay out), cells
+/// group into RNCs after the fold, verdicts already capture every
+/// admission decision, budgets only score the folded loads, and
+/// `per_handoff` is charged at adjudication time every run, never
+/// memoized.
+pub(crate) fn signaling_hash(signaling: &SignalingModel) -> u64 {
+    let mut h = 0x5167_0A11_0000_0000u64;
     for weight in [
-        s.per_promotion,
-        s.per_fach_promotion,
-        s.per_t1_demotion,
-        s.per_timer_demotion,
-        s.per_fd_demotion,
+        signaling.per_promotion,
+        signaling.per_fach_promotion,
+        signaling.per_t1_demotion,
+        signaling.per_timer_demotion,
+        signaling.per_fd_demotion,
     ] {
         h = fold(h, weight as u64);
     }
@@ -227,9 +226,9 @@ pub(crate) fn topo_hash(topology: &NetworkTopology) -> u64 {
 /// the population's `.twc` file.
 type Streams = Arc<Vec<RequestStream>>;
 
-/// Memoized replay outcomes for one population on one topology, keyed
-/// by `(user index, verdict hash)` — exactly the records of its `.twr`
-/// file.
+/// Memoized replay outcomes for one population under one set of
+/// signaling weights, keyed by `(user index, verdict hash)` — exactly
+/// the records of its `.twr` file.
 type Outcomes = Arc<HashMap<(u64, u64), ReplayOutcome>>;
 
 /// One population's replay memo, and whether it holds outcomes its
@@ -245,6 +244,7 @@ struct Memo {
 /// announces any header but `expected`, or holds an item `trusted`
 /// rejects is one count on `fallback`, and also `None` — the caller
 /// recomputes, so a rotten file can cost time but never correctness.
+/// Reading a file that exists is timed as one `spill_read` span.
 fn load_spill<H: PartialEq, T>(
     path: &Path,
     read: impl FnOnce(File) -> Result<(H, Vec<T>), TraceError>,
@@ -253,11 +253,12 @@ fn load_spill<H: PartialEq, T>(
     fallback: &'static str,
     obs: Obs<'_>,
 ) -> Option<Vec<T>> {
-    let loaded = match File::open(path) {
+    let opened = match File::open(path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        opened => opened.map_err(TraceError::from).and_then(read),
+        opened => opened,
     };
-    match loaded {
+    let _read = span(obs.recorder, "spill_read");
+    match opened.map_err(TraceError::from).and_then(read) {
         Ok((header, items)) if header == *expected && items.iter().all(trusted) => Some(items),
         _ => {
             obs.recorder.counter(fallback).incr();
@@ -272,7 +273,7 @@ fn load_spill<H: PartialEq, T>(
 /// by the reader's checksum. Success counts on `spilled`. A failure
 /// removes the tmp file, counts on `fallback`, and is otherwise
 /// swallowed: a read-only or full disk degrades the cache, never the
-/// run.
+/// run. The whole write is timed as one `spill_write` span.
 fn spill(
     path: &Path,
     write: impl FnOnce(File) -> Result<(), TraceError>,
@@ -284,6 +285,7 @@ fn spill(
     // the pid: two threads in one process storing the same key must
     // not interleave writes into a shared tmp file.
     static SEQ: AtomicU64 = AtomicU64::new(0);
+    let _write = span(obs.recorder, "spill_write");
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp{}-{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
     let tmp = PathBuf::from(tmp);
@@ -404,7 +406,7 @@ impl RequestCache {
 
     /// The `.twr` spill file of a memo.
     fn memo_path(&self, header: &ReplayCacheHeader) -> Option<PathBuf> {
-        self.spill_path(&header.requests, &format!("-{:016x}.twr", header.topo_hash))
+        self.spill_path(&header.requests, &format!("-{:016x}.twr", header.signaling_hash))
     }
 
     /// Looks up the request streams stored under `header`: memory
@@ -446,29 +448,21 @@ impl RequestCache {
         spill(&path, write, "cache_spills", "cache_fallbacks", obs);
     }
 
-    /// Looks up the memoized replay outcomes stored under `header`, for
-    /// a topology of `cells` cells: memory first, then the `.twr`
-    /// spill. Always returns a map (possibly empty) — per-user hit/miss
-    /// accounting happens at the replay loop, where the verdict hashes
-    /// are known. An on-disk file that cannot be trusted counts one
+    /// Looks up the memoized replay outcomes stored under `header`:
+    /// memory first, then the `.twr` spill. Always returns a map
+    /// (possibly empty) — per-user hit/miss accounting happens at the
+    /// replay loop, where the verdict hashes are known. An on-disk file that cannot be trusted counts one
     /// `replay_fallbacks` and is ignored; the run recomputes, and the
     /// memo's next write repairs it.
-    pub(crate) fn lookup_outcomes(
-        &self,
-        header: &ReplayCacheHeader,
-        cells: u64,
-        obs: Obs<'_>,
-    ) -> Outcomes {
+    pub(crate) fn lookup_outcomes(&self, header: &ReplayCacheHeader, obs: Obs<'_>) -> Outcomes {
         if let Some(memo) = self.memos.lock().expect("replay memo map").get(header) {
             return Arc::clone(&memo.outcomes);
         }
-        // The fold indexes its per-cell loads with the stored cells, so
-        // a user or cell outside the population makes the file
-        // untrusted. The reader has already checked that the load runs
-        // are canonical, hence strictly ascending by `(cell, second)`.
-        let trusted = |r: &ReplayOutcomeRecord| {
-            r.user < header.requests.users && r.outcome.load.runs().all(|run| run.cell < cells)
-        };
+        // The fold indexes the population with the stored users, so a
+        // user outside it makes the file untrusted. The reader has
+        // already checked that the load runs are canonical, hence
+        // strictly ascending by second.
+        let trusted = |r: &ReplayOutcomeRecord| r.user < header.requests.users;
         let loaded = self.memo_path(header).and_then(|path| {
             load_spill(&path, read_replay_outcomes, header, trusted, "replay_fallbacks", obs)
         });
@@ -525,16 +519,18 @@ impl RequestCache {
         for (path, header, outcomes) in unspilled {
             // Records sorted by key: equal memos spill equal bytes. The
             // spill borrows the memo's outcomes.
-            let mut records: Vec<ReplayOutcomeRecord<&ReplayOutcome>> = outcomes
-                .iter()
-                .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
-                    user,
-                    verdict_hash,
-                    outcome,
-                })
-                .collect();
-            records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));
-            let write = |file| write_replay_outcomes(&header, &records, file);
+            let write = |file| {
+                let mut records: Vec<ReplayOutcomeRecord<&ReplayOutcome>> = outcomes
+                    .iter()
+                    .map(|(&(user, verdict_hash), outcome)| ReplayOutcomeRecord {
+                        user,
+                        verdict_hash,
+                        outcome,
+                    })
+                    .collect();
+                records.sort_unstable_by_key(|r| (r.user, r.verdict_hash));
+                write_replay_outcomes(&header, &records, file)
+            };
             spill(&path, write, "replay_spills", "replay_fallbacks", obs);
         }
     }
@@ -749,7 +745,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn sample_entry(energy: f64, triples: Vec<(u64, i64, u64)>) -> ReplayOutcome {
+    fn sample_entry(energy: f64, pairs: Vec<(i64, u64)>) -> ReplayOutcome {
         ReplayOutcome {
             packets: 100,
             energy_bits: energy.to_bits(),
@@ -758,7 +754,7 @@ mod tests {
             missed_switches: 2,
             decisions: 20,
             delay_bits: vec![0.25f64.to_bits()],
-            load: tailwise_trace::load::LoadDeltas::from_triples(triples).unwrap(),
+            load: tailwise_trace::load::LoadDeltas::from_pairs(pairs).unwrap(),
         }
     }
 
@@ -780,37 +776,47 @@ mod tests {
     }
 
     #[test]
-    fn topo_hash_pins_attribution_facts_and_ignores_admission_axes() {
+    fn signaling_hash_pins_the_weights_and_no_other_topology_fact() {
         let base = crate::topology::NetworkTopology::with_rncs(3, 12);
-        let h = topo_hash(&base);
+        let h = signaling_hash(&base.signaling);
 
-        // The facts the per-user (cell, second) attribution depends on
-        // must invalidate…
-        let mut recelled = crate::topology::NetworkTopology::with_rncs(3, 13);
-        recelled.rncs = 3;
-        assert_ne!(topo_hash(&recelled), h, "cell count must invalidate");
+        // The weights a user's per-second load is summed with must
+        // invalidate, each of the five…
+        let s = base.signaling;
+        for reweighted in [
+            SignalingModel { per_promotion: s.per_promotion + 1, ..s },
+            SignalingModel { per_fach_promotion: s.per_fach_promotion + 1, ..s },
+            SignalingModel { per_t1_demotion: s.per_t1_demotion + 1, ..s },
+            SignalingModel { per_timer_demotion: s.per_timer_demotion + 1, ..s },
+            SignalingModel { per_fd_demotion: s.per_fd_demotion + 1, ..s },
+        ] {
+            assert_ne!(signaling_hash(&reweighted), h, "{reweighted:?} must invalidate");
+        }
+
+        // …while nothing the fold attributes or scores may: the load
+        // names no cell, so one memo serves every cell count and
+        // mobility model, as it serves every admission policy.
+        let rehandoffed = SignalingModel { per_handoff: s.per_handoff + 1, ..s };
+        assert_eq!(signaling_hash(&rehandoffed), h, "per_handoff is charged at adjudication");
+        let recelled = crate::topology::NetworkTopology::with_rncs(3, 13);
         let mut moved = base.clone();
         moved.mobility = crate::mobility::MobilitySpec::commute();
-        assert_ne!(topo_hash(&moved), h, "mobility must invalidate");
-        let mut reweighted = base.clone();
-        reweighted.signaling.per_promotion += 1;
-        assert_ne!(topo_hash(&reweighted), h, "signaling weights must invalidate");
-
-        // …while the axes an admission sweep moves must not: that reuse
-        // is the whole point of the memo.
         let mut readmitted = base.clone();
         readmitted.rnc_admission =
             crate::admission::AdmissionSpec::LoadReactive { watermark_per_s: 50, window_s: 5 };
-        assert_eq!(topo_hash(&readmitted), h, "admission axis must not invalidate");
         let mut regrouped = base.clone();
         regrouped.rncs = 4;
-        assert_eq!(topo_hash(&regrouped), h, "RNC grouping must not invalidate");
         let mut rebudgeted = base.clone();
         rebudgeted.cell_budget = tailwise_radio::SignalingBudget::per_second(7);
-        assert_eq!(topo_hash(&rebudgeted), h, "budgets must not invalidate");
-        let mut rehandoffed = base.clone();
-        rehandoffed.signaling.per_handoff += 1;
-        assert_eq!(topo_hash(&rehandoffed), h, "per_handoff is charged at adjudication");
+        for (axis, topology) in [
+            ("cell count", recelled),
+            ("mobility", moved),
+            ("admission", readmitted),
+            ("RNC grouping", regrouped),
+            ("budget", rebudgeted),
+        ] {
+            assert_eq!(signaling_hash(&topology.signaling), h, "{axis} must not invalidate");
+        }
     }
 
     #[test]
@@ -818,25 +824,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tailwise-memo-unit-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let topology = storm_like().cells.unwrap();
-        let header =
-            ReplayCacheHeader { requests: tiny_header(2), topo_hash: topo_hash(&topology) };
+        let header = ReplayCacheHeader {
+            requests: tiny_header(2),
+            signaling_hash: signaling_hash(&topology.signaling),
+        };
         let recorder = tailwise_obs::StatsRecorder::new();
         let obs = Obs { recorder: &recorder, progress: None };
 
         let cache = RequestCache::with_dir(&dir).unwrap();
-        assert!(cache.lookup_outcomes(&header, topology.cells, obs).is_empty());
+        assert!(cache.lookup_outcomes(&header, obs).is_empty());
         // Storing nothing fresh must not create a spill file.
         cache.store_outcomes(header.clone(), Vec::new());
         cache.write_memos(obs);
         let spill = dir.join(format!(
             "{:016x}-makeidle-{:016x}.twr",
             stem(&header.requests),
-            header.topo_hash
+            header.signaling_hash
         ));
         assert!(!spill.exists(), "empty store must not spill");
 
         let fresh = vec![
-            ((0u64, 11u64), sample_entry(10.0, vec![(0, 5, 28), (1, 9, 3)])),
+            ((0u64, 11u64), sample_entry(10.0, vec![(5, 28), (9, 3)])),
             ((1u64, 22u64), sample_entry(20.0, vec![])),
         ];
         cache.store_outcomes(header.clone(), fresh.clone());
@@ -846,28 +854,29 @@ mod tests {
         cache.write_memos(obs);
         assert!(spill.is_file(), "missing spill file {}", spill.display());
         assert_eq!(recorder.snapshot().counter("replay_spills"), 1, "one write per change");
-        let served = cache.lookup_outcomes(&header, topology.cells, obs);
+        let served = cache.lookup_outcomes(&header, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(0, 11)), Some(&fresh[0].1));
 
         // A fresh cache (fresh process, conceptually) warm-starts from
         // the `.twr` file alone; a later merge keeps prior entries.
         let warm = RequestCache::with_dir(&dir).unwrap();
-        let served = warm.lookup_outcomes(&header, topology.cells, obs);
+        let served = warm.lookup_outcomes(&header, obs);
         assert_eq!(served.len(), 2);
         assert_eq!(served.get(&(1, 22)), Some(&fresh[1].1));
         warm.store_outcomes(
             header.clone(),
-            vec![((1u64, 33u64), sample_entry(30.0, vec![(0, 1, 1)]))],
+            vec![((1u64, 33u64), sample_entry(30.0, vec![(1, 1)]))],
         );
-        let served = warm.lookup_outcomes(&header, topology.cells, obs);
+        let served = warm.lookup_outcomes(&header, obs);
         assert_eq!(served.len(), 3, "merge must keep prior entries");
 
-        // A different topology hash is a different memo entirely.
-        let mut reweighted = topology.clone();
-        reweighted.signaling.per_promotion += 1;
-        let other = ReplayCacheHeader { topo_hash: topo_hash(&reweighted), ..header.clone() };
-        assert!(warm.lookup_outcomes(&other, reweighted.cells, obs).is_empty());
+        // Other signaling weights are a different memo entirely.
+        let mut reweighted = topology.signaling;
+        reweighted.per_promotion += 1;
+        let other =
+            ReplayCacheHeader { signaling_hash: signaling_hash(&reweighted), ..header.clone() };
+        assert!(warm.lookup_outcomes(&other, obs).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -876,18 +885,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tailwise-memo-bad-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let topology = storm_like().cells.unwrap();
-        let header =
-            ReplayCacheHeader { requests: tiny_header(1), topo_hash: topo_hash(&topology) };
+        let header = ReplayCacheHeader {
+            requests: tiny_header(1),
+            signaling_hash: signaling_hash(&topology.signaling),
+        };
         let seeder = RequestCache::with_dir(&dir).unwrap();
-        seeder.store_outcomes(
-            header.clone(),
-            vec![((0u64, 7u64), sample_entry(1.5, vec![(0, 0, 4)]))],
-        );
+        seeder
+            .store_outcomes(header.clone(), vec![((0u64, 7u64), sample_entry(1.5, vec![(0, 4)]))]);
         seeder.write_memos(Obs::none());
         let spill = dir.join(format!(
             "{:016x}-makeidle-{:016x}.twr",
             stem(&header.requests),
-            header.topo_hash
+            header.signaling_hash
         ));
         let pristine = std::fs::read(&spill).unwrap();
         std::fs::write(&spill, &pristine[..pristine.len() - 3]).unwrap();
@@ -895,7 +904,7 @@ mod tests {
         let recorder = tailwise_obs::StatsRecorder::new();
         let obs = Obs { recorder: &recorder, progress: None };
         let reader = RequestCache::with_dir(&dir).unwrap();
-        assert!(reader.lookup_outcomes(&header, topology.cells, obs).is_empty());
+        assert!(reader.lookup_outcomes(&header, obs).is_empty());
         assert_eq!(recorder.snapshot().counter("replay_fallbacks"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -200,6 +200,19 @@ impl CommutePlan {
             .filter(move |&at| at > lo && at <= hi);
         slots.chain(commutes)
     }
+
+    /// The first candidate breakpoint after second `s`: the next slot
+    /// boundary, or one of the day's commute instants if that comes
+    /// first. A day is a whole number of slots, so no later day's
+    /// commute can come first.
+    fn next_breakpoint(&self, s: u64) -> u64 {
+        let day = s - s % DAY_S;
+        [self.leave_home, self.leave_work]
+            .into_iter()
+            .map(|at| day + at)
+            .filter(|&at| at > s)
+            .fold((s / SLOT_S + 1) * SLOT_S, u64::min)
+    }
 }
 
 /// One user's [`MobilitySpec`], resolved once: answers where the user
@@ -227,6 +240,23 @@ impl Trajectory {
         match &self.path {
             Path::Fixed(cell) => *cell,
             Path::Commute(plan, _) => plan.cell_at_second(second_of(at), self.cells),
+        }
+    }
+
+    /// The cell the user occupies through whole second `second`, and the
+    /// last second they are sure to stay there: [`cell_at`](Self::cell_at)
+    /// names that cell at every instant of `second..=last`. A commuter's
+    /// residence ends at their next candidate breakpoint, at most an
+    /// hour later; a fixed user never leaves (`i64::MAX`).
+    pub(crate) fn residence(&self, second: i64) -> (u64, i64) {
+        match &self.path {
+            Path::Fixed(cell) => (*cell, i64::MAX),
+            Path::Commute(plan, _) => {
+                // Seconds before day 0 clamp to it, as `cell_at` does.
+                let s = second.max(0) as u64;
+                let last = (plan.next_breakpoint(s) - 1).min(i64::MAX as u64) as i64;
+                (plan.cell_at_second(s, self.cells), last)
+            }
         }
     }
 
@@ -551,6 +581,39 @@ mod tests {
                 assert_eq!(pair[0].to, pair[1].from);
             }
         }
+    }
+
+    #[test]
+    fn residences_hold_their_cell_through_their_last_second() {
+        // The pass-2 fold cuts a commuter's load run where a residence
+        // ends, so every second of a residence, asked from its start or
+        // from inside it, must lie in its cell, however close to day 0
+        // (or before it) the residence starts.
+        let spec = MobilitySpec::Commute { home_hour: 8, work_hour: 17, jitter_pct: 20, hint_s: 0 };
+        for index in [0u64, 3, 7] {
+            let trajectory = spec.trajectory(SEED, index, CELLS);
+            let mut start = -5_000i64;
+            while start < 2 * 86_400 {
+                let (cell, last) = trajectory.residence(start);
+                assert!(last >= start.max(0) && last - start.max(0) < 3600, "{start}..={last}");
+                for s in start..=last {
+                    assert_eq!(
+                        trajectory.cell_at(Instant::from_secs(s)),
+                        cell,
+                        "user {index} at {s}"
+                    );
+                }
+                assert_eq!(trajectory.residence(start + (last - start) / 2), (cell, last));
+                start = last + 1;
+            }
+            assert_eq!(
+                trajectory.residence(i64::MAX).1,
+                i64::MAX,
+                "the last second ends a residence"
+            );
+        }
+        let fixed = MobilitySpec::Static.trajectory(SEED, 5, CELLS);
+        assert_eq!(fixed.residence(i64::MIN), (cell_of(SEED, 5, CELLS), i64::MAX));
     }
 
     #[test]

@@ -61,17 +61,21 @@
 //!    by the recorded request that falls in it, and the confusion matrix
 //!    is pass 1's. The replay folds energy into the [`FleetReport`],
 //!    scored against pass 1's baseline; one walk over the time-ordered
-//!    transition log turns its RRC messages into the user's `(cell,
-//!    second, msgs)` load deltas, each transition in the cell the user's
-//!    [`Trajectory`] names, strictly ascending by `(cell, second)`,
-//!    encoded as [`LoadDeltas`] byte runs — exactly what the memo holds
-//!    and a `.twr` record stores. Loads are sorted `(second, msgs)` runs
-//!    that add by linear merge: each cell run of a live user's deltas or
-//!    a memo hit's stored ones decodes in one pass and merges into the
-//!    shard's load for that cell, shards into the frontier's, handoff
+//!    transition log sums its RRC messages per second into the user's
+//!    `(second, msgs)` run, encoded as [`LoadDeltas`] bytes — exactly
+//!    what the memo holds and a `.twr` record stores, for any cell
+//!    count or mobility model. The fold attributes cells, for live
+//!    replays and memo hits alike: it decodes the run once, cuts it
+//!    where the user's [`Trajectory`] leaves a cell (`cell_at` floors
+//!    the instant, so a whole second's messages share one cell) and
+//!    merges each cell's pairs into the shard's load for that cell.
+//!    Loads are sorted `(second, msgs)` runs that add by linear merge:
+//!    users into their shard's, shards into the frontier's, handoff
 //!    charges into their cells', and cells into their RNC's. A sweep
-//!    that replays one population under several admission policies thus
-//!    runs the scheme's policy once per user, not once per cell.
+//!    that replays one population under several admission policies or
+//!    mobility models thus runs the scheme's policy once per user, not
+//!    once per cell, and replays a user again only when their verdicts
+//!    change.
 //!
 //! Peak memory stays **one trace per worker** in both passes — the
 //! re-synthesis/re-load is exactly what buys that bound. Between the
@@ -79,12 +83,13 @@
 //! confusion counts and two baseline words per user and, afterwards,
 //! one verdict byte per request plus one `(second, msgs)` pair per
 //! active second of each cell and RNC — never an array over the time
-//! span, which corpus traces and `.twr` files choose. Adjudication
-//! holds, per partition in flight, its residence segments and handoff
-//! sides, for the bound a block of per-second counters for the RNC and
-//! — when the cells are `reactive` — a window sum per cell and about
-//! two blocks' cell charges, and the events of its gated spans only —
-//! all of its requests' events when a level is `rate-limited`.
+//! span, which corpus traces and `.twr` files choose — and, per worker,
+//! one user's load cut by cell. Adjudication holds, per partition in
+//! flight, its residence segments and handoff sides, for the bound a
+//! block of per-second counters for the RNC and — when the cells are
+//! `reactive` — a window sum per cell and about two blocks' cell
+//! charges, and the events of its gated spans only — all of its
+//! requests' events when a level is `rate-limited`.
 //!
 //! ## Determinism
 //!
@@ -133,7 +138,7 @@ use tailwise_trace::time::Instant;
 use tailwise_trace::Trace;
 
 use crate::admission::AdmissionSpec;
-use crate::cache::{topo_hash, verdict_hash, RequestCache};
+use crate::cache::{signaling_hash, verdict_hash, RequestCache};
 use crate::mobility::{MobilitySpec, Trajectory};
 use crate::report::{CellLoad, FleetReport, FleetSignaling, RncLoad};
 use crate::runner::{run_sharded, Partial, Population};
@@ -211,8 +216,8 @@ impl NetworkTopology {
 
     /// The cell user `index` occupies at `at` — **the** assignment seam
     /// both topology passes share: pass-1 adjudication resolves every
-    /// request (and handoff) through it, and pass-2 load attribution
-    /// folds every transition into the cell it names. A pure function
+    /// request (and handoff) through it, and the pass-2 fold charges
+    /// every second's messages to the cell it names. A pure function
     /// of its arguments (see [`MobilitySpec::cell_at`]), so any worker
     /// computes the same answer.
     pub fn user_cell(&self, master_seed: u64, index: u64, at: Instant) -> u64 {
@@ -1096,67 +1101,20 @@ fn score_loads(
     (cell_scores, rnc_scores)
 }
 
-/// Load deltas from time-ordered `(cell, second, msgs)` charges:
-/// triples strictly ascending by `(cell, second)`, each summing the
-/// charges of its pair, encoded as the memo and `.twr` keep them.
-///
-/// One walk run-length encodes the charges per `(cell, second)`. A
-/// static user's list comes out sorted; a commuter's, whose cells
-/// alternate over the day, is sorted and coalesced afterwards.
-fn load_deltas(charges: impl IntoIterator<Item = (u64, i64, u64)>) -> LoadDeltas {
-    let mut deltas: Vec<(u64, i64, u64)> = Vec::new();
-    let mut ascending = true;
-    for (cell, second, messages) in charges {
-        match deltas.last_mut() {
-            Some((c, s, held)) if (*c, *s) == (cell, second) => *held += messages,
-            last => {
-                ascending &= last.is_none_or(|&mut (c, s, _)| (c, s) < (cell, second));
-                deltas.push((cell, second, messages));
-            }
-        }
+/// A user's pass-2 load: the RRC messages of their replay's
+/// time-ordered transition log, each weighed by the topology's
+/// signaling model and summed per second. It names no cell, so it is
+/// what the memo and `.twr` keep whatever the topology's shape.
+fn user_load(signaling: &SignalingModel, transitions: &[Transition]) -> LoadDeltas {
+    let mut load = Load::new();
+    for t in transitions {
+        charge_load(&mut load, second_of(t.at), signaling.messages_for(t) as u64);
     }
-    if !ascending {
-        deltas.sort_unstable_by_key(|&(cell, second, _)| (cell, second));
-        deltas.dedup_by(|next, kept| {
-            let same = (next.0, next.1) == (kept.0, kept.1);
-            if same {
-                kept.2 += next.2;
-            }
-            same
-        });
-    }
-    LoadDeltas::from_triples(deltas).expect("coalesced charges are strictly ascending")
-}
-
-/// User `index`'s [`load_deltas`] from the time-ordered transition log
-/// of their pass-2 replay, each transition charged to the cell the
-/// user's trajectory names when it fires.
-fn user_load(
-    topology: &NetworkTopology,
-    master_seed: u64,
-    index: u64,
-    transitions: &[Transition],
-) -> LoadDeltas {
-    let trajectory = topology.trajectory(master_seed, index);
-    load_deltas(transitions.iter().map(|t| {
-        // Pass 2 attributes each transition to the cell the user
-        // occupies when it happens — the same assignment seam pass-1
-        // adjudication resolves requests through
-        // ([`NetworkTopology::user_cell`]).
-        let cell = trajectory.cell_at(t.at);
-        debug_assert_eq!(
-            cell,
-            topology.user_cell(master_seed, index, t.at),
-            "user {index} at {:?}",
-            t.at
-        );
-        let second = second_of(t.at);
-        (cell, second, topology.signaling.messages_for(t) as u64)
-    }))
+    LoadDeltas::from_pairs(load).expect("a time-ordered log sums to ascending seconds")
 }
 
 /// Pass-2 shard partial: the energy fold plus each cell's per-second
-/// RRC-message [`Load`]. Users' deltas merge in as they replay or hit
+/// RRC-message [`Load`]. Users' loads merge in as they replay or hit
 /// the memo; the frontier merges partials in shard order. Load addition
 /// commutes, so the order only keeps the whole partial deterministic.
 struct TopologyPartial {
@@ -1167,23 +1125,56 @@ struct TopologyPartial {
     /// hash)`, collected only when a request cache is configured
     /// (empty otherwise) and taught back to it after the run.
     fresh: Vec<((u64, u64), ReplayOutcome)>,
-    /// One cell run's decoded `(second, msgs)` entries, reused from
-    /// user to user.
+    /// One user's decoded load, its cuts `(cell, start, end)` into it,
+    /// and one cell's pairs gathered from several cuts: buffers reused
+    /// from user to user.
     decoded: Load,
+    cuts: Vec<(u64, usize, usize)>,
+    gathered: Load,
 }
 
 impl TopologyPartial {
-    /// Adds one user's load deltas into the per-cell loads: each cell
-    /// run decodes in one pass, straight into a cell no user has loaded
-    /// yet, else into the reused buffer, which then merges.
-    fn add_user_load(&mut self, deltas: &LoadDeltas) {
-        for run in deltas.runs() {
-            let load = &mut self.seconds[run.cell as usize];
+    /// Attributes one user's load to cells and adds it into the
+    /// per-cell loads: the one place a second's messages meet the cell
+    /// the user's [`Trajectory`] names for that second — the seam pass-1
+    /// adjudication resolves requests through. The run decodes once and
+    /// is cut where a residence ends (a fixed user's never does),
+    /// neighbors in one cell joined, and each cell's cuts merge into its
+    /// load at once — no sort of the pairs, and no walk of the
+    /// trajectory from day 0.
+    fn add_user_load(&mut self, deltas: &LoadDeltas, trajectory: &Trajectory) {
+        let TopologyPartial { seconds, decoded, cuts, gathered, .. } = self;
+        deltas.decode_into(decoded);
+        cuts.clear();
+        let mut start = 0;
+        while let Some(&(second, _)) = decoded.get(start) {
+            let (cell, last) = trajectory.residence(second);
+            let end = start + decoded[start..].partition_point(|&(s, _)| s <= last);
+            match cuts.last_mut() {
+                Some((held, _, held_end)) if *held == cell => *held_end = end,
+                _ => cuts.push((cell, start, end)),
+            }
+            start = end;
+        }
+        // A few cuts a day: the stable sort keeps each cell's in time
+        // order.
+        cuts.sort_by_key(|&(cell, ..)| cell);
+        for group in cuts.chunk_by(|a, b| a.0 == b.0) {
+            let run = match group {
+                [(_, start, end)] => &decoded[*start..*end],
+                _ => {
+                    gathered.clear();
+                    for &(_, start, end) in group {
+                        gathered.extend_from_slice(&decoded[start..end]);
+                    }
+                    &gathered[..]
+                }
+            };
+            let load = &mut seconds[group[0].0 as usize];
             if load.is_empty() {
-                run.decode_into(load);
+                load.extend_from_slice(run);
             } else {
-                run.decode_into(&mut self.decoded);
-                add_load(load, &self.decoded);
+                add_load(load, run);
             }
         }
     }
@@ -1356,8 +1347,9 @@ pub(crate) fn run_topology(
     // the stored outcome — no trace materialization, no engine run —
     // so a sweep cell pays only for the users whose verdicts changed.
     let memo = cache.map(|(cache, requests)| {
-        let header = ReplayCacheHeader { requests, topo_hash: topo_hash(topology) };
-        let known = cache.lookup_outcomes(&header, topology.cells, obs);
+        let header =
+            ReplayCacheHeader { requests, signaling_hash: signaling_hash(&topology.signaling) };
+        let known = cache.lookup_outcomes(&header, obs);
         (cache, header, known)
     });
     let verdict_hashes: Vec<u64> = match &memo {
@@ -1369,6 +1361,8 @@ pub(crate) fn run_topology(
         seconds: vec![Load::new(); topology.cells as usize],
         fresh: Vec::new(),
         decoded: Load::new(),
+        cuts: Vec::new(),
+        gathered: Load::new(),
     };
     let folded: TopologyPartial =
         run_sharded(shard_count, threads, obs, &empty_partial, &|shard, ctx| {
@@ -1381,14 +1375,15 @@ pub(crate) fn run_topology(
             for index in population.shard_range(shard) {
                 let user = &streams[index as usize];
                 let baseline = (user.baseline_energy_bits, user.baseline_switches);
-                // Memo hit: fold the cached outcome and load deltas
-                // without materializing the trace or running the engine.
+                let trajectory = topology.trajectory(master_seed, index);
+                // Memo hit: fold the cached outcome and load without
+                // materializing the trace or running the engine.
                 if let Some((_, header, known)) = &memo {
                     if let Some(outcome) = known.get(&(index, verdict_hashes[index as usize])) {
                         let (hits, _) = replay_counters.as_ref().expect("memo implies counters");
                         hits.incr();
                         let _replay = span(obs.recorder, "replay");
-                        partial.add_user_load(&outcome.load);
+                        partial.add_user_load(&outcome.load, &trajectory);
                         // Synthetic populations carry a uniform
                         // days-per-user, pinned by the request header.
                         let days = header.requests.days;
@@ -1415,8 +1410,8 @@ pub(crate) fn run_topology(
                 );
                 let mut outcome = replay_outcome(&scheme_run);
                 let transitions = scheme_run.transitions.as_deref().unwrap_or_default();
-                outcome.load = user_load(topology, master_seed, index, transitions);
-                partial.add_user_load(&outcome.load);
+                outcome.load = user_load(&topology.signaling, transitions);
+                partial.add_user_load(&outcome.load, &trajectory);
                 partial.report.fold_user_outcome(days, baseline, &outcome);
                 if memo.is_some() {
                     partial.fresh.push(((index, verdict_hashes[index as usize]), outcome));
@@ -2019,6 +2014,29 @@ mod tests {
 
         const CELLS: u64 = 4;
 
+        /// One step of a transition log: the µs gap before it (mostly
+        /// inside a second or two, a quarter of the time up to two
+        /// hours) and its kind.
+        fn step() -> impl Strategy<Value = (i64, usize)> {
+            let gap = (0usize..4, 0i64..1_500_000, 0i64..7_200_000_000)
+                .prop_map(|(pick, short, long)| if pick == 0 { long } else { short });
+            (gap, 0usize..5)
+        }
+
+        /// A transition at `at` of each kind the signaling model weighs
+        /// apart.
+        fn transition(at: Instant, kind: usize) -> Transition {
+            use tailwise_radio::rrc::{RrcState::*, TransitionCause::*};
+            let (cause, from, to) = [
+                (Data, Idle, Dch),
+                (Data, Fach, Dch),
+                (Timer, Dch, Fach),
+                (Timer, Fach, Idle),
+                (FastDormancy, Dch, Idle),
+            ][kind];
+            Transition { at, from, to, cause }
+        }
+
         /// The reference fold: every charge summed into a per-cell
         /// `second → msgs` map, every RNC's map the sum of its own
         /// charges and its member cells' maps.
@@ -2056,53 +2074,70 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            /// Per-user deltas, shard partials absorbed in shard order,
-            /// handoff charges and the per-RNC fold, all on sorted runs,
-            /// score every cell and RNC exactly as a `BTreeMap` fold of
-            /// the same charges does — over negative and zero seconds,
-            /// zero-message charges, and a commuter who leaves a cell
-            /// and re-enters it within one second.
+            /// Per-user loads attributed to cells at fold time, shard
+            /// partials absorbed in shard order, handoff charges and the
+            /// per-RNC fold, all on sorted runs, score every cell and RNC
+            /// exactly as a `BTreeMap` fold does of the same transitions,
+            /// each charged to the cell the assignment seam names at its
+            /// own instant — over negative and zero seconds, zero-weight
+            /// transitions, several transitions in one second, and
+            /// commuters whose cells change by the hour.
             #[test]
             fn sorted_run_fold_matches_a_btreemap_fold(
-                users in vec((-4i64..3, vec((0..CELLS, 0i64..3, 0u64..5), 0..24)), 0..10),
-                cuts in vec(prop::bool::ANY, 11),
+                users in vec((0u64..1_000, -20_000_000_000i64..200_000_000_000, vec(step(), 0..24)), 0..10),
+                cuts in vec(prop::bool::ANY, 10),
                 mut handoffs in vec((0..CELLS, -4i64..30, 0u64..4, prop::bool::ANY), 0..16),
                 (rncs, cell_cap, rnc_cap) in (1..=CELLS, 0u64..8, 0u64..20),
+                (moves, home_hour, work_hour, jitter_pct) in (prop::bool::ANY, 0u32..24, 0u32..24, 0u32..=100),
+                weights in vec(0u32..9, 5),
             ) {
                 let mut topology = NetworkTopology::with_rncs(rncs, CELLS);
                 topology.cell_budget = SignalingBudget::per_second(cell_cap);
                 topology.rnc_budget = SignalingBudget::per_second(rnc_cap);
+                if moves {
+                    topology.mobility =
+                        MobilitySpec::Commute { home_hour, work_hour, jitter_pct, hint_s: 0 };
+                }
+                topology.signaling = SignalingModel {
+                    per_promotion: weights[0],
+                    per_fach_promotion: weights[1],
+                    per_t1_demotion: weights[2],
+                    per_timer_demotion: weights[3],
+                    per_fd_demotion: weights[4],
+                    per_handoff: 0,
+                };
                 let rnc_of = rnc_table(&topology);
-
-                // Time-ordered charges per user; the first user commutes
-                // 1 → 2 → 1 within second 5.
-                let mut per_user = vec![vec![(1, 5, 2), (2, 5, 1), (1, 5, 3), (1, 6, 0)]];
-                per_user.extend(users.into_iter().map(|(start, steps)| {
-                    let mut second = start;
-                    steps.into_iter().map(|(cell, gap, messages)| {
-                        second += gap;
-                        (cell, second, messages)
-                    }).collect::<Vec<_>>()
-                }));
+                let seed = 0xF01D;
 
                 let empty = || TopologyPartial {
                     report: FleetReport::empty("prop".into(), "makeidle".into()),
                     seconds: vec![Load::new(); CELLS as usize],
                     fresh: Vec::new(),
                     decoded: Load::new(),
+                    cuts: Vec::new(),
+                    gathered: Load::new(),
                 };
                 let mut shards = vec![empty()];
-                for (user, charges) in per_user.iter().enumerate() {
-                    let deltas = load_deltas(charges.iter().copied());
-                    // Exactly what a per-user `(cell, second)` map holds.
-                    let mut map = BTreeMap::<(u64, i64), u64>::new();
-                    for &(cell, second, messages) in charges {
-                        *map.entry((cell, second)).or_insert(0) += messages;
+                let mut charges: Vec<(u64, i64, u64)> = Vec::new();
+                for (user, (index, start, steps)) in users.iter().enumerate() {
+                    let mut at = *start;
+                    let transitions: Vec<Transition> = steps.iter().map(|&(gap, kind)| {
+                        at += gap;
+                        transition(Instant::from_micros(at), kind)
+                    }).collect();
+                    let weigh = |t: &Transition| topology.signaling.messages_for(t) as u64;
+                    let deltas = user_load(&topology.signaling, &transitions);
+                    // Exactly what a per-user second map holds.
+                    let mut map = BTreeMap::<i64, u64>::new();
+                    for t in &transitions {
+                        *map.entry(second_of(t.at)).or_insert(0) += weigh(t);
                     }
-                    let expect: Vec<_> = map.into_iter().map(|((c, s), m)| (c, s, m)).collect();
-                    prop_assert_eq!(deltas.to_triples(), expect, "user {}", user);
-                    shards.last_mut().unwrap().add_user_load(&deltas);
-                    if cuts.get(user).copied().unwrap_or(false) {
+                    prop_assert_eq!(deltas.to_pairs(), map.into_iter().collect::<Vec<_>>(), "user {}", user);
+                    shards.last_mut().unwrap().add_user_load(&deltas, &topology.trajectory(seed, *index));
+                    charges.extend(transitions.iter().map(|t| {
+                        (topology.user_cell(seed, *index, t.at), second_of(t.at), weigh(t))
+                    }));
+                    if cuts[user] {
                         shards.push(empty());
                     }
                 }
@@ -2125,7 +2160,6 @@ mod tests {
                     }
                 }
 
-                let mut charges: Vec<(u64, i64, u64)> = per_user.concat();
                 charges.extend(handoffs.iter().map(|&(cell, second, messages, _)| (cell, second, messages)));
                 let expect = reference_scores(&topology, &rnc_of, &charges, &rnc_charges);
                 let scored = score_loads(&topology, &rnc_of, total.seconds, cell_handoffs, rnc_handoffs);

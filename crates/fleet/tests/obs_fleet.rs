@@ -12,7 +12,8 @@
 //!   finished run reports `2 × users` done of `2 × users` expected);
 //! * the `--metrics` manifest of an admission sweep re-parses through
 //!   `tailwise-scenfile` with every expected key, equal to the
-//!   original, from a string and from a file.
+//!   original, from a string and from a file;
+//! * a disk-cached run times each spill it reads or writes.
 
 use std::path::PathBuf;
 
@@ -293,4 +294,25 @@ fn cached_run_manifests_carry_the_cache_store_gauges() {
     let uncached = RunManifest::for_sweep(&uncached, 2, base.master_seed, &Default::default());
     assert!(uncached.gauges.is_empty());
     assert_eq!(uncached.digest(), manifest.digest(), "gauges must stay out of the digest");
+}
+
+#[test]
+fn disk_cached_runs_time_their_spill_reads_and_writes() {
+    // A cold run over an empty spill directory writes its `.twc` and its
+    // `.twr` under one `spill_write` span each and reads nothing; a later
+    // process reads both back under one `spill_read` span each and
+    // writes nothing.
+    let dir = temp_dir("spills");
+    let set = SourceSet { source: UserSource::Synthetic(storm_scenario(6)), axes: Vec::new() };
+    let spans = |disk: RequestCache| {
+        let recorder = StatsRecorder::new();
+        let obs = Obs { recorder: &recorder, progress: None };
+        run_source_sweep_cached(&set, 2, obs, Some(&disk)).unwrap();
+        let snapshot = recorder.snapshot();
+        let count = |name: &str| snapshot.spans.get(name).map_or(0, |stat| stat.count);
+        (count("spill_read"), count("spill_write"))
+    };
+    assert_eq!(spans(RequestCache::with_dir(&dir).unwrap()), (0, 2), "cold: reads, writes");
+    assert_eq!(spans(RequestCache::with_dir(&dir).unwrap()), (2, 0), "warm: reads, writes");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -24,7 +24,7 @@
 //! job; graceful shutdown rejects new submissions, drains every
 //! accepted job, then closes all connections.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -312,21 +312,35 @@ fn reader_loop(
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut line_no = 0usize;
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the limit: a client that streams
+        // without a newline, and never pauses, still cannot grow the
+        // buffer beyond it. A read timeout keeps the bytes read so far.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF: client closed its half.
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => {
+                send_error(tx, line_no + 1, "line exceeds the 8 MiB protocol limit");
+                return;
+            }
             Ok(_) => {
                 line_no += 1;
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if !trimmed.is_empty() {
-                    let shutdown = dispatch(trimmed, line_no, registry, tx, local_addr);
-                    if shutdown == Dispatch::CloseAfterDrain {
-                        line.clear();
-                        registry.wait_drained();
-                        return;
+                match std::str::from_utf8(&line) {
+                    Ok(text) => {
+                        let trimmed = text.trim_end_matches(['\n', '\r']);
+                        if !trimmed.is_empty() {
+                            let shutdown = dispatch(trimmed, line_no, registry, tx, local_addr);
+                            if shutdown == Dispatch::CloseAfterDrain {
+                                registry.wait_drained();
+                                return;
+                            }
+                        }
                     }
+                    // Non-UTF-8 bytes: answer positioned, drop the line,
+                    // keep the connection.
+                    Err(_) => send_error(tx, line_no, "line is not valid UTF-8"),
                 }
                 line.clear();
             }
@@ -334,22 +348,10 @@ fn reader_loop(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // Read timeout: poll the shutdown flag, cap any
-                // partial line a stalled client is dribbling in.
+                // Read timeout: poll the shutdown flag.
                 if registry.drained() {
                     return;
                 }
-                if line.len() > MAX_LINE_BYTES {
-                    send_error(tx, line_no + 1, "line exceeds the 8 MiB protocol limit");
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Non-UTF-8 bytes: answer positioned, drop the partial
-                // line, keep the connection.
-                line_no += 1;
-                send_error(tx, line_no, "line is not valid UTF-8");
-                line.clear();
             }
             Err(_) => return,
         }

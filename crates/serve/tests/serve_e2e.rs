@@ -460,3 +460,27 @@ fn request_round_trips_do_not_wait_for_delayed_acks() {
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_millis(400), "20 jobs round trips took {elapsed:?}");
 }
+
+/// A client that streams bytes with no newline, never pausing long
+/// enough for a read timeout, is cut off at the protocol limit: the
+/// server reads at most one byte past 8 MiB, answers with an error and
+/// closes. Its close with the rest unread resets the connection, so the
+/// client's writes fail long before it has sent 64 MiB.
+#[test]
+fn an_endless_line_is_cut_off_at_the_limit() {
+    use std::io::Write;
+
+    let server = start_server(1);
+    let mut hostile = std::net::TcpStream::connect(server.local_addr()).expect("loopback connect");
+    let chunk = vec![b'x'; 1 << 16];
+    let mut sent = 0usize;
+    while sent < 64 << 20 && hostile.write_all(&chunk).is_ok() {
+        sent += chunk.len();
+    }
+    assert!(sent < 64 << 20, "all {sent} bytes were accepted: the server read past its limit");
+
+    // The service still answers a second client.
+    let mut client = connect(&server);
+    client.send(&ClientMsg::Jobs).expect("jobs goes out");
+    assert!(matches!(client.recv().unwrap(), Some(ServerMsg::End { count: 0 })));
+}

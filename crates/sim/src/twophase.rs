@@ -137,9 +137,9 @@ pub fn record_requests(
 
 /// Captures the memoizable outcome of a finished run, with every float
 /// carried as its exact bits (see [`ReplayOutcome`] for why that makes
-/// a memoized fold bit-identical to the live one). The signaling-load
-/// deltas are left empty: they belong to the caller that attributes the
-/// run's transitions to cells.
+/// a memoized fold bit-identical to the live one). The signaling load
+/// is left empty: it belongs to the caller that weighs the run's
+/// transitions.
 pub fn replay_outcome(report: &SimReport) -> ReplayOutcome {
     ReplayOutcome {
         packets: report.packets as u64,

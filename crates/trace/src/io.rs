@@ -544,30 +544,32 @@ pub fn read_request_streams<R: Read>(
 /// Magic bytes of the replay-memo format.
 pub const OUTCOME_MAGIC: &[u8; 4] = b"TWRO";
 /// Current replay-memo format version. Version 2 stores each record's
-/// load deltas as [`LoadDeltas`] byte runs instead of 24-byte triples,
-/// and version 3 drops the status-quo baseline, which the `.twc` stream
-/// carries; a reader meets an older file as an unsupported version.
-pub const OUTCOME_VERSION: u16 = 3;
+/// load deltas as byte runs instead of 24-byte triples, version 3 drops
+/// the status-quo baseline, which the `.twc` stream carries, and
+/// version 4 stores one `(second, msgs)` run per record ([`LoadDeltas`])
+/// instead of one run per cell; a reader meets an older file as an
+/// unsupported version.
+pub const OUTCOME_VERSION: u16 = 4;
 
 /// The `.twr` header: everything a memoized phase-2 outcome is keyed
 /// on at the population level.
 ///
 /// `requests` is the `.twc` header of the request streams the outcomes
 /// were replayed from (the scenario fingerprint plus the scheme token);
-/// `topo_hash` additionally pins the topology facts a per-user
-/// `(cell, second) → msgs` attribution depends on — cell count,
-/// mobility model, and the signaling message weights. Per-user verdict
-/// streams are keyed inside each record, so one file serves every
-/// sweep cell that shares the population. The fleet's replay memo keys
-/// its outcomes on this header itself.
+/// `signaling_hash` additionally pins the per-transition signaling
+/// weights a user's `second → msgs` load is summed with. A record
+/// names no cell, and per-user verdict streams are keyed inside each
+/// record, so one file serves every sweep cell that shares the
+/// population, whatever its cell count, mobility model or admission
+/// policy. The fleet's replay memo keys its outcomes on this header
+/// itself.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplayCacheHeader {
     /// The population fingerprint and scheme token. Its `users` is the
     /// population size; the records may cover any subset of users.
     pub requests: RequestCacheHeader,
-    /// Hash of the replay-relevant topology facts (cell count,
-    /// mobility model, signaling weights).
-    pub topo_hash: u64,
+    /// Hash of the five per-transition signaling weights.
+    pub signaling_hash: u64,
 }
 
 /// The scalar outcome of one user's phase-2 replay, in exactly the
@@ -603,8 +605,9 @@ pub struct ReplayOutcome {
     pub decisions: u64,
     /// Session-delay samples, each as `f64::to_bits`, in record order.
     pub delay_bits: Vec<u64>,
-    /// Signaling-load deltas: `(cell, second, msgs)` triples strictly
-    /// ascending by `(cell, second)`, as compact byte runs.
+    /// Signaling load: `(second, msgs)` pairs strictly ascending by
+    /// second, as one compact byte run. The fold attributes each second
+    /// to a cell.
     pub load: LoadDeltas,
 }
 
@@ -659,7 +662,7 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
 ) -> Result<(), TraceError> {
     let mut w = SpillWriter::new(&OUTCOME_FORMAT, out)?;
     header.requests.write_fingerprint(&mut w)?;
-    w.word(header.topo_hash)?;
+    w.word(header.signaling_hash)?;
     w.scheme(&header.requests.scheme)?;
     w.word(records.len() as u64)?;
     for ReplayOutcomeRecord { user, verdict_hash, outcome } in records {
@@ -691,8 +694,8 @@ pub fn write_replay_outcomes<W: Write, O: Borrow<ReplayOutcome>>(
 ///
 /// The failure discipline matches [`read_request_streams`]: wrong
 /// magic, unknown version (an older one included), oversized scheme
-/// token, truncation anywhere, load runs that are not canonical or do
-/// not hold their declared triple count ([`LoadDeltas::from_bytes`]),
+/// token, truncation anywhere, a load run that is not canonical or does
+/// not hold its declared pair count ([`LoadDeltas::from_bytes`]),
 /// trailing bytes, and checksum mismatch are all typed [`TraceError`]s,
 /// never a panic, an unbounded allocation, or a silently wrong outcome.
 pub fn read_replay_outcomes<R: Read>(
@@ -700,7 +703,7 @@ pub fn read_replay_outcomes<R: Read>(
 ) -> Result<(ReplayCacheHeader, Vec<ReplayOutcomeRecord>), TraceError> {
     let mut r = SpillReader::new(&OUTCOME_FORMAT, input)?;
     let mut requests = RequestCacheHeader::read_fingerprint(&mut r)?;
-    let topo_hash = r.word("topology hash", 0)?;
+    let signaling_hash = r.word("signaling hash", 0)?;
     requests.scheme = r.scheme()?;
     let count = r.word("record count", 0)? as usize;
     let mut records = Vec::with_capacity(count.min(1 << 24));
@@ -722,20 +725,20 @@ pub fn read_replay_outcomes<R: Read>(
         for _ in 0..delays {
             outcome.delay_bits.push(word("delay bits")?);
         }
-        let triples = word("load triple count")?;
+        let pairs = word("load pair count")?;
         let len = word("load byte length")?;
-        let bytes = r.bytes(len, "load runs", i)?;
-        outcome.load = LoadDeltas::from_bytes(triples, bytes).map_err(|e| match e {
+        let bytes = r.bytes(len, "load run", i)?;
+        outcome.load = LoadDeltas::from_bytes(pairs, bytes).map_err(|e| match e {
             TraceError::Parse { location, message } => TraceError::Parse {
                 location: i,
-                message: format!("malformed load runs at byte {location}: {message}"),
+                message: format!("malformed load run at byte {location}: {message}"),
             },
             other => other,
         })?;
         records.push(ReplayOutcomeRecord { user, verdict_hash, outcome });
     }
     r.finish(count, "record")?;
-    Ok((ReplayCacheHeader { requests, topo_hash }, records))
+    Ok((ReplayCacheHeader { requests, signaling_hash }, records))
 }
 
 // --------------------------------------------------------------- paths ----
@@ -1122,7 +1125,7 @@ mod tests {
     // -------------------------------------------- replay memo (.twr) ----
 
     fn sample_outcome_header() -> ReplayCacheHeader {
-        ReplayCacheHeader { requests: sample_header(3), topo_hash: 0xA5A5_0000_1111_2222 }
+        ReplayCacheHeader { requests: sample_header(3), signaling_hash: 0xA5A5_0000_1111_2222 }
     }
 
     fn sample_records() -> Vec<ReplayOutcomeRecord> {
@@ -1138,7 +1141,7 @@ mod tests {
                     missed_switches: 1,
                     decisions: 40,
                     delay_bits: vec![0.5f64.to_bits(), 1.25f64.to_bits()],
-                    load: LoadDeltas::from_triples([(0, -3, 28), (0, 90, 5), (2, 90, 6)]).unwrap(),
+                    load: LoadDeltas::from_pairs([(-3, 28), (90, 5), (91, 6)]).unwrap(),
                 },
             },
             // A user with no delays and no signaling load at all.
@@ -1161,10 +1164,10 @@ mod tests {
 
     #[test]
     fn twr_encoding_is_pinned() {
-        // Pinned bytes, for the same reason as the `.twc` pin: version 3,
-        // whose records leave the baseline to the `.twc` streams.
+        // Pinned bytes, for the same reason as the `.twc` pin: version 4,
+        // whose records hold one load run each and name no cell.
         let buf = sample_twr();
-        assert_eq!((buf.len(), fold_bytes(&buf)), (279, 0xa97f_51f7_587c_d50e));
+        assert_eq!((buf.len(), fold_bytes(&buf)), (272, 0x3796_cfb6_f3ff_e49f));
     }
 
     #[test]
@@ -1188,8 +1191,9 @@ mod tests {
             read_replay_outcomes(bad.as_slice()),
             Err(TraceError::UnsupportedVersion(99))
         ));
-        // Version 1 stored 24-byte triples, version 2 a baseline.
-        for version in [1, 2] {
+        // Version 1 stored 24-byte triples, version 2 a baseline, and
+        // version 3 one load run per cell.
+        for version in [1, 2, 3] {
             let mut old = buf.clone();
             old[4] = version;
             assert!(matches!(
@@ -1199,22 +1203,22 @@ mod tests {
         }
     }
 
-    /// A one-record `.twr` whose load fields are `triples` and `bytes`
-    /// as given, under a valid checksum: what a writer with a broken
+    /// A one-record `.twr` whose load fields are `pairs` and `bytes` as
+    /// given, under a valid checksum: what a writer with a broken
     /// encoder would leave behind.
-    fn twr_with_load(triples: u64, bytes: &[u8]) -> Vec<u8> {
+    fn twr_with_load(pairs: u64, bytes: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         let header = sample_outcome_header();
         let mut w = SpillWriter::new(&OUTCOME_FORMAT, &mut buf).unwrap();
         header.requests.write_fingerprint(&mut w).unwrap();
-        w.word(header.topo_hash).unwrap();
+        w.word(header.signaling_hash).unwrap();
         w.scheme(&header.requests.scheme).unwrap();
         w.word(1).unwrap();
         // Eight scalar words, no delays.
         for word in [0, 7, 1, 2, 3, 4, 5, 6, 0] {
             w.word(word).unwrap();
         }
-        w.word(triples).unwrap();
+        w.word(pairs).unwrap();
         w.word(bytes.len() as u64).unwrap();
         w.bytes(bytes).unwrap();
         w.finish().unwrap();
@@ -1223,28 +1227,21 @@ mod tests {
 
     #[test]
     fn twr_rejects_malformed_load_runs_under_a_valid_checksum() {
-        // The canonical runs of (0, 1, 2), (0, 3, 4), (5, 0, 1).
-        let valid = [0, 2, 4, 2, 2, 1, 4, 4, 1, 2, 0, 1];
+        // The canonical run of (1, 2), (3, 4), (9, 1).
+        let valid = [2, 2, 1, 4, 5, 1];
         let (_, records) = read_replay_outcomes(twr_with_load(3, &valid).as_slice()).unwrap();
-        assert_eq!(records[0].outcome.load.to_triples(), [(0, 1, 2), (0, 3, 4), (5, 0, 1)]);
-        let cases: [(&str, Vec<u8>, u64); 6] = [
-            ("truncated", valid[..11].to_vec(), 3),
-            ("padding byte", [&[0x80, 0][..], &valid[1..]].concat(), 3),
+        assert_eq!(records[0].outcome.load.to_pairs(), [(1, 2), (3, 4), (9, 1)]);
+        let cases: [(&str, Vec<u8>, u64); 5] = [
+            ("truncated", valid[..5].to_vec(), 3),
+            ("padding byte", [&[0x82, 0][..], &valid[1..]].concat(), 3),
             ("overflows 64 bits", [&[0xFF; 9][..], &[2], &valid[1..]].concat(), 3),
             ("eleven bytes", [&[0x80; 10][..], &[1], &valid[1..]].concat(), 3),
             ("count mismatch", valid.to_vec(), 2),
-            // A run claiming 2^62 entries in a 4-byte body.
-            (
-                "huge run",
-                [&[0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40][..], &valid[2..]]
-                    .concat(),
-                3,
-            ),
         ];
-        for (what, bytes, triples) in cases {
-            match read_replay_outcomes(twr_with_load(triples, &bytes).as_slice()) {
+        for (what, bytes, pairs) in cases {
+            match read_replay_outcomes(twr_with_load(pairs, &bytes).as_slice()) {
                 Err(TraceError::Parse { location: 0, message }) => {
-                    assert!(message.starts_with("malformed load runs"), "{what}: {message}");
+                    assert!(message.starts_with("malformed load run"), "{what}: {message}");
                 }
                 other => panic!("{what}: read back as {other:?}"),
             }
@@ -1255,7 +1252,7 @@ mod tests {
         let at = huge.len() - 8 - valid.len() - 8;
         huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = read_replay_outcomes(huge.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("truncated load runs"), "{err}");
+        assert!(err.to_string().contains("truncated load run"), "{err}");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   that MakeIdle's online predictor is built on (§4.2);
 //! * [`bursts`] — burst/session segmentation used by MakeActive (§5);
 //! * [`io`] — CSV and binary persistence with full validation;
-//! * [`load`] — the compact per-second signaling-load deltas a replayed
-//!   user leaves behind, and their byte-run codec;
+//! * [`load`] — the compact per-second signaling load a replayed user
+//!   leaves behind, and its byte-run codec;
 //! * [`corpus`] — deterministic sorted directory walks over on-disk
 //!   trace corpora, the substrate for population-scale trace replay;
 //! * [`pcap`] — libpcap ingestion with device-relative direction
@@ -414,12 +414,12 @@ mod proptests {
         let record = (
             prop::collection::vec(0u64..u64::MAX, 8),
             prop::collection::vec(0u64..u64::MAX, 0..6),
-            prop::collection::vec((0u64..64, -1_000_000i64..100_000_000, 0u64..1_000), 0..8),
+            prop::collection::vec((-1_000_000i64..100_000_000, 0u64..1_000), 0..8),
         )
-            .prop_map(|(w, delay_bits, mut triples)| {
-                triples.sort_unstable_by_key(|&(cell, second, _)| (cell, second));
-                triples.dedup_by_key(|&mut (cell, second, _)| (cell, second));
-                (w, delay_bits, LoadDeltas::from_triples(triples).unwrap())
+            .prop_map(|(w, delay_bits, mut pairs)| {
+                pairs.sort_unstable_by_key(|&(second, _)| second);
+                pairs.dedup_by_key(|&mut (second, _)| second);
+                (w, delay_bits, LoadDeltas::from_pairs(pairs).unwrap())
             })
             .prop_map(|(w, delay_bits, load)| ReplayOutcomeRecord {
                 user: w[0],
@@ -438,7 +438,7 @@ mod proptests {
         prop::collection::vec(record, 0..max_len)
     }
 
-    fn twr_header(seed: u64, scheme: &str, topo_hash: u64) -> ReplayCacheHeader {
+    fn twr_header(seed: u64, scheme: &str, signaling_hash: u64) -> ReplayCacheHeader {
         ReplayCacheHeader {
             requests: RequestCacheHeader {
                 master_seed: seed,
@@ -448,7 +448,7 @@ mod proptests {
                 sim_hash: seed.rotate_right(23),
                 scheme: scheme.into(),
             },
-            topo_hash,
+            signaling_hash,
         }
     }
 
@@ -459,12 +459,12 @@ mod proptests {
         fn twr_roundtrip_is_identity(
             records in arb_twr_records(6),
             seed in 0u64..u64::MAX,
-            topo_hash in 0u64..u64::MAX,
+            signaling_hash in 0u64..u64::MAX,
             scheme_pick in 0usize..7,
         ) {
             let schemes =
                 ["statusquo", "tail45", "iat95", "iat87.5", "makeidle", "oracle", ""];
-            let header = twr_header(seed, schemes[scheme_pick], topo_hash);
+            let header = twr_header(seed, schemes[scheme_pick], signaling_hash);
             let mut buf = Vec::new();
             write_replay_outcomes(&header, &records, &mut buf).unwrap();
             let (back_header, back) = read_replay_outcomes(buf.as_slice()).unwrap();

@@ -6,11 +6,14 @@
 # difference, printing `name old → new` for each; with `--pin` it
 # rewrites the file instead.
 #
-#   scripts/library_digests.sh          # check (about 140 s on 2 vCPU)
+#   scripts/library_digests.sh          # check (about 150 s on 2 vCPU)
 #   scripts/library_digests.sh --pin    # re-pin after a deliberate move
 #
-# Every `scenarios/*.toml` is covered except `corpus_replay.toml`, which
-# needs a corpus directory, and `stress_200k.toml` (200k users).
+# Every `scenarios/*.toml` is covered except `stress_200k.toml` (200k
+# users). `corpus_replay.toml` reads `dir = "corpus"` against the
+# working directory, so it runs from the scratch directory, over a
+# 64-user corpus that `fleet export` and `fleet synth` write there
+# first.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,15 +26,17 @@ esac
 
 pins=scenarios/digests.txt
 cargo build --release --quiet -p tailwise
-tailwise=target/release/tailwise
+tailwise=$PWD/target/release/tailwise
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
+"$tailwise" fleet export "$scratch/base.toml" --users 64 > /dev/null
+"$tailwise" fleet synth "$scratch/base.toml" --out "$scratch/corpus" --threads 2 > /dev/null
 : > "$scratch/digests.txt"
-for path in scenarios/*.toml; do
+for path in "$PWD"/scenarios/*.toml; do
     file=$(basename "$path")
-    case "$file" in corpus_replay.toml | stress_200k.toml) continue ;; esac
-    "$tailwise" fleet run "$path" --threads 2 --quiet --metrics "$scratch/run.toml" > /dev/null
+    case "$file" in stress_200k.toml) continue ;; esac
+    (cd "$scratch" && "$tailwise" fleet run "$path" --threads 2 --quiet --metrics run.toml > /dev/null)
     echo "$file $("$tailwise" fleet manifest --digest "$scratch/run.toml")" >> "$scratch/digests.txt"
 done
 
