@@ -403,7 +403,7 @@ pub struct RequestCacheHeader {
 
 impl RequestCacheHeader {
     /// Writes every field but the scheme token, which a `.twr` header
-    /// follows with its topology hash first.
+    /// follows with its signaling hash first.
     fn write_fingerprint<W: Write>(&self, w: &mut SpillWriter<W>) -> Result<(), TraceError> {
         w.word(self.master_seed)?;
         w.word(self.users)?;
@@ -575,7 +575,7 @@ pub struct ReplayCacheHeader {
 /// The scalar outcome of one user's phase-2 replay, in exactly the
 /// shape a fleet fold consumes and a `.twr` record stores: energy as
 /// `f64::to_bits` words, switch and confusion counts, the session-delay
-/// samples as bits, and the user's per-second signaling-load deltas.
+/// samples as bits, and the user's per-second signaling load.
 /// The status-quo baseline the run is scored against is not part of
 /// it: it depends on the user's trace alone, and the fold takes it
 /// beside the outcome.

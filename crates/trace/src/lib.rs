@@ -409,7 +409,7 @@ mod proptests {
     }
 
     /// `.twr` records with arbitrary scalar words, delay samples and
-    /// load deltas.
+    /// load runs.
     fn arb_twr_records(max_len: usize) -> impl Strategy<Value = Vec<ReplayOutcomeRecord>> {
         let record = (
             prop::collection::vec(0u64..u64::MAX, 8),
