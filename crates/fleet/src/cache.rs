@@ -70,8 +70,9 @@
 //! `replay_fallbacks`) counter, recomputed, never trusted. Both spill
 //! through one write-then-rename path, timed as a `spill_write` span,
 //! whose failures count on the same fallback counters. The bit-identity
-//! harness in `tests/cache_fleet.rs` pins that a cached, spilled,
-//! reloaded, or fallback run produces byte-identical reports.
+//! harnesses in `tests/cache_fleet.rs` and `tests/replay_fleet.rs` pin
+//! that a cached, spilled, reloaded, or fallback run produces
+//! byte-identical reports.
 
 use std::collections::HashMap;
 use std::fs::File;
