@@ -152,6 +152,13 @@ pub fn fig03_power_timeline() -> Vec<Table> {
 
 /// Figure 8: relative error of the per-second energy model against the
 /// fine-grained ground truth (five-number summaries).
+///
+/// Calibrated, not reproduced. [`groundtruth::model_error`] reduces to
+/// `1/(efficiency × (1 + noise)) − 1`: the carrier's power and the
+/// transfer's throughput cancel, so both networks' rows are the same
+/// numbers, and the ±10% envelope holds because the efficiency factor
+/// and the noise were calibrated to it, not because the per-second
+/// model was measured against anything.
 pub fn fig08_energy_error() -> Table {
     let mut t = Table::new(
         "Fig 8 — simulation energy error vs fine-grained ground truth",
@@ -809,8 +816,14 @@ mod tests {
 
     #[test]
     fn fig08_errors_within_envelope() {
+        // Calibrated, not reproduced: the ground truth is the estimate
+        // times a size factor and per-run noise that were tuned to the
+        // paper's ±10% envelope, so this holds by construction. Power
+        // and throughput cancel, so the carriers' rows are equal; a
+        // carrier-dependent ground truth has to change this assertion.
         let t = fig08_energy_error();
         assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0][1..], t.rows[1][1..], "Fig 8's rows differ only in the network");
         for row in &t.rows {
             let min: f64 = row[1].parse().unwrap();
             let max: f64 = row[5].parse().unwrap();

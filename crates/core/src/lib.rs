@@ -220,6 +220,54 @@ mod proptests {
             }
         }
 
+        /// MakeIdle's phase-1 extraction asks the narrower question
+        /// (`demotion`, whose scan stops once each gap's verdict is
+        /// settled) and must send exactly the requests, and score
+        /// exactly the confusion, of the lock-step engine keeping its
+        /// decision log, which asks `decide` for every gap. Gaps mix
+        /// intra-burst, in-session and session lengths over all six
+        /// presets; the grant rule denies about a third of the requests
+        /// by a hash of their instant. The unlogged lock-step run (the
+        /// narrower question again) must match the logged one's report
+        /// bit for bit.
+        #[test]
+        fn extraction_matches_the_logged_lockstep_run(
+            gaps in prop::collection::vec((0usize..3, 0i64..60_000), 12..200),
+            carrier in 0usize..6,
+            seed in 0u64..1_000,
+        ) {
+            use tailwise_sim::engine::run_with_release;
+            use tailwise_sim::twophase::record_requests;
+            use tailwise_trace::mix::splitmix64;
+
+            let p = &CarrierProfile::all_presets()[carrier];
+            let gaps_ms: Vec<i64> = gaps
+                .iter()
+                .map(|&(scale, ms)| [ms % 40, ms % 3_000, ms][scale])
+                .collect();
+            let t = trace_from_gaps(&gaps_ms);
+            let grant = |at: Instant| !splitmix64(seed ^ at.as_micros() as u64).is_multiple_of(3);
+            let logged_cfg = SimConfig { record_decisions: true, ..SimConfig::default() };
+            let mut asked = Vec::new();
+            let logged = run_with_release(p, &logged_cfg, &t, &mut MakeIdle::new(), |at| {
+                asked.push(at);
+                grant(at)
+            });
+            let requests = record_requests(p, &SimConfig::default(), &t, &mut MakeIdle::new());
+            prop_assert_eq!(&requests.times, &asked);
+            prop_assert_eq!(requests.confusion, logged.confusion);
+
+            let unlogged =
+                run_with_release(p, &SimConfig::default(), &t, &mut MakeIdle::new(), grant);
+            prop_assert!(logged.decisions.is_some() && unlogged.decisions.is_none());
+            prop_assert_eq!(unlogged.total_energy().to_bits(), logged.total_energy().to_bits());
+            prop_assert_eq!(unlogged.energy, logged.energy);
+            prop_assert_eq!(unlogged.counters, logged.counters);
+            prop_assert_eq!(unlogged.confusion, logged.confusion);
+            prop_assert_eq!(unlogged.denied_fd, logged.denied_fd);
+            prop_assert_eq!(unlogged.premature_promotions, logged.premature_promotions);
+        }
+
         /// On workloads whose every gap is longer than the tail window,
         /// the status quo is the worst possible scheme — everything else
         /// must save energy (or tie).

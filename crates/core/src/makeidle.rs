@@ -48,13 +48,46 @@
 //! rise from 0.01% at n = 10 to 4.44% at n = 400
 //! (`crates/bench/tests/paper_claims.rs` pins both trends).
 //!
-//! Each decision is O(C) (C = grid size): it reads integer counts that
-//! follow the window at O(C) per push instead of walking the `n` samples —
-//! fast enough to run per-packet on a phone; the §6.6 overhead bench
-//! measures this path, window push included. A window the counts did not
-//! follow push by push (another window, or several pushes since the last
-//! decision) is recounted in one O(n + C) walk.
+//! Each decision reads integer counts instead of walking the `n`
+//! samples, and does only the work its gap's verdict needs — fast
+//! enough to run per packet on a phone; the §6.6 overhead bench
+//! measures this path, window push included:
+//!
+//! * **Counts above each cut.** Per cut point (the candidate waits,
+//!   `t1` and the tail window, in ascending order) MakeIdle keeps the
+//!   count and µs sum of the window's samples *above* it, plus the
+//!   window's totals. A push inserts one sample and evicts at most one,
+//!   and each walks the ascending cuts only while they lie below the
+//!   sample, so an intra-burst gap of a few ms touches one cut instead
+//!   of all of them. The count at or below a cut is the total minus the
+//!   count above it. A window the counts did not follow push by push
+//!   (another window, or several pushes since the last decision) is
+//!   recounted in one O(n + C) walk of its sorted samples.
+//! * **Skip candidates that cannot win.** A candidate whose count equals
+//!   the previous candidate's has the same samples below it, so its
+//!   `f(w)` differs only by a larger hold energy. Every float step from
+//!   there is monotone, so its `f` cannot rise above the previous one,
+//!   and the strict `>` of the argmax keeps the earlier best: it is
+//!   skipped.
+//! * **Stop once the verdict is settled.** The request rule only asks
+//!   whether a gap demotes, and after which wait
+//!   ([`IdlePolicy::demotion`]). The candidates are scanned in
+//!   ascending order, so a later best can only wait longer: once the
+//!   running best's wait reaches the gap, or the scan reaches a wait at
+//!   or above the gap while the best so far has `f ≤ 0`, no later
+//!   candidate can demote inside the gap and the answer is "no". For a
+//!   gap no longer than the first non-zero candidate only wait 0 can
+//!   demote: `f(0) ≤ 0` settles it after one evaluation, and so does the
+//!   first later candidate that beats `f(0)`, usually the next one.
+//!   [`best_wait`](MakeIdle::best_wait) and [`IdlePolicy::decide`],
+//!   which the decision log reads, still scan every candidate that can
+//!   win.
+//!
+//! The per-profile constants (the grid, each wait's hold energy,
+//! `t_threshold`, `E_switch`, the tail window and the virtual sample's
+//! energy) are built once per profile.
 
+use tailwise_radio::profile::CarrierProfile;
 use tailwise_sim::policy::{IdleContext, IdleDecision, IdlePolicy};
 use tailwise_trace::stats::SlidingWindow;
 use tailwise_trace::time::Duration;
@@ -76,18 +109,103 @@ impl Default for MakeIdleConfig {
     }
 }
 
-/// The key over every profile/config input the cached candidate grid
-/// and cut points depend on (`t_threshold` fixes the waits; `t1`, the
-/// tail window, `p_dch` and `p_fach` fix each wait's hold energy; `t1`
-/// and the tail window are also cut points).
+/// The key over every raw input the cached [`Grid`] reads: the profile
+/// fields behind `t_threshold`, `E_switch`, the tail window, the hold
+/// energies and the virtual sample's energy, and the candidate count.
+/// A key on derived values alone (the threshold's µs, say) would reuse
+/// a stale `E_switch` for two profiles whose thresholds round alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GridKey {
-    threshold_us: i64,
     candidates: usize,
     t1_us: i64,
-    tail_us: i64,
+    t2_us: i64,
     p_dch_bits: u64,
     p_fach_bits: u64,
+    e_promote_bits: u64,
+    e_demote_base_bits: u64,
+    fd_fraction_bits: u64,
+}
+
+impl GridKey {
+    fn of(profile: &CarrierProfile, candidates: usize) -> GridKey {
+        GridKey {
+            candidates,
+            t1_us: profile.t1.as_micros(),
+            t2_us: profile.t2.as_micros(),
+            p_dch_bits: profile.p_dch.to_bits(),
+            p_fach_bits: profile.p_fach.to_bits(),
+            e_promote_bits: profile.e_promote.to_bits(),
+            e_demote_base_bits: profile.e_demote_base.to_bits(),
+            fd_fraction_bits: profile.fd_energy_fraction.to_bits(),
+        }
+    }
+}
+
+/// One candidate wait of the grid.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    wait: Duration,
+    /// `hold_energy(wait) + E_switch`: what each surviving gap costs
+    /// under this wait.
+    hold_switch: f64,
+    /// This wait's index in [`CutCounts::cuts`].
+    cut: usize,
+}
+
+/// Everything a decision needs that depends only on the profile and the
+/// candidate count. Profiles are fixed for a whole run, so this builds
+/// once; the key makes a policy instance reused across carriers stay
+/// correct.
+#[derive(Debug, Clone)]
+struct Grid {
+    key: GridKey,
+    /// The waits in ascending order, `[0, t_threshold]`.
+    candidates: Vec<Candidate>,
+    t1_secs: f64,
+    /// `E(t)` past both timers, the full status-quo cycle — also the
+    /// energy of the virtual session-ending sample (see module docs).
+    e_cycle: f64,
+    /// Indices of `t1` and the tail window in [`CutCounts::cuts`].
+    t1_cut: usize,
+    tail_cut: usize,
+}
+
+impl Grid {
+    /// Builds the grid for `key` (of `profile`) and moves `cuts` to its
+    /// cut points.
+    fn build(key: GridKey, profile: &CarrierProfile, cuts: &mut CutCounts) -> Grid {
+        let c = key.candidates;
+        let threshold_us = profile.t_threshold().as_micros();
+        let e_switch = profile.e_switch();
+        let tail_window = profile.tail_window();
+        let waits: Vec<Duration> = (0..c)
+            .map(|i| {
+                Duration::from_micros(
+                    (threshold_us as f64 * i as f64 / (c - 1) as f64).round() as i64
+                )
+            })
+            .collect();
+        // Cut points: the waits (origins 0..c), then t1 and the tail
+        // window, sorted ascending (stable, so ties keep that order).
+        let points = waits.iter().copied().chain([profile.t1, tail_window]);
+        let index = cuts.reset(points.map(|d| d.as_micros()));
+        Grid {
+            key,
+            candidates: waits
+                .iter()
+                .enumerate()
+                .map(|(i, &wait)| Candidate {
+                    wait,
+                    hold_switch: profile.hold_energy(wait) + e_switch,
+                    cut: index[i],
+                })
+                .collect(),
+            t1_secs: profile.t1.as_secs_f64(),
+            e_cycle: profile.gap_energy(tail_window + Duration::from_secs(1)),
+            t1_cut: index[c],
+            tail_cut: index[c + 1],
+        }
+    }
 }
 
 /// The MakeIdle policy. The inter-arrival window itself is owned by the
@@ -96,48 +214,54 @@ struct GridKey {
 #[derive(Debug, Clone, Default)]
 pub struct MakeIdle {
     config: MakeIdleConfig,
-    /// Cached candidate grid for the current profile: `(wait,
-    /// hold_energy(wait))` per candidate. Profiles are fixed for a whole
-    /// run, so this builds once; the key fingerprints every profile
-    /// field the cached values depend on, so a policy instance reused
-    /// across carriers stays correct.
-    grid: Vec<(Duration, f64)>,
-    grid_key: Option<GridKey>,
-    /// The window's sample count and µs sum at every point `f(w)` cuts
-    /// it, following the window push by push.
+    /// The per-profile constants, built at the first warm decision.
+    grid: Option<Grid>,
+    /// The window's sample count and µs sum above every point `f(w)`
+    /// cuts it, following the window push by push.
     cuts: CutCounts,
 }
 
 /// Integer statistics of a window at fixed cut points, kept current by
 /// one insert and one evict per push.
 ///
-/// Cut point `i` holds the number of samples `≤ at_us[i]` and their µs
-/// sum. The points are the grid waits in grid order, then `t1`, the tail
-/// window and `i64::MAX` (the whole window), so every integer `f(w)`
-/// reads is one lookup.
+/// The cuts are in ascending order, each holding the number of samples
+/// *above* it and their µs sum; the window's totals sit beside them. So
+/// an insert or an evict walks the cuts only while they lie below the
+/// sample, and the count at or below cut `i` is the total minus the
+/// count above it.
 #[derive(Debug, Clone, Default)]
 struct CutCounts {
-    at_us: Vec<i64>,
-    /// Cut indices by ascending `at_us`, for the one-walk rebuild.
-    ascending: Vec<usize>,
-    count: Vec<i64>,
-    sum_us: Vec<i64>,
+    cuts: Vec<Cut>,
+    total: i64,
+    total_us: i64,
     /// `(stream, pushes)` of the window the counts describe; `None`
     /// after the cut points change.
     synced: Option<(u64, u64)>,
 }
 
+/// One cut point and the samples above it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cut {
+    at_us: i64,
+    above: i64,
+    above_us: i64,
+}
+
 impl CutCounts {
-    /// Moves the cut points to `at_us`; the counts wait for the next
-    /// [`follow`](Self::follow) to rebuild them.
-    fn reset(&mut self, at_us: impl IntoIterator<Item = i64>) {
-        self.at_us.clear();
-        self.at_us.extend(at_us);
-        self.ascending = (0..self.at_us.len()).collect();
-        self.ascending.sort_by_key(|&i| self.at_us[i]);
-        self.count = vec![0; self.at_us.len()];
-        self.sum_us = vec![0; self.at_us.len()];
+    /// Moves the cut points to `at_us`, sorted ascending; returns each
+    /// given point's index in [`cuts`](Self::cuts). The counts wait for
+    /// the next [`follow`](Self::follow) to rebuild them.
+    fn reset(&mut self, at_us: impl IntoIterator<Item = i64>) -> Vec<usize> {
+        let at_us: Vec<i64> = at_us.into_iter().collect();
+        let mut order: Vec<usize> = (0..at_us.len()).collect();
+        order.sort_by_key(|&i| at_us[i]);
+        let mut index = vec![0; at_us.len()];
+        for (position, &i) in order.iter().enumerate() {
+            index[i] = position;
+        }
+        self.cuts = order.iter().map(|&i| Cut { at_us: at_us[i], ..Cut::default() }).collect();
         self.synced = None;
+        index
     }
 
     /// Brings the counts up to date with `window`: nothing if it is the
@@ -162,33 +286,37 @@ impl CutCounts {
 
     /// Recounts from the sorted samples in one walk: the cuts are
     /// visited in ascending order, each taking the samples the walk has
-    /// passed so far.
+    /// passed so far as the ones at or below it.
     fn rebuild(&mut self, sorted: &[Duration]) {
+        self.total = sorted.len() as i64;
+        self.total_us = sorted.iter().map(|s| s.as_micros()).sum();
         let (mut k, mut sum) = (0, 0);
-        for &i in &self.ascending {
-            while k < sorted.len() && sorted[k].as_micros() <= self.at_us[i] {
+        for cut in &mut self.cuts {
+            while k < sorted.len() && sorted[k].as_micros() <= cut.at_us {
                 sum += sorted[k].as_micros();
                 k += 1;
             }
-            self.count[i] = k as i64;
-            self.sum_us[i] = sum;
+            cut.above = self.total - k as i64;
+            cut.above_us = self.total_us - sum;
         }
     }
 
-    /// Adds (`sign` 1) or removes (`sign` −1) one sample at every cut
-    /// point at or above it.
+    /// Adds (`sign` 1) or removes (`sign` −1) one sample: to the totals,
+    /// and above every cut below it.
     fn add(&mut self, sample: Duration, sign: i64) {
         let us = sample.as_micros();
-        for ((&at, count), sum) in self.at_us.iter().zip(&mut self.count).zip(&mut self.sum_us) {
-            let hit = sign * i64::from(us <= at);
-            *count += hit;
-            *sum += hit * us;
+        self.total += sign;
+        self.total_us += sign * us;
+        for cut in self.cuts.iter_mut().take_while(|cut| cut.at_us < us) {
+            cut.above += sign;
+            cut.above_us += sign * us;
         }
     }
 
-    /// `(count, µs sum)` at cut point `i`.
+    /// `(count, µs sum)` of the samples at or below cut `i`.
     fn at(&self, i: usize) -> (i64, i64) {
-        (self.count[i], self.sum_us[i])
+        let cut = &self.cuts[i];
+        (self.total - cut.above, self.total_us - cut.above_us)
     }
 }
 
@@ -214,8 +342,8 @@ impl MakeIdle {
         ctx.window.conditional_survival(w, w + ctx.profile.t_threshold())
     }
 
-    /// Evaluates `f(w)` for every candidate and returns the best
-    /// `(wait, f)` pair, or `None` when the window is still cold.
+    /// Evaluates `f(w)` for every candidate that can win and returns the
+    /// best `(wait, f)` pair, or `None` when the window is still cold.
     ///
     /// Public so the Fig. 14 harness can plot the chosen waits without
     /// running a full simulation.
@@ -226,61 +354,46 @@ impl MakeIdle {
     /// samples. `E(t)` is piecewise linear in `t` below the tail window
     /// and constant above it, so Σ `E(sᵢ)` over the samples at or below
     /// any cut reduces to the count and µs sum of the samples at or below
-    /// that cut, `t1` and the tail window. Those integers follow the window
-    /// one push at a time (one insert and one evict per cut point), and
-    /// the float expressions start from them in a fixed order, so the
+    /// that cut, `t1` and the tail window. Those integers are the
+    /// window's totals minus the counts above each cut, which follow the
+    /// window one push at a time (an insert or an evict touches only the
+    /// cuts below its sample). A candidate whose count equals the
+    /// previous one's cannot beat it and is skipped. The float
+    /// expressions start from the integers in a fixed order, so the
     /// result does not depend on the history of the counts.
     /// [`best_wait_reference`](Self::best_wait_reference) keeps the
     /// direct per-sample evaluation and the equivalence is pinned by
     /// property tests.
     pub fn best_wait(&mut self, ctx: &IdleContext<'_>) -> Option<(Duration, f64)> {
+        self.scan(ctx, Duration::FOREVER)
+    }
+
+    /// The ascending candidate scan behind [`best_wait`](Self::best_wait)
+    /// and [`IdlePolicy::demotion`]: the best `(wait, f)` pair, or
+    /// `None` once it is settled that a gap of length `gap` does not
+    /// demote (and for a cold window). A returned wait is below `gap`;
+    /// with `gap` = [`Duration::FOREVER`] the scan never stops early.
+    fn scan(&mut self, ctx: &IdleContext<'_>, gap: Duration) -> Option<(Duration, f64)> {
         let len = ctx.window.len();
         if len < self.config.min_samples {
             return None;
         }
         let profile = ctx.profile;
-        let e_switch = profile.e_switch();
-        let t1 = profile.t1;
-        let tail_window = profile.tail_window();
-        let t1_secs = t1.as_secs_f64();
-        // Past both timers E(t) is the constant full status-quo cycle —
-        // also the energy of the virtual session-ending pseudo-sample
-        // (see module docs).
-        let e_cycle = profile.gap_energy(tail_window + Duration::from_secs(1));
-        let n = len as f64 + 1.0;
-
-        // The candidate grid (and each candidate's hold energy) depends
-        // only on the profile, which is fixed for a whole run: build once.
-        let c = self.config.candidates.max(2);
-        let threshold = profile.t_threshold();
-        let key = GridKey {
-            threshold_us: threshold.as_micros(),
-            candidates: c,
-            t1_us: t1.as_micros(),
-            tail_us: tail_window.as_micros(),
-            p_dch_bits: profile.p_dch.to_bits(),
-            p_fach_bits: profile.p_fach.to_bits(),
+        let key = GridKey::of(profile, self.config.candidates.max(2));
+        let grid = match &mut self.grid {
+            Some(grid) if grid.key == key => grid,
+            slot => slot.insert(Grid::build(key, profile, &mut self.cuts)),
         };
-        if self.grid_key != Some(key) {
-            self.grid.clear();
-            for i in 0..c {
-                let w = Duration::from_micros(
-                    (threshold.as_micros() as f64 * i as f64 / (c - 1) as f64).round() as i64,
-                );
-                self.grid.push((w, profile.hold_energy(w)));
-            }
-            let waits = self.grid.iter().map(|&(w, _)| w.as_micros());
-            let pieces = [t1.as_micros(), tail_window.as_micros(), i64::MAX];
-            self.cuts.reset(waits.chain(pieces));
-            self.grid_key = Some(key);
-        }
-        self.cuts.follow(ctx.window);
+        let cuts = &mut self.cuts;
+        cuts.follow(ctx.window);
+        let n = len as f64 + 1.0;
 
         let secs = |us: i64| us as f64 * 1e-6;
         // Samples at or below t1 and the tail window: the piece
         // boundaries of E.
-        let (k1, us1) = self.cuts.at(c);
-        let (k2, us2) = self.cuts.at(c + 1);
+        let (k1, us1) = cuts.at(grid.t1_cut);
+        let (k2, us2) = cuts.at(grid.tail_cut);
+        let (t1_secs, e_cycle) = (grid.t1_secs, grid.e_cycle);
         // Σ E(sᵢ) over the k smallest samples (µs sum `us_k`), in closed
         // form (E is linear within each piece).
         let energy_prefix = |k: i64, us_k: i64| -> f64 {
@@ -300,20 +413,37 @@ impl MakeIdle {
             }
             sum
         };
-        let (total, total_us) = self.cuts.at(c + 2);
+        let (total, total_us) = (cuts.total, cuts.total_us);
         debug_assert_eq!(total, len as i64, "cut counts out of step with the window");
         let e_status_quo = (energy_prefix(total, total_us) + e_cycle) / n;
 
         let mut best: Option<(Duration, f64)> = None;
-        for (i, &(w, hold)) in self.grid.iter().enumerate() {
-            let (k, us_k) = self.cuts.at(i);
+        let mut previous_k = -1;
+        for candidate in &grid.candidates {
+            // Every later best waits at least this long: with nothing
+            // to beat, the gap cannot demote.
+            if candidate.wait >= gap && best.is_none_or(|(_, fb)| fb <= 0.0) {
+                return None;
+            }
+            let (k, us_k) = cuts.at(candidate.cut);
+            // The previous candidate's samples and a hold no shorter:
+            // f cannot rise (see module docs).
+            if k == previous_k {
+                continue;
+            }
+            previous_k = k;
             // k samples interrupt the hold; the virtual long gap survives
             // every candidate.
             let survivors = total - k + 1;
-            let e_strategy = (energy_prefix(k, us_k) + survivors as f64 * (hold + e_switch)) / n;
+            let e_strategy =
+                (energy_prefix(k, us_k) + survivors as f64 * candidate.hold_switch) / n;
             let f = e_status_quo - e_strategy;
             if best.is_none_or(|(_, fb)| f > fb) {
-                best = Some((w, f));
+                // A best that waits out the gap stays at or past it.
+                if candidate.wait >= gap {
+                    return None;
+                }
+                best = Some((candidate.wait, f));
             }
         }
         best
@@ -375,14 +505,171 @@ impl IdlePolicy for MakeIdle {
             _ => IdleDecision::Timers,
         }
     }
+
+    /// The candidate scan of [`decide`](IdlePolicy::decide), stopped as
+    /// soon as no later candidate can demote inside `gap` (see module
+    /// docs). A wait the scan returns is already below the gap.
+    fn demotion(&mut self, ctx: &IdleContext<'_>, gap: Duration) -> Option<Duration> {
+        match self.scan(ctx, gap) {
+            Some((w, f)) if f > 0.0 => Some(w),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tailwise_radio::profile::CarrierProfile;
     use tailwise_trace::stats::SlidingWindow;
     use tailwise_trace::time::Instant;
+
+    /// The full scan as it stood before the skip and the stop: every
+    /// candidate evaluated, every constant derived from the profile at
+    /// each call, and each count taken from the sorted samples. The
+    /// float expressions are [`MakeIdle::best_wait`]'s, so the two agree
+    /// bit for bit.
+    fn full_scan(config: &MakeIdleConfig, ctx: &IdleContext<'_>) -> Option<(Duration, f64)> {
+        let samples = ctx.window.sorted_samples();
+        if samples.len() < config.min_samples {
+            return None;
+        }
+        let profile = ctx.profile;
+        let e_switch = profile.e_switch();
+        let t1 = profile.t1;
+        let tail_window = profile.tail_window();
+        let t1_secs = t1.as_secs_f64();
+        let e_cycle = profile.gap_energy(tail_window + Duration::from_secs(1));
+        let n = samples.len() as f64 + 1.0;
+        let threshold = profile.t_threshold();
+        let c = config.candidates.max(2);
+        let at = |cut: Duration| -> (i64, i64) {
+            let k = samples.partition_point(|&s| s <= cut);
+            (k as i64, samples[..k].iter().map(|s| s.as_micros()).sum())
+        };
+        let secs = |us: i64| us as f64 * 1e-6;
+        let (k1, us1) = at(t1);
+        let (k2, us2) = at(tail_window);
+        let energy_prefix = |k: i64, us_k: i64| -> f64 {
+            if k <= k1 {
+                return profile.p_dch * secs(us_k);
+            }
+            let mut sum = profile.p_dch * secs(us1);
+            let (b, us_b) = if k <= k2 { (k, us_k) } else { (k2, us2) };
+            let m = (b - k1) as f64;
+            let piece_secs = secs(us_b - us1);
+            sum += m * profile.p_dch * t1_secs + profile.p_fach * (piece_secs - m * t1_secs);
+            if k > k2 {
+                sum += (k - k2) as f64 * e_cycle;
+            }
+            sum
+        };
+        let (total, total_us) = at(Duration::FOREVER);
+        let e_status_quo = (energy_prefix(total, total_us) + e_cycle) / n;
+        let mut best: Option<(Duration, f64)> = None;
+        for i in 0..c {
+            let w = Duration::from_micros(
+                (threshold.as_micros() as f64 * i as f64 / (c - 1) as f64).round() as i64,
+            );
+            let (k, us_k) = at(w);
+            let survivors = total - k + 1;
+            let hold = profile.hold_energy(w);
+            let e_strategy = (energy_prefix(k, us_k) + survivors as f64 * (hold + e_switch)) / n;
+            let f = e_status_quo - e_strategy;
+            if best.is_none_or(|(_, fb)| f > fb) {
+                best = Some((w, f));
+            }
+        }
+        best
+    }
+
+    fn bits(best: Option<(Duration, f64)>) -> Option<(Duration, u64)> {
+        best.map(|(w, f)| (w, f.to_bits()))
+    }
+
+    /// The six presets, then AT&T HSPA edited three ways: `t1` = 0.5 s
+    /// below its 1.2-s threshold; `t2` = 0; and `p_fach` = 0 with that
+    /// short `t1`, whose threshold is then the tail window itself, so the
+    /// last wait and the tail cut coincide.
+    fn oracle_profiles() -> Vec<CarrierProfile> {
+        let att = CarrierProfile::att_hspa;
+        let short_t1 = CarrierProfile { t1: Duration::from_millis(500), ..att() };
+        let no_t2 = CarrierProfile { t2: Duration::ZERO, ..att() };
+        let no_fach = CarrierProfile { p_fach: 0.0, ..short_t1.clone() };
+        assert!(short_t1.t_threshold() > short_t1.t1);
+        assert_eq!(no_fach.t_threshold(), no_fach.tail_window());
+        let mut profiles = CarrierProfile::all_presets();
+        assert_eq!(profiles.len(), 6);
+        profiles.extend([short_t1, no_t2, no_fach]);
+        profiles
+    }
+
+    /// A drawn duration: 0 µs, a grid wait exactly or 1 µs either side,
+    /// `t1` or the tail window exactly, or any value up to 40 s.
+    fn pick(profile: &CarrierProfile, (kind, j, raw): (u8, usize, i64)) -> Duration {
+        let grid_us = (profile.t_threshold().as_micros() as f64 * j as f64 / 24.0).round() as i64;
+        let us = match kind {
+            0 => 0,
+            1 => grid_us,
+            2 => grid_us + 1,
+            3 => (grid_us - 1).max(0),
+            4 if j % 2 == 0 => profile.t1.as_micros(),
+            4 => profile.tail_window().as_micros(),
+            _ => raw,
+        };
+        Duration::from_micros(us)
+    }
+
+    fn draw() -> impl Strategy<Value = (u8, usize, i64)> {
+        (0u8..7, 0usize..25, 0i64..40_000_000)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The scan with its skips, its stop and its followed counts
+        /// answers both questions as the full scan does, bit for bit.
+        /// Windows fill push by push (one instance follows them), with
+        /// runs of equal samples (`repeat`), 0-µs gaps and samples on
+        /// the grid's waits; the capacity is often `min_samples` (10).
+        /// After each push `best_wait` must equal the full scan on the
+        /// wait and on `f`'s bits, and a second instance that is only
+        /// ever asked `demotion` — so its scans often stop early — must
+        /// answer what `decide` and the engine's `gap > w` test would,
+        /// for gaps drawn the same way or [`Duration::FOREVER`].
+        #[test]
+        fn best_wait_and_demotion_match_the_full_scan(
+            profile in 0usize..9,
+            capacity in (0usize..3, 1usize..=64).prop_map(|(which, small)| match which {
+                0 => 10,
+                1 => 100,
+                _ => small,
+            }),
+            steps in prop::collection::vec((draw(), 0usize..4, draw()), 1..160),
+        ) {
+            let profile = &oracle_profiles()[profile];
+            let config = MakeIdleConfig::default();
+            let mut window = SlidingWindow::new(capacity);
+            let mut scanner = MakeIdle::new();
+            let mut asker = MakeIdle::new();
+            let mut previous = Duration::ZERO;
+            for (sample, repeat, gap) in steps {
+                let sample = if repeat == 0 { previous } else { pick(profile, sample) };
+                window.push(sample);
+                previous = sample;
+                let ctx = IdleContext { profile, window: &window, now: Instant::ZERO };
+                let reference = full_scan(&config, &ctx);
+                prop_assert_eq!(bits(scanner.best_wait(&ctx)), bits(reference));
+                let gap = if gap.0 == 6 && gap.1 == 0 { Duration::FOREVER } else { pick(profile, gap) };
+                let expected = match reference {
+                    Some((w, f)) if f > 0.0 => IdleDecision::DemoteAfter(w),
+                    _ => IdleDecision::Timers,
+                };
+                prop_assert_eq!(asker.demotion(&ctx, gap), expected.demotion(gap));
+            }
+        }
+    }
 
     fn window_of(gaps_s: &[f64]) -> SlidingWindow {
         let mut w = SlidingWindow::new(100);
@@ -522,12 +809,22 @@ mod tests {
         assert_eq!(a.t_threshold(), c.t_threshold());
         assert_eq!(c.tail_window(), Duration::from_millis(8_200));
 
+        // `d` and `e` differ from `a` only in `fd_energy_fraction` and
+        // `e_promote`, by too little to move the threshold by 1 µs: a key
+        // on the threshold would keep `a`'s E_switch for them.
+        let d = CarrierProfile { fd_energy_fraction: a.fd_energy_fraction + 1e-9, ..a.clone() };
+        let e = CarrierProfile { e_promote: a.e_promote + 1e-9, ..a.clone() };
+        for edited in [&d, &e] {
+            assert_eq!(a.t_threshold(), edited.t_threshold());
+            assert_ne!(a.e_switch(), edited.e_switch());
+        }
+
         let mut gaps = vec![0.4; 25];
         gaps.extend(vec![12.0; 10]);
         gaps.extend(vec![30.0; 25]);
         let w = window_of(&gaps);
         let mut mi = MakeIdle::new();
-        for p in [&a, &b, &a, &c, &a] {
+        for p in [&a, &b, &a, &c, &a, &d, &a, &e, &a] {
             let fast = mi.best_wait(&ctx(p, &w)).unwrap();
             let reference = mi.best_wait_reference(&ctx(p, &w)).unwrap();
             assert_eq!(fast.0, reference.0, "wait mismatch on {}", p.name);
@@ -536,6 +833,8 @@ mod tests {
                 "f mismatch on {}: {fast:?} vs {reference:?}",
                 p.name
             );
+            let full = full_scan(mi.config(), &ctx(p, &w));
+            assert_eq!(bits(Some(fast)), bits(full), "not the full scan's bits on {p:?}");
         }
     }
 

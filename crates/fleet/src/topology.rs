@@ -122,7 +122,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use tailwise_core::schemes::Scheme;
-use tailwise_obs::{span, Obs};
+use tailwise_obs::{span, Obs, Recorder};
 use tailwise_radio::admission::REQUEST_MESSAGES;
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_radio::rrc::Transition;
@@ -340,17 +340,25 @@ fn rnc_table(topology: &NetworkTopology) -> Vec<usize> {
 /// One user's pass-1 record over `trace`: `scheme`'s request stream,
 /// its times moved out of the [`RequestTrace`] and its confusion kept
 /// as the four counts, beside the energy bits and switch cycles of the
-/// status-quo run pass 2 scores the user against.
+/// status-quo run pass 2 scores the user against. The two walks record
+/// under the `extract` and `status_quo` spans.
 fn pass_one_record(
     scheme: Scheme,
     carrier: &CarrierProfile,
     sim: &SimConfig,
     trace: &Trace,
+    recorder: &dyn Recorder,
 ) -> RequestStream {
-    let RequestTrace { times, confusion: Confusion { tp, fp, tn, fn_ } } = scheme
-        .request_trace(carrier, sim, trace)
-        .expect("scriptable scheme always yields a request trace");
-    let status_quo = Scheme::StatusQuo.run(carrier, sim, trace);
+    let RequestTrace { times, confusion: Confusion { tp, fp, tn, fn_ } } = {
+        let _extract = span(recorder, "extract");
+        scheme
+            .request_trace(carrier, sim, trace)
+            .expect("scriptable scheme always yields a request trace")
+    };
+    let status_quo = {
+        let _status_quo = span(recorder, "status_quo");
+        Scheme::StatusQuo.run(carrier, sim, trace)
+    };
     RequestStream {
         times,
         confusion: [tp, fp, tn, fn_],
@@ -1196,7 +1204,8 @@ impl Partial for TopologyPartial {
 ///
 /// Observation: trace materialization in either pass records under the
 /// `synthesize` span, pass-1 request extraction and status-quo run
-/// under `simulate`, each RNC partition's adjudication under one
+/// under `simulate` (and inside it under `extract` and `status_quo`,
+/// one span each per user), each RNC partition's adjudication under one
 /// `adjudicate` span on the worker that ran it, and pass-2 scripted
 /// replay under `replay`, one span per user, plus one on the calling
 /// thread for the load scoring after it. Live progress counts each user
@@ -1254,7 +1263,7 @@ pub(crate) fn run_topology(
                     let (carrier, trace, days) = population.user(index, obs.recorder, ctx)?;
                     let record = {
                         let _simulate = span(obs.recorder, "simulate");
-                        pass_one_record(scheme, &carrier, sim, &trace)
+                        pass_one_record(scheme, &carrier, sim, &trace, obs.recorder)
                     };
                     partial.push(record);
                     ctx.user_done(days as u64);
@@ -2234,7 +2243,7 @@ mod tests {
         }
         let t = Trace::from_sorted(packets).unwrap();
         let scheme = Scheme::FixedTail45;
-        let record = pass_one_record(scheme, &p, &cfg, &t);
+        let record = pass_one_record(scheme, &p, &cfg, &t, &tailwise_obs::NullRecorder);
 
         let requests = scheme.request_trace(&p, &cfg, &t).unwrap();
         assert_eq!(record.times, requests.times);

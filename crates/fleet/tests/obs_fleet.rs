@@ -13,6 +13,8 @@
 //! * the `--metrics` manifest of an admission sweep re-parses through
 //!   `tailwise-scenfile` with every expected key, equal to the
 //!   original, from a string and from a file;
+//! * a cold topology run times pass 1's two walks per user (`extract`
+//!   and `status_quo`, inside `simulate`), and a warm one neither;
 //! * a disk-cached run times each spill it reads or writes.
 
 use std::path::PathBuf;
@@ -104,6 +106,31 @@ fn observed_topology_run_is_bit_identical_at_1_2_8_threads() {
     }
     // The unobserved baseline carries no timings at all.
     assert!(baseline.timings.is_none());
+}
+
+#[test]
+fn pass_one_times_extraction_and_the_status_quo_walk_per_user() {
+    // A cold topology run's pass 1 records, inside each user's
+    // `simulate` span, one `extract` and one `status_quo` span; a warm
+    // run served from the request cache runs no pass 1 and records
+    // none of the three.
+    let scenario = storm_scenario(9);
+    let source = UserSource::Synthetic(scenario.clone());
+    let cache = RequestCache::in_memory();
+    let spans = || {
+        let recorder = StatsRecorder::new();
+        let obs = Obs { recorder: &recorder, progress: None };
+        run_source(&source, 2, obs, Some(&cache)).unwrap();
+        let snapshot = recorder.snapshot();
+        let stat = |name: &str| snapshot.spans.get(name).map_or((0, 0), |s| (s.count, s.nanos));
+        [stat("simulate"), stat("extract"), stat("status_quo")]
+    };
+    let [simulate, extract, status_quo] = spans();
+    assert_eq!([simulate.0, extract.0, status_quo.0], [scenario.users; 3], "cold span counts");
+    assert!(extract.1 > 0 && status_quo.1 > 0);
+    assert!(extract.1 + status_quo.1 <= simulate.1, "the two walks nest inside `simulate`");
+    let warm = spans().map(|(count, _)| count);
+    assert_eq!(warm, [0; 3], "a warm run runs no pass 1");
 }
 
 #[test]

@@ -144,15 +144,19 @@ pub fn run_with_release(
     let mut rule = RequestRule::new(profile, config, idle_policy);
     let mut decisions: Vec<(Instant, Duration)> = Vec::new();
     let mut report = walk(profile, config, trace, scheme, |gap| {
-        let (decision, request) = rule.decide(gap);
-        if let IdleDecision::DemoteAfter(w) = decision {
-            if config.record_decisions
-                && decisions.len() < DECISION_LOG_LIMIT
-                && gap.len > config.intra_burst_gap
-            {
-                decisions.push((gap.start, w));
+        // Only the decision log needs the chosen wait of a gap that
+        // does not demote.
+        let request = if config.record_decisions {
+            let (decision, request) = rule.decide(gap);
+            if let IdleDecision::DemoteAfter(w) = decision {
+                if decisions.len() < DECISION_LOG_LIMIT && gap.len > config.intra_burst_gap {
+                    decisions.push((gap.start, w));
+                }
             }
-        }
+            request
+        } else {
+            rule.request(gap)
+        };
         request.map(|at| (at, grant(at)))
     });
     report.confusion = rule.confusion;
@@ -210,12 +214,19 @@ impl Gap {
 }
 
 /// The device's request rule, gap by gap: after the packet that opens a
-/// gap, ask the policy for a wait `w`, and request fast dormancy at
-/// `start + w` iff the gap outlasts `w` and `w` is inside the tail
-/// window (a request is only worth sending while the timers still have
-/// the radio up). The lock-step engine and phase-1 extraction
-/// ([`record_requests`](crate::twophase::record_requests)) both decide
-/// through it, which is what keeps their request streams identical.
+/// gap, ask the policy whether the gap demotes and after which wait
+/// `w`, and request fast dormancy at `start + w` iff it does and `w` is
+/// inside the tail window (a request is only worth sending while the
+/// timers still have the radio up). The lock-step engine and phase-1
+/// extraction ([`record_requests`](crate::twophase::record_requests))
+/// both decide through it, which is what keeps their request streams
+/// identical.
+///
+/// [`request`](Self::request) asks the policy's narrower
+/// [`IdlePolicy::demotion`]; [`decide`](Self::decide) asks
+/// [`IdlePolicy::decide`] for the chosen wait as well, which only the
+/// decision log reads. Both record the same confusion entry, push the
+/// same window sample and send the same request.
 pub(crate) struct RequestRule<'a> {
     profile: &'a CarrierProfile,
     policy: &'a mut dyn IdlePolicy,
@@ -244,28 +255,31 @@ impl<'a> RequestRule<'a> {
         }
     }
 
-    /// Decides `gap`: returns the policy's decision and the request
-    /// instant, if the device sends one. The decision is made before
-    /// the window learns the gap; the synthetic last gap is never
-    /// learned.
+    /// Decides `gap` and returns the request instant, if the device
+    /// sends one.
+    pub(crate) fn request(&mut self, gap: Gap) -> Option<Instant> {
+        let ctx = IdleContext { profile: self.profile, window: &self.window, now: gap.start };
+        let demotion = self.policy.demotion(&ctx, gap.len);
+        self.settle(gap, demotion)
+    }
+
+    /// Decides `gap` as [`request`](Self::request) does, and also
+    /// returns the policy's full decision.
     pub(crate) fn decide(&mut self, gap: Gap) -> (IdleDecision, Option<Instant>) {
         let ctx = IdleContext { profile: self.profile, window: &self.window, now: gap.start };
         let decision = self.policy.decide(&ctx, gap.len);
-        let wants_demote = match decision {
-            IdleDecision::Timers => false,
-            IdleDecision::DemoteAfter(w) => gap.len > w,
-        };
-        self.confusion.record(wants_demote, gap.len > self.threshold);
-        let request = match decision {
-            IdleDecision::DemoteAfter(w) if wants_demote && w < self.tail_window => {
-                Some(gap.start + w)
-            }
-            _ => None,
-        };
+        (decision, self.settle(gap, decision.demotion(gap.len)))
+    }
+
+    /// Scores the gap's `demotion` and lets the window learn the gap;
+    /// returns the request instant. The policy decides before the
+    /// window learns the gap; the synthetic last gap is never learned.
+    fn settle(&mut self, gap: Gap, demotion: Option<Duration>) -> Option<Instant> {
+        self.confusion.record(demotion.is_some(), gap.len > self.threshold);
         if self.maintain_window && !gap.last {
             self.window.push(gap.len);
         }
-        (decision, request)
+        demotion.filter(|&w| w < self.tail_window).map(|w| gap.start + w)
     }
 }
 

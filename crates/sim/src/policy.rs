@@ -37,8 +37,27 @@ pub enum IdleDecision {
     DemoteAfter(Duration),
 }
 
+impl IdleDecision {
+    /// The wait after which a gap of length `gap` demotes under this
+    /// decision: `Some(w)` iff the decision is `DemoteAfter(w)` and the
+    /// gap outlasts `w` (a packet arriving exactly at the wait closes
+    /// the gap first).
+    pub fn demotion(self, gap: Duration) -> Option<Duration> {
+        match self {
+            IdleDecision::DemoteAfter(w) if gap > w => Some(w),
+            _ => None,
+        }
+    }
+}
+
 /// A demotion policy: decides, after each packet, when to give up the
 /// channel.
+///
+/// The engine asks one of two questions per gap. The lock-step engine
+/// asks [`decide`](Self::decide) when it keeps the decision log (Fig.
+/// 14 plots the chosen waits); otherwise every run asks the narrower
+/// [`demotion`](Self::demotion), whose answer is all the request rule
+/// and the §6.3 confusion matrix read.
 pub trait IdlePolicy {
     /// Scheme name as used in the paper's figure legends.
     fn name(&self) -> String;
@@ -51,6 +70,20 @@ pub trait IdlePolicy {
     /// online policies must not read it — the engine's confusion-matrix
     /// accounting (§6.3) would be meaningless otherwise.
     fn decide(&mut self, ctx: &IdleContext<'_>, actual_gap: Duration) -> IdleDecision;
+
+    /// Does the gap of length `gap` that follows a packet at `ctx.now`
+    /// demote, and after which wait? `Some(w)` iff
+    /// [`decide`](Self::decide) would return `DemoteAfter(w)` and the
+    /// gap outlasts `w`; the default asks `decide` exactly that.
+    ///
+    /// An override must give the same answer for every window and gap,
+    /// and may use `gap` only to stop deciding once the answer is
+    /// settled: the wait it returns is the one `decide` would choose
+    /// without looking at the gap. MakeIdle overrides it to stop its
+    /// candidate scan early.
+    fn demotion(&mut self, ctx: &IdleContext<'_>, gap: Duration) -> Option<Duration> {
+        self.decide(ctx, gap).demotion(gap)
+    }
 
     /// Whether [`decide`](Self::decide) reads the inter-arrival window.
     ///

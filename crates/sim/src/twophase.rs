@@ -44,7 +44,12 @@
 //!   the idle policy's decisions to be a pure function of
 //!   `(profile, window)`, true of every [`IdlePolicy`] in the tree
 //!   (MakeIdle's mutable state is scratch buffers and a profile-keyed
-//!   cache, not learned history);
+//!   cache, not learned history). Both phases ask the policy the
+//!   narrower [`IdlePolicy::demotion`] ("does this gap demote, and
+//!   after which wait?"); the lock-step engine asks
+//!   [`IdlePolicy::decide`] instead only when it keeps the decision
+//!   log, and the two answer alike by contract (MakeIdle's pinned by
+//!   `tailwise-core`'s proptests);
 //! * the replay plays each gap through the engine's own accounting;
 //! * the confusion matrix is a phase-1 product, carried in the
 //!   [`RequestTrace`]. The request times do not determine it: a wait at
@@ -113,10 +118,12 @@ impl RequestTrace {
 /// confusion matrix of every decision.
 ///
 /// This is the cheap pass: no RRC machine, no energy metering — per gap
-/// it does exactly the work the policy's decision needs (one `decide`
-/// call plus, for window-using policies, one sliding-window insert), so
-/// populations can be scanned for their signaling footprint at a
-/// fraction of full-simulation cost.
+/// it does exactly the work the request rule needs (one
+/// [`IdlePolicy::demotion`] call, which stops deciding once the gap's
+/// verdict is settled, plus, for window-using policies, one
+/// sliding-window insert), so populations can be scanned for their
+/// signaling footprint at a fraction of full-simulation cost. It keeps
+/// no decision log, so it never asks for a wait that no request uses.
 pub fn record_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
@@ -128,7 +135,7 @@ pub fn record_requests(
     let tail_window = profile.tail_window();
     let mut rule = RequestRule::new(profile, config, idle_policy);
     let mut times: Vec<Instant> =
-        (0..pkts.len()).filter_map(|i| rule.decide(Gap::after(pkts, i, tail_window)).1).collect();
+        (0..pkts.len()).filter_map(|i| rule.request(Gap::after(pkts, i, tail_window))).collect();
     // A request cache may keep the stream for the rest of the process:
     // drop the growth slack rather than hold it there.
     times.shrink_to_fit();

@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Pins the scenario library's results: `scenarios/digests.txt` holds one
-# `<file> <digest>` line per library scenario, the digest being
-# `tailwise fleet manifest --digest` of `tailwise fleet run <file>
-# --threads 2`. This script recomputes every digest and fails on any
+# Pins the scenario library's and the reproduction's results.
+# `scenarios/digests.txt` holds one `<file> <digest>` line per library
+# scenario, the digest being `tailwise fleet manifest --digest` of
+# `tailwise fleet run <file> --threads 2`. `scenarios/repro_digests.txt`
+# holds one `<stem> <sha256>` line per CSV that a full `repro` run
+# writes (all 30). This script recomputes both and fails on any
 # difference, printing `name old → new` for each; with `--pin` it
-# rewrites the file instead.
+# rewrites both files instead.
 #
-#   scripts/library_digests.sh          # check (about 150 s on 2 vCPU)
+#   scripts/library_digests.sh          # check (about 4 min on 2 vCPU)
 #   scripts/library_digests.sh --pin    # re-pin after a deliberate move
 #
 # Every `scenarios/*.toml` is covered except `stress_200k.toml` (200k
 # users). `corpus_replay.toml` reads `dir = "corpus"` against the
 # working directory, so it runs from the scratch directory, over a
 # 64-user corpus that `fleet export` and `fleet synth` write there
-# first.
+# first. `repro` writes its CSVs into the scratch directory too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,7 +27,8 @@ case "${1:-}" in
 esac
 
 pins=scenarios/digests.txt
-cargo build --release --quiet -p tailwise
+repro_pins=scenarios/repro_digests.txt
+cargo build --release --quiet -p tailwise -p tailwise-bench --bin tailwise --bin repro
 tailwise=$PWD/target/release/tailwise
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
@@ -40,25 +43,45 @@ for path in "$PWD"/scenarios/*.toml; do
     echo "$file $("$tailwise" fleet manifest --digest "$scratch/run.toml")" >> "$scratch/digests.txt"
 done
 
+TAILWISE_RESULTS="$scratch/repro" "$PWD/target/release/repro" > /dev/null
+for path in "$scratch"/repro/*.csv; do
+    stem=$(basename "$path" .csv)
+    echo "$stem $(sha256sum "$path" | cut -d' ' -f1)"
+done > "$scratch/repro_digests.txt"
+
 if $pin; then
     cp "$scratch/digests.txt" "$pins"
-    echo "pinned $(wc -l < "$pins") digests in $pins"
+    cp "$scratch/repro_digests.txt" "$repro_pins"
+    echo "pinned $(wc -l < "$pins") digests in $pins and $(wc -l < "$repro_pins") in $repro_pins"
     exit 0
 fi
 
-# Every scenario pinned or computed, with the two digests side by side
-# (`-` where one side has none).
+# Every name pinned or computed, with the two digests side by side
+# (`-` where one side has none); prints `name old → new` per move.
+compare() {
+    local moved=0 name old new
+    while read -r name old new; do
+        if [ "$old" != "$new" ]; then
+            [ "$old" = - ] && old=unpinned
+            [ "$new" = - ] && new=gone
+            echo "${name%.toml} $old → $new"
+            moved=1
+        fi
+    done < <(join -a1 -a2 -e - -o 0,1.2,2.2 <(sort "$1") <(sort "$2"))
+    return $moved
+}
 moved=0
-while read -r file old new; do
-    if [ "$old" != "$new" ]; then
-        [ "$old" = - ] && old=unpinned
-        [ "$new" = - ] && new=gone
-        echo "${file%.toml} $old → $new"
-        moved=1
-    fi
-done < <(join -a1 -a2 -e - -o 0,1.2,2.2 <(sort "$pins") <(sort "$scratch/digests.txt"))
+compare "$pins" "$scratch/digests.txt" || {
+    echo "scenario digests differ from $pins" >&2
+    moved=1
+}
+compare "$repro_pins" "$scratch/repro_digests.txt" || {
+    echo "repro CSV digests differ from $repro_pins" >&2
+    moved=1
+}
 if [ "$moved" = 1 ]; then
-    echo "scenario digests differ from $pins (re-pin with $0 --pin if the move is meant)" >&2
+    echo "re-pin with $0 --pin if the move is meant" >&2
     exit 1
 fi
 echo "all $(wc -l < "$pins") scenario digests match $pins"
+echo "all $(wc -l < "$repro_pins") repro CSV digests match $repro_pins"
