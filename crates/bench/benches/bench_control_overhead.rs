@@ -16,6 +16,15 @@ use tailwise_sim::policy::{ActivePolicy, IdleContext, IdlePolicy};
 use tailwise_trace::stats::SlidingWindow;
 use tailwise_trace::time::{Duration, Instant};
 
+/// A window of capacity `n` filled from `next`.
+fn filled(n: usize, next: &mut impl Iterator<Item = Duration>) -> SlidingWindow {
+    let mut window = SlidingWindow::new(n);
+    for g in next.take(n) {
+        window.push(g);
+    }
+    window
+}
+
 fn makeidle_decision(c: &mut Criterion) {
     let profile = CarrierProfile::att_hspa();
     // Gap streams cycle with a prime period, so pushes evict samples that
@@ -23,29 +32,50 @@ fn makeidle_decision(c: &mut Criterion) {
     // small gaps and session gaps; n = 400: small gaps only.
     let mixed = |i: i32| if i % 5 == 0 { 12.0 + (i % 7) as f64 } else { 0.02 * (1 + i % 9) as f64 };
     let small = |i: i32| 0.01 * (1 + i % 50) as f64;
-    let streams = [
-        ("makeidle_decide_and_push_n100", 100, (0..251).map(mixed).collect::<Vec<f64>>()),
-        ("makeidle_decide_and_push_n400", 400, (0..251).map(small).collect()),
-    ];
-    for (label, n, secs) in streams {
-        let gaps: Vec<Duration> = secs.into_iter().map(Duration::from_secs_f64).collect();
-        let mut next = gaps.iter().cycle();
-        let mut window = SlidingWindow::new(n);
-        for &g in next.by_ref().take(n) {
-            window.push(g);
-        }
+    let stream = |secs: fn(i32) -> f64| -> Vec<Duration> {
+        (0..251).map(secs).map(Duration::from_secs_f64).collect()
+    };
+    let (mixed, small) = (stream(mixed), stream(small));
+    for (label, n, gaps) in [
+        ("makeidle_decide_and_push_n100", 100, &mixed),
+        ("makeidle_decide_and_push_n400", 400, &small),
+    ] {
+        let mut next = gaps.iter().copied().cycle();
+        let mut window = filled(n, &mut next);
         let mut mi = MakeIdle::new();
-        // One packet as the engine handles it: decide on the window, then
-        // push the gap that followed.
+        // One packet as the decision log sees it: decide on the window
+        // (every candidate that can win), then push the gap that followed.
         c.bench_function(label, |b| {
             b.iter(|| {
                 let ctx = IdleContext { profile: &profile, window: &window, now: Instant::ZERO };
                 let decision = black_box(mi.decide(&ctx, Duration::FOREVER));
-                window.push(*next.next().expect("cycle is endless"));
+                window.push(next.next().expect("cycle is endless"));
                 decision
             })
         });
     }
+
+    // The push alone.
+    let mut next = mixed.iter().copied().cycle();
+    let mut window = filled(100, &mut next);
+    c.bench_function("window_push_n100", |b| {
+        b.iter(|| window.push(black_box(next.next().expect("cycle is endless"))))
+    });
+
+    // One packet as every fleet run handles it: the request rule asks
+    // `demotion` with the gap that follows, then pushes that gap.
+    let mut next = mixed.iter().copied().cycle();
+    let mut window = filled(100, &mut next);
+    let mut mi = MakeIdle::new();
+    c.bench_function("makeidle_demotion_and_push_n100", |b| {
+        b.iter(|| {
+            let gap = next.next().expect("cycle is endless");
+            let ctx = IdleContext { profile: &profile, window: &window, now: Instant::ZERO };
+            let demotion = black_box(mi.demotion(&ctx, gap));
+            window.push(gap);
+            demotion
+        })
+    });
 }
 
 fn makeactive_round(c: &mut Criterion) {

@@ -46,6 +46,7 @@
 
 pub mod confidence;
 pub mod control;
+mod cuts;
 pub mod makeactive;
 pub mod makeidle;
 pub mod schemes;

@@ -62,7 +62,8 @@
 //!   of all of them. The count at or below a cut is the total minus the
 //!   count above it. A window the counts did not follow push by push
 //!   (another window, or several pushes since the last decision) is
-//!   recounted in one O(n + C) walk of its sorted samples.
+//!   recounted from its sorted view, which the window sorts for that
+//!   query: an engine run recounts once, at its first warm decision.
 //! * **Skip candidates that cannot win.** A candidate whose count equals
 //!   the previous candidate's has the same samples below it, so its
 //!   `f(w)` differs only by a larger hold energy. Every float step from
@@ -89,8 +90,9 @@
 
 use tailwise_radio::profile::CarrierProfile;
 use tailwise_sim::policy::{IdleContext, IdleDecision, IdlePolicy};
-use tailwise_trace::stats::SlidingWindow;
 use tailwise_trace::time::Duration;
+
+use crate::cuts::CutCounts;
 
 /// Configuration for [`MakeIdle`].
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +150,7 @@ struct Candidate {
     /// `hold_energy(wait) + E_switch`: what each surviving gap costs
     /// under this wait.
     hold_switch: f64,
-    /// This wait's index in [`CutCounts::cuts`].
+    /// This wait's cut in the [`CutCounts`].
     cut: usize,
 }
 
@@ -165,7 +167,7 @@ struct Grid {
     /// `E(t)` past both timers, the full status-quo cycle — also the
     /// energy of the virtual session-ending sample (see module docs).
     e_cycle: f64,
-    /// Indices of `t1` and the tail window in [`CutCounts::cuts`].
+    /// The cuts of `t1` and the tail window in the [`CutCounts`].
     t1_cut: usize,
     tail_cut: usize,
 }
@@ -175,16 +177,9 @@ impl Grid {
     /// cut points.
     fn build(key: GridKey, profile: &CarrierProfile, cuts: &mut CutCounts) -> Grid {
         let c = key.candidates;
-        let threshold_us = profile.t_threshold().as_micros();
         let e_switch = profile.e_switch();
         let tail_window = profile.tail_window();
-        let waits: Vec<Duration> = (0..c)
-            .map(|i| {
-                Duration::from_micros(
-                    (threshold_us as f64 * i as f64 / (c - 1) as f64).round() as i64
-                )
-            })
-            .collect();
+        let waits = candidate_waits(profile.t_threshold(), c);
         // Cut points: the waits (origins 0..c), then t1 and the tail
         // window, sorted ascending (stable, so ties keep that order).
         let points = waits.iter().copied().chain([profile.t1, tail_window]);
@@ -208,6 +203,15 @@ impl Grid {
     }
 }
 
+/// The `c` ≥ 2 candidate waits, evenly spaced over `[0, threshold]`
+/// and rounded to the µs, in ascending order.
+pub(crate) fn candidate_waits(threshold: Duration, c: usize) -> Vec<Duration> {
+    let threshold_us = threshold.as_micros() as f64;
+    (0..c)
+        .map(|i| Duration::from_micros((threshold_us * i as f64 / (c - 1) as f64).round() as i64))
+        .collect()
+}
+
 /// The MakeIdle policy. The inter-arrival window itself is owned by the
 /// simulation engine (its capacity is the paper's *n*, default 100,
 /// swept in Fig. 13) and handed in through the [`IdleContext`].
@@ -219,105 +223,6 @@ pub struct MakeIdle {
     /// The window's sample count and µs sum above every point `f(w)`
     /// cuts it, following the window push by push.
     cuts: CutCounts,
-}
-
-/// Integer statistics of a window at fixed cut points, kept current by
-/// one insert and one evict per push.
-///
-/// The cuts are in ascending order, each holding the number of samples
-/// *above* it and their µs sum; the window's totals sit beside them. So
-/// an insert or an evict walks the cuts only while they lie below the
-/// sample, and the count at or below cut `i` is the total minus the
-/// count above it.
-#[derive(Debug, Clone, Default)]
-struct CutCounts {
-    cuts: Vec<Cut>,
-    total: i64,
-    total_us: i64,
-    /// `(stream, pushes)` of the window the counts describe; `None`
-    /// after the cut points change.
-    synced: Option<(u64, u64)>,
-}
-
-/// One cut point and the samples above it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Cut {
-    at_us: i64,
-    above: i64,
-    above_us: i64,
-}
-
-impl CutCounts {
-    /// Moves the cut points to `at_us`, sorted ascending; returns each
-    /// given point's index in [`cuts`](Self::cuts). The counts wait for
-    /// the next [`follow`](Self::follow) to rebuild them.
-    fn reset(&mut self, at_us: impl IntoIterator<Item = i64>) -> Vec<usize> {
-        let at_us: Vec<i64> = at_us.into_iter().collect();
-        let mut order: Vec<usize> = (0..at_us.len()).collect();
-        order.sort_by_key(|&i| at_us[i]);
-        let mut index = vec![0; at_us.len()];
-        for (position, &i) in order.iter().enumerate() {
-            index[i] = position;
-        }
-        self.cuts = order.iter().map(|&i| Cut { at_us: at_us[i], ..Cut::default() }).collect();
-        self.synced = None;
-        index
-    }
-
-    /// Brings the counts up to date with `window`: nothing if it is the
-    /// window last seen, one insert and at most one evict if it is that
-    /// window plus one push, a rebuild from its samples otherwise.
-    fn follow(&mut self, window: &SlidingWindow) {
-        let now = (window.stream(), window.pushes());
-        match (self.synced, window.last_push()) {
-            (Some(seen), _) if seen == now => return,
-            (Some((stream, pushes)), Some((inserted, evicted)))
-                if stream == now.0 && pushes + 1 == now.1 =>
-            {
-                self.add(inserted, 1);
-                if let Some(evicted) = evicted {
-                    self.add(evicted, -1);
-                }
-            }
-            _ => self.rebuild(window.sorted_samples()),
-        }
-        self.synced = Some(now);
-    }
-
-    /// Recounts from the sorted samples in one walk: the cuts are
-    /// visited in ascending order, each taking the samples the walk has
-    /// passed so far as the ones at or below it.
-    fn rebuild(&mut self, sorted: &[Duration]) {
-        self.total = sorted.len() as i64;
-        self.total_us = sorted.iter().map(|s| s.as_micros()).sum();
-        let (mut k, mut sum) = (0, 0);
-        for cut in &mut self.cuts {
-            while k < sorted.len() && sorted[k].as_micros() <= cut.at_us {
-                sum += sorted[k].as_micros();
-                k += 1;
-            }
-            cut.above = self.total - k as i64;
-            cut.above_us = self.total_us - sum;
-        }
-    }
-
-    /// Adds (`sign` 1) or removes (`sign` −1) one sample: to the totals,
-    /// and above every cut below it.
-    fn add(&mut self, sample: Duration, sign: i64) {
-        let us = sample.as_micros();
-        self.total += sign;
-        self.total_us += sign * us;
-        for cut in self.cuts.iter_mut().take_while(|cut| cut.at_us < us) {
-            cut.above += sign;
-            cut.above_us += sign * us;
-        }
-    }
-
-    /// `(count, µs sum)` of the samples at or below cut `i`.
-    fn at(&self, i: usize) -> (i64, i64) {
-        let cut = &self.cuts[i];
-        (self.total - cut.above, self.total_us - cut.above_us)
-    }
 }
 
 impl MakeIdle {
@@ -339,7 +244,7 @@ impl MakeIdle {
     /// The paper's step-1 diagnostic: `P(no packet within w + t_threshold |
     /// no packet within w)` under the window distribution.
     pub fn p_gap_exceeds_threshold(ctx: &IdleContext<'_>, w: Duration) -> f64 {
-        ctx.window.conditional_survival(w, w + ctx.profile.t_threshold())
+        ctx.window.dist().conditional_survival(w, w + ctx.profile.t_threshold())
     }
 
     /// Evaluates `f(w)` for every candidate that can win and returns the
@@ -413,7 +318,7 @@ impl MakeIdle {
             }
             sum
         };
-        let (total, total_us) = (cuts.total, cuts.total_us);
+        let (total, total_us) = cuts.totals();
         debug_assert_eq!(total, len as i64, "cut counts out of step with the window");
         let e_status_quo = (energy_prefix(total, total_us) + e_cycle) / n;
 
@@ -455,7 +360,7 @@ impl MakeIdle {
     /// property test and for ablation studies that want to instrument
     /// per-sample energies.
     pub fn best_wait_reference(&self, ctx: &IdleContext<'_>) -> Option<(Duration, f64)> {
-        let samples = ctx.window.sorted_samples();
+        let samples = ctx.window.dist().sorted_samples();
         if samples.len() < self.config.min_samples {
             return None;
         }
@@ -531,7 +436,7 @@ mod tests {
     /// float expressions are [`MakeIdle::best_wait`]'s, so the two agree
     /// bit for bit.
     fn full_scan(config: &MakeIdleConfig, ctx: &IdleContext<'_>) -> Option<(Duration, f64)> {
-        let samples = ctx.window.sorted_samples();
+        let samples = ctx.window.dist().sorted_samples();
         if samples.len() < config.min_samples {
             return None;
         }

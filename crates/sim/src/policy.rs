@@ -87,8 +87,9 @@ pub trait IdlePolicy {
 
     /// Whether [`decide`](Self::decide) reads the inter-arrival window.
     ///
-    /// The engine maintains the window (a sorted-order shift of up to
-    /// `capacity` samples per gap) only when this returns true; the
+    /// The engine maintains the window (one ring-buffer push per gap;
+    /// the window sorts only when a query asks for its
+    /// [`dist`](SlidingWindow::dist)) only when this returns true; the
     /// baselines that ignore it — status quo, fixed waits, the Oracle —
     /// override this to skip that work. Purely a performance hint: a
     /// policy that returns false simply sees an empty window.

@@ -121,9 +121,10 @@ impl RequestTrace {
 /// it does exactly the work the request rule needs (one
 /// [`IdlePolicy::demotion`] call, which stops deciding once the gap's
 /// verdict is settled, plus, for window-using policies, one
-/// sliding-window insert), so populations can be scanned for their
-/// signaling footprint at a fraction of full-simulation cost. It keeps
-/// no decision log, so it never asks for a wait that no request uses.
+/// sliding-window push, a ring-buffer update that sorts nothing), so
+/// populations can be scanned for their signaling footprint at a
+/// fraction of full-simulation cost. It keeps no decision log, so it
+/// never asks for a wait that no request uses.
 pub fn record_requests(
     profile: &CarrierProfile,
     config: &SimConfig,
@@ -408,7 +409,7 @@ mod tests {
             "window-median".into()
         }
         fn decide(&mut self, ctx: &IdleContext<'_>, _actual_gap: Duration) -> IdleDecision {
-            let samples = ctx.window.sorted_samples();
+            let samples = ctx.window.dist().sorted_samples();
             if samples.len() < 5 {
                 return IdleDecision::Timers;
             }

@@ -66,6 +66,22 @@ mod proptests {
     use crate::time::{Duration, Instant};
     use crate::trace::Trace;
 
+    /// The window's sorted view must be the distribution of the last
+    /// `capacity` samples of `pushed`, and answer its queries alike.
+    fn holds_the_last_cap(w: &SlidingWindow, pushed: &[i64]) -> Result<(), TestCaseError> {
+        let keep = pushed.len().saturating_sub(w.capacity());
+        let expect = EmpiricalDist::from_samples(
+            pushed[keep..].iter().map(|&s| Duration::from_micros(s)).collect(),
+        );
+        prop_assert_eq!(w.dist(), &expect);
+        prop_assert_eq!(w.len(), expect.len());
+        for probe in [0i64, 3, 500_000, 1_000_000] {
+            let d = Duration::from_micros(probe);
+            prop_assert_eq!(w.dist().cdf(d), expect.cdf(d));
+        }
+        Ok(())
+    }
+
     fn arb_packet() -> impl Strategy<Value = Packet> {
         (0i64..100_000_000, prop::bool::ANY, 1u32..65536, 0u32..8, 0u16..8).prop_map(
             |(us, up, len, flow, app)| {
@@ -170,21 +186,31 @@ mod proptests {
             samples in (prop::collection::vec(0i64..1_000_000, 1..300), prop::bool::ANY)
                 .prop_map(|(s, few)| if few { s.iter().map(|v| v % 8).collect() } else { s }),
             cap in 1usize..64,
+            // One per sample: 0 clears the window before the push, 1
+            // queries a clone after it, 2–4 query the window after it,
+            // and the rest only push.
+            ops in prop::collection::vec(0u8..10, 300),
         ) {
             let mut w = SlidingWindow::new(cap);
-            for &s in &samples {
+            // The samples pushed since the last clear.
+            let mut pushed = Vec::new();
+            for (&s, &op) in samples.iter().zip(&ops) {
+                if op == 0 {
+                    // Cache a view first, so the clear must drop it.
+                    w.dist();
+                    w.clear();
+                    pushed.clear();
+                    holds_the_last_cap(&w, &pushed)?;
+                }
                 w.push(Duration::from_micros(s));
+                pushed.push(s);
+                match op {
+                    1 => holds_the_last_cap(&w.clone(), &pushed)?,
+                    2..=4 => holds_the_last_cap(&w, &pushed)?,
+                    _ => {}
+                }
             }
-            // The window must equal the distribution over the last `cap` samples.
-            let keep = samples.len().saturating_sub(cap);
-            let expect = EmpiricalDist::from_samples(
-                samples[keep..].iter().map(|&s| Duration::from_micros(s)).collect(),
-            );
-            prop_assert_eq!(w.sorted_samples(), expect.sorted_samples());
-            for probe in [0i64, 3, 500_000, 1_000_000] {
-                let d = Duration::from_micros(probe);
-                prop_assert_eq!(w.cdf(d), expect.cdf(d));
-            }
+            holds_the_last_cap(&w, &pushed)?;
         }
 
         #[test]

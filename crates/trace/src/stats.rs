@@ -6,9 +6,10 @@
 //!
 //! * [`EmpiricalDist`] — an immutable sorted sample set with exact CDF,
 //!   survival, conditional-survival and quantile queries;
-//! * [`SlidingWindow`] — the online structure that maintains the last *n*
-//!   samples in both arrival order (for eviction) and sorted order (for
-//!   queries), exposing the same query interface;
+//! * [`SlidingWindow`] — the online structure that keeps the last *n*
+//!   samples in arrival order, one ring-buffer update a push, and sorts
+//!   them into an [`EmpiricalDist`] only when a query asks
+//!   ([`SlidingWindow::dist`]);
 //! * small summary helpers ([`mean`], [`median`]) used throughout the
 //!   evaluation harness.
 //!
@@ -16,6 +17,7 @@
 //! binning — because the MakeIdle decision rule integrates the energy
 //! function over the sample set and binning would inject avoidable error.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -127,14 +129,14 @@ impl EmpiricalDist {
     }
 }
 
-/// Sliding window over the last `n` durations, supporting the same queries
-/// as [`EmpiricalDist`] while samples stream in.
+/// Sliding window over the last `n` durations, whose sorted view
+/// ([`dist`](Self::dist)) answers the [`EmpiricalDist`] queries while
+/// samples stream in.
 ///
-/// Samples are kept both in arrival order (a ring buffer, for eviction) and
-/// in sorted order (for CDF/quantile queries). A push into a full window
-/// is one shift of the sorted samples lying between the evicted sample's
-/// slot and the new sample's slot; with the paper's default window of
-/// n = 100 (§6.3) that beats any tree structure.
+/// A push is a ring-buffer update. The sorted view is built on the
+/// first query after a push and kept until the next push or
+/// [`clear`](Self::clear): a caller that queries per push pays a sort
+/// of up to `n` samples each time, one that follows the pushes nothing.
 ///
 /// Consumers that keep their own statistics of the window up to date
 /// (MakeIdle's cut-point counts) follow it through [`stream`](Self::stream),
@@ -145,7 +147,9 @@ impl EmpiricalDist {
 pub struct SlidingWindow {
     capacity: usize,
     arrivals: VecDeque<Duration>,
-    sorted: Vec<Duration>,
+    /// The sorted view of `arrivals`, once a query since the last push
+    /// has asked for it.
+    sorted: OnceCell<EmpiricalDist>,
     stream: u64,
     pushes: u64,
     evicted: Option<Duration>,
@@ -183,7 +187,7 @@ impl SlidingWindow {
         SlidingWindow {
             capacity,
             arrivals: VecDeque::new(),
-            sorted: Vec::new(),
+            sorted: OnceCell::new(),
             stream: fresh_stream(),
             pushes: 0,
             evicted: None,
@@ -212,36 +216,16 @@ impl SlidingWindow {
 
     /// Pushes a sample, evicting the oldest if the window is full.
     pub fn push(&mut self, d: Duration) {
-        // The new sample's slot among the current sorted samples.
-        let to = self.sorted.partition_point(|&s| s <= d);
-        self.evicted = None;
-        if self.arrivals.len() < self.capacity {
-            self.sorted.insert(to, d);
-        } else {
-            let evicted = self.arrivals.pop_front().expect("window full implies non-empty");
-            let from = self
-                .sorted
-                .binary_search(&evicted)
-                .expect("evicted sample must be present in sorted set");
-            // Everything strictly between the two slots moves one place
-            // toward the evicted one. `from < to` iff evicted ≤ d.
-            if from < to {
-                self.sorted.copy_within(from + 1..to, from);
-                self.sorted[to - 1] = d;
-            } else {
-                self.sorted.copy_within(to..from, to + 1);
-                self.sorted[to] = d;
-            }
-            self.evicted = Some(evicted);
-        }
+        self.evicted = if self.is_full() { self.arrivals.pop_front() } else { None };
         self.arrivals.push_back(d);
+        self.sorted.take();
         self.pushes += 1;
     }
 
     /// Clears all samples and starts a new [`stream`](Self::stream).
     pub fn clear(&mut self) {
         self.arrivals.clear();
-        self.sorted.clear();
+        self.sorted.take();
         self.stream = fresh_stream();
         self.pushes = 0;
         self.evicted = None;
@@ -266,62 +250,15 @@ impl SlidingWindow {
         self.arrivals.back().map(|&d| (d, self.evicted))
     }
 
-    /// The samples in non-decreasing order.
-    pub fn sorted_samples(&self) -> &[Duration] {
-        &self.sorted
-    }
-
     /// The samples in arrival order (oldest first).
     pub fn arrival_order(&self) -> impl Iterator<Item = Duration> + '_ {
         self.arrivals.iter().copied()
     }
 
-    /// Empirical CDF over the current window (see [`EmpiricalDist::cdf`]).
-    pub fn cdf(&self, d: Duration) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let k = self.sorted.partition_point(|&s| s <= d);
-        k as f64 / self.sorted.len() as f64
-    }
-
-    /// Empirical survival over the current window.
-    pub fn survival(&self, d: Duration) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.cdf(d)
-    }
-
-    /// Conditional survival `P(X > b | X > a)`; see
-    /// [`EmpiricalDist::conditional_survival`].
-    pub fn conditional_survival(&self, a: Duration, b: Duration) -> f64 {
-        debug_assert!(b >= a);
-        let sa = self.survival(a);
-        if sa == 0.0 {
-            return 1.0;
-        }
-        self.survival(b) / sa
-    }
-
-    /// Conditional expectation `E[g(min(X, cap)) | X > given]`; see
-    /// [`EmpiricalDist::conditional_expectation`].
-    pub fn conditional_expectation<F>(&self, given: Duration, cap: Duration, g: F) -> Option<f64>
-    where
-        F: Fn(Duration) -> f64,
-    {
-        let start = self.sorted.partition_point(|&s| s <= given);
-        let tail = &self.sorted[start..];
-        if tail.is_empty() {
-            return None;
-        }
-        let sum: f64 = tail.iter().map(|&s| g(s.min(cap))).sum();
-        Some(sum / tail.len() as f64)
-    }
-
-    /// Snapshot of the window as an immutable distribution.
-    pub fn snapshot(&self) -> EmpiricalDist {
-        EmpiricalDist { sorted: self.sorted.clone() }
+    /// The window's samples as a distribution: sorted on the first call
+    /// after a push, then kept until the next push or clear.
+    pub fn dist(&self) -> &EmpiricalDist {
+        self.sorted.get_or_init(|| EmpiricalDist::from_samples(self.arrival_order().collect()))
     }
 }
 
@@ -426,7 +363,7 @@ mod tests {
         // 5.0 evicted; remaining sorted {1,2,3}.
         assert_eq!(w.len(), 3);
         assert_eq!(
-            w.sorted_samples(),
+            w.dist().sorted_samples(),
             &[Duration::from_secs(1), Duration::from_secs(2), Duration::from_secs(3)]
         );
         let arrivals: Vec<Duration> = w.arrival_order().collect();
@@ -443,7 +380,7 @@ mod tests {
         w.push(Duration::from_secs(1));
         w.push(Duration::from_secs(1));
         assert_eq!(w.len(), 2);
-        assert_eq!(w.cdf(Duration::from_secs(1)), 1.0);
+        assert_eq!(w.dist().cdf(Duration::from_secs(1)), 1.0);
     }
 
     #[test]
@@ -460,7 +397,7 @@ mod tests {
         let stream = w.stream();
         let copy = w.clone();
         assert_ne!(copy.stream(), stream);
-        assert_eq!(copy.sorted_samples(), w.sorted_samples());
+        assert_eq!(copy.dist(), w.dist());
         w.clear();
         assert_ne!(w.stream(), stream);
         assert_ne!(w.stream(), copy.stream());
@@ -473,11 +410,15 @@ mod tests {
         for s in [1.0, 2.0, 3.0, 4.0] {
             w.push(Duration::from_secs_f64(s));
         }
-        let snap = w.snapshot();
+        // A clone of the sorted view is a snapshot: later pushes move
+        // the window's view, not the copy.
+        let snap = w.dist().clone();
         let probe = Duration::from_secs_f64(2.5);
-        assert_eq!(snap.cdf(probe), w.cdf(probe));
-        assert_eq!(snap.survival(probe), w.survival(probe));
+        assert_eq!(snap.cdf(probe), 0.5);
         assert_eq!(snap.len(), w.len());
+        w.push(Duration::from_secs(1));
+        assert_eq!(snap.cdf(probe), 0.5);
+        assert_eq!(w.dist().cdf(probe), 0.6);
     }
 
     #[test]
@@ -486,7 +427,7 @@ mod tests {
         w.push(Duration::from_secs(1));
         w.clear();
         assert!(w.is_empty());
-        assert_eq!(w.survival(Duration::ZERO), 0.0);
+        assert_eq!(w.dist().survival(Duration::ZERO), 0.0);
     }
 
     #[test]
@@ -515,13 +456,13 @@ mod tests {
             w.push(Duration::from_millis(i));
         }
         assert!(w.is_full());
-        let before = w.survival(Duration::from_millis(49));
+        let before = w.dist().survival(Duration::from_millis(49));
         assert!((before - 0.5).abs() < 1e-9);
         // Push 50 large samples; survival at the same point must rise.
         for _ in 0..50 {
             w.push(Duration::from_secs(10));
         }
-        assert!(w.survival(Duration::from_millis(49)) > before);
+        assert!(w.dist().survival(Duration::from_millis(49)) > before);
         assert_eq!(w.len(), 100);
     }
 }

@@ -8,7 +8,7 @@
 # difference, printing `name old → new` for each; with `--pin` it
 # rewrites both files instead.
 #
-#   scripts/library_digests.sh          # check (about 3 min on 2 vCPU)
+#   scripts/library_digests.sh          # check (under 2 min on 2 vCPU)
 #   scripts/library_digests.sh --pin    # re-pin after a deliberate move
 #
 # Every `scenarios/*.toml` is covered except `stress_200k.toml` (200k
